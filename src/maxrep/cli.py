@@ -99,6 +99,17 @@ def _parse_float(token: str, line: int, strict: bool) -> float:
     return v
 
 
+def _directive_values(toks: list[str], count: int, convert, line: int) -> list:
+    """The count values of a directive line, converted, or a ParseError."""
+    if len(toks) != count + 1:
+        raise ParseError(f"'{toks[0]}' takes {count} value(s), got {len(toks) - 1}",
+                         line)
+    try:
+        return [convert(t) for t in toks[1:]]
+    except ValueError:
+        raise ParseError(f"bad value for '{toks[0]}': {' '.join(toks[1:])!r}", line)
+
+
 def _read_matrix(reader: _Reader, n: int, strict: bool) -> np.ndarray:
     rows = []
     for _ in range(n):
@@ -134,11 +145,12 @@ def parse_graph_file(path: str, strict: bool = False) -> tuple[GluingGraph, dict
         toks = body.split()
         key = toks[0]
         if key == "n":
-            n = int(toks[1])
+            n = _directive_values(toks, 1, int, line_no)[0]
         elif key == "surface":
-            declared = (int(toks[1]), int(toks[2]))
+            declared = tuple(_directive_values(toks, 2, int, line_no))
         elif key in ("tol", "seed"):
-            options[key] = float(toks[1]) if key == "tol" else int(toks[1])
+            convert = float if key == "tol" else int
+            options[key] = _directive_values(toks, 1, convert, line_no)[0]
         elif key == "node":
             if n is None:
                 raise ParseError("'n' must come before nodes", line_no)
@@ -222,12 +234,14 @@ def parse_rep_file(path: str, strict: bool = False) -> tuple[int, int, int, dict
         line_no, body = reader.next()
         toks = body.split()
         if toks[0] == "n":
-            n = int(toks[1])
+            n = _directive_values(toks, 1, int, line_no)[0]
         elif toks[0] == "surface":
-            genus, m = int(toks[1]), int(toks[2])
+            genus, m = _directive_values(toks, 2, int, line_no)
         elif toks[0] == "generator":
             if n is None:
                 raise ParseError("'n' must come before generators", line_no)
+            if len(toks) != 2:
+                raise ParseError("usage: generator NAME", line_no)
             mat = _read_matrix(reader, 2 * n, strict)
             l2, b2 = reader.next()
             if b2 != "end":
@@ -237,6 +251,11 @@ def parse_rep_file(path: str, strict: bool = False) -> tuple[int, int, int, dict
             raise ParseError(f"unknown directive {toks[0]!r}", line_no)
     if n is None or genus is None:
         raise ParseError("rep file must declare n and surface")
+    names = [f"{x}{i}" for x in "AB" for i in range(1, genus + 1)] \
+        + [f"C{j}" for j in range(1, m + 1)]
+    missing = [name for name in names if name not in gens]
+    if missing:
+        raise ParseError(f"rep file lacks generators {' '.join(missing)}")
     return n, genus, m, gens
 
 
@@ -255,7 +274,7 @@ def parse_points_file(path: str, strict: bool = False) -> tuple[int, list[Bounda
         line_no, body = reader.next()
         toks = body.split()
         if toks[0] == "n":
-            n = int(toks[1])
+            n = _directive_values(toks, 1, int, line_no)[0]
         elif toks[0] == "point":
             if n is None:
                 raise ParseError("'n' must come before points", line_no)

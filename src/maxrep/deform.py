@@ -414,8 +414,10 @@ def deform_to_standard(rep_or_graph, steps: int = 100,
     the standard representative of its component.  Along the way every node
     stays a valid maximal parameter set and the component signature never
     changes.  Validity of each snapshot is re-checked here; callers get an
-    exception, not a bad path.
+    exception, not a bad path.  steps must be at least 1.
     """
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
     graph = rep_or_graph.graph if isinstance(rep_or_graph, SurfaceRep) else rep_or_graph
     if graph is None:
         raise NotMaximal("representation carries no gluing graph to deform")

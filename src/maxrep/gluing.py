@@ -31,6 +31,7 @@ from .errors import (
     NotCompatible,
     NotContracting,
     NotValid,
+    SVDNotConverged,
 )
 from .matcore import (
     DEFAULT_TOL,
@@ -597,7 +598,17 @@ def _polish_conjugator(t: SpMat, g_lo: SpMat, target: np.ndarray) -> SpMat:
             return np.inf
 
     op = np.kron(np.eye(m2), g_lo.m.T) - np.kron(target, np.eye(m2))
-    _, svals, vt = np.linalg.svd(op)
+    try:
+        _, svals, vt = np.linalg.svd(op)
+    except np.linalg.LinAlgError:
+        # LAPACK's divide-and-conquer SVD now and then fails to converge on
+        # this operator but not on its transpose, op^T = V S U^T
+        try:
+            u, svals, _ = np.linalg.svd(op.T)
+        except np.linalg.LinAlgError as exc:
+            raise SVDNotConverged(
+                f"commutation operator SVD did not converge: {exc}") from exc
+        vt = u.T
     cutoff = 1e-6 * max(1.0, svals[0])
     null_rows = vt[svals <= cutoff]
     cand = t.m.copy()

@@ -10,6 +10,8 @@ representation the indices concentrate on +-n.
 from __future__ import annotations
 
 import itertools
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,9 +24,7 @@ from .normalform import attracting_point
 from .symplectic import (
     BoundaryPoint,
     SpMat,
-    point_distance,
     sp_inverse,
-    transverse,
 )
 
 __all__ = ["LimitSample", "limit_set_sample", "reduced_words"]
@@ -72,6 +72,82 @@ def _is_shyperbolic(m: np.ndarray, band: float) -> bool:
     return not np.any(np.abs(moduli - 1.0) <= band)
 
 
+# matrix entries per batched SVD in _count_transverse (512 KB of float64)
+_PAIR_CHUNK_ENTRIES = 1 << 16
+
+
+def _unrank3(r: int, d: int) -> tuple[int, int, int]:
+    """The r-th triple of itertools.combinations(range(d), 3).
+
+    Lexicographic rank r of (i, j, k) is colexicographic rank
+    C(d, 3) - 1 - r of (d-1-k, d-1-j, d-1-i), whose combinadic digits
+    c3 > c2 > c1 are each the largest c with C(c, size) within the rest.
+    """
+    rest = math.comb(d, 3) - 1 - r
+    out = []
+    top = d
+    for size in (3, 2, 1):
+        top = bisect_right(range(top), rest, key=lambda c: math.comb(c, size)) - 1
+        rest -= math.comb(top, size)
+        out.append(d - 1 - top)
+    return tuple(out)
+
+
+def _cluster(pts: list[BoundaryPoint], n: int,
+             cluster_tol: float) -> list[BoundaryPoint]:
+    """First-come greedy clustering under point_distance <= cluster_tol * scale.
+
+    Each finite point is compared against one stack of the finite points kept
+    so far; infinity is at distance 0 from infinity and inf from the rest.
+    """
+    kept: list[BoundaryPoint] = []
+    finite = np.empty((len(pts), n, n))
+    k = n_inf = 0
+    for pt in pts:
+        if pt.is_infinity:
+            bound = cluster_tol
+            near = (n_inf and 0.0 <= bound) or (k and np.inf <= bound)
+        else:
+            bound = cluster_tol * max(1.0, norm_inf(pt.value))
+            dist = np.max(np.abs(finite[:k] - pt.value), axis=(1, 2))
+            near = (n_inf and np.inf <= bound) or np.any(dist <= bound)
+        if near:
+            continue
+        kept.append(pt)
+        if pt.is_infinity:
+            n_inf += 1
+        else:
+            finite[k] = pt.value
+            k += 1
+    return kept
+
+
+def _count_transverse(pts: list[BoundaryPoint], tol: Tolerance) -> int:
+    """Number of pairs i < j of the points with transverse(pts[i], pts[j], tol).
+
+    Infinity is transverse to every finite point and not to infinity.  For
+    finite points the test is that of symplectic.transverse: the smallest
+    singular value of X_i - X_j exceeds tol.eq_tol * max(1, |X_i|, |X_j|).
+    The differences go through one batched SVD per block of rows of the
+    pair triangle.
+    """
+    finite = np.array([p.value for p in pts if not p.is_infinity])
+    d = len(finite)
+    count = (len(pts) - d) * d
+    if d < 2:
+        return count
+    n = finite.shape[-1]
+    scale = np.maximum(1.0, np.max(np.abs(finite), axis=(1, 2)))
+    rows = max(1, _PAIR_CHUNK_ENTRIES // (d * n * n))
+    for a in range(0, d - 1, rows):
+        i, j = np.triu_indices(min(rows, d - a), a + 1, d)
+        i += a
+        smallest = np.linalg.svd(finite[i] - finite[j], compute_uv=False)[:, -1]
+        bound = tol.eq_tol * np.maximum(scale[i], scale[j])
+        count += int(np.count_nonzero(smallest > bound))
+    return count
+
+
 def limit_set_sample(rep: SurfaceRep, max_word_length: int = 4,
                      tol: Tolerance = DEFAULT_TOL,
                      max_triples: int = 200, seed: int = 0,
@@ -82,6 +158,13 @@ def limit_set_sample(rep: SurfaceRep, max_word_length: int = 4,
     pair (no unit-modulus spectrum); words whose image fails that condition
     are skipped and counted.  Points closer than cluster_tol are identified
     before statistics, since distinct words routinely share an axis.
+
+    Sampled triples are seeded: when the D distinct points have more than
+    max_triples triples, rng = np.random.default_rng(seed) draws
+    rng.choice(C(D, 3), size=max_triples, replace=False) and each drawn index
+    names the triple at that position of itertools.combinations(range(D), 3)
+    (lexicographic order), found by unranking rather than by listing them;
+    otherwise every triple is used in that order.
     """
     for j, c in enumerate(rep.c_imgs, start=1):
         if not _is_shyperbolic(c.m, tol.unit_circle_band):
@@ -113,24 +196,21 @@ def limit_set_sample(rep: SurfaceRep, max_word_length: int = 4,
             continue
         points.append((" ".join(word), pt))
 
-    distinct: list[BoundaryPoint] = []
-    for _, pt in points:
-        scale = 1.0 if pt.is_infinity else max(1.0, norm_inf(pt.value))
-        if not any(point_distance(pt, q) <= cluster_tol * scale for q in distinct):
-            distinct.append(pt)
-
-    pairs = list(itertools.combinations(range(len(distinct)), 2))
-    n_trans = sum(transverse(distinct[i], distinct[j], tol) for i, j in pairs)
-    frac = n_trans / len(pairs) if pairs else 1.0
-    if pairs and n_trans < len(pairs):
-        findings.append(f"{len(pairs) - n_trans} of {len(pairs)} point pairs "
+    distinct = _cluster([pt for _, pt in points], rep.n, cluster_tol)
+    n_pairs = math.comb(len(distinct), 2)
+    n_trans = _count_transverse(distinct, tol)
+    frac = n_trans / n_pairs if n_pairs else 1.0
+    if n_pairs and n_trans < n_pairs:
+        findings.append(f"{n_pairs - n_trans} of {n_pairs} point pairs "
                         "not transverse")
 
     rng = np.random.default_rng(seed)
-    triples = list(itertools.combinations(range(len(distinct)), 3))
-    if len(triples) > max_triples:
-        idx = rng.choice(len(triples), size=max_triples, replace=False)
-        triples = [triples[i] for i in idx]
+    n_triples = math.comb(len(distinct), 3)
+    if n_triples > max_triples:
+        idx = rng.choice(n_triples, size=max_triples, replace=False)
+        triples = [_unrank3(int(r), len(distinct)) for r in idx]
+    else:
+        triples = itertools.combinations(range(len(distinct)), 3)
     hist: dict[int, int] = {}
     for i, j, k in triples:
         try:

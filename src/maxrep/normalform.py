@@ -353,12 +353,15 @@ _ATTRACT_MARGIN = 1e-5
 _NONEXPAND_SLACK = 1e-6
 
 
-def _fixed_point_certificate(g: SpMat, p: BoundaryPoint) -> tuple[bool, float]:
+def _fixed_point_certificate(g: SpMat, p: BoundaryPoint,
+                             tol: Tolerance) -> tuple[bool, float]:
     """(is the point fixed, spectral radius of the differential factor).
 
-    Circle eigenvalues of the full matrix come in defective pairs whose
-    computed values split by roughly sqrt(eps); certifying the candidate
-    point directly is robust where raw eigenvalue bands are not.
+    The point counts as fixed when it moves by at most
+    sqrt(tol.eq_tol) * max(1, |Y|).  Circle eigenvalues of the full matrix
+    come in defective pairs whose computed values split by roughly
+    sqrt(eps); certifying the candidate point directly is robust where raw
+    eigenvalue bands are not.
     """
     if p.is_infinity:
         sw = swap_symplectic(g.n)
@@ -366,7 +369,7 @@ def _fixed_point_certificate(g: SpMat, p: BoundaryPoint) -> tuple[bool, float]:
         p = BoundaryPoint(np.zeros((g.n, g.n)))
     y = p.value
     img = g.A @ y + g.B - y @ (g.C @ y + g.D)
-    fixed = norm_inf(img) <= rel_bound(np.sqrt(DEFAULT_TOL.eq_tol), y)
+    fixed = norm_inf(img) <= rel_bound(np.sqrt(tol.eq_tol), y)
     m = g.A - y @ g.C
     return fixed, float(np.max(np.abs(np.linalg.eigvals(m))))
 
@@ -392,7 +395,7 @@ def attracting_point(g: SpMat, tol: Tolerance = DEFAULT_TOL) -> BoundaryPoint:
         pt = INFINITY
     else:
         pt = BoundaryPoint(sym_part(u1 @ np.linalg.inv(u2)))
-    fixed, rho = _fixed_point_certificate(g, pt)
+    fixed, rho = _fixed_point_certificate(g, pt, tol)
     if not fixed or rho > 1.0 - max(band, _ATTRACT_MARGIN):
         raise NotSHyperbolic("no contracting fixed point; element is not "
                              "transverse-pair hyperbolic within tolerance")
@@ -438,7 +441,7 @@ def canonical_point_of_element(g: SpMat, tol: Tolerance = DEFAULT_TOL) -> Bounda
             pt = INFINITY
         else:
             pt = BoundaryPoint(sym_part(u1 @ np.linalg.inv(u2)))
-        fixed, rho = _fixed_point_certificate(g, pt)
+        fixed, rho = _fixed_point_certificate(g, pt, tol)
         if fixed and rho <= 1.0 + max(tol.unit_circle_band, _NONEXPAND_SLACK):
             return pt
     raise NoCanonicalFixedPoint(

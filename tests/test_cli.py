@@ -220,6 +220,60 @@ class TestCommands:
         code, _, _ = run_main(["build", pants_file], capsys)
         assert code == 0
 
+    def test_deform_zero_steps(self, torus_file, capsys):
+        code, _, err = run_main(["deform", torus_file, "--steps", "0"], capsys)
+        assert code == 2
+        assert "steps must be at least 1" in err
+
+
+REP_FILE = "maxrep-rep 1\nn 1\nsurface 0 1\n"
+
+
+class TestMalformedFiles:
+    """A directive with a missing value is a parse error naming its line."""
+
+    @pytest.mark.parametrize("old, new, line", [
+        ("n 1\n", "n\n", 3),
+        ("surface 0 3\n", "surface\n", 4),
+        ("surface 0 3\n", "surface 0\n", 4),
+        ("surface 0 3\n", "surface 0 3\ntol\n", 5),
+        ("surface 0 3\n", "surface 0 3\nseed\n", 5),
+        ("n 1\n", "n one\n", 3),
+    ])
+    def test_graph_file(self, tmp_path, capsys, old, new, line):
+        f = tmp_path / "bad.mg"
+        f.write_text("# header comment\n" + PANTS_FILE.replace(old, new))
+        code, _, err = run_main(["build", str(f)], capsys)
+        assert code == 2
+        assert f"(line {line})" in err
+
+    @pytest.mark.parametrize("old, new, line", [
+        ("n 1\n", "n\n", 2),
+        ("surface 0 1\n", "surface\n", 3),
+        ("surface 0 1\n", "surface 0 1\ngenerator\n", 4),
+    ])
+    def test_rep_file(self, tmp_path, capsys, old, new, line):
+        f = tmp_path / "bad.mr"
+        f.write_text(REP_FILE.replace(old, new))
+        code, _, err = run_main(["verify", str(f)], capsys)
+        assert code == 2
+        assert f"(line {line})" in err
+
+    def test_rep_file_missing_generator(self, tmp_path, capsys):
+        f = tmp_path / "bad.mr"
+        f.write_text("maxrep-rep 1\nn 1\nsurface 1 0\n"
+                     "generator B1\n  1.0 0.0\n  0.0 1.0\nend\n")
+        code, _, err = run_main(["verify", str(f)], capsys)
+        assert code == 2
+        assert "lacks generators A1" in err
+
+    def test_points_file(self, tmp_path, capsys):
+        f = tmp_path / "bad.mp"
+        f.write_text(POINTS_FILE.replace("n 2\n", "n\n"))
+        code, _, err = run_main(["maslov", str(f)], capsys)
+        assert code == 2
+        assert "(line 2)" in err
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self, pants_file):

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,18 +13,19 @@ from maxrep.deform import (
     standard_sign_graph,
     standard_twist,
 )
-from maxrep.errors import GraphInvalid, NotSHyperbolic
+from maxrep.errors import GraphInvalid, MaxRepError, NotSHyperbolic
 from maxrep.gluing import (
     GluingGraph,
     build_from_graph,
     component_signature,
     pants_surface_rep,
 )
-from maxrep.limits import limit_set_sample, reduced_words
-from maxrep.matcore import norm_inf, spectral_radius
+from maxrep.limits import _cluster, _count_transverse, _unrank3, limit_set_sample, reduced_words
+from maxrep.maslov import Triple, maslov
+from maxrep.matcore import DEFAULT_TOL, norm_inf, spectral_radius
 from maxrep.pants import PantsParams, ParamClass, classify_params, toledo_signature_shortcut
 from maxrep.sampling import random_contracting, random_invertible, random_pants_params
-from maxrep.symplectic import moebius_act, point_distance, sp_inverse
+from maxrep.symplectic import INFINITY, BoundaryPoint, moebius_act, point_distance, sp_inverse, transverse
 
 
 class TestPaths:
@@ -197,3 +201,98 @@ class TestLimitSample:
         rep = pants_surface_rep(PantsParams(scale * x1, x2, x3))
         with pytest.raises(NotSHyperbolic):
             limit_set_sample(rep, max_word_length=2)
+
+
+def enumerated_statistics(points, n, seed, max_triples=200, cluster_tol=1e-8):
+    """Oracle: the sampler's statistics by pairwise calls and listed triples."""
+    distinct = []
+    for pt in points:
+        scale = 1.0 if pt.is_infinity else max(1.0, norm_inf(pt.value))
+        if not any(point_distance(pt, q) <= cluster_tol * scale for q in distinct):
+            distinct.append(pt)
+    pairs = list(itertools.combinations(range(len(distinct)), 2))
+    n_trans = sum(transverse(distinct[i], distinct[j]) for i, j in pairs)
+    findings = []
+    if pairs and n_trans < len(pairs):
+        findings.append(f"{len(pairs) - n_trans} of {len(pairs)} point pairs "
+                        "not transverse")
+    rng = np.random.default_rng(seed)
+    triples = list(itertools.combinations(range(len(distinct)), 3))
+    if len(triples) > max_triples:
+        idx = rng.choice(len(triples), size=max_triples, replace=False)
+        triples = [triples[i] for i in idx]
+    hist = {}
+    for i, j, k in triples:
+        try:
+            b = maslov(Triple(distinct[i], distinct[j], distinct[k]))
+        except MaxRepError as exc:
+            findings.append(f"triple ({i},{j},{k}) failed: {exc}")
+            continue
+        hist[b] = hist.get(b, 0) + 1
+    off = sum(v for b, v in hist.items() if abs(b) != n)
+    if off:
+        findings.append(f"{off} sampled triples with |index| != {n}")
+    frac = n_trans / len(pairs) if pairs else 1.0
+    return distinct, frac, hist, findings
+
+
+def points_with_infinity(rng, n):
+    """Finite points, rank-one shifts of them (not transverse) and infinity twice."""
+    pts = []
+    for _ in range(12):
+        x = rng.normal(size=(n, n))
+        v = rng.normal(size=n)
+        pts.append(BoundaryPoint(x + x.T))
+        pts.append(BoundaryPoint(x + x.T + np.outer(v, v)))
+    pts.insert(5, INFINITY)
+    pts.append(INFINITY)
+    return pts
+
+
+class TestSamplerStatistics:
+    @pytest.mark.parametrize("d", range(3, 13))
+    def test_unrank3_is_lexicographic(self, d):
+        listed = list(itertools.combinations(range(d), 3))
+        assert [_unrank3(r, d) for r in range(len(listed))] == listed
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_enumeration(self, rng, n):
+        rep = pants_surface_rep(random_pants_params(n, rng, tame=True))
+        for seed in (0, 7):
+            sample = limit_set_sample(rep, max_word_length=3, seed=seed)
+            distinct, frac, hist, findings = enumerated_statistics(
+                [pt for _, pt in sample.points], n, seed)
+            assert len(sample.distinct_points) == len(distinct)
+            assert all(a is b for a, b in zip(sample.distinct_points, distinct))
+            assert sample.transverse_fraction == frac
+            assert sample.beta_histogram == hist
+            assert list(sample.findings) == findings
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_cluster_with_infinity(self, rng, n):
+        pts = points_with_infinity(rng, n)
+        n_distinct = len(pts) - 1
+        pts += pts[::5]   # exact repeats, both infinities among them
+        kept = _cluster(pts, n, 1e-8)
+        oracle, *_ = enumerated_statistics(pts, n, 0, max_triples=0)
+        assert len(kept) == len(oracle) == n_distinct
+        assert all(a is b for a, b in zip(kept, oracle))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_batched_transverse_count(self, rng, n):
+        pts = points_with_infinity(rng, n)
+        expected = sum(transverse(p, q) for p, q in itertools.combinations(pts, 2))
+        if n > 1:   # rank-one shifts and the pair of infinities fail
+            assert expected < len(pts) * (len(pts) - 1) // 2 - 12
+        assert _count_transverse(pts, DEFAULT_TOL) == expected
+
+    def test_length_four_memory(self, rng):
+        rep = pants_surface_rep(random_pants_params(2, rng, tame=True))
+        tracemalloc.start()
+        try:
+            sample = limit_set_sample(rep, max_word_length=4, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(sample.distinct_points) > 300
+        assert peak < 100 * 2 ** 20

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from maxrep.errors import CannotGlue, GraphInvalid, NotCompatible, NotContracting
+from maxrep.errors import CannotGlue, GraphInvalid, NotCompatible, NotContracting, SVDNotConverged
 from maxrep.gluing import (
     GlueStatus,
     GluingGraph,
@@ -380,3 +380,41 @@ class TestComponentSignature:
         closed = glue_reps(hb1, "t1", hb2, "t2", np.eye(2))
         with pytest.raises(ValueError):
             component_signature(closed)
+
+
+class TestPolishSVDFallback:
+    """_polish_conjugator retries the commutation-operator SVD on the transpose."""
+
+    @staticmethod
+    def failing_svd(monkeypatch, fail_transpose: bool):
+        # The operator of an n = 2 build is 16 x 16 and C-ordered; its
+        # transpose is an F-ordered view.  Other SVDs of a build are smaller.
+        real_svd = np.linalg.svd
+        failed = []
+
+        def svd(a, *args, **kwargs):
+            a = np.asarray(a)
+            if a.shape == (16, 16) and (fail_transpose or a.flags.c_contiguous):
+                failed.append(a.flags.c_contiguous)
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        return failed
+
+    def test_transpose_retry_meets_relation(self, rng, monkeypatch):
+        from tests_support import chain_graph
+
+        graph = chain_graph(0, 4, 2, rng)
+        failed = self.failing_svd(monkeypatch, fail_transpose=False)
+        rep = build_from_graph(graph)
+        assert failed and all(failed)
+        assert rep.relation_residual <= 1e-7
+
+    def test_second_failure_is_numerical_breakdown(self, rng, monkeypatch):
+        from tests_support import chain_graph
+
+        graph = chain_graph(0, 4, 2, rng)
+        self.failing_svd(monkeypatch, fail_transpose=True)
+        with pytest.raises(SVDNotConverged):
+            build_from_graph(graph)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from maxrep.errors import NoCanonicalFixedPoint, NotContracting, NotFixed
-from maxrep.matcore import norm_inf
+from maxrep.matcore import DEFAULT_TOL, Tolerance, norm_inf
 from maxrep.normalform import (
     DifferentialClass,
+    _fixed_point_certificate,
     IsometryClass,
     StandardBoundary,
     attracting_point,
@@ -27,6 +28,7 @@ from maxrep.sampling import (
 from maxrep.symplectic import (
     INFINITY,
     BoundaryPoint,
+    SpMat,
     finite_point,
     identity_point,
     moebius_act,
@@ -296,3 +298,13 @@ class TestElementCanonicalPoints:
         for _ in range(80):
             x = moebius_act(w, x)
         assert point_distance(x, pt) <= 1e-9
+
+    def test_certificate_band_follows_tolerance(self):
+        # X -> 4X moves the candidate 1e-3 by 1.5e-3: outside the default
+        # band sqrt(1e-9) ~ 3.2e-5, inside the looser sqrt(1e-4) = 1e-2
+        g = SpMat(np.diag([2.0, 0.5]))
+        p = BoundaryPoint(np.array([[1e-3]]))
+        assert not _fixed_point_certificate(g, p, DEFAULT_TOL)[0]
+        assert _fixed_point_certificate(g, p, Tolerance(eq_tol=1e-4))[0]
+        # the true fixed point passes under either band
+        assert _fixed_point_certificate(g, BoundaryPoint(np.zeros((1, 1))), DEFAULT_TOL)[0]
