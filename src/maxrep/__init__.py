@@ -14,7 +14,6 @@ from .errors import (
     MathematicalRefusal,
     MaxRepError,
     NearSingular,
-    NearSingularDet,
     NoCanonicalFixedPoint,
     NotCompatible,
     NotContracting,
@@ -46,12 +45,10 @@ from .symplectic import (
     INFINITY,
     BoundaryPoint,
     SpMat,
-    cayley,
     cycle_symplectic,
     diag_symplectic,
     finite_point,
     identity_point,
-    inverse_cayley,
     make_symplectic,
     moebius_act,
     sp_identity,
@@ -84,7 +81,6 @@ from .normalform import (
     differential_at,
     fixed_point_contracting_side,
     fixed_point_expanding_side,
-    fixed_point_probe,
     fixed_point_residual,
     standard_element,
 )

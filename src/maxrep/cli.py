@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -93,6 +94,8 @@ def _parse_float(token: str, line: int, strict: bool) -> float:
         v = float(token)
     except ValueError:
         raise ParseError(f"not a number: {token!r}", line)
+    if not math.isfinite(v):
+        raise ParseError(f"not a finite number: {token!r}", line)
     if strict and repr(v) != token:
         raise ParseError(
             f"strict mode: {token!r} does not round-trip (canonical {repr(v)})", line)
@@ -570,7 +573,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow ends in a NumericalBreakdown from check_finite, not in
+        # floating-point warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR

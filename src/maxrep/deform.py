@@ -28,6 +28,7 @@ from .gluing import (
     GraphEdge,
     PantsNode,
     SurfaceRep,
+    _gluing_plan,
     build_from_graph,
     component_signature,
     slot_glue_length,
@@ -40,7 +41,6 @@ __all__ = [
     "standard_twist",
     "standard_sign_graph",
     "enumerate_standard_graphs",
-    "signature_of_graph",
     "DeformationPath",
     "deform_to_standard",
 ]
@@ -244,93 +244,20 @@ def spd_path(s0: np.ndarray, s1: np.ndarray, t: float) -> np.ndarray:
 # deformation of chain graphs
 
 
-@dataclass(frozen=True)
-class _ChainStructure:
-    base_kind: str                        # "pants" | "handle"
-    base_node: str
-    base_handle_twist: np.ndarray | None  # for handle base
-    attach_order: tuple[str, ...]         # node names, chain order
-    attach_edges: tuple[GraphEdge, ...]   # edge attaching each node, same order
-    host_ports: tuple[tuple[str, int], ...]
-
-
-def _analyze_chain(graph: GluingGraph) -> _ChainStructure:
-    graph.validate()
-    self_edges = {e.upper[0]: e for e in graph.edges if e.upper[0] == e.lower[0]}
-    cross = [e for e in graph.edges if e.upper[0] != e.lower[0]]
-    base = graph.nodes[0]
-    if base.name in self_edges:
-        loop = self_edges[base.name]
-        if {loop.upper[1], loop.lower[1]} != {1, 3}:
-            raise GraphInvalid("handle self-edge must join ports 1 and 3")
-        kind, twist = "handle", as_matrix(loop.twist)
-        if loop.upper[1] == 1:
-            twist = np.linalg.inv(twist).T
-    else:
-        kind, twist = "pants", None
-    if len(self_edges) > (1 if kind == "handle" else 0):
+def _analyze_chain(graph: GluingGraph) -> tuple[GraphEdge | None, list[GraphEdge]]:
+    """(the self edge of the first node or None, the edge attaching each
+    later node in node order), or GraphInvalid when the graph is not
+    chain-shaped."""
+    self_edges, attach_edges, closures = _gluing_plan(graph)
+    if set(self_edges) - {graph.nodes[0].name}:
         raise GraphInvalid("deformation supports at most one handle, on the first node")
-    order, edges, hosts = [], [], []
-    prefix = {base.name}
-    for node in graph.nodes[1:]:
-        if node.name in self_edges:
-            raise GraphInvalid("deformation requires plain pants after the first node")
-        found = None
-        for e in cross:
-            if e.lower == (node.name, 1) and e.upper[0] in prefix:
-                found = e
-                break
-        if found is None:
+    if closures:
+        raise GraphInvalid("extra internal edges; not a chain-shaped graph")
+    for node, e in zip(graph.nodes[1:], attach_edges):
+        if e.lower != (node.name, 1):
             raise GraphInvalid(
                 f"node {node.name!r} must attach through its port 1 to the prefix")
-        cross.remove(found)
-        order.append(node.name)
-        edges.append(found)
-        hosts.append(found.upper)
-        prefix.add(node.name)
-    if cross:
-        raise GraphInvalid("extra internal edges; not a chain-shaped graph")
-    return _ChainStructure(kind, base.name, twist, tuple(order), tuple(edges), tuple(hosts))
-
-
-def signature_of_graph(graph: GluingGraph) -> tuple[int, ...]:
-    """Component signature read off graph parameters, without building.
-
-    Mirrors the builder's bookkeeping: self-edge handles contribute the
-    determinant signs of their first length and twist in node order, then
-    closure edges in edge order, then the raw slot lengths of all declared
-    boundaries but the last.
-    """
-    graph.validate()
-    self_edges = {e.upper[0]: e for e in graph.edges
-                  if e.upper[0] == e.lower[0]}
-    cross = [e for e in graph.edges if e.upper[0] != e.lower[0]]
-    signs: list[int] = []
-    for nd in graph.nodes:
-        e = self_edges.get(nd.name)
-        if e is not None:
-            signs.append(int(np.sign(np.linalg.det(nd.params.X1))))
-            signs.append(int(np.sign(np.linalg.det(as_matrix(e.twist)))))
-    # replicate the builder's tree-edge selection to find closure edges
-    prefix = {graph.nodes[0].name}
-    pending = list(cross)
-    for node in graph.nodes[1:]:
-        for e in pending:
-            names = {e.upper[0], e.lower[0]}
-            if node.name in names and (names - {node.name}) <= prefix:
-                pending.remove(e)
-                break
-        prefix.add(node.name)
-    params_by_name = {nd.name: nd.params for nd in graph.nodes}
-    for e in pending:
-        low_params = params_by_name[e.lower[0]]
-        signs.append(int(np.sign(np.linalg.det(
-            low_params.matrices()[e.lower[1] - 1]))))
-        signs.append(int(np.sign(np.linalg.det(as_matrix(e.twist)))))
-    for b in graph.boundaries[:-1]:
-        params = params_by_name[b.port[0]]
-        signs.append(int(np.sign(np.linalg.det(params.matrices()[b.port[1] - 1]))))
-    return tuple(signs)
+    return self_edges.get(graph.nodes[0].name), attach_edges
 
 
 @dataclass(frozen=True)
@@ -350,40 +277,40 @@ def _cap_contracting(m: np.ndarray, cap: float = _RHO_CAP) -> tuple[np.ndarray, 
     return lam * m, lam
 
 
-def _snapshot_graph(graph: GluingGraph, structure: _ChainStructure,
-                    t: float) -> GluingGraph:
+def _snapshot_graph(graph: GluingGraph, loop: GraphEdge | None,
+                    attach_edges: list[GraphEdge], t: float) -> GluingGraph:
     n = graph.n
     params0 = {nd.name: nd.params for nd in graph.nodes}
     new_params: dict[str, PantsParams] = {}
-    new_twists: dict[int, np.ndarray] = {}
+    new_twists: dict[int, np.ndarray] = {}  # by id of the edge
 
-    base = params0[structure.base_node]
-    if structure.base_kind == "pants":
+    base_node = graph.nodes[0].name
+    base = params0[base_node]
+    if loop is None:
         x2 = contracting_path(base.X2, t)
         x3 = contracting_path(base.X3, t)
         s = spd_path(sym_part(base.X3 @ np.linalg.inv(base.X2.T) @ base.X1), 0.5 * np.eye(n), t)
         x1_raw = np.linalg.inv(x3 @ np.linalg.inv(x2.T)) @ s
         x1, _ = _cap_contracting(x1_raw)
-        new_params[structure.base_node] = PantsParams(x1, x2, x3)
+        new_params[base_node] = PantsParams(x1, x2, x3)
     else:
+        # orient the loop: upper side port 3 means X3 = H X1^T H^{-1}
+        h0 = as_matrix(loop.twist)
+        if loop.upper[1] == 1:
+            h0 = np.linalg.inv(h0).T
         x1 = contracting_path(base.X1, t)
-        h = invertible_path(structure.base_handle_twist, t)
-        s0 = sym_part(base.X1.T @ np.linalg.inv(base.X2)
-                      @ np.linalg.inv(structure.base_handle_twist.T)
-                      @ base.X1 @ structure.base_handle_twist.T)
+        h = invertible_path(h0, t)
+        s0 = sym_part(base.X1.T @ np.linalg.inv(base.X2) @ np.linalg.inv(h0.T)
+                      @ base.X1 @ h0.T)
         s = spd_path(s0, 0.5 * np.eye(n), t)
         x2_raw = (np.linalg.inv(h.T) @ x1 @ h.T) @ np.linalg.inv(s) @ x1.T
         x2, _ = _cap_contracting(x2_raw)
         x3 = h @ x1.T @ np.linalg.inv(h)
-        new_params[structure.base_node] = PantsParams(x1, x2, x3)
-        # rewrite the self edge with the deformed twist
-        for i, e in enumerate(graph.edges):
-            if e.upper[0] == e.lower[0] == structure.base_node:
-                tw = h if e.upper[1] == 3 else np.linalg.inv(h).T
-                new_twists[i] = tw
+        new_params[base_node] = PantsParams(x1, x2, x3)
+        new_twists[id(loop)] = h if loop.upper[1] == 3 else np.linalg.inv(h).T
 
-    for name, edge, host in zip(structure.attach_order, structure.attach_edges,
-                                structure.host_ports):
+    for edge in attach_edges:
+        name, host = edge.lower[0], edge.upper
         p0 = params0[name]
         g = invertible_path(edge.twist, t)
         host_params = new_params[host[0]]
@@ -395,14 +322,11 @@ def _snapshot_graph(graph: GluingGraph, structure: _ChainStructure,
         x3_raw = s @ np.linalg.inv(x1) @ x2.T
         x3, _ = _cap_contracting(x3_raw)
         new_params[name] = PantsParams(x1, x2, x3)
-        for i, e in enumerate(graph.edges):
-            if e is edge:
-                new_twists[i] = g
+        new_twists[id(edge)] = g
 
     nodes = tuple(PantsNode(nd.name, new_params[nd.name]) for nd in graph.nodes)
-    edges = tuple(
-        GraphEdge(e.upper, e.lower, new_twists.get(i, e.twist))
-        for i, e in enumerate(graph.edges))
+    edges = tuple(GraphEdge(e.upper, e.lower, new_twists.get(id(e), e.twist))
+                  for e in graph.edges)
     return GluingGraph(nodes, edges, graph.boundaries)
 
 
@@ -421,12 +345,15 @@ def deform_to_standard(rep_or_graph, steps: int = 100,
     graph = rep_or_graph.graph if isinstance(rep_or_graph, SurfaceRep) else rep_or_graph
     if graph is None:
         raise NotMaximal("representation carries no gluing graph to deform")
-    structure = _analyze_chain(graph)
+    loop, attach_edges = _analyze_chain(graph)
+    # this build is the only check that the input's edges are compatible; the
+    # snapshots recompute attached lengths from the twists, so an incompatible
+    # input would come back as a path whose first snapshot is not the input
     sig = component_signature(build_from_graph(graph, tol), tol)
     snaps = []
     for i in range(steps + 1):
         t = i / steps
-        snap = _snapshot_graph(graph, structure, t)
+        snap = _snapshot_graph(graph, loop, attach_edges, t)
         for nd in snap.nodes:
             cls = classify_params(nd.params, tol)
             if cls in (ParamClass.NOT_VALID, ParamClass.IN_TILDE_R):

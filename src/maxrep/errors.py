@@ -80,16 +80,13 @@ class NearSingular(NumericalBreakdown):
     """A symmetric spectrum has an eigenvalue inside the zero band."""
 
 
-class NearSingularDet(NumericalBreakdown):
-    """A determinant sign cannot be resolved within tolerance."""
-
-
 class ResonantSpectrum(NumericalBreakdown):
     """Eigenvalue products hit 1: the linear matrix equation is ill posed."""
 
 
 class IllConditioned(NumericalBreakdown):
-    """A result falls into the ambiguous band between finite and infinite."""
+    """A result falls into the ambiguous band between finite and infinite,
+    or a computation overflowed to NaN or Inf."""
 
 
 class NoCanonicalFixedPoint(NumericalBreakdown):

@@ -1,6 +1,6 @@
 """Gluing representations along boundaries: twist elements, gluing graphs,
-surface-group representations, connected-component signatures, deformation
-paths and limit-set sampling.
+surface-group representations built from them, and connected-component
+signatures.
 
 Surface groups carry the presentation
 
@@ -37,16 +37,17 @@ from .matcore import (
     DEFAULT_TOL,
     CircleClass,
     Tolerance,
+    _unit_circle_masks,
     as_matrix,
     circle_class,
     norm_inf,
     rel_bound,
     require_invertible,
     similarity_witness,
-    spectral_radius,
     stein_solve,
     sym_part,
 )
+from .normalform import standard_element as standard_lower
 from .pants import (
     PantsParams,
     ParamClass,
@@ -115,26 +116,15 @@ def can_glue(x, xbar, tol: Tolerance = DEFAULT_TOL) -> GlueCheck:
     """
     x = require_invertible(x, tol, "length matrix")
     xbar = require_invertible(xbar, tol, "length matrix")
-    for m in (x, xbar):
-        if spectral_radius(m) > 1.0 + tol.unit_circle_band:
-            raise NotValid("length matrix has spectrum outside the closed unit disc")
-    band = tol.unit_circle_band
-    for m in (x, xbar):
-        moduli = np.abs(np.linalg.eigvals(m))
-        if np.any(np.abs(moduli - 1.0) <= band):
-            return GlueCheck(GlueStatus.UNIT_MODULUS_OBSTRUCTION)
+    masks = [_unit_circle_masks(m, tol.unit_circle_band) for m in (x, xbar)]
+    if any(np.any(outside) for _, _, outside in masks):
+        raise NotValid("length matrix has spectrum outside the closed unit disc")
+    if any(np.any(on) for _, on, _ in masks):
+        return GlueCheck(GlueStatus.UNIT_MODULUS_OBSTRUCTION)
     g = similarity_witness(xbar, x.T, tol)
     if g is None:
         return GlueCheck(GlueStatus.NOT_SIMILAR)
     return GlueCheck(GlueStatus.GLUABLE, witness=g)
-
-
-def standard_lower(x, s, tol: Tolerance = DEFAULT_TOL) -> SpMat:
-    """[[X, 0], [X + X^{-T} S, X^{-T}]], the boundary normal form at 0."""
-    x, s = as_matrix(x), as_matrix(s)
-    n = x.shape[0]
-    xit = np.linalg.inv(x.T)
-    return make_symplectic(x, np.zeros((n, n)), x + xit @ s, xit, tol)
 
 
 def standard_upper(xbar, sbar, tol: Tolerance = DEFAULT_TOL) -> SpMat:
@@ -163,8 +153,8 @@ def twist_element(x, s, xbar, sbar, g_twist, tol: Tolerance = DEFAULT_TOL) -> Sp
     for name, m in (("lower length", x), ("upper length", xbar)):
         if circle_class(m, tol) is not CircleClass.CONTRACTING:
             raise NotContracting(f"{name} must be contracting to build the twist element")
-    compat = norm_inf(g_twist @ x.T @ np.linalg.inv(g_twist) - xbar)
-    if compat > rel_bound(max(1e-7, 100 * tol.eq_tol), xbar):
+    compat = _twist_defect(g_twist, x, xbar, tol)
+    if compat is not None:
         raise NotCompatible(
             f"twist does not conjugate the transposed length (defect {compat:.3e})")
     s = sym_part(as_matrix(s))
@@ -187,6 +177,13 @@ def twist_element(x, s, xbar, sbar, g_twist, tol: Tolerance = DEFAULT_TOL) -> Sp
     if residual > rel_bound(np.sqrt(tol.eq_tol), cbar.m):
         raise NotCompatible(f"twist conjugation residual {residual:.3e}")
     return g
+
+
+def _twist_defect(g_twist, x, xbar, tol: Tolerance) -> float | None:
+    """The defect of xbar = G x^T G^{-1}, or None when it is within the band
+    max(1e-7, 100 eq_tol) * max(1, |xbar|)."""
+    defect = norm_inf(g_twist @ x.T @ np.linalg.inv(g_twist) - xbar)
+    return defect if defect > rel_bound(max(1e-7, 100 * tol.eq_tol), xbar) else None
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +478,7 @@ def close_handle(x1, x2, g_twist, tol: Tolerance = DEFAULT_TOL,
         c_imgs=(rep.c2,),
         ports=(PortRef(0, 2, ident, label),),
         nodes=(NodeRecord(params, "handle", handle_twist=np.array(g_twist)),),
-        handle_signs=((int(np.sign(np.linalg.det(x1))),
-                       int(np.sign(np.linalg.det(g_twist)))),),
+        handle_signs=(_handle_signs(x1, g_twist),),
     )
     return _checked_surface(out, tol)
 
@@ -626,10 +622,8 @@ def _edge_twist(rep_up: SurfaceRep, idx_up: int,
     """The global conjugator h with h . img_lo . h^{-1} = img_up^{-1}."""
     qu, ell_up, sbar_up = _port_presentations(rep_up, idx_up, tol, upper=True)
     ql, ell_lo, s_lo = _port_presentations(rep_lo, idx_lo, tol, upper=False)
-    band = tol.unit_circle_band
     for ell in (ell_up, ell_lo):
-        moduli = np.abs(np.linalg.eigvals(ell))
-        if np.any(np.abs(moduli - 1.0) <= band):
+        if np.any(_unit_circle_masks(ell, tol.unit_circle_band)[1]):
             raise CannotGlue("unit-modulus boundary length obstructs gluing")
     tw = twist_element(ell_lo, s_lo, ell_up, sbar_up, g_twist, tol)
     h = _ld_product(qu, tw, sp_inverse(ql))
@@ -709,8 +703,7 @@ def close_pair(rep: SurfaceRep, upper_label: str, lower_label: str,
         a_imgs = (new_a,) + tuple(dress(a) for a in rep.a_imgs)
         b_imgs = (t,) + tuple(dress(b) for b in rep.b_imgs)
     low_port = rep.ports[low_idx]
-    low_params = rep.nodes[low_port.node].params
-    det_len = float(np.linalg.det(low_params.matrices()[low_port.slot - 1]))
+    low_len = rep.nodes[low_port.node].params.matrices()[low_port.slot - 1]
     keep = [i for i in range(rep.m) if i not in (0, low_idx if rep.m == 2 else rep.m - 1)]
     out = SurfaceRep(
         n=rep.n,
@@ -720,8 +713,7 @@ def close_pair(rep: SurfaceRep, upper_label: str, lower_label: str,
         c_imgs=tuple(rep.c_imgs[i] for i in keep),
         ports=tuple(rep.ports[i] for i in keep),
         nodes=rep.nodes,
-        handle_signs=rep.handle_signs + (
-            (int(np.sign(det_len)), int(np.sign(np.linalg.det(as_matrix(g_twist))))),),
+        handle_signs=rep.handle_signs + (_handle_signs(low_len, g_twist),),
     )
     return _checked_surface(out, tol)
 
@@ -730,13 +722,15 @@ def close_pair(rep: SurfaceRep, upper_label: str, lower_label: str,
 # building from a graph
 
 
-def build_from_graph(graph: GluingGraph, tol: Tolerance = DEFAULT_TOL) -> SurfaceRep:
-    """Assemble the surface representation described by a gluing graph.
+def _gluing_plan(graph: GluingGraph) -> tuple[dict[str, GraphEdge], list[GraphEdge],
+                                               list[GraphEdge]]:
+    """The builder's choice of edges: (self edges, tree edges, closure edges).
 
-    Nodes must be listed in gluing order: each node after the first connects
-    to the prefix through at least one internal edge.  A self-edge must join
-    ports 1 and 3 of its node (the handle-block shape); remaining edges
-    between already-joined nodes are closed as handles at the end.
+    Self edges are keyed by node name in node order; each must join ports 1
+    and 3 of its node (the handle-block shape).  Every node after the first
+    is attached by the first pending edge, in edge order, that joins it to
+    the nodes before it; these tree edges come in node order.  The edges
+    left over are closed as handles, in edge order.
     """
     graph.validate()
     self_edges: dict[str, GraphEdge] = {}
@@ -751,6 +745,34 @@ def build_from_graph(graph: GluingGraph, tol: Tolerance = DEFAULT_TOL) -> Surfac
             self_edges[name] = e
         else:
             cross_edges.append(e)
+    in_prefix = {graph.nodes[0].name}
+    tree_edges: list[GraphEdge] = []
+    for node in graph.nodes[1:]:
+        tree_edge = next((e for e in cross_edges
+                          if node.name in (e.upper[0], e.lower[0])
+                          and {e.upper[0], e.lower[0]} - {node.name} <= in_prefix), None)
+        if tree_edge is None:
+            raise GraphInvalid(
+                f"node {node.name!r} does not connect to the nodes before it; "
+                "list nodes in gluing order")
+        cross_edges.remove(tree_edge)
+        tree_edges.append(tree_edge)
+        in_prefix.add(node.name)
+    ordered = {nd.name: self_edges[nd.name] for nd in graph.nodes if nd.name in self_edges}
+    return ordered, tree_edges, cross_edges
+
+
+def build_from_graph(graph: GluingGraph, tol: Tolerance = DEFAULT_TOL) -> SurfaceRep:
+    """Assemble the surface representation described by a gluing graph.
+
+    Nodes must be listed in gluing order: each node after the first connects
+    to the prefix through at least one internal edge.  A self-edge must join
+    ports 1 and 3 of its node (the handle-block shape); remaining edges
+    between already-joined nodes are closed as handles at the end.  The
+    handle signs come in the order component_signature reads them off the
+    graph: self-edge handles in node order, then closures in edge order.
+    """
+    self_edges, tree_edges, closures = _gluing_plan(graph)
 
     def fresh_block(node: PantsNode) -> SurfaceRep:
         loop = self_edges.get(node.name)
@@ -759,36 +781,22 @@ def build_from_graph(graph: GluingGraph, tol: Tolerance = DEFAULT_TOL) -> Surfac
                 node.params, tol,
                 labels=tuple(f"{node.name}.{s}" for s in (1, 2, 3)))
         p = node.params
-        x3_expected = slot_glue_length(p, 3)
         tw = as_matrix(loop.twist)
         # orient the loop: upper side port 3 means X3 = G X1^T G^{-1}
         if loop.upper[1] == 1:
             tw = np.linalg.inv(tw).T
-        defect = norm_inf(tw @ p.X1.T @ np.linalg.inv(tw) - x3_expected)
-        if defect > rel_bound(max(1e-7, 100 * tol.eq_tol), x3_expected):
+        defect = _twist_defect(tw, p.X1, slot_glue_length(p, 3), tol)
+        if defect is not None:
             raise CannotGlue(
                 f"self-edge twist incompatible on node {node.name!r} "
                 f"(defect {defect:.3e})", edge=loop)
         return close_handle(p.X1, p.X2, tw, tol, label=f"{node.name}.2")
 
     built = fresh_block(graph.nodes[0])
-    in_prefix = {graph.nodes[0].name}
-    pending = list(cross_edges)
-    for node in graph.nodes[1:]:
-        tree_edge = None
-        for e in pending:
-            names = {e.upper[0], e.lower[0]}
-            if node.name in names and (names - {node.name}) <= in_prefix:
-                other = (names - {node.name}).pop() if names - {node.name} else None
-                if other is not None:
-                    tree_edge = e
-                    break
-        if tree_edge is None:
-            raise GraphInvalid(
-                f"node {node.name!r} does not connect to the nodes before it; "
-                "list nodes in gluing order")
-        pending.remove(tree_edge)
+    handle_signs = built.handle_signs
+    for node, tree_edge in zip(graph.nodes[1:], tree_edges):
         block = fresh_block(node)
+        handle_signs += block.handle_signs
         if tree_edge.upper[0] == node.name:
             # fresh block on the upper side
             up_label = f"{node.name}.{tree_edge.upper[1]}"
@@ -798,8 +806,9 @@ def build_from_graph(graph: GluingGraph, tol: Tolerance = DEFAULT_TOL) -> Surfac
             up_label = f"{tree_edge.upper[0]}.{tree_edge.upper[1]}"
             lo_label = f"{node.name}.{tree_edge.lower[1]}"
             built = glue_reps(built, up_label, block, lo_label, tree_edge.twist, tol)
-        in_prefix.add(node.name)
-    for e in pending:
+    # glue_reps puts the upper side's handles first; restore node order
+    built = replace(built, handle_signs=handle_signs)
+    for e in closures:
         built = close_pair(
             built,
             upper_label=f"{e.upper[0]}.{e.upper[1]}",
@@ -823,28 +832,44 @@ def build_from_graph(graph: GluingGraph, tol: Tolerance = DEFAULT_TOL) -> Surfac
 # component signatures
 
 
+def _det_sign(m, what: str) -> int:
+    """Sign of det(m); a determinant that is exactly zero is refused."""
+    d = float(np.linalg.det(as_matrix(m)))
+    if d == 0.0:
+        raise NotValid(f"{what} determinant sign could not be resolved")
+    return int(np.sign(d))
+
+
+def _handle_signs(length, twist) -> tuple[int, int]:
+    return _det_sign(length, "handle length"), _det_sign(twist, "handle twist")
+
+
 def component_signature(rep_or_graph, tol: Tolerance = DEFAULT_TOL) -> tuple[int, ...]:
     """Determinant-sign vector separating connected components.
 
-    Per handle (in creation order) the signs of the handle length and handle
-    twist; then the signs of the raw slot lengths of the first m - 1
-    boundaries.  The vector has length 2 * genus + m - 1 and is constant on
-    connected components of the representation space.
+    Per handle the signs of the handle length and handle twist; then the
+    signs of the raw slot lengths of the first m - 1 boundaries.  The vector
+    has length 2 * genus + m - 1 and is constant on connected components of
+    the representation space.  A representation gives its handles in
+    creation order.  A gluing graph is read without building: self-edge
+    handles in node order, then closure edges in edge order, which is the
+    order build_from_graph gives the representation of that graph.
     """
-    rep = rep_or_graph
     if isinstance(rep_or_graph, GluingGraph):
-        rep = build_from_graph(rep_or_graph, tol)
-    if rep.m == 0:
+        self_edges, _, closures = _gluing_plan(rep_or_graph)
+        params = {nd.name: nd.params for nd in rep_or_graph.nodes}
+        handle_signs = [_handle_signs(params[name].X1, e.twist)
+                        for name, e in self_edges.items()]
+        handle_signs += [_handle_signs(params[e.lower[0]].matrices()[e.lower[1] - 1], e.twist)
+                         for e in closures]
+        ports = [b.port for b in rep_or_graph.boundaries]
+    else:
+        params = [nd.params for nd in rep_or_graph.nodes]
+        handle_signs = rep_or_graph.handle_signs
+        ports = [(p.node, p.slot) for p in rep_or_graph.ports]
+    if not ports:
         raise ValueError("component signatures are defined for surfaces with boundary")
-    signs: list[int] = []
-    for s_len, s_tw in rep.handle_signs:
-        if s_len == 0 or s_tw == 0:
-            raise NotValid("handle determinant sign could not be resolved")
-        signs.extend((s_len, s_tw))
-    for port in rep.ports[:-1]:
-        params = rep.nodes[port.node].params
-        d = float(np.linalg.det(params.matrices()[port.slot - 1]))
-        if d == 0.0:
-            raise NotValid("boundary determinant sign could not be resolved")
-        signs.append(int(np.sign(d)))
+    signs = [s for pair in handle_signs for s in pair]
+    signs += [_det_sign(params[node].matrices()[slot - 1], "boundary")
+              for node, slot in ports[:-1]]
     return tuple(signs)

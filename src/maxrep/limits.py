@@ -19,7 +19,7 @@ import numpy as np
 from .errors import MaxRepError, NotSHyperbolic
 from .gluing import SurfaceRep
 from .maslov import Triple, maslov
-from .matcore import DEFAULT_TOL, Tolerance, norm_inf
+from .matcore import DEFAULT_TOL, Tolerance, _unit_circle_masks, norm_inf
 from .normalform import attracting_point
 from .symplectic import (
     BoundaryPoint,
@@ -65,11 +65,6 @@ def reduced_words(letters: list[str], max_len: int):
                 nxt.append(w2)
                 yield w2
         frontier = nxt
-
-
-def _is_shyperbolic(m: np.ndarray, band: float) -> bool:
-    moduli = np.abs(np.linalg.eigvals(m))
-    return not np.any(np.abs(moduli - 1.0) <= band)
 
 
 # matrix entries per batched SVD in _count_transverse (512 KB of float64)
@@ -167,7 +162,7 @@ def limit_set_sample(rep: SurfaceRep, max_word_length: int = 4,
     otherwise every triple is used in that order.
     """
     for j, c in enumerate(rep.c_imgs, start=1):
-        if not _is_shyperbolic(c.m, tol.unit_circle_band):
+        if np.any(_unit_circle_masks(c.m, tol.unit_circle_band)[1]):
             raise NotSHyperbolic(f"boundary generator C{j} has unit-modulus spectrum")
     gens = rep.generator_images()
     letters = list(gens.keys())
@@ -186,7 +181,7 @@ def limit_set_sample(rep: SurfaceRep, max_word_length: int = 4,
         else:
             mat = cache[word[:-1]] @ matrices[word[-1]]
         cache[word] = mat
-        if not _is_shyperbolic(mat.m, tol.unit_circle_band):
+        if np.any(_unit_circle_masks(mat.m, tol.unit_circle_band)[1]):
             skipped += 1
             continue
         try:

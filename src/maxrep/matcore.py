@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NearSingular, ResonantSpectrum, Singular
+from .errors import IllConditioned, NearSingular, ResonantSpectrum, Singular
 
 __all__ = [
     "Tolerance",
@@ -94,8 +94,10 @@ def rel_bound(tol: float, *values) -> float:
 
 
 def check_finite(m: np.ndarray) -> np.ndarray:
+    """Return m; a NaN or infinite entry, the trace of an overflow, raises
+    IllConditioned."""
     if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains NaN or Inf entries")
+        raise IllConditioned("matrix contains NaN or Inf entries")
     return m
 
 
@@ -165,15 +167,25 @@ def circle_class(x, tol: Tolerance = DEFAULT_TOL) -> CircleClass:
     circle"; any eigenvalue inside it dominates the classification.
     """
     x = require_invertible(x, tol, "circle_class input")
-    moduli = np.abs(np.linalg.eigvals(x))
-    band = tol.unit_circle_band
-    if np.any(np.abs(moduli - 1.0) <= band):
+    inside, on, outside = _unit_circle_masks(x, tol.unit_circle_band)
+    if np.any(on):
         return CircleClass.HAS_UNIT_MODULUS_EIGENVALUE
-    if np.all(moduli < 1.0 - band):
+    if np.all(inside):
         return CircleClass.CONTRACTING
-    if np.all(moduli > 1.0 + band):
+    if np.all(outside):
         return CircleClass.EXPANDING
     return CircleClass.MIXED
+
+
+def _unit_circle_masks(x: np.ndarray, band: float) -> tuple[np.ndarray, ...]:
+    """Masks (inside, on, outside) of the eigenvalues of x against the unit circle.
+
+    An eigenvalue is on the circle when its modulus lies in [1 - band,
+    1 + band], inside below that band and outside above it.  The eigenvalues
+    are computed once; the caller checks finiteness and invertibility.
+    """
+    moduli = np.abs(np.linalg.eigvals(x))
+    return moduli < 1.0 - band, np.abs(moduli - 1.0) <= band, moduli > 1.0 + band
 
 
 def _stein_kron_solve(a: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -31,6 +31,7 @@ from .matcore import (
     DEFAULT_TOL,
     CircleClass,
     Tolerance,
+    _unit_circle_masks,
     as_matrix,
     circle_class,
     norm_inf,
@@ -69,7 +70,6 @@ __all__ = [
     "classify_isometry",
     "attracting_point",
     "canonical_point_of_element",
-    "fixed_point_probe",
 ]
 
 
@@ -112,7 +112,8 @@ class StandardBoundary:
 
 
 def standard_element(a, s, tol: Tolerance = DEFAULT_TOL) -> SpMat:
-    """The lower-triangular standard form [[A, 0], [A + A^{-T}S, A^{-T}]]."""
+    """The lower-triangular standard form [[A, 0], [A + A^{-T}S, A^{-T}]],
+    the boundary normal form at 0 (re-exported as gluing.standard_lower)."""
     a, s = as_matrix(a), as_matrix(s)
     n = a.shape[0]
     ait = np.linalg.inv(a.T)
@@ -273,10 +274,9 @@ def canonical_fixed_point(sb: StandardBoundary,
     """
     a, s = sb.A, sb.S
     n = sb.n
-    band = tol.unit_circle_band
-    moduli = np.abs(np.linalg.eigvals(a))
-    if np.all(moduli <= 1.0 + band):
-        cls = (DifferentialClass.CONTRACTING if np.all(moduli < 1.0 - band)
+    inside, _, outside = _unit_circle_masks(a, tol.unit_circle_band)
+    if not np.any(outside):
+        cls = (DifferentialClass.CONTRACTING if np.all(inside)
                else DifferentialClass.NON_EXPANDING)
         pt = BoundaryPoint(np.zeros((n, n)))
         return FixedPointReport(pt, cls, fixed_point_residual(sb.element(), pt))
@@ -300,9 +300,7 @@ def classify_isometry(sb: StandardBoundary,
     spectrum entirely on the circle gives a single fixed point at 0; the
     mixed case only guarantees a non-expanding canonical point.
     """
-    band = tol.unit_circle_band
-    moduli = np.abs(np.linalg.eigvals(sb.A))
-    on_circle = np.abs(moduli - 1.0) <= band
+    _, on_circle, _ = _unit_circle_masks(sb.A, tol.unit_circle_band)
     if np.all(on_circle):
         pt = BoundaryPoint(np.zeros((sb.n, sb.n)))
         rep = FixedPointReport(pt, DifferentialClass.NON_EXPANDING,
@@ -321,10 +319,9 @@ def classify_isometry(sb: StandardBoundary,
 def _repelling_fixed_point(sb: StandardBoundary, tol: Tolerance) -> FixedPointReport:
     a, s = sb.A, sb.S
     n = sb.n
-    band = tol.unit_circle_band
-    moduli = np.abs(np.linalg.eigvals(a))
-    if np.all(moduli >= 1.0 - band):
-        cls = (DifferentialClass.EXPANDING if np.all(moduli > 1.0 + band)
+    inside, _, outside = _unit_circle_masks(a, tol.unit_circle_band)
+    if not np.any(inside):
+        cls = (DifferentialClass.EXPANDING if np.all(outside)
                else DifferentialClass.NON_CONTRACTING)
         pt = BoundaryPoint(np.zeros((n, n)))
         return FixedPointReport(pt, cls, fixed_point_residual(sb.element(), pt))
@@ -374,6 +371,33 @@ def _fixed_point_certificate(g: SpMat, p: BoundaryPoint,
     return fixed, float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
+def _subspace_fixed_point(g: SpMat, tol: Tolerance) -> tuple[BoundaryPoint, bool, float]:
+    """The chart point of the expanding invariant subspace of g, certified.
+
+    The subspace spanned by the eigenvalues of modulus above 1 must have
+    dimension n (else NotSHyperbolic); its chart representative is
+    u1 u2^{-1}, or infinity when u2 is singular within eq_tol.  Returns the
+    point with its certificate (see _fixed_point_certificate); each caller
+    sets its own acceptance threshold on the spectral radius.
+    """
+    n = g.n
+    try:
+        _, z, k = schur(g.m, output="real",
+                        sort=lambda re, im: re * re + im * im > 1.0)
+    except np.linalg.LinAlgError as exc:
+        # reordering can move an eigenvalue of modulus near 1 across the cut
+        raise NotSHyperbolic(f"expanding subspace cannot be separated: {exc}") from exc
+    if k != n:
+        raise NotSHyperbolic(f"expanding subspace has dimension {k}, expected {n}")
+    u1, u2 = z[:n, :k], z[n:, :k]
+    s = np.linalg.svd(u2, compute_uv=False)
+    if s[-1] <= tol.eq_tol * max(1.0, s[0]):
+        pt = INFINITY
+    else:
+        pt = BoundaryPoint(sym_part(u1 @ np.linalg.inv(u2)))
+    return (pt, *_fixed_point_certificate(g, pt, tol))
+
+
 def attracting_point(g: SpMat, tol: Tolerance = DEFAULT_TOL) -> BoundaryPoint:
     """Attracting fixed point of an arbitrary transverse-pair element.
 
@@ -383,20 +407,8 @@ def attracting_point(g: SpMat, tol: Tolerance = DEFAULT_TOL) -> BoundaryPoint:
     differential, which guards against defective circle spectra whose
     eigenvalues split across the band.
     """
-    n = g.n
-    band = tol.unit_circle_band
-    t, z, k = schur(g.m, output="real",
-                    sort=lambda re, im: re * re + im * im > 1.0)
-    if k != n:
-        raise NotSHyperbolic(f"expanding subspace has dimension {k}, expected {n}")
-    u1, u2 = z[:n, :k], z[n:, :k]
-    s = np.linalg.svd(u2, compute_uv=False)
-    if s[-1] <= tol.eq_tol * max(1.0, s[0]):
-        pt = INFINITY
-    else:
-        pt = BoundaryPoint(sym_part(u1 @ np.linalg.inv(u2)))
-    fixed, rho = _fixed_point_certificate(g, pt, tol)
-    if not fixed or rho > 1.0 - max(band, _ATTRACT_MARGIN):
+    pt, fixed, rho = _subspace_fixed_point(g, tol)
+    if not fixed or rho > 1.0 - max(tol.unit_circle_band, _ATTRACT_MARGIN):
         raise NotSHyperbolic("no contracting fixed point; element is not "
                              "transverse-pair hyperbolic within tolerance")
     return pt
@@ -432,65 +444,12 @@ def canonical_point_of_element(g: SpMat, tol: Tolerance = DEFAULT_TOL) -> Bounda
         rep = canonical_fixed_point(sb, tol)
         return moebius_act(u, rep.point, tol)
     # invariant-subspace route, accepting any non-expanding fixed point
-    t, z, k = schur(g.m, output="real",
-                    sort=lambda re, im: re * re + im * im > 1.0)
-    if k == n:
-        u1, u2 = z[:n, :k], z[n:, :k]
-        s = np.linalg.svd(u2, compute_uv=False)
-        if s[-1] <= tol.eq_tol * max(1.0, s[0]):
-            pt = INFINITY
-        else:
-            pt = BoundaryPoint(sym_part(u1 @ np.linalg.inv(u2)))
-        fixed, rho = _fixed_point_certificate(g, pt, tol)
-        if fixed and rho <= 1.0 + max(tol.unit_circle_band, _NONEXPAND_SLACK):
-            return pt
+    try:
+        pt, fixed, rho = _subspace_fixed_point(g, tol)
+    except NotSHyperbolic:
+        fixed = False
+    if fixed and rho <= 1.0 + max(tol.unit_circle_band, _NONEXPAND_SLACK):
+        return pt
     raise NoCanonicalFixedPoint(
         "no recognizable standard position and no certified "
         "non-expanding fixed point")
-
-
-def fixed_point_probe(sb: StandardBoundary, n_seeds: int = 100, seed: int = 0,
-                      tol: Tolerance = DEFAULT_TOL,
-                      cluster_tol: float = 1e-6) -> list[np.ndarray]:
-    """Newton search oracle for fixed points of the standard element.
-
-    Runs Newton's method on Y C Y + Y A^{-T} - A Y = 0 from random symmetric
-    seeds and clusters the converged solutions.  This is a diagnostic for
-    uniqueness statements, never a production solver.
-    """
-    rng = np.random.default_rng(seed)
-    a, s = sb.A, sb.S
-    n = sb.n
-    c = a + np.linalg.inv(a.T) @ s
-    ait = np.linalg.inv(a.T)
-    eye = np.eye(n)
-
-    def f(y):
-        return y @ c @ y + y @ ait - a @ y
-
-    found: list[np.ndarray] = []
-    for _ in range(n_seeds):
-        y = sym_part(rng.normal(scale=2.0, size=(n, n)))
-        ok = False
-        for _ in range(60):
-            r = f(y)
-            if norm_inf(r) <= 1e-12 * max(1.0, norm_inf(y) ** 2):
-                ok = True
-                break
-            # Jacobian of f at y in row-major vec coordinates
-            j = (np.kron(eye, (c @ y).T) + np.kron(y @ c, eye)
-                 + np.kron(eye, ait.T) - np.kron(a, eye))
-            try:
-                step = np.linalg.solve(j, r.reshape(-1)).reshape(n, n)
-            except np.linalg.LinAlgError:
-                break
-            y = sym_part(y - step)
-            if not np.all(np.isfinite(y)) or norm_inf(y) > 1e8:
-                break
-        if ok:
-            for z in found:
-                if norm_inf(z - y) <= cluster_tol * max(1.0, norm_inf(z)):
-                    break
-            else:
-                found.append(y)
-    return found

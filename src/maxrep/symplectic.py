@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IllConditioned, NotInvertible, NotSymplectic
+from .errors import IllConditioned, NotSymplectic
 from .matcore import (
     DEFAULT_TOL,
     Tolerance,
@@ -45,8 +45,6 @@ __all__ = [
     "transverse",
     "transversality_margin",
     "point_distance",
-    "cayley",
-    "inverse_cayley",
 ]
 
 # width multiplier for the ambiguous zone above the infinity band in the
@@ -247,30 +245,3 @@ def point_distance(p: BoundaryPoint, q: BoundaryPoint) -> float:
     if p.is_infinity or q.is_infinity:
         return np.inf
     return norm_inf(p.value - q.value)
-
-
-def cayley(z, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """i (I + Z)(I - Z)^{-1}, the bounded-to-tube change of model.
-
-    Defined only where I - Z is invertible; kept as a test surface for the
-    round trip with inverse_cayley, production code works in the
-    matrix-plus-infinity model throughout.
-    """
-    z = as_matrix(z)
-    n = z.shape[0]
-    d = np.eye(n) - z
-    s = np.linalg.svd(d, compute_uv=False)
-    if s[-1] <= tol.eq_tol * max(1.0, s[0]):
-        raise NotInvertible("I - Z is singular: the transform is undefined here")
-    return 1j * (np.eye(n) + z) @ np.linalg.inv(d)
-
-
-def inverse_cayley(w, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """(W - iI)(W + iI)^{-1}, inverse of :func:`cayley` on its range."""
-    w = np.atleast_2d(np.asarray(w, dtype=complex))
-    n = w.shape[0]
-    d = w + 1j * np.eye(n)
-    s = np.linalg.svd(d, compute_uv=False)
-    if s[-1] <= tol.eq_tol * max(1.0, s[0]):
-        raise NotInvertible("W + iI is singular: the transform is undefined here")
-    return (w - 1j * np.eye(n)) @ np.linalg.inv(d)

@@ -1,0 +1,86 @@
+"""Test-only oracles: reference computations the library itself never runs.
+
+``cayley`` and ``inverse_cayley`` change between the bounded and the tube
+model; ``fixed_point_probe`` searches for fixed points of a standard
+boundary element by Newton's method from random seeds.
+"""
+
+import numpy as np
+
+from maxrep.errors import NotInvertible
+from maxrep.matcore import DEFAULT_TOL, Tolerance, as_matrix, norm_inf, sym_part
+from maxrep.normalform import StandardBoundary
+
+
+def cayley(z, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """i (I + Z)(I - Z)^{-1}, the bounded-to-tube change of model.
+
+    Defined only where I - Z is invertible.  The library works in the
+    matrix-plus-infinity model throughout; this change of model is a cross
+    check for the Maslov index on the circle.
+    """
+    z = as_matrix(z)
+    n = z.shape[0]
+    d = np.eye(n) - z
+    s = np.linalg.svd(d, compute_uv=False)
+    if s[-1] <= tol.eq_tol * max(1.0, s[0]):
+        raise NotInvertible("I - Z is singular: the transform is undefined here")
+    return 1j * (np.eye(n) + z) @ np.linalg.inv(d)
+
+
+def inverse_cayley(w, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """(W - iI)(W + iI)^{-1}, inverse of :func:`cayley` on its range."""
+    w = np.atleast_2d(np.asarray(w, dtype=complex))
+    n = w.shape[0]
+    d = w + 1j * np.eye(n)
+    s = np.linalg.svd(d, compute_uv=False)
+    if s[-1] <= tol.eq_tol * max(1.0, s[0]):
+        raise NotInvertible("W + iI is singular: the transform is undefined here")
+    return (w - 1j * np.eye(n)) @ np.linalg.inv(d)
+
+
+def fixed_point_probe(sb: StandardBoundary, n_seeds: int = 100, seed: int = 0,
+                      tol: Tolerance = DEFAULT_TOL,
+                      cluster_tol: float = 1e-6) -> list[np.ndarray]:
+    """Newton search oracle for fixed points of the standard element.
+
+    Runs Newton's method on Y C Y + Y A^{-T} - A Y = 0 from random symmetric
+    seeds and clusters the converged solutions.  This is a diagnostic for
+    uniqueness statements, never a production solver.
+    """
+    rng = np.random.default_rng(seed)
+    a, s = sb.A, sb.S
+    n = sb.n
+    c = a + np.linalg.inv(a.T) @ s
+    ait = np.linalg.inv(a.T)
+    eye = np.eye(n)
+
+    def f(y):
+        return y @ c @ y + y @ ait - a @ y
+
+    found: list[np.ndarray] = []
+    for _ in range(n_seeds):
+        y = sym_part(rng.normal(scale=2.0, size=(n, n)))
+        ok = False
+        for _ in range(60):
+            r = f(y)
+            if norm_inf(r) <= 1e-12 * max(1.0, norm_inf(y) ** 2):
+                ok = True
+                break
+            # Jacobian of f at y in row-major vec coordinates
+            j = (np.kron(eye, (c @ y).T) + np.kron(y @ c, eye)
+                 + np.kron(eye, ait.T) - np.kron(a, eye))
+            try:
+                step = np.linalg.solve(j, r.reshape(-1)).reshape(n, n)
+            except np.linalg.LinAlgError:
+                break
+            y = sym_part(y - step)
+            if not np.all(np.isfinite(y)) or norm_inf(y) > 1e8:
+                break
+        if ok:
+            for z in found:
+                if norm_inf(z - y) <= cluster_tol * max(1.0, norm_inf(z)):
+                    break
+            else:
+                found.append(y)
+    return found

@@ -12,11 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from maxrep.deform import (
-    deform_to_standard,
-    enumerate_standard_graphs,
-    signature_of_graph,
-)
+from maxrep.deform import deform_to_standard, enumerate_standard_graphs
 from maxrep.gluing import (
     GlueStatus,
     build_from_graph,
@@ -278,14 +274,14 @@ def test_criterion_09_deformation_paths():
         g, m = cases[idx % 4]
         n = 1 + idx % 3
         graph = chain_graph(g, m, n, rng)
-        sig0 = signature_of_graph(graph)
+        sig0 = component_signature(graph)
         try:
             path = deform_to_standard(graph, steps=100)
         except MaxRepError as exc:
             problems.append((g, m, n, f"path failed: {exc}"))
             continue
         for i, snap in enumerate(path.snapshots):
-            if signature_of_graph(snap) != sig0:
+            if component_signature(snap) != sig0:
                 problems.append((g, m, n, f"signature moved at snapshot {i}"))
                 break
             for nd in snap.nodes:

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxrep.cli import main, parse_graph_file, write_graph_file
-from maxrep.deform import standard_sign_graph
+from maxrep.deform import deform_to_standard, standard_sign_graph
+from maxrep.errors import NotCompatible
+from maxrep.gluing import GluingGraph, GraphEdge
+from tests_support import chain_graph
 
 PANTS_FILE = """\
 maxrep-graph 1
@@ -122,6 +126,23 @@ class TestBuild:
         code, _, err = run_main(["build", str(f)], capsys)
         assert code == 3
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_entry(self, tmp_path, capsys, token):
+        f = tmp_path / "bad.mg"
+        f.write_text(PANTS_FILE.replace("  X1\n  0.5", f"  X1\n  {token}"))
+        code, _, err = run_main(["build", str(f)], capsys)
+        assert code == 2
+        assert "not a finite number" in err and "(line 6)" in err
+
+    def test_overflow_is_breakdown(self, tmp_path, capsys):
+        f = tmp_path / "big.mg"
+        f.write_text(PANTS_FILE.replace("  X1\n  0.5", "  X1\n  1e308"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_main(["build", str(f)], capsys)
+        assert code == 4
+        assert "IllConditioned" in err
+
     def test_strict_mode(self, tmp_path, capsys):
         f = tmp_path / "loose.mg"
         f.write_text(PANTS_FILE.replace("  X1\n  0.5", "  X1\n  0.50"))
@@ -219,6 +240,23 @@ class TestCommands:
         monkeypatch.setenv("MAXREP_TOL", "1e-6")
         code, _, _ = run_main(["build", pants_file], capsys)
         assert code == 0
+
+    def test_deform_incompatible_twist(self, tmp_path, capsys):
+        # deform builds its input to check edge compatibility; without that
+        # the path would start from rebuilt lengths, not from the input
+        graph = chain_graph(0, 4, 2, np.random.default_rng(5))
+        e = graph.edges[0]
+        bad = GluingGraph(graph.nodes,
+                          (GraphEdge(e.upper, e.lower, e.twist + 1e-3 * np.eye(2)),)
+                          + graph.edges[1:], graph.boundaries)
+        with pytest.raises(NotCompatible):
+            deform_to_standard(bad, steps=5)
+        f = tmp_path / "bad.mg"
+        with open(f, "w") as fh:
+            write_graph_file(bad, fh)
+        code, _, err = run_main(["deform", str(f), "--steps", "5"], capsys)
+        assert code == 3
+        assert "NotCompatible" in err
 
     def test_deform_zero_steps(self, torus_file, capsys):
         code, _, err = run_main(["deform", torus_file, "--steps", "0"], capsys)

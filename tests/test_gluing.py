@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import maxrep.gluing
 from maxrep.errors import CannotGlue, GraphInvalid, NotCompatible, NotContracting, SVDNotConverged
 from maxrep.gluing import (
     GlueStatus,
@@ -34,6 +35,7 @@ from maxrep.sampling import (
     derive_third_length,
 )
 from maxrep.symplectic import sp_inverse
+from tests_support import chain_graph
 
 
 def rotation(theta):
@@ -371,6 +373,44 @@ class TestComponentSignature:
             h[0] = -h[0]
         rep = close_handle(x1, x2, h)
         assert component_signature(rep) == (1, -1)
+
+    @staticmethod
+    def genus_two_graph(n, rng):
+        """Handle blocks h0 (positive determinants) and h1 (negative ones)
+        joined through the pants p; h1 is glued on the upper side."""
+        x1a, x2a, ha = random_handle_data(n, rng, length_negative_det=False,
+                                          twist_negative_det=False)
+        x1b, x2b, hb = random_handle_data(n, rng, length_negative_det=True,
+                                          twist_negative_det=True)
+        g1, g2 = random_invertible(n, rng), random_invertible(n, rng)
+        # port 2 of a handle block exposes -X2; pick p's lengths to match
+        y1 = (np.linalg.inv(g1) @ -x2a @ g1).T
+        y2 = (np.linalg.inv(g2) @ x2b @ g2).T
+        y3 = np.linalg.inv(y1) @ y2.T
+        y3 *= 0.5 / np.max(np.abs(np.linalg.eigvals(y3)))
+        nodes = (PantsNode("h0", PantsParams(x1a, x2a, ha @ x1a.T @ np.linalg.inv(ha))),
+                 PantsNode("p", PantsParams(y1, y2, y3)),
+                 PantsNode("h1", PantsParams(x1b, x2b, hb @ x1b.T @ np.linalg.inv(hb))))
+        edges = (GraphEdge(("h0", 3), ("h0", 1), ha), GraphEdge(("h0", 2), ("p", 1), g1),
+                 GraphEdge(("h1", 3), ("h1", 1), hb), GraphEdge(("h1", 2), ("p", 2), g2))
+        return GluingGraph(nodes, edges, (GraphBoundary(("p", 3), "C1"),))
+
+    @pytest.mark.parametrize("kind", [(0, 3), (1, 1), (0, 4), (1, 2), "genus two"], ids=str)
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_graph_read_without_building(self, kind, n, rng, monkeypatch):
+        if kind == "genus two":
+            graph = self.genus_two_graph(n, rng)
+        else:
+            graph = chain_graph(*kind, n, rng)
+        expected = component_signature(build_from_graph(graph))
+        if kind == "genus two":
+            assert expected == (1, 1, -1, -1)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("component_signature built the graph")
+
+        monkeypatch.setattr(maxrep.gluing, "build_from_graph", no_build)
+        assert component_signature(graph) == expected
 
     def test_closed_surface_rejected(self, rng):
         x1, x2, h = random_handle_data(2, rng)

@@ -14,13 +14,13 @@ from maxrep.matcore import norm_inf
 from maxrep.sampling import random_symplectic, random_transverse_points
 from maxrep.symplectic import (
     INFINITY,
-    cayley,
     finite_point,
     identity_point,
     moebius_act,
     point_distance,
     zero_point,
 )
+from oracles import cayley
 
 
 def scalar_point(x: float):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from maxrep.errors import NoCanonicalFixedPoint, NotContracting, NotFixed
+from maxrep.errors import NoCanonicalFixedPoint, NotContracting, NotFixed, NotSHyperbolic
 from maxrep.matcore import DEFAULT_TOL, Tolerance, norm_inf
 from maxrep.normalform import (
     DifferentialClass,
@@ -15,7 +15,6 @@ from maxrep.normalform import (
     differential_at,
     fixed_point_contracting_side,
     fixed_point_expanding_side,
-    fixed_point_probe,
     fixed_point_residual,
 )
 from maxrep.pants import PantsParams, build_maximal
@@ -36,6 +35,7 @@ from maxrep.symplectic import (
     transverse,
     zero_point,
 )
+from oracles import fixed_point_probe
 
 
 def rotation(theta: float) -> np.ndarray:
@@ -287,6 +287,17 @@ class TestElementCanonicalPoints:
 
         with pytest.raises(NoCanonicalFixedPoint):
             canonical_point_of_element(swap_symplectic(2))
+
+    def test_unsortable_circle_spectrum_refused(self):
+        # an orthogonal block has all its eigenvalues on the circle, and the
+        # Schur reordering pushes one of them across |z| = 1
+        from maxrep.symplectic import diag_symplectic
+
+        g = diag_symplectic(random_orthogonal(3, np.random.default_rng(271)))
+        with pytest.raises(NotSHyperbolic):
+            attracting_point(g)
+        with pytest.raises(NoCanonicalFixedPoint):
+            canonical_point_of_element(g)
 
     def test_attracting_vs_power_iteration(self, rng):
         # oracle: iterate the action from a generic start

@@ -12,12 +12,10 @@ from maxrep.sampling import (
 )
 from maxrep.symplectic import (
     INFINITY,
-    cayley,
     cycle_symplectic,
     diag_symplectic,
     finite_point,
     identity_point,
-    inverse_cayley,
     make_symplectic,
     moebius_act,
     point_distance,
@@ -30,6 +28,7 @@ from maxrep.symplectic import (
     transverse,
     zero_point,
 )
+from oracles import cayley, inverse_cayley
 
 
 class TestMakeSymplectic:
