@@ -27,7 +27,6 @@ from .errors import (
     NumericalBreakdown,
     ResonantSpectrum,
     Singular,
-    SVDNotConverged,
 )
 from .matcore import (
     DEFAULT_TOL,

@@ -132,14 +132,13 @@ def _format_matrix(m: np.ndarray, indent: str = "  ") -> str:
 # graph files
 
 
-def parse_graph_file(path: str, strict: bool = False) -> tuple[GluingGraph, dict]:
+def parse_graph_file(path: str, strict: bool = False) -> GluingGraph:
     reader = _Reader(path)
     line_no, header = reader.next()
     if header.split() != ["maxrep-graph", "1"]:
         raise ParseError("expected header 'maxrep-graph 1'", line_no)
     n = None
     declared = None
-    options: dict = {}
     nodes: list[PantsNode] = []
     edges: list[GraphEdge] = []
     boundaries: list[GraphBoundary] = []
@@ -151,9 +150,6 @@ def parse_graph_file(path: str, strict: bool = False) -> tuple[GluingGraph, dict
             n = _directive_values(toks, 1, int, line_no)[0]
         elif key == "surface":
             declared = tuple(_directive_values(toks, 2, int, line_no))
-        elif key in ("tol", "seed"):
-            convert = float if key == "tol" else int
-            options[key] = _directive_values(toks, 1, convert, line_no)[0]
         elif key == "node":
             if n is None:
                 raise ParseError("'n' must come before nodes", line_no)
@@ -192,7 +188,7 @@ def parse_graph_file(path: str, strict: bool = False) -> tuple[GluingGraph, dict
         raise
     if declared is not None and gm != declared:
         raise ParseError(f"declared surface {declared} but graph has type {gm}")
-    return graph, options
+    return graph
 
 
 def write_graph_file(graph: GluingGraph, fh, comment: str | None = None):
@@ -343,7 +339,7 @@ def _describe_build(rep: SurfaceRep, graph: GluingGraph, tol: Tolerance, rpt: Re
 
 def cmd_build(args) -> int:
     tol = _tolerance(args)
-    graph, _ = parse_graph_file(args.file, args.strict)
+    graph = parse_graph_file(args.file, args.strict)
     rep = build_from_graph(graph, tol)
     rpt = Report(args.json)
     rpt.add("status", "ok")
@@ -366,7 +362,7 @@ def cmd_verify(args) -> int:
                 break
     rpt = Report(args.json)
     if head.startswith("maxrep-graph"):
-        graph, _ = parse_graph_file(args.file, args.strict)
+        graph = parse_graph_file(args.file, args.strict)
         rep = build_from_graph(graph, tol)
         rpt.add("status", "ok")
         _describe_build(rep, graph, tol, rpt)
@@ -388,7 +384,7 @@ def cmd_verify(args) -> int:
 
 def cmd_toledo(args) -> int:
     tol = _tolerance(args)
-    graph, _ = parse_graph_file(args.file, args.strict)
+    graph = parse_graph_file(args.file, args.strict)
     rpt = Report(args.json)
     total = Fraction(0)
     for nd in graph.nodes:
@@ -419,7 +415,7 @@ def cmd_maslov(args) -> int:
 
 def cmd_components(args) -> int:
     tol = _tolerance(args)
-    graph, _ = parse_graph_file(args.file, args.strict)
+    graph = parse_graph_file(args.file, args.strict)
     rep = build_from_graph(graph, tol)
     sig = component_signature(rep, tol)
     g, m = graph.surface_type()
@@ -433,8 +429,8 @@ def cmd_components(args) -> int:
 
 def cmd_glue(args) -> int:
     tol = _tolerance(args)
-    graph1, _ = parse_graph_file(args.file1, args.strict)
-    graph2, _ = parse_graph_file(args.file2, args.strict)
+    graph1 = parse_graph_file(args.file1, args.strict)
+    graph2 = parse_graph_file(args.file2, args.strict)
     rep1 = build_from_graph(graph1, tol)
     rep2 = build_from_graph(graph2, tol)
     reader = _Reader(args.twist_file)
@@ -453,7 +449,7 @@ def cmd_glue(args) -> int:
 
 def cmd_deform(args) -> int:
     tol = _tolerance(args)
-    graph, _ = parse_graph_file(args.file, args.strict)
+    graph = parse_graph_file(args.file, args.strict)
     path = deform_to_standard(graph, steps=args.steps, tol=tol)
     rpt = Report(args.json)
     rpt.add("status", "ok")
@@ -471,7 +467,7 @@ def cmd_deform(args) -> int:
 
 def cmd_limits(args) -> int:
     tol = _tolerance(args)
-    graph, _ = parse_graph_file(args.file, args.strict)
+    graph = parse_graph_file(args.file, args.strict)
     rep = build_from_graph(graph, tol)
     sample = limit_set_sample(rep, max_word_length=args.max_word_length,
                               tol=tol, seed=args.seed)

@@ -29,6 +29,7 @@ from .gluing import (
     PantsNode,
     SurfaceRep,
     _gluing_plan,
+    _loop_twist,
     build_from_graph,
     component_signature,
     slot_glue_length,
@@ -294,10 +295,7 @@ def _snapshot_graph(graph: GluingGraph, loop: GraphEdge | None,
         x1, _ = _cap_contracting(x1_raw)
         new_params[base_node] = PantsParams(x1, x2, x3)
     else:
-        # orient the loop: upper side port 3 means X3 = H X1^T H^{-1}
-        h0 = as_matrix(loop.twist)
-        if loop.upper[1] == 1:
-            h0 = np.linalg.inv(h0).T
+        h0 = _loop_twist(loop.twist, loop.upper[1])
         x1 = contracting_path(base.X1, t)
         h = invertible_path(h0, t)
         s0 = sym_part(base.X1.T @ np.linalg.inv(base.X2) @ np.linalg.inv(h0.T)
@@ -307,7 +305,7 @@ def _snapshot_graph(graph: GluingGraph, loop: GraphEdge | None,
         x2, _ = _cap_contracting(x2_raw)
         x3 = h @ x1.T @ np.linalg.inv(h)
         new_params[base_node] = PantsParams(x1, x2, x3)
-        new_twists[id(loop)] = h if loop.upper[1] == 3 else np.linalg.inv(h).T
+        new_twists[id(loop)] = _loop_twist(h, loop.upper[1])
 
     for edge in attach_edges:
         name, host = edge.lower[0], edge.upper

@@ -96,6 +96,3 @@ class NoCanonicalFixedPoint(NumericalBreakdown):
 class DefectiveSplit(NumericalBreakdown):
     """Spectral splitting along the unit circle is too unstable to trust."""
 
-
-class SVDNotConverged(NumericalBreakdown):
-    """LAPACK's singular value decomposition did not converge."""

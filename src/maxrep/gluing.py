@@ -31,7 +31,6 @@ from .errors import (
     NotCompatible,
     NotContracting,
     NotValid,
-    SVDNotConverged,
 )
 from .matcore import (
     DEFAULT_TOL,
@@ -39,6 +38,7 @@ from .matcore import (
     Tolerance,
     _unit_circle_masks,
     as_matrix,
+    check_finite,
     circle_class,
     norm_inf,
     rel_bound,
@@ -428,7 +428,8 @@ def _checked_surface(rep: SurfaceRep, tol: Tolerance) -> SurfaceRep:
     res = relation_residual(rep.n, rep.a_imgs, rep.b_imgs, rep.c_imgs)
     scale = max((norm_inf(g.m) for g in rep.a_imgs + rep.b_imgs + rep.c_imgs),
                 default=1.0)
-    if res > max(1e-7, tol.eq_tol * max(1.0, scale) ** 2):
+    # a NaN residual compares False against any bound
+    if not np.isfinite(res) or res > max(1e-7, tol.eq_tol * max(1.0, scale) ** 2):
         raise IllConditioned(
             f"surface relation residual {res:.3e}; inputs too ill-conditioned")
     return replace(rep, relation_residual=res)
@@ -562,7 +563,7 @@ def _j_form(n: int) -> np.ndarray:
     return _SYMPLECTIC_J_CACHE[n]
 
 
-def _symplectify(a: np.ndarray, iters: int = 3) -> np.ndarray:
+def _symplectify(a: np.ndarray) -> np.ndarray:
     """Newton steps toward the symplectic group, in extended precision.
 
     Uses J^{-1} = -J, so each step is pure matrix multiplication:
@@ -570,56 +571,20 @@ def _symplectify(a: np.ndarray, iters: int = 3) -> np.ndarray:
     """
     j = _j_form(a.shape[0] // 2).astype(np.longdouble)
     x = a.astype(np.longdouble)
-    for _ in range(iters):
+    for _ in range(3):
         err = x.T @ j @ x - j
         x = x + 0.5 * x @ j @ err
     return x.astype(np.float64)
 
 
-def _polish_conjugator(t: SpMat, g_lo: SpMat, target: np.ndarray) -> SpMat:
-    """Refine t so that t g_lo t^{-1} = target for the stored matrices.
-
-    The closed-form conjugator satisfies the identity only up to the
-    accumulated defects of the stored images; projecting onto the nullspace
-    of the commutation operator and re-symplectifying removes that
-    structural error, which otherwise telescopes through long relation
-    words.  Keeps whichever candidate conjugates best.
-    """
-    m2 = t.m.shape[0]
-
-    def defect(mat: np.ndarray) -> float:
-        try:
-            return norm_inf(mat @ g_lo.m @ np.linalg.inv(mat) - target)
-        except np.linalg.LinAlgError:
-            return np.inf
-
-    op = np.kron(np.eye(m2), g_lo.m.T) - np.kron(target, np.eye(m2))
-    try:
-        _, svals, vt = np.linalg.svd(op)
-    except np.linalg.LinAlgError:
-        # LAPACK's divide-and-conquer SVD now and then fails to converge on
-        # this operator but not on its transpose, op^T = V S U^T
-        try:
-            u, svals, _ = np.linalg.svd(op.T)
-        except np.linalg.LinAlgError as exc:
-            raise SVDNotConverged(
-                f"commutation operator SVD did not converge: {exc}") from exc
-        vt = u.T
-    cutoff = 1e-6 * max(1.0, svals[0])
-    null_rows = vt[svals <= cutoff]
-    cand = t.m.copy()
-    if null_rows.size:
-        for _ in range(3):
-            cand = (null_rows.T @ (null_rows @ cand.reshape(-1))).reshape(m2, m2)
-            cand = _symplectify(cand, iters=1)
-        cand = _symplectify(cand)
-    return SpMat(cand) if defect(cand) < defect(t.m) else t
-
-
 def _edge_twist(rep_up: SurfaceRep, idx_up: int,
                 rep_lo: SurfaceRep, idx_lo: int,
                 g_twist, tol: Tolerance) -> SpMat:
-    """The global conjugator h with h . img_lo . h^{-1} = img_up^{-1}."""
+    """The global conjugator h with h . img_lo . h^{-1} = img_up^{-1}.
+
+    The product is formed in extended precision, which keeps its conjugation
+    defect at rounding level; an overflow in it raises IllConditioned.
+    """
     qu, ell_up, sbar_up = _port_presentations(rep_up, idx_up, tol, upper=True)
     ql, ell_lo, s_lo = _port_presentations(rep_lo, idx_lo, tol, upper=False)
     for ell in (ell_up, ell_lo):
@@ -627,9 +592,8 @@ def _edge_twist(rep_up: SurfaceRep, idx_up: int,
             raise CannotGlue("unit-modulus boundary length obstructs gluing")
     tw = twist_element(ell_lo, s_lo, ell_up, sbar_up, g_twist, tol)
     h = _ld_product(qu, tw, sp_inverse(ql))
-    img_lo = rep_lo.c_imgs[idx_lo]
-    img_up = rep_up.c_imgs[idx_up]
-    return _polish_conjugator(h, img_lo, np.linalg.inv(img_up.m))
+    check_finite(h.m)
+    return h
 
 
 def glue_reps(rep1: SurfaceRep, label1: str, rep2: SurfaceRep, label2: str,
@@ -762,6 +726,17 @@ def _gluing_plan(graph: GluingGraph) -> tuple[dict[str, GraphEdge], list[GraphEd
     return ordered, tree_edges, cross_edges
 
 
+def _loop_twist(twist, upper_port: int) -> np.ndarray:
+    """A self edge's twist in the handle orientation X3 = G X1^T G^{-1}.
+
+    That is the twist itself when the upper side is port 3 and inv(G)^T when
+    it is port 1.  The map is its own inverse, so it also turns a handle
+    twist back into the edge's twist.
+    """
+    g = as_matrix(twist)
+    return np.linalg.inv(g).T if upper_port == 1 else g
+
+
 def build_from_graph(graph: GluingGraph, tol: Tolerance = DEFAULT_TOL) -> SurfaceRep:
     """Assemble the surface representation described by a gluing graph.
 
@@ -781,10 +756,7 @@ def build_from_graph(graph: GluingGraph, tol: Tolerance = DEFAULT_TOL) -> Surfac
                 node.params, tol,
                 labels=tuple(f"{node.name}.{s}" for s in (1, 2, 3)))
         p = node.params
-        tw = as_matrix(loop.twist)
-        # orient the loop: upper side port 3 means X3 = G X1^T G^{-1}
-        if loop.upper[1] == 1:
-            tw = np.linalg.inv(tw).T
+        tw = _loop_twist(loop.twist, loop.upper[1])
         defect = _twist_defect(tw, p.X1, slot_glue_length(p, 3), tol)
         if defect is not None:
             raise CannotGlue(

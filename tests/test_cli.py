@@ -11,7 +11,7 @@ from maxrep.cli import main, parse_graph_file, write_graph_file
 from maxrep.deform import deform_to_standard, standard_sign_graph
 from maxrep.errors import NotCompatible
 from maxrep.gluing import GluingGraph, GraphEdge
-from tests_support import chain_graph
+from tests_support import chain_graph, patch_nan_twist
 
 PANTS_FILE = """\
 maxrep-graph 1
@@ -241,6 +241,15 @@ class TestCommands:
         code, _, _ = run_main(["build", pants_file], capsys)
         assert code == 0
 
+    def test_non_finite_conjugator_exit_code(self, tmp_path, capsys, monkeypatch):
+        patch_nan_twist(monkeypatch)
+        f = tmp_path / "chain.mg"
+        with open(f, "w") as fh:
+            write_graph_file(chain_graph(0, 4, 2, np.random.default_rng(5)), fh)
+        code, _, err = run_main(["build", str(f)], capsys)
+        assert code == 4
+        assert "IllConditioned" in err and "Traceback" not in err
+
     def test_deform_incompatible_twist(self, tmp_path, capsys):
         # deform builds its input to check edge compatibility; without that
         # the path would start from rebuilt lengths, not from the input
@@ -284,6 +293,15 @@ class TestMalformedFiles:
         code, _, err = run_main(["build", str(f)], capsys)
         assert code == 2
         assert f"(line {line})" in err
+
+    # tolerance and seed come from --tol, MAXREP_TOL and --seed only
+    @pytest.mark.parametrize("directive", ["tol 1e-6", "tol inf", "tol 0", "seed 3"])
+    def test_tol_seed_directives_rejected(self, tmp_path, capsys, directive):
+        f = tmp_path / "bad.mg"
+        f.write_text(PANTS_FILE.replace("surface 0 3\n", f"surface 0 3\n{directive}\n"))
+        code, _, err = run_main(["build", str(f)], capsys)
+        assert code == 2
+        assert "unknown directive" in err and "(line 4)" in err
 
     @pytest.mark.parametrize("old, new, line", [
         ("n 1\n", "n\n", 2),
@@ -341,7 +359,7 @@ class TestGraphFileRoundTrip:
         path = tmp_path_factory.mktemp("g") / "g.mg"
         with open(path, "w") as fh:
             write_graph_file(graph, fh)
-        parsed, _ = parse_graph_file(str(path), strict=True)
+        parsed = parse_graph_file(str(path), strict=True)
         for nd0, nd1 in zip(graph.nodes, parsed.nodes):
             for a, b in zip(nd0.params.matrices(), nd1.params.matrices()):
                 assert np.array_equal(a, b)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import maxrep.gluing
-from maxrep.errors import CannotGlue, GraphInvalid, NotCompatible, NotContracting, SVDNotConverged
+from maxrep.errors import CannotGlue, GraphInvalid, IllConditioned, NotCompatible, NotContracting
 from maxrep.gluing import (
     GlueStatus,
     GluingGraph,
@@ -35,7 +35,7 @@ from maxrep.sampling import (
     derive_third_length,
 )
 from maxrep.symplectic import sp_inverse
-from tests_support import chain_graph
+from tests_support import chain_graph, patch_nan_twist
 
 
 def rotation(theta):
@@ -422,39 +422,40 @@ class TestComponentSignature:
             component_signature(closed)
 
 
-class TestPolishSVDFallback:
-    """_polish_conjugator retries the commutation-operator SVD on the transpose."""
+class TestEdgeConjugator:
+    """The edge conjugator is used as formed, and only when it is finite."""
 
-    @staticmethod
-    def failing_svd(monkeypatch, fail_transpose: bool):
-        # The operator of an n = 2 build is 16 x 16 and C-ordered; its
-        # transpose is an F-ordered view.  Other SVDs of a build are smaller.
+    def test_build_runs_no_commutation_operator_svd(self, rng, monkeypatch):
+        # an n = 2 edge's (2n)^2 x (2n)^2 commutation operator is 16 x 16;
+        # every other SVD of such a build is smaller
         real_svd = np.linalg.svd
-        failed = []
+        operator_sized = []
 
         def svd(a, *args, **kwargs):
-            a = np.asarray(a)
-            if a.shape == (16, 16) and (fail_transpose or a.flags.c_contiguous):
-                failed.append(a.flags.c_contiguous)
+            if np.shape(a)[-2:] == (16, 16):
+                operator_sized.append(np.shape(a))
                 raise np.linalg.LinAlgError("SVD did not converge")
             return real_svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", svd)
-        return failed
+        rep = build_from_graph(chain_graph(0, 4, 2, rng))
+        assert not operator_sized
+        assert rep.relation_residual <= 1e-12
 
-    def test_transpose_retry_meets_relation(self, rng, monkeypatch):
-        from tests_support import chain_graph
-
+    def test_non_finite_conjugator_is_ill_conditioned(self, rng, monkeypatch):
         graph = chain_graph(0, 4, 2, rng)
-        failed = self.failing_svd(monkeypatch, fail_transpose=False)
-        rep = build_from_graph(graph)
-        assert failed and all(failed)
-        assert rep.relation_residual <= 1e-7
-
-    def test_second_failure_is_numerical_breakdown(self, rng, monkeypatch):
-        from tests_support import chain_graph
-
-        graph = chain_graph(0, 4, 2, rng)
-        self.failing_svd(monkeypatch, fail_transpose=True)
-        with pytest.raises(SVDNotConverged):
+        patch_nan_twist(monkeypatch)
+        with pytest.raises(IllConditioned):
             build_from_graph(graph)
+
+    def test_non_finite_residual_refused(self, rng, monkeypatch):
+        x1, x2, h = random_handle_data(2, rng)
+        monkeypatch.setattr(maxrep.gluing, "relation_residual", lambda *args: np.nan)
+        with pytest.raises(IllConditioned):
+            close_handle(x1, x2, h)
+
+
+@pytest.mark.parametrize("kind", [(0, 4), (1, 2)])
+def test_envelope_n32(kind, rng):
+    rep = build_from_graph(chain_graph(*kind, 32, rng))
+    assert rep.relation_residual <= 1e-10

@@ -2,10 +2,12 @@
 
 import numpy as np
 
+import maxrep.gluing
 from maxrep.deform import _chain_plan
 from maxrep.gluing import GluingGraph, GraphBoundary, GraphEdge, PantsNode, slot_glue_length
 from maxrep.pants import PantsParams
 from maxrep.sampling import derive_third_length, random_handle_data, random_invertible, random_pants_params
+from maxrep.symplectic import SpMat
 
 
 def chain_graph(genus: int, m: int, n: int, rng: np.random.Generator) -> GluingGraph:
@@ -37,3 +39,13 @@ def chain_graph(genus: int, m: int, n: int, rng: np.random.Generator) -> GluingG
         open_port, open_params, open_slot = (name, 3), params, 3
     boundaries.append(GraphBoundary(open_port, f"C{len(boundaries) + 1}"))
     return GluingGraph(tuple(nodes), tuple(edges), tuple(boundaries))
+
+
+def patch_nan_twist(monkeypatch):
+    """Make every twist element the gluing step forms NaN, as an overflow would."""
+    real_twist = maxrep.gluing.twist_element
+
+    def nan_twist(*args, **kwargs):
+        return SpMat(np.full_like(real_twist(*args, **kwargs).m, np.nan))
+
+    monkeypatch.setattr(maxrep.gluing, "twist_element", nan_twist)
