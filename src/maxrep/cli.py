@@ -317,6 +317,8 @@ def _tolerance(args) -> Tolerance:
         eq = float(env)
     if getattr(args, "tol", None) is not None:
         eq = args.tol
+    if not (math.isfinite(eq) and eq > 0):
+        raise ParseError(f"tolerance must be finite and greater than 0, got {eq!r}")
     series = min(DEFAULT_TOL.series_tol, eq)
     return Tolerance(eq_tol=eq, series_tol=series,
                      unit_circle_band=DEFAULT_TOL.unit_circle_band)
@@ -376,8 +378,9 @@ def cmd_verify(args) -> int:
         a = [SpMat(gens[f"A{i}"]) for i in range(1, genus + 1)]
         b = [SpMat(gens[f"B{i}"]) for i in range(1, genus + 1)]
         c = [SpMat(gens[f"C{j}"]) for j in range(1, m + 1)]
-        rpt.add("relation residual", f"{relation_residual(n, a, b, c):.6e}")
-        rpt.add("status", "ok" if worst <= 1e-6 else "suspect")
+        rel = relation_residual(n, a, b, c)
+        rpt.add("relation residual", f"{rel:.6e}")
+        rpt.add("status", "ok" if worst <= 1e-6 and rel <= 1e-6 else "suspect")
     rpt.emit()
     return 0
 
@@ -505,7 +508,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--tol", type=float, default=None,
-                       help="relative comparison tolerance (default 1e-9)")
+                       help="relative comparison tolerance, finite and > 0 (default 1e-9)")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for randomized probes")
         p.add_argument("--json", action="store_true", help="structured output")

@@ -16,12 +16,13 @@ decompositions produced by :func:`standard_sign_graph`.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import schur
 
-from .errors import GraphInvalid, NotMaximal, NotValid
+from .errors import GraphInvalid, MaxRepError, NotMaximal, NotValid
 from .gluing import (
     GluingGraph,
     GraphBoundary,
@@ -34,8 +35,8 @@ from .gluing import (
     component_signature,
     slot_glue_length,
 )
-from .matcore import DEFAULT_TOL, Tolerance, as_matrix, spectral_radius, sym_part
-from .pants import PantsParams, ParamClass, classify_params, toledo_signature_shortcut
+from .matcore import DEFAULT_TOL, Tolerance, as_matrix, check_finite, sym_part
+from .pants import PantsParams, ParamClass, _check_stack
 
 __all__ = [
     "standard_length",
@@ -177,15 +178,9 @@ def _so_log(u: np.ndarray) -> np.ndarray:
     return q @ k @ q.T
 
 
-def _expm_skew(k: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(1j * k)
-    return np.real(v @ np.diag(np.exp(-1j * w)) @ v.conj().T)
-
-
-def _spd_power(p: np.ndarray, t: float) -> np.ndarray:
-    w, v = np.linalg.eigh(sym_part(p))
-    w = np.maximum(w, np.finfo(float).tiny)
-    return v @ np.diag(w ** t) @ v.T
+def _mt(x: np.ndarray) -> np.ndarray:
+    """Transpose of a matrix, or of each matrix in a stack."""
+    return np.swapaxes(x, -1, -2)
 
 
 def _polar(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -193,52 +188,67 @@ def _polar(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u @ vh, (vh.T * s) @ vh
 
 
-def invertible_path(m: np.ndarray, t: float) -> np.ndarray:
+def invertible_path(m: np.ndarray, t) -> np.ndarray:
     """Path in the invertible matrices from m (t=0) to diag(sign det m, 1, ..)
-    (t=1), through the polar decomposition; the determinant never changes sign."""
+    (t=1), through the polar decomposition; the determinant never changes sign.
+
+    t is a scalar or a 1-D array of times; an array gives the stack of the
+    path's matrices at those times.  m is decomposed once, and only the
+    eigenvalues of its factors depend on t.
+    """
     m = as_matrix(m)
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
     n = m.shape[0]
     sign = 1 if np.linalg.det(m) > 0 else -1
     target = standard_twist(n, sign)
     if np.max(np.abs(m - target)) <= 1e-12:
-        return m.copy()
-    mp = target @ m  # det > 0
-    u, p = _polar(mp)
-    k = _so_log(u)
-    return target @ _expm_skew((1.0 - t) * k) @ _spd_power(p, 1.0 - t)
+        path = np.repeat(m[None], ts.size, axis=0)
+    else:
+        u, p = _polar(target @ m)  # det > 0
+        # exp((1 - t) log u) and p^(1 - t) from one eigh each
+        w, v = np.linalg.eigh(1j * _so_log(u))
+        rot = np.einsum("ij,tj,kj->tik", v, np.exp(-1j * np.multiply.outer(1.0 - ts, w)), v.conj())
+        w, v = np.linalg.eigh(sym_part(p))
+        w = np.maximum(w, np.finfo(float).tiny) ** (1.0 - ts)[:, None]
+        path = target @ np.real(rot) @ np.einsum("ij,tj,kj->tik", v, w, v)
+    return path if np.ndim(t) else path[0]
 
 
-def contracting_path(m: np.ndarray, t: float, *, target_sign: int | None = None) -> np.ndarray:
+def contracting_path(m: np.ndarray, t, *, target_sign: int | None = None) -> np.ndarray:
     """Path inside the open contraction cone from m to diag(s/2, 1/2, ...).
 
     Three stages: shrink to a scale where the polar path cannot leave the
     cone, carry the shape to the signed reflection there, then grow onto the
     standard length matrix.  Spectral radius stays below max(radius(m), 1/2)
-    + margin and the determinant sign is constant throughout.
+    + margin and the determinant sign is constant throughout.  t is a scalar
+    or a 1-D array of times, as for invertible_path; the stages are picked
+    per time.
     """
     m = as_matrix(m)
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
     n = m.shape[0]
     sign = target_sign if target_sign is not None else (1 if np.linalg.det(m) > 0 else -1)
-    if np.max(np.abs(m - standard_length(n, sign))) <= 1e-12:
-        return m.copy()
-    r = standard_twist(n, sign)
-    _, p = _polar(r @ m)
-    eps = 0.4 / max(1.0, float(np.max(np.linalg.eigvalsh(p))))
-    if t <= 1 / 3:
-        u = 3 * t
-        return (1.0 - u * (1.0 - eps)) * m
-    if t <= 2 / 3:
-        u = 3 * t - 1
-        return eps * invertible_path(m, u)
-    u = 3 * t - 2
-    start = eps * r
     end = standard_length(n, sign)
-    return (1 - u) * start + u * end
+    if np.max(np.abs(m - end)) <= 1e-12:
+        path = np.repeat(m[None], ts.size, axis=0)
+    else:
+        r = standard_twist(n, sign)
+        _, p = _polar(r @ m)
+        eps = 0.4 / max(1.0, float(np.max(np.linalg.eigvalsh(p))))
+        shrink, grow = ts <= 1 / 3, ts > 2 / 3
+        turn = ~(shrink | grow)
+        path = np.empty((ts.size, n, n))
+        path[shrink] = (1.0 - 3 * ts[shrink, None, None] * (1.0 - eps)) * m
+        path[turn] = eps * invertible_path(m, 3 * ts[turn] - 1)
+        u = 3 * ts[grow, None, None] - 2
+        path[grow] = (1 - u) * (eps * r) + u * end
+    return path if np.ndim(t) else path[0]
 
 
-def spd_path(s0: np.ndarray, s1: np.ndarray, t: float) -> np.ndarray:
-    """Linear path in the positive cone."""
-    return sym_part((1 - t) * as_matrix(s0) + t * as_matrix(s1))
+def spd_path(s0: np.ndarray, s1: np.ndarray, t) -> np.ndarray:
+    """Linear path in the positive cone; t is a scalar or a 1-D array."""
+    ts = np.asarray(t, dtype=float)[..., None, None]
+    return sym_part((1 - ts) * as_matrix(s0) + ts * as_matrix(s1))
 
 
 # ---------------------------------------------------------------------------
@@ -272,71 +282,71 @@ class DeformationPath:
         return len(self.snapshots)
 
 
-def _cap_contracting(m: np.ndarray, cap: float = _RHO_CAP) -> tuple[np.ndarray, float]:
-    rho = spectral_radius(m)
-    lam = min(1.0, cap / rho) if rho > 0 else 1.0
-    return lam * m, lam
+def _cap_contracting(m: np.ndarray, cap: float = _RHO_CAP) -> np.ndarray:
+    """Each matrix of the stack m, scaled down onto spectral radius cap when
+    its radius is larger."""
+    rho = np.abs(np.linalg.eigvals(check_finite(m))).max(axis=-1)
+    return (cap / np.maximum(rho, cap))[:, None, None] * m
 
 
-def _snapshot_graph(graph: GluingGraph, loop: GraphEdge | None,
-                    attach_edges: list[GraphEdge], t: float) -> GluingGraph:
+# a node's length parameters at every time, each of shape (k, n, n)
+_NodeStacks = namedtuple("_NodeStacks", "X1 X2 X3")
+
+
+def _snapshot_stacks(graph: GluingGraph, loop: GraphEdge | None, attach_edges: list[GraphEdge],
+                     ts: np.ndarray) -> tuple[dict[str, _NodeStacks], dict[int, np.ndarray]]:
+    """Each node's lengths and each edge's twist at the times ts, as stacks
+    over the times, built in chain order; twists are keyed by id of the edge."""
     n = graph.n
+    inv = np.linalg.inv
+    half = 0.5 * np.eye(n)
     params0 = {nd.name: nd.params for nd in graph.nodes}
-    new_params: dict[str, PantsParams] = {}
-    new_twists: dict[int, np.ndarray] = {}  # by id of the edge
+    stacks: dict[str, _NodeStacks] = {}
+    twists: dict[int, np.ndarray] = {}
 
     base_node = graph.nodes[0].name
     base = params0[base_node]
     if loop is None:
-        x2 = contracting_path(base.X2, t)
-        x3 = contracting_path(base.X3, t)
-        s = spd_path(sym_part(base.X3 @ np.linalg.inv(base.X2.T) @ base.X1), 0.5 * np.eye(n), t)
-        x1_raw = np.linalg.inv(x3 @ np.linalg.inv(x2.T)) @ s
-        x1, _ = _cap_contracting(x1_raw)
-        new_params[base_node] = PantsParams(x1, x2, x3)
+        x2 = contracting_path(base.X2, ts)
+        x3 = contracting_path(base.X3, ts)
+        s = spd_path(sym_part(base.X3 @ inv(base.X2.T) @ base.X1), half, ts)
+        x1 = _cap_contracting(inv(x3 @ inv(_mt(x2))) @ s)
     else:
         h0 = _loop_twist(loop.twist, loop.upper[1])
-        x1 = contracting_path(base.X1, t)
-        h = invertible_path(h0, t)
-        s0 = sym_part(base.X1.T @ np.linalg.inv(base.X2) @ np.linalg.inv(h0.T)
-                      @ base.X1 @ h0.T)
-        s = spd_path(s0, 0.5 * np.eye(n), t)
-        x2_raw = (np.linalg.inv(h.T) @ x1 @ h.T) @ np.linalg.inv(s) @ x1.T
-        x2, _ = _cap_contracting(x2_raw)
-        x3 = h @ x1.T @ np.linalg.inv(h)
-        new_params[base_node] = PantsParams(x1, x2, x3)
-        new_twists[id(loop)] = _loop_twist(h, loop.upper[1])
+        x1 = contracting_path(base.X1, ts)
+        h = invertible_path(h0, ts)
+        s0 = sym_part(base.X1.T @ inv(base.X2) @ inv(h0.T) @ base.X1 @ h0.T)
+        s = spd_path(s0, half, ts)
+        x2 = _cap_contracting((inv(_mt(h)) @ x1 @ _mt(h)) @ inv(s) @ _mt(x1))
+        x3 = h @ _mt(x1) @ inv(h)
+        twists[id(loop)] = _loop_twist(h, loop.upper[1])
+    stacks[base_node] = _NodeStacks(x1, x2, x3)
 
     for edge in attach_edges:
         name, host = edge.lower[0], edge.upper
         p0 = params0[name]
-        g = invertible_path(edge.twist, t)
-        host_params = new_params[host[0]]
-        ell_host = slot_glue_length(host_params, host[1])
-        x1 = (np.linalg.inv(g) @ ell_host @ g).T
-        x2 = contracting_path(p0.X2, t)
-        s0 = sym_part(p0.X3 @ np.linalg.inv(p0.X2.T) @ p0.X1)
-        s = spd_path(s0, 0.5 * np.eye(n), t)
-        x3_raw = s @ np.linalg.inv(x1) @ x2.T
-        x3, _ = _cap_contracting(x3_raw)
-        new_params[name] = PantsParams(x1, x2, x3)
-        new_twists[id(edge)] = g
-
-    nodes = tuple(PantsNode(nd.name, new_params[nd.name]) for nd in graph.nodes)
-    edges = tuple(GraphEdge(e.upper, e.lower, new_twists.get(id(e), e.twist))
-                  for e in graph.edges)
-    return GluingGraph(nodes, edges, graph.boundaries)
+        g = invertible_path(edge.twist, ts)
+        x1 = _mt(inv(g) @ slot_glue_length(stacks[host[0]], host[1]) @ g)
+        x2 = contracting_path(p0.X2, ts)
+        s = spd_path(sym_part(p0.X3 @ inv(p0.X2.T) @ p0.X1), half, ts)
+        x3 = _cap_contracting(s @ inv(x1) @ _mt(x2))
+        stacks[name] = _NodeStacks(x1, x2, x3)
+        twists[id(edge)] = g
+    return stacks, twists
 
 
 def deform_to_standard(rep_or_graph, steps: int = 100,
                        tol: Tolerance = DEFAULT_TOL) -> DeformationPath:
     """Deform a chain-shaped maximal representation onto its standard form.
 
-    Returns steps + 1 parameter snapshots; the first is the input, the last
-    the standard representative of its component.  Along the way every node
-    stays a valid maximal parameter set and the component signature never
-    changes.  Validity of each snapshot is re-checked here; callers get an
-    exception, not a bad path.  steps must be at least 1.
+    Returns steps + 1 parameter snapshots at the times t = i / steps; the
+    first is the input, the last the standard representative of its
+    component.  Along the way every node stays a valid maximal parameter set
+    and the component signature never changes.  All times are computed in
+    one pass (the path functions take t as an array), and validity is
+    re-checked here once per node over the stack of its snapshots; callers
+    get an exception naming the first failing snapshot and node, not a bad
+    path.  Snapshot arrays are read-only views.  steps must be at least 1.
     """
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
@@ -348,16 +358,28 @@ def deform_to_standard(rep_or_graph, steps: int = 100,
     # snapshots recompute attached lengths from the twists, so an incompatible
     # input would come back as a path whose first snapshot is not the input
     sig = component_signature(build_from_graph(graph, tol), tol)
-    snaps = []
-    for i in range(steps + 1):
-        t = i / steps
-        snap = _snapshot_graph(graph, loop, attach_edges, t)
-        for nd in snap.nodes:
-            cls = classify_params(nd.params, tol)
-            if cls in (ParamClass.NOT_VALID, ParamClass.IN_TILDE_R):
-                raise NotValid(
-                    f"snapshot {i} leaves the valid cone at node {nd.name!r} ({cls})")
-            if 2 * toledo_signature_shortcut(nd.params, tol) != 2 * nd.params.n:
-                raise NotMaximal(f"snapshot {i} loses maximality at node {nd.name!r}")
-        snaps.append(snap)
-    return DeformationPath(tuple(snaps), sig)
+    stacks, twists = _snapshot_stacks(graph, loop, attach_edges, np.arange(steps + 1) / steps)
+    checked = [_check_stack(np.array(stacks[nd.name]), tol) for nd in graph.nodes]
+    bad = [(i, j) for j, (classes, sigs) in enumerate(checked)
+           for i, (c, s) in enumerate(zip(classes, sigs))
+           if c not in (ParamClass.IN_R, ParamClass.IN_R_STAR) or s != graph.n]
+    if bad:  # refuse the first failure by snapshot, then by node
+        i, j = min(bad)
+        name, cls, node_sig = graph.nodes[j].name, checked[j][0][i], checked[j][1][i]
+        if isinstance(cls, MaxRepError):
+            raise type(cls)(f"snapshot {i} at node {name!r}: {cls}")
+        if cls in (ParamClass.NOT_VALID, ParamClass.IN_TILDE_R):
+            raise NotValid(f"snapshot {i} leaves the valid cone at node {name!r} ({cls})")
+        if isinstance(node_sig, MaxRepError):
+            raise type(node_sig)(f"snapshot {i} at node {name!r}: {node_sig}")
+        raise NotMaximal(f"snapshot {i} loses maximality at node {name!r}")
+    for x in [*itertools.chain(*stacks.values()), *twists.values()]:
+        x.flags.writeable = False
+    snaps = tuple(
+        GluingGraph(
+            tuple(PantsNode(nd.name, PantsParams(*(x[i] for x in stacks[nd.name])))
+                  for nd in graph.nodes),
+            tuple(GraphEdge(e.upper, e.lower, twists[id(e)][i]) for e in graph.edges),
+            graph.boundaries)
+        for i in range(steps + 1))
+    return DeformationPath(snaps, sig)

@@ -731,10 +731,10 @@ def _loop_twist(twist, upper_port: int) -> np.ndarray:
 
     That is the twist itself when the upper side is port 3 and inv(G)^T when
     it is port 1.  The map is its own inverse, so it also turns a handle
-    twist back into the edge's twist.
+    twist back into the edge's twist.  A stack of twists maps twist by twist.
     """
-    g = as_matrix(twist)
-    return np.linalg.inv(g).T if upper_port == 1 else g
+    g = np.atleast_2d(np.asarray(twist, dtype=float))
+    return np.swapaxes(np.linalg.inv(g), -1, -2) if upper_port == 1 else g
 
 
 def build_from_graph(graph: GluingGraph, tol: Tolerance = DEFAULT_TOL) -> SurfaceRep:

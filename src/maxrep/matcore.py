@@ -29,7 +29,6 @@ __all__ = [
     "is_symmetric",
     "require_symmetric",
     "require_invertible",
-    "smallest_singular_value",
     "signature",
     "spectral_radius",
     "circle_class",
@@ -55,8 +54,9 @@ class Tolerance:
     unit_circle_band: float = 1e-8
 
     def __post_init__(self):
-        if not (self.eq_tol > 0 and self.series_tol > 0 and self.unit_circle_band > 0):
-            raise ValueError("all tolerances must be strictly positive")
+        bands = (self.eq_tol, self.series_tol, self.unit_circle_band)
+        if not all(np.isfinite(b) and b > 0 for b in bands):
+            raise ValueError("all tolerances must be finite and strictly positive")
         if self.series_tol > self.eq_tol:
             raise ValueError("series_tol must not exceed eq_tol")
 
@@ -102,7 +102,8 @@ def check_finite(m: np.ndarray) -> np.ndarray:
 
 
 def sym_part(m: np.ndarray) -> np.ndarray:
-    return (m + m.T) / 2.0
+    """Symmetric part of a matrix, or of each matrix in a stack."""
+    return (m + np.swapaxes(m, -1, -2)) / 2.0
 
 
 def is_symmetric(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -117,11 +118,6 @@ def require_symmetric(m, tol: Tolerance = DEFAULT_TOL, what: str = "matrix") -> 
         raise ValueError(f"{what} is not symmetric within tolerance "
                          f"(defect {norm_inf(m - m.T):.3e})")
     return sym_part(m)
-
-
-def smallest_singular_value(m: np.ndarray) -> float:
-    s = np.linalg.svd(m, compute_uv=False)
-    return float(s[-1]) if s.size else 0.0
 
 
 def require_invertible(m, tol: Tolerance = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:

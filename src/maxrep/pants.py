@@ -20,18 +20,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NotFixed, NotMaximal, NotValid
+from .errors import MaxRepError, NearSingular, NotFixed, NotMaximal, NotValid, Singular
 from .maslov import Triple, indefinite_identity, is_maximal, maslov, normalize_maximal_triple
 from .matcore import (
     DEFAULT_TOL,
     Tolerance,
     as_matrix,
+    check_finite,
     norm_inf,
     rel_bound,
     require_invertible,
-    signature,
-    spectral_radius,
-    sym_part,
 )
 from .normalform import canonical_point_of_element
 from .symplectic import (
@@ -146,21 +144,61 @@ def classify_params(p: PantsParams, tol: Tolerance = DEFAULT_TOL) -> ParamClass:
     otherwise graded by the spectral radii of the three matrices against the
     unit-circle band.
     """
-    for name, x in zip(("X1", "X2", "X3"), p.matrices()):
-        require_invertible(x, tol, name)
-    prod = pants_product(p, tol)
-    if norm_inf(prod - prod.T) > rel_bound(tol.eq_tol, prod):
-        return ParamClass.NOT_VALID
-    eigs = np.linalg.eigvalsh(sym_part(prod))
-    if np.min(eigs) <= rel_bound(tol.eq_tol, prod):
-        return ParamClass.NOT_VALID
-    band = tol.unit_circle_band
-    radii = [spectral_radius(x) for x in p.matrices()]
-    if any(r > 1.0 + band for r in radii):
-        return ParamClass.IN_TILDE_R
-    if all(r < 1.0 - band for r in radii):
-        return ParamClass.IN_R_STAR
-    return ParamClass.IN_R
+    cls = _check_stack(np.array(p.matrices())[:, None], tol)[0][0]
+    if isinstance(cls, MaxRepError):
+        raise cls
+    return cls
+
+
+def _check_stack(xs: np.ndarray, tol: Tolerance,
+                 membership: bool = True) -> tuple[list | None, list]:
+    """Membership class and product signature of each slice of a stack.
+
+    xs has shape (3, k, n, n); slice i is the triple (xs[0, i], xs[1, i],
+    xs[2, i]).  Entry i of the first list is what classify_params gives for
+    slice i, entry i of the second the signature toledo_signature_shortcut
+    reads off its product; either entry is instead the exception that call
+    raises, so that a caller checking many slices picks which one to raise.
+    membership=False skips the classes.  A NaN or Inf anywhere in the stack
+    or its products raises IllConditioned for the whole stack.
+    """
+    sv = np.linalg.svd(check_finite(xs), compute_uv=False)
+    singular = sv[..., -1] <= tol.eq_tol * np.maximum(1.0, sv[..., 0])
+    # a singular X2 is refused anyway; the identity in its place keeps the
+    # stacked inverse from failing on the other slices
+    x2 = np.where(singular[1, :, None, None], np.eye(xs.shape[-1]), xs[1])
+    prod = check_finite(xs[2] @ np.linalg.inv(np.swapaxes(x2, -1, -2)) @ xs[0])
+    prod_t = np.swapaxes(prod, -1, -2)
+    bound = tol.eq_tol * np.maximum(1.0, np.abs(prod).max(axis=(-2, -1)))
+    asym = np.abs(prod - prod_t).max(axis=(-2, -1)) > bound
+    eigs = np.linalg.eigvalsh((prod + prod_t) / 2.0)
+    moduli = np.abs(eigs)
+    near = moduli.min(axis=-1) <= tol.eq_tol * moduli.max(axis=-1)
+
+    def fault(i, checked):
+        for j in checked:
+            if singular[j, i]:
+                return Singular(f"X{j + 1} is singular within tolerance "
+                                f"(sigma_min = {sv[j, i, -1]:.3e}, sigma_max = {sv[j, i, 0]:.3e})")
+        if asym[i]:
+            return NotValid("product is not symmetric")
+        return NearSingular(f"eigenvalue inside zero band (band {tol.eq_tol * moduli[i].max():.3e}, "
+                            f"closest {moduli[i].min():.3e})")
+
+    sigs = [fault(i, (1,)) if bad else s for i, (s, bad) in enumerate(zip(
+        np.sign(eigs).sum(axis=-1).astype(int).tolist(), (singular[1] | asym | near).tolist()))]
+    if not membership:
+        return None, sigs
+    not_valid = (asym | (eigs[:, 0] <= bound)).tolist()
+    radius = np.abs(np.linalg.eigvals(xs)).max(axis=(0, -1)).tolist()
+    lo, hi = 1.0 - tol.unit_circle_band, 1.0 + tol.unit_circle_band
+    classes = [fault(i, (0, 1, 2)) if bad
+               else ParamClass.NOT_VALID if not_valid[i]
+               else ParamClass.IN_TILDE_R if radius[i] > hi
+               else ParamClass.IN_R_STAR if radius[i] < lo
+               else ParamClass.IN_R
+               for i, bad in enumerate(singular.any(axis=0).tolist())]
+    return classes, sigs
 
 
 def _pants_blocks(x1: np.ndarray, x2: np.ndarray, x3: np.ndarray,
@@ -248,10 +286,10 @@ def toledo(rep: PantsRep, fixed_points: Triple,
 
 def toledo_signature_shortcut(p, tol: Tolerance = DEFAULT_TOL) -> Fraction:
     """(n + sign(X3 (X2^T)^{-1} X1)) / 2 for symmetric invertible product."""
-    prod = pants_product(p, tol)
-    if norm_inf(prod - prod.T) > rel_bound(tol.eq_tol, prod):
-        raise NotValid("product is not symmetric")
-    return Fraction(p.n + signature(sym_part(prod), tol), 2)
+    sig = _check_stack(np.array((p.X1, p.X2, p.X3))[:, None], tol, membership=False)[1][0]
+    if isinstance(sig, MaxRepError):
+        raise sig
+    return Fraction(p.n + sig, 2)
 
 
 def recover_params(rep: PantsRep,

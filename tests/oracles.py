@@ -2,14 +2,29 @@
 
 ``cayley`` and ``inverse_cayley`` change between the bounded and the tube
 model; ``fixed_point_probe`` searches for fixed points of a standard
-boundary element by Newton's method from random seeds.
+boundary element by Newton's method from random seeds.  ``classify_one``,
+``toledo_one`` and ``first_refusal_by_loop`` check pants parameters one
+matrix at a time, as the library did before it checked stacks.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
-from maxrep.errors import NotInvertible
-from maxrep.matcore import DEFAULT_TOL, Tolerance, as_matrix, norm_inf, sym_part
+from maxrep.errors import MaxRepError, NotInvertible, NotMaximal, NotValid
+from maxrep.matcore import (
+    DEFAULT_TOL,
+    Tolerance,
+    as_matrix,
+    norm_inf,
+    rel_bound,
+    require_invertible,
+    signature,
+    spectral_radius,
+    sym_part,
+)
 from maxrep.normalform import StandardBoundary
+from maxrep.pants import PantsParams, ParamClass
 
 
 def cayley(z, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -84,3 +99,48 @@ def fixed_point_probe(sb: StandardBoundary, n_seeds: int = 100, seed: int = 0,
             else:
                 found.append(y)
     return found
+
+
+def classify_one(p: PantsParams, tol: Tolerance = DEFAULT_TOL) -> ParamClass:
+    """Membership class of one parameter triple, one matrix at a time."""
+    for name, x in zip(("X1", "X2", "X3"), p.matrices()):
+        require_invertible(x, tol, name)
+    prod = p.X3 @ np.linalg.inv(p.X2.T) @ p.X1
+    if norm_inf(prod - prod.T) > rel_bound(tol.eq_tol, prod):
+        return ParamClass.NOT_VALID
+    if np.min(np.linalg.eigvalsh(sym_part(prod))) <= rel_bound(tol.eq_tol, prod):
+        return ParamClass.NOT_VALID
+    band = tol.unit_circle_band
+    radii = [spectral_radius(x) for x in p.matrices()]
+    if any(r > 1.0 + band for r in radii):
+        return ParamClass.IN_TILDE_R
+    if all(r < 1.0 - band for r in radii):
+        return ParamClass.IN_R_STAR
+    return ParamClass.IN_R
+
+
+def toledo_one(p: PantsParams, tol: Tolerance = DEFAULT_TOL) -> Fraction:
+    """(n + sign(X3 (X2^T)^{-1} X1)) / 2 of one parameter triple."""
+    require_invertible(p.X2, tol, "X2")
+    prod = p.X3 @ np.linalg.inv(p.X2.T) @ p.X1
+    if norm_inf(prod - prod.T) > rel_bound(tol.eq_tol, prod):
+        raise NotValid("product is not symmetric")
+    return Fraction(p.n + signature(sym_part(prod), tol), 2)
+
+
+def first_refusal_by_loop(snapshots, tol: Tolerance = DEFAULT_TOL):
+    """(snapshot index, node name, error class) of the first snapshot node
+    that is not a valid maximal parameter set, snapshot by snapshot and node
+    by node in graph order, or None.  snapshots is a sequence of lists of
+    (node name, PantsParams)."""
+    for i, nodes in enumerate(snapshots):
+        for name, p in nodes:
+            try:
+                cls = classify_one(p, tol)
+                if cls in (ParamClass.NOT_VALID, ParamClass.IN_TILDE_R):
+                    raise NotValid(cls)
+                if 2 * toledo_one(p, tol) != 2 * p.n:
+                    raise NotMaximal(name)
+            except MaxRepError as exc:
+                return i, name, type(exc)
+    return None

@@ -164,6 +164,23 @@ class TestVerifyRoundTrip:
         res2 = [l for l in out2.splitlines() if l.startswith("relation residual")]
         assert res1 == res2
 
+    def test_verify_rep_file_gates_relation(self, torus_file, tmp_path, capsys):
+        # every generator stays exactly symplectic, but the relation fails
+        out_file = tmp_path / "torus.mr"
+        code, _, _ = run_main(["build", torus_file, "--out", str(out_file)], capsys)
+        assert code == 0
+        code, out, _ = run_main(["verify", str(out_file)], capsys)
+        assert code == 0 and "status: ok" in out
+        text = out_file.read_text()
+        head, tail = text.split("generator C1\n")
+        body, rest = tail.split("end\n", 1)
+        assert len(body.splitlines()) == 2
+        out_file.write_text(head + "generator C1\n  1.0 0.0\n  0.0 1.0\nend\n" + rest)
+        code, out, _ = run_main(["verify", str(out_file)], capsys)
+        assert code == 0
+        assert "status: ok" not in out and "status: suspect" in out
+        assert "relation residual: 4.500000e+00" in out
+
     def test_verify_graph_file(self, torus_file, capsys):
         code, out, _ = run_main(["verify", torus_file], capsys)
         assert code == 0
@@ -240,6 +257,20 @@ class TestCommands:
         monkeypatch.setenv("MAXREP_TOL", "1e-6")
         code, _, _ = run_main(["build", pants_file], capsys)
         assert code == 0
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1e-9"])
+    def test_tol_must_be_finite_and_positive(self, tmp_path, capsys, monkeypatch, value):
+        # the default refuses this torus with CannotGlue; an infinite
+        # tolerance used to pass that gate and break down later (exit 4)
+        f = tmp_path / "torus.mg"
+        f.write_text(TORUS_FILE.replace("  X3\n  0.5", "  X3\n  0.6"))
+        code, _, err = run_main(["build", str(f)], capsys)
+        assert code == 3 and "CannotGlue" in err
+        code, _, err = run_main(["build", str(f), f"--tol={value}"], capsys)
+        assert code == 2 and "finite and greater than 0" in err
+        monkeypatch.setenv("MAXREP_TOL", value)
+        code, _, err = run_main(["build", str(f)], capsys)
+        assert code == 2 and "finite and greater than 0" in err
 
     def test_non_finite_conjugator_exit_code(self, tmp_path, capsys, monkeypatch):
         patch_nan_twist(monkeypatch)

@@ -9,6 +9,7 @@ from maxrep.deform import (
     deform_to_standard,
     enumerate_standard_graphs,
     invertible_path,
+    spd_path,
     standard_length,
     standard_sign_graph,
     standard_twist,
@@ -24,7 +25,7 @@ from maxrep.limits import _cluster, _count_transverse, _unrank3, limit_set_sampl
 from maxrep.maslov import Triple, maslov
 from maxrep.matcore import DEFAULT_TOL, norm_inf, spectral_radius
 from maxrep.pants import PantsParams, ParamClass, classify_params, toledo_signature_shortcut
-from maxrep.sampling import random_contracting, random_invertible, random_pants_params
+from maxrep.sampling import random_contracting, random_invertible, random_pants_params, random_spd
 from maxrep.symplectic import INFINITY, BoundaryPoint, moebius_act, point_distance, sp_inverse, transverse
 
 
@@ -55,6 +56,22 @@ class TestPaths:
                 x = contracting_path(m, t)
                 assert spectral_radius(x) < 1.0
                 assert np.linalg.det(x) * s > 0
+
+    def test_stacked_times_match_scalar_calls(self, rng):
+        ts = np.linspace(0, 1, 31)
+        for _ in range(6):
+            n = int(rng.integers(1, 4))
+            neg = bool(rng.uniform() < 0.5)
+            for path, m in ((invertible_path, random_invertible(n, rng, negative_det=neg)),
+                            (contracting_path, random_contracting(n, rng, negative_det=neg))):
+                stack = path(m, ts)
+                assert stack.shape == (ts.size, n, n)
+                for i, t in enumerate(ts):
+                    assert norm_inf(stack[i] - path(m, t)) <= 1e-14
+            s0 = random_spd(n, rng)
+            stack = spd_path(s0, 0.5 * np.eye(n), ts)
+            for i, t in enumerate(ts):
+                assert norm_inf(stack[i] - spd_path(s0, 0.5 * np.eye(n), t)) <= 1e-14
 
 
 class TestStandardGraphs:
@@ -130,6 +147,83 @@ class TestDeform:
             for nd in snap.nodes:
                 assert classify_params(nd.params) in (ParamClass.IN_R, ParamClass.IN_R_STAR)
                 assert toledo_signature_shortcut(nd.params) == nd.params.n
+
+    def test_snapshots_do_not_share_writable_arrays(self, rng):
+        path = deform_to_standard(chain_graph_with_random_params(1, 2, 2, rng), steps=4)
+        snap = path.snapshots[1]
+        for x in [*snap.nodes[1].params.matrices(), snap.edges[0].twist]:
+            with pytest.raises(ValueError):
+                x[0, 0] = 7.0
+        assert not np.shares_memory(path.snapshots[1].nodes[0].params.X1,
+                                    path.snapshots[2].nodes[0].params.X1)
+
+    def test_pinned_snapshots(self):
+        # entries of a seeded (1, 2) chain at n = 3, recorded from the
+        # snapshot-by-snapshot implementation this one replaced
+        graph = chain_graph_with_random_params(1, 2, 3, np.random.default_rng(612))
+        path = deform_to_standard(graph, steps=30)
+        pinned = {
+            7: ([0.09902791588947656, -0.039400216217393744, -0.013655201480292374],
+                [-0.40761676707825917, -0.5617179864011036, -0.10808195868638137],
+                [0.9232066130223411, 0.20476520954960628, -0.0840296060595115],
+                [0.003922417366634189, -0.7533903104659899, 0.8317002993151448]),
+            16: ([0.1295704828275373, 0.00033160060053116243, -0.0012910627371469292],
+                 [0.047495468874273125, -0.49280232454491213, -0.6379520852250586],
+                 [0.9572718980120501, 0.13612462917477816, -0.04256063996912627],
+                 [-0.023442138479259095, 0.20830558762026208, 1.0176802441536947]),
+            29: ([0.4638022900847873, -2.869192960352745e-05, 0.0035586157844367237],
+                 [0.003878952612838474, 0.002608063751552136, -0.5417518371934837],
+                 [0.9973935131428044, 0.010737285806757882, -0.0018991765235002597],
+                 [-0.002914848373284727, 1.0020705346113477, 0.09774398795968099]),
+        }
+        for i, (p0_x2, p1_x3, handle, attach) in pinned.items():
+            snap = path.snapshots[i]
+            got = (snap.nodes[0].params.X2[0], snap.nodes[1].params.X3[2],
+                   snap.edges[0].twist[0], snap.edges[1].twist[1])
+            for g, want in zip(got, (p0_x2, p1_x3, handle, attach)):
+                assert np.max(np.abs(g - np.array(want))) <= 1e-12
+
+    # (node, snapshot, how) corruptions of the stacks the path is checked on
+    @pytest.mark.parametrize("faults", [
+        [("p1", 37, "expand"), ("p0", 50, "singular")],
+        [("p1", 37, "expand"), ("p0", 37, "singular")],
+        [("p2", 12, "negate"), ("p1", 13, "near_zero")],
+        [("p2", 90, "near_zero")],
+        [("p1", 0, "negate"), ("p0", 0, "singular")],
+    ])
+    def test_refusal_names_first_failure_in_loop_order(self, rng, monkeypatch, faults):
+        import maxrep.deform as deform
+        from oracles import first_refusal_by_loop
+
+        graph = chain_graph_with_random_params(0, 5, 2, rng)
+        real = deform._snapshot_stacks
+        seen = {}
+
+        def corrupted(*args):
+            stacks, twists = real(*args)
+            for name, i, how in faults:
+                x1, x2, x3 = (x.copy() for x in stacks[name])
+                if how == "expand":
+                    x1[i] *= 10.0
+                elif how == "singular":
+                    x2[i, :, 0] = 0.0
+                elif how == "negate":
+                    x2[i] *= -1.0
+                else:
+                    x1[i], x2[i], x3[i] = np.diag([100.0, 1e-5]), np.eye(2), np.diag([100.0, 1e-5])
+                stacks[name] = type(stacks[name])(x1, x2, x3)
+            seen.update(stacks)
+            return stacks, twists
+
+        monkeypatch.setattr(deform, "_snapshot_stacks", corrupted)
+        with pytest.raises(MaxRepError) as info:
+            deform_to_standard(graph, steps=100)
+        names = [nd.name for nd in graph.nodes]
+        snapshots = [[(name, PantsParams(*(x[i] for x in seen[name]))) for name in names]
+                     for i in range(101)]
+        i, name, cls = first_refusal_by_loop(snapshots)
+        assert type(info.value) is cls
+        assert f"snapshot {i} " in str(info.value) and repr(name) in str(info.value)
 
     def test_non_chain_rejected(self, rng):
         p = random_pants_params(2, rng, tame=True)

@@ -24,6 +24,12 @@ def test_tolerance_validation():
         Tolerance(eq_tol=-1.0)
     with pytest.raises(ValueError):
         Tolerance(eq_tol=1e-12, series_tol=1e-9)
+    # an infinite band would let every gate with that bound pass
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            Tolerance(eq_tol=bad)
+        with pytest.raises(ValueError):
+            Tolerance(unit_circle_band=bad)
     Tolerance()  # defaults valid
 
 

@@ -3,14 +3,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from maxrep.errors import NotValid
+from maxrep.errors import IllConditioned, MaxRepError, NearSingular, NotValid, Singular
 from maxrep.maslov import Triple, indefinite_identity, maslov
-from maxrep.matcore import norm_inf
+from maxrep.matcore import DEFAULT_TOL, norm_inf
 from maxrep.pants import (
     GeneralPantsParams,
     PantsParams,
     PantsRep,
     ParamClass,
+    _check_stack,
     _pants_blocks,
     build_general,
     build_maximal,
@@ -40,6 +41,7 @@ from maxrep.symplectic import (
     sp_inverse,
     zero_point,
 )
+from oracles import classify_one, toledo_one
 
 
 def scalar_params(x1, x2, x3):
@@ -64,6 +66,68 @@ class TestClassify:
         prod = pants_product(p)
         if norm_inf(prod - prod.T) > 1e-6:
             assert classify_params(p) is ParamClass.NOT_VALID
+
+
+def _outcome(f, *args):
+    """f(*args), or the library error it raises."""
+    try:
+        return f(*args)
+    except MaxRepError as exc:
+        return exc
+
+
+def _kind(result):
+    """The class of an error, or a value as it is."""
+    return type(result) if isinstance(result, MaxRepError) else result
+
+
+class TestCheckStack:
+    def test_mixed_stack_matches_single_calls(self):
+        half, eye = 0.5 * np.eye(2), np.eye(2)
+        triples = [
+            (half, half, half),                                  # IN_R_STAR
+            (np.diag([1.0, 0.5]), half, half),                   # IN_R
+            (half, np.diag([1.0, 0.5]), half),                   # IN_R, from X2 alone
+            (2 * eye, 2 * eye, 2 * eye),                         # IN_TILDE_R
+            (half, half, np.diag([1.5, 0.5])),                   # IN_TILDE_R, from X3 alone
+            (half, -half, half),                                 # NOT_VALID, signature -2
+            (np.diag([0.5, 1e-12]), half, half),                 # X1 singular
+            (half, np.diag([0.5, 0.0]), half),                   # X2 singular
+            (np.array([[0.5, 0.3], [0.0, 0.5]]), half, half),    # asymmetric product
+            (np.diag([100.0, 1e-5]), eye, np.diag([100.0, 1e-5])),   # signature zero band
+        ]
+        xs = np.array([np.array(t) for t in zip(*triples)])
+        classes, sigs = _check_stack(xs, DEFAULT_TOL)
+        assert len(classes) == len(sigs) == len(triples)
+        seen = set()
+        for t, cls, sig in zip(triples, classes, sigs):
+            p = PantsParams(*t)
+            t_sig = sig if isinstance(sig, MaxRepError) else Fraction(p.n + sig, 2)
+            for got, single, oracle in ((cls, classify_params, classify_one),
+                                        (t_sig, toledo_signature_shortcut, toledo_one)):
+                # the single call, a stack of one, gives the same value or message
+                assert _kind(_outcome(single, p)) == _kind(got)
+                assert str(_outcome(single, p)) == str(got)
+                # the one-matrix-at-a-time check gives the same value or error class
+                assert _kind(_outcome(oracle, p)) == _kind(got)
+                seen.add(_kind(got))
+        assert set(ParamClass) | {Singular, NotValid, NearSingular} <= seen
+        # a non-finite entry anywhere refuses the whole stack, as it does one triple
+        xs[0, 3, 1, 1] = np.nan
+        with pytest.raises(IllConditioned):
+            _check_stack(xs, DEFAULT_TOL)
+        p = PantsParams(np.full((2, 2), np.nan), half, half)
+        for f in (classify_params, toledo_signature_shortcut, classify_one, toledo_one):
+            with pytest.raises(IllConditioned):
+                f(p)
+
+    def test_random_stack_matches_loop(self, rng):
+        ps = [random_pants_params(3, rng, tame=bool(i % 2)) for i in range(40)]
+        xs = np.array([[getattr(p, f"X{j}") for p in ps] for j in (1, 2, 3)])
+        classes, sigs = _check_stack(xs, DEFAULT_TOL)
+        for p, cls, sig in zip(ps, classes, sigs):
+            assert cls is classify_one(p)
+            assert Fraction(p.n + sig, 2) == toledo_one(p)
 
 
 class TestBuildMaximal:
