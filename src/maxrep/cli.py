@@ -7,7 +7,7 @@ built representations, runs the library and prints line-oriented
 Exit codes: 0 success, 2 parse error, 3 mathematical refusal (the requested
 object does not exist), 4 numerical breakdown (tolerances could not decide).
 The environment variable MAXREP_TOL overrides the relative comparison
-tolerance; --seed fixes every randomized probe.
+tolerance; --seed (limits only) seeds the limit-set sampler.
 """
 
 from __future__ import annotations
@@ -509,8 +509,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--tol", type=float, default=None,
                        help="relative comparison tolerance, finite and > 0 (default 1e-9)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized probes")
         p.add_argument("--json", action="store_true", help="structured output")
         p.add_argument("--strict", action="store_true",
                        help="reject numbers that do not round-trip exactly")
@@ -561,6 +559,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("limits", help="sample the limit set of a built graph")
     p.add_argument("file")
     p.add_argument("--max-word-length", type=int, default=4)
+    p.add_argument("--seed", type=int, default=0, help="seed of the sampled triples")
     p.add_argument("--out")
     common(p)
     p.set_defaults(func=cmd_limits)

@@ -11,9 +11,11 @@ floor one: ``|a - b| <= tol * max(1, |a|, |b|)``.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgees, dtrsyl
 
 from .errors import IllConditioned, NearSingular, ResonantSpectrum, Singular
 
@@ -33,6 +35,7 @@ __all__ = [
     "spectral_radius",
     "circle_class",
     "stein_solve",
+    "commutant_search",
     "similarity_witness",
     "factor_signature",
 ]
@@ -43,8 +46,8 @@ class Tolerance:
     """Tolerance bands shared across the library.
 
     eq_tol            relative comparison tolerance,
-    series_tol        convergence/residual tolerance for linear matrix
-                      equations (must not exceed eq_tol),
+    series_tol        residual gate of the Stein solve, relative to the
+                      right-hand side (must not exceed eq_tol),
     unit_circle_band  half-width of the band around |lambda| = 1 used when
                       classifying spectra.
     """
@@ -184,41 +187,20 @@ def _unit_circle_masks(x: np.ndarray, band: float) -> tuple[np.ndarray, ...]:
     return moduli < 1.0 - band, np.abs(moduli - 1.0) <= band, moduli > 1.0 + band
 
 
-def _stein_kron_solve(a: np.ndarray, q: np.ndarray) -> np.ndarray:
-    # row-major vec: vec(A^T P A) = (A^T (x) A^T) vec(P)
-    n = a.shape[0]
-    k = np.kron(a.T, a.T) - np.eye(n * n)
-    p = np.linalg.solve(k, q.reshape(-1)).reshape(n, n)
-    # two rounds of iterative refinement; the glued conjugations downstream
-    # amplify any residual left here
-    for _ in range(2):
-        r = a.T @ p @ a - p - q
-        p = p - np.linalg.solve(k, r.reshape(-1)).reshape(n, n)
-    return sym_part(p)
-
-
-def _stein_series(a: np.ndarray, q: np.ndarray, tol: Tolerance) -> np.ndarray:
-    # P = -sum_i (A^T)^i Q A^i, valid for contracting A
-    term = q.copy()
-    acc = q.copy()
-    bound = rel_bound(tol.series_tol, q)
-    for _ in range(100_000):
-        term = a.T @ term @ a
-        acc += term
-        if norm_inf(term) <= bound:
-            break
-    return sym_part(-acc)
-
-
 def stein_solve(a, q, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Unique symmetric P with A^T P A - P = Q.
 
     Solvability requires lambda*mu != 1 for all eigenvalue pairs of A; a
-    pair inside the unit_circle_band raises ResonantSpectrum.  Solved by a
-    Kronecker linear system with iterative refinement up to n = 32, by
-    series summation for larger contracting A.
+    pair inside the unit_circle_band raises ResonantSpectrum, and so does a
+    solution whose residual exceeds series_tol relative to ||Q||.  One
+    algorithm for every n (Barraud 1977; Bartels-Stewart 1972): the Cayley
+    map B = I - 2 W with W = (A^T + I)^{-1} turns the equation into
+    B P + P B^T = 2 W Q W^T, which one real Schur factorization of B
+    reduces to a triangular Sylvester equation; one refinement step reuses
+    the same factors.  A NaN or Inf in A, or a solution that overflows,
+    raises IllConditioned.
     """
-    a = as_matrix(a)
+    a = check_finite(as_matrix(a))
     q = require_symmetric(q, tol, "Stein right-hand side")
     if a.shape != q.shape:
         raise ValueError("A and Q must have matching shape")
@@ -227,13 +209,23 @@ def stein_solve(a, q, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if np.min(prods) <= tol.unit_circle_band:
         raise ResonantSpectrum(
             f"eigenvalue product within {tol.unit_circle_band:.1e} of 1")
+    # A^T + I is invertible: an eigenvalue -1 of A is resonant with itself
     n = a.shape[0]
-    if n <= 32:
-        p = _stein_kron_solve(a, q)
-    elif np.max(np.abs(eigs)) < 1.0 - tol.unit_circle_band:
-        p = _stein_series(a, q, tol)
-    else:
-        p = _stein_kron_solve(a, q)
+    w = np.linalg.inv(a.T + np.eye(n))
+    # LAPACK directly: scipy.linalg.schur's workspace query and checks cost
+    # several times the factorization at the small n of most gluing solves
+    t, _, _, _, u, _, info = dgees(lambda wr, wi: None, np.eye(n) - 2.0 * w)
+    if info:
+        raise IllConditioned("real Schur factorization did not converge")
+    wu = w.T @ u
+
+    def solve(r):
+        # with B = U T U^T and X = U^T P U: T X + X T^T = 2 U^T W R W^T U
+        x, scale, _ = dtrsyl(t, t, 2.0 * (wu.T @ r @ wu), tranb="T")
+        return u @ (x / scale) @ u.T
+
+    p = solve(q)
+    p = check_finite(sym_part(p - solve(a.T @ p @ a - p - q)))
     residual = norm_inf(a.T @ p @ a - p - q)
     if residual > rel_bound(tol.series_tol, q):
         raise ResonantSpectrum(
@@ -273,14 +265,43 @@ def _realify_eigvecs(w: np.ndarray, v: np.ndarray) -> np.ndarray | None:
     return np.column_stack(cols)
 
 
-def similarity_witness(x, y, tol: Tolerance = DEFAULT_TOL,
-                       retries: int = 64, seed: int = 0) -> np.ndarray | None:
+def commutant_search(pairs, cutoff: float, accept):
+    """First element K of {K : K X = Y K for every pair (X, Y)} that accept takes.
+
+    The space is the nullspace of the stacked operators
+    vec(K X - Y K) = (I (x) X^T - Y (x) I) vec(K): the right singular
+    vectors whose singular value is at most cutoff * max(1, sigma_max).
+    Each basis element is offered to accept first, then 64 random
+    combinations drawn from a generator seeded with 0.  accept maps a
+    candidate to a result or None; the first result is returned, None when
+    the nullspace is empty or every candidate is refused.
+    """
+    n = pairs[0][0].shape[0]
+    eye = np.eye(n)
+    op = np.vstack([np.kron(eye, x.T) - np.kron(y, eye) for x, y in pairs])
+    _, svals, vt = np.linalg.svd(op)
+    bound = cutoff * max(1.0, svals[0])
+    basis = [vt[i].reshape(n, n) for i in range(len(svals)) if svals[i] <= bound]
+    if not basis:
+        return None
+    rng = np.random.default_rng(0)
+    combos = (sum(c * b for c, b in zip(rng.normal(size=len(basis)), basis))
+              for _ in range(64))
+    for k in itertools.chain(basis, combos):
+        found = accept(k)
+        if found is not None:
+            return found
+    return None
+
+
+def similarity_witness(x, y, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
     """Invertible G with G X G^{-1} = Y, or None if X and Y are not similar.
 
     Strategy: characteristic-polynomial reject, then eigenvector alignment,
-    then the nullspace of G X - Y G searched for an invertible element by
-    seeded random combinations.  None encodes non-similarity; a returned G
-    always satisfies the residual bound eq_tol relative to ||Y||.
+    then commutant_search on the pair (X, Y) for an invertible element.
+    None encodes non-similarity (or a search that found no invertible
+    element); a returned G always satisfies the residual bound eq_tol
+    relative to ||Y||.
     """
     x = require_invertible(x, tol, "similarity X")
     y = require_invertible(y, tol, "similarity Y")
@@ -290,8 +311,6 @@ def similarity_witness(x, y, tol: Tolerance = DEFAULT_TOL,
     bound = rel_bound(tol.eq_tol, y)
 
     def accept(g):
-        if g is None:
-            return None
         s = np.linalg.svd(g, compute_uv=False)
         if s[-1] <= 1e-10 * max(1.0, s[0]):
             return None
@@ -315,24 +334,7 @@ def similarity_witness(x, y, tol: Tolerance = DEFAULT_TOL,
             if g is not None:
                 return g
 
-    # nullspace of vec(G X - Y G) = (I (x) X^T - Y (x) I) vec(G)
-    op = np.kron(np.eye(n), x.T) - np.kron(y, np.eye(n))
-    _, svals, vt = np.linalg.svd(op)
-    cutoff = max(1e-10, 100 * tol.eq_tol) * max(1.0, svals[0])
-    basis = [vt[i].reshape(n, n) for i in range(len(svals)) if svals[i] <= cutoff]
-    if not basis:
-        return None
-    rng = np.random.default_rng(seed)
-    for k in basis:
-        g = accept(k)
-        if g is not None:
-            return g
-    for _ in range(retries):
-        coeffs = rng.normal(size=len(basis))
-        g = accept(sum(c * b for c, b in zip(coeffs, basis)))
-        if g is not None:
-            return g
-    return None
+    return commutant_search([(x, y)], max(1e-10, 100 * tol.eq_tol), accept)
 
 
 def factor_signature(s, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, int]:

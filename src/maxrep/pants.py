@@ -20,13 +20,22 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import MaxRepError, NearSingular, NotFixed, NotMaximal, NotValid, Singular
+from .errors import (
+    IllConditioned,
+    MaxRepError,
+    NearSingular,
+    NotFixed,
+    NotMaximal,
+    NotValid,
+    Singular,
+)
 from .maslov import Triple, indefinite_identity, is_maximal, maslov, normalize_maximal_triple
 from .matcore import (
     DEFAULT_TOL,
     Tolerance,
     as_matrix,
     check_finite,
+    commutant_search,
     norm_inf,
     rel_bound,
     require_invertible,
@@ -356,49 +365,34 @@ class EquivalenceResult:
 
 
 def params_equivalent(p: PantsParams, q: PantsParams,
-                      tol: Tolerance = DEFAULT_TOL,
-                      retries: int = 64, seed: int = 0) -> EquivalenceResult:
+                      tol: Tolerance = DEFAULT_TOL) -> EquivalenceResult:
     """Decide simultaneous orthogonal conjugacy of two parameter triples.
 
     Trace fingerprints give a cheap reject; a surviving pair goes through
-    the joint commutation nullspace, searched for an orthogonal element.
-    When fingerprints match but no orthogonal witness is found within the
-    retry budget the result is flagged inconclusive rather than asserted.
+    commutant_search on the three pairs (Xi, Yi), whose candidates are
+    replaced by their orthogonal polar factors.  When fingerprints match but
+    no orthogonal witness is found the result is flagged inconclusive rather
+    than asserted.  A NaN or Inf entry, or a fingerprint that overflows,
+    raises IllConditioned.
     """
     if p.n != q.n:
         return EquivalenceResult(False, False)
-    n = p.n
-    fp_tol = max(1e-7, 100 * tol.eq_tol)
-    if fingerprint_distance(p, q) > fp_tol:
+    check_finite(np.array(p.matrices() + q.matrices()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        distance = fingerprint_distance(p, q)
+    if not np.isfinite(distance):
+        raise IllConditioned("trace fingerprint overflows")
+    if distance > max(1e-7, 100 * tol.eq_tol):
         return EquivalenceResult(False, False)
+    pairs = list(zip(p.matrices(), q.matrices()))
 
-    # joint nullspace of K Xi - Yi K over the three pairs
-    ops = [np.kron(np.eye(n), x.T) - np.kron(y, np.eye(n))
-           for x, y in zip(p.matrices(), q.matrices())]
-    stack = np.vstack(ops)
-    _, svals, vt = np.linalg.svd(stack)
-    cutoff = max(1e-9, 100 * tol.eq_tol) * max(1.0, svals[0])
-    basis = [vt[i].reshape(n, n) for i in range(len(svals)) if svals[i] <= cutoff]
-    basis += [vt[i].reshape(n, n) for i in range(len(svals), vt.shape[0])]
-
-    def try_witness(k):
+    def accept(k):
         # orthogonal polar factor of a nullspace element
         u, _, vh = np.linalg.svd(k)
         cand = u @ vh
         ok = all(norm_inf(cand @ x @ cand.T - y) <= rel_bound(np.sqrt(tol.eq_tol), y)
-                 for x, y in zip(p.matrices(), q.matrices()))
+                 for x, y in pairs)
         return cand if ok else None
 
-    rng = np.random.default_rng(seed)
-    for k in basis:
-        w = try_witness(k)
-        if w is not None:
-            return EquivalenceResult(True, False, w)
-    for _ in range(retries):
-        if not basis:
-            break
-        coeffs = rng.normal(size=len(basis))
-        w = try_witness(sum(c * b for c, b in zip(coeffs, basis)))
-        if w is not None:
-            return EquivalenceResult(True, False, w)
-    return EquivalenceResult(False, True)
+    w = commutant_search(pairs, max(1e-9, 100 * tol.eq_tol), accept)
+    return EquivalenceResult(w is not None, w is None, w)

@@ -2,7 +2,8 @@
 
 ``cayley`` and ``inverse_cayley`` change between the bounded and the tube
 model; ``fixed_point_probe`` searches for fixed points of a standard
-boundary element by Newton's method from random seeds.  ``classify_one``,
+boundary element by Newton's method from random seeds; ``stein_kron_solve``
+solves the Stein equation as one Kronecker linear system.  ``classify_one``,
 ``toledo_one`` and ``first_refusal_by_loop`` check pants parameters one
 matrix at a time, as the library did before it checked stacks.
 """
@@ -99,6 +100,21 @@ def fixed_point_probe(sb: StandardBoundary, n_seeds: int = 100, seed: int = 0,
             else:
                 found.append(y)
     return found
+
+
+def stein_kron_solve(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """P with A^T P A - P = Q from the (n^2 x n^2) system
+    (A^T (x) A^T - I) vec(P) = vec(Q) in row-major vec, with two rounds of
+    iterative refinement.  A reference for small n and any non-resonant
+    spectrum; the library solves the equation on Schur factors instead.
+    """
+    n = a.shape[0]
+    k = np.kron(a.T, a.T) - np.eye(n * n)
+    p = np.linalg.solve(k, q.reshape(-1)).reshape(n, n)
+    for _ in range(2):
+        r = a.T @ p @ a - p - q
+        p = p - np.linalg.solve(k, r.reshape(-1)).reshape(n, n)
+    return sym_part(p)
 
 
 def classify_one(p: PantsParams, tol: Tolerance = DEFAULT_TOL) -> ParamClass:

@@ -241,6 +241,15 @@ class TestCommands:
         text = open(out_file).read()
         assert text.startswith("maxrep-limits 1")
 
+    def test_seed_on_limits_only(self, pants_file, capsys):
+        # the limit-set sampler is the only randomized probe left
+        runs = [run_main(["limits", pants_file, "--max-word-length", "2", "--seed", "3"], capsys)
+                for _ in range(2)]
+        assert runs[0][0] == 0 and runs[0] == runs[1]
+        with pytest.raises(SystemExit) as exc:
+            main(["build", pants_file, "--seed", "1"])
+        assert exc.value.code == 2
+
     def test_numerical_breakdown_exit_code(self, tmp_path, capsys):
         # a near-singular length matrix is a numerical breakdown, distinct
         # from the mathematical refusals

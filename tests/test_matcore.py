@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
-from maxrep.errors import NearSingular, ResonantSpectrum, Singular
+from maxrep import matcore
+from maxrep.errors import IllConditioned, NearSingular, ResonantSpectrum, Singular
 from maxrep.matcore import (
     CircleClass,
     Tolerance,
@@ -17,6 +19,7 @@ from maxrep.matcore import (
 )
 from maxrep.maslov import indefinite_identity
 from maxrep.sampling import random_contracting, random_invertible, random_orthogonal, random_spd
+from oracles import stein_kron_solve
 
 
 def test_tolerance_validation():
@@ -102,6 +105,32 @@ class TestCircleClass:
             assert circle_class(conj) is circle_class(x)
 
 
+# eigenvalue modulus ranges, cycled over the diagonal blocks; in the mixed
+# kind every product of a small and a large modulus stays below 0.8
+_MODULI = {"expanding": [(1.5, 2.0)], "mixed": [(0.2, 0.4), (1.5, 2.0)],
+           "near_minus_one": [(0.2, 0.7)]}
+
+
+def _stein_matrix(kind, n, rng):
+    """G D G^{-1} with G's singular values in [0.5, 2].  D is block diagonal,
+    alternating real entries and 2x2 rotation blocks (complex pairs); the
+    near_minus_one kind starts with the real eigenvalue -0.999, where
+    A^T + I is nearly singular."""
+    ranges = _MODULI[kind]
+    blocks = [np.array([[-0.999]])] if kind == "near_minus_one" else []
+    size = len(blocks)
+    while size < n:
+        r = rng.uniform(*ranges[len(blocks) % len(ranges)])
+        if len(blocks) % 2 == 0 or n - size == 1:
+            blocks.append(np.array([[r * rng.choice([-1.0, 1.0])]]))
+        else:
+            th = rng.uniform(0.3, 2.8)
+            blocks.append(r * np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]]))
+        size += blocks[-1].shape[0]
+    g = random_invertible(n, rng, sv_range=(0.5, 2.0))
+    return g @ block_diag(*blocks) @ np.linalg.inv(g)
+
+
 class TestStein:
     def test_zero_matrix(self):
         p = stein_solve(np.zeros((1, 1)), np.array([[5.0]]))
@@ -113,8 +142,7 @@ class TestStein:
 
     def test_against_series_oracle(self, rng):
         # independent oracle: truncated series P = -sum (A^T)^i Q A^i
-        for _ in range(20):
-            n = int(rng.integers(1, 5))
+        for n in [1, 2, 3, 4] * 5 + [12] * 5 + [32, 33, 64]:
             a = random_contracting(n, rng, rho_range=(0.2, 0.7))
             q = random_spd(n, rng) * rng.choice([-1.0, 1.0])
             p = stein_solve(a, q)
@@ -126,6 +154,35 @@ class TestStein:
             oracle = -acc
             assert norm_inf(p - oracle) <= 1e-11 * max(1.0, norm_inf(q))
             assert norm_inf(a.T @ p @ a - p - q) <= 1e-12 * max(1.0, norm_inf(q))
+
+    @pytest.mark.parametrize("kind", ["expanding", "mixed", "near_minus_one"])
+    @pytest.mark.parametrize("n", [1, 2, 8, 12, 32, 33, 64])
+    def test_hard_spectra(self, rng, kind, n):
+        # the Kronecker solve is the reference while its n^2 x n^2 system is small
+        for _ in range(5 if n <= 8 else 1):
+            a = _stein_matrix(kind, n, rng)
+            q = random_spd(n, rng) * rng.choice([-1.0, 1.0])
+            p = stein_solve(a, q)
+            assert norm_inf(a.T @ p @ a - p - q) <= 1e-12 * max(1.0, norm_inf(q))
+            if n <= 8:
+                assert norm_inf(p - stein_kron_solve(a, q)) <= 1e-11 * max(1.0, norm_inf(p))
+
+    @pytest.mark.parametrize("a, q", [
+        ([[np.nan]], [[1.0]]),
+        ([[np.inf]], [[1.0]]),
+        # finite input whose solution overflows
+        (np.diag([0.999, 0.5]), 1e308 * np.eye(2)),
+    ])
+    def test_non_finite_rejected(self, a, q):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IllConditioned):
+            stein_solve(np.array(a), np.array(q))
+
+    def test_schur_failure_refused(self, monkeypatch):
+        def unconverged(select, b):
+            return b, 0, None, None, np.eye(b.shape[0]), None, 1
+        monkeypatch.setattr(matcore, "dgees", unconverged)
+        with pytest.raises(IllConditioned):
+            stein_solve(np.diag([0.5, 0.2]), np.eye(2))
 
     def test_resonant_rejected(self):
         with pytest.raises(ResonantSpectrum):

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -332,6 +333,17 @@ class TestEquivalence:
     def test_distinct_scalars(self):
         assert not params_equivalent(scalar_params(0.5, 0.5, 0.5),
                                      scalar_params(1 / 3, 1 / 3, 0.75)).equivalent
+
+    @pytest.mark.parametrize("bad", [np.nan, 1e200])
+    def test_non_finite_or_overflowing_rejected(self, rng, bad):
+        # 1e200 overflows the length-3 trace fingerprint
+        p = random_pants_params(2, rng)
+        x1 = p.X1.copy()
+        x1[0, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IllConditioned):
+                params_equivalent(PantsParams(x1, p.X2, p.X3), p)
 
     def test_differential_finite_difference(self, rng):
         # boundary derivatives of the built representation, against central
