@@ -319,9 +319,7 @@ def _tolerance(args) -> Tolerance:
         eq = args.tol
     if not (math.isfinite(eq) and eq > 0):
         raise ParseError(f"tolerance must be finite and greater than 0, got {eq!r}")
-    series = min(DEFAULT_TOL.series_tol, eq)
-    return Tolerance(eq_tol=eq, series_tol=series,
-                     unit_circle_band=DEFAULT_TOL.unit_circle_band)
+    return Tolerance(eq_tol=eq)
 
 
 def _describe_build(rep: SurfaceRep, graph: GluingGraph, tol: Tolerance, rpt: Report):

@@ -214,7 +214,7 @@ def invertible_path(m: np.ndarray, t) -> np.ndarray:
     return path if np.ndim(t) else path[0]
 
 
-def contracting_path(m: np.ndarray, t, *, target_sign: int | None = None) -> np.ndarray:
+def contracting_path(m: np.ndarray, t) -> np.ndarray:
     """Path inside the open contraction cone from m to diag(s/2, 1/2, ...).
 
     Three stages: shrink to a scale where the polar path cannot leave the
@@ -227,7 +227,7 @@ def contracting_path(m: np.ndarray, t, *, target_sign: int | None = None) -> np.
     m = as_matrix(m)
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     n = m.shape[0]
-    sign = target_sign if target_sign is not None else (1 if np.linalg.det(m) > 0 else -1)
+    sign = 1 if np.linalg.det(m) > 0 else -1
     end = standard_length(n, sign)
     if np.max(np.abs(m - end)) <= 1e-12:
         path = np.repeat(m[None], ts.size, axis=0)

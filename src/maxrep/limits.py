@@ -143,20 +143,25 @@ def _count_transverse(pts: list[BoundaryPoint], tol: Tolerance) -> int:
     return count
 
 
+# at most this many triples of distinct points go into the Maslov histogram
+_MAX_TRIPLES = 200
+# points closer than this, relative to max(1, |point|), are identified
+_CLUSTER_TOL = 1e-8
+
+
 def limit_set_sample(rep: SurfaceRep, max_word_length: int = 4,
-                     tol: Tolerance = DEFAULT_TOL,
-                     max_triples: int = 200, seed: int = 0,
-                     cluster_tol: float = 1e-8) -> LimitSample:
+                     tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> LimitSample:
     """Attracting fixed points of words up to a length bound, with statistics.
 
     Requires every boundary generator image to have a transverse fixed-point
     pair (no unit-modulus spectrum); words whose image fails that condition
-    are skipped and counted.  Points closer than cluster_tol are identified
-    before statistics, since distinct words routinely share an axis.
+    are skipped and counted.  Points closer than 1e-8 * max(1, |point|) are
+    identified before statistics, since distinct words routinely share an
+    axis.
 
     Sampled triples are seeded: when the D distinct points have more than
-    max_triples triples, rng = np.random.default_rng(seed) draws
-    rng.choice(C(D, 3), size=max_triples, replace=False) and each drawn index
+    200 triples, rng = np.random.default_rng(seed) draws
+    rng.choice(C(D, 3), size=200, replace=False) and each drawn index
     names the triple at that position of itertools.combinations(range(D), 3)
     (lexicographic order), found by unranking rather than by listing them;
     otherwise every triple is used in that order.
@@ -191,7 +196,7 @@ def limit_set_sample(rep: SurfaceRep, max_word_length: int = 4,
             continue
         points.append((" ".join(word), pt))
 
-    distinct = _cluster([pt for _, pt in points], rep.n, cluster_tol)
+    distinct = _cluster([pt for _, pt in points], rep.n, _CLUSTER_TOL)
     n_pairs = math.comb(len(distinct), 2)
     n_trans = _count_transverse(distinct, tol)
     frac = n_trans / n_pairs if n_pairs else 1.0
@@ -201,8 +206,8 @@ def limit_set_sample(rep: SurfaceRep, max_word_length: int = 4,
 
     rng = np.random.default_rng(seed)
     n_triples = math.comb(len(distinct), 3)
-    if n_triples > max_triples:
-        idx = rng.choice(n_triples, size=max_triples, replace=False)
+    if n_triples > _MAX_TRIPLES:
+        idx = rng.choice(n_triples, size=_MAX_TRIPLES, replace=False)
         triples = [_unrank3(int(r), len(distinct)) for r in idx]
     else:
         triples = itertools.combinations(range(len(distinct)), 3)

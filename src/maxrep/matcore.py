@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.linalg.lapack import dgees, dtrsyl
@@ -45,23 +46,23 @@ __all__ = [
 class Tolerance:
     """Tolerance bands shared across the library.
 
-    eq_tol            relative comparison tolerance,
-    series_tol        residual gate of the Stein solve, relative to the
-                      right-hand side (must not exceed eq_tol),
+    eq_tol            relative comparison tolerance, the one setting;
+    series_tol        residual gate of the Stein solve, min(1e-12, eq_tol),
+                      relative to the scale of a backward-stable residual;
     unit_circle_band  half-width of the band around |lambda| = 1 used when
-                      classifying spectra.
+                      classifying spectra, the constant 1e-8.
     """
 
     eq_tol: float = 1e-9
-    series_tol: float = 1e-12
-    unit_circle_band: float = 1e-8
+    unit_circle_band: ClassVar[float] = 1e-8
 
     def __post_init__(self):
-        bands = (self.eq_tol, self.series_tol, self.unit_circle_band)
-        if not all(np.isfinite(b) and b > 0 for b in bands):
-            raise ValueError("all tolerances must be finite and strictly positive")
-        if self.series_tol > self.eq_tol:
-            raise ValueError("series_tol must not exceed eq_tol")
+        if not (np.isfinite(self.eq_tol) and self.eq_tol > 0):
+            raise ValueError("eq_tol must be finite and strictly positive")
+
+    @property
+    def series_tol(self) -> float:
+        return min(1e-12, self.eq_tol)
 
 
 DEFAULT_TOL = Tolerance()
@@ -192,7 +193,8 @@ def stein_solve(a, q, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
     Solvability requires lambda*mu != 1 for all eigenvalue pairs of A; a
     pair inside the unit_circle_band raises ResonantSpectrum, and so does a
-    solution whose residual exceeds series_tol relative to ||Q||.  One
+    solution whose residual exceeds series_tol relative to
+    max(1, ||Q||, ||A||^2 ||P||), the scale of a backward-stable residual.  One
     algorithm for every n (Barraud 1977; Bartels-Stewart 1972): the Cayley
     map B = I - 2 W with W = (A^T + I)^{-1} turns the equation into
     B P + P B^T = 2 W Q W^T, which one real Schur factorization of B
@@ -227,7 +229,7 @@ def stein_solve(a, q, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     p = solve(q)
     p = check_finite(sym_part(p - solve(a.T @ p @ a - p - q)))
     residual = norm_inf(a.T @ p @ a - p - q)
-    if residual > rel_bound(tol.series_tol, q):
+    if residual > rel_bound(tol.series_tol, q, norm_inf(a) ** 2 * norm_inf(p)):
         raise ResonantSpectrum(
             f"Stein residual {residual:.3e} exceeds tolerance; "
             "the equation is too close to resonance")

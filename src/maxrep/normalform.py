@@ -125,7 +125,6 @@ class FixedPointReport:
     point: BoundaryPoint
     differential_class: DifferentialClass
     residual: float
-    conjugator_cond: float = 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,7 +138,6 @@ class DifferentialMap:
 
     left: np.ndarray
     right: np.ndarray
-    chart: SpMat | None = None  # None means the identity chart
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         return self.left @ v @ self.right
@@ -184,29 +182,41 @@ def _stein_fixed_point(a: np.ndarray, s: np.ndarray, tol: Tolerance,
     return sym_part(sign * np.linalg.inv(p))
 
 
+def _require_fixed(g: SpMat, p: BoundaryPoint, tol: Tolerance, who: str):
+    """Raise NotFixed unless g moves p by at most sqrt(eq_tol) * max(1, |p|)."""
+    d = point_distance(moebius_act(g, p, tol), p)
+    bound = rel_bound(np.sqrt(tol.eq_tol), 0.0 if p.is_infinity else p.value)
+    if not d <= bound:
+        raise NotFixed(f"{who} does not fix its claimed point (moved by {d:.3e})")
+
+
+def _side_fixed_point(sb: StandardBoundary, tol: Tolerance,
+                      expanding_side: bool) -> FixedPointReport:
+    """The fixed point transverse to 0 of _stein_fixed_point, for A entirely
+    inside (expanding side) or entirely outside (contracting side) the unit
+    circle; other spectra raise NotContracting."""
+    side, need = (("expanding", CircleClass.CONTRACTING) if expanding_side
+                  else ("contracting", CircleClass.EXPANDING))
+    if circle_class(sb.A, tol) is not need:
+        raise NotContracting(f"{side}-side fixed point needs {need.value} A")
+    pt = BoundaryPoint(_stein_fixed_point(sb.A, sb.S, tol, expanding_side))
+    cls = DifferentialClass.EXPANDING if expanding_side else DifferentialClass.CONTRACTING
+    return FixedPointReport(pt, cls, fixed_point_residual(sb.element(), pt))
+
+
 def fixed_point_expanding_side(sb: StandardBoundary,
                                tol: Tolerance = DEFAULT_TOL) -> FixedPointReport:
     """The unique fixed point transverse to 0 for contracting A.
 
     It is negative definite and the boundary action there is expanding.
     """
-    if circle_class(sb.A, tol) is not CircleClass.CONTRACTING:
-        raise NotContracting("expanding-side fixed point needs contracting A")
-    y = _stein_fixed_point(sb.A, sb.S, tol, expanding_side=True)
-    pt = BoundaryPoint(y)
-    res = fixed_point_residual(sb.element(), pt)
-    return FixedPointReport(pt, DifferentialClass.EXPANDING, res)
+    return _side_fixed_point(sb, tol, expanding_side=True)
 
 
 def fixed_point_contracting_side(sb: StandardBoundary,
                                  tol: Tolerance = DEFAULT_TOL) -> FixedPointReport:
     """The unique fixed point transverse to 0 for expanding A (contracting action)."""
-    if circle_class(sb.A, tol) is not CircleClass.EXPANDING:
-        raise NotContracting("contracting-side fixed point needs expanding A")
-    y = _stein_fixed_point(sb.A, sb.S, tol, expanding_side=False)
-    pt = BoundaryPoint(y)
-    res = fixed_point_residual(sb.element(), pt)
-    return FixedPointReport(pt, DifferentialClass.CONTRACTING, res)
+    return _side_fixed_point(sb, tol, expanding_side=False)
 
 
 def differential_at(g: SpMat, p: BoundaryPoint,
@@ -218,16 +228,12 @@ def differential_at(g: SpMat, p: BoundaryPoint,
     first; the returned map then lives in that chart (eigenvalue data is
     chart independent).
     """
-    res = fixed_point_residual(g, p)
-    fixed_band = rel_bound(np.sqrt(tol.eq_tol)) if p.is_infinity else \
-        rel_bound(np.sqrt(tol.eq_tol), p.value)
-    if not res <= fixed_band:
-        raise NotFixed(f"point is not fixed (residual {res:.3e})")
+    _require_fixed(g, p, tol, "element")
     if p.is_infinity:
         sw = swap_symplectic(g.n)
         g2 = sw @ g @ sp_inverse(sw)
         # infinity becomes 0 in the swapped chart
-        return DifferentialMap(left=g2.A, right=np.linalg.inv(g2.D), chart=sw)
+        return DifferentialMap(left=g2.A, right=np.linalg.inv(g2.D))
     y = p.value
     left = g.A - y @ g.C
     right = np.linalg.inv(g.C @ y + g.D)
@@ -263,6 +269,34 @@ def _ordered_split(a: np.ndarray, s: np.ndarray, tol: Tolerance,
     return t, q, sq, int(k)
 
 
+def _split_fixed_point(sb: StandardBoundary, tol: Tolerance,
+                       attracting: bool) -> FixedPointReport:
+    """The fixed point where the action is non-expanding (attracting) or
+    non-contracting (repelling).
+
+    With no eigenvalue of A strictly outside (attracting) or strictly inside
+    (repelling) the unit-circle band, the point is 0.  Otherwise that
+    spectral block contributes an invertible fixed point, which embeds into
+    the leading corner of an orthogonal Schur basis.
+    """
+    n = sb.n
+    inside, _, outside = _unit_circle_masks(sb.A, tol.unit_circle_band)
+    selected, rest = (outside, inside) if attracting else (inside, outside)
+    strict, loose = ((DifferentialClass.CONTRACTING, DifferentialClass.NON_EXPANDING)
+                     if attracting else
+                     (DifferentialClass.EXPANDING, DifferentialClass.NON_CONTRACTING))
+    y = np.zeros((n, n))
+    if not np.any(selected):
+        pt = BoundaryPoint(y)
+        cls = strict if np.all(rest) else loose
+        return FixedPointReport(pt, cls, fixed_point_residual(sb.element(), pt))
+    t, q, sq, k = _ordered_split(sb.A, sb.S, tol, select_expanding=attracting)
+    y[:k, :k] = _stein_fixed_point(t[:k, :k], sym_part(sq[:k, :k]), tol,
+                                   expanding_side=not attracting)
+    pt = BoundaryPoint(sym_part(q @ y @ q.T))
+    return FixedPointReport(pt, loose, fixed_point_residual(sb.element(), pt))
+
+
 def canonical_fixed_point(sb: StandardBoundary,
                           tol: Tolerance = DEFAULT_TOL) -> FixedPointReport:
     """The unique fixed point where the action is non-expanding.
@@ -272,24 +306,7 @@ def canonical_fixed_point(sb: StandardBoundary,
     contracting-action fixed point which embeds into the leading corner of
     an orthogonal Schur basis.
     """
-    a, s = sb.A, sb.S
-    n = sb.n
-    inside, _, outside = _unit_circle_masks(a, tol.unit_circle_band)
-    if not np.any(outside):
-        cls = (DifferentialClass.CONTRACTING if np.all(inside)
-               else DifferentialClass.NON_EXPANDING)
-        pt = BoundaryPoint(np.zeros((n, n)))
-        return FixedPointReport(pt, cls, fixed_point_residual(sb.element(), pt))
-    t, q, sq, k = _ordered_split(a, s, tol, select_expanding=True)
-    a_e = t[:k, :k]
-    s_e = sym_part(sq[:k, :k])
-    y_e = _stein_fixed_point(a_e, s_e, tol, expanding_side=False)
-    y = np.zeros((n, n))
-    y[:k, :k] = y_e
-    pt = BoundaryPoint(sym_part(q @ y @ q.T))
-    res = fixed_point_residual(sb.element(), pt)
-    return FixedPointReport(pt, DifferentialClass.NON_EXPANDING, res,
-                            conjugator_cond=1.0)
+    return _split_fixed_point(sb, tol, attracting=True)
 
 
 def classify_isometry(sb: StandardBoundary,
@@ -308,32 +325,12 @@ def classify_isometry(sb: StandardBoundary,
         return IsometryReport(IsometryClass.S_PARABOLIC, rep, None)
     if not np.any(on_circle):
         att = canonical_fixed_point(sb, tol)
-        rep = _repelling_fixed_point(sb, tol)
+        rep = _split_fixed_point(sb, tol, attracting=False)
         if not transverse(att.point, rep.point, tol):
             raise NotSHyperbolic("attracting and repelling points are not transverse")
         return IsometryReport(IsometryClass.S_HYPERBOLIC, att, rep)
     att = canonical_fixed_point(sb, tol)
     return IsometryReport(IsometryClass.MIXED_NON_EXPANDING_FP, att, None)
-
-
-def _repelling_fixed_point(sb: StandardBoundary, tol: Tolerance) -> FixedPointReport:
-    a, s = sb.A, sb.S
-    n = sb.n
-    inside, _, outside = _unit_circle_masks(a, tol.unit_circle_band)
-    if not np.any(inside):
-        cls = (DifferentialClass.EXPANDING if np.all(outside)
-               else DifferentialClass.NON_CONTRACTING)
-        pt = BoundaryPoint(np.zeros((n, n)))
-        return FixedPointReport(pt, cls, fixed_point_residual(sb.element(), pt))
-    t, q, sq, k = _ordered_split(a, s, tol, select_expanding=False)
-    a_c = t[:k, :k]
-    s_c = sym_part(sq[:k, :k])
-    y_c = _stein_fixed_point(a_c, s_c, tol, expanding_side=True)
-    y = np.zeros((n, n))
-    y[:k, :k] = y_c
-    pt = BoundaryPoint(sym_part(q @ y @ q.T))
-    res = fixed_point_residual(sb.element(), pt)
-    return FixedPointReport(pt, DifferentialClass.NON_CONTRACTING, res)
 
 
 @dataclass(frozen=True, eq=False)

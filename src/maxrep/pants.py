@@ -24,7 +24,6 @@ from .errors import (
     IllConditioned,
     MaxRepError,
     NearSingular,
-    NotFixed,
     NotMaximal,
     NotValid,
     Singular,
@@ -40,13 +39,12 @@ from .matcore import (
     rel_bound,
     require_invertible,
 )
-from .normalform import canonical_point_of_element
+from .normalform import _require_fixed, canonical_point_of_element
 from .symplectic import (
     BoundaryPoint,
     SpMat,
     make_symplectic,
     moebius_act,
-    point_distance,
     sp_inverse,
 )
 
@@ -265,15 +263,6 @@ def build_general(gp: GeneralPantsParams, tol: Tolerance = DEFAULT_TOL) -> Pants
     return _assemble_rep(blocks, tol)
 
 
-def _require_fixed(c: SpMat, p: BoundaryPoint, tol: Tolerance, who: str):
-    img = moebius_act(c, p, tol)
-    d = point_distance(img, p)
-    bound = rel_bound(np.sqrt(tol.eq_tol)) if p.is_infinity \
-        else rel_bound(np.sqrt(tol.eq_tol), p.value)
-    if not d <= bound:
-        raise NotFixed(f"{who} does not fix its claimed point (moved by {d:.3e})")
-
-
 def toledo(rep: PantsRep, fixed_points: Triple,
            extra: BoundaryPoint | None = None,
            tol: Tolerance = DEFAULT_TOL) -> Fraction:
@@ -331,8 +320,8 @@ def recover_params(rep: PantsRep,
 _LETTERS = ("X1", "X2", "X3", "X1t", "X2t", "X3t")
 
 
-def fingerprint(p: PantsParams, max_len: int = 3) -> np.ndarray:
-    """Traces of all words of length <= max_len in the Xi and transposes.
+def fingerprint(p: PantsParams) -> np.ndarray:
+    """Traces of all words of length <= 3 in the Xi and transposes.
 
     Simultaneous orthogonal conjugation leaves every entry unchanged, so
     equal fingerprints are a necessary condition for orbit equality.
@@ -342,7 +331,7 @@ def fingerprint(p: PantsParams, max_len: int = 3) -> np.ndarray:
         "X1t": p.X1.T, "X2t": p.X2.T, "X3t": p.X3.T,
     }
     values = []
-    for length in range(1, max_len + 1):
+    for length in (1, 2, 3):
         for word in itertools.product(_LETTERS, repeat=length):
             m = mats[word[0]]
             for w in word[1:]:
@@ -351,8 +340,8 @@ def fingerprint(p: PantsParams, max_len: int = 3) -> np.ndarray:
     return np.array(values)
 
 
-def fingerprint_distance(p: PantsParams, q: PantsParams, max_len: int = 3) -> float:
-    fp, fq = fingerprint(p, max_len), fingerprint(q, max_len)
+def fingerprint_distance(p: PantsParams, q: PantsParams) -> float:
+    fp, fq = fingerprint(p), fingerprint(q)
     scale = max(1.0, float(np.max(np.abs(fp))), float(np.max(np.abs(fq))))
     return float(np.max(np.abs(fp - fq))) / scale
 

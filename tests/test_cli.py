@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 import warnings
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maxrep
 from maxrep.cli import main, parse_graph_file, write_graph_file
 from maxrep.deform import deform_to_standard, standard_sign_graph
 from maxrep.errors import NotCompatible
@@ -373,9 +375,13 @@ class TestMalformedFiles:
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self, pants_file):
+        # the child imports the package this session imported, also when
+        # pytest put src/ on sys.path itself (pytest.ini's pythonpath)
+        src = os.path.dirname(os.path.dirname(maxrep.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "maxrep", "toledo", pants_file],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0
         assert "T: 1" in proc.stdout
 

@@ -25,13 +25,17 @@ from oracles import stein_kron_solve
 def test_tolerance_validation():
     with pytest.raises(ValueError):
         Tolerance(eq_tol=-1.0)
-    with pytest.raises(ValueError):
+    # eq_tol is the only setting: the Stein gate follows it and the
+    # unit-circle band is a constant
+    with pytest.raises(TypeError):
         Tolerance(eq_tol=1e-12, series_tol=1e-9)
+    assert Tolerance(eq_tol=1e-13).series_tol == 1e-13
+    assert Tolerance().series_tol == 1e-12
     # an infinite band would let every gate with that bound pass
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError):
             Tolerance(eq_tol=bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             Tolerance(unit_circle_band=bad)
     Tolerance()  # defaults valid
 
@@ -183,6 +187,24 @@ class TestStein:
         monkeypatch.setattr(matcore, "dgees", unconverged)
         with pytest.raises(IllConditioned):
             stein_solve(np.diag([0.5, 0.2]), np.eye(2))
+
+    @pytest.mark.parametrize("lam", [0.9999, -0.9999, 0.99999])
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    def test_near_resonance_accepted(self, n, lam):
+        # lam^2 sits 2e-4 or 2e-5 from 1, far outside the 1e-8 resonance
+        # band; a backward-stable residual scales with |A|^2 |P|, where
+        # |P| ~ |Q| / (1 - lam^2), so a gate relative to |Q| alone refused
+        # about half of these
+        rng = np.random.default_rng(20 + n)
+        for _ in range(5):
+            rest = rng.uniform(0.2, 0.9, size=n - 1) * rng.choice([-1.0, 1.0], size=n - 1)
+            g = random_invertible(n, rng, sv_range=(0.5, 4.0))
+            a = g @ np.diag(np.concatenate([[lam], rest])) @ np.linalg.inv(g)
+            q = random_spd(n, rng) * rng.choice([-1.0, 1.0])
+            p = stein_solve(a, q)
+            oracle = stein_kron_solve(a, q)
+            assert norm_inf(p - oracle) <= 1e-10 * norm_inf(oracle)
+            assert norm_inf(a.T @ p @ a - p - q) <= 1e-12 * norm_inf(a) ** 2 * norm_inf(p)
 
     def test_resonant_rejected(self):
         with pytest.raises(ResonantSpectrum):
