@@ -20,7 +20,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 from .errors import GraphInvalid, MaxRepError, NotMaximal, NotValid
 from .gluing import (
@@ -35,7 +34,7 @@ from .gluing import (
     component_signature,
     slot_glue_length,
 )
-from .matcore import DEFAULT_TOL, Tolerance, as_matrix, check_finite, sym_part
+from .matcore import DEFAULT_TOL, Tolerance, _real_schur, as_matrix, check_finite, sym_part
 from .pants import PantsParams, ParamClass, _check_stack
 
 __all__ = [
@@ -158,7 +157,7 @@ def _so_log(u: np.ndarray) -> np.ndarray:
     into half-turn planes (an even count because the determinant is one).
     """
     n = u.shape[0]
-    t, q = schur(u, output="real")
+    t, q, _ = _real_schur(u)
     k = np.zeros((n, n))
     minus_ones = []
     i = 0

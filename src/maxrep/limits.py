@@ -20,12 +20,8 @@ from .errors import MaxRepError, NotSHyperbolic
 from .gluing import SurfaceRep
 from .maslov import Triple, maslov
 from .matcore import DEFAULT_TOL, Tolerance, _unit_circle_masks, norm_inf
-from .normalform import attracting_point
-from .symplectic import (
-    BoundaryPoint,
-    SpMat,
-    sp_inverse,
-)
+from .normalform import _attracting_points
+from .symplectic import BoundaryPoint, sp_inverse
 
 __all__ = ["LimitSample", "limit_set_sample", "reduced_words"]
 
@@ -67,7 +63,7 @@ def reduced_words(letters: list[str], max_len: int):
         frontier = nxt
 
 
-# matrix entries per batched SVD in _count_transverse (512 KB of float64)
+# matrix entries per batched eigvalsh in _count_transverse (512 KB of float64)
 _PAIR_CHUNK_ENTRIES = 1 << 16
 
 
@@ -123,8 +119,10 @@ def _count_transverse(pts: list[BoundaryPoint], tol: Tolerance) -> int:
     Infinity is transverse to every finite point and not to infinity.  For
     finite points the test is that of symplectic.transverse: the smallest
     singular value of X_i - X_j exceeds tol.eq_tol * max(1, |X_i|, |X_j|).
-    The differences go through one batched SVD per block of rows of the
-    pair triangle.
+    Precondition: every finite point is exactly symmetric (a sym_part
+    output, as every sampled point is), so each difference is symmetric and
+    its smallest singular value is its smallest |eigenvalue|, read off one
+    batched eigvalsh per block of rows of the pair triangle.
     """
     finite = np.array([p.value for p in pts if not p.is_infinity])
     d = len(finite)
@@ -137,7 +135,7 @@ def _count_transverse(pts: list[BoundaryPoint], tol: Tolerance) -> int:
     for a in range(0, d - 1, rows):
         i, j = np.triu_indices(min(rows, d - a), a + 1, d)
         i += a
-        smallest = np.linalg.svd(finite[i] - finite[j], compute_uv=False)[:, -1]
+        smallest = np.min(np.abs(np.linalg.eigvalsh(finite[i] - finite[j])), axis=-1)
         bound = tol.eq_tol * np.maximum(scale[i], scale[j])
         count += int(np.count_nonzero(smallest > bound))
     return count
@@ -166,35 +164,33 @@ def limit_set_sample(rep: SurfaceRep, max_word_length: int = 4,
     (lexicographic order), found by unranking rather than by listing them;
     otherwise every triple is used in that order.
     """
+    if max_word_length < 1:
+        raise ValueError(f"max_word_length must be at least 1, got {max_word_length}")
+    band = tol.unit_circle_band
     for j, c in enumerate(rep.c_imgs, start=1):
-        if np.any(_unit_circle_masks(c.m, tol.unit_circle_band)[1]):
+        if np.any(_unit_circle_masks(c.m, band)[1]):
             raise NotSHyperbolic(f"boundary generator C{j} has unit-modulus spectrum")
     gens = rep.generator_images()
-    letters = list(gens.keys())
-    matrices: dict[str, SpMat] = {}
-    for l, g in gens.items():
-        matrices[l] = g
-        matrices[l + "-"] = sp_inverse(g)
+    letters = list(gens)
+    position = {l: i for i, l in enumerate(letters + [l + "-" for l in letters])}
+    letter_stack = np.array([g.m for g in gens.values()] + [sp_inverse(g).m for g in gens.values()])
 
     points: list[tuple[str, BoundaryPoint]] = []
     skipped = 0
     findings: list[str] = []
-    cache: dict[tuple[str, ...], SpMat] = {}
-    for word in reduced_words(letters, max_word_length):
-        if len(word) == 1:
-            mat = matrices[word[0]]
-        else:
-            mat = cache[word[:-1]] @ matrices[word[-1]]
-        cache[word] = mat
-        if np.any(_unit_circle_masks(mat.m, tol.unit_circle_band)[1]):
-            skipped += 1
-            continue
-        try:
-            pt = attracting_point(mat, tol)
-        except NotSHyperbolic:
-            skipped += 1
-            continue
-        points.append((" ".join(word), pt))
+    # one word length at a time: each level's stack is the previous level's
+    # stack times the letter stack, in reduced_words order
+    prev_index: dict[tuple[str, ...], int] = {}
+    for _, level in itertools.groupby(reduced_words(letters, max_word_length), key=len):
+        level = list(level)
+        last = letter_stack[[position[w[-1]] for w in level]]
+        mats = (prev[[prev_index[w[:-1]] for w in level]] @ last) if prev_index else last
+        kept = np.flatnonzero(~np.any(_unit_circle_masks(mats, band)[1], axis=-1))
+        found = [(" ".join(level[i]), pt) for i, pt in zip(kept, _attracting_points(mats[kept], tol))
+                 if not isinstance(pt, NotSHyperbolic)]
+        points += found
+        skipped += len(level) - len(found)
+        prev, prev_index = mats, {w: i for i, w in enumerate(level)}
 
     distinct = _cluster([pt for _, pt in points], rep.n, _CLUSTER_TOL)
     n_pairs = math.comb(len(distinct), 2)

@@ -188,6 +188,18 @@ def _unit_circle_masks(x: np.ndarray, band: float) -> tuple[np.ndarray, ...]:
     return moduli < 1.0 - band, np.abs(moduli - 1.0) <= band, moduli > 1.0 + band
 
 
+def _real_schur(x: np.ndarray, select=None, error=np.linalg.LinAlgError):
+    """(T, Z, k): real Schur form T = Z^T X Z by LAPACK dgees, the k
+    eigenvalues that select(re, im) accepts leading.  LAPACK directly:
+    scipy.linalg.schur's workspace query and checks cost several times the
+    factorization at small sizes.  A nonzero info raises error."""
+    t, k, _, _, z, _, info = (dgees(select, x, sort_t=1) if select
+                              else dgees(lambda re, im: None, x))
+    if info:
+        raise error(f"real Schur factorization failed (LAPACK info {info})")
+    return t, z, k
+
+
 def stein_solve(a, q, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Unique symmetric P with A^T P A - P = Q.
 
@@ -214,11 +226,7 @@ def stein_solve(a, q, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     # A^T + I is invertible: an eigenvalue -1 of A is resonant with itself
     n = a.shape[0]
     w = np.linalg.inv(a.T + np.eye(n))
-    # LAPACK directly: scipy.linalg.schur's workspace query and checks cost
-    # several times the factorization at the small n of most gluing solves
-    t, _, _, _, u, _, info = dgees(lambda wr, wi: None, np.eye(n) - 2.0 * w)
-    if info:
-        raise IllConditioned("real Schur factorization did not converge")
+    t, u, _ = _real_schur(np.eye(n) - 2.0 * w, error=IllConditioned)
     wu = w.T @ u
 
     def solve(r):

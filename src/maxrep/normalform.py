@@ -18,7 +18,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 from .errors import (
     DefectiveSplit,
@@ -31,8 +30,10 @@ from .matcore import (
     DEFAULT_TOL,
     CircleClass,
     Tolerance,
+    _real_schur,
     _unit_circle_masks,
     as_matrix,
+    check_finite,
     circle_class,
     norm_inf,
     rel_bound,
@@ -264,7 +265,7 @@ def _ordered_split(a: np.ndarray, s: np.ndarray, tol: Tolerance,
         pred = lambda re, im: re * re + im * im > (1.0 + band) ** 2
     else:
         pred = lambda re, im: re * re + im * im < (1.0 - band) ** 2
-    t, q, k = schur(a, output="real", sort=pred)
+    t, q, k = _real_schur(a, pred)
     sq = q.T @ s @ q
     return t, q, sq, int(k)
 
@@ -291,6 +292,8 @@ def _split_fixed_point(sb: StandardBoundary, tol: Tolerance,
         cls = strict if np.all(rest) else loose
         return FixedPointReport(pt, cls, fixed_point_residual(sb.element(), pt))
     t, q, sq, k = _ordered_split(sb.A, sb.S, tol, select_expanding=attracting)
+    if k != np.count_nonzero(selected):   # a defective pair on the circle
+        raise DefectiveSplit(f"Schur reordering selected {k} of {np.count_nonzero(selected)} eigenvalues")
     y[:k, :k] = _stein_fixed_point(t[:k, :k], sym_part(sq[:k, :k]), tol,
                                    expanding_side=not attracting)
     pt = BoundaryPoint(sym_part(q @ y @ q.T))
@@ -347,52 +350,79 @@ _ATTRACT_MARGIN = 1e-5
 _NONEXPAND_SLACK = 1e-6
 
 
+def _certificates(ms: np.ndarray, ys: np.ndarray, at_inf: np.ndarray,
+                  tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """(is the point fixed, spectral radius of the differential factor) of
+    each element of a (k, 2n, 2n) stack at ys[i], or at infinity (0 after
+    the chart swap) where at_inf[i].  The point counts as fixed when it
+    moves by at most sqrt(tol.eq_tol) * max(1, |Y|).  Circle eigenvalues of
+    the full matrix come in defective pairs whose computed values split by
+    roughly sqrt(eps); certifying the candidate point directly is robust
+    where raw eigenvalue bands are not.
+    """
+    n = ms.shape[-1] // 2
+    if at_inf.any():
+        sw = swap_symplectic(n)
+        ms = np.where(at_inf[:, None, None], sw.m @ ms @ sp_inverse(sw).m, ms)
+    y = np.where(at_inf[:, None, None], 0.0, ys)
+    a, b, c, d = ms[:, :n, :n], ms[:, :n, n:], ms[:, n:, :n], ms[:, n:, n:]
+    img = a @ y + b - y @ (c @ y + d)
+    scale = np.maximum(1.0, np.max(np.abs(y), axis=(1, 2)))
+    fixed = np.max(np.abs(img), axis=(1, 2)) <= np.sqrt(tol.eq_tol) * scale
+    return fixed, np.max(np.abs(np.linalg.eigvals(a - y @ c)), axis=-1)
+
+
 def _fixed_point_certificate(g: SpMat, p: BoundaryPoint,
                              tol: Tolerance) -> tuple[bool, float]:
-    """(is the point fixed, spectral radius of the differential factor).
+    """_certificates of one element and point."""
+    y = np.zeros((g.n, g.n)) if p.is_infinity else p.value
+    fixed, rho = _certificates(g.m[None], y[None], np.array([p.is_infinity]), tol)
+    return bool(fixed[0]), float(rho[0])
 
-    The point counts as fixed when it moves by at most
-    sqrt(tol.eq_tol) * max(1, |Y|).  Circle eigenvalues of the full matrix
-    come in defective pairs whose computed values split by roughly
-    sqrt(eps); certifying the candidate point directly is robust where raw
-    eigenvalue bands are not.
+
+def _subspace_fixed_points(ms: np.ndarray, tol: Tolerance) -> tuple[list, np.ndarray, np.ndarray]:
+    """Chart points of the expanding invariant subspaces of a (k, 2n, 2n)
+    stack, certified: (points, fixed, rho), points[i] being a BoundaryPoint
+    or the NotSHyperbolic refusing slice i.
+
+    A subspace, spanned by the eigenvalues of modulus above 1, must have
+    dimension n; its chart point is u1 u2^{-1}, or infinity when u2 is
+    singular within eq_tol.  fixed and rho come from _certificates; each
+    caller sets its own acceptance threshold on the spectral radius.
     """
-    if p.is_infinity:
-        sw = swap_symplectic(g.n)
-        g = sw @ g @ sp_inverse(sw)
-        p = BoundaryPoint(np.zeros((g.n, g.n)))
-    y = p.value
-    img = g.A @ y + g.B - y @ (g.C @ y + g.D)
-    fixed = norm_inf(img) <= rel_bound(np.sqrt(tol.eq_tol), y)
-    m = g.A - y @ g.C
-    return fixed, float(np.max(np.abs(np.linalg.eigvals(m))))
-
-
-def _subspace_fixed_point(g: SpMat, tol: Tolerance) -> tuple[BoundaryPoint, bool, float]:
-    """The chart point of the expanding invariant subspace of g, certified.
-
-    The subspace spanned by the eigenvalues of modulus above 1 must have
-    dimension n (else NotSHyperbolic); its chart representative is
-    u1 u2^{-1}, or infinity when u2 is singular within eq_tol.  Returns the
-    point with its certificate (see _fixed_point_certificate); each caller
-    sets its own acceptance threshold on the spectral radius.
-    """
-    n = g.n
-    try:
-        _, z, k = schur(g.m, output="real",
-                        sort=lambda re, im: re * re + im * im > 1.0)
-    except np.linalg.LinAlgError as exc:
-        # reordering can move an eigenvalue of modulus near 1 across the cut
-        raise NotSHyperbolic(f"expanding subspace cannot be separated: {exc}") from exc
-    if k != n:
-        raise NotSHyperbolic(f"expanding subspace has dimension {k}, expected {n}")
-    u1, u2 = z[:n, :k], z[n:, :k]
+    ms = check_finite(ms)
+    k, n = len(ms), ms.shape[-1] // 2
+    # Fortran-ordered slices, as dgees returns them, so that the products
+    # below round as they do on one matrix
+    zs = np.empty((k, 2 * n, 2 * n)).swapaxes(1, 2)
+    refusals: list = [None] * k
+    expanding = lambda re, im: re * re + im * im > 1.0
+    for i, m in enumerate(ms):
+        try:
+            _, zs[i], dim = _real_schur(m, expanding, NotSHyperbolic)
+            if dim != n:
+                raise NotSHyperbolic(f"expanding subspace has dimension {dim}, expected {n}")
+        except NotSHyperbolic as exc:
+            # reordering can move an eigenvalue of modulus near 1 across the cut
+            refusals[i], zs[i] = exc, np.eye(2 * n)
+    u1, u2 = zs[:, :n, :n], zs[:, n:, :n]
     s = np.linalg.svd(u2, compute_uv=False)
-    if s[-1] <= tol.eq_tol * max(1.0, s[0]):
-        pt = INFINITY
-    else:
-        pt = BoundaryPoint(sym_part(u1 @ np.linalg.inv(u2)))
-    return (pt, *_fixed_point_certificate(g, pt, tol))
+    at_inf = s[:, -1] <= tol.eq_tol * np.maximum(1.0, s[:, 0])
+    ys = sym_part(u1 @ np.linalg.inv(np.where(at_inf[:, None, None], np.eye(n), u2)))
+    fixed, rho = _certificates(ms, ys, at_inf, tol)
+    points = [why or (INFINITY if inf else BoundaryPoint(y))
+              for why, inf, y in zip(refusals, at_inf, ys)]
+    return points, fixed, rho
+
+
+def _attracting_points(ms: np.ndarray, tol: Tolerance) -> list:
+    """attracting_point of each slice: a BoundaryPoint or a NotSHyperbolic."""
+    points, fixed, rho = _subspace_fixed_points(ms, tol)
+    weak = ~fixed | (rho > 1.0 - max(tol.unit_circle_band, _ATTRACT_MARGIN))
+    return [pt if isinstance(pt, NotSHyperbolic) or not bad else
+            NotSHyperbolic("no contracting fixed point; element is not "
+                           "transverse-pair hyperbolic within tolerance")
+            for pt, bad in zip(points, weak)]
 
 
 def attracting_point(g: SpMat, tol: Tolerance = DEFAULT_TOL) -> BoundaryPoint:
@@ -404,10 +434,9 @@ def attracting_point(g: SpMat, tol: Tolerance = DEFAULT_TOL) -> BoundaryPoint:
     differential, which guards against defective circle spectra whose
     eigenvalues split across the band.
     """
-    pt, fixed, rho = _subspace_fixed_point(g, tol)
-    if not fixed or rho > 1.0 - max(tol.unit_circle_band, _ATTRACT_MARGIN):
-        raise NotSHyperbolic("no contracting fixed point; element is not "
-                             "transverse-pair hyperbolic within tolerance")
+    pt, = _attracting_points(g.m[None], tol)
+    if isinstance(pt, NotSHyperbolic):
+        raise pt
     return pt
 
 
@@ -441,11 +470,9 @@ def canonical_point_of_element(g: SpMat, tol: Tolerance = DEFAULT_TOL) -> Bounda
         rep = canonical_fixed_point(sb, tol)
         return moebius_act(u, rep.point, tol)
     # invariant-subspace route, accepting any non-expanding fixed point
-    try:
-        pt, fixed, rho = _subspace_fixed_point(g, tol)
-    except NotSHyperbolic:
-        fixed = False
-    if fixed and rho <= 1.0 + max(tol.unit_circle_band, _NONEXPAND_SLACK):
+    (pt,), (fixed,), (rho,) = _subspace_fixed_points(g.m[None], tol)
+    if (not isinstance(pt, NotSHyperbolic) and fixed
+            and rho <= 1.0 + max(tol.unit_circle_band, _NONEXPAND_SLACK)):
         return pt
     raise NoCanonicalFixedPoint(
         "no recognizable standard position and no certified "

@@ -6,16 +6,22 @@ boundary element by Newton's method from random seeds; ``stein_kron_solve``
 solves the Stein equation as one Kronecker linear system.  ``classify_one``,
 ``toledo_one`` and ``first_refusal_by_loop`` check pants parameters one
 matrix at a time, as the library did before it checked stacks.
+``subspace_fixed_point_one`` and ``sampled_points_by_loop`` find attracting
+points one matrix and one word at a time, through scipy.linalg.schur, as the
+library did before it took stacks of words.
 """
 
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg import schur
 
-from maxrep.errors import MaxRepError, NotInvertible, NotMaximal, NotValid
+from maxrep.errors import MaxRepError, NotInvertible, NotMaximal, NotSHyperbolic, NotValid
+from maxrep.limits import reduced_words
 from maxrep.matcore import (
     DEFAULT_TOL,
     Tolerance,
+    _unit_circle_masks,
     as_matrix,
     norm_inf,
     rel_bound,
@@ -24,8 +30,9 @@ from maxrep.matcore import (
     spectral_radius,
     sym_part,
 )
-from maxrep.normalform import StandardBoundary
+from maxrep.normalform import _ATTRACT_MARGIN, StandardBoundary
 from maxrep.pants import PantsParams, ParamClass
+from maxrep.symplectic import INFINITY, BoundaryPoint, SpMat, sp_inverse, swap_symplectic
 
 
 def cayley(z, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -160,3 +167,65 @@ def first_refusal_by_loop(snapshots, tol: Tolerance = DEFAULT_TOL):
             except MaxRepError as exc:
                 return i, name, type(exc)
     return None
+
+
+def subspace_fixed_point_one(g: SpMat, tol: Tolerance = DEFAULT_TOL):
+    """(point, fixed, rho) of the expanding invariant subspace of one element.
+
+    The subspace of the eigenvalues of modulus above 1 must have dimension
+    n (else NotSHyperbolic); its chart point is u1 u2^{-1}, or infinity when
+    u2 is singular within eq_tol.  The point is fixed when g moves it by at
+    most sqrt(eq_tol) * max(1, |Y|), and rho is the spectral radius of
+    A - Y C, both read in the swapped chart X -> -X^{-1} for infinity.
+    """
+    n = g.n
+    try:
+        _, z, k = schur(g.m, output="real",
+                        sort=lambda re, im: re * re + im * im > 1.0)
+    except np.linalg.LinAlgError as exc:
+        raise NotSHyperbolic(f"expanding subspace cannot be separated: {exc}") from exc
+    if k != n:
+        raise NotSHyperbolic(f"expanding subspace has dimension {k}, expected {n}")
+    u1, u2 = z[:n, :k], z[n:, :k]
+    s = np.linalg.svd(u2, compute_uv=False)
+    if s[-1] <= tol.eq_tol * max(1.0, s[0]):
+        pt = INFINITY
+    else:
+        pt = BoundaryPoint(sym_part(u1 @ np.linalg.inv(u2)))
+    p = pt
+    if p.is_infinity:
+        sw = swap_symplectic(n)
+        g = sw @ g @ sp_inverse(sw)
+        p = BoundaryPoint(np.zeros((n, n)))
+    y = p.value
+    img = g.A @ y + g.B - y @ (g.C @ y + g.D)
+    fixed = norm_inf(img) <= rel_bound(np.sqrt(tol.eq_tol), y)
+    m = g.A - y @ g.C
+    return pt, fixed, float(np.max(np.abs(np.linalg.eigvals(m))))
+
+
+def sampled_points_by_loop(rep, max_word_length: int, tol: Tolerance = DEFAULT_TOL):
+    """(word, attracting point) pairs and the skipped count of
+    limit_set_sample, one word matrix at a time from a cache of every word."""
+    gens = rep.generator_images()
+    matrices = {}
+    for l, g in gens.items():
+        matrices[l] = g
+        matrices[l + "-"] = sp_inverse(g)
+    points, skipped, cache = [], 0, {}
+    for word in reduced_words(list(gens), max_word_length):
+        mat = matrices[word[0]] if len(word) == 1 else cache[word[:-1]] @ matrices[word[-1]]
+        cache[word] = mat
+        if np.any(_unit_circle_masks(mat.m, tol.unit_circle_band)[1]):
+            skipped += 1
+            continue
+        try:
+            pt, fixed, rho = subspace_fixed_point_one(mat, tol)
+        except NotSHyperbolic:
+            skipped += 1
+            continue
+        if not fixed or rho > 1.0 - max(tol.unit_circle_band, _ATTRACT_MARGIN):
+            skipped += 1
+            continue
+        points.append((" ".join(word), pt))
+    return points, skipped

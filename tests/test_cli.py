@@ -243,6 +243,15 @@ class TestCommands:
         text = open(out_file).read()
         assert text.startswith("maxrep-limits 1")
 
+    @pytest.mark.parametrize("length", ["0", "-1"])
+    def test_limits_word_length_below_one(self, pants_file, capsys, length):
+        # an empty sample would otherwise report "ok" and fraction 1.000000
+        code, out, err = run_main(
+            ["limits", pants_file, "--max-word-length", length], capsys)
+        assert code == 2
+        assert "max_word_length must be at least 1" in err
+        assert "transverse fraction" not in out
+
     def test_seed_on_limits_only(self, pants_file, capsys):
         # the limit-set sampler is the only randomized probe left
         runs = [run_main(["limits", pants_file, "--max-word-length", "2", "--seed", "3"], capsys)

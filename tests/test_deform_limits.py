@@ -27,6 +27,7 @@ from maxrep.matcore import DEFAULT_TOL, norm_inf, spectral_radius
 from maxrep.pants import PantsParams, ParamClass, classify_params, toledo_signature_shortcut
 from maxrep.sampling import random_contracting, random_invertible, random_pants_params, random_spd
 from maxrep.symplectic import INFINITY, BoundaryPoint, moebius_act, point_distance, sp_inverse, transverse
+from oracles import sampled_points_by_loop
 
 
 class TestPaths:
@@ -283,6 +284,31 @@ class TestLimitSample:
         sample = limit_set_sample(rep, max_word_length=2, seed=5)
         assert sample.points
         assert sample.transverse_fraction == 1.0
+
+    @pytest.mark.parametrize("n, max_len, seed", [(2, 3, 11), (3, 4, 12)])
+    def test_points_match_per_word_loop(self, n, max_len, seed):
+        # the level stacks give the points of one product per word from a
+        # cache of every word, bit for bit; the words c3 c2 c1 = I and its
+        # rotations are skipped
+        rep = pants_surface_rep(random_pants_params(n, np.random.default_rng(seed), tame=True))
+        sample = limit_set_sample(rep, max_word_length=max_len, seed=0)
+        points, skipped = sampled_points_by_loop(rep, max_len)
+        assert sample.skipped_words == skipped > 0
+        assert [w for w, _ in sample.points] == [w for w, _ in points]
+        for (_, p), (_, q) in zip(sample.points, points):
+            assert p.is_infinity == q.is_infinity
+            assert p.is_infinity or p.value.tobytes() == q.value.tobytes()
+        words = [" ".join(w) for w in reduced_words(list(rep.generator_images()), max_len)]
+        rank = {w: i for i, w in enumerate(words)}
+        sampled = [rank[w] for w, _ in sample.points]
+        assert sampled == sorted(sampled)
+        assert len(sampled) + skipped == len(words)
+
+    @pytest.mark.parametrize("max_len", [0, -1])
+    def test_word_length_below_one_rejected(self, rng, max_len):
+        rep = pants_surface_rep(random_pants_params(1, rng, tame=True))
+        with pytest.raises(ValueError, match="at least 1"):
+            limit_set_sample(rep, max_word_length=max_len)
 
     def test_non_hyperbolic_boundary_rejected(self, rng):
         th = 0.4

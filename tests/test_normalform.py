@@ -1,11 +1,21 @@
 import numpy as np
 import pytest
 
-from maxrep.errors import NoCanonicalFixedPoint, NotContracting, NotFixed, NotSHyperbolic
+from maxrep.errors import (
+    DefectiveSplit,
+    NoCanonicalFixedPoint,
+    NotContracting,
+    NotFixed,
+    NotSHyperbolic,
+)
+from maxrep.gluing import pants_surface_rep
 from maxrep.matcore import DEFAULT_TOL, Tolerance, norm_inf
 from maxrep.normalform import (
+    _ATTRACT_MARGIN,
     DifferentialClass,
+    _attracting_points,
     _fixed_point_certificate,
+    _subspace_fixed_points,
     IsometryClass,
     StandardBoundary,
     attracting_point,
@@ -23,19 +33,22 @@ from maxrep.sampling import (
     random_orthogonal,
     random_pants_params,
     random_spd,
+    random_symplectic,
 )
 from maxrep.symplectic import (
     INFINITY,
     BoundaryPoint,
     SpMat,
+    diag_symplectic,
     finite_point,
     identity_point,
     moebius_act,
     point_distance,
+    swap_symplectic,
     transverse,
     zero_point,
 )
-from oracles import fixed_point_probe
+from oracles import fixed_point_probe, subspace_fixed_point_one
 
 
 def rotation(theta: float) -> np.ndarray:
@@ -192,6 +205,20 @@ class TestCanonicalFixedPoint:
         y2 = canonical_fixed_point(StandardBoundary(k @ a @ k.T, k @ s @ k.T)).point.value
         np.testing.assert_allclose(y2, k @ y @ k.T, atol=1e-9)
 
+    @pytest.mark.parametrize("seed, lead, off, func", [
+        (4, 0.5, 100.0, canonical_fixed_point),
+        (0, 2.0, 10.0, classify_isometry),
+    ])
+    def test_defective_circle_pair_refused(self, seed, lead, off, func):
+        # a Jordan pair on the circle: the eigenvalue masks and the Schur
+        # reordering put a different number of eigenvalues outside the band,
+        # which once reached stein_solve as an empty block (a raw ValueError)
+        q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+        j = np.diag([lead, 1.0, 1.0])
+        j[1, 2] = off
+        with pytest.raises(DefectiveSplit):
+            func(StandardBoundary(q @ j @ q.T, np.eye(3)))
+
 
 class TestClassify:
     def test_hyperbolic_with_pair(self, rng):
@@ -298,6 +325,59 @@ class TestElementCanonicalPoints:
             attracting_point(g)
         with pytest.raises(NoCanonicalFixedPoint):
             canonical_point_of_element(g)
+
+    def test_stacked_kernel_matches_one_matrix_oracle(self):
+        # sampler words, a point at 0 and its swap-conjugate at infinity, the
+        # unsortable orthogonal block, a non-contracting element and one
+        # whose expanding subspace is too small, in one stack
+        rng = np.random.default_rng(9)
+        rep = pants_surface_rep(random_pants_params(3, rng, tame=True))
+        c1, c2, c3 = rep.c_imgs
+        at_zero = diag_symplectic(np.diag([0.5, 0.4, 0.3]) @ random_orthogonal(3, rng))
+        sw = swap_symplectic(3)
+        h = random_symplectic(3, rng)
+        elements = [c1, c2 @ c1, c3.inv() @ c1 @ c2, at_zero, sw @ at_zero @ sw.inv(),
+                    diag_symplectic(random_orthogonal(3, np.random.default_rng(271))),
+                    h @ diag_symplectic(np.diag([2.0, 1 + 1e-7, 0.5])) @ h.inv(),
+                    diag_symplectic(np.diag([2.0, 1.0, 0.5]))]
+        stack = np.array([g.m for g in elements])
+        points, fixed, rho = _subspace_fixed_points(stack, DEFAULT_TOL)
+        attracting = _attracting_points(stack, DEFAULT_TOL)
+        refused = []
+        for i, m in enumerate(stack):
+            try:
+                pt, ok, r = subspace_fixed_point_one(SpMat(m))
+            except NotSHyperbolic:
+                assert isinstance(points[i], NotSHyperbolic)
+                assert isinstance(attracting[i], NotSHyperbolic)
+                refused.append(i)
+                continue
+            assert pt.is_infinity == points[i].is_infinity
+            assert pt.is_infinity or pt.value.tobytes() == points[i].value.tobytes()
+            assert (ok, r) == (fixed[i], rho[i])
+            if not ok or r > 1.0 - max(DEFAULT_TOL.unit_circle_band, _ATTRACT_MARGIN):
+                assert isinstance(attracting[i], NotSHyperbolic)
+                refused.append(i)
+            else:
+                assert attracting[i].is_infinity == pt.is_infinity
+                assert pt.is_infinity or attracting[i].value.tobytes() == pt.value.tobytes()
+        assert points[3].value.tobytes() == np.zeros((3, 3)).tobytes()
+        assert points[4].is_infinity
+        assert refused == [5, 6, 7]
+
+    def test_schur_failure_keeps_each_callers_error(self, monkeypatch):
+        from maxrep import matcore
+        from maxrep.deform import _so_log
+
+        def unconverged(select, b, *args, **kwargs):
+            return b, 0, None, None, np.eye(b.shape[0]), None, 1
+        monkeypatch.setattr(matcore, "dgees", unconverged)
+        with pytest.raises(NotSHyperbolic):
+            attracting_point(diag_symplectic(np.diag([0.5, 0.25])))
+        with pytest.raises(np.linalg.LinAlgError):
+            _so_log(np.eye(2))
+        with pytest.raises(np.linalg.LinAlgError):
+            canonical_fixed_point(StandardBoundary(np.diag([2.0, 0.5]), np.eye(2)))
 
     def test_attracting_vs_power_iteration(self, rng):
         # oracle: iterate the action from a generic start
