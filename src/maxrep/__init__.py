@@ -35,7 +35,6 @@ from .matcore import (
     circle_class,
     factor_signature,
     norm_inf,
-    signature,
     similarity_witness,
     spectral_radius,
     stein_solve,

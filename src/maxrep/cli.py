@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .deform import deform_to_standard
-from .errors import MathematicalRefusal, MaxRepError, NumericalBreakdown
+from .errors import MathematicalRefusal, NumericalBreakdown
 from .gluing import (
     GluingGraph,
     GraphBoundary,
@@ -74,9 +74,6 @@ class _Reader:
             if body:
                 self.lines.append((i, body))
         self.pos = 0
-
-    def peek(self):
-        return self.lines[self.pos] if self.pos < len(self.lines) else (None, None)
 
     def next(self):
         if self.pos >= len(self.lines):
@@ -182,10 +179,7 @@ def parse_graph_file(path: str, strict: bool = False) -> GluingGraph:
         else:
             raise ParseError(f"unknown directive {key!r}", line_no)
     graph = GluingGraph(tuple(nodes), tuple(edges), tuple(boundaries))
-    try:
-        gm = graph.surface_type()
-    except MaxRepError:
-        raise
+    gm = graph.surface_type()
     if declared is not None and gm != declared:
         raise ParseError(f"declared surface {declared} but graph has type {gm}")
     return graph

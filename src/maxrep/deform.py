@@ -349,14 +349,16 @@ def deform_to_standard(rep_or_graph, steps: int = 100,
     """
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
-    graph = rep_or_graph.graph if isinstance(rep_or_graph, SurfaceRep) else rep_or_graph
+    rep = rep_or_graph if isinstance(rep_or_graph, SurfaceRep) else None
+    graph = rep_or_graph if rep is None else rep.graph
     if graph is None:
         raise NotMaximal("representation carries no gluing graph to deform")
     loop, attach_edges = _analyze_chain(graph)
-    # this build is the only check that the input's edges are compatible; the
+    # a graph's build is the only check that its edges are compatible; the
     # snapshots recompute attached lengths from the twists, so an incompatible
-    # input would come back as a path whose first snapshot is not the input
-    sig = component_signature(build_from_graph(graph, tol), tol)
+    # input would come back as a path whose first snapshot is not the input.
+    # A representation was built from its graph already.
+    sig = component_signature(build_from_graph(graph, tol) if rep is None else rep, tol)
     stacks, twists = _snapshot_stacks(graph, loop, attach_edges, np.arange(steps + 1) / steps)
     checked = [_check_stack(np.array(stacks[nd.name]), tol) for nd in graph.nodes]
     bad = [(i, j) for j, (classes, sigs) in enumerate(checked)

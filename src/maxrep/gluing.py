@@ -75,7 +75,6 @@ __all__ = [
     "GraphEdge",
     "GraphBoundary",
     "GluingGraph",
-    "NodeRecord",
     "PortRef",
     "SurfaceRep",
     "pants_surface_rep",
@@ -329,11 +328,6 @@ class GluingGraph:
 
 
 @dataclass(frozen=True, eq=False)
-class NodeRecord:
-    params: PantsParams
-
-
-@dataclass(frozen=True, eq=False)
 class PortRef:
     node: int
     slot: int
@@ -351,7 +345,7 @@ class SurfaceRep:
     b_imgs: tuple[SpMat, ...]
     c_imgs: tuple[SpMat, ...]
     ports: tuple[PortRef, ...]
-    nodes: tuple[NodeRecord, ...]
+    nodes: tuple[PantsParams, ...]
     handle_signs: tuple[tuple[int, int], ...] = ()
     relation_residual: float = 0.0
     graph: GluingGraph | None = None
@@ -427,7 +421,7 @@ def pants_surface_rep(params: PantsParams, tol: Tolerance = DEFAULT_TOL,
         a_imgs=(), b_imgs=(),
         c_imgs=(rep.c1, rep.c2, rep.c3),
         ports=ports,
-        nodes=(NodeRecord(params),),
+        nodes=(params,),
         relation_residual=rep.relation_residual,
     )
 
@@ -514,7 +508,7 @@ def _polar_split(h: SpMat) -> tuple[SpMat, SpMat]:
 
 def _port_presentations(rep: SurfaceRep, idx: int, tol: Tolerance, upper: bool):
     port = rep.ports[idx]
-    u, ell, s = _slot_presentation(rep.nodes[port.node].params, port.slot, tol, upper)
+    u, ell, s = _slot_presentation(rep.nodes[port.node], port.slot, tol, upper)
     return port.conjugator @ u, ell, s
 
 
@@ -636,7 +630,7 @@ def close_pair(rep: SurfaceRep, upper_label: str, lower_label: str,
         a_imgs = (new_a,) + tuple(dress(a) for a in rep.a_imgs)
         b_imgs = (t,) + tuple(dress(b) for b in rep.b_imgs)
     low_port = rep.ports[low_idx]
-    low_len = rep.nodes[low_port.node].params.matrices()[low_port.slot - 1]
+    low_len = rep.nodes[low_port.node].matrices()[low_port.slot - 1]
     out = SurfaceRep(
         n=rep.n,
         genus=rep.genus + 1,
@@ -804,7 +798,7 @@ def component_signature(rep_or_graph, tol: Tolerance = DEFAULT_TOL) -> tuple[int
                          for e in closures]
         ports = [b.port for b in rep_or_graph.boundaries]
     else:
-        params = [nd.params for nd in rep_or_graph.nodes]
+        params = rep_or_graph.nodes
         handle_signs = rep_or_graph.handle_signs
         ports = [(p.node, p.slot) for p in rep_or_graph.ports]
     if not ports:

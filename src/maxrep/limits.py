@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MaxRepError, NotSHyperbolic
+from .errors import NotSHyperbolic
 from .gluing import SurfaceRep
-from .maslov import Triple, maslov
+from .maslov import _triple_indices
 from .matcore import DEFAULT_TOL, Tolerance, _unit_circle_masks, norm_inf
 from .normalform import _attracting_points
-from .symplectic import BoundaryPoint, sp_inverse
+from .symplectic import BoundaryPoint, _pair_spectra, _point_stack, sp_inverse
 
 __all__ = ["LimitSample", "limit_set_sample", "reduced_words"]
 
@@ -113,31 +113,15 @@ def _cluster(pts: list[BoundaryPoint], n: int,
     return kept
 
 
-def _count_transverse(pts: list[BoundaryPoint], tol: Tolerance) -> int:
-    """Number of pairs i < j of the points with transverse(pts[i], pts[j], tol).
-
-    Infinity is transverse to every finite point and not to infinity.  For
-    finite points the test is that of symplectic.transverse: the smallest
-    singular value of X_i - X_j exceeds tol.eq_tol * max(1, |X_i|, |X_j|).
-    Precondition: every finite point is exactly symmetric (a sym_part
-    output, as every sampled point is), so each difference is symmetric and
-    its smallest singular value is its smallest |eigenvalue|, read off one
-    batched eigvalsh per block of rows of the pair triangle.
-    """
-    finite = np.array([p.value for p in pts if not p.is_infinity])
-    d = len(finite)
-    count = (len(pts) - d) * d
-    if d < 2:
-        return count
-    n = finite.shape[-1]
-    scale = np.maximum(1.0, np.max(np.abs(finite), axis=(1, 2)))
-    rows = max(1, _PAIR_CHUNK_ENTRIES // (d * n * n))
+def _count_transverse(stack, tol: Tolerance) -> int:
+    """Number of pairs i < j of a _point_stack's points that are transverse
+    at tol, one _pair_spectra call per block of rows of the pair triangle."""
+    d, n = stack[0].shape[:2]
+    count = 0
+    rows = max(1, _PAIR_CHUNK_ENTRIES // max(1, d * n * n))
     for a in range(0, d - 1, rows):
         i, j = np.triu_indices(min(rows, d - a), a + 1, d)
-        i += a
-        smallest = np.min(np.abs(np.linalg.eigvalsh(finite[i] - finite[j])), axis=-1)
-        bound = tol.eq_tol * np.maximum(scale[i], scale[j])
-        count += int(np.count_nonzero(smallest > bound))
+        count += int(np.count_nonzero(_pair_spectra(stack, i + a, j, tol)[1]))
     return count
 
 
@@ -162,7 +146,12 @@ def limit_set_sample(rep: SurfaceRep, max_word_length: int = 4,
     rng.choice(C(D, 3), size=200, replace=False) and each drawn index
     names the triple at that position of itertools.combinations(range(D), 3)
     (lexicographic order), found by unranking rather than by listing them;
-    otherwise every triple is used in that order.
+    otherwise every triple is used in that order.  The distinct points form
+    one stack; transversality of every pair and the Maslov index of every
+    drawn triple, sgn(X2 - X1) + sgn(X3 - X2) + sgn(X1 - X3) with terms at
+    infinity dropped, are read off the eigenvalues of point differences by
+    batched kernel calls, and a triple with a non-transverse pair becomes a
+    finding.
     """
     if max_word_length < 1:
         raise ValueError(f"max_word_length must be at least 1, got {max_word_length}")
@@ -193,8 +182,9 @@ def limit_set_sample(rep: SurfaceRep, max_word_length: int = 4,
         prev, prev_index = mats, {w: i for i, w in enumerate(level)}
 
     distinct = _cluster([pt for _, pt in points], rep.n, _CLUSTER_TOL)
+    stack = _point_stack(distinct)
     n_pairs = math.comb(len(distinct), 2)
-    n_trans = _count_transverse(distinct, tol)
+    n_trans = _count_transverse(stack, tol)
     frac = n_trans / n_pairs if n_pairs else 1.0
     if n_pairs and n_trans < n_pairs:
         findings.append(f"{n_pairs - n_trans} of {n_pairs} point pairs "
@@ -206,12 +196,10 @@ def limit_set_sample(rep: SurfaceRep, max_word_length: int = 4,
         idx = rng.choice(n_triples, size=_MAX_TRIPLES, replace=False)
         triples = [_unrank3(int(r), len(distinct)) for r in idx]
     else:
-        triples = itertools.combinations(range(len(distinct)), 3)
+        triples = list(itertools.combinations(range(len(distinct)), 3))
     hist: dict[int, int] = {}
-    for i, j, k in triples:
-        try:
-            b = maslov(Triple(distinct[i], distinct[j], distinct[k]), tol)
-        except MaxRepError as exc:  # degenerate triple
+    for (i, j, k), b, exc in zip(triples, *_triple_indices(stack, triples, tol)):
+        if exc is not None:   # degenerate triple
             findings.append(f"triple ({i},{j},{k}) failed: {exc}")
             continue
         hist[b] = hist.get(b, 0) + 1

@@ -1,7 +1,8 @@
 """Maslov index of transverse boundary triples.
 
-The index of (p1, p2, p3) is computed by moving (p1, p3) to (0, infinity)
-with a symplectic element and taking the signature of the image of p2.  The
+The index of (X1, X2, X3) is sgn(X2 - X1) + sgn(X3 - X2) + sgn(X1 - X3), a
+term that meets infinity dropped (Lion-Vergne; Burger-Iozzi-Wienhard), read
+with transversality off the eigenvalues of symplectic._pair_spectra.  The
 orientation is pinned by beta(0, I_k, inf) = 2k - n where I_k is the
 diagonal matrix with k entries +1 and n - k entries -1.
 """
@@ -13,10 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotMaximal, NotTransverse
-from .matcore import DEFAULT_TOL, Tolerance, factor_signature, signature
+from .matcore import DEFAULT_TOL, Tolerance, factor_signature
 from .symplectic import (
     BoundaryPoint,
     SpMat,
+    _pair_spectra,
+    _point_stack,
     diag_symplectic,
     moebius_act,
     shear_symplectic,
@@ -42,6 +45,25 @@ def indefinite_identity(n: int, k: int) -> np.ndarray:
     return np.diag(np.concatenate([np.ones(k), -np.ones(n - k)]))
 
 
+# slot pairs (i, j) whose differences X_j - X_i make up the index, and the
+# order in which a pair that is not transverse is reported
+_PAIRS = np.array([(0, 1), (1, 2), (2, 0)])
+_REPORTED = ((0, "1 and 2"), (2, "1 and 3"), (1, "2 and 3"))
+
+
+def _triple_indices(stack, triples, tol: Tolerance) -> tuple[list[int], list[NotTransverse | None]]:
+    """Maslov index of each row (i1, i2, i3) of triples into a _point_stack,
+    and its NotTransverse refusal or None, from one _pair_spectra call."""
+    t = np.asarray(triples, dtype=np.intp).reshape(-1, 3)
+    eigs, ok = _pair_spectra(stack, t[:, _PAIRS[:, 0]].ravel(), t[:, _PAIRS[:, 1]].ravel(), tol)
+    refusals = []
+    for row in ok.reshape(-1, 3):
+        failed = [which for k, which in _REPORTED if not row[k]]
+        refusals.append(NotTransverse(f"points {failed[0]} are not transverse") if failed else None)
+    index = np.sign(eigs).reshape(len(t), -1).sum(axis=1).astype(int)
+    return index.tolist(), refusals
+
+
 @dataclass(frozen=True, eq=False)
 class Triple:
     """Three pairwise transverse boundary points."""
@@ -51,11 +73,7 @@ class Triple:
     p3: BoundaryPoint
 
     def __post_init__(self):
-        pts = (self.p1, self.p2, self.p3)
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if not transverse(pts[i], pts[j]):
-                    raise NotTransverse(f"points {i + 1} and {j + 1} are not transverse")
+        maslov(self)   # refuses unless every pair is transverse
 
     def points(self) -> tuple[BoundaryPoint, BoundaryPoint, BoundaryPoint]:
         return (self.p1, self.p2, self.p3)
@@ -85,12 +103,15 @@ def normalize_pair(p1: BoundaryPoint, p3: BoundaryPoint,
 
 
 def maslov(t: Triple, tol: Tolerance = DEFAULT_TOL) -> int:
-    """The Maslov index, an integer in [-n, n] of the same parity as n."""
-    g = normalize_pair(t.p1, t.p3, tol)
-    q2 = moebius_act(g, t.p2, tol)
-    if q2.is_infinity:
-        raise NotTransverse("middle point maps to infinity under normalization")
-    return signature(q2.value, tol)
+    """The Maslov index, an integer in [-n, n] of the same parity as n.
+
+    Every pair is checked at tol (Triple checks at the default) and a pair
+    inside the band raises NotTransverse.
+    """
+    (index,), (refusal,) = _triple_indices(_point_stack(t.points()), (0, 1, 2), tol)
+    if refusal is not None:
+        raise refusal
+    return index
 
 
 def is_maximal(t: Triple, tol: Tolerance = DEFAULT_TOL) -> bool:

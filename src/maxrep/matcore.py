@@ -1,7 +1,7 @@
 """Dense real matrix kernels with explicit tolerance bands.
 
-All higher modules funnel their numerics through here: symmetric signatures,
-spectral classification against the unit circle, the discrete Stein equation
+All higher modules funnel their numerics through here: spectral
+classification against the unit circle, the discrete Stein equation
 A^T P A - P = Q, similarity witnesses, and indefinite square-root factors.
 
 Matrices are plain float64 ``numpy`` arrays.  Comparisons are relative with
@@ -32,7 +32,6 @@ __all__ = [
     "is_symmetric",
     "require_symmetric",
     "require_invertible",
-    "signature",
     "spectral_radius",
     "circle_class",
     "stein_solve",
@@ -132,26 +131,6 @@ def require_invertible(m, tol: Tolerance = DEFAULT_TOL, what: str = "matrix") ->
         raise Singular(f"{what} is singular within tolerance "
                        f"(sigma_min = {s[-1]:.3e}, sigma_max = {s[0]:.3e})")
     return m
-
-
-def signature(s, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Number of positive minus number of negative eigenvalues.
-
-    Raises NearSingular when some eigenvalue sits inside the zero band
-    eq_tol * ||s||_2; such a spectrum signals a degenerate configuration
-    upstream and must not be silently rounded to a sign.
-    """
-    s = require_symmetric(s, tol, "signature input")
-    eigs = np.linalg.eigvalsh(s)
-    scale = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    if scale == 0.0:
-        raise NearSingular("zero matrix has no signature")
-    band = tol.eq_tol * scale
-    if np.any(np.abs(eigs) <= band):
-        raise NearSingular(
-            f"eigenvalue inside zero band (band {band:.3e}, "
-            f"closest {np.min(np.abs(eigs)):.3e})")
-    return int(np.sum(eigs > 0) - np.sum(eigs < 0))
 
 
 def spectral_radius(x) -> float:
@@ -351,7 +330,7 @@ def factor_signature(s, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, int]:
     """Factor an invertible symmetric S as M diag(1_k, -1_{n-k}) M^T.
 
     Returns (M, k) with M invertible and k the number of positive
-    eigenvalues, so signature(S) = 2k - n.  Positive definite input takes
+    eigenvalues, so S has signature 2k - n.  Positive definite input takes
     the Cholesky route (M lower triangular, k = n).
     """
     s = require_symmetric(s, tol, "factor input")

@@ -372,14 +372,6 @@ def _certificates(ms: np.ndarray, ys: np.ndarray, at_inf: np.ndarray,
     return fixed, np.max(np.abs(np.linalg.eigvals(a - y @ c)), axis=-1)
 
 
-def _fixed_point_certificate(g: SpMat, p: BoundaryPoint,
-                             tol: Tolerance) -> tuple[bool, float]:
-    """_certificates of one element and point."""
-    y = np.zeros((g.n, g.n)) if p.is_infinity else p.value
-    fixed, rho = _certificates(g.m[None], y[None], np.array([p.is_infinity]), tol)
-    return bool(fixed[0]), float(rho[0])
-
-
 def _subspace_fixed_points(ms: np.ndarray, tol: Tolerance) -> tuple[list, np.ndarray, np.ndarray]:
     """Chart points of the expanding invariant subspaces of a (k, 2n, 2n)
     stack, certified: (points, fixed, rho), points[i] being a BoundaryPoint

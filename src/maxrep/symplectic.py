@@ -220,22 +220,44 @@ def moebius_act(g: SpMat, p: BoundaryPoint, tol: Tolerance = DEFAULT_TOL) -> Bou
     return BoundaryPoint(sym_part(z))
 
 
+def _point_stack(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values (zero at infinity), infinity mask and scales max(1, |X|) of points."""
+    at_inf = np.array([p.is_infinity for p in points], dtype=bool)
+    n = next((p.value.shape[0] for p in points if not p.is_infinity), 0)
+    x = np.array([np.zeros((n, n)) if p.is_infinity else p.value for p in points])
+    x = x.reshape(len(points), n, n)
+    return x, at_inf, np.maximum(1.0, np.max(np.abs(x), axis=(1, 2), initial=0.0))
+
+
+def _pair_spectra(stack, i, j, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of X_j - X_i, zero where a pair meets infinity, and
+    transversality of each pair (i[k], j[k]) of a _point_stack.
+
+    A finite pair is transverse when every |eigenvalue| exceeds
+    tol.eq_tol * max(1, |X_i|, |X_j|): finite points are exactly symmetric
+    (finite_point and every library output make them so), so this is the
+    smallest singular value.  Infinity is transverse to finite points only.
+    """
+    x, at_inf, scale = stack
+    eigs = np.linalg.eigvalsh(x[j] - x[i])
+    ok = np.min(np.abs(eigs), axis=-1, initial=np.inf) > tol.eq_tol * np.maximum(scale[i], scale[j])
+    if at_inf.any():
+        meets_inf = at_inf[i] | at_inf[j]
+        eigs[meets_inf], ok[meets_inf] = 0.0, (at_inf[i] != at_inf[j])[meets_inf]
+    return eigs, ok
+
+
 def transversality_margin(p: BoundaryPoint, q: BoundaryPoint) -> float:
     """Smallest singular value of X - Y; +inf against infinity, -inf for two infinities."""
-    if p.is_infinity and q.is_infinity:
-        return -np.inf
+    eigs, ok = _pair_spectra(_point_stack((p, q)), [0], [1], DEFAULT_TOL)
     if p.is_infinity or q.is_infinity:
-        return np.inf
-    return float(np.linalg.svd(p.value - q.value, compute_uv=False)[-1])
+        return np.inf if ok[0] else -np.inf
+    return float(np.min(np.abs(eigs)))
 
 
 def transverse(p: BoundaryPoint, q: BoundaryPoint, tol: Tolerance = DEFAULT_TOL) -> bool:
     """det(X - Y) != 0 in the band sense; ambiguity resolves to False."""
-    if p.is_infinity and q.is_infinity:
-        return False
-    if p.is_infinity or q.is_infinity:
-        return True
-    return transversality_margin(p, q) > rel_bound(tol.eq_tol, p.value, q.value)
+    return bool(_pair_spectra(_point_stack((p, q)), [0], [1], tol)[1][0])
 
 
 def point_distance(p: BoundaryPoint, q: BoundaryPoint) -> float:

@@ -8,7 +8,11 @@ solves the Stein equation as one Kronecker linear system.  ``classify_one``,
 matrix at a time, as the library did before it checked stacks.
 ``subspace_fixed_point_one`` and ``sampled_points_by_loop`` find attracting
 points one matrix and one word at a time, through scipy.linalg.schur, as the
-library did before it took stacks of words.
+library did before it took stacks of words.  ``transverse_by_svd`` and
+``maslov_by_normalization`` decide transversality by the smallest singular
+value and compute the Maslov index by moving the outer pair to (0, infinity)
+and taking the ``signature`` of the middle point, as the library did before
+it read both off the eigenvalues of differences.
 """
 
 from fractions import Fraction
@@ -16,8 +20,17 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import schur
 
-from maxrep.errors import MaxRepError, NotInvertible, NotMaximal, NotSHyperbolic, NotValid
+from maxrep.errors import (
+    MaxRepError,
+    NearSingular,
+    NotInvertible,
+    NotMaximal,
+    NotSHyperbolic,
+    NotTransverse,
+    NotValid,
+)
 from maxrep.limits import reduced_words
+from maxrep.maslov import normalize_pair
 from maxrep.matcore import (
     DEFAULT_TOL,
     Tolerance,
@@ -26,13 +39,40 @@ from maxrep.matcore import (
     norm_inf,
     rel_bound,
     require_invertible,
-    signature,
+    require_symmetric,
     spectral_radius,
     sym_part,
 )
 from maxrep.normalform import _ATTRACT_MARGIN, StandardBoundary
 from maxrep.pants import PantsParams, ParamClass
-from maxrep.symplectic import INFINITY, BoundaryPoint, SpMat, sp_inverse, swap_symplectic
+from maxrep.symplectic import (
+    INFINITY,
+    BoundaryPoint,
+    SpMat,
+    moebius_act,
+    sp_inverse,
+    swap_symplectic,
+)
+
+
+def signature(s, tol: Tolerance = DEFAULT_TOL) -> int:
+    """Number of positive minus number of negative eigenvalues.
+
+    Raises NearSingular when some eigenvalue sits inside the zero band
+    eq_tol * ||s||_2; such a spectrum signals a degenerate configuration
+    upstream and must not be silently rounded to a sign.
+    """
+    s = require_symmetric(s, tol, "signature input")
+    eigs = np.linalg.eigvalsh(s)
+    scale = float(np.max(np.abs(eigs))) if eigs.size else 0.0
+    if scale == 0.0:
+        raise NearSingular("zero matrix has no signature")
+    band = tol.eq_tol * scale
+    if np.any(np.abs(eigs) <= band):
+        raise NearSingular(
+            f"eigenvalue inside zero band (band {band:.3e}, "
+            f"closest {np.min(np.abs(eigs)):.3e})")
+    return int(np.sum(eigs > 0) - np.sum(eigs < 0))
 
 
 def cayley(z, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -229,3 +269,28 @@ def sampled_points_by_loop(rep, max_word_length: int, tol: Tolerance = DEFAULT_T
             continue
         points.append((" ".join(word), pt))
     return points, skipped
+
+
+def transverse_by_svd(p: BoundaryPoint, q: BoundaryPoint, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Smallest singular value of X - Y above tol.eq_tol * max(1, |X|, |Y|);
+    infinity is transverse to finite points and not to itself."""
+    if p.is_infinity or q.is_infinity:
+        return p.is_infinity != q.is_infinity
+    smin = np.linalg.svd(p.value - q.value, compute_uv=False)[-1]
+    return smin > rel_bound(tol.eq_tol, p.value, q.value)
+
+
+def maslov_by_normalization(p1: BoundaryPoint, p2: BoundaryPoint, p3: BoundaryPoint,
+                            tol: Tolerance = DEFAULT_TOL) -> int:
+    """The Maslov index of (p1, p2, p3): after checking the pairs (1, 2),
+    (1, 3), (2, 3) by transverse_by_svd, a symplectic g from normalize_pair
+    takes (p1, p3) to (0, infinity), and the index is the signature of g.p2."""
+    pts = (p1, p2, p3)
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        if not transverse_by_svd(pts[a], pts[b], tol):
+            raise NotTransverse(f"points {a + 1} and {b + 1} are not transverse")
+    g = normalize_pair(p1, p3, tol)
+    q2 = moebius_act(g, p2, tol)
+    if q2.is_infinity:
+        raise NotTransverse("middle point maps to infinity under normalization")
+    return signature(q2.value, tol)

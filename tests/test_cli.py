@@ -204,6 +204,16 @@ class TestCommands:
         assert code == 0
         assert "maslov: 2" in out
 
+    def test_maslov_tol_checks_every_pair(self, tmp_path, capsys):
+        # diag(1, 1e-3) is transverse to 0 at the default tolerance, not at 1e-2
+        f = tmp_path / "pts.mp"
+        f.write_text("maxrep-points 1\nn 2\npoint zero\npoint\n  1.0 0.0\n  0.0 0.001\npoint inf\n")
+        code, out, _ = run_main(["maslov", str(f)], capsys)
+        assert code == 0 and "maslov: 2" in out
+        code, _, err = run_main(["maslov", str(f), "--tol", "1e-2"], capsys)
+        assert code == 3
+        assert "NotTransverse: points 1 and 2 are not transverse" in err
+
     def test_components_torus(self, torus_file, capsys):
         code, out, _ = run_main(["components", torus_file], capsys)
         assert code == 0

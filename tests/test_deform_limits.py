@@ -22,12 +22,11 @@ from maxrep.gluing import (
     pants_surface_rep,
 )
 from maxrep.limits import _cluster, _count_transverse, _unrank3, limit_set_sample, reduced_words
-from maxrep.maslov import Triple, maslov
 from maxrep.matcore import DEFAULT_TOL, norm_inf, spectral_radius
 from maxrep.pants import PantsParams, ParamClass, classify_params, toledo_signature_shortcut
 from maxrep.sampling import random_contracting, random_invertible, random_pants_params, random_spd
-from maxrep.symplectic import INFINITY, BoundaryPoint, moebius_act, point_distance, sp_inverse, transverse
-from oracles import sampled_points_by_loop
+from maxrep.symplectic import INFINITY, BoundaryPoint, _point_stack, moebius_act, point_distance, sp_inverse
+from oracles import maslov_by_normalization, sampled_points_by_loop, transverse_by_svd
 
 
 class TestPaths:
@@ -148,6 +147,25 @@ class TestDeform:
             for nd in snap.nodes:
                 assert classify_params(nd.params) in (ParamClass.IN_R, ParamClass.IN_R_STAR)
                 assert toledo_signature_shortcut(nd.params) == nd.params.n
+
+    def test_rep_input_is_not_rebuilt(self, rng, monkeypatch):
+        import maxrep.deform as deform
+
+        graph = chain_graph_with_random_params(1, 2, 2, rng)
+        rep = build_from_graph(graph)
+        expected = deform_to_standard(graph, steps=8)
+        calls = []
+        monkeypatch.setattr(deform, "build_from_graph",
+                            lambda *a, **k: calls.append(a) or build_from_graph(*a, **k))
+        path = deform_to_standard(rep, steps=8)
+        assert calls == []
+        assert path.signature == expected.signature
+        for snap, ref in zip(path.snapshots, expected.snapshots, strict=True):
+            for nd, nd_ref in zip(snap.nodes, ref.nodes, strict=True):
+                for a, b in zip(nd.params.matrices(), nd_ref.params.matrices()):
+                    assert a.tobytes() == b.tobytes()
+            for e, e_ref in zip(snap.edges, ref.edges, strict=True):
+                assert e.twist.tobytes() == e_ref.twist.tobytes()
 
     def test_snapshots_do_not_share_writable_arrays(self, rng):
         path = deform_to_standard(chain_graph_with_random_params(1, 2, 2, rng), steps=4)
@@ -324,14 +342,15 @@ class TestLimitSample:
 
 
 def enumerated_statistics(points, n, seed, max_triples=200, cluster_tol=1e-8):
-    """Oracle: the sampler's statistics by pairwise calls and listed triples."""
+    """Oracle: the sampler's statistics by pairwise calls and listed triples,
+    with transversality by singular values and the index by normalization."""
     distinct = []
     for pt in points:
         scale = 1.0 if pt.is_infinity else max(1.0, norm_inf(pt.value))
         if not any(point_distance(pt, q) <= cluster_tol * scale for q in distinct):
             distinct.append(pt)
     pairs = list(itertools.combinations(range(len(distinct)), 2))
-    n_trans = sum(transverse(distinct[i], distinct[j]) for i, j in pairs)
+    n_trans = sum(transverse_by_svd(distinct[i], distinct[j]) for i, j in pairs)
     findings = []
     if pairs and n_trans < len(pairs):
         findings.append(f"{len(pairs) - n_trans} of {len(pairs)} point pairs "
@@ -344,7 +363,7 @@ def enumerated_statistics(points, n, seed, max_triples=200, cluster_tol=1e-8):
     hist = {}
     for i, j, k in triples:
         try:
-            b = maslov(Triple(distinct[i], distinct[j], distinct[k]))
+            b = maslov_by_normalization(distinct[i], distinct[j], distinct[k])
         except MaxRepError as exc:
             findings.append(f"triple ({i},{j},{k}) failed: {exc}")
             continue
@@ -401,10 +420,10 @@ class TestSamplerStatistics:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_batched_transverse_count(self, rng, n):
         pts = points_with_infinity(rng, n)
-        expected = sum(transverse(p, q) for p, q in itertools.combinations(pts, 2))
+        expected = sum(transverse_by_svd(p, q) for p, q in itertools.combinations(pts, 2))
         if n > 1:   # rank-one shifts and the pair of infinities fail
             assert expected < len(pts) * (len(pts) - 1) // 2 - 12
-        assert _count_transverse(pts, DEFAULT_TOL) == expected
+        assert _count_transverse(_point_stack(pts), DEFAULT_TOL) == expected
 
     def test_length_four_memory(self, rng):
         rep = pants_surface_rep(random_pants_params(2, rng, tame=True))

@@ -139,7 +139,7 @@ class TestCloseHandle:
     def test_scalar_derived_product(self):
         rep = close_handle([[0.5]], [[0.5]], [[1.0]])
         # derived shape datum is 1/2 for these values
-        prod = pants_product(rep.nodes[0].params)
+        prod = pants_product(rep.nodes[0])
         np.testing.assert_allclose(prod, [[0.5]], atol=1e-14)
         assert rep.relation_residual <= 1e-12
         assert rep.genus == 1 and rep.m == 1
@@ -182,7 +182,7 @@ class TestGlueReps:
             assert (glued.genus, glued.m) == (0, 4)
             assert glued.relation_residual <= 1e-8
             # characteristic number adds across the edge
-            total = sum(toledo_signature_shortcut(nd.params) for nd in glued.nodes)
+            total = sum(toledo_signature_shortcut(p) for p in glued.nodes)
             assert total == 2 * n
 
     def test_double_of_pants(self, rng):
@@ -193,7 +193,7 @@ class TestGlueReps:
         r2 = pants_surface_rep(mirror, labels=("b1", "b2", "b3"))
         glued = glue_reps(r1, "a3", r2, "b1", np.eye(2))
         assert glued.relation_residual <= 1e-8
-        assert sum(toledo_signature_shortcut(nd.params) for nd in glued.nodes) == 4
+        assert sum(toledo_signature_shortcut(p) for p in glued.nodes) == 4
 
     def test_twist_choice_independence(self, rng):
         # conjugating both sides by orthogonal matrices and dressing the twist

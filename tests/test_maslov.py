@@ -4,23 +4,25 @@ import pytest
 from maxrep.errors import NotMaximal, NotTransverse
 from maxrep.maslov import (
     Triple,
+    _triple_indices,
     indefinite_identity,
     is_maximal,
     maslov,
     normalize_maximal_triple,
     normalize_pair,
 )
-from maxrep.matcore import norm_inf
+from maxrep.matcore import DEFAULT_TOL, Tolerance
 from maxrep.sampling import random_symplectic, random_transverse_points
 from maxrep.symplectic import (
     INFINITY,
     finite_point,
     identity_point,
     moebius_act,
+    _point_stack,
     point_distance,
     zero_point,
 )
-from oracles import cayley
+from oracles import cayley, maslov_by_normalization
 
 
 def scalar_point(x: float):
@@ -126,6 +128,49 @@ class TestMaslovProperties:
             pts = random_transverse_points(n, rng, 3)
             b = maslov(Triple(*pts))
             assert -n <= b <= n and (b - n) % 2 == 0
+
+
+class TestAgainstNormalization:
+    """The difference-signature index against the normalization oracle."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_random_triples(self, rng, n):
+        for trial in range(40):
+            pts = random_transverse_points(n, rng, 3, p_infinity=0.0)
+            slot = trial % 4   # infinity in slot 1, 2 or 3, or nowhere
+            if slot < 3:
+                pts[slot] = INFINITY
+            assert maslov(Triple(*pts)) == maslov_by_normalization(*pts)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stacked_indices_match_per_triple(self, rng, n):
+        pts = random_transverse_points(n, rng, 8, p_infinity=0.0)
+        pts.insert(3, INFINITY)
+        triples = [tuple(rng.permutation(len(pts))[:3]) for _ in range(60)]
+        index, refusals = _triple_indices(_point_stack(pts), triples, DEFAULT_TOL)
+        assert refusals == [None] * len(triples)
+        assert index == [maslov(Triple(*(pts[i] for i in t))) for t in triples]
+
+    def test_stacked_refusals_name_the_pair(self):
+        a, b = scalar_point(1.0), scalar_point(2.0)
+        pts = [a, b, INFINITY, a, INFINITY]
+        triples = [(0, 1, 2), (0, 3, 1), (0, 1, 3), (1, 0, 3), (2, 0, 4), (0, 1, 1)]
+        index, refusals = _triple_indices(_point_stack(pts), triples, DEFAULT_TOL)
+        assert index[0] == maslov(Triple(a, b, INFINITY)) == 1
+        assert [None if r is None else str(r) for r in refusals] == [
+            None,
+            "points 1 and 2 are not transverse",
+            "points 1 and 3 are not transverse",
+            "points 2 and 3 are not transverse",
+            "points 1 and 3 are not transverse",
+            "points 2 and 3 are not transverse",
+        ]
+
+    def test_tolerance_is_applied_to_every_pair(self):
+        t = Triple(zero_point(2), finite_point(np.diag([1.0, 1e-3])), INFINITY)
+        assert maslov(t) == 2
+        with pytest.raises(NotTransverse, match="points 1 and 2"):
+            maslov(t, Tolerance(eq_tol=1e-2))
 
 
 class TestMaximality:

@@ -12,12 +12,12 @@ from maxrep.matcore import (
     circle_class,
     factor_signature,
     norm_inf,
-    signature,
     similarity_witness,
     spectral_radius,
     stein_solve,
 )
 from maxrep.maslov import indefinite_identity
+from oracles import signature
 from maxrep.sampling import random_contracting, random_invertible, random_orthogonal, random_spd
 from oracles import stein_kron_solve
 

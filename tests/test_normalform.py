@@ -14,7 +14,7 @@ from maxrep.normalform import (
     _ATTRACT_MARGIN,
     DifferentialClass,
     _attracting_points,
-    _fixed_point_certificate,
+    _certificates,
     _subspace_fixed_points,
     IsometryClass,
     StandardBoundary,
@@ -394,8 +394,11 @@ class TestElementCanonicalPoints:
         # X -> 4X moves the candidate 1e-3 by 1.5e-3: outside the default
         # band sqrt(1e-9) ~ 3.2e-5, inside the looser sqrt(1e-4) = 1e-2
         g = SpMat(np.diag([2.0, 0.5]))
-        p = BoundaryPoint(np.array([[1e-3]]))
-        assert not _fixed_point_certificate(g, p, DEFAULT_TOL)[0]
-        assert _fixed_point_certificate(g, p, Tolerance(eq_tol=1e-4))[0]
+
+        def fixed(y, tol):
+            return _certificates(g.m[None], np.array([[[y]]]), np.array([False]), tol)[0][0]
+
+        assert not fixed(1e-3, DEFAULT_TOL)
+        assert fixed(1e-3, Tolerance(eq_tol=1e-4))
         # the true fixed point passes under either band
-        assert _fixed_point_certificate(g, BoundaryPoint(np.zeros((1, 1))), DEFAULT_TOL)[0]
+        assert fixed(0.0, DEFAULT_TOL)
