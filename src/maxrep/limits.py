@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from .errors import NotSHyperbolic
 from .gluing import SurfaceRep
 from .maslov import _triple_indices
-from .matcore import DEFAULT_TOL, Tolerance, _unit_circle_masks, norm_inf
+from .matcore import DEFAULT_TOL, Tolerance, _unit_circle_masks
 from .normalform import _attracting_points
 from .symplectic import BoundaryPoint, _pair_spectra, _point_stack, sp_inverse
 
@@ -67,61 +66,82 @@ def reduced_words(letters: list[str], max_len: int):
 _PAIR_CHUNK_ENTRIES = 1 << 16
 
 
-def _unrank3(r: int, d: int) -> tuple[int, int, int]:
-    """The r-th triple of itertools.combinations(range(d), 3).
+def _unrank3(ranks, d: int) -> np.ndarray:
+    """Rows (i, j, k) of itertools.combinations(range(d), 3) at lexicographic ranks.
 
-    Lexicographic rank r of (i, j, k) is colexicographic rank
-    C(d, 3) - 1 - r of (d-1-k, d-1-j, d-1-i), whose combinadic digits
-    c3 > c2 > c1 are each the largest c with C(c, size) within the rest.
+    Rank r of (i, j, k) is colexicographic rank C(d, 3) - 1 - r of
+    (d-1-k, d-1-j, d-1-i), whose combinadic digits c3 > c2 > c1 are each the
+    largest c with C(c, size) within the rest: a searchsorted in a table.
     """
-    rest = math.comb(d, 3) - 1 - r
-    out = []
-    top = d
-    for size in (3, 2, 1):
-        top = bisect_right(range(top), rest, key=lambda c: math.comb(c, size)) - 1
-        rest -= math.comb(top, size)
-        out.append(d - 1 - top)
-    return tuple(out)
+    c = np.arange(d, dtype=np.int64)
+    rest = math.comb(d, 3) - 1 - np.asarray(ranks, dtype=np.int64)
+    out = np.empty((rest.size, 3), dtype=np.intp)
+    for col, table in enumerate((c * (c - 1) // 2 * (c - 2) // 3, c * (c - 1) // 2, c)):
+        top = np.searchsorted(table, rest, side="right") - 1
+        rest = rest - table[top]
+        out[:, col] = d - 1 - top
+    return out
 
 
-def _cluster(pts: list[BoundaryPoint], n: int,
-             cluster_tol: float) -> list[BoundaryPoint]:
-    """First-come greedy clustering under point_distance <= cluster_tol * scale.
+def _cluster(stack, cluster_tol: float) -> np.ndarray:
+    """Indices of a _point_stack's points kept by first-come greedy clustering:
+    a point is dropped within cluster_tol * max(1, |point|) (cluster_tol <= 1/2)
+    of a point kept before it, entrywise; infinity is near infinity only.
 
-    Each finite point is compared against one stack of the finite points kept
-    so far; infinity is at distance 0 from infinity and inf from the rest.
+    A near pair is within 2 * cluster_tol * either scale, which moves the
+    trace by at most n times that, so candidates are compared one offset of
+    the trace order at a time inside that window (widened for rounding).
     """
-    kept: list[BoundaryPoint] = []
-    finite = np.empty((len(pts), n, n))
-    k = n_inf = 0
-    for pt in pts:
-        if pt.is_infinity:
-            bound = cluster_tol
-            near = (n_inf and 0.0 <= bound) or (k and np.inf <= bound)
-        else:
-            bound = cluster_tol * max(1.0, norm_inf(pt.value))
-            dist = np.max(np.abs(finite[:k] - pt.value), axis=(1, 2))
-            near = (n_inf and np.inf <= bound) or np.any(dist <= bound)
-        if near:
-            continue
-        kept.append(pt)
-        if pt.is_infinity:
-            n_inf += 1
-        else:
-            finite[k] = pt.value
-            k += 1
-    return kept
+    x, at_inf, scale = stack
+    n, bound = x.shape[1], cluster_tol * scale
+    fin = np.flatnonzero(~at_inf)
+    order = fin[np.argsort(np.trace(x[fin], axis1=1, axis2=2), kind="stable")]
+    t = np.trace(x[order], axis1=1, axis2=2)
+    reach = n * (2 * bound + 4 * n * np.finfo(float).eps * scale)
+    hi = np.searchsorted(t, t + reach[order], "right")
+    k, near = np.arange(order.size), []
+    for o in itertools.count(1):
+        k = k[k + o < hi[k]]
+        if not k.size:
+            break
+        p, q = np.maximum(order[k], order[k + o]), np.minimum(order[k], order[k + o])
+        close = np.max(np.abs(x[p] - x[q]), axis=(1, 2)) <= bound[p]
+        near += zip(p[close].tolist(), q[close].tolist())
+    kept = ~at_inf
+    kept[np.flatnonzero(at_inf)[:1]] = True
+    kept = kept.tolist()
+    for p, q in sorted(near):   # q < p, so kept[q] is final when p is reached
+        if kept[q]:
+            kept[p] = False
+    return np.flatnonzero(kept)
 
 
 def _count_transverse(stack, tol: Tolerance) -> int:
-    """Number of pairs i < j of a _point_stack's points that are transverse
-    at tol, one _pair_spectra call per block of rows of the pair triangle."""
-    d, n = stack[0].shape[:2]
-    count = 0
-    rows = max(1, _PAIR_CHUNK_ENTRIES // max(1, d * n * n))
-    for a in range(0, d - 1, rows):
-        i, j = np.triu_indices(min(rows, d - a), a + 1, d)
-        count += int(np.count_nonzero(_pair_spectra(stack, i + a, j, tol)[1]))
+    """Number of pairs i < j of a _point_stack's points transverse at tol.
+
+    A link between trace-adjacent finite points passes when it is transverse
+    with positive eigenvalues.  In a run of passing links every pair is
+    transverse by Weyl: lambda_min(X_j - X_i) >= the links' sum of lambda_min
+    > eq_tol * max(scale_i, scale_j).  Pairs straddling a failed link are
+    checked per block of rows of the pair triangle; infinity is transverse
+    to every finite point only.
+    """
+    x, at_inf, _ = stack
+    fin = np.flatnonzero(~at_inf)
+    order = fin[np.argsort(np.trace(x[fin], axis1=1, axis2=2), kind="stable")]
+    eigs, ok = _pair_spectra(stack, order[:-1], order[1:], tol)
+    run = np.zeros(at_inf.size, dtype=np.intp)
+    run[order[1:]] = np.cumsum(~(ok & np.all(eigs > 0, axis=-1)))
+    sizes = np.bincount(run[fin])
+    count = fin.size * (at_inf.size - fin.size) + int(np.sum(sizes * (sizes - 1) // 2))
+    if sizes.size > 1:
+        d, n = fin.size, x.shape[1]
+        rows = max(1, _PAIR_CHUNK_ENTRIES // (d * n * n))
+        for a in range(0, d - 1, rows):
+            i, j = np.triu_indices(min(rows, d - a), a + 1, d)
+            i, j = fin[i + a], fin[j]
+            cross = run[i] != run[j]
+            count += int(np.count_nonzero(_pair_spectra(stack, i[cross], j[cross], tol)[1]))
     return count
 
 
@@ -145,13 +165,15 @@ def limit_set_sample(rep: SurfaceRep, max_word_length: int = 4,
     200 triples, rng = np.random.default_rng(seed) draws
     rng.choice(C(D, 3), size=200, replace=False) and each drawn index
     names the triple at that position of itertools.combinations(range(D), 3)
-    (lexicographic order), found by unranking rather than by listing them;
-    otherwise every triple is used in that order.  The distinct points form
-    one stack; transversality of every pair and the Maslov index of every
-    drawn triple, sgn(X2 - X1) + sgn(X3 - X2) + sgn(X1 - X3) with terms at
-    infinity dropped, are read off the eigenvalues of point differences by
-    batched kernel calls, and a triple with a non-transverse pair becomes a
-    finding.
+    (lexicographic order), unranked in one batch; otherwise every triple is
+    used in that order.  Clustering (first-come greedy in word order) and the
+    transverse count walk the trace order: the distinct points of a maximal
+    representation form a Loewner chain, whose trace-adjacent links certify
+    every pair, and only pairs straddling a failed link are checked one by
+    one.  The Maslov index of every drawn triple, sgn(X2 - X1) +
+    sgn(X3 - X2) + sgn(X1 - X3) with terms at infinity dropped, comes from
+    one kernel call; a triple with a non-transverse pair becomes a finding.
+    A sample whose every word is skipped refuses with NotSHyperbolic.
     """
     if max_word_length < 1:
         raise ValueError(f"max_word_length must be at least 1, got {max_word_length}")
@@ -181,8 +203,14 @@ def limit_set_sample(rep: SurfaceRep, max_word_length: int = 4,
         skipped += len(level) - len(found)
         prev, prev_index = mats, {w: i for i, w in enumerate(level)}
 
-    distinct = _cluster([pt for _, pt in points], rep.n, _CLUSTER_TOL)
-    stack = _point_stack(distinct)
+    if not points:
+        raise NotSHyperbolic(f"all {skipped} words up to length {max_word_length} "
+                             "were skipped: none has an attracting point")
+    pts = [pt for _, pt in points]
+    stack = _point_stack(pts)
+    keep = _cluster(stack, _CLUSTER_TOL)
+    distinct = [pts[i] for i in keep]
+    stack = tuple(a[keep] for a in stack)
     n_pairs = math.comb(len(distinct), 2)
     n_trans = _count_transverse(stack, tol)
     frac = n_trans / n_pairs if n_pairs else 1.0
@@ -192,13 +220,11 @@ def limit_set_sample(rep: SurfaceRep, max_word_length: int = 4,
 
     rng = np.random.default_rng(seed)
     n_triples = math.comb(len(distinct), 3)
-    if n_triples > _MAX_TRIPLES:
-        idx = rng.choice(n_triples, size=_MAX_TRIPLES, replace=False)
-        triples = [_unrank3(int(r), len(distinct)) for r in idx]
-    else:
-        triples = list(itertools.combinations(range(len(distinct)), 3))
+    ranks = (rng.choice(n_triples, size=_MAX_TRIPLES, replace=False)
+             if n_triples > _MAX_TRIPLES else np.arange(n_triples))
+    triples = _unrank3(ranks, len(distinct))
     hist: dict[int, int] = {}
-    for (i, j, k), b, exc in zip(triples, *_triple_indices(stack, triples, tol)):
+    for (i, j, k), b, exc in zip(triples.tolist(), *_triple_indices(stack, triples, tol)):
         if exc is not None:   # degenerate triple
             findings.append(f"triple ({i},{j},{k}) failed: {exc}")
             continue

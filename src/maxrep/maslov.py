@@ -55,6 +55,8 @@ def _triple_indices(stack, triples, tol: Tolerance) -> tuple[list[int], list[Not
     """Maslov index of each row (i1, i2, i3) of triples into a _point_stack,
     and its NotTransverse refusal or None, from one _pair_spectra call."""
     t = np.asarray(triples, dtype=np.intp).reshape(-1, 3)
+    if not len(t):
+        return [], []
     eigs, ok = _pair_spectra(stack, t[:, _PAIRS[:, 0]].ravel(), t[:, _PAIRS[:, 1]].ravel(), tol)
     refusals = []
     for row in ok.reshape(-1, 3):

@@ -12,9 +12,14 @@ library did before it took stacks of words.  ``transverse_by_svd`` and
 ``maslov_by_normalization`` decide transversality by the smallest singular
 value and compute the Maslov index by moving the outer pair to (0, infinity)
 and taking the ``signature`` of the middle point, as the library did before
-it read both off the eigenvalues of differences.
+it read both off the eigenvalues of differences.  ``cluster_by_loop``
+compares each point with every point kept before it, as the library did
+before it compared points inside a window of the trace order.
+``unrank3_by_comb`` names the r-th triple of combinations(range(d), 3) by
+counting the triples that start with each index, in Python integers.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -50,6 +55,7 @@ from maxrep.symplectic import (
     BoundaryPoint,
     SpMat,
     moebius_act,
+    point_distance,
     sp_inverse,
     swap_symplectic,
 )
@@ -294,3 +300,28 @@ def maslov_by_normalization(p1: BoundaryPoint, p2: BoundaryPoint, p3: BoundaryPo
     if q2.is_infinity:
         raise NotTransverse("middle point maps to infinity under normalization")
     return signature(q2.value, tol)
+
+
+def cluster_by_loop(points, cluster_tol: float) -> list[BoundaryPoint]:
+    """First-come greedy clustering: a point is dropped when point_distance
+    to a point kept before it is at most cluster_tol * max(1, |point|)."""
+    kept = []
+    for pt in points:
+        scale = 1.0 if pt.is_infinity else max(1.0, norm_inf(pt.value))
+        if not any(point_distance(pt, q) <= cluster_tol * scale for q in kept):
+            kept.append(pt)
+    return kept
+
+
+def unrank3_by_comb(r: int, d: int) -> tuple[int, int, int]:
+    """The r-th triple of itertools.combinations(range(d), 3), one index at a
+    time: C(d - 1 - i, size - 1) triples extend each choice i."""
+    out, low = [], 0
+    for size in (3, 2, 1):
+        i = low
+        while r >= math.comb(d - 1 - i, size - 1):
+            r -= math.comb(d - 1 - i, size - 1)
+            i += 1
+        out.append(i)
+        low = i + 1
+    return tuple(out)

@@ -51,6 +51,37 @@ end
 boundary p0 2 C1
 """
 
+# every word up to length 2 of this (0, 4) graph is skipped: the huge twist
+# leaves no word with an attracting point
+SKIPPED_WORDS_FILE = """\
+maxrep-graph 1
+n 1
+surface 0 4
+node p0
+  X1
+  -0.6753881184130398
+  X2
+  0.38933183097682367
+  X3
+  -0.6218860400699067
+end
+node p1
+  X1
+  -0.6218860400699067
+  X2
+  0.5286070215678386
+  X3
+  -0.8197241226133112
+end
+edge p0 3 p1 1
+  -94302.2958605013
+end
+boundary p0 1 C1
+boundary p0 2 C2
+boundary p1 2 C3
+boundary p1 3 C4
+"""
+
 POINTS_FILE = """\
 maxrep-points 1
 n 2
@@ -260,6 +291,14 @@ class TestCommands:
             ["limits", pants_file, "--max-word-length", length], capsys)
         assert code == 2
         assert "max_word_length must be at least 1" in err
+        assert "transverse fraction" not in out
+
+    def test_limits_with_every_word_skipped_refuses(self, tmp_path, capsys):
+        f = tmp_path / "skipped.mg"
+        f.write_text(SKIPPED_WORDS_FILE)
+        code, out, err = run_main(["limits", str(f), "--max-word-length", "2"], capsys)
+        assert code == 3
+        assert "NotSHyperbolic: all 64 words up to length 2 were skipped" in err
         assert "transverse fraction" not in out
 
     def test_seed_on_limits_only(self, pants_file, capsys):

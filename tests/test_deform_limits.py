@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -25,8 +26,23 @@ from maxrep.limits import _cluster, _count_transverse, _unrank3, limit_set_sampl
 from maxrep.matcore import DEFAULT_TOL, norm_inf, spectral_radius
 from maxrep.pants import PantsParams, ParamClass, classify_params, toledo_signature_shortcut
 from maxrep.sampling import random_contracting, random_invertible, random_pants_params, random_spd
-from maxrep.symplectic import INFINITY, BoundaryPoint, _point_stack, moebius_act, point_distance, sp_inverse
-from oracles import maslov_by_normalization, sampled_points_by_loop, transverse_by_svd
+from maxrep.maslov import _triple_indices
+from maxrep.symplectic import (
+    INFINITY,
+    BoundaryPoint,
+    _pair_spectra,
+    _point_stack,
+    moebius_act,
+    point_distance,
+    sp_inverse,
+)
+from oracles import (
+    cluster_by_loop,
+    maslov_by_normalization,
+    sampled_points_by_loop,
+    transverse_by_svd,
+    unrank3_by_comb,
+)
 
 
 class TestPaths:
@@ -344,11 +360,7 @@ class TestLimitSample:
 def enumerated_statistics(points, n, seed, max_triples=200, cluster_tol=1e-8):
     """Oracle: the sampler's statistics by pairwise calls and listed triples,
     with transversality by singular values and the index by normalization."""
-    distinct = []
-    for pt in points:
-        scale = 1.0 if pt.is_infinity else max(1.0, norm_inf(pt.value))
-        if not any(point_distance(pt, q) <= cluster_tol * scale for q in distinct):
-            distinct.append(pt)
+    distinct = cluster_by_loop(points, cluster_tol)
     pairs = list(itertools.combinations(range(len(distinct)), 2))
     n_trans = sum(transverse_by_svd(distinct[i], distinct[j]) for i, j in pairs)
     findings = []
@@ -388,11 +400,114 @@ def points_with_infinity(rng, n):
     return pts
 
 
+def loewner_chain(rng, n, d):
+    """d points X_1 < X_2 < ... with positive definite steps, entries below 1."""
+    steps = [0.02 * (a @ a.T) + 0.01 * np.eye(n) for a in rng.normal(size=(d, n, n))]
+    steps = np.array(steps) / max(1.0, 2 * np.sum(np.abs(steps)))
+    return list(np.cumsum(steps, axis=0) - 0.5 * np.eye(n))
+
+
+def margin_chain(rng, n, factor):
+    """A shuffled chain with entries below 1 (so every band is eq_tol) whose
+    diagonal middle link has lambda_min = eq_tol * factor."""
+    x = loewner_chain(rng, n, 9)
+    step = np.diag([DEFAULT_TOL.eq_tol * factor] + [0.01] * (n - 1))
+    x = x[:5] + [x[4] + step] + [y + step for y in x[5:]]
+    return [BoundaryPoint(y) for y in rng.permutation(np.array(x))]
+
+
+def symmetric(rng, n, scale=1.0):
+    a = rng.normal(size=(n, n))
+    return scale * (a + a.T)
+
+
+def sample_stack(kind, rng, n):
+    """Seeded point lists on which the trace order takes different branches."""
+    if kind == "chain":
+        return [BoundaryPoint(x) for x in rng.permutation(np.array(loewner_chain(rng, n, 30)))]
+    if kind == "margin_above":
+        return margin_chain(rng, n, 1 + 1e-6)
+    if kind == "margin_below":
+        return margin_chain(rng, n, 1 - 1e-6)
+    if kind == "equal_trace":   # traceless shifts tie the sort and break the chain
+        shift = np.diag(np.r_[1.0, -1.0, np.zeros(n - 2)]) if n > 1 else np.zeros((1, 1))
+        x = loewner_chain(rng, n, 8)
+        return [BoundaryPoint(y + c * shift) for y in x for c in (0.0, 0.3)]
+    if kind == "indefinite":
+        return [BoundaryPoint(symmetric(rng, n, 10.0 ** rng.integers(-1, 3))) for _ in range(25)]
+    if kind.startswith("infinity_"):
+        pts = [BoundaryPoint(x) for x in loewner_chain(rng, n, 12)]
+        for k in range(int(kind[-1])):
+            pts.insert(int(rng.integers(len(pts) + 1)), INFINITY)
+        return pts
+    if kind == "repeats":
+        pts = [BoundaryPoint(x) for x in loewner_chain(rng, n, 10)]
+        return [pts[k] for k in rng.integers(len(pts), size=20)]
+    if kind == "empty":
+        return []
+    if kind == "one_point":
+        return [BoundaryPoint(symmetric(rng, n))]
+    raise ValueError(kind)
+
+
+STACK_KINDS = ["chain", "margin_above", "margin_below", "equal_trace", "indefinite",
+               "infinity_0", "infinity_1", "infinity_3", "repeats", "empty", "one_point"]
+
+
+def near_copies(rng, pts, tol):
+    """pts with copies at entrywise distance 0.5 and 2 times tol * scale, shuffled."""
+    out = list(pts)
+    for p in pts:
+        if p.is_infinity:
+            continue
+        scale = max(1.0, norm_inf(p.value))
+        for f in (0.5, 2.0):
+            out.append(BoundaryPoint(p.value + f * tol * scale * np.sign(symmetric(rng, len(p.value)))))
+    return [out[k] for k in rng.permutation(len(out))]
+
+
 class TestSamplerStatistics:
-    @pytest.mark.parametrize("d", range(3, 13))
+    @pytest.mark.parametrize("d", range(0, 13))
     def test_unrank3_is_lexicographic(self, d):
         listed = list(itertools.combinations(range(d), 3))
-        assert [_unrank3(r, d) for r in range(len(listed))] == listed
+        assert _unrank3(np.arange(len(listed)), d).tolist() == [list(t) for t in listed]
+
+    def test_unrank3_large_d(self):
+        d = 2000
+        total = math.comb(d, 3)
+        ranks = [0, 1, total - 1] + np.random.default_rng(3).integers(total, size=100).tolist()
+        assert _unrank3(ranks, d).tolist() == [list(unrank3_by_comb(r, d)) for r in ranks]
+
+    @pytest.mark.parametrize("kind", STACK_KINDS)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_count_transverse_matches_pairwise(self, kind, n):
+        pts = sample_stack(kind, np.random.default_rng(n), n)
+        expected = sum(transverse_by_svd(p, q) for p, q in itertools.combinations(pts, 2))
+        assert _count_transverse(_point_stack(pts), DEFAULT_TOL) == expected
+        if kind == "margin_below":
+            assert expected == math.comb(len(pts), 2) - 1
+
+    @pytest.mark.parametrize("kind", STACK_KINDS)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_cluster_matches_greedy_loop(self, kind, n):
+        rng = np.random.default_rng(10 + n)
+        pts = sample_stack(kind, rng, n)
+        pts = near_copies(rng, pts, 1e-8)
+        kept = [pts[i] for i in _cluster(_point_stack(pts), 1e-8)]
+        oracle = cluster_by_loop(pts, 1e-8)
+        assert len(kept) == len(oracle)
+        assert all(a is b for a, b in zip(kept, oracle))
+
+    @pytest.mark.parametrize("order, expected", [
+        ((0, 1, 2), (0, 2)), ((1, 0, 2), (1,)), ((2, 1, 0), (2, 0)), ((1, 2, 0), (1,))])
+    def test_cluster_near_duplicate_chain(self, rng, order, expected):
+        # a ~ b ~ c but a !~ c: which of them survive depends on the input order
+        a = symmetric(rng, 2)
+        step = 0.6e-8 * max(1.0, norm_inf(a)) * np.ones((2, 2))
+        chain = [BoundaryPoint(a), BoundaryPoint(a + step), BoundaryPoint(a + 2 * step)]
+        pts = [chain[k] for k in order]
+        kept = [pts[i] for i in _cluster(_point_stack(pts), 1e-8)]
+        assert kept == cluster_by_loop(pts, 1e-8) == [chain[k] for k in expected]
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_enumeration(self, rng, n):
@@ -412,18 +527,53 @@ class TestSamplerStatistics:
         pts = points_with_infinity(rng, n)
         n_distinct = len(pts) - 1
         pts += pts[::5]   # exact repeats, both infinities among them
-        kept = _cluster(pts, n, 1e-8)
+        kept = [pts[i] for i in _cluster(_point_stack(pts), 1e-8)]
         oracle, *_ = enumerated_statistics(pts, n, 0, max_triples=0)
         assert len(kept) == len(oracle) == n_distinct
         assert all(a is b for a, b in zip(kept, oracle))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_batched_transverse_count(self, rng, n):
+    def test_batched_transverse_count(self, rng, n, monkeypatch):
+        # every pair that is not transverse straddles a failed link, so it
+        # must reach the kernel rather than be counted by the chain
+        import maxrep.limits as limits
+        sent = set()
+
+        def recording(stack, i, j, tol):
+            sent.update(zip(np.asarray(i).tolist(), np.asarray(j).tolist()))
+            return _pair_spectra(stack, i, j, tol)
+
+        monkeypatch.setattr(limits, "_pair_spectra", recording)
         pts = points_with_infinity(rng, n)
-        expected = sum(transverse_by_svd(p, q) for p, q in itertools.combinations(pts, 2))
+        pairs = list(itertools.combinations(range(len(pts)), 2))
+        failing = {(i, j) for i, j in pairs if not transverse_by_svd(pts[i], pts[j])}
         if n > 1:   # rank-one shifts and the pair of infinities fail
-            assert expected < len(pts) * (len(pts) - 1) // 2 - 12
-        assert _count_transverse(_point_stack(pts), DEFAULT_TOL) == expected
+            assert len(failing) > 12
+        assert _count_transverse(_point_stack(pts), DEFAULT_TOL) == len(pairs) - len(failing)
+        finite = {(i, j) for i, j in failing if not (pts[i].is_infinity or pts[j].is_infinity)}
+        assert finite <= sent | {(j, i) for i, j in sent}
+
+    def test_chain_sends_one_link_per_point(self, monkeypatch):
+        # on criterion 11's n = 2 pants the distinct points form one chain in
+        # the trace order: the transverse count sends only its D - 1 links
+        import maxrep.limits as limits
+        sent = []
+
+        def counting(stack, i, j, tol):
+            sent.append(len(i))
+            return _pair_spectra(stack, i, j, tol)
+
+        rng = np.random.default_rng(111)
+        random_pants_params(1, rng, tame=True)   # criterion 11's trial 0
+        rep = pants_surface_rep(random_pants_params(2, rng, tame=True))
+        monkeypatch.setattr(limits, "_pair_spectra", counting)
+        sample = limit_set_sample(rep, max_word_length=4, seed=1)
+        assert sample.transverse_fraction == 1.0
+        assert 0 < sum(sent) <= len(sample.distinct_points) - 1
+
+    def test_triple_indices_without_triples(self, rng):
+        stack = _point_stack([BoundaryPoint(symmetric(rng, 2)), BoundaryPoint(symmetric(rng, 2))])
+        assert _triple_indices(stack, [], DEFAULT_TOL) == ([], [])
 
     def test_length_four_memory(self, rng):
         rep = pants_surface_rep(random_pants_params(2, rng, tame=True))
