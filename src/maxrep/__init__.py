@@ -18,7 +18,6 @@ from .errors import (
     NotCompatible,
     NotContracting,
     NotFixed,
-    NotInvertible,
     NotMaximal,
     NotSHyperbolic,
     NotSymplectic,

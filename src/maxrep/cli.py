@@ -4,8 +4,9 @@ Reads human-writable description files for gluing graphs, boundary points and
 built representations, runs the library and prints line-oriented
 ``key: value`` reports (or JSON with --json).
 
-Exit codes: 0 success, 2 parse error, 3 mathematical refusal (the requested
-object does not exist), 4 numerical breakdown (tolerances could not decide).
+Exit codes: 0 success, 2 parse error (an unreadable or malformed file, or a
+bad argument), 3 mathematical refusal (the requested object does not exist),
+4 numerical breakdown (tolerances could not decide).
 The environment variable MAXREP_TOL overrides the relative comparison
 tolerance; --seed (limits only) seeds the limit-set sampler.
 """
@@ -62,7 +63,13 @@ class ParseError(Exception):
 
 
 class _Reader:
-    def __init__(self, path: str):
+    """The non-blank lines of one input file, comments stripped.
+
+    With a kind the first line must be the header 'maxrep-KIND 1'; without
+    one the file is headerless (a twist file).
+    """
+
+    def __init__(self, path: str, kind: str | None = None):
         try:
             with open(path) as fh:
                 raw = fh.readlines()
@@ -74,16 +81,57 @@ class _Reader:
             if body:
                 self.lines.append((i, body))
         self.pos = 0
+        self.n: int | None = None
+        if kind is not None:
+            line_no, header = self.next()
+            if header.split() != [f"maxrep-{kind}", "1"]:
+                raise ParseError(f"expected header 'maxrep-{kind} 1'", line_no)
 
-    def next(self):
+    def next(self) -> tuple[int, str]:
         if self.pos >= len(self.lines):
             raise ParseError("unexpected end of file")
-        item = self.lines[self.pos]
         self.pos += 1
-        return item
+        return self.lines[self.pos - 1]
 
-    def done(self) -> bool:
-        return self.pos >= len(self.lines)
+    def expect(self, word: str):
+        line_no, body = self.next()
+        if body != word:
+            raise ParseError(f"expected {word!r}", line_no)
+
+    def directives(self, sized: tuple[str, ...], other: tuple[str, ...] = ()):
+        """(line number, tokens) of each directive line after the header.
+
+        Reads 'n' itself, once; a directive in sized reads n-sized matrices,
+        so 'n' must come before it.  Any other directive is an error.
+        """
+        while self.pos < len(self.lines):
+            line_no, body = self.next()
+            toks = body.split()
+            if toks[0] == "n":
+                if self.n is not None:
+                    raise ParseError("'n' may be given only once", line_no)
+                self.n, = _directive_values(toks, line_no, int)
+                if self.n < 1:
+                    raise ParseError("'n' must be at least 1", line_no)
+            elif toks[0] not in sized + other:
+                raise ParseError(f"unknown directive {toks[0]!r}", line_no)
+            elif toks[0] in sized and self.n is None:
+                raise ParseError(f"'n' must come before {toks[0]}s", line_no)
+            else:
+                yield line_no, toks
+
+    def matrix(self, size: int, strict: bool, end: bool = True) -> np.ndarray:
+        """The next size rows of size numbers each, then an 'end' line if end."""
+        rows = []
+        for _ in range(size):
+            line_no, body = self.next()
+            toks = body.split()
+            if len(toks) != size:
+                raise ParseError(f"expected {size} entries, got {len(toks)}", line_no)
+            rows.append([_parse_float(t, line_no, strict) for t in toks])
+        if end:
+            self.expect("end")
+        return np.array(rows)
 
 
 def _parse_float(token: str, line: int, strict: bool) -> float:
@@ -99,30 +147,21 @@ def _parse_float(token: str, line: int, strict: bool) -> float:
     return v
 
 
-def _directive_values(toks: list[str], count: int, convert, line: int) -> list:
-    """The count values of a directive line, converted, or a ParseError."""
-    if len(toks) != count + 1:
-        raise ParseError(f"'{toks[0]}' takes {count} value(s), got {len(toks) - 1}",
+def _directive_values(toks: list[str], line: int, *types) -> list:
+    """The values of a directive line, one converted by each of types."""
+    if len(toks) != len(types) + 1:
+        raise ParseError(f"'{toks[0]}' takes {len(types)} value(s), got {len(toks) - 1}",
                          line)
     try:
-        return [convert(t) for t in toks[1:]]
+        return [convert(t) for convert, t in zip(types, toks[1:])]
     except ValueError:
         raise ParseError(f"bad value for '{toks[0]}': {' '.join(toks[1:])!r}", line)
 
 
-def _read_matrix(reader: _Reader, n: int, strict: bool) -> np.ndarray:
-    rows = []
-    for _ in range(n):
-        line_no, body = reader.next()
-        toks = body.split()
-        if len(toks) != n:
-            raise ParseError(f"expected {n} entries, got {len(toks)}", line_no)
-        rows.append([_parse_float(t, line_no, strict) for t in toks])
-    return np.array(rows)
-
-
-def _format_matrix(m: np.ndarray, indent: str = "  ") -> str:
-    return "\n".join(indent + " ".join(repr(float(v)) for v in row) for row in m)
+def _format_matrix(m, indent: str = "  ") -> str:
+    # repr of a Python float prints the shortest round-tripping decimal
+    return "\n".join(indent + " ".join(map(repr, row))
+                     for row in np.asarray(m, dtype=float).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -130,54 +169,28 @@ def _format_matrix(m: np.ndarray, indent: str = "  ") -> str:
 
 
 def parse_graph_file(path: str, strict: bool = False) -> GluingGraph:
-    reader = _Reader(path)
-    line_no, header = reader.next()
-    if header.split() != ["maxrep-graph", "1"]:
-        raise ParseError("expected header 'maxrep-graph 1'", line_no)
-    n = None
+    reader = _Reader(path, "graph")
     declared = None
     nodes: list[PantsNode] = []
     edges: list[GraphEdge] = []
     boundaries: list[GraphBoundary] = []
-    while not reader.done():
-        line_no, body = reader.next()
-        toks = body.split()
-        key = toks[0]
-        if key == "n":
-            n = _directive_values(toks, 1, int, line_no)[0]
-        elif key == "surface":
-            declared = tuple(_directive_values(toks, 2, int, line_no))
-        elif key == "node":
-            if n is None:
-                raise ParseError("'n' must come before nodes", line_no)
-            if len(toks) != 2:
-                raise ParseError("usage: node NAME", line_no)
-            mats = {}
+    for line_no, toks in reader.directives(("node", "edge"), ("surface", "boundary")):
+        if toks[0] == "surface":
+            declared = tuple(_directive_values(toks, line_no, int, int))
+        elif toks[0] == "node":
+            name, = _directive_values(toks, line_no, str)
+            mats = []
             for want in ("X1", "X2", "X3"):
-                l2, b2 = reader.next()
-                if b2 != want:
-                    raise ParseError(f"expected '{want}'", l2)
-                mats[want] = _read_matrix(reader, n, strict)
-            l2, b2 = reader.next()
-            if b2 != "end":
-                raise ParseError("expected 'end' after node matrices", l2)
-            nodes.append(PantsNode(toks[1], PantsParams(mats["X1"], mats["X2"], mats["X3"])))
-        elif key == "edge":
-            if n is None:
-                raise ParseError("'n' must come before edges", line_no)
-            if len(toks) != 5:
-                raise ParseError("usage: edge UPNODE UPPORT LONODE LOPORT", line_no)
-            tw = _read_matrix(reader, n, strict)
-            l2, b2 = reader.next()
-            if b2 != "end":
-                raise ParseError("expected 'end' after twist matrix", l2)
-            edges.append(GraphEdge((toks[1], int(toks[2])), (toks[3], int(toks[4])), tw))
-        elif key == "boundary":
-            if len(toks) != 4:
-                raise ParseError("usage: boundary NODE PORT LABEL", line_no)
-            boundaries.append(GraphBoundary((toks[1], int(toks[2])), toks[3]))
+                reader.expect(want)
+                mats.append(reader.matrix(reader.n, strict, end=want == "X3"))
+            nodes.append(PantsNode(name, PantsParams(*mats)))
+        elif toks[0] == "edge":
+            up, up_port, lo, lo_port = _directive_values(toks, line_no, str, int, str, int)
+            twist = reader.matrix(reader.n, strict)
+            edges.append(GraphEdge((up, up_port), (lo, lo_port), twist))
         else:
-            raise ParseError(f"unknown directive {key!r}", line_no)
+            node, port, label = _directive_values(toks, line_no, str, int, str)
+            boundaries.append(GraphBoundary((node, port), label))
     graph = GluingGraph(tuple(nodes), tuple(edges), tuple(boundaries))
     gm = graph.surface_type()
     if declared is not None and gm != declared:
@@ -199,7 +212,7 @@ def write_graph_file(graph: GluingGraph, fh, comment: str | None = None):
         fh.write("end\n")
     for e in graph.edges:
         fh.write(f"edge {e.upper[0]} {e.upper[1]} {e.lower[0]} {e.lower[1]}\n")
-        fh.write(_format_matrix(np.asarray(e.twist)) + "\nend\n")
+        fh.write(_format_matrix(e.twist) + "\nend\n")
     for b in graph.boundaries:
         fh.write(f"boundary {b.port[0]} {b.port[1]} {b.label}\n")
 
@@ -217,39 +230,25 @@ def write_rep_file(rep: SurfaceRep, fh):
 
 
 def parse_rep_file(path: str, strict: bool = False) -> tuple[int, int, int, dict[str, np.ndarray]]:
-    reader = _Reader(path)
-    line_no, header = reader.next()
-    if header.split() != ["maxrep-rep", "1"]:
-        raise ParseError("expected header 'maxrep-rep 1'", line_no)
-    n = genus = m = None
+    reader = _Reader(path, "rep")
+    genus = m = None
     gens: dict[str, np.ndarray] = {}
-    while not reader.done():
-        line_no, body = reader.next()
-        toks = body.split()
-        if toks[0] == "n":
-            n = _directive_values(toks, 1, int, line_no)[0]
-        elif toks[0] == "surface":
-            genus, m = _directive_values(toks, 2, int, line_no)
-        elif toks[0] == "generator":
-            if n is None:
-                raise ParseError("'n' must come before generators", line_no)
-            if len(toks) != 2:
-                raise ParseError("usage: generator NAME", line_no)
-            mat = _read_matrix(reader, 2 * n, strict)
-            l2, b2 = reader.next()
-            if b2 != "end":
-                raise ParseError("expected 'end' after generator", l2)
-            gens[toks[1]] = mat
+    for line_no, toks in reader.directives(("generator",), ("surface",)):
+        if toks[0] == "surface":
+            genus, m = _directive_values(toks, line_no, int, int)
+            if min(genus, m) < 0:
+                raise ParseError("genus and boundary count must be at least 0", line_no)
         else:
-            raise ParseError(f"unknown directive {toks[0]!r}", line_no)
-    if n is None or genus is None:
+            name, = _directive_values(toks, line_no, str)
+            gens[name] = reader.matrix(2 * reader.n, strict)
+    if reader.n is None or genus is None:
         raise ParseError("rep file must declare n and surface")
     names = [f"{x}{i}" for x in "AB" for i in range(1, genus + 1)] \
         + [f"C{j}" for j in range(1, m + 1)]
     missing = [name for name in names if name not in gens]
     if missing:
         raise ParseError(f"rep file lacks generators {' '.join(missing)}")
-    return n, genus, m, gens
+    return reader.n, genus, m, gens
 
 
 # ---------------------------------------------------------------------------
@@ -257,236 +256,177 @@ def parse_rep_file(path: str, strict: bool = False) -> tuple[int, int, int, dict
 
 
 def parse_points_file(path: str, strict: bool = False) -> tuple[int, list[BoundaryPoint]]:
-    reader = _Reader(path)
-    line_no, header = reader.next()
-    if header.split() != ["maxrep-points", "1"]:
-        raise ParseError("expected header 'maxrep-points 1'", line_no)
-    n = None
+    reader = _Reader(path, "points")
     pts: list[BoundaryPoint] = []
-    while not reader.done():
-        line_no, body = reader.next()
-        toks = body.split()
-        if toks[0] == "n":
-            n = _directive_values(toks, 1, int, line_no)[0]
-        elif toks[0] == "point":
-            if n is None:
-                raise ParseError("'n' must come before points", line_no)
-            if len(toks) == 2:
-                named = {"inf": INFINITY, "zero": zero_point(n),
-                         "identity": identity_point(n)}
-                if toks[1] not in named:
-                    raise ParseError(f"unknown named point {toks[1]!r}", line_no)
-                pts.append(named[toks[1]])
-            else:
-                pts.append(finite_point(_read_matrix(reader, n, strict)))
+    for line_no, toks in reader.directives(("point",)):
+        n = reader.n
+        if len(toks) == 1:
+            mat = reader.matrix(n, strict, end=False)
+            try:
+                pts.append(finite_point(mat))
+            except ValueError as exc:   # not symmetric
+                raise ParseError(str(exc), line_no)
         else:
-            raise ParseError(f"unknown directive {toks[0]!r}", line_no)
-    return n, pts
+            name, = _directive_values(toks, line_no, str)
+            named = {"inf": INFINITY, "zero": zero_point(n), "identity": identity_point(n)}
+            if name not in named:
+                raise ParseError(f"unknown named point {name!r}", line_no)
+            pts.append(named[name])
+    return reader.n, pts
 
 
 # ---------------------------------------------------------------------------
-# reports
-
-
-class Report:
-    def __init__(self, as_json: bool):
-        self.as_json = as_json
-        self.items: list[tuple[str, object]] = []
-
-    def add(self, key: str, value):
-        self.items.append((key, value))
-
-    def emit(self):
-        if self.as_json:
-            print(json.dumps(dict(self.items), indent=2, default=str))
-        else:
-            for k, v in self.items:
-                print(f"{k}: {v}")
+# commands: each takes the parsed arguments and the tolerance and returns its
+# report as (key, value) pairs
 
 
 def _tolerance(args) -> Tolerance:
-    eq = DEFAULT_TOL.eq_tol
     env = os.environ.get("MAXREP_TOL")
-    if env:
-        eq = float(env)
-    if getattr(args, "tol", None) is not None:
+    try:
+        eq = float(env) if env else DEFAULT_TOL.eq_tol
+    except ValueError:
+        raise ParseError(f"MAXREP_TOL must be a number, got {env!r}")
+    if args.tol is not None:
         eq = args.tol
     if not (math.isfinite(eq) and eq > 0):
         raise ParseError(f"tolerance must be finite and greater than 0, got {eq!r}")
     return Tolerance(eq_tol=eq)
 
 
-def _describe_build(rep: SurfaceRep, graph: GluingGraph, tol: Tolerance, rpt: Report):
+def _write_out(path: str | None, write):
+    """Write the --out file, when one is asked for, with write(fh)."""
+    if path:
+        with open(path, "w") as fh:
+            write(fh)
+
+
+def _signs(sig) -> str:
+    return "(" + ", ".join("+" if s > 0 else "-" for s in sig) + ")"
+
+
+def _describe_build(rep: SurfaceRep, graph: GluingGraph, tol: Tolerance) -> list:
     g, m = graph.surface_type()
-    rpt.add("surface", f"genus {g}, boundaries {m}")
-    rpt.add("n", rep.n)
+    report = [("status", "ok"), ("surface", f"genus {g}, boundaries {m}"), ("n", rep.n)]
     for nd in graph.nodes:
-        rpt.add(f"node {nd.name} class", classify_params(nd.params, tol).value)
-        rpt.add(f"node {nd.name} toledo",
-                str(toledo_signature_shortcut(nd.params, tol)))
-    rpt.add("relation residual", f"{rep.relation_residual:.6e}")
+        report.append((f"node {nd.name} class", classify_params(nd.params, tol).value))
+        report.append((f"node {nd.name} toledo",
+                       str(toledo_signature_shortcut(nd.params, tol))))
+    return report + [("relation residual", f"{rep.relation_residual:.6e}")]
 
 
-# ---------------------------------------------------------------------------
-# commands
-
-
-def cmd_build(args) -> int:
-    tol = _tolerance(args)
+def cmd_build(args, tol: Tolerance) -> list:
     graph = parse_graph_file(args.file, args.strict)
     rep = build_from_graph(graph, tol)
-    rpt = Report(args.json)
-    rpt.add("status", "ok")
-    _describe_build(rep, graph, tol, rpt)
-    rpt.add("generators", " ".join(rep.generator_images().keys()))
-    rpt.emit()
-    if args.out:
-        with open(args.out, "w") as fh:
-            write_rep_file(rep, fh)
-    return 0
+    _write_out(args.out, lambda fh: write_rep_file(rep, fh))
+    return _describe_build(rep, graph, tol) \
+        + [("generators", " ".join(rep.generator_images().keys()))]
 
 
-def cmd_verify(args) -> int:
-    tol = _tolerance(args)
-    head = ""
-    with open(args.file) as fh:
-        for line in fh:
-            head = line.split("#", 1)[0].strip()
-            if head:
-                break
-    rpt = Report(args.json)
-    if head.startswith("maxrep-graph"):
+def cmd_verify(args, tol: Tolerance) -> list:
+    lines = _Reader(args.file).lines
+    if lines and lines[0][1].startswith("maxrep-graph"):
         graph = parse_graph_file(args.file, args.strict)
-        rep = build_from_graph(graph, tol)
-        rpt.add("status", "ok")
-        _describe_build(rep, graph, tol, rpt)
-    else:
-        n, genus, m, gens = parse_rep_file(args.file, args.strict)
-        worst = 0.0
-        for name, mat in gens.items():
-            res, _ = symplectic_residual(mat)
-            rpt.add(f"generator {name} symplectic residual", f"{res:.6e}")
-            worst = max(worst, res)
-        a = [SpMat(gens[f"A{i}"]) for i in range(1, genus + 1)]
-        b = [SpMat(gens[f"B{i}"]) for i in range(1, genus + 1)]
-        c = [SpMat(gens[f"C{j}"]) for j in range(1, m + 1)]
-        rel = relation_residual(n, a, b, c)
-        rpt.add("relation residual", f"{rel:.6e}")
-        rpt.add("status", "ok" if worst <= 1e-6 and rel <= 1e-6 else "suspect")
-    rpt.emit()
-    return 0
+        return _describe_build(build_from_graph(graph, tol), graph, tol)
+    n, genus, m, gens = parse_rep_file(args.file, args.strict)
+    residuals = {name: symplectic_residual(mat)[0] for name, mat in gens.items()}
+    a, b, c = ([SpMat(gens[f"{x}{i}"]) for i in range(1, k + 1)]
+               for x, k in (("A", genus), ("B", genus), ("C", m)))
+    rel = relation_residual(n, a, b, c)
+    ok = all(res <= 1e-6 for res in residuals.values()) and rel <= 1e-6
+    return [(f"generator {name} symplectic residual", f"{res:.6e}")
+            for name, res in residuals.items()] \
+        + [("relation residual", f"{rel:.6e}"), ("status", "ok" if ok else "suspect")]
 
 
-def cmd_toledo(args) -> int:
-    tol = _tolerance(args)
+def cmd_toledo(args, tol: Tolerance) -> list:
     graph = parse_graph_file(args.file, args.strict)
-    rpt = Report(args.json)
-    total = Fraction(0)
+    report, total = [], Fraction(0)
     for nd in graph.nodes:
         t_short = toledo_signature_shortcut(nd.params, tol)
-        rep = build_maximal(nd.params, tol)
         tr = Triple(zero_point(graph.n), identity_point(graph.n), INFINITY)
-        t_index = toledo(rep, tr, tol=tol)
-        rpt.add(f"node {nd.name} T (signature route)", str(t_short))
-        rpt.add(f"node {nd.name} T (index route)", str(t_index))
+        t_index = toledo(build_maximal(nd.params, tol), tr, tol=tol)
+        report.append((f"node {nd.name} T (signature route)", str(t_short)))
+        report.append((f"node {nd.name} T (index route)", str(t_index)))
         total += t_short
-    rpt.add("T", str(total))
-    rpt.emit()
-    return 0
+    return report + [("T", str(total))]
 
 
-def cmd_maslov(args) -> int:
-    tol = _tolerance(args)
+def cmd_maslov(args, tol: Tolerance) -> list:
     n, pts = parse_points_file(args.file, args.strict)
     if len(pts) != 3:
         raise ParseError(f"need exactly three points, got {len(pts)}")
-    b = maslov(Triple(*pts), tol)
-    rpt = Report(args.json)
-    rpt.add("n", n)
-    rpt.add("maslov", b)
-    rpt.emit()
-    return 0
+    return [("n", n), ("maslov", maslov(Triple(*pts), tol))]
 
 
-def cmd_components(args) -> int:
-    tol = _tolerance(args)
+def cmd_components(args, tol: Tolerance) -> list:
     graph = parse_graph_file(args.file, args.strict)
-    rep = build_from_graph(graph, tol)
-    sig = component_signature(rep, tol)
+    sig = component_signature(build_from_graph(graph, tol), tol)
     g, m = graph.surface_type()
-    rpt = Report(args.json)
-    rpt.add("surface", f"genus {g}, boundaries {m}")
-    rpt.add("signature", "(" + ", ".join("+" if s > 0 else "-" for s in sig) + ")")
-    rpt.add("components", f"2^{2 * g + m - 1} = {2 ** (2 * g + m - 1)}")
-    rpt.emit()
-    return 0
+    return [("surface", f"genus {g}, boundaries {m}"), ("signature", _signs(sig)),
+            ("components", f"2^{2 * g + m - 1} = {2 ** (2 * g + m - 1)}")]
 
 
-def cmd_glue(args) -> int:
-    tol = _tolerance(args)
+def cmd_glue(args, tol: Tolerance) -> list:
     graph1 = parse_graph_file(args.file1, args.strict)
     graph2 = parse_graph_file(args.file2, args.strict)
     rep1 = build_from_graph(graph1, tol)
     rep2 = build_from_graph(graph2, tol)
+    for path, rep, label in ((args.file1, rep1, args.boundary1),
+                             (args.file2, rep2, args.boundary2)):
+        if label not in rep.boundary_labels():
+            raise ParseError(f"{path} has no boundary labelled {label!r}")
+    overlap = (set(rep1.boundary_labels()) - {args.boundary1}) \
+        & (set(rep2.boundary_labels()) - {args.boundary2})
+    if overlap:
+        raise ParseError(f"boundary labels collide: {sorted(overlap)}")
     reader = _Reader(args.twist_file)
-    twist = _read_matrix(reader, graph1.n, args.strict)
+    twist = reader.matrix(graph1.n, args.strict, end=False)
+    if reader.pos < len(reader.lines):
+        raise ParseError("expected end of file after the twist matrix",
+                         reader.lines[reader.pos][0])
     rep = glue_reps(rep1, args.boundary1, rep2, args.boundary2, twist, tol)
-    rpt = Report(args.json)
-    rpt.add("status", "ok")
-    rpt.add("surface", f"genus {rep.genus}, boundaries {rep.m}")
-    rpt.add("relation residual", f"{rep.relation_residual:.6e}")
-    rpt.emit()
-    if args.out:
-        with open(args.out, "w") as fh:
-            write_rep_file(rep, fh)
-    return 0
+    _write_out(args.out, lambda fh: write_rep_file(rep, fh))
+    return [("status", "ok"), ("surface", f"genus {rep.genus}, boundaries {rep.m}"),
+            ("relation residual", f"{rep.relation_residual:.6e}")]
 
 
-def cmd_deform(args) -> int:
-    tol = _tolerance(args)
+def cmd_deform(args, tol: Tolerance) -> list:
     graph = parse_graph_file(args.file, args.strict)
+    if args.steps < 1:
+        raise ParseError(f"steps must be at least 1, got {args.steps}")
     path = deform_to_standard(graph, steps=args.steps, tol=tol)
-    rpt = Report(args.json)
-    rpt.add("status", "ok")
-    rpt.add("snapshots", len(path))
-    rpt.add("signature", "(" + ", ".join("+" if s > 0 else "-" for s in path.signature) + ")")
-    rpt.emit()
-    if args.out:
-        with open(args.out, "w") as fh:
-            for i, snap in enumerate(path.snapshots):
-                fh.write(f"# snapshot {i}\n")
-                write_graph_file(snap, fh)
-                fh.write("\n")
-    return 0
+
+    def write(fh):
+        for i, snap in enumerate(path.snapshots):
+            write_graph_file(snap, fh, f"snapshot {i}")
+            fh.write("\n")
+
+    _write_out(args.out, write)
+    return [("status", "ok"), ("snapshots", len(path)), ("signature", _signs(path.signature))]
 
 
-def cmd_limits(args) -> int:
-    tol = _tolerance(args)
+def cmd_limits(args, tol: Tolerance) -> list:
     graph = parse_graph_file(args.file, args.strict)
     rep = build_from_graph(graph, tol)
+    if args.max_word_length < 1:
+        raise ParseError(f"max_word_length must be at least 1, got {args.max_word_length}")
     sample = limit_set_sample(rep, max_word_length=args.max_word_length,
                               tol=tol, seed=args.seed)
-    rpt = Report(args.json)
-    rpt.add("status", "ok")
-    rpt.add("words sampled", len(sample.points))
-    rpt.add("words skipped", sample.skipped_words)
-    rpt.add("distinct points", len(sample.distinct_points))
-    rpt.add("transverse fraction", f"{sample.transverse_fraction:.6f}")
-    rpt.add("beta histogram",
-            " ".join(f"{k}:{v}" for k, v in sorted(sample.beta_histogram.items())))
-    for f in sample.findings:
-        rpt.add("finding", f)
-    rpt.emit()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("maxrep-limits 1\n")
-            for word, pt in sample.points:
-                fh.write(f"word {word}\n")
-                if pt.is_infinity:
-                    fh.write("  inf\n")
-                else:
-                    fh.write(_format_matrix(pt.value) + "\n")
-    return 0
+
+    def write(fh):
+        fh.write("maxrep-limits 1\n")
+        for word, pt in sample.points:
+            fh.write(f"word {word}\n")
+            fh.write("  inf\n" if pt.is_infinity else _format_matrix(pt.value) + "\n")
+
+    _write_out(args.out, write)
+    histogram = sorted(sample.beta_histogram.items())
+    return [("status", "ok"), ("words sampled", len(sample.points)),
+            ("words skipped", sample.skipped_words),
+            ("distinct points", len(sample.distinct_points)),
+            ("transverse fraction", f"{sample.transverse_fraction:.6f}"),
+            ("beta histogram", " ".join(f"{k}:{v}" for k, v in histogram)),
+            *(("finding", f) for f in sample.findings)]
 
 
 # ---------------------------------------------------------------------------
@@ -498,76 +438,45 @@ def _build_parser() -> argparse.ArgumentParser:
         description="maximal surface-group representations into Sp(2n, R)")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help, files, *options):
+        p = sub.add_parser(name, help=help)
+        for f in files:
+            p.add_argument(f)
+        for flag, kw in options:
+            p.add_argument(flag, **kw)
         p.add_argument("--tol", type=float, default=None,
                        help="relative comparison tolerance, finite and > 0 (default 1e-9)")
         p.add_argument("--json", action="store_true", help="structured output")
         p.add_argument("--strict", action="store_true",
                        help="reject numbers that do not round-trip exactly")
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("build", help="build a representation from a graph file")
-    p.add_argument("file")
-    p.add_argument("--out", help="write generator images to this file")
-    common(p)
-    p.set_defaults(func=cmd_build)
-
-    p = sub.add_parser("verify", help="verify a graph or generator-image file")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("toledo", help="characteristic numbers per pants node")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(func=cmd_toledo)
-
-    p = sub.add_parser("maslov", help="index of a three-point file")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(func=cmd_maslov)
-
-    p = sub.add_parser("components", help="component signature of a graph")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(func=cmd_components)
-
-    p = sub.add_parser("glue", help="glue two built graphs along boundaries")
-    p.add_argument("file1")
-    p.add_argument("boundary1")
-    p.add_argument("file2")
-    p.add_argument("boundary2")
-    p.add_argument("--twist-file", required=True)
-    p.add_argument("--out")
-    common(p)
-    p.set_defaults(func=cmd_glue)
-
-    p = sub.add_parser("deform", help="deform a graph to its standard representative")
-    p.add_argument("file")
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--out")
-    common(p)
-    p.set_defaults(func=cmd_deform)
-
-    p = sub.add_parser("limits", help="sample the limit set of a built graph")
-    p.add_argument("file")
-    p.add_argument("--max-word-length", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0, help="seed of the sampled triples")
-    p.add_argument("--out")
-    common(p)
-    p.set_defaults(func=cmd_limits)
-
+    out = ("--out", {})
+    command("build", cmd_build, "build a representation from a graph file", ["file"],
+            ("--out", dict(help="write generator images to this file")))
+    command("verify", cmd_verify, "verify a graph or generator-image file", ["file"])
+    command("toledo", cmd_toledo, "characteristic numbers per pants node", ["file"])
+    command("maslov", cmd_maslov, "index of a three-point file", ["file"])
+    command("components", cmd_components, "component signature of a graph", ["file"])
+    command("glue", cmd_glue, "glue two built graphs along boundaries",
+            ["file1", "boundary1", "file2", "boundary2"],
+            ("--twist-file", dict(required=True)), out)
+    command("deform", cmd_deform, "deform a graph to its standard representative", ["file"],
+            ("--steps", dict(type=int, default=100)), out)
+    command("limits", cmd_limits, "sample the limit set of a built graph", ["file"],
+            ("--max-word-length", dict(type=int, default=4)),
+            ("--seed", dict(type=int, default=0, help="seed of the sampled triples")), out)
     return top
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         # an overflow ends in a NumericalBreakdown from check_finite, not in
         # floating-point warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
-    except ParseError as exc:
+            report = args.func(args, _tolerance(args))
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR
     except MathematicalRefusal as exc:
@@ -576,9 +485,12 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalBreakdown as exc:
         print(f"numerical breakdown: {type(exc).__name__}: {exc}", file=sys.stderr)
         return BREAKDOWN
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return PARSE_ERROR
+    if args.json:
+        print(json.dumps(dict(report), indent=2, default=str))
+    else:
+        for key, value in report:
+            print(f"{key}: {value}")
+    return 0
 
 
 if __name__ == "__main__":

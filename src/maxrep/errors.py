@@ -50,10 +50,6 @@ class NotCompatible(MathematicalRefusal):
     """Twist compatibility (conjugacy of transposed lengths) fails."""
 
 
-class NotInvertible(MathematicalRefusal):
-    """A matrix required to be invertible is singular within tolerance."""
-
-
 class CannotGlue(MathematicalRefusal):
     """Gluing condition fails along an edge."""
 

@@ -718,7 +718,7 @@ def build_from_graph(graph: GluingGraph, tol: Tolerance = DEFAULT_TOL) -> Surfac
                 node.params, tol,
                 labels=tuple(f"{node.name}.{s}" for s in (1, 2, 3)))
         p = node.params
-        tw = _loop_twist(loop.twist, loop.upper[1])
+        tw = _loop_twist(require_invertible(loop.twist, tol, "handle twist"), loop.upper[1])
         defect = _twist_defect(tw, p.X1, slot_glue_length(p, 3), tol)
         if defect is not None:
             raise CannotGlue(
@@ -787,7 +787,8 @@ def component_signature(rep_or_graph, tol: Tolerance = DEFAULT_TOL) -> tuple[int
     the representation space.  A representation gives its handles in
     creation order.  A gluing graph is read without building: self-edge
     handles in node order, then closure edges in edge order, which is the
-    order build_from_graph gives the representation of that graph.
+    order build_from_graph gives the representation of that graph.  A
+    closed surface has no signature (GraphInvalid).
     """
     if isinstance(rep_or_graph, GluingGraph):
         self_edges, _, closures = _gluing_plan(rep_or_graph)
@@ -802,7 +803,7 @@ def component_signature(rep_or_graph, tol: Tolerance = DEFAULT_TOL) -> tuple[int
         handle_signs = rep_or_graph.handle_signs
         ports = [(p.node, p.slot) for p in rep_or_graph.ports]
     if not ports:
-        raise ValueError("component signatures are defined for surfaces with boundary")
+        raise GraphInvalid("component signatures are defined for surfaces with boundary")
     signs = [s for pair in handle_signs for s in pair]
     signs += [_det_sign(params[node].matrices()[slot - 1], "boundary")
               for node, slot in ports[:-1]]

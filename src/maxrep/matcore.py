@@ -229,31 +229,6 @@ def _char_poly_matches(x: np.ndarray, y: np.ndarray, tol: Tolerance) -> bool:
     return norm_inf(cx - cy) <= max(1e-8, 100 * tol.eq_tol) * floor
 
 
-def _realify_eigvecs(w: np.ndarray, v: np.ndarray) -> np.ndarray | None:
-    """Real basis from an eigendecomposition of a real matrix.
-
-    Eigenvalues must be simple (up to conjugate pairing); returns None when
-    clustering makes the pairing ambiguous.
-    """
-    order = np.lexsort((w.imag, w.real))
-    w, v = w[order], v[:, order]
-    cols = []
-    i = 0
-    n = w.size
-    while i < n:
-        if abs(w[i].imag) <= 1e-12 * max(1.0, abs(w[i])):
-            cols.append(v[:, i].real)
-            i += 1
-        else:
-            # conjugate pair: lexsort puts -im first
-            if i + 1 >= n or abs(w[i + 1] - np.conj(w[i])) > 1e-8 * max(1.0, abs(w[i])):
-                return None
-            cols.append(v[:, i].real)
-            cols.append(v[:, i].imag)
-            i += 2
-    return np.column_stack(cols)
-
-
 def commutant_search(pairs, cutoff: float, accept):
     """First element K of {K : K X = Y K for every pair (X, Y)} that accept takes.
 
@@ -286,17 +261,16 @@ def commutant_search(pairs, cutoff: float, accept):
 def similarity_witness(x, y, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
     """Invertible G with G X G^{-1} = Y, or None if X and Y are not similar.
 
-    Strategy: characteristic-polynomial reject, then eigenvector alignment,
-    then commutant_search on the pair (X, Y) for an invertible element.
-    None encodes non-similarity (or a search that found no invertible
-    element); a returned G always satisfies the residual bound eq_tol
-    relative to ||Y||.
+    Strategy: characteristic-polynomial reject, then commutant_search on the
+    pair (X, Y) for an invertible element, which covers every spectrum,
+    repeated and derogatory ones included.  None encodes non-similarity (or
+    a search that found no invertible element); a returned G always
+    satisfies the residual bound eq_tol relative to ||Y||.
     """
     x = require_invertible(x, tol, "similarity X")
     y = require_invertible(y, tol, "similarity Y")
-    if x.shape != y.shape:
+    if x.shape != y.shape or not _char_poly_matches(x, y, tol):
         return None
-    n = x.shape[0]
     bound = rel_bound(tol.eq_tol, y)
 
     def accept(g):
@@ -306,22 +280,6 @@ def similarity_witness(x, y, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
         if norm_inf(g @ x @ np.linalg.inv(g) - y) <= bound:
             return g
         return None
-
-    if not _char_poly_matches(x, y, tol):
-        return None
-
-    wx, vx = np.linalg.eig(x)
-    wy, vy = np.linalg.eig(y)
-    gaps = np.abs(np.subtract.outer(wx, wx))
-    np.fill_diagonal(gaps, np.inf)
-    if n == 1 or gaps.min() > 1e-7 * max(1.0, norm_inf(np.abs(wx))):
-        # simple spectrum: align realified eigenbases
-        rx = _realify_eigvecs(wx, vx)
-        ry = _realify_eigvecs(wy, vy)
-        if rx is not None and ry is not None:
-            g = accept(ry @ np.linalg.inv(rx))
-            if g is not None:
-                return g
 
     return commutant_search([(x, y)], max(1e-10, 100 * tol.eq_tol), accept)
 

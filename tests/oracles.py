@@ -17,6 +17,7 @@ compares each point with every point kept before it, as the library did
 before it compared points inside a window of the trace order.
 ``unrank3_by_comb`` names the r-th triple of combinations(range(d), 3) by
 counting the triples that start with each index, in Python integers.
+``NotInvertible`` is the refusal of the Cayley transforms at a singular point.
 """
 
 import math
@@ -26,9 +27,9 @@ import numpy as np
 from scipy.linalg import schur
 
 from maxrep.errors import (
+    MathematicalRefusal,
     MaxRepError,
     NearSingular,
-    NotInvertible,
     NotMaximal,
     NotSHyperbolic,
     NotTransverse,
@@ -59,6 +60,10 @@ from maxrep.symplectic import (
     sp_inverse,
     swap_symplectic,
 )
+
+
+class NotInvertible(MathematicalRefusal):
+    """A matrix required to be invertible is singular within tolerance."""
 
 
 def signature(s, tol: Tolerance = DEFAULT_TOL) -> int:

@@ -40,15 +40,6 @@ from maxrep.pants import (
     toledo,
     toledo_signature_shortcut,
 )
-from maxrep.sampling import (
-    random_contracting,
-    random_handle_data,
-    random_invertible,
-    random_pants_params,
-    random_spd,
-    random_symplectic,
-    random_transverse_points,
-)
 from maxrep.symplectic import (
     INFINITY,
     finite_point,
@@ -57,8 +48,16 @@ from maxrep.symplectic import (
     sp_inverse,
     zero_point,
 )
-
-from tests_support import chain_graph  # noqa: F401  (shared generator, see module)
+from tests_support import (
+    chain_graph,
+    random_contracting,
+    random_handle_data,
+    random_invertible,
+    random_pants_params,
+    random_spd,
+    random_symplectic,
+    random_transverse_points,
+)
 
 
 def report(num, name, ok, detail):

@@ -1,3 +1,4 @@
+import io
 import os
 import subprocess
 import sys
@@ -9,11 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maxrep
-from maxrep.cli import main, parse_graph_file, write_graph_file
+from maxrep.cli import (
+    ParseError,
+    main,
+    parse_graph_file,
+    parse_points_file,
+    parse_rep_file,
+    write_graph_file,
+    write_rep_file,
+)
 from maxrep.deform import deform_to_standard, standard_sign_graph
-from maxrep.errors import NotCompatible
-from maxrep.gluing import GluingGraph, GraphEdge
-from tests_support import chain_graph, patch_nan_twist
+from maxrep.errors import MaxRepError, NotCompatible
+from maxrep.gluing import GluingGraph, GraphEdge, PantsNode, build_from_graph
+from maxrep.pants import PantsParams
+from tests_support import chain_graph, patch_nan_twist, random_handle_data
 
 PANTS_FILE = """\
 maxrep-graph 1
@@ -386,6 +396,7 @@ class TestMalformedFiles:
         ("surface 0 3\n", "surface 0 3\ntol\n", 5),
         ("surface 0 3\n", "surface 0 3\nseed\n", 5),
         ("n 1\n", "n one\n", 3),
+        ("surface 0 3\n", "surface 0 3\nn 1\n", 5),
     ])
     def test_graph_file(self, tmp_path, capsys, old, new, line):
         f = tmp_path / "bad.mg"
@@ -407,6 +418,7 @@ class TestMalformedFiles:
         ("n 1\n", "n\n", 2),
         ("surface 0 1\n", "surface\n", 3),
         ("surface 0 1\n", "surface 0 1\ngenerator\n", 4),
+        ("surface 0 1\n", "surface -1 -1\n", 3),
     ])
     def test_rep_file(self, tmp_path, capsys, old, new, line):
         f = tmp_path / "bad.mr"
@@ -429,6 +441,13 @@ class TestMalformedFiles:
         code, _, err = run_main(["maslov", str(f)], capsys)
         assert code == 2
         assert "(line 2)" in err
+
+    def test_points_of_two_sizes(self, tmp_path, capsys):
+        f = tmp_path / "bad.mp"
+        f.write_text(POINTS_FILE.replace("point identity\n", "n 1\npoint identity\n"))
+        code, _, err = run_main(["maslov", str(f)], capsys)
+        assert code == 2
+        assert "'n' may be given only once (line 4)" in err
 
 
 class TestModuleEntryPoint:
@@ -469,3 +488,206 @@ class TestGraphFileRoundTrip:
                 assert np.array_equal(a, b)
         for e0, e1 in zip(graph.edges, parsed.edges):
             assert np.array_equal(np.asarray(e0.twist), np.asarray(e1.twist))
+
+
+class TestExitBoundary:
+    """main turns parse errors, refusals and breakdowns into exit codes 2, 3
+    and 4; any other exception is a fault of the program and escapes."""
+
+    def test_linalg_error_is_not_a_parse_error(self, pants_file, monkeypatch):
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("internal fault")
+
+        monkeypatch.setattr(maxrep.cli, "build_from_graph", broken)
+        with pytest.raises(np.linalg.LinAlgError):
+            main(["build", pants_file])
+
+    @pytest.mark.parametrize("labels, message", [
+        (("NOPE", "D1"), "pants.mg has no boundary labelled 'NOPE'"),
+        (("C3", "NOPE"), "pants2.mg has no boundary labelled 'NOPE'"),
+        (("C3", "C1"), "boundary labels collide: ['C2']"),
+    ])
+    def test_glue_labels(self, pants_file, tmp_path, capsys, labels, message):
+        other = tmp_path / "pants2.mg"
+        other.write_text(PANTS_FILE.replace("C", "D") if labels[1] != "C1" else PANTS_FILE)
+        tw = tmp_path / "twist.mt"
+        tw.write_text("1.0\n")
+        code, out, err = run_main(
+            ["glue", pants_file, labels[0], str(other), labels[1], "--twist-file", str(tw)],
+            capsys)
+        assert code == 2 and out == ""
+        assert message in err and "Traceback" not in err
+
+    def test_twist_file_with_extra_rows(self, pants_file, tmp_path, capsys):
+        other = tmp_path / "pants2.mg"
+        other.write_text(PANTS_FILE.replace("C", "D"))
+        tw = tmp_path / "twist.mt"
+        tw.write_text("1.0\n2.0\n")
+        code, out, err = run_main(
+            ["glue", pants_file, "C3", str(other), "D1", "--twist-file", str(tw)], capsys)
+        assert code == 2 and out == ""
+        assert "expected end of file after the twist matrix (line 2)" in err
+
+    def test_tol_env_not_a_number(self, pants_file, capsys, monkeypatch):
+        monkeypatch.setenv("MAXREP_TOL", "abc")
+        code, _, err = run_main(["build", pants_file], capsys)
+        assert code == 2
+        assert "MAXREP_TOL must be a number, got 'abc'" in err
+
+    def test_points_file_not_symmetric(self, tmp_path, capsys):
+        f = tmp_path / "pts.mp"
+        f.write_text("maxrep-points 1\nn 2\npoint zero\npoint\n  1.0 0.5\n  0.4 -1.0\n"
+                     "point inf\n")
+        code, _, err = run_main(["maslov", str(f)], capsys)
+        assert code == 2
+        assert "not symmetric" in err and "(line 4)" in err
+
+    def test_port_not_a_number(self, torus_file, tmp_path, capsys):
+        f = tmp_path / "bad.mg"
+        f.write_text(TORUS_FILE.replace("edge p0 3 p0 1", "edge p0 x p0 1"))
+        code, _, err = run_main(["build", str(f)], capsys)
+        assert code == 2
+        assert "bad value for 'edge': 'p0 x p0 1' (line 13)" in err
+
+    def test_n_below_one(self, tmp_path, capsys):
+        f = tmp_path / "bad.mg"
+        f.write_text(PANTS_FILE.replace("n 1\n", "n 0\n"))
+        code, _, err = run_main(["build", str(f)], capsys)
+        assert code == 2
+        assert "'n' must be at least 1 (line 2)" in err
+
+    def test_singular_handle_twist(self, tmp_path, capsys):
+        f = tmp_path / "bad.mg"
+        f.write_text(TORUS_FILE.replace("  1.0\nend", "  0.0\nend"))
+        code, _, err = run_main(["build", str(f)], capsys)
+        assert code == 4
+        assert "Singular: handle twist is singular" in err
+
+    def test_components_of_closed_surface_refused(self, tmp_path, capsys):
+        # two handles glued along their remaining boundaries: genus 2, m = 0
+        x1, x2, h = random_handle_data(1, np.random.default_rng(0))
+        x3 = h @ x1.T @ np.linalg.inv(h)
+        hi = np.linalg.inv(h)
+        graph = GluingGraph(
+            (PantsNode("p0", PantsParams(x1, x2, x3)),
+             PantsNode("p1", PantsParams(x3.T, x2.T, hi @ x3 @ h))),
+            (GraphEdge(("p0", 3), ("p0", 1), h), GraphEdge(("p1", 3), ("p1", 1), hi),
+             GraphEdge(("p0", 2), ("p1", 2), np.eye(1))), ())
+        f = tmp_path / "closed.mg"
+        with open(f, "w") as fh:
+            write_graph_file(graph, fh)
+        code, _, _ = run_main(["build", str(f)], capsys)
+        assert code == 0
+        code, out, err = run_main(["components", str(f)], capsys)
+        assert code == 3 and out == ""
+        assert "GraphInvalid: component signatures are defined for surfaces with boundary" in err
+
+    def test_missing_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.mr")
+        code, _, err = run_main(["verify", missing], capsys)
+        assert code == 2
+        assert f"cannot read {missing}" in err
+
+    def test_out_written_before_report(self, pants_file, tmp_path, capsys):
+        code, out, err = run_main(
+            ["build", pants_file, "--out", str(tmp_path / "no" / "rep.mr")], capsys)
+        assert code == 2 and out == ""
+        assert "No such file or directory" in err
+
+
+class TestExitCodeFuzz:
+    """Seeded mutations of graph, rep and points files.
+
+    Each mutation scales, zeroes or perturbs one matrix entry, puts a
+    non-number in its place, or drops one token of any line.  Every run
+    exits 0, 2, 3 or 4 with no exception or warning escaping main, and exits
+    2 exactly when the parser rejects the file.
+    """
+
+    COMMANDS = {
+        "graph": [["build"], ["components"], ["deform", "--steps", "10"],
+                  ["limits", "--max-word-length", "2"], ["toledo"]],
+        "rep": [["verify"]],
+        "points": [["maslov"]],
+    }
+    PARSERS = {"graph": parse_graph_file, "rep": parse_rep_file, "points": parse_points_file}
+
+    @staticmethod
+    def base_files():
+        files = []
+        for k, (g, m, n) in enumerate([(0, 3, 1), (1, 1, 1), (0, 4, 1), (1, 2, 1),
+                                       (0, 3, 2), (1, 1, 2), (0, 4, 2), (1, 2, 2)]):
+            graph = chain_graph(g, m, n, np.random.default_rng(k))
+            for kind, write, obj in (("graph", write_graph_file, graph),
+                                     ("rep", write_rep_file, build_from_graph(graph))):
+                buf = io.StringIO()
+                write(obj, buf)
+                files.append((kind, buf.getvalue()))
+        def rows(m):
+            return "".join("  " + " ".join(map(repr, r)) + "\n" for r in m.tolist())
+
+        rng = np.random.default_rng(9)
+        for n in (1, 2, 3):
+            s = rng.normal(size=(n, n))
+            files.append(("points", f"maxrep-points 1\nn {n}\npoint zero\npoint\n"
+                                    f"{rows(s + s.T)}point identity\n"))
+            files.append(("points", f"maxrep-points 1\nn {n}\npoint\n{rows(-np.eye(n))}"
+                                    f"point\n{rows(2 * np.eye(n))}point inf\n"))
+        return files
+
+    @staticmethod
+    def mutate(text, rng):
+        def numeric(line):
+            try:
+                return [float(t) for t in line.split()] != []
+            except ValueError:
+                return False
+
+        lines = text.split("\n")
+        op = int(rng.integers(5))
+        rows = [i for i, line in enumerate(lines) if (line.strip() if op == 4 else numeric(line))]
+        i = int(rng.choice(rows))
+        toks = lines[i].split()
+        j = int(rng.integers(len(toks)))
+        if op == 0:
+            toks[j] = repr(float(toks[j]) * 10.0 ** rng.choice([-300, -12, -6, 6, 12, 300]))
+        elif op == 1:
+            toks[j] = "0.0"
+        elif op == 2:
+            toks[j] = repr(float(toks[j]) * (1 + 1e-3 * rng.normal()))
+        elif op == 3:
+            toks[j] = str(rng.choice(["fish", "1e", "0,5", "+-1"]))
+        else:
+            del toks[j]
+        lines[i] = "  " + " ".join(toks)
+        return "\n".join(lines)
+
+    def rejected(self, kind, path):
+        try:
+            parsed = self.PARSERS[kind](path)
+        except ParseError:
+            return True
+        except MaxRepError:
+            return False
+        return kind == "points" and len(parsed[1]) != 3
+
+    def test_exit_codes(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        bases = self.base_files()
+        seen, wrong = set(), []
+        for r in range(120):
+            kind, text = bases[r % len(bases)]
+            path = tmp_path / f"f{r}.{kind}"
+            path.write_text(self.mutate(text, rng))
+            rejected = self.rejected(kind, str(path))
+            for command in self.COMMANDS[kind]:
+                argv = [command[0], str(path), *command[1:]]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code = main(argv)
+                capsys.readouterr()
+                seen.add(code)
+                if code not in (0, 2, 3, 4) or (code == 2) != rejected:
+                    wrong.append((argv, code, rejected, path.read_text()))
+        assert not wrong, wrong[0]
+        assert seen == {0, 2, 3, 4}

@@ -25,7 +25,6 @@ from maxrep.gluing import (
 from maxrep.limits import _cluster, _count_transverse, _unrank3, limit_set_sample, reduced_words
 from maxrep.matcore import DEFAULT_TOL, norm_inf, spectral_radius
 from maxrep.pants import PantsParams, ParamClass, classify_params, toledo_signature_shortcut
-from maxrep.sampling import random_contracting, random_invertible, random_pants_params, random_spd
 from maxrep.maslov import _triple_indices
 from maxrep.symplectic import (
     INFINITY,
@@ -36,6 +35,7 @@ from maxrep.symplectic import (
     point_distance,
     sp_inverse,
 )
+from tests_support import random_contracting, random_invertible, random_pants_params, random_spd
 from oracles import (
     cluster_by_loop,
     maslov_by_normalization,
@@ -299,7 +299,7 @@ class TestLimitSample:
 
     def test_equivariance_of_fixed_points(self, rng):
         from maxrep.normalform import attracting_point
-        from maxrep.sampling import random_symplectic
+        from tests_support import random_symplectic
 
         p = random_pants_params(2, rng, tame=True)
         rep = pants_surface_rep(p)
@@ -348,7 +348,7 @@ class TestLimitSample:
         th = 0.4
         x3 = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
         x2 = random_contracting(2, rng, rho_range=(0.2, 0.4))
-        from maxrep.sampling import random_spd
+        from tests_support import random_spd
         s = random_spd(2, rng)
         x1 = x2.T @ np.linalg.inv(x3) @ s
         scale = min(1.0, 0.8 / np.max(np.abs(np.linalg.eigvals(x1))))

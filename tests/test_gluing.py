@@ -25,17 +25,18 @@ from maxrep.gluing import (
 )
 from maxrep.matcore import norm_inf
 from maxrep.pants import PantsParams, build_maximal, pants_product, toledo_signature_shortcut
-from maxrep.sampling import (
+from maxrep.symplectic import sp_inverse
+from tests_support import (
+    chain_graph,
+    derive_third_length,
+    patch_nan_twist,
     random_contracting,
     random_handle_data,
     random_invertible,
     random_orthogonal,
     random_pants_params,
     random_spd,
-    derive_third_length,
 )
-from maxrep.symplectic import sp_inverse
-from tests_support import chain_graph, patch_nan_twist
 
 
 def rotation(theta):
@@ -418,7 +419,7 @@ class TestComponentSignature:
         x3 = h @ x1.T @ np.linalg.inv(h)
         hb2 = close_handle(x3.T, x2.T, np.linalg.inv(h), label="t2")
         closed = glue_reps(hb1, "t1", hb2, "t2", np.eye(2))
-        with pytest.raises(ValueError):
+        with pytest.raises(GraphInvalid):
             component_signature(closed)
 
 

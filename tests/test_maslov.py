@@ -12,7 +12,6 @@ from maxrep.maslov import (
     normalize_pair,
 )
 from maxrep.matcore import DEFAULT_TOL, Tolerance
-from maxrep.sampling import random_symplectic, random_transverse_points
 from maxrep.symplectic import (
     INFINITY,
     finite_point,
@@ -22,6 +21,7 @@ from maxrep.symplectic import (
     point_distance,
     zero_point,
 )
+from tests_support import random_symplectic, random_transverse_points
 from oracles import cayley, maslov_by_normalization
 
 

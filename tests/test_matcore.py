@@ -18,7 +18,7 @@ from maxrep.matcore import (
 )
 from maxrep.maslov import indefinite_identity
 from oracles import signature
-from maxrep.sampling import random_contracting, random_invertible, random_orthogonal, random_spd
+from tests_support import random_contracting, random_invertible, random_orthogonal, random_spd
 from oracles import stein_kron_solve
 
 
@@ -242,6 +242,33 @@ class TestSimilarityWitness:
             assert (fwd is None) == (bwd is None)
             gt = similarity_witness(x, x.T)
             assert gt is not None
+
+    @staticmethod
+    def jordan_blocks(n, rng):
+        """Real Jordan form of size n over two real eigenvalues and one complex
+        pair, so spectra repeat and are often derogatory."""
+        reals = rng.choice([-1, 1], size=2) * rng.uniform(0.3, 2.0, size=2)
+        r, theta = rng.uniform(0.3, 2.0), rng.uniform(0.2, 3.0)
+        rot = r * np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        blocks, size = [], 0
+        while size < n:
+            kind = int(rng.integers(4 if n - size >= 4 else min(3, n - size)))
+            lam = reals[int(rng.integers(2))]
+            blocks.append([np.array([[lam]]), np.array([[lam, 1.0], [0.0, lam]]), rot,
+                           np.block([[rot, np.eye(2)], [np.zeros((2, 2)), rot]])][kind])
+            size += blocks[-1].shape[0]
+        return block_diag(*blocks)
+
+    def test_seeded_similar_pairs_all_found(self):
+        # one search for every spectrum: simple, repeated complex pairs, derogatory
+        rng = np.random.default_rng(20)
+        for i in range(140):
+            x = self.jordan_blocks(1 + i % 12, rng)
+            g = random_invertible(x.shape[0], rng)
+            y = g @ x @ np.linalg.inv(g)
+            w = similarity_witness(x, y)
+            assert w is not None, f"pair {i} (n = {x.shape[0]}) not found"
+            assert norm_inf(w @ x @ np.linalg.inv(w) - y) <= 1e-10 * norm_inf(y)
 
 
 class TestFactorSignature:

@@ -28,13 +28,6 @@ from maxrep.normalform import (
     fixed_point_residual,
 )
 from maxrep.pants import PantsParams, build_maximal
-from maxrep.sampling import (
-    random_contracting,
-    random_orthogonal,
-    random_pants_params,
-    random_spd,
-    random_symplectic,
-)
 from maxrep.symplectic import (
     INFINITY,
     BoundaryPoint,
@@ -47,6 +40,13 @@ from maxrep.symplectic import (
     swap_symplectic,
     transverse,
     zero_point,
+)
+from tests_support import (
+    random_contracting,
+    random_orthogonal,
+    random_pants_params,
+    random_spd,
+    random_symplectic,
 )
 from oracles import fixed_point_probe, subspace_fixed_point_one
 

@@ -24,14 +24,6 @@ from maxrep.pants import (
     toledo,
     toledo_signature_shortcut,
 )
-from maxrep.sampling import (
-    random_contracting,
-    random_invertible,
-    random_orthogonal,
-    random_pants_params,
-    random_spd,
-    random_symplectic,
-)
 from maxrep.symplectic import (
     INFINITY,
     SpMat,
@@ -41,6 +33,14 @@ from maxrep.symplectic import (
     point_distance,
     sp_inverse,
     zero_point,
+)
+from tests_support import (
+    random_contracting,
+    random_invertible,
+    random_orthogonal,
+    random_pants_params,
+    random_spd,
+    random_symplectic,
 )
 from oracles import classify_one, toledo_one
 

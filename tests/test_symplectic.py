@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from maxrep.errors import IllConditioned, NotInvertible, NotSymplectic
+from maxrep.errors import IllConditioned, NotSymplectic
 from maxrep.matcore import norm_inf
-from maxrep.sampling import (
-    random_boundary_point,
-    random_invertible,
-    random_spd,
-    random_symplectic,
-    random_transverse_points,
-)
 from maxrep.symplectic import (
     INFINITY,
     cycle_symplectic,
@@ -28,7 +21,14 @@ from maxrep.symplectic import (
     transverse,
     zero_point,
 )
-from oracles import cayley, inverse_cayley
+from tests_support import (
+    random_boundary_point,
+    random_invertible,
+    random_spd,
+    random_symplectic,
+    random_transverse_points,
+)
+from oracles import NotInvertible, cayley, inverse_cayley
 
 
 class TestMakeSymplectic:

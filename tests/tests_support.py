@@ -1,13 +1,175 @@
-"""Shared generators for the test suite."""
+"""Seeded fixtures shared by the test suite.
+
+Random parameters, symplectic elements and boundary points, and random chain
+graphs.  Everything takes an explicit ``numpy.random.Generator``; nothing
+here touches global random state.  The "tame" generators rejection-sample
+moderate spectral radii and condition numbers so that glued conjugations stay
+well inside the residual budgets; the plain generators only cap the
+condition number.
+"""
 
 import numpy as np
 
 import maxrep.gluing
 from maxrep.deform import _chain_plan
 from maxrep.gluing import GluingGraph, GraphBoundary, GraphEdge, PantsNode, slot_glue_length
+from maxrep.matcore import spectral_radius
 from maxrep.pants import PantsParams
-from maxrep.sampling import derive_third_length, random_handle_data, random_invertible, random_pants_params
-from maxrep.symplectic import SpMat
+from maxrep.symplectic import (
+    INFINITY,
+    BoundaryPoint,
+    SpMat,
+    diag_symplectic,
+    finite_point,
+    shear_symplectic,
+    translation_symplectic,
+    transversality_margin,
+)
+
+
+def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
+    q, r = np.linalg.qr(rng.normal(size=(n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def random_spd(n: int, rng: np.random.Generator,
+               eig_range: tuple[float, float] = (0.8, 1.25)) -> np.ndarray:
+    q = random_orthogonal(n, rng)
+    return q @ np.diag(rng.uniform(*eig_range, size=n)) @ q.T
+
+
+def random_contracting(n: int, rng: np.random.Generator,
+                       rho_range: tuple[float, float] = (0.3, 0.8),
+                       spread: float = 1.18, negative_det: bool | None = None) -> np.ndarray:
+    """Contracting matrix with singular values within a factor `spread` of each
+    other, rescaled to a spectral radius drawn from rho_range."""
+    d = np.diag(rng.uniform(1.0 / spread, spread, size=n))
+    m = random_orthogonal(n, rng) @ d @ random_orthogonal(n, rng)
+    if negative_det is not None:
+        det = np.linalg.det(m)
+        if (det < 0) != negative_det:
+            m[0] = -m[0]
+    return m * (rng.uniform(*rho_range) / spectral_radius(m))
+
+
+def random_invertible(n: int, rng: np.random.Generator,
+                      sv_range: tuple[float, float] = (0.8, 1.25),
+                      negative_det: bool | None = None) -> np.ndarray:
+    m = random_orthogonal(n, rng) @ np.diag(rng.uniform(*sv_range, size=n)) \
+        @ random_orthogonal(n, rng)
+    if negative_det is not None:
+        det = np.linalg.det(m)
+        if (det < 0) != negative_det:
+            m[0] = -m[0]
+    return m
+
+
+def derive_third_length(x1: np.ndarray, rng: np.random.Generator,
+                        rho_max: float = 0.85,
+                        x2_rho: tuple[float, float] = (0.3, 0.55),
+                        spd_range: tuple[float, float] = (0.8, 1.25),
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(X2, X3, S) completing a given X1 to parameters with product S.
+
+    X3 = S X1^{-1} X2^T; scaling X2 and X3 jointly leaves the product S
+    untouched, so the pair is rescaled until X3 is safely contracting.
+    """
+    n = x1.shape[0]
+    x2 = random_contracting(n, rng, x2_rho)
+    s = random_spd(n, rng, spd_range)
+    x3 = s @ np.linalg.inv(x1) @ x2.T
+    rho = spectral_radius(x3)
+    if rho > rho_max:
+        mu = rho_max / rho * rng.uniform(0.8, 1.0)
+        x2, x3 = mu * x2, mu * x3
+    return x2, x3, s
+
+
+def random_pants_params(n: int, rng: np.random.Generator,
+                        cond_max: float = 1e3,
+                        tame: bool = False) -> PantsParams:
+    """Random parameters in the strictly contracting cone.
+
+    With tame=True the spectral radii stay moderate and the condition
+    numbers small, suitable for downstream gluing; otherwise only the
+    condition cap is enforced.
+    """
+    while True:
+        if tame:
+            x1 = random_contracting(n, rng, (0.5, 0.8))
+        else:
+            x1 = random_contracting(n, rng, (0.2, 0.9), spread=2.0)
+        x2, x3, _ = derive_third_length(x1, rng)
+        params = PantsParams(x1, x2, x3)
+        conds = [np.linalg.cond(x) for x in params.matrices()]
+        if max(conds) <= (50.0 if tame else cond_max):
+            return params
+
+
+def random_handle_data(n: int, rng: np.random.Generator,
+                       rho_max: float = 0.8,
+                       length_negative_det: bool | None = None,
+                       twist_negative_det: bool | None = None,
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(X1, X2, H) valid for closing a handle: X1 contracting, H invertible,
+    and the derived product positive definite with X2 contracting."""
+    while True:
+        x1 = random_contracting(n, rng, (0.45, 0.75), negative_det=length_negative_det)
+        h = random_invertible(n, rng, negative_det=twist_negative_det)
+        s = random_spd(n, rng)
+        x2 = np.linalg.inv(h.T) @ x1 @ h.T @ np.linalg.inv(s) @ x1.T
+        rho = spectral_radius(x2)
+        if rho > rho_max:
+            x2 = x2 * (rho_max / rho * rng.uniform(0.8, 1.0))
+        if np.linalg.cond(x2) <= 50.0:
+            return x1, x2, h
+
+
+def random_symplectic(n: int, rng: np.random.Generator,
+                      cond_max: float = 1e2, scale: float = 0.4) -> SpMat:
+    """Random symplectic element of bounded condition number.
+
+    Built as diag(M, M^{-T}) . translation . shear with moderate blocks,
+    resampled until the condition cap holds.
+    """
+    while True:
+        m = random_invertible(n, rng, (0.75, 1.3))
+        b = scale * random_spd(n, rng, (0.3, 1.0)) * rng.choice([-1.0, 1.0])
+        w = scale * random_spd(n, rng, (0.3, 1.0)) * rng.choice([-1.0, 1.0])
+        g = diag_symplectic(m) @ translation_symplectic(b) @ shear_symplectic(w)
+        if np.linalg.cond(g.m) <= cond_max:
+            return g
+
+
+def random_boundary_point(n: int, rng: np.random.Generator,
+                          p_infinity: float = 0.15,
+                          scale: float = 1.0) -> BoundaryPoint:
+    if rng.uniform() < p_infinity:
+        return INFINITY
+    s = rng.normal(size=(n, n)) * scale
+    return finite_point((s + s.T) / 2)
+
+
+def random_transverse_points(n: int, rng: np.random.Generator, count: int,
+                             p_infinity: float = 0.15,
+                             margin: float = 1e-3,
+                             max_tries: int = 1000) -> list[BoundaryPoint]:
+    """Pairwise transverse boundary points with a safety margin.
+
+    The margin keeps subsequent integer invariants away from tolerance
+    bands, so properties asserted exactly really are exact.
+    """
+    pts: list[BoundaryPoint] = []
+    tries = 0
+    while len(pts) < count:
+        tries += 1
+        if tries > max_tries:
+            raise RuntimeError("could not sample transverse points; margin too strict")
+        cand = random_boundary_point(n, rng, p_infinity if not any(
+            p.is_infinity for p in pts) else 0.0)
+        if all(transversality_margin(cand, p) > margin for p in pts):
+            pts.append(cand)
+    return pts
 
 
 def chain_graph(genus: int, m: int, n: int, rng: np.random.Generator) -> GluingGraph:
