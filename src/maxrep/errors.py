@@ -92,3 +92,9 @@ class NoCanonicalFixedPoint(NumericalBreakdown):
 class DefectiveSplit(NumericalBreakdown):
     """Spectral splitting along the unit circle is too unstable to trust."""
 
+
+def unwrap(result):
+    """result, unless it is the MaxRepError a stacked kernel holds in its place."""
+    if isinstance(result, MaxRepError):
+        raise result
+    return result

@@ -58,6 +58,7 @@ from .pants import (
 )
 from .symplectic import (
     SpMat,
+    _block,
     cycle_symplectic,
     make_symplectic,
     sp_identity,
@@ -517,8 +518,7 @@ _SYMPLECTIC_J_CACHE: dict[int, np.ndarray] = {}
 
 def _j_form(n: int) -> np.ndarray:
     if n not in _SYMPLECTIC_J_CACHE:
-        z, i = np.zeros((n, n)), np.eye(n)
-        _SYMPLECTIC_J_CACHE[n] = np.block([[z, i], [-i, z]])
+        _SYMPLECTIC_J_CACHE[n] = _block(np.zeros((n, n)), np.eye(n), -np.eye(n), 0.0)
     return _SYMPLECTIC_J_CACHE[n]
 
 

@@ -21,10 +21,12 @@ import numpy as np
 
 from .errors import (
     DefectiveSplit,
+    MaxRepError,
     NoCanonicalFixedPoint,
     NotContracting,
     NotFixed,
     NotSHyperbolic,
+    unwrap,
 )
 from .matcore import (
     DEFAULT_TOL,
@@ -50,6 +52,7 @@ from .symplectic import (
     make_symplectic,
     moebius_act,
     point_distance,
+    sp_identity,
     sp_inverse,
     swap_symplectic,
     transverse,
@@ -426,10 +429,43 @@ def attracting_point(g: SpMat, tol: Tolerance = DEFAULT_TOL) -> BoundaryPoint:
     differential, which guards against defective circle spectra whose
     eigenvalues split across the band.
     """
-    pt, = _attracting_points(g.m[None], tol)
-    if isinstance(pt, NotSHyperbolic):
-        raise pt
-    return pt
+    return unwrap(_attracting_points(g.m[None], tol)[0])
+
+
+def _canonical_points(ms: np.ndarray, tol: Tolerance) -> list:
+    """canonical_point_of_element of each slice of a (k, 2n, 2n) stack: a
+    BoundaryPoint or the MaxRepError refusing that slice.  The finite slices
+    without a standard chart share one _subspace_fixed_points call."""
+    r = cycle_symplectic(ms.shape[-1] // 2)
+    charts = ((sp_identity(r.n),) * 2, (r, r.inv()), (r.inv(), r))    # (u^{-1}, u)
+    points: list = [None] * len(ms)
+    for i, g in enumerate(map(SpMat, ms)):
+        try:
+            for u_inv, u in charts:
+                l = u_inv @ g @ u
+                if norm_inf(l.B) > rel_bound(tol.eq_tol, l.m):
+                    continue
+                s_part = sym_part(l.A.T @ l.C - l.A.T @ l.A)
+                try:
+                    eigs = np.linalg.eigvalsh(s_part)
+                except np.linalg.LinAlgError:
+                    continue
+                if np.min(eigs) > rel_bound(tol.eq_tol, s_part):
+                    rep = canonical_fixed_point(StandardBoundary(l.A, s_part, tol), tol)
+                    points[i] = moebius_act(u, rep.point, tol)
+                    break
+            else:   # refused here, not for the whole stack in the subspace call
+                check_finite(g.m)
+        except MaxRepError as exc:
+            points[i] = exc
+    todo = [i for i, pt in enumerate(points) if pt is None]
+    found, fixed, rho = _subspace_fixed_points(ms[todo], tol)
+    ok = fixed & (rho <= 1.0 + max(tol.unit_circle_band, _NONEXPAND_SLACK))
+    for i, pt, good in zip(todo, found, ok):
+        points[i] = (pt if good and not isinstance(pt, NotSHyperbolic) else
+                     NoCanonicalFixedPoint("no recognizable standard position and no "
+                                           "certified non-expanding fixed point"))
+    return points
 
 
 def canonical_point_of_element(g: SpMat, tol: Tolerance = DEFAULT_TOL) -> BoundaryPoint:
@@ -443,29 +479,4 @@ def canonical_point_of_element(g: SpMat, tol: Tolerance = DEFAULT_TOL) -> Bounda
     NoCanonicalFixedPoint, because identifying a reliable splitting from
     raw matrix data is not possible in general.
     """
-    n = g.n
-    r = cycle_symplectic(n)
-    charts = [SpMat(np.eye(2 * n)), sp_inverse(r), r]
-    for u in charts:
-        l = sp_inverse(u) @ g @ u
-        if norm_inf(l.B) > rel_bound(tol.eq_tol, l.m):
-            continue
-        a = l.A
-        s_part = sym_part(a.T @ l.C - a.T @ a)
-        try:
-            eigs = np.linalg.eigvalsh(s_part)
-        except np.linalg.LinAlgError:
-            continue
-        if np.min(eigs) <= rel_bound(tol.eq_tol, s_part):
-            continue
-        sb = StandardBoundary(a, s_part, tol)
-        rep = canonical_fixed_point(sb, tol)
-        return moebius_act(u, rep.point, tol)
-    # invariant-subspace route, accepting any non-expanding fixed point
-    (pt,), (fixed,), (rho,) = _subspace_fixed_points(g.m[None], tol)
-    if (not isinstance(pt, NotSHyperbolic) and fixed
-            and rho <= 1.0 + max(tol.unit_circle_band, _NONEXPAND_SLACK)):
-        return pt
-    raise NoCanonicalFixedPoint(
-        "no recognizable standard position and no certified "
-        "non-expanding fixed point")
+    return unwrap(_canonical_points(g.m[None], tol)[0])

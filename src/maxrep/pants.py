@@ -14,7 +14,6 @@ parameters from canonical fixed points.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -22,11 +21,11 @@ import numpy as np
 
 from .errors import (
     IllConditioned,
-    MaxRepError,
     NearSingular,
     NotMaximal,
     NotValid,
     Singular,
+    unwrap,
 )
 from .maslov import Triple, indefinite_identity, is_maximal, maslov, normalize_maximal_triple
 from .matcore import (
@@ -39,7 +38,7 @@ from .matcore import (
     rel_bound,
     require_invertible,
 )
-from .normalform import _require_fixed, canonical_point_of_element
+from .normalform import _canonical_points, _require_fixed
 from .symplectic import (
     BoundaryPoint,
     SpMat,
@@ -151,10 +150,7 @@ def classify_params(p: PantsParams, tol: Tolerance = DEFAULT_TOL) -> ParamClass:
     otherwise graded by the spectral radii of the three matrices against the
     unit-circle band.
     """
-    cls = _check_stack(np.array(p.matrices())[:, None], tol)[0][0]
-    if isinstance(cls, MaxRepError):
-        raise cls
-    return cls
+    return unwrap(_check_stack(np.array(p.matrices())[:, None], tol)[0][0])
 
 
 def _check_stack(xs: np.ndarray, tol: Tolerance,
@@ -285,9 +281,7 @@ def toledo(rep: PantsRep, fixed_points: Triple,
 def toledo_signature_shortcut(p, tol: Tolerance = DEFAULT_TOL) -> Fraction:
     """(n + sign(X3 (X2^T)^{-1} X1)) / 2 for symmetric invertible product."""
     sig = _check_stack(np.array((p.X1, p.X2, p.X3))[:, None], tol, membership=False)[1][0]
-    if isinstance(sig, MaxRepError):
-        raise sig
-    return Fraction(p.n + sig, 2)
+    return Fraction(p.n + unwrap(sig), 2)
 
 
 def recover_params(rep: PantsRep,
@@ -300,8 +294,8 @@ def recover_params(rep: PantsRep,
     of c3, and X2 = B - D read off c2.  Returns the parameters together with
     the normalizing conjugator h.
     """
-    y1, y2, y3 = (canonical_point_of_element(c, tol) for c in rep.generators())
-    t = Triple(y1, y2, y3)
+    points = _canonical_points(np.array([c.m for c in rep.generators()]), tol)
+    t = Triple(*map(unwrap, points))
     if not is_maximal(t, tol):
         raise NotMaximal("canonical fixed points do not form a maximal triple")
     h = normalize_maximal_triple(t, tol)
@@ -317,30 +311,27 @@ def recover_params(rep: PantsRep,
     return params, h
 
 
-_LETTERS = ("X1", "X2", "X3", "X1t", "X2t", "X3t")
-
-
 def fingerprint(p: PantsParams) -> np.ndarray:
     """Traces of all words of length <= 3 in the Xi and transposes.
 
-    Simultaneous orthogonal conjugation leaves every entry unchanged, so
-    equal fingerprints are a necessary condition for orbit equality.
+    The letters are X1, X2, X3, X1^T, X2^T, X3^T in that order, and the 258
+    words run by length and then lexicographically.  Simultaneous orthogonal
+    conjugation leaves every entry unchanged, so equal fingerprints are a
+    necessary condition for orbit equality.
     """
-    mats = {
-        "X1": p.X1, "X2": p.X2, "X3": p.X3,
-        "X1t": p.X1.T, "X2t": p.X2.T, "X3t": p.X3.T,
-    }
-    values = []
-    for length in (1, 2, 3):
-        for word in itertools.product(_LETTERS, repeat=length):
-            m = mats[word[0]]
-            for w in word[1:]:
-                m = m @ mats[w]
-            values.append(np.trace(m))
-    return np.array(values)
+    m = np.array(p.matrices())
+    m = np.concatenate((m, np.swapaxes(m, 1, 2)))
+    # row 6a + b of l2 is the word (a, b), so entry (6a + b, c) below is (a, b, c)
+    l2 = (m[:, None] @ m[None]).reshape(36, p.n, p.n)
+    return np.concatenate((np.einsum("kii->k", m), np.einsum("kii->k", l2),
+                           np.einsum("aij,cji->ac", l2, m).reshape(-1)))
 
 
 def fingerprint_distance(p: PantsParams, q: PantsParams) -> float:
+    """Largest fingerprint difference over the largest entry (at least 1);
+    infinite for parameters of different sizes."""
+    if p.n != q.n:
+        return float("inf")
     fp, fq = fingerprint(p), fingerprint(q)
     scale = max(1.0, float(np.max(np.abs(fp))), float(np.max(np.abs(fq))))
     return float(np.max(np.abs(fp - fq))) / scale

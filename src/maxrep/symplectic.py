@@ -132,10 +132,17 @@ def symplectic_residual(m: np.ndarray) -> tuple[float, str]:
     return res[worst], worst
 
 
+def _block(a, b, c, d) -> np.ndarray:
+    """[[a, b], [c, d]] for an n x n array a; b, c, d may be scalars."""
+    n = a.shape[0]
+    m = np.empty((2 * n, 2 * n), dtype=np.result_type(a, b, c, d))
+    m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:] = a, b, c, d
+    return m
+
+
 def make_symplectic(a, b, c, d, tol: Tolerance = DEFAULT_TOL) -> SpMat:
     """Assemble and validate a symplectic matrix from its four blocks."""
-    a, b, c, d = map(as_matrix, (a, b, c, d))
-    m = np.block([[a, b], [c, d]])
+    m = _block(*np.array([as_matrix(x) for x in (a, b, c, d)]))   # refuses mixed shapes
     check_finite(m)
     residual, relation = symplectic_residual(m)
     if residual > rel_bound(tol.eq_tol, m):
@@ -150,41 +157,35 @@ def sp_identity(n: int) -> SpMat:
 
 def sp_inverse(g: SpMat) -> SpMat:
     """Inverse from the block formula (D^T, -B^T; -C^T, A^T)."""
-    return SpMat(np.block([[g.D.T, -g.B.T], [-g.C.T, g.A.T]]))
+    return SpMat(_block(g.D.T, -g.B.T, -g.C.T, g.A.T))
 
 
 def diag_symplectic(m) -> SpMat:
     """diag(M, M^{-T}); stabilizes both 0 and infinity."""
     m = as_matrix(m)
-    n = m.shape[0]
-    return SpMat(np.block([[m, np.zeros((n, n))],
-                           [np.zeros((n, n)), np.linalg.inv(m.T)]]))
+    return SpMat(_block(m, 0.0, 0.0, np.linalg.inv(m.T)))
 
 
 def translation_symplectic(b, tol: Tolerance = DEFAULT_TOL) -> SpMat:
     """X -> X + B for symmetric B; stabilizes infinity."""
     b = require_symmetric(b, tol, "translation block")
-    n = b.shape[0]
-    return SpMat(np.block([[np.eye(n), b], [np.zeros((n, n)), np.eye(n)]]))
+    return SpMat(_block(np.eye(len(b)), b, 0.0, np.eye(len(b))))
 
 
 def shear_symplectic(w, tol: Tolerance = DEFAULT_TOL) -> SpMat:
     """X -> X (W X + I)^{-1} for symmetric W; stabilizes 0."""
     w = require_symmetric(w, tol, "shear block")
-    n = w.shape[0]
-    return SpMat(np.block([[np.eye(n), np.zeros((n, n))], [w, np.eye(n)]]))
+    return SpMat(_block(np.eye(len(w)), 0.0, w, np.eye(len(w))))
 
 
 def swap_symplectic(n: int) -> SpMat:
     """The involution X -> -X^{-1}; swaps 0 and infinity."""
-    i, z = np.eye(n), np.zeros((n, n))
-    return SpMat(np.block([[z, -i], [i, z]]))
+    return SpMat(_block(np.zeros((n, n)), -np.eye(n), np.eye(n), 0.0))
 
 
 def cycle_symplectic(n: int) -> SpMat:
     """Order-three rotation of the standard triple: (e, inf, 0) -> (0, e, inf)."""
-    i, z = np.eye(n), np.zeros((n, n))
-    return SpMat(np.block([[i, -i], [i, z]]))
+    return SpMat(_block(np.eye(n), -np.eye(n), np.eye(n), 0.0))
 
 
 def moebius_act(g: SpMat, p: BoundaryPoint, tol: Tolerance = DEFAULT_TOL) -> BoundaryPoint:

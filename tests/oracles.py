@@ -17,9 +17,13 @@ compares each point with every point kept before it, as the library did
 before it compared points inside a window of the trace order.
 ``unrank3_by_comb`` names the r-th triple of combinations(range(d), 3) by
 counting the triples that start with each index, in Python integers.
+``fingerprint_by_words`` forms the trace of each word of the pants
+fingerprint one matrix product at a time, as the library did before it
+contracted stacks of words.
 ``NotInvertible`` is the refusal of the Cayley transforms at a singular point.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -330,3 +334,17 @@ def unrank3_by_comb(r: int, d: int) -> tuple[int, int, int]:
         out.append(i)
         low = i + 1
     return tuple(out)
+
+
+def fingerprint_by_words(p: PantsParams) -> np.ndarray:
+    """Traces of the words of length <= 3 in X1, X2, X3, X1^T, X2^T, X3^T,
+    by length and then in itertools.product order, one word at a time."""
+    letters = (p.X1, p.X2, p.X3, p.X1.T, p.X2.T, p.X3.T)
+    values = []
+    for length in (1, 2, 3):
+        for word in itertools.product(letters, repeat=length):
+            m = word[0]
+            for w in word[1:]:
+                m = m @ w
+            values.append(np.trace(m))
+    return np.array(values)

@@ -14,6 +14,7 @@ from maxrep.normalform import (
     _ATTRACT_MARGIN,
     DifferentialClass,
     _attracting_points,
+    _canonical_points,
     _certificates,
     _subspace_fixed_points,
     IsometryClass,
@@ -364,6 +365,26 @@ class TestElementCanonicalPoints:
         assert points[3].value.tobytes() == np.zeros((3, 3)).tobytes()
         assert points[4].is_infinity
         assert refused == [5, 6, 7]
+
+    def test_stacked_canonical_points_match_one_element(self):
+        # a generator in its standard chart, a conjugated generic element
+        # and the swap, which fixes nothing, in one stack
+        rng = np.random.default_rng(12)
+        rep = build_maximal(random_pants_params(2, rng, tame=True))
+        h = random_symplectic(2, rng)
+        elements = [rep.c2, h @ rep.c1 @ h.inv(), swap_symplectic(2), h @ rep.c3 @ h.inv()]
+        points = _canonical_points(np.array([g.m for g in elements]), DEFAULT_TOL)
+        for g, pt in zip(elements, points):
+            try:
+                one = canonical_point_of_element(g)
+            except NoCanonicalFixedPoint:
+                assert isinstance(pt, NoCanonicalFixedPoint)
+                continue
+            assert one.is_infinity == pt.is_infinity
+            assert one.is_infinity or one.value.tobytes() == pt.value.tobytes()
+        assert point_distance(points[0], identity_point(2)) <= 1e-9
+        assert isinstance(points[2], NoCanonicalFixedPoint)
+        assert point_distance(points[3], moebius_act(h, INFINITY)) <= 1e-6
 
     def test_schur_failure_keeps_each_callers_error(self, monkeypatch):
         from maxrep import matcore

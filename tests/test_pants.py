@@ -4,7 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from maxrep.errors import IllConditioned, MaxRepError, NearSingular, NotValid, Singular
+from maxrep.errors import (
+    IllConditioned,
+    MaxRepError,
+    NearSingular,
+    NoCanonicalFixedPoint,
+    NotValid,
+    Singular,
+)
 from maxrep.maslov import Triple, indefinite_identity, maslov
 from maxrep.matcore import DEFAULT_TOL, norm_inf
 from maxrep.pants import (
@@ -17,6 +24,7 @@ from maxrep.pants import (
     build_general,
     build_maximal,
     classify_params,
+    fingerprint,
     fingerprint_distance,
     pants_product,
     params_equivalent,
@@ -32,6 +40,7 @@ from maxrep.symplectic import (
     moebius_act,
     point_distance,
     sp_inverse,
+    swap_symplectic,
     zero_point,
 )
 from tests_support import (
@@ -42,7 +51,7 @@ from tests_support import (
     random_spd,
     random_symplectic,
 )
-from oracles import classify_one, toledo_one
+from oracles import classify_one, fingerprint_by_words, toledo_one
 
 
 def scalar_params(x1, x2, x3):
@@ -313,11 +322,39 @@ class TestRecover:
         for xp, xq in zip(p.matrices(), q.matrices()):
             assert norm_inf(xp - xq) <= 1e-8
 
+    def test_first_failing_generator_refuses(self, rng):
+        # the finiteness check of the stacked subspace call must not
+        # pre-empt the refusal of an earlier generator
+        rep = build_maximal(random_pants_params(2, rng, tame=True))
+        nan, swap = SpMat(np.full((4, 4), np.nan)), swap_symplectic(2)
+        for gens, err in (((swap, rep.c2, nan), NoCanonicalFixedPoint),
+                          ((rep.c1, swap, nan), NoCanonicalFixedPoint),
+                          ((nan, swap, rep.c3), IllConditioned),
+                          ((rep.c1, rep.c2, nan), IllConditioned)):
+            with pytest.raises(MaxRepError) as info:
+                recover_params(PantsRep(*gens))
+            assert type(info.value) is err
+
 
 class TestEquivalence:
     def test_self(self, rng):
         p = random_pants_params(2, rng)
         assert params_equivalent(p, p).equivalent
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_fingerprint_matches_word_loop(self, n):
+        # non-symmetric letters, so that a transposed letter in the wrong
+        # place changes the trace
+        rng = np.random.default_rng(70 + n)
+        p = PantsParams(*rng.normal(size=(3, n, n)))
+        fp, words = fingerprint(p), fingerprint_by_words(p)
+        assert fp.shape == words.shape == (258,)
+        assert np.all(np.abs(fp - words) <= 1e-13 * np.maximum(1.0, np.abs(words)))
+
+    def test_fingerprint_distance_across_sizes(self, rng):
+        p, q = random_pants_params(2, rng), random_pants_params(3, rng)
+        assert fingerprint_distance(p, q) == np.inf
+        assert not params_equivalent(p, q).equivalent
 
     def test_orthogonal_orbit(self, rng):
         for _ in range(10):

@@ -48,6 +48,11 @@ class TestMakeSymplectic:
         with pytest.raises(NotSymplectic):
             make_symplectic(np.eye(2), b_bad, np.zeros((2, 2)), np.eye(2))
 
+    def test_blocks_of_mixed_sizes_refused(self):
+        # a 1 x 1 block must not fill a 2 x 2 slot
+        with pytest.raises(ValueError):
+            make_symplectic(np.eye(2), [[0.0]], np.zeros((2, 2)), np.eye(2))
+
     def test_reports_worst_relation(self):
         with pytest.raises(NotSymplectic, match="D\\^T B"):
             make_symplectic(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]),
