@@ -14,6 +14,7 @@ tolerance; --seed (limits only) seeds the limit-set sampler.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .deform import deform_to_standard
-from .errors import MathematicalRefusal, NumericalBreakdown
+from .errors import MathematicalRefusal, NumericalBreakdown, unwrap
 from .gluing import (
     GluingGraph,
     GraphBoundary,
@@ -38,7 +39,7 @@ from .gluing import (
 from .limits import limit_set_sample
 from .maslov import Triple, maslov
 from .matcore import DEFAULT_TOL, Tolerance
-from .pants import PantsParams, build_maximal, classify_params, toledo, toledo_signature_shortcut
+from .pants import PantsParams, _check_stack, build_maximal, toledo, toledo_signature_shortcut
 from .symplectic import (
     INFINITY,
     BoundaryPoint,
@@ -307,10 +308,10 @@ def _signs(sig) -> str:
 def _describe_build(rep: SurfaceRep, graph: GluingGraph, tol: Tolerance) -> list:
     g, m = graph.surface_type()
     report = [("status", "ok"), ("surface", f"genus {g}, boundaries {m}"), ("n", rep.n)]
-    for nd in graph.nodes:
-        report.append((f"node {nd.name} class", classify_params(nd.params, tol).value))
-        report.append((f"node {nd.name} toledo",
-                       str(toledo_signature_shortcut(nd.params, tol))))
+    xs = np.array([nd.params.matrices() for nd in graph.nodes]).swapaxes(0, 1)
+    for nd, cls, sig in zip(graph.nodes, *_check_stack(xs, tol, each=True)):
+        report.append((f"node {nd.name} class", unwrap(cls).value))
+        report.append((f"node {nd.name} toledo", str(Fraction(rep.n + unwrap(sig), 2))))
     return report + [("relation residual", f"{rep.relation_residual:.6e}")]
 
 
@@ -432,6 +433,8 @@ def cmd_limits(args, tol: Tolerance) -> list:
 # ---------------------------------------------------------------------------
 
 
+# built once per process: parse_args reads the parser and leaves it unchanged
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="maxrep",

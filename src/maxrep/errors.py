@@ -98,3 +98,8 @@ def unwrap(result):
     if isinstance(result, MaxRepError):
         raise result
     return result
+
+
+def first_fault(results):
+    """The first MaxRepError among results, or None."""
+    return next((r for r in results if isinstance(r, MaxRepError)), None)

@@ -29,36 +29,43 @@ from .errors import (
     CannotGlue,
     GraphInvalid,
     IllConditioned,
+    MaxRepError,
     NotCompatible,
     NotContracting,
     NotValid,
+    first_fault,
+    unwrap,
 )
 from .matcore import (
     DEFAULT_TOL,
+    _NON_FINITE,
     CircleClass,
     Tolerance,
+    _singular,
+    _stein_solves,
     _unit_circle_masks,
     as_matrix,
     check_finite,
     circle_class,
     norm_inf,
-    rel_bound,
     require_invertible,
     similarity_witness,
-    stein_solve,
     sym_part,
 )
+from .normalform import _standard_blocks
 from .normalform import standard_element as standard_lower
 from .pants import (
     PantsParams,
+    PantsRep,
     ParamClass,
+    _build_maximal_stack,
     build_maximal,
-    classify_params,
-    pants_product,
 )
 from .symplectic import (
     SpMat,
     _block,
+    _make_symplectics,
+    _sp_inv,
     cycle_symplectic,
     make_symplectic,
     sp_identity,
@@ -127,10 +134,13 @@ def can_glue(x, xbar, tol: Tolerance = DEFAULT_TOL) -> GlueCheck:
 
 def standard_upper(xbar, sbar, tol: Tolerance = DEFAULT_TOL) -> SpMat:
     """[[X^{-T}, -X^{-T} - S X], [0, X]], the boundary normal form at infinity."""
-    xbar, sbar = as_matrix(xbar), as_matrix(sbar)
-    n = xbar.shape[0]
-    xit = np.linalg.inv(xbar.T)
-    return make_symplectic(xit, -xit - sbar @ xbar, np.zeros((n, n)), xbar, tol)
+    return make_symplectic(*_upper_blocks(as_matrix(xbar), as_matrix(sbar)), tol)
+
+
+def _upper_blocks(xbar: np.ndarray, sbar: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The blocks of standard_upper, for one matrix or a stack."""
+    xit = np.linalg.inv(np.swapaxes(xbar, -1, -2))
+    return xit, -xit - sbar @ xbar, np.zeros_like(xbar), xbar
 
 
 def twist_element(x, s, xbar, sbar, g_twist, tol: Tolerance = DEFAULT_TOL) -> SpMat:
@@ -145,70 +155,125 @@ def twist_element(x, s, xbar, sbar, g_twist, tol: Tolerance = DEFAULT_TOL) -> Sp
 
     as the block matrix [[Ybar G Y^{-1} - G^{-T}, -Ybar G], [G Y^{-1}, -G]].
     """
-    x, xbar = as_matrix(x), as_matrix(xbar)
-    g_twist = require_invertible(g_twist, tol, "twist parameter")
-    n = x.shape[0]
-    for name, m in (("lower length", x), ("upper length", xbar)):
-        if circle_class(m, tol) is not CircleClass.CONTRACTING:
-            raise NotContracting(f"{name} must be contracting to build the twist element")
-    compat = _twist_defect(g_twist, x, xbar, tol)
-    if compat is not None:
-        raise NotCompatible(
-            f"twist does not conjugate the transposed length (defect {compat:.3e})")
-    s = sym_part(as_matrix(s))
-    sbar = sym_part(as_matrix(sbar))
-    # stein_solve(x, -(x^T x + s)) is positive definite, so yinv below is
+    stacks = (as_matrix(m)[None] for m in (x, s, xbar, sbar, g_twist))
+    return unwrap(_twist_elements(*stacks, tol)[0])
+
+
+def _twist_elements(x, s, xbar, sbar, g, tol: Tolerance, obstruct: bool = False) -> list:
+    """twist_element on each slice of (k, n, n) stacks: the SpMat, or the
+    refusal of the slice's first failing check in twist_element's order.
+
+    Each length's eigenvalues, computed once, serve the contracting check and
+    the resonance check; both Stein solves are one stacked call.  With
+    obstruct, a length with an eigenvalue in the unit-circle band first
+    refuses its slice with the gluing step's CannotGlue.
+    """
+    k, n = x.shape[:2]
+    t, inv, band = (lambda m: np.swapaxes(m, -1, -2)), np.linalg.inv, tol.unit_circle_band
+    out, idx = [None] * k, np.arange(k)
+
+    def settle(results) -> list:
+        # record the live slices' results; the positions of those not refused
+        nonlocal idx
+        for i, r in zip(idx, results):
+            out[i] = r
+        keep = [j for j, r in enumerate(results) if not isinstance(r, MaxRepError)]
+        idx = idx[keep]
+        return keep
+
+    mats = np.stack((g, x, xbar))
+    finite = np.isfinite(mats).all(axis=(-2, -1))
+    mats = np.where(finite[..., None, None], mats, np.eye(n))
+    sv, eigs = np.linalg.svd(mats, compute_uv=False), np.linalg.eigvals(mats[1:])
+
+    def spectral_fault(i):
+        if obstruct and (finite[1:, i, None] & (np.abs(np.abs(eigs[:, i]) - 1.0) <= band)).any():
+            return CannotGlue("unit-modulus boundary length obstructs gluing")
+        for j, what in enumerate(("twist parameter", "circle_class input", "circle_class input")):
+            fault = IllConditioned(_NON_FINITE) if not finite[j, i] else _singular(sv[j, i], tol, what)
+            if fault is None and j and not (np.abs(eigs[j - 1, i]) < 1.0 - band).all():
+                fault = NotContracting(f"{('lower', 'upper')[j - 1]} length must be "
+                                       "contracting to build the twist element")
+            if fault:
+                return fault
+        return None
+
+    keep = settle([spectral_fault(i) for i in range(k)])
+    g, x, xbar, s, sbar, ex, exbar = (a[keep] for a in (g, x, xbar, s, sbar, *eigs))
+    defect, over = _twist_defect(g, x, xbar, tol)
+    keep = settle([NotCompatible(f"twist does not conjugate the transposed length "
+                                 f"(defect {d:.3e})") if o else None for d, o in zip(defect, over)])
+    g, x, xbar, ex, exbar = (a[keep] for a in (g, x, xbar, ex, exbar))
+    s, sbar = sym_part(s[keep]), sym_part(sbar[keep])
+    # -(x^T x + s) gives a positive definite solution, so yinv below is
     # negative definite; it is the inverse of the lower form's second fixed point
-    yinv = -stein_solve(x, -(x.T @ x + s), tol)
-    ybar = stein_solve(xbar, -(np.eye(n) + xbar.T @ sbar @ xbar), tol)
-    g = make_symplectic(
-        ybar @ g_twist @ yinv - np.linalg.inv(g_twist.T),
-        -ybar @ g_twist,
-        g_twist @ yinv,
-        -g_twist,
-        tol,
-    )
-    c = standard_lower(x, s, tol)
-    cbar = standard_upper(xbar, sbar, tol)
-    conj = (g @ sp_inverse(c) @ sp_inverse(g)).m
-    residual = norm_inf(conj - cbar.m)
-    if residual > rel_bound(np.sqrt(tol.eq_tol), cbar.m):
-        raise NotCompatible(f"twist conjugation residual {residual:.3e}")
-    return g
+    m = len(x)
+    q = sym_part(np.concatenate((-(t(x) @ x + s), -(np.eye(n) + t(xbar) @ sbar @ xbar))))
+    ps = _stein_solves(np.concatenate((x, xbar)), q, tol, np.concatenate((ex, exbar)))
+    keep = settle([first_fault(ps[j::m]) for j in range(m)])
+    lower, ybar = (np.array([ps[i * m + j] for j in keep]).reshape(-1, n, n) for i in (0, 1))
+    yinv = -lower
+    g, x, xbar, s, sbar = (a[keep] for a in (g, x, xbar, s, sbar))
+    # the twist element, standard_lower(x, s) and standard_upper(xbar, sbar)
+    syms = _make_symplectics(*(np.concatenate(b) for b in zip(
+        (ybar @ g @ yinv - inv(t(g)), -ybar @ g, g @ yinv, -g),
+        _standard_blocks(x, s), _upper_blocks(xbar, sbar))), tol)
+    m = len(x)
+    keep = settle([first_fault(syms[j::m]) for j in range(m)])
+    gm, cm, cbarm = (np.array([syms[i * m + j].m for j in keep]).reshape(-1, 2 * n, 2 * n)
+                     for i in range(3))
+    residual = np.abs(gm @ _sp_inv(cm) @ _sp_inv(gm) - cbarm).max(axis=(-2, -1))
+    bound = np.sqrt(tol.eq_tol) * np.maximum(1.0, np.abs(cbarm).max(axis=(-2, -1)))
+    settle([NotCompatible(f"twist conjugation residual {r:.3e}") if r > b else syms[j]
+            for j, r, b in zip(keep, residual, bound)])
+    return out
 
 
-def _twist_defect(g_twist, x, xbar, tol: Tolerance) -> float | None:
-    """The defect of xbar = G x^T G^{-1}, or None when it is within the band
-    max(1e-7, 100 eq_tol) * max(1, |xbar|)."""
-    defect = norm_inf(g_twist @ x.T @ np.linalg.inv(g_twist) - xbar)
-    return defect if defect > rel_bound(max(1e-7, 100 * tol.eq_tol), xbar) else None
+def _twist_defect(g_twist, x, xbar, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """The defect of xbar = G x^T G^{-1}, and whether it exceeds the band
+    max(1e-7, 100 eq_tol) * max(1, |xbar|); per slice for stacks."""
+    defect = np.abs(g_twist @ np.swapaxes(x, -1, -2) @ np.linalg.inv(g_twist) - xbar).max(axis=(-2, -1))
+    return defect, defect > max(1e-7, 100 * tol.eq_tol) * np.maximum(1.0, np.abs(xbar).max(axis=(-2, -1)))
 
 
 # ---------------------------------------------------------------------------
 # slot presentations: every pants slot in lower or upper normal form
 
 
-def _slot_presentation(p: PantsParams, slot: int, tol: Tolerance,
-                       upper: bool) -> tuple[SpMat, np.ndarray, np.ndarray]:
-    """(u, length, S) with generator_slot = u @ form(length, S) @ u^{-1}, where
-    form is standard_upper when upper and standard_lower otherwise.
+def _edge_twists(edges, tol: Tolerance) -> list:
+    """The twist element, or the gluing step's refusal, of each edge (upper
+    pants, upper slot, lower pants, lower slot, twist), in one call.
 
-    Rotating the standard triple k times, (X1, X2, X3) -> (-X2, -X3, X1)
-    each time, brings the slot to position 1 (lower, k = slot - 1) or to
-    position 3 (upper, k = slot mod 3).  With r = cycle_symplectic(n), whose
-    cube is -I, u is the identity, r^{-1} or r for k = 0, 1, 2.
+    Each slot is presented as generator_slot = u @ form(length, S) @ u^{-1},
+    with form standard_upper on the upper side and standard_lower on the
+    lower one and u = _slot_rotation(n, slot, upper): rotating the standard
+    triple k times, (X1, X2, X3) -> (-X2, -X3, X1) each time, brings the
+    slot to position 3 (upper, k = slot mod 3) or 1 (lower, k = slot - 1).
+    The pants are built ones, so every Xi is finite and invertible.
     """
-    if slot not in (1, 2, 3):
-        raise ValueError(f"slot must be 1, 2 or 3, got {slot}")
-    k = slot % 3 if upper else slot - 1
-    for _ in range(k):
-        p = PantsParams(-p.X2, -p.X3, p.X1)
-    r = cycle_symplectic(p.n)
-    u = sp_identity(p.n) if k == 0 else sp_inverse(r) if k == 1 else r
-    prod = pants_product(p, tol)
-    if upper:
-        return u, p.X3, sym_part(np.linalg.inv(prod))
-    return u, p.X1, sym_part(prod)
+    if not edges:
+        return []
+    sides = []
+    for upper, ends in ((True, [e[:2] for e in edges]), (False, [e[2:4] for e in edges])):
+        rotated = []
+        for p, slot in ends:
+            xs = p.matrices()
+            for _ in range(slot % 3 if upper else slot - 1):
+                xs = (-xs[1], -xs[2], xs[0])
+            rotated.append(xs)
+        x1, x2, x3 = np.array(rotated).swapaxes(0, 1)
+        prod = x3 @ np.linalg.inv(np.swapaxes(x2, -1, -2)) @ x1
+        sides.append((x3, sym_part(np.linalg.inv(prod))) if upper else (x1, sym_part(prod)))
+    (ell_up, sbar_up), (ell_lo, s_lo) = sides
+    return _twist_elements(ell_lo, s_lo, ell_up, sbar_up,
+                           np.array([as_matrix(e[4]) for e in edges]), tol, obstruct=True)
+
+
+def _slot_rotation(n: int, slot: int, upper: bool) -> SpMat:
+    """The u of a slot presentation: with r = cycle_symplectic(n), whose cube
+    is -I, the identity, r^{-1} or r for k = 0, 1, 2 rotations."""
+    r = cycle_symplectic(n)
+    return (sp_identity(n), sp_inverse(r), r)[slot % 3 if upper else slot - 1]
 
 
 def slot_glue_length(p: PantsParams, slot: int) -> np.ndarray:
@@ -414,7 +479,10 @@ def _checked_surface(rep: SurfaceRep, tol: Tolerance) -> SurfaceRep:
 def pants_surface_rep(params: PantsParams, tol: Tolerance = DEFAULT_TOL,
                       labels: tuple[str, str, str] = ("1", "2", "3")) -> SurfaceRep:
     """A three-holed sphere as a surface representation (no gluing)."""
-    rep = build_maximal(params, tol)
+    return _pants_surface(params, build_maximal(params, tol), labels)
+
+
+def _pants_surface(params: PantsParams, rep: PantsRep, labels) -> SurfaceRep:
     ident = sp_identity(params.n)
     ports = tuple(PortRef(0, slot, ident, labels[slot - 1]) for slot in (1, 2, 3))
     return SurfaceRep(
@@ -436,16 +504,30 @@ def close_handle(x1, x2, g_twist, tol: Tolerance = DEFAULT_TOL,
     remaining boundary is the middle slot, labelled label.  Requires X1
     contracting and the derived product positive definite.
     """
+    g_twist, params = _handle_pants(x1, x2, g_twist, tol)
+    classes, reps = _build_maximal_stack(np.array(params.matrices())[:, None], tol)
+    return _handle_surface(params, g_twist, classes[0], reps[0], label, tol)
+
+
+def _handle_pants(x1, x2, g_twist, tol: Tolerance) -> tuple[np.ndarray, PantsParams]:
+    """The checks close_handle makes before the forward map; the twist and
+    the pants (X1, X2, G X1^T G^{-1})."""
     x1, x2 = as_matrix(x1), as_matrix(x2)
     g_twist = require_invertible(g_twist, tol, "handle twist")
     if circle_class(x1, tol) is not CircleClass.CONTRACTING:
         raise NotContracting("X1 must be contracting to close a handle")
-    params = PantsParams(x1, x2, g_twist @ x1.T @ np.linalg.inv(g_twist))
-    if classify_params(params, tol) in (ParamClass.NOT_VALID, ParamClass.IN_TILDE_R):
+    return g_twist, PantsParams(x1, x2, g_twist @ x1.T @ np.linalg.inv(g_twist))
+
+
+def _handle_surface(params: PantsParams, g_twist, cls, rep, label: str,
+                    tol: Tolerance, tw=None) -> SurfaceRep:
+    """close_handle from the class and the PantsRep (or their refusals) the
+    forward map gives its pants; tw as for _edge_twist."""
+    if unwrap(cls) in (ParamClass.NOT_VALID, ParamClass.IN_TILDE_R):
         raise NotValid("handle parameters do not define a maximal representation "
                        "with spectra in the closed unit disc")
-    pants = pants_surface_rep(params, tol, labels=(f"{label}.1", label, f"{label}.3"))
-    return close_pair(pants, f"{label}.3", f"{label}.1", g_twist, tol)
+    pants = _pants_surface(params, unwrap(rep), labels=(f"{label}.1", label, f"{label}.3"))
+    return _close_pair(pants, f"{label}.3", f"{label}.1", g_twist, tol, tw)
 
 
 # -- boundary reindexing ------------------------------------------------------
@@ -507,12 +589,6 @@ def _polar_split(h: SpMat) -> tuple[SpMat, SpMat]:
     return h1, _ld_product(h1, h)
 
 
-def _port_presentations(rep: SurfaceRep, idx: int, tol: Tolerance, upper: bool):
-    port = rep.ports[idx]
-    u, ell, s = _slot_presentation(rep.nodes[port.node], port.slot, tol, upper)
-    return port.conjugator @ u, ell, s
-
-
 _SYMPLECTIC_J_CACHE: dict[int, np.ndarray] = {}
 
 
@@ -538,19 +614,20 @@ def _symplectify(a: np.ndarray) -> np.ndarray:
 
 def _edge_twist(rep_up: SurfaceRep, idx_up: int,
                 rep_lo: SurfaceRep, idx_lo: int,
-                g_twist, tol: Tolerance) -> SpMat:
+                g_twist, tol: Tolerance, tw=None) -> SpMat:
     """The global conjugator h with h . img_lo . h^{-1} = img_up^{-1}.
 
-    The product is formed in extended precision, which keeps its conjugation
-    defect at rounding level; an overflow in it raises IllConditioned.
+    tw is the edge's twist element, or its refusal, when _edge_twists formed
+    it beforehand; None forms it here.  The product is formed in extended
+    precision, which keeps its conjugation defect at rounding level; an
+    overflow in it raises IllConditioned.
     """
-    qu, ell_up, sbar_up = _port_presentations(rep_up, idx_up, tol, upper=True)
-    ql, ell_lo, s_lo = _port_presentations(rep_lo, idx_lo, tol, upper=False)
-    for ell in (ell_up, ell_lo):
-        if np.any(_unit_circle_masks(ell, tol.unit_circle_band)[1]):
-            raise CannotGlue("unit-modulus boundary length obstructs gluing")
-    tw = twist_element(ell_lo, s_lo, ell_up, sbar_up, g_twist, tol)
-    h = _ld_product(qu, tw, sp_inverse(ql))
+    up, lo = rep_up.ports[idx_up], rep_lo.ports[idx_lo]
+    if tw is None:
+        tw = _edge_twists([(rep_up.nodes[up.node], up.slot,
+                            rep_lo.nodes[lo.node], lo.slot, g_twist)], tol)[0]
+    h = _ld_product(up.conjugator @ _slot_rotation(rep_up.n, up.slot, True), unwrap(tw),
+                    sp_inverse(lo.conjugator @ _slot_rotation(rep_lo.n, lo.slot, False)))
     check_finite(h.m)
     return h
 
@@ -564,6 +641,11 @@ def glue_reps(rep1: SurfaceRep, label1: str, rep2: SurfaceRep, label2: str,
     carries rep1's remaining boundaries first, then rep2's, and rep2's handle
     generators before rep1's.
     """
+    return _glue_reps(rep1, label1, rep2, label2, g_twist, tol)
+
+
+def _glue_reps(rep1: SurfaceRep, label1: str, rep2: SurfaceRep, label2: str,
+               g_twist, tol: Tolerance, tw=None) -> SurfaceRep:
     if rep1.n != rep2.n:
         raise CannotGlue("matrix dimensions differ")
     overlap = (set(rep1.boundary_labels()) - {label1}) & \
@@ -572,7 +654,7 @@ def glue_reps(rep1: SurfaceRep, label1: str, rep2: SurfaceRep, label2: str,
         raise ValueError(f"boundary labels collide: {sorted(overlap)}")
     rep1 = _move_boundary(rep1, label1, rep1.m - 1)
     rep2 = _move_boundary(rep2, label2, 0)
-    h = _edge_twist(rep1, rep1.m - 1, rep2, 0, g_twist, tol)
+    h = _edge_twist(rep1, rep1.m - 1, rep2, 0, g_twist, tol, tw)
     h1, h2 = _polar_split(h)
     rep1 = _conjugate_rep(rep1, h1)
     rep2 = _conjugate_rep(rep2, h2)
@@ -602,6 +684,11 @@ def close_pair(rep: SurfaceRep, upper_label: str, lower_label: str,
     to C_m; older handle generators are conjugated by C_1, exactly as the
     relation reshapes to the standard presentation.
     """
+    return _close_pair(rep, upper_label, lower_label, g_twist, tol)
+
+
+def _close_pair(rep: SurfaceRep, upper_label: str, lower_label: str,
+                g_twist, tol: Tolerance, tw=None) -> SurfaceRep:
     if upper_label == lower_label:
         raise CannotGlue("cannot close a boundary against itself")
     if rep.m == 2:
@@ -613,7 +700,7 @@ def close_pair(rep: SurfaceRep, upper_label: str, lower_label: str,
         # residual from at most 2e-8 to between 5e-3 and 4e8
         rep = _move_boundary(rep, upper_label, 0)
         rep = _move_boundary(rep, lower_label, 1)
-        t = _edge_twist(rep, 0, rep, 1, g_twist, tol)
+        t = _edge_twist(rep, 0, rep, 1, g_twist, tol, tw)
         low_idx, new_a = 1, rep.c_imgs[1]
         a_imgs = (new_a,) + rep.a_imgs
         b_imgs = (t,) + rep.b_imgs
@@ -623,7 +710,7 @@ def close_pair(rep: SurfaceRep, upper_label: str, lower_label: str,
         # the remaining boundaries untouched
         rep = _move_boundary(rep, lower_label, 0)
         rep = _move_boundary(rep, upper_label, rep.m - 1)
-        t = _edge_twist(rep, rep.m - 1, rep, 0, g_twist, tol)
+        t = _edge_twist(rep, rep.m - 1, rep, 0, g_twist, tol, tw)
         low_idx, new_a = 0, rep.c_imgs[0]
         c1_inv = sp_inverse(new_a)
         dress = lambda g: _ld_product(new_a, g, c1_inv)
@@ -708,50 +795,72 @@ def build_from_graph(graph: GluingGraph, tol: Tolerance = DEFAULT_TOL) -> Surfac
     between already-joined nodes are closed as handles at the end.  The
     handle signs come in the order component_signature reads them off the
     graph: self-edge handles in node order, then closures in edge order.
+
+    Every node's pants images come from one stacked forward-map call and
+    every edge's twist element from one stacked twist call; the gluing then
+    runs edge by edge.  A refusal is raised where that gluing reaches it:
+    node by node in gluing order, each node's own checks (a self-edge's
+    before its pants) ahead of the tree edge that attaches it, then the
+    closures in edge order.  Within a node or an edge the first failing
+    check wins, in the order of build_maximal, close_handle and
+    twist_element.
     """
     self_edges, tree_edges, closures = _gluing_plan(graph)
+    label = lambda port: f"{port[0]}.{port[1]}"
+
+    def checked_handle(node: PantsNode, loop: GraphEdge):
+        # a self-edge's checks before the forward map; a refusal is held
+        p = node.params
+        try:
+            tw = _loop_twist(require_invertible(loop.twist, tol, "handle twist"), loop.upper[1])
+            defect, over = _twist_defect(tw, p.X1, slot_glue_length(p, 3), tol)
+            if over:
+                raise CannotGlue(f"self-edge twist incompatible on node {node.name!r} "
+                                 f"(defect {defect:.3e})", edge=loop)
+            return _handle_pants(p.X1, p.X2, tw, tol)
+        except MaxRepError as exc:
+            return exc
+
+    local = {nd.name: checked_handle(nd, self_edges[nd.name]) if nd.name in self_edges
+             else (None, nd.params) for nd in graph.nodes}
+    ready = [name for name, pre in local.items() if not isinstance(pre, MaxRepError)]
+    xs = np.array([local[name][1].matrices() for name in ready]).reshape(-1, 3, graph.n, graph.n)
+    forward = dict(zip(ready, zip(*_build_maximal_stack(xs.swapaxes(0, 1), tol)))) if ready else {}
+    # the pants that build; only edges between them are ever glued
+    pants = {name: local[name][1] for name, (cls, rep) in forward.items()
+             if isinstance(rep, PantsRep) and not (
+                 name in self_edges and cls in (ParamClass.NOT_VALID, ParamClass.IN_TILDE_R))}
+    edges = [(e, (pants[name], 3, pants[name], 1, local[name][0]))
+             for name, e in self_edges.items() if name in pants]
+    edges += [(e, (pants[e.upper[0]], e.upper[1], pants[e.lower[0]], e.lower[1], e.twist))
+              for e in tree_edges + closures if e.upper[0] in pants and e.lower[0] in pants]
+    twists = dict(zip((e for e, _ in edges), _edge_twists([d for _, d in edges], tol)))
 
     def fresh_block(node: PantsNode) -> SurfaceRep:
+        cls, rep = forward.get(node.name, (None, None))
         loop = self_edges.get(node.name)
         if loop is None:
-            return pants_surface_rep(
-                node.params, tol,
-                labels=tuple(f"{node.name}.{s}" for s in (1, 2, 3)))
-        p = node.params
-        tw = _loop_twist(require_invertible(loop.twist, tol, "handle twist"), loop.upper[1])
-        defect = _twist_defect(tw, p.X1, slot_glue_length(p, 3), tol)
-        if defect is not None:
-            raise CannotGlue(
-                f"self-edge twist incompatible on node {node.name!r} "
-                f"(defect {defect:.3e})", edge=loop)
-        return close_handle(p.X1, p.X2, tw, tol, label=f"{node.name}.2")
+            return _pants_surface(node.params, unwrap(rep),
+                                  labels=tuple(f"{node.name}.{s}" for s in (1, 2, 3)))
+        tw, params = unwrap(local[node.name])
+        return _handle_surface(params, tw, cls, rep, f"{node.name}.2", tol, twists.get(loop))
 
     built = fresh_block(graph.nodes[0])
     handle_signs = built.handle_signs
-    for node, tree_edge in zip(graph.nodes[1:], tree_edges):
+    for node, e in zip(graph.nodes[1:], tree_edges):
         block = fresh_block(node)
         handle_signs += block.handle_signs
-        if tree_edge.upper[0] == node.name:
-            # fresh block on the upper side
-            up_label = f"{node.name}.{tree_edge.upper[1]}"
-            lo_label = f"{tree_edge.lower[0]}.{tree_edge.lower[1]}"
-            built = glue_reps(block, up_label, built, lo_label, tree_edge.twist, tol)
-        else:
-            up_label = f"{tree_edge.upper[0]}.{tree_edge.upper[1]}"
-            lo_label = f"{node.name}.{tree_edge.lower[1]}"
-            built = glue_reps(built, up_label, block, lo_label, tree_edge.twist, tol)
+        # the fresh block joins on the upper or the lower side
+        up, lo = (block, built) if e.upper[0] == node.name else (built, block)
+        built = _glue_reps(up, label(e.upper), lo, label(e.lower), e.twist, tol, twists.get(e))
     # glue_reps puts the upper side's handles first; restore node order
     built = replace(built, handle_signs=handle_signs)
     for e in closures:
-        built = close_pair(
-            built,
-            upper_label=f"{e.upper[0]}.{e.upper[1]}",
-            lower_label=f"{e.lower[0]}.{e.lower[1]}",
-            g_twist=e.twist, tol=tol)
+        built = _close_pair(built, label(e.upper), label(e.lower), e.twist, tol, twists.get(e))
     # reorder boundaries to the declared labels
     for target, b in enumerate(graph.boundaries):
-        built = _move_boundary(built, f"{b.port[0]}.{b.port[1]}", target)
-    relabel = {f"{b.port[0]}.{b.port[1]}": b.label for b in graph.boundaries}
+        built = _move_boundary(built, label(b.port), target)
+    relabel = {label(b.port): b.label for b in graph.boundaries}
     ports = tuple(replace(p, label=relabel.get(p.label, p.label)) for p in built.ports)
     built = replace(built, ports=ports, graph=graph)
     g_expected, m_expected = graph.surface_type()

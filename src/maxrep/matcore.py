@@ -18,7 +18,7 @@ from typing import ClassVar
 import numpy as np
 from scipy.linalg.lapack import dgees, dtrsyl
 
-from .errors import IllConditioned, NearSingular, ResonantSpectrum, Singular
+from .errors import IllConditioned, NearSingular, ResonantSpectrum, Singular, unwrap
 
 __all__ = [
     "Tolerance",
@@ -65,6 +65,8 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
+_FLOAT64 = np.dtype(np.float64)
+_NON_FINITE = "matrix contains NaN or Inf entries"
 
 
 class CircleClass(enum.Enum):
@@ -75,8 +77,10 @@ class CircleClass(enum.Enum):
 
 
 def as_matrix(x) -> np.ndarray:
-    """Coerce scalars / nested lists to a square float64 matrix."""
-    m = np.atleast_2d(np.asarray(x, dtype=float))
+    """Coerce scalars / nested lists to a square float64 matrix; a float64
+    matrix is returned as is."""
+    m = x if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim == 2 \
+        else np.atleast_2d(np.asarray(x, dtype=float))
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
@@ -100,7 +104,7 @@ def check_finite(m: np.ndarray) -> np.ndarray:
     """Return m; a NaN or infinite entry, the trace of an overflow, raises
     IllConditioned."""
     if not np.all(np.isfinite(m)):
-        raise IllConditioned("matrix contains NaN or Inf entries")
+        raise IllConditioned(_NON_FINITE)
     return m
 
 
@@ -126,11 +130,18 @@ def require_symmetric(m, tol: Tolerance = DEFAULT_TOL, what: str = "matrix") -> 
 def require_invertible(m, tol: Tolerance = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:
     m = as_matrix(m)
     check_finite(m)
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[-1] <= tol.eq_tol * max(1.0, s[0]):
-        raise Singular(f"{what} is singular within tolerance "
-                       f"(sigma_min = {s[-1]:.3e}, sigma_max = {s[0]:.3e})")
+    fault = _singular(np.linalg.svd(m, compute_uv=False), tol, what)
+    if fault:
+        raise fault
     return m
+
+
+def _singular(s: np.ndarray, tol: Tolerance, what: str) -> Singular | None:
+    """What require_invertible raises for singular values s (descending), or None."""
+    if s[-1] <= tol.eq_tol * max(1.0, s[0]):
+        return Singular(f"{what} is singular within tolerance "
+                        f"(sigma_min = {s[-1]:.3e}, sigma_max = {s[0]:.3e})")
+    return None
 
 
 def spectral_radius(x) -> float:
@@ -197,30 +208,66 @@ def stein_solve(a, q, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     q = require_symmetric(q, tol, "Stein right-hand side")
     if a.shape != q.shape:
         raise ValueError("A and Q must have matching shape")
-    eigs = np.linalg.eigvals(a)
-    prods = np.abs(np.multiply.outer(eigs, eigs) - 1.0)
-    if np.min(prods) <= tol.unit_circle_band:
-        raise ResonantSpectrum(
-            f"eigenvalue product within {tol.unit_circle_band:.1e} of 1")
+    return unwrap(_stein_solves(a[None], q[None], tol)[0])
+
+
+def _stein_solves(a: np.ndarray, q: np.ndarray, tol: Tolerance,
+                  eigs: np.ndarray | None = None) -> list:
+    """stein_solve on each slice of (k, n, n) stacks of finite A and
+    symmetric Q: entry i is the solution or the refusal for slice i, in
+    stein_solve's check order.  eigs, when given, holds the eigenvalues of
+    each A.  Only LAPACK's Schur factorization and triangular Sylvester
+    solve run slice by slice.
+    """
+    n = a.shape[-1]
+    eye, t = np.eye(n), lambda m: np.swapaxes(m, -1, -2)
+    eigs = np.linalg.eigvals(a) if eigs is None else eigs
+    resonant = np.abs(eigs[:, :, None] * eigs[:, None, :] - 1.0).min(axis=(1, 2)) \
+        <= tol.unit_circle_band
+    out = [IllConditioned(_NON_FINITE) if not ok
+           else ResonantSpectrum(f"eigenvalue product within {tol.unit_circle_band:.1e} of 1")
+           if bad else None for ok, bad in zip(np.isfinite(q).all(axis=(1, 2)), resonant)]
+    live = [i for i, r in enumerate(out) if r is None]
+    if not live:
+        return out
+    if len(live) < len(out):
+        a, q = a[live], q[live]
     # A^T + I is invertible: an eigenvalue -1 of A is resonant with itself
-    n = a.shape[0]
-    w = np.linalg.inv(a.T + np.eye(n))
-    t, u, _ = _real_schur(np.eye(n) - 2.0 * w, error=IllConditioned)
-    wu = w.T @ u
+    w = np.linalg.inv(t(a) + eye)
+    factors = []
+    for i, b in zip(live, eye - 2.0 * w):
+        try:
+            factors.append(_real_schur(b, error=IllConditioned)[:2])
+        except IllConditioned as exc:
+            out[i], factors = exc, factors + [(eye, eye)]
+    ts, u = (np.array(f) for f in zip(*factors))
+    wu = t(w) @ u
 
     def solve(r):
         # with B = U T U^T and X = U^T P U: T X + X T^T = 2 U^T W R W^T U
-        x, scale, _ = dtrsyl(t, t, 2.0 * (wu.T @ r @ wu), tranb="T")
-        return u @ (x / scale) @ u.T
+        xs = [dtrsyl(ti, ti, ri, tranb="T")[:2] for ti, ri in zip(ts, 2.0 * (t(wu) @ r @ wu))]
+        return u @ np.array([x / scale for x, scale in xs]) @ t(u)
 
-    p = solve(q)
-    p = check_finite(sym_part(p - solve(a.T @ p @ a - p - q)))
-    residual = norm_inf(a.T @ p @ a - p - q)
-    if residual > rel_bound(tol.series_tol, q, norm_inf(a) ** 2 * norm_inf(p)):
-        raise ResonantSpectrum(
-            f"Stein residual {residual:.3e} exceeds tolerance; "
+    # a first solve that overflows stays non-finite through the refinement
+    ok, p = _finite_slices(solve(q))
+    ok2, p = _finite_slices(sym_part(p - solve(t(a) @ p @ a - p - q)))
+    ok &= ok2
+    residual = np.abs(t(a) @ p @ a - p - q).max(axis=(1, 2))
+    scale = np.maximum(np.maximum(1.0, np.abs(q).max(axis=(1, 2))),
+                       np.abs(a).max(axis=(1, 2)) ** 2 * np.abs(p).max(axis=(1, 2)))
+    for j, i in enumerate(live):
+        out[i] = out[i] or (IllConditioned(_NON_FINITE) if not ok[j] else ResonantSpectrum(
+            f"Stein residual {residual[j]:.3e} exceeds tolerance; "
             "the equation is too close to resonance")
-    return p
+            if residual[j] > tol.series_tol * scale[j] else p[j])
+    return out
+
+
+def _finite_slices(m: np.ndarray, fill=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Which matrices of a stack are free of NaN and Inf, and the stack with
+    fill in place of the others (m itself when none is)."""
+    ok = np.isfinite(m).all(axis=(-2, -1))
+    return ok, m if ok.all() else np.where(ok[..., None, None], m, fill)
 
 
 def _char_poly_matches(x: np.ndarray, y: np.ndarray, tol: Tolerance) -> bool:

@@ -118,10 +118,13 @@ class StandardBoundary:
 def standard_element(a, s, tol: Tolerance = DEFAULT_TOL) -> SpMat:
     """The lower-triangular standard form [[A, 0], [A + A^{-T}S, A^{-T}]],
     the boundary normal form at 0 (re-exported as gluing.standard_lower)."""
-    a, s = as_matrix(a), as_matrix(s)
-    n = a.shape[0]
-    ait = np.linalg.inv(a.T)
-    return make_symplectic(a, np.zeros((n, n)), a + ait @ s, ait, tol)
+    return make_symplectic(*_standard_blocks(as_matrix(a), as_matrix(s)), tol)
+
+
+def _standard_blocks(a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The blocks of standard_element, for one matrix or a stack."""
+    ait = np.linalg.inv(np.swapaxes(a, -1, -2))
+    return a, np.zeros_like(a), a + ait @ s, ait
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,16 +21,20 @@ import numpy as np
 
 from .errors import (
     IllConditioned,
+    MaxRepError,
     NearSingular,
     NotMaximal,
     NotValid,
-    Singular,
+    first_fault,
     unwrap,
 )
 from .maslov import Triple, indefinite_identity, is_maximal, maslov, normalize_maximal_triple
 from .matcore import (
     DEFAULT_TOL,
+    _NON_FINITE,
     Tolerance,
+    _finite_slices,
+    _singular,
     as_matrix,
     check_finite,
     commutant_search,
@@ -42,7 +46,7 @@ from .normalform import _canonical_points, _require_fixed
 from .symplectic import (
     BoundaryPoint,
     SpMat,
-    make_symplectic,
+    _make_symplectics,
     moebius_act,
     sp_inverse,
 )
@@ -153,8 +157,8 @@ def classify_params(p: PantsParams, tol: Tolerance = DEFAULT_TOL) -> ParamClass:
     return unwrap(_check_stack(np.array(p.matrices())[:, None], tol)[0][0])
 
 
-def _check_stack(xs: np.ndarray, tol: Tolerance,
-                 membership: bool = True) -> tuple[list | None, list]:
+def _check_stack(xs: np.ndarray, tol: Tolerance, membership: bool = True,
+                 each: bool = False) -> tuple[list | None, list]:
     """Membership class and product signature of each slice of a stack.
 
     xs has shape (3, k, n, n); slice i is the triple (xs[0, i], xs[1, i],
@@ -163,14 +167,21 @@ def _check_stack(xs: np.ndarray, tol: Tolerance,
     reads off its product; either entry is instead the exception that call
     raises, so that a caller checking many slices picks which one to raise.
     membership=False skips the classes.  A NaN or Inf anywhere in the stack
-    or its products raises IllConditioned for the whole stack.
+    or its products raises IllConditioned for the whole stack, unless each
+    is set: then it is that slice's refusal, ahead of its other faults.
     """
-    sv = np.linalg.svd(check_finite(xs), compute_uv=False)
+    eye = np.eye(xs.shape[-1])
+    finite = np.isfinite(xs).all(axis=(0, -2, -1))
+    if not finite.all():
+        xs = np.where(finite[:, None, None], xs if each else check_finite(xs), eye)
+    sv = np.linalg.svd(xs, compute_uv=False)
     singular = sv[..., -1] <= tol.eq_tol * np.maximum(1.0, sv[..., 0])
     # a singular X2 is refused anyway; the identity in its place keeps the
     # stacked inverse from failing on the other slices
-    x2 = np.where(singular[1, :, None, None], np.eye(xs.shape[-1]), xs[1])
-    prod = check_finite(xs[2] @ np.linalg.inv(np.swapaxes(x2, -1, -2)) @ xs[0])
+    x2 = np.where(singular[1, :, None, None], eye, xs[1])
+    prod = xs[2] @ np.linalg.inv(np.swapaxes(x2, -1, -2)) @ xs[0]
+    ok, prod = _finite_slices(prod if each else check_finite(prod), eye)
+    finite &= ok
     prod_t = np.swapaxes(prod, -1, -2)
     bound = tol.eq_tol * np.maximum(1.0, np.abs(prod).max(axis=(-2, -1)))
     asym = np.abs(prod - prod_t).max(axis=(-2, -1)) > bound
@@ -179,17 +190,19 @@ def _check_stack(xs: np.ndarray, tol: Tolerance,
     near = moduli.min(axis=-1) <= tol.eq_tol * moduli.max(axis=-1)
 
     def fault(i, checked):
+        if not finite[i]:
+            return IllConditioned(_NON_FINITE)
         for j in checked:
             if singular[j, i]:
-                return Singular(f"X{j + 1} is singular within tolerance "
-                                f"(sigma_min = {sv[j, i, -1]:.3e}, sigma_max = {sv[j, i, 0]:.3e})")
+                return _singular(sv[j, i], tol, f"X{j + 1}")
         if asym[i]:
             return NotValid("product is not symmetric")
         return NearSingular(f"eigenvalue inside zero band (band {tol.eq_tol * moduli[i].max():.3e}, "
                             f"closest {moduli[i].min():.3e})")
 
     sigs = [fault(i, (1,)) if bad else s for i, (s, bad) in enumerate(zip(
-        np.sign(eigs).sum(axis=-1).astype(int).tolist(), (singular[1] | asym | near).tolist()))]
+        np.sign(eigs).sum(axis=-1).astype(int).tolist(),
+        (~finite | singular[1] | asym | near).tolist()))]
     if not membership:
         return None, sigs
     not_valid = (asym | (eigs[:, 0] <= bound)).tolist()
@@ -200,36 +213,60 @@ def _check_stack(xs: np.ndarray, tol: Tolerance,
                else ParamClass.IN_TILDE_R if radius[i] > hi
                else ParamClass.IN_R_STAR if radius[i] < lo
                else ParamClass.IN_R
-               for i, bad in enumerate(singular.any(axis=0).tolist())]
+               for i, bad in enumerate((~finite | singular.any(axis=0)).tolist())]
     return classes, sigs
 
 
 def _pants_blocks(x1: np.ndarray, x2: np.ndarray, x3: np.ndarray,
                   ik: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The three generator images with middle fixed point ik."""
-    n = x1.shape[0]
-    z = np.zeros((n, n))
-    x1ti = np.linalg.inv(x1.T)
-    x2i = np.linalg.inv(x2)
-    x2ti = np.linalg.inv(x2.T)
-    x3i = np.linalg.inv(x3)
-    x3ti = np.linalg.inv(x3.T)
-    t = x3i @ x1.T
+    """The three generator images with middle fixed point ik; the Xi may be
+    stacks of matrices."""
+    t, inv, z = (lambda m: np.swapaxes(m, -1, -2)), np.linalg.inv, np.zeros_like(x1)
+    x1ti, x2i, x2ti, x3i, x3ti = inv(t(x1)), inv(x2), inv(t(x2)), inv(x3), inv(t(x3))
+    t13 = x3i @ t(x1)
 
-    c1 = (x1, z, x2i @ x3.T + ik @ x1, x1ti)
-    c2 = (-ik @ x2ti - ik @ t @ ik - x2 @ ik, ik @ t + x2,
-          -x2ti - t @ ik, t)
-    c3 = (x3ti, -x3ti @ ik - np.linalg.inv(x1) @ x2.T, z, x3)
+    c1 = (x1, z, x2i @ t(x3) + ik @ x1, x1ti)
+    c2 = (-ik @ x2ti - ik @ t13 @ ik - x2 @ ik, ik @ t13 + x2,
+          -x2ti - t13 @ ik, t13)
+    c3 = (x3ti, -x3ti @ ik - inv(x1) @ t(x2), z, x3)
     return c1, c2, c3
 
 
-def _assemble_rep(blocks, tol: Tolerance) -> PantsRep:
-    c1, c2, c3 = (make_symplectic(*b, tol=tol) for b in blocks)
-    n = c1.n
-    residual = norm_inf((c3 @ c2 @ c1).m - np.eye(2 * n))
-    if residual > rel_bound(tol.eq_tol, c1.m, c2.m, c3.m):
-        raise NotValid(f"group relation fails with residual {residual:.3e}")
-    return PantsRep(c1, c2, c3, relation_residual=residual)
+def _assemble_reps(blocks, tol: Tolerance) -> list:
+    """The PantsRep of each slice of stacked generator blocks, or the refusal
+    of its first failing check: c1, c2, c3 symplectic, then the relation."""
+    k = len(blocks[0][0])
+    gens = _make_symplectics(*(np.concatenate(parts) for parts in zip(*blocks)), tol)
+    reps = [first_fault(gens[i::k]) for i in range(k)]
+    live = [i for i, r in enumerate(reps) if r is None]
+    if live:
+        c1, c2, c3 = (np.array([gens[j * k + i].m for i in live]) for j in range(3))
+        residual = np.abs(c3 @ c2 @ c1 - np.eye(c1.shape[-1])).max(axis=(-2, -1))
+        scale = np.maximum(1.0, np.abs(np.stack((c1, c2, c3))).max(axis=(0, -2, -1)))
+        for j, i in enumerate(live):
+            reps[i] = NotValid(f"group relation fails with residual {residual[j]:.3e}") \
+                if residual[j] > tol.eq_tol * scale[j] \
+                else PantsRep(*gens[i::k], relation_residual=float(residual[j]))
+    return reps
+
+
+def _build_maximal_stack(xs: np.ndarray, tol: Tolerance) -> tuple[list, list]:
+    """build_maximal on each slice of a (3, k, n, n) stack of lengths.
+
+    Returns (classes, reps): the membership class of each slice, as
+    _check_stack gives it, and its PantsRep or the refusal build_maximal
+    raises for it.  A slice with a NaN or Inf is refused on its own.
+    """
+    classes = _check_stack(xs, tol, each=True)[0]
+    reps = [c if isinstance(c, MaxRepError)
+            else NotValid("parameters are not in the positive-definite cone")
+            if c is ParamClass.NOT_VALID else None for c in classes]
+    live = [i for i, r in enumerate(reps) if r is None]
+    if live:
+        built = _assemble_reps(_pants_blocks(*xs[:, live], np.eye(xs.shape[-1])), tol)
+        for i, r in zip(live, built):
+            reps[i] = r
+    return classes, reps
 
 
 def build_maximal(p: PantsParams, tol: Tolerance = DEFAULT_TOL) -> PantsRep:
@@ -238,10 +275,7 @@ def build_maximal(p: PantsParams, tol: Tolerance = DEFAULT_TOL) -> PantsRep:
     The images fix 0, e and infinity respectively and satisfy the group
     relation exactly at the formula level.
     """
-    if classify_params(p, tol) is ParamClass.NOT_VALID:
-        raise NotValid("parameters are not in the positive-definite cone")
-    blocks = _pants_blocks(p.X1, p.X2, p.X3, np.eye(p.n))
-    return _assemble_rep(blocks, tol)
+    return unwrap(_build_maximal_stack(np.array(p.matrices())[:, None], tol)[1][0])
 
 
 def build_general(gp: GeneralPantsParams, tol: Tolerance = DEFAULT_TOL) -> PantsRep:
@@ -255,8 +289,8 @@ def build_general(gp: GeneralPantsParams, tol: Tolerance = DEFAULT_TOL) -> Pants
     prod = gp.X3 @ np.linalg.inv(gp.X2.T) @ gp.X1
     if norm_inf(prod - prod.T) > rel_bound(tol.eq_tol, prod):
         raise NotValid("product is not symmetric; no representation exists")
-    blocks = _pants_blocks(gp.X1, gp.X2, gp.X3, indefinite_identity(gp.n, gp.i))
-    return _assemble_rep(blocks, tol)
+    blocks = _pants_blocks(gp.X1[None], gp.X2[None], gp.X3[None], indefinite_identity(gp.n, gp.i))
+    return unwrap(_assemble_reps(blocks, tol)[0])
 
 
 def toledo(rep: PantsRep, fixed_points: Triple,

@@ -13,12 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IllConditioned, NotSymplectic
+from .errors import IllConditioned, NotSymplectic, unwrap
 from .matcore import (
     DEFAULT_TOL,
+    _NON_FINITE,
     Tolerance,
+    _finite_slices,
     as_matrix,
-    check_finite,
     norm_inf,
     rel_bound,
     require_symmetric,
@@ -118,37 +119,59 @@ def identity_point(n: int) -> BoundaryPoint:
     return BoundaryPoint(np.eye(n))
 
 
+_RELATIONS = ("A^T D - C^T B = I", "A^T C symmetric", "D^T B symmetric")
+
+
 def symplectic_residual(m: np.ndarray) -> tuple[float, str]:
     """Worst defect among the three block relations, and which one."""
-    n = m.shape[0] // 2
-    a, b = m[:n, :n], m[:n, n:]
-    c, d = m[n:, :n], m[n:, n:]
-    res = {
-        "A^T D - C^T B = I": norm_inf(a.T @ d - c.T @ b - np.eye(n)),
-        "A^T C symmetric": norm_inf(a.T @ c - c.T @ a),
-        "D^T B symmetric": norm_inf(d.T @ b - b.T @ d),
-    }
-    worst = max(res, key=res.get)
-    return res[worst], worst
+    res = _symplectic_defects(m)
+    return float(res.max()), _RELATIONS[int(np.argmax(res))]
+
+
+def _symplectic_defects(m: np.ndarray) -> np.ndarray:
+    """Defects of the three block relations, in _RELATIONS order, along the
+    last axis; m may be a stack."""
+    n = m.shape[-1] // 2
+    t = lambda x: np.swapaxes(x, -1, -2)
+    a, b = m[..., :n, :n], m[..., :n, n:]
+    c, d = m[..., n:, :n], m[..., n:, n:]
+    defects = (t(a) @ d - t(c) @ b - np.eye(n), t(a) @ c - t(c) @ a, t(d) @ b - t(b) @ d)
+    return np.stack([np.abs(x).max(axis=(-2, -1), initial=0.0) for x in defects], axis=-1)
 
 
 def _block(a, b, c, d) -> np.ndarray:
-    """[[a, b], [c, d]] for an n x n array a; b, c, d may be scalars."""
-    n = a.shape[0]
-    m = np.empty((2 * n, 2 * n), dtype=np.result_type(a, b, c, d))
-    m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:] = a, b, c, d
+    """[[a, b], [c, d]] for an n x n array (or a stack of them) a; b, c, d
+    may be scalars or broadcast."""
+    n = a.shape[-1]
+    m = np.empty(a.shape[:-2] + (2 * n, 2 * n), dtype=np.result_type(a, b, c, d))
+    m[..., :n, :n], m[..., :n, n:], m[..., n:, :n], m[..., n:, n:] = a, b, c, d
     return m
 
 
 def make_symplectic(a, b, c, d, tol: Tolerance = DEFAULT_TOL) -> SpMat:
     """Assemble and validate a symplectic matrix from its four blocks."""
-    m = _block(*np.array([as_matrix(x) for x in (a, b, c, d)]))   # refuses mixed shapes
-    check_finite(m)
-    residual, relation = symplectic_residual(m)
-    if residual > rel_bound(tol.eq_tol, m):
-        raise NotSymplectic(
-            f"relation '{relation}' fails with residual {residual:.3e}")
-    return SpMat(m)
+    blocks = np.array([as_matrix(x) for x in (a, b, c, d)])   # refuses mixed shapes
+    return unwrap(_make_symplectics(*blocks[:, None], tol)[0])
+
+
+def _make_symplectics(a, b, c, d, tol: Tolerance) -> list:
+    """make_symplectic on each slice of (k, n, n) block stacks (b, c, d may
+    broadcast): entry i is the SpMat or the refusal for slice i."""
+    m = _block(a, b, c, d)
+    ok, safe = _finite_slices(m)
+    res = _symplectic_defects(safe)
+    bad = res.max(axis=-1) > tol.eq_tol * np.maximum(1.0, np.abs(safe).max(axis=(-2, -1)))
+    return [IllConditioned(_NON_FINITE) if not ok[i]
+            else NotSymplectic(f"relation '{_RELATIONS[int(np.argmax(res[i]))]}' fails "
+                               f"with residual {res[i].max():.3e}")
+            if bad[i] else SpMat(m[i]) for i in range(len(m))]
+
+
+def _sp_inv(m: np.ndarray) -> np.ndarray:
+    """The block inverse (D^T, -B^T; -C^T, A^T) of a symplectic matrix or stack."""
+    n = m.shape[-1] // 2
+    t = lambda x: np.swapaxes(x, -1, -2)
+    return _block(t(m[..., n:, n:]), -t(m[..., :n, n:]), -t(m[..., n:, :n]), t(m[..., :n, :n]))
 
 
 def sp_identity(n: int) -> SpMat:
@@ -157,7 +180,7 @@ def sp_identity(n: int) -> SpMat:
 
 def sp_inverse(g: SpMat) -> SpMat:
     """Inverse from the block formula (D^T, -B^T; -C^T, A^T)."""
-    return SpMat(_block(g.D.T, -g.B.T, -g.C.T, g.A.T))
+    return SpMat(_sp_inv(g.m))
 
 
 def diag_symplectic(m) -> SpMat:

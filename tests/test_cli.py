@@ -255,6 +255,37 @@ class TestCommands:
         assert code == 3
         assert "NotTransverse: points 1 and 2 are not transverse" in err
 
+    def test_cached_parser_keeps_no_state_between_calls(self, tmp_path, pants_file, capsys):
+        # the parser is built once per process; each call must still read only
+        # its own command and flags
+        from maxrep.cli import _build_parser
+        assert _build_parser() is _build_parser()
+        pts = tmp_path / "pts.mp"
+        pts.write_text("maxrep-points 1\nn 2\npoint zero\npoint\n  1.0 0.0\n  0.0 0.001\npoint inf\n")
+        runs = [(["build", pants_file, "--json"], 0, '"status": "ok"'),
+                (["build", pants_file], 0, "status: ok"),
+                (["maslov", str(pts), "--tol", "1e-2"], 3, "NotTransverse"),
+                (["maslov", str(pts)], 0, "maslov: 2"),
+                (["maslov", str(pts), "--json"], 0, '"maslov": 2'),
+                (["toledo", pants_file], 0, "T: 1")]
+        for _ in range(2):
+            for argv, want_code, want_text in runs:
+                code, out, err = run_main(argv, capsys)
+                assert code == want_code and want_text in out + err
+                assert out.lstrip().startswith("{") == ("--json" in argv)
+
+    def test_node_report_matches_one_node_calls(self):
+        # one stacked check over all nodes reports what the per-node calls give
+        from maxrep.cli import _describe_build
+        from maxrep.matcore import DEFAULT_TOL
+        from maxrep.pants import classify_params, toledo_signature_shortcut
+        for kind in [(1, 2), (0, 5)]:
+            graph = chain_graph(*kind, 2, np.random.default_rng(3))
+            report = dict(_describe_build(build_from_graph(graph), graph, DEFAULT_TOL))
+            for nd in graph.nodes:
+                assert report[f"node {nd.name} class"] == classify_params(nd.params).value
+                assert report[f"node {nd.name} toledo"] == str(toledo_signature_shortcut(nd.params))
+
     def test_components_torus(self, torus_file, capsys):
         code, out, _ = run_main(["components", torus_file], capsys)
         assert code == 0

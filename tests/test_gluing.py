@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 import maxrep.gluing
-from maxrep.errors import CannotGlue, GraphInvalid, IllConditioned, NotCompatible, NotContracting
+from maxrep.deform import standard_sign_graph
+from maxrep.errors import (
+    CannotGlue,
+    GraphInvalid,
+    IllConditioned,
+    MaxRepError,
+    NotCompatible,
+    NotContracting,
+)
 from maxrep.gluing import (
     GlueStatus,
     GluingGraph,
@@ -21,11 +29,21 @@ from maxrep.gluing import (
     slot_glue_length,
     standard_lower,
     standard_upper,
+    _edge_twists,
+    _gluing_plan,
+    _loop_twist,
+    _twist_elements,
     twist_element,
 )
-from maxrep.matcore import norm_inf
-from maxrep.pants import PantsParams, build_maximal, pants_product, toledo_signature_shortcut
-from maxrep.symplectic import sp_inverse
+from maxrep.matcore import DEFAULT_TOL, norm_inf
+from maxrep.pants import (
+    PantsParams,
+    _build_maximal_stack,
+    build_maximal,
+    pants_product,
+    toledo_signature_shortcut,
+)
+from maxrep.symplectic import SpMat, sp_inverse
 from tests_support import (
     chain_graph,
     derive_third_length,
@@ -460,3 +478,152 @@ class TestEdgeConjugator:
 def test_envelope_n32(kind, rng):
     rep = build_from_graph(chain_graph(*kind, 32, rng))
     assert rep.relation_residual <= 1e-10
+
+
+def _same(a, b):
+    """Equal SpMats or PantsReps entry for entry, or refusals of one type and message."""
+    if isinstance(a, Exception) or isinstance(b, Exception):
+        return type(a) is type(b) and str(a) == str(b)
+    if isinstance(a, SpMat):
+        return np.array_equal(a.m, b.m)
+    return all(np.array_equal(x.m, y.m) for x, y in zip(a.generators(), b.generators())) \
+        and a.relation_residual == b.relation_residual
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except MaxRepError as exc:
+        return exc
+
+
+def _local_edges(graph):
+    """The (upper pants, upper slot, lower pants, lower slot, twist) of every
+    edge as the build glues it: a self-edge closes the derived handle pants."""
+    params = {nd.name: nd.params for nd in graph.nodes}
+    edges = []
+    for e in graph.edges:
+        if e.upper[0] == e.lower[0]:
+            p = params[e.upper[0]]
+            tw = _loop_twist(e.twist, e.upper[1])
+            handle = PantsParams(p.X1, p.X2, tw @ p.X1.T @ np.linalg.inv(tw))
+            edges.append((handle, 3, handle, 1, tw))
+        else:
+            edges.append((params[e.upper[0]], e.upper[1], params[e.lower[0]], e.lower[1], e.twist))
+    return edges
+
+
+def _stacked_graphs():
+    rng = np.random.default_rng(14)
+    for kind in [(0, 3), (1, 1), (0, 4), (1, 2), (0, 5)]:
+        for n in (1, 2, 3):
+            yield chain_graph(*kind, n, rng)
+    yield standard_sign_graph(0, 8, 2, (1, -1, 1, 1, -1, -1, 1))
+
+
+class TestStackedLocalData:
+    """The stacked forward map and twist kernel the build calls agree with
+    their one-slice wrappers, and the build refuses in gluing order."""
+
+    @pytest.mark.parametrize("graph", list(_stacked_graphs()))
+    def test_stacks_match_one_slice_wrappers(self, graph, monkeypatch):
+        params = [nd.params for nd in graph.nodes]
+        xs = np.array([p.matrices() for p in params]).swapaxes(0, 1)
+        for p, rep in zip(params, _build_maximal_stack(xs, DEFAULT_TOL)[1]):
+            assert _same(rep, _outcome(build_maximal, p))
+        # the stacked slot presentations of every edge, as the build forms them
+        calls = []
+        monkeypatch.setattr(maxrep.gluing, "_twist_elements",
+                            lambda *args, **kwargs: calls.append(args) or _twist_elements(*args, **kwargs))
+        stacked = _edge_twists(_local_edges(graph), DEFAULT_TOL)
+        assert len(calls) == (1 if graph.edges else 0)
+        for k, tw in enumerate(stacked):
+            assert isinstance(tw, SpMat)
+            one = twist_element(*(a[k] for a in calls[0][:5]))
+            assert _same(tw, one)
+            assert _same(_twist_elements(*(a[[k, k]] for a in calls[0][:5]), DEFAULT_TOL)[1], one)
+
+    def test_mixed_twist_stack_keeps_each_refusal(self, rng):
+        x = random_contracting(2, rng)
+        g0 = random_invertible(2, rng)
+        s, sbar = random_spd(2, rng), random_spd(2, rng)
+        good = (x, s, g0 @ x.T @ np.linalg.inv(g0), sbar, g0)
+        cases = [good,
+                 (x, s, good[2] + 1e-3, sbar, g0),                  # NotCompatible
+                 (2.0 * x / np.max(np.abs(np.linalg.eigvals(x))), s, good[2], sbar, g0),  # NotContracting
+                 (x, s, good[2], sbar, np.zeros((2, 2))),           # Singular twist
+                 (x, np.full((2, 2), np.nan), good[2], sbar, g0),   # IllConditioned
+                 (np.full((2, 2), np.inf), s, good[2], sbar, g0),
+                 good]
+        stacked = _twist_elements(*(np.array(c) for c in zip(*cases)), DEFAULT_TOL)
+        kinds = [type(r).__name__ for r in stacked]
+        assert kinds == ["SpMat", "NotCompatible", "NotContracting", "Singular",
+                         "IllConditioned", "IllConditioned", "SpMat"]
+        for case, result in zip(cases, stacked):
+            assert _same(result, _outcome(twist_element, *case))
+
+    @staticmethod
+    def _faulty_chain(rng, bad_node, bad_edge, nan_node=False):
+        graph = chain_graph(0, 6, 2, rng)
+        nodes, edges = list(graph.nodes), list(graph.edges)
+        p = nodes[bad_node].params
+        x2 = np.full((2, 2), np.nan) if nan_node else -p.X2   # product no longer positive
+        nodes[bad_node] = PantsNode(nodes[bad_node].name, PantsParams(p.X1, x2, p.X3))
+        e = edges[bad_edge]
+        edges[bad_edge] = GraphEdge(e.upper, e.lower, e.twist + 1e-3 * np.eye(2))
+        return GluingGraph(tuple(nodes), tuple(edges), graph.boundaries)
+
+    @staticmethod
+    def _first_fault(graph):
+        """build_maximal on each node and twist_element on each edge, in gluing order."""
+        (_, tree_edges, _) = _gluing_plan(graph)
+        edges = dict(zip(graph.edges, _local_edges(graph)))
+        steps = [graph.nodes[0]] + [x for pair in zip(graph.nodes[1:], tree_edges) for x in pair]
+        for step in steps:
+            if isinstance(step, PantsNode):
+                fault = _outcome(build_maximal, step.params)
+            else:
+                calls = []
+                patched = lambda *args, **kwargs: calls.append(args) or _twist_elements(*args)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(maxrep.gluing, "_twist_elements", patched)
+                    _edge_twists([edges[step]], DEFAULT_TOL)
+                fault = _outcome(twist_element, *(a[0] for a in calls[0][:5]))
+            if isinstance(fault, MaxRepError):
+                return fault
+        return None
+
+    @pytest.mark.parametrize("bad_node, bad_edge, nan_node", [
+        (3, 0, False), (1, 2, False), (2, 1, False), (1, 1, False), (3, 0, True), (1, 2, True)])
+    def test_first_fault_in_gluing_order_wins(self, bad_node, bad_edge, nan_node):
+        graph = self._faulty_chain(np.random.default_rng(bad_node + 7 * bad_edge),
+                                   bad_node, bad_edge, nan_node)
+        expected = self._first_fault(graph)
+        assert isinstance(expected, MaxRepError)
+        with pytest.raises(type(expected)) as info:
+            build_from_graph(graph)
+        assert str(info.value) == str(expected)
+
+    def test_one_forward_map_call_and_one_twist_call(self, rng, monkeypatch):
+        calls = {"_build_maximal_stack": 0, "_twist_elements": 0}
+        for name in calls:
+            real = getattr(maxrep.gluing, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(maxrep.gluing, name, counted)
+        p = random_pants_params(2, rng, tame=True)
+        mirror = PantsParams(p.X3.T, p.X2.T, p.X1.T)
+        closed = GluingGraph(
+            (PantsNode("p0", p), PantsNode("p1", mirror)),
+            (GraphEdge(("p1", 3), ("p0", 1), np.eye(2)),
+             GraphEdge(("p0", 3), ("p1", 1), np.eye(2)),
+             GraphEdge(("p1", 2), ("p0", 2), np.eye(2))),
+            ())
+        # self edge, tree edges, and closures
+        for graph in (chain_graph(1, 3, 2, rng), closed):
+            calls.update(dict.fromkeys(calls, 0))
+            build_from_graph(graph)
+            assert calls == {"_build_maximal_stack": 1, "_twist_elements": 1}

@@ -211,6 +211,50 @@ class TestStein:
             stein_solve(np.diag([2.0, 0.5]), np.eye(2))
 
 
+    def test_stack_matches_one_slice_calls(self, rng):
+        # every slice keeps its own solution or refusal, whatever its neighbours do
+        n = 3
+        cases = [(random_contracting(n, rng, rho_range=(0.2, 0.7)), random_spd(n, rng)),
+                 (np.diag([2.0, 0.5, 0.3]), np.eye(n)),                       # resonant
+                 (_stein_matrix("mixed", n, rng), -random_spd(n, rng)),
+                 (np.diag([0.999, 0.5, 0.2]), 1e308 * np.eye(n)),             # overflows
+                 (_stein_matrix("near_minus_one", n, rng), random_spd(n, rng)),
+                 (np.zeros((n, n)), np.full((n, n), np.inf))]                  # non-finite Q
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the stacked kernel takes Q exactly symmetric, as stein_solve passes it
+            cases = [(ai, matcore.sym_part(qi)) for ai, qi in cases]
+            a, q = (np.array(x) for x in zip(*cases))
+            stacked = matcore._stein_solves(a, q, Tolerance())
+            for (ai, qi), got in zip(cases, stacked):
+                try:
+                    want = stein_solve(ai, qi)
+                except (IllConditioned, ResonantSpectrum) as exc:
+                    want = exc
+                if isinstance(want, Exception):
+                    assert type(got) is type(want) and str(got) == str(want)
+                else:
+                    assert np.array_equal(got, want)
+        assert [type(r).__name__ for r in stacked] == [
+            "ndarray", "ResonantSpectrum", "ndarray", "IllConditioned", "ndarray", "IllConditioned"]
+
+
+class TestAsMatrix:
+    def test_float_matrix_returned_as_is(self):
+        for x in (np.eye(3), np.zeros((2, 2)), np.ones((4, 4))[::2, ::2], np.eye(3).T):
+            assert matcore.as_matrix(x) is x
+
+    def test_other_input_coerced_as_before(self):
+        for x, want in (([[1, 2], [3, 4]], np.array([[1.0, 2.0], [3.0, 4.0]])),
+                        (2.5, np.array([[2.5]])),
+                        (np.array([[1, 2], [3, 4]]), np.array([[1.0, 2.0], [3.0, 4.0]])),
+                        (np.float32(0.5) * np.eye(2, dtype=np.float32), 0.5 * np.eye(2))):
+            m = matcore.as_matrix(x)
+            assert m.dtype == np.float64 and np.array_equal(m, want) and m is not x
+        for x in (np.ones((2, 3)), [[1.0, 2.0]], np.ones(3)):
+            with pytest.raises(ValueError, match="square"):
+                matcore.as_matrix(x)
+
+
 class TestSimilarityWitness:
     def test_equal_diagonals(self):
         x = np.diag([0.5, 1 / 3])

@@ -131,6 +131,21 @@ class TestCheckStack:
             with pytest.raises(IllConditioned):
                 f(p)
 
+    def test_non_finite_slices_refused_each_on_request(self):
+        # finite lengths whose product overflows, and a NaN length, beside a
+        # valid triple: the whole stack is refused unless each is set
+        half, big = 0.5 * np.eye(2), 1e200 * np.eye(2)
+        xs = np.array([np.array(t) for t in zip(
+            (half, half, half), (big, 1e-200 * np.eye(2), big), (np.full((2, 2), np.nan), half, half))])
+        with np.errstate(over="ignore"):
+            for k in (2, 3):
+                with pytest.raises(IllConditioned):
+                    _check_stack(xs[:, :k], DEFAULT_TOL)
+            classes, sigs = _check_stack(xs, DEFAULT_TOL, each=True)
+        assert classes[0] is ParamClass.IN_R_STAR and sigs[0] == 2
+        for got in classes[1:] + sigs[1:]:
+            assert isinstance(got, IllConditioned) and str(got) == "matrix contains NaN or Inf entries"
+
     def test_random_stack_matches_loop(self, rng):
         ps = [random_pants_params(3, rng, tame=bool(i % 2)) for i in range(40)]
         xs = np.array([[getattr(p, f"X{j}") for p in ps] for j in (1, 2, 3)])

@@ -12,6 +12,7 @@ import numpy as np
 
 import maxrep.gluing
 from maxrep.deform import _chain_plan
+from maxrep.errors import MaxRepError
 from maxrep.gluing import GluingGraph, GraphBoundary, GraphEdge, PantsNode, slot_glue_length
 from maxrep.matcore import spectral_radius
 from maxrep.pants import PantsParams
@@ -204,10 +205,15 @@ def chain_graph(genus: int, m: int, n: int, rng: np.random.Generator) -> GluingG
 
 
 def patch_nan_twist(monkeypatch):
-    """Make every twist element the gluing step forms NaN, as an overflow would."""
-    real_twist = maxrep.gluing.twist_element
+    """Make every twist element the gluing step forms NaN, as an overflow would.
 
-    def nan_twist(*args, **kwargs):
-        return SpMat(np.full_like(real_twist(*args, **kwargs).m, np.nan))
+    The gluing step forms its twist elements through the stacked kernel
+    maxrep.gluing._twist_elements, so that is what is patched; a slice the
+    kernel refuses keeps its refusal."""
+    real_twists = maxrep.gluing._twist_elements
 
-    monkeypatch.setattr(maxrep.gluing, "twist_element", nan_twist)
+    def nan_twists(*args, **kwargs):
+        return [tw if isinstance(tw, MaxRepError) else SpMat(np.full_like(tw.m, np.nan))
+                for tw in real_twists(*args, **kwargs)]
+
+    monkeypatch.setattr(maxrep.gluing, "_twist_elements", nan_twists)
