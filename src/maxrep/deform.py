@@ -361,9 +361,10 @@ def deform_to_standard(rep_or_graph, steps: int = 100,
     sig = component_signature(build_from_graph(graph, tol) if rep is None else rep, tol)
     stacks, twists = _snapshot_stacks(graph, loop, attach_edges, np.arange(steps + 1) / steps)
     checked = [_check_stack(np.array(stacks[nd.name]), tol) for nd in graph.nodes]
+    n = graph.n
     bad = [(i, j) for j, (classes, sigs) in enumerate(checked)
            for i, (c, s) in enumerate(zip(classes, sigs))
-           if c not in (ParamClass.IN_R, ParamClass.IN_R_STAR) or s != graph.n]
+           if c not in (ParamClass.IN_R, ParamClass.IN_R_STAR) or s != n]
     if bad:  # refuse the first failure by snapshot, then by node
         i, j = min(bad)
         name, cls, node_sig = graph.nodes[j].name, checked[j][0][i], checked[j][1][i]

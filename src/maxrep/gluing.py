@@ -230,10 +230,10 @@ def _twist_elements(x, s, xbar, sbar, g, tol: Tolerance, obstruct: bool = False)
 
 
 def _twist_defect(g_twist, x, xbar, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
-    """The defect of xbar = G x^T G^{-1}, and whether it exceeds the band
-    max(1e-7, 100 eq_tol) * max(1, |xbar|); per slice for stacks."""
+    """The defect of xbar = G x^T G^{-1}, and whether it lies outside the band
+    max(1e-7, 100 eq_tol) * max(1, |xbar|), as a NaN does; per slice."""
     defect = np.abs(g_twist @ np.swapaxes(x, -1, -2) @ np.linalg.inv(g_twist) - xbar).max(axis=(-2, -1))
-    return defect, defect > max(1e-7, 100 * tol.eq_tol) * np.maximum(1.0, np.abs(xbar).max(axis=(-2, -1)))
+    return defect, ~(defect <= max(1e-7, 100 * tol.eq_tol) * np.maximum(1.0, np.abs(xbar).max(axis=(-2, -1))))
 
 
 # ---------------------------------------------------------------------------
@@ -814,6 +814,7 @@ def build_from_graph(graph: GluingGraph, tol: Tolerance = DEFAULT_TOL) -> Surfac
         try:
             tw = _loop_twist(require_invertible(loop.twist, tol, "handle twist"), loop.upper[1])
             defect, over = _twist_defect(tw, p.X1, slot_glue_length(p, 3), tol)
+            check_finite(defect)
             if over:
                 raise CannotGlue(f"self-edge twist incompatible on node {node.name!r} "
                                  f"(defect {defect:.3e})", edge=loop)

@@ -177,9 +177,8 @@ def limit_set_sample(rep: SurfaceRep, max_word_length: int = 4,
     """
     if max_word_length < 1:
         raise ValueError(f"max_word_length must be at least 1, got {max_word_length}")
-    band = tol.unit_circle_band
     for j, c in enumerate(rep.c_imgs, start=1):
-        if np.any(_unit_circle_masks(c.m, band)[1]):
+        if np.any(_unit_circle_masks(c.m, tol.unit_circle_band)[1]):
             raise NotSHyperbolic(f"boundary generator C{j} has unit-modulus spectrum")
     gens = rep.generator_images()
     letters = list(gens)
@@ -194,10 +193,9 @@ def limit_set_sample(rep: SurfaceRep, max_word_length: int = 4,
     prev_index: dict[tuple[str, ...], int] = {}
     for _, level in itertools.groupby(reduced_words(letters, max_word_length), key=len):
         level = list(level)
-        last = letter_stack[[position[w[-1]] for w in level]]
-        mats = (prev[[prev_index[w[:-1]] for w in level]] @ last) if prev_index else last
-        kept = np.flatnonzero(~np.any(_unit_circle_masks(mats, band)[1], axis=-1))
-        found = [(" ".join(level[i]), pt) for i, pt in zip(kept, _attracting_points(mats[kept], tol))
+        mats = letter_stack[[position[w[-1]] for w in level]]
+        mats = (prev[[prev_index[w[:-1]] for w in level]] @ mats) if prev_index else mats
+        found = [(" ".join(w), pt) for w, pt in zip(level, _attracting_points(mats, tol))
                  if not isinstance(pt, NotSHyperbolic)]
         points += found
         skipped += len(level) - len(found)

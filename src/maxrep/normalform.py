@@ -37,7 +37,6 @@ from .matcore import (
     as_matrix,
     check_finite,
     circle_class,
-    norm_inf,
     rel_bound,
     require_invertible,
     require_symmetric,
@@ -52,7 +51,6 @@ from .symplectic import (
     make_symplectic,
     moebius_act,
     point_distance,
-    sp_identity,
     sp_inverse,
     swap_symplectic,
     transverse,
@@ -378,32 +376,56 @@ def _certificates(ms: np.ndarray, ys: np.ndarray, at_inf: np.ndarray,
     return fixed, np.max(np.abs(np.linalg.eigvals(a - y @ c)), axis=-1)
 
 
+# smallest min/max ratio of |diag R| the eigenvector basis may have; the point
+# errs by about 1e-16 / ratio (conjugated Jordan blocks [[2, 1e-9], [0, 2]] reach
+# 1e-3, [[2, 1], [0, 2]] 3e-8 and err by 5e-9); sampled words stay above 0.16
+_EIGENBASIS_RCOND = 1e-2
+
+
 def _subspace_fixed_points(ms: np.ndarray, tol: Tolerance) -> tuple[list, np.ndarray, np.ndarray]:
     """Chart points of the expanding invariant subspaces of a (k, 2n, 2n)
     stack, certified: (points, fixed, rho), points[i] being a BoundaryPoint
     or the NotSHyperbolic refusing slice i.
 
-    A subspace, spanned by the eigenvalues of modulus above 1, must have
-    dimension n; its chart point is u1 u2^{-1}, or infinity when u2 is
-    singular within eq_tol.  fixed and rho come from _certificates; each
-    caller sets its own acceptance threshold on the spectral radius.
+    The subspace, spanned by the eigenvalues of modulus above 1, must have
+    dimension n; its chart point is u1 u2^{-1} for an orthonormal basis u,
+    or infinity when u2 is singular within eq_tol.  One np.linalg.eig of the
+    stack gives the eigenvectors v of the n largest moduli, Re v + Im v spans
+    the subspace (x + y and x - y for a pair x +- iy), and one stacked QR
+    orthonormalises it.  A slice with an eigenvalue in the unit-circle band
+    or an ill-conditioned R takes the sorted real Schur form instead; one the
+    eigen-decomposition fails on is refused.  fixed and rho come from
+    _certificates; each caller sets its acceptance threshold on rho.
     """
     ms = check_finite(ms)
     k, n = len(ms), ms.shape[-1] // 2
-    # Fortran-ordered slices, as dgees returns them, so that the products
-    # below round as they do on one matrix
-    zs = np.empty((k, 2 * n, 2 * n)).swapaxes(1, 2)
     refusals: list = [None] * k
-    expanding = lambda re, im: re * re + im * im > 1.0
-    for i, m in enumerate(ms):
+    try:
+        w, v = np.linalg.eig(ms)
+    except np.linalg.LinAlgError:   # again slice by slice, to refuse only the failures
+        w, v = np.ones((k, 2 * n), complex), np.zeros((k, 2 * n, 2 * n), complex)
+        for i, m in enumerate(ms):
+            try:
+                w[i], v[i] = np.linalg.eig(m)
+            except np.linalg.LinAlgError as exc:
+                refusals[i] = NotSHyperbolic(f"eigen-decomposition failed: {exc}")
+    moduli = np.abs(w)
+    cols, ranked = np.argsort(moduli, axis=-1)[:, n:], np.sort(moduli, axis=-1)
+    v = v[np.arange(k)[:, None], :, cols]
+    zs, r = np.linalg.qr((v.real + v.imag).swapaxes(1, 2))
+    r = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    direct = ((ranked[:, n - 1] < 1.0 - tol.unit_circle_band) & (ranked[:, n] > 1.0 + tol.unit_circle_band)
+              & (r.min(axis=-1) > _EIGENBASIS_RCOND * r.max(axis=-1)))
+    for i in np.flatnonzero(~direct):
         try:
-            _, zs[i], dim = _real_schur(m, expanding, NotSHyperbolic)
+            _, z, dim = _real_schur(ms[i], lambda re, im: re * re + im * im > 1.0, NotSHyperbolic)
             if dim != n:
                 raise NotSHyperbolic(f"expanding subspace has dimension {dim}, expected {n}")
+            zs[i] = z[:, :n]
         except NotSHyperbolic as exc:
             # reordering can move an eigenvalue of modulus near 1 across the cut
-            refusals[i], zs[i] = exc, np.eye(2 * n)
-    u1, u2 = zs[:, :n, :n], zs[:, n:, :n]
+            refusals[i], zs[i] = refusals[i] or exc, np.eye(2 * n, n)
+    u1, u2 = zs[:, :n], zs[:, n:]
     s = np.linalg.svd(u2, compute_uv=False)
     at_inf = s[:, -1] <= tol.eq_tol * np.maximum(1.0, s[:, 0])
     ys = sym_part(u1 @ np.linalg.inv(np.where(at_inf[:, None, None], np.eye(n), u2)))
@@ -439,15 +461,18 @@ def _canonical_points(ms: np.ndarray, tol: Tolerance) -> list:
     """canonical_point_of_element of each slice of a (k, 2n, 2n) stack: a
     BoundaryPoint or the MaxRepError refusing that slice.  The finite slices
     without a standard chart share one _subspace_fixed_points call."""
-    r = cycle_symplectic(ms.shape[-1] // 2)
-    charts = ((sp_identity(r.n),) * 2, (r, r.inv()), (r.inv(), r))    # (u^{-1}, u)
+    n = ms.shape[-1] // 2
+    r = cycle_symplectic(n)
+    charts = np.array([np.eye(2 * n), r.m, r.inv().m])     # u, with u^{-1} = charts[[0, 2, 1]]
+    ls = charts[[0, 2, 1]] @ ms[:, None] @ charts
+    # a chart holds a standard form where the B block vanishes (NaN passes, to be refused)
+    lower = ~(np.abs(ls[..., :n, n:]).max(axis=(-2, -1))
+              > tol.eq_tol * np.maximum(1.0, np.abs(ls).max(axis=(-2, -1))))
     points: list = [None] * len(ms)
-    for i, g in enumerate(map(SpMat, ms)):
+    for i in np.flatnonzero(lower.any(axis=1)):
         try:
-            for u_inv, u in charts:
-                l = u_inv @ g @ u
-                if norm_inf(l.B) > rel_bound(tol.eq_tol, l.m):
-                    continue
+            for j in np.flatnonzero(lower[i]):
+                l = SpMat(ls[i, j])
                 s_part = sym_part(l.A.T @ l.C - l.A.T @ l.A)
                 try:
                     eigs = np.linalg.eigvalsh(s_part)
@@ -455,10 +480,10 @@ def _canonical_points(ms: np.ndarray, tol: Tolerance) -> list:
                     continue
                 if np.min(eigs) > rel_bound(tol.eq_tol, s_part):
                     rep = canonical_fixed_point(StandardBoundary(l.A, s_part, tol), tol)
-                    points[i] = moebius_act(u, rep.point, tol)
+                    points[i] = moebius_act(SpMat(charts[j]), rep.point, tol)
                     break
             else:   # refused here, not for the whole stack in the subspace call
-                check_finite(g.m)
+                check_finite(ms[i])
         except MaxRepError as exc:
             points[i] = exc
     todo = [i for i, pt in enumerate(points) if pt is None]

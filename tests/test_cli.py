@@ -391,6 +391,24 @@ class TestCommands:
         assert code == 4
         assert "IllConditioned" in err and "Traceback" not in err
 
+    def test_nan_declared_handle_length_exit_code(self, tmp_path, capsys, monkeypatch):
+        # the build itself refuses a handle node whose X3 holds NaN, before
+        # any report is formed
+        import maxrep.cli
+        f = tmp_path / "torus.mg"
+        with open(f, "w") as fh:
+            write_graph_file(chain_graph(1, 2, 2, np.random.default_rng(0)), fh)
+
+        def nan_x3(*args, **kwargs):
+            graph = parse_graph_file(*args, **kwargs)
+            graph.nodes[0].params.X3[0, 0] = np.nan
+            return graph
+        monkeypatch.setattr(maxrep.cli, "parse_graph_file", nan_x3)
+        monkeypatch.setattr(maxrep.cli, "_describe_build", lambda *args: pytest.fail("reported"))
+        code, _, err = run_main(["build", str(f)], capsys)
+        assert code == 4
+        assert "IllConditioned" in err and "Traceback" not in err
+
     def test_deform_incompatible_twist(self, tmp_path, capsys):
         # deform builds its input to check edge compatibility; without that
         # the path would start from rebuilt lengths, not from the input

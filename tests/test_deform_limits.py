@@ -35,7 +35,13 @@ from maxrep.symplectic import (
     point_distance,
     sp_inverse,
 )
-from tests_support import random_contracting, random_invertible, random_pants_params, random_spd
+from tests_support import (
+    assert_points_close,
+    random_contracting,
+    random_invertible,
+    random_pants_params,
+    random_spd,
+)
 from oracles import (
     cluster_by_loop,
     maslov_by_normalization,
@@ -322,7 +328,7 @@ class TestLimitSample:
     @pytest.mark.parametrize("n, max_len, seed", [(2, 3, 11), (3, 4, 12)])
     def test_points_match_per_word_loop(self, n, max_len, seed):
         # the level stacks give the points of one product per word from a
-        # cache of every word, bit for bit; the words c3 c2 c1 = I and its
+        # cache of every word, to rounding; the words c3 c2 c1 = I and its
         # rotations are skipped
         rep = pants_surface_rep(random_pants_params(n, np.random.default_rng(seed), tame=True))
         sample = limit_set_sample(rep, max_word_length=max_len, seed=0)
@@ -330,8 +336,7 @@ class TestLimitSample:
         assert sample.skipped_words == skipped > 0
         assert [w for w, _ in sample.points] == [w for w, _ in points]
         for (_, p), (_, q) in zip(sample.points, points):
-            assert p.is_infinity == q.is_infinity
-            assert p.is_infinity or p.value.tobytes() == q.value.tobytes()
+            assert_points_close(p, q)
         words = [" ".join(w) for w in reduced_words(list(rep.generator_images()), max_len)]
         rank = {w: i for i, w in enumerate(words)}
         sampled = [rank[w] for w, _ in sample.points]
@@ -570,6 +575,28 @@ class TestSamplerStatistics:
         sample = limit_set_sample(rep, max_word_length=4, seed=1)
         assert sample.transverse_fraction == 1.0
         assert 0 < sum(sent) <= len(sample.distinct_points) - 1
+
+    def test_one_eigen_decomposition_per_word_level(self, monkeypatch):
+        # each level's stack goes through one np.linalg.eig, which also gives
+        # the circle mask; only the boundary generators' spectra are checked
+        # apart, and only the words equal to the identity, whose spectrum is
+        # on the circle, take the Schur route
+        import maxrep.limits as limits
+        import maxrep.normalform as normalform
+        calls = {"eig": 0, "masks": 0, "schur": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        rep = pants_surface_rep(random_pants_params(2, np.random.default_rng(111), tame=True))
+        monkeypatch.setattr(np.linalg, "eig", counted("eig", np.linalg.eig))
+        monkeypatch.setattr(limits, "_unit_circle_masks", counted("masks", limits._unit_circle_masks))
+        monkeypatch.setattr(normalform, "_real_schur", counted("schur", normalform._real_schur))
+        sample = limit_set_sample(rep, max_word_length=4, seed=1)
+        assert calls == {"eig": 4, "masks": len(rep.c_imgs), "schur": sample.skipped_words}
+        assert sample.skipped_words == 6
 
     def test_triple_indices_without_triples(self, rng):
         stack = _point_stack([BoundaryPoint(symmetric(rng, 2)), BoundaryPoint(symmetric(rng, 2))])

@@ -14,6 +14,7 @@ from maxrep.errors import (
     NotContracting,
 )
 from maxrep.gluing import (
+    _twist_defect,
     GlueStatus,
     GluingGraph,
     GraphBoundary,
@@ -466,6 +467,16 @@ class TestEdgeConjugator:
         patch_nan_twist(monkeypatch)
         with pytest.raises(IllConditioned):
             build_from_graph(graph)
+
+    def test_nan_declared_handle_length_is_ill_conditioned(self):
+        # the handle is built from its derived X3; the declared one is only
+        # compared with it, and a NaN defect is not within the band
+        graph = chain_graph(1, 2, 2, np.random.default_rng(0))
+        graph.nodes[0].params.X3[0, 0] = np.nan
+        with pytest.raises(IllConditioned):
+            build_from_graph(graph)
+        _, over = _twist_defect(np.eye(2), np.eye(2), np.full((2, 2), np.nan), DEFAULT_TOL)
+        assert over
 
     def test_non_finite_residual_refused(self, rng, monkeypatch):
         x1, x2, h = random_handle_data(2, rng)

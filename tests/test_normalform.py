@@ -43,6 +43,7 @@ from maxrep.symplectic import (
     zero_point,
 )
 from tests_support import (
+    assert_points_close,
     random_contracting,
     random_orthogonal,
     random_pants_params,
@@ -353,16 +354,15 @@ class TestElementCanonicalPoints:
                 assert isinstance(attracting[i], NotSHyperbolic)
                 refused.append(i)
                 continue
-            assert pt.is_infinity == points[i].is_infinity
-            assert pt.is_infinity or pt.value.tobytes() == points[i].value.tobytes()
-            assert (ok, r) == (fixed[i], rho[i])
+            assert_points_close(points[i], pt)
+            assert ok == fixed[i]
+            assert abs(r - rho[i]) <= 1e-12 * max(1.0, r)
             if not ok or r > 1.0 - max(DEFAULT_TOL.unit_circle_band, _ATTRACT_MARGIN):
                 assert isinstance(attracting[i], NotSHyperbolic)
                 refused.append(i)
             else:
-                assert attracting[i].is_infinity == pt.is_infinity
-                assert pt.is_infinity or attracting[i].value.tobytes() == pt.value.tobytes()
-        assert points[3].value.tobytes() == np.zeros((3, 3)).tobytes()
+                assert_points_close(attracting[i], pt)
+        assert np.max(np.abs(points[3].value)) <= 1e-15
         assert points[4].is_infinity
         assert refused == [5, 6, 7]
 
@@ -393,12 +393,53 @@ class TestElementCanonicalPoints:
         def unconverged(select, b, *args, **kwargs):
             return b, 0, None, None, np.eye(b.shape[0]), None, 1
         monkeypatch.setattr(matcore, "dgees", unconverged)
-        with pytest.raises(NotSHyperbolic):
-            attracting_point(diag_symplectic(np.diag([0.5, 0.25])))
+        with pytest.raises(NotSHyperbolic):   # a Jordan block takes the Schur route
+            attracting_point(diag_symplectic(np.array([[0.5, 1.0], [0.0, 0.5]])))
         with pytest.raises(np.linalg.LinAlgError):
             _so_log(np.eye(2))
         with pytest.raises(np.linalg.LinAlgError):
             canonical_fixed_point(StandardBoundary(np.diag([2.0, 0.5]), np.eye(2)))
+
+    def test_eig_failure_refuses_only_its_slice(self, monkeypatch):
+        # a LinAlgError of the stacked eigen-decomposition refuses the slice
+        # that fails alone, with attracting_point's error
+        bad = diag_symplectic(np.diag([0.5, 0.25]))
+        rng = np.random.default_rng(5)
+        rep = pants_surface_rep(random_pants_params(2, rng, tame=True))
+        stack = np.array([rep.c_imgs[0].m, bad.m, rep.c_imgs[1].m])
+        expected = _attracting_points(stack, DEFAULT_TOL)
+        eig = np.linalg.eig
+
+        def failing(m):
+            if np.any(np.all(m == bad.m, axis=(-2, -1))):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eig(m)
+        monkeypatch.setattr(np.linalg, "eig", failing)
+        with pytest.raises(NotSHyperbolic):
+            attracting_point(bad)
+        points = _attracting_points(stack, DEFAULT_TOL)
+        assert isinstance(points[1], NotSHyperbolic)
+        for i in (0, 2):
+            assert points[i].value.tobytes() == expected[i].value.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("lead", [1.5, 2.0, 5.0])
+    @pytest.mark.parametrize("off", [1.0, 1e-3, 1e-6, 1e-9, 0.0])
+    def test_conjugated_jordan_blocks_match_oracle(self, n, lead, off):
+        # a defective expanding block leaves the eigenvectors nearly parallel;
+        # such slices take the Schur route and agree with the oracle
+        rng = np.random.default_rng([n, int(lead * 10), 7])
+        a = np.diag(np.r_[lead, lead, np.linspace(0.5, 0.7, n - 2)])
+        a[0, 1] = off
+        elements = [h @ diag_symplectic(a) @ h.inv()
+                    for h in (random_symplectic(n, rng) for _ in range(6))]
+        points, fixed, rho = _subspace_fixed_points(np.array([g.m for g in elements]),
+                                                    DEFAULT_TOL)
+        for g, p, ok, r in zip(elements, points, fixed, rho):
+            pt, ok_one, r_one = subspace_fixed_point_one(g)
+            assert_points_close(p, pt)
+            assert ok == ok_one
+            assert abs(r - r_one) <= 1e-12 * max(1.0, r_one)
 
     def test_attracting_vs_power_iteration(self, rng):
         # oracle: iterate the action from a generic start

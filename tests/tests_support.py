@@ -151,6 +151,13 @@ def random_boundary_point(n: int, rng: np.random.Generator,
     return finite_point((s + s.T) / 2)
 
 
+def assert_points_close(p: BoundaryPoint, q: BoundaryPoint, rel: float = 1e-12):
+    """Same infinity flag, and finite values within rel * max(1, |q|) entrywise."""
+    assert p.is_infinity == q.is_infinity
+    if not q.is_infinity:
+        assert np.max(np.abs(p.value - q.value)) <= rel * max(1.0, np.max(np.abs(q.value)))
+
+
 def random_transverse_points(n: int, rng: np.random.Generator, count: int,
                              p_infinity: float = 0.15,
                              margin: float = 1e-3,
