@@ -35,7 +35,6 @@ from .matcore import (
     factor_signature,
     norm_inf,
     similarity_witness,
-    spectral_radius,
     stein_solve,
 )
 from .symplectic import (
@@ -52,7 +51,6 @@ from .symplectic import (
     sp_inverse,
     swap_symplectic,
     translation_symplectic,
-    transversality_margin,
     transverse,
     zero_point,
 )
@@ -67,19 +65,11 @@ from .maslov import (
 from .normalform import (
     DifferentialClass,
     DifferentialMap,
-    FixedPointReport,
-    IsometryClass,
-    IsometryReport,
     StandardBoundary,
     attracting_point,
-    canonical_fixed_point,
     canonical_point_of_element,
-    classify_isometry,
     differential_at,
-    fixed_point_contracting_side,
     fixed_point_expanding_side,
-    fixed_point_residual,
-    standard_element,
 )
 from .pants import (
     EquivalenceResult,
@@ -92,7 +82,6 @@ from .pants import (
     classify_params,
     fingerprint,
     fingerprint_distance,
-    pants_product,
     params_equivalent,
     recover_params,
     toledo,

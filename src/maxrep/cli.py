@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .deform import deform_to_standard
-from .errors import MathematicalRefusal, NumericalBreakdown, unwrap
+from .errors import MathematicalRefusal, NumericalBreakdown
 from .gluing import (
     GluingGraph,
     GraphBoundary,
@@ -308,10 +308,10 @@ def _signs(sig) -> str:
 def _describe_build(rep: SurfaceRep, graph: GluingGraph, tol: Tolerance) -> list:
     g, m = graph.surface_type()
     report = [("status", "ok"), ("surface", f"genus {g}, boundaries {m}"), ("n", rep.n)]
-    xs = np.array([nd.params.matrices() for nd in graph.nodes]).swapaxes(0, 1)
-    for nd, cls, sig in zip(graph.nodes, *_check_stack(xs, tol, each=True)):
-        report.append((f"node {nd.name} class", unwrap(cls).value))
-        report.append((f"node {nd.name} toledo", str(Fraction(rep.n + unwrap(sig), 2))))
+    classes, sigs = _check_stack(np.array([nd.params.matrices() for nd in graph.nodes]), tol)
+    for i, nd in enumerate(graph.nodes):
+        report.append((f"node {nd.name} class", classes[i].value))
+        report.append((f"node {nd.name} toledo", str(Fraction(rep.n + sigs[i], 2))))
     return report + [("relation residual", f"{rep.relation_residual:.6e}")]
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GraphInvalid, MaxRepError, NotMaximal, NotValid
+from .errors import GraphInvalid, NotMaximal, NotValid
 from .gluing import (
     GluingGraph,
     GraphBoundary,
@@ -179,7 +179,7 @@ def _so_log(u: np.ndarray) -> np.ndarray:
 
 def _mt(x: np.ndarray) -> np.ndarray:
     """Transpose of a matrix, or of each matrix in a stack."""
-    return np.swapaxes(x, -1, -2)
+    return x.swapaxes(-1, -2)
 
 
 def _polar(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -360,20 +360,20 @@ def deform_to_standard(rep_or_graph, steps: int = 100,
     # A representation was built from its graph already.
     sig = component_signature(build_from_graph(graph, tol) if rep is None else rep, tol)
     stacks, twists = _snapshot_stacks(graph, loop, attach_edges, np.arange(steps + 1) / steps)
-    checked = [_check_stack(np.array(stacks[nd.name]), tol) for nd in graph.nodes]
+    checked = [_check_stack(np.stack(stacks[nd.name], axis=1), tol) for nd in graph.nodes]
     n = graph.n
+    # a refused slice's class and signature read None
     bad = [(i, j) for j, (classes, sigs) in enumerate(checked)
-           for i, (c, s) in enumerate(zip(classes, sigs))
+           for i, (c, s) in enumerate(zip(classes.values, sigs.values))
            if c not in (ParamClass.IN_R, ParamClass.IN_R_STAR) or s != n]
     if bad:  # refuse the first failure by snapshot, then by node
         i, j = min(bad)
-        name, cls, node_sig = graph.nodes[j].name, checked[j][0][i], checked[j][1][i]
-        if isinstance(cls, MaxRepError):
-            raise type(cls)(f"snapshot {i} at node {name!r}: {cls}")
-        if cls in (ParamClass.NOT_VALID, ParamClass.IN_TILDE_R):
-            raise NotValid(f"snapshot {i} leaves the valid cone at node {name!r} ({cls})")
-        if isinstance(node_sig, MaxRepError):
-            raise type(node_sig)(f"snapshot {i} at node {name!r}: {node_sig}")
+        name, (classes, sigs) = graph.nodes[j].name, checked[j]
+        if classes.values[i] in (ParamClass.NOT_VALID, ParamClass.IN_TILDE_R):
+            raise NotValid(f"snapshot {i} leaves the valid cone at node {name!r} ({classes.values[i]})")
+        fault = classes.refusals[i] or sigs.refusals[i]
+        if fault:
+            raise type(fault)(f"snapshot {i} at node {name!r}: {fault}")
         raise NotMaximal(f"snapshot {i} loses maximality at node {name!r}")
     for x in [*itertools.chain(*stacks.values()), *twists.values()]:
         x.flags.writeable = False

@@ -7,6 +7,8 @@ well-formed but the requested construction does not exist) and subclasses of
 floating point could not decide safely).
 """
 
+import numpy as np
+
 
 class MaxRepError(Exception):
     """Base class for all library errors."""
@@ -93,13 +95,68 @@ class DefectiveSplit(NumericalBreakdown):
     """Spectral splitting along the unit circle is too unstable to trust."""
 
 
-def unwrap(result):
-    """result, unless it is the MaxRepError a stacked kernel holds in its place."""
-    if isinstance(result, MaxRepError):
-        raise result
-    return result
+_NON_FINITE = "matrix contains NaN or Inf entries"
 
 
-def first_fault(results):
-    """The first MaxRepError among results, or None."""
-    return next((r for r in results if isinstance(r, MaxRepError)), None)
+class Slices:
+    """The outcome of a stacked kernel, slice by slice.
+
+    refusals[i] is the MaxRepError refusing slice i, or None; live lists the
+    slices not refused, in order; values is the kernel's result stack, and
+    values[i] means something only for a live slice.  A kernel works on its
+    stacks cut to the live slices.  The one rule: a slice keeps the first
+    refusal recorded for it, so a stack refuses each slice as the one-slice
+    call would, in the kernel's check order.
+    """
+
+    __slots__ = ("refusals", "live", "values")
+
+    def __init__(self, k: int):
+        self.refusals: list = [None] * k
+        self.live = list(range(k))
+        self.values = None
+
+    def refuse(self, faults, *stacks):
+        """Record faults[j], a MaxRepError or None, against slice live[j]; return
+        stacks (arrays or lists aligned with live) cut to the slices still live,
+        one stack as itself."""
+        keep = [j for j, f in enumerate(faults) if f is None]
+        if len(keep) < len(self.live):
+            for i, f in zip(self.live, faults):
+                if f is not None:
+                    self.refusals[i] = f
+            self.live = [self.live[j] for j in keep]
+            stacks = tuple(s[keep] if hasattr(s, "shape") else [s[j] for j in keep] for s in stacks)
+        return stacks[0] if len(stacks) == 1 else stacks
+
+    def screen(self, checked, *stacks):
+        """refuse, with IllConditioned, each live slice of checked that holds a
+        NaN or Inf; return checked and stacks cut to the slices still live."""
+        ok = np.isfinite(checked)
+        if ok.all():
+            return (checked, *stacks) if stacks else checked
+        return self.refuse([None if f else IllConditioned(_NON_FINITE)
+                            for f in ok.all(axis=tuple(range(1, ok.ndim))).tolist()], checked, *stacks)
+
+    def first_of(self, parts: int) -> list:
+        """Each slice's first refusal, for a kernel run on parts stacks of m
+        slices joined end to end: slice j is refused by slices j, j + m, ..."""
+        m = len(self.refusals) // parts
+        return [next((r for r in self.refusals[j::m] if r is not None), None) for j in range(m)]
+
+    def finish(self, values) -> "Slices":
+        """Set values from those of the live slices, in live order."""
+        k = len(self.refusals)
+        if len(self.live) < k:
+            full = np.zeros((k,) + values.shape[1:], values.dtype) if hasattr(values, "shape") else [None] * k
+            for j, i in enumerate(self.live):
+                full[i] = values[j]
+            values = full
+        self.values = values
+        return self
+
+    def __getitem__(self, i):
+        """The value of slice i; its refusal is raised instead."""
+        if self.refusals[i] is not None:
+            raise self.refusals[i]
+        return self.values[i]

@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
+    _NON_FINITE,
     CannotGlue,
     GraphInvalid,
     IllConditioned,
@@ -33,12 +34,10 @@ from .errors import (
     NotCompatible,
     NotContracting,
     NotValid,
-    first_fault,
-    unwrap,
+    Slices,
 )
 from .matcore import (
     DEFAULT_TOL,
-    _NON_FINITE,
     CircleClass,
     Tolerance,
     _singular,
@@ -53,7 +52,6 @@ from .matcore import (
     sym_part,
 )
 from .normalform import _standard_blocks
-from .normalform import standard_element as standard_lower
 from .pants import (
     PantsParams,
     PantsRep,
@@ -132,6 +130,11 @@ def can_glue(x, xbar, tol: Tolerance = DEFAULT_TOL) -> GlueCheck:
     return GlueCheck(GlueStatus.GLUABLE, witness=g)
 
 
+def standard_lower(x, s, tol: Tolerance = DEFAULT_TOL) -> SpMat:
+    """[[X, 0], [X + X^{-T} S, X^{-T}]], the boundary normal form at 0."""
+    return make_symplectic(*_standard_blocks(as_matrix(x), as_matrix(s)), tol)
+
+
 def standard_upper(xbar, sbar, tol: Tolerance = DEFAULT_TOL) -> SpMat:
     """[[X^{-T}, -X^{-T} - S X], [0, X]], the boundary normal form at infinity."""
     return make_symplectic(*_upper_blocks(as_matrix(xbar), as_matrix(sbar)), tol)
@@ -139,7 +142,7 @@ def standard_upper(xbar, sbar, tol: Tolerance = DEFAULT_TOL) -> SpMat:
 
 def _upper_blocks(xbar: np.ndarray, sbar: np.ndarray) -> tuple[np.ndarray, ...]:
     """The blocks of standard_upper, for one matrix or a stack."""
-    xit = np.linalg.inv(np.swapaxes(xbar, -1, -2))
+    xit = np.linalg.inv(xbar.swapaxes(-1, -2))
     return xit, -xit - sbar @ xbar, np.zeros_like(xbar), xbar
 
 
@@ -156,12 +159,12 @@ def twist_element(x, s, xbar, sbar, g_twist, tol: Tolerance = DEFAULT_TOL) -> Sp
     as the block matrix [[Ybar G Y^{-1} - G^{-T}, -Ybar G], [G Y^{-1}, -G]].
     """
     stacks = (as_matrix(m)[None] for m in (x, s, xbar, sbar, g_twist))
-    return unwrap(_twist_elements(*stacks, tol)[0])
+    return SpMat(_twist_elements(*stacks, tol)[0])
 
 
-def _twist_elements(x, s, xbar, sbar, g, tol: Tolerance, obstruct: bool = False) -> list:
-    """twist_element on each slice of (k, n, n) stacks: the SpMat, or the
-    refusal of the slice's first failing check in twist_element's order.
+def _twist_elements(x, s, xbar, sbar, g, tol: Tolerance, obstruct: bool = False) -> Slices:
+    """twist_element on each slice of (k, n, n) stacks, in twist_element's
+    check order; the values are the (2n, 2n) twist elements.
 
     Each length's eigenvalues, computed once, serve the contracting check and
     the resonance check; both Stein solves are one stacked call.  With
@@ -169,18 +172,8 @@ def _twist_elements(x, s, xbar, sbar, g, tol: Tolerance, obstruct: bool = False)
     refuses its slice with the gluing step's CannotGlue.
     """
     k, n = x.shape[:2]
-    t, inv, band = (lambda m: np.swapaxes(m, -1, -2)), np.linalg.inv, tol.unit_circle_band
-    out, idx = [None] * k, np.arange(k)
-
-    def settle(results) -> list:
-        # record the live slices' results; the positions of those not refused
-        nonlocal idx
-        for i, r in zip(idx, results):
-            out[i] = r
-        keep = [j for j, r in enumerate(results) if not isinstance(r, MaxRepError)]
-        idx = idx[keep]
-        return keep
-
+    t, inv, band = (lambda m: m.swapaxes(-1, -2)), np.linalg.inv, tol.unit_circle_band
+    out = Slices(k)
     mats = np.stack((g, x, xbar))
     finite = np.isfinite(mats).all(axis=(-2, -1))
     mats = np.where(finite[..., None, None], mats, np.eye(n))
@@ -198,41 +191,34 @@ def _twist_elements(x, s, xbar, sbar, g, tol: Tolerance, obstruct: bool = False)
                 return fault
         return None
 
-    keep = settle([spectral_fault(i) for i in range(k)])
-    g, x, xbar, s, sbar, ex, exbar = (a[keep] for a in (g, x, xbar, s, sbar, *eigs))
+    g, x, xbar, s, sbar, ex, exbar = out.refuse([spectral_fault(i) for i in range(k)],
+                                                 g, x, xbar, s, sbar, *eigs)
     defect, over = _twist_defect(g, x, xbar, tol)
-    keep = settle([NotCompatible(f"twist does not conjugate the transposed length "
-                                 f"(defect {d:.3e})") if o else None for d, o in zip(defect, over)])
-    g, x, xbar, ex, exbar = (a[keep] for a in (g, x, xbar, ex, exbar))
-    s, sbar = sym_part(s[keep]), sym_part(sbar[keep])
+    g, x, xbar, s, sbar, ex, exbar = out.refuse([
+        NotCompatible(f"twist does not conjugate the transposed length (defect {d:.3e})") if o else None
+        for d, o in zip(defect, over)], g, x, xbar, sym_part(s), sym_part(sbar), ex, exbar)
     # -(x^T x + s) gives a positive definite solution, so yinv below is
     # negative definite; it is the inverse of the lower form's second fixed point
-    m = len(x)
     q = sym_part(np.concatenate((-(t(x) @ x + s), -(np.eye(n) + t(xbar) @ sbar @ xbar))))
     ps = _stein_solves(np.concatenate((x, xbar)), q, tol, np.concatenate((ex, exbar)))
-    keep = settle([first_fault(ps[j::m]) for j in range(m)])
-    lower, ybar = (np.array([ps[i * m + j] for j in keep]).reshape(-1, n, n) for i in (0, 1))
+    g, x, xbar, s, sbar, lower, ybar = out.refuse(ps.first_of(2), g, x, xbar, s, sbar,
+                                                  *ps.values.reshape(2, -1, n, n))
     yinv = -lower
-    g, x, xbar, s, sbar = (a[keep] for a in (g, x, xbar, s, sbar))
     # the twist element, standard_lower(x, s) and standard_upper(xbar, sbar)
     syms = _make_symplectics(*(np.concatenate(b) for b in zip(
         (ybar @ g @ yinv - inv(t(g)), -ybar @ g, g @ yinv, -g),
         _standard_blocks(x, s), _upper_blocks(xbar, sbar))), tol)
-    m = len(x)
-    keep = settle([first_fault(syms[j::m]) for j in range(m)])
-    gm, cm, cbarm = (np.array([syms[i * m + j].m for j in keep]).reshape(-1, 2 * n, 2 * n)
-                     for i in range(3))
+    gm, cm, cbarm = out.refuse(syms.first_of(3), *syms.values.reshape(3, -1, 2 * n, 2 * n))
     residual = np.abs(gm @ _sp_inv(cm) @ _sp_inv(gm) - cbarm).max(axis=(-2, -1))
     bound = np.sqrt(tol.eq_tol) * np.maximum(1.0, np.abs(cbarm).max(axis=(-2, -1)))
-    settle([NotCompatible(f"twist conjugation residual {r:.3e}") if r > b else syms[j]
-            for j, r, b in zip(keep, residual, bound)])
-    return out
+    return out.finish(out.refuse([NotCompatible(f"twist conjugation residual {r:.3e}") if r > b else None
+                                  for r, b in zip(residual, bound)], gm))
 
 
 def _twist_defect(g_twist, x, xbar, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     """The defect of xbar = G x^T G^{-1}, and whether it lies outside the band
     max(1e-7, 100 eq_tol) * max(1, |xbar|), as a NaN does; per slice."""
-    defect = np.abs(g_twist @ np.swapaxes(x, -1, -2) @ np.linalg.inv(g_twist) - xbar).max(axis=(-2, -1))
+    defect = np.abs(g_twist @ x.swapaxes(-1, -2) @ np.linalg.inv(g_twist) - xbar).max(axis=(-2, -1))
     return defect, ~(defect <= max(1e-7, 100 * tol.eq_tol) * np.maximum(1.0, np.abs(xbar).max(axis=(-2, -1))))
 
 
@@ -240,7 +226,7 @@ def _twist_defect(g_twist, x, xbar, tol: Tolerance) -> tuple[np.ndarray, np.ndar
 # slot presentations: every pants slot in lower or upper normal form
 
 
-def _edge_twists(edges, tol: Tolerance) -> list:
+def _edge_twists(edges, tol: Tolerance) -> Slices:
     """The twist element, or the gluing step's refusal, of each edge (upper
     pants, upper slot, lower pants, lower slot, twist), in one call.
 
@@ -252,7 +238,7 @@ def _edge_twists(edges, tol: Tolerance) -> list:
     The pants are built ones, so every Xi is finite and invertible.
     """
     if not edges:
-        return []
+        return Slices(0)
     sides = []
     for upper, ends in ((True, [e[:2] for e in edges]), (False, [e[2:4] for e in edges])):
         rotated = []
@@ -262,7 +248,7 @@ def _edge_twists(edges, tol: Tolerance) -> list:
                 xs = (-xs[1], -xs[2], xs[0])
             rotated.append(xs)
         x1, x2, x3 = np.array(rotated).swapaxes(0, 1)
-        prod = x3 @ np.linalg.inv(np.swapaxes(x2, -1, -2)) @ x1
+        prod = x3 @ np.linalg.inv(x2.swapaxes(-1, -2)) @ x1
         sides.append((x3, sym_part(np.linalg.inv(prod))) if upper else (x1, sym_part(prod)))
     (ell_up, sbar_up), (ell_lo, s_lo) = sides
     return _twist_elements(ell_lo, s_lo, ell_up, sbar_up,
@@ -495,6 +481,12 @@ def _pants_surface(params: PantsParams, rep: PantsRep, labels) -> SurfaceRep:
     )
 
 
+# forward-map classes that close_handle refuses
+_NOT_HANDLE = (ParamClass.NOT_VALID, ParamClass.IN_TILDE_R)
+_NOT_HANDLE_MSG = ("handle parameters do not define a maximal representation "
+                   "with spectra in the closed unit disc")
+
+
 def close_handle(x1, x2, g_twist, tol: Tolerance = DEFAULT_TOL,
                  label: str = "1") -> SurfaceRep:
     """One-holed torus from (X1, X2, G): close the first and third boundary
@@ -505,8 +497,10 @@ def close_handle(x1, x2, g_twist, tol: Tolerance = DEFAULT_TOL,
     contracting and the derived product positive definite.
     """
     g_twist, params = _handle_pants(x1, x2, g_twist, tol)
-    classes, reps = _build_maximal_stack(np.array(params.matrices())[:, None], tol)
-    return _handle_surface(params, g_twist, classes[0], reps[0], label, tol)
+    classes, reps = _build_maximal_stack(np.array(params.matrices())[None], tol)
+    if classes[0] in _NOT_HANDLE:
+        raise NotValid(_NOT_HANDLE_MSG)
+    return _handle_surface(params, g_twist, reps[0], label, tol)
 
 
 def _handle_pants(x1, x2, g_twist, tol: Tolerance) -> tuple[np.ndarray, PantsParams]:
@@ -519,14 +513,10 @@ def _handle_pants(x1, x2, g_twist, tol: Tolerance) -> tuple[np.ndarray, PantsPar
     return g_twist, PantsParams(x1, x2, g_twist @ x1.T @ np.linalg.inv(g_twist))
 
 
-def _handle_surface(params: PantsParams, g_twist, cls, rep, label: str,
-                    tol: Tolerance, tw=None) -> SurfaceRep:
-    """close_handle from the class and the PantsRep (or their refusals) the
-    forward map gives its pants; tw as for _edge_twist."""
-    if unwrap(cls) in (ParamClass.NOT_VALID, ParamClass.IN_TILDE_R):
-        raise NotValid("handle parameters do not define a maximal representation "
-                       "with spectra in the closed unit disc")
-    pants = _pants_surface(params, unwrap(rep), labels=(f"{label}.1", label, f"{label}.3"))
+def _handle_surface(params: PantsParams, g_twist, rep: PantsRep, label: str,
+                    tol: Tolerance, tw: SpMat | None = None) -> SurfaceRep:
+    """close_handle from the PantsRep of its pants; tw as for _edge_twist."""
+    pants = _pants_surface(params, rep, labels=(f"{label}.1", label, f"{label}.3"))
     return _close_pair(pants, f"{label}.3", f"{label}.1", g_twist, tol, tw)
 
 
@@ -614,19 +604,19 @@ def _symplectify(a: np.ndarray) -> np.ndarray:
 
 def _edge_twist(rep_up: SurfaceRep, idx_up: int,
                 rep_lo: SurfaceRep, idx_lo: int,
-                g_twist, tol: Tolerance, tw=None) -> SpMat:
+                g_twist, tol: Tolerance, tw: SpMat | None = None) -> SpMat:
     """The global conjugator h with h . img_lo . h^{-1} = img_up^{-1}.
 
-    tw is the edge's twist element, or its refusal, when _edge_twists formed
-    it beforehand; None forms it here.  The product is formed in extended
+    tw is the edge's twist element when _edge_twists formed it beforehand;
+    None forms it here.  The product is formed in extended
     precision, which keeps its conjugation defect at rounding level; an
     overflow in it raises IllConditioned.
     """
     up, lo = rep_up.ports[idx_up], rep_lo.ports[idx_lo]
     if tw is None:
-        tw = _edge_twists([(rep_up.nodes[up.node], up.slot,
-                            rep_lo.nodes[lo.node], lo.slot, g_twist)], tol)[0]
-    h = _ld_product(up.conjugator @ _slot_rotation(rep_up.n, up.slot, True), unwrap(tw),
+        tw = SpMat(_edge_twists([(rep_up.nodes[up.node], up.slot,
+                                  rep_lo.nodes[lo.node], lo.slot, g_twist)], tol)[0])
+    h = _ld_product(up.conjugator @ _slot_rotation(rep_up.n, up.slot, True), tw,
                     sp_inverse(lo.conjugator @ _slot_rotation(rep_lo.n, lo.slot, False)))
     check_finite(h.m)
     return h
@@ -645,7 +635,7 @@ def glue_reps(rep1: SurfaceRep, label1: str, rep2: SurfaceRep, label2: str,
 
 
 def _glue_reps(rep1: SurfaceRep, label1: str, rep2: SurfaceRep, label2: str,
-               g_twist, tol: Tolerance, tw=None) -> SurfaceRep:
+               g_twist, tol: Tolerance, tw: SpMat | None = None) -> SurfaceRep:
     if rep1.n != rep2.n:
         raise CannotGlue("matrix dimensions differ")
     overlap = (set(rep1.boundary_labels()) - {label1}) & \
@@ -688,7 +678,7 @@ def close_pair(rep: SurfaceRep, upper_label: str, lower_label: str,
 
 
 def _close_pair(rep: SurfaceRep, upper_label: str, lower_label: str,
-                g_twist, tol: Tolerance, tw=None) -> SurfaceRep:
+                g_twist, tol: Tolerance, tw: SpMat | None = None) -> SurfaceRep:
     if upper_label == lower_label:
         raise CannotGlue("cannot close a boundary against itself")
     if rep.m == 2:
@@ -783,7 +773,7 @@ def _loop_twist(twist, upper_port: int) -> np.ndarray:
     twist back into the edge's twist.  A stack of twists maps twist by twist.
     """
     g = np.atleast_2d(np.asarray(twist, dtype=float))
-    return np.swapaxes(np.linalg.inv(g), -1, -2) if upper_port == 1 else g
+    return np.linalg.inv(g).swapaxes(-1, -2) if upper_port == 1 else g
 
 
 def build_from_graph(graph: GluingGraph, tol: Tolerance = DEFAULT_TOL) -> SurfaceRep:
@@ -798,53 +788,68 @@ def build_from_graph(graph: GluingGraph, tol: Tolerance = DEFAULT_TOL) -> Surfac
 
     Every node's pants images come from one stacked forward-map call and
     every edge's twist element from one stacked twist call; the gluing then
-    runs edge by edge.  A refusal is raised where that gluing reaches it:
-    node by node in gluing order, each node's own checks (a self-edge's
-    before its pants) ahead of the tree edge that attaches it, then the
-    closures in edge order.  Within a node or an edge the first failing
-    check wins, in the order of build_maximal, close_handle and
+    runs edge by edge.  Refusal order, the one every stacked kernel keeps:
+    by node, then by edge, in _gluing_plan order.  Node by node in gluing
+    order, a node's own checks (a self-edge's before its pants, then that
+    edge's twist) come ahead of the tree edge that attaches it, and the
+    closures follow in edge order; within a node or an edge the first
+    failing check wins, in the order of build_maximal, close_handle and
     twist_element.
     """
     self_edges, tree_edges, closures = _gluing_plan(graph)
     label = lambda port: f"{port[0]}.{port[1]}"
+    index = {nd.name: i for i, nd in enumerate(graph.nodes)}
 
-    def checked_handle(node: PantsNode, loop: GraphEdge):
-        # a self-edge's checks before the forward map; a refusal is held
+    def handle_pants(node: PantsNode, loop: GraphEdge):
+        # a self-edge's checks before the forward map
         p = node.params
-        try:
-            tw = _loop_twist(require_invertible(loop.twist, tol, "handle twist"), loop.upper[1])
-            defect, over = _twist_defect(tw, p.X1, slot_glue_length(p, 3), tol)
-            check_finite(defect)
-            if over:
-                raise CannotGlue(f"self-edge twist incompatible on node {node.name!r} "
-                                 f"(defect {defect:.3e})", edge=loop)
-            return _handle_pants(p.X1, p.X2, tw, tol)
-        except MaxRepError as exc:
-            return exc
+        tw = _loop_twist(require_invertible(loop.twist, tol, "handle twist"), loop.upper[1])
+        defect, over = _twist_defect(tw, p.X1, slot_glue_length(p, 3), tol)
+        check_finite(defect)
+        if over:
+            raise CannotGlue(f"self-edge twist incompatible on node {node.name!r} "
+                             f"(defect {defect:.3e})", edge=loop)
+        return _handle_pants(p.X1, p.X2, tw, tol)
 
-    local = {nd.name: checked_handle(nd, self_edges[nd.name]) if nd.name in self_edges
-             else (None, nd.params) for nd in graph.nodes}
-    ready = [name for name, pre in local.items() if not isinstance(pre, MaxRepError)]
-    xs = np.array([local[name][1].matrices() for name in ready]).reshape(-1, 3, graph.n, graph.n)
-    forward = dict(zip(ready, zip(*_build_maximal_stack(xs.swapaxes(0, 1), tol)))) if ready else {}
-    # the pants that build; only edges between them are ever glued
-    pants = {name: local[name][1] for name, (cls, rep) in forward.items()
-             if isinstance(rep, PantsRep) and not (
-                 name in self_edges and cls in (ParamClass.NOT_VALID, ParamClass.IN_TILDE_R))}
-    edges = [(e, (pants[name], 3, pants[name], 1, local[name][0]))
-             for name, e in self_edges.items() if name in pants]
-    edges += [(e, (pants[e.upper[0]], e.upper[1], pants[e.lower[0]], e.lower[1], e.twist))
-              for e in tree_edges + closures if e.upper[0] in pants and e.lower[0] in pants]
-    twists = dict(zip((e for e, _ in edges), _edge_twists([d for _, d in edges], tol)))
+    # each node's (handle twist, pants, PantsRep), the pants in one forward-map call
+    nodes, local, faults = Slices(len(graph.nodes)), [], []
+    for nd in graph.nodes:
+        try:
+            local.append(handle_pants(nd, self_edges[nd.name]) if nd.name in self_edges
+                         else (None, nd.params))
+            faults.append(None)
+        except MaxRepError as exc:
+            local.append(None)
+            faults.append(exc)
+    local = nodes.refuse(faults, local)
+    classes, reps = _build_maximal_stack(
+        np.array([p.matrices() for _, p in local]).reshape(-1, 3, graph.n, graph.n), tol)
+    not_handle = [NotValid(_NOT_HANDLE_MSG) if c in _NOT_HANDLE else None for c in classes.values]
+    nodes.finish(nodes.refuse(
+        [reps.refusals[j] if tw is None else classes.refusals[j] or not_handle[j] or reps.refusals[j]
+         for j, (tw, _) in enumerate(local)],
+        [(tw, p, rep) for (tw, p), rep in zip(local, reps.values)]))
+
+    # each edge's twist element, in one twist call; an edge with a refused
+    # node is never reached, so it is not formed
+    def edge_data(e: GraphEdge):
+        (tw, up, _), (_, lo, _) = (nodes.values[index[end[0]]] for end in (e.upper, e.lower))
+        return (up, 3, up, 1, tw) if e.upper[0] == e.lower[0] else (up, e.upper[1], lo, e.lower[1], e.twist)
+
+    plan = [*self_edges.values(), *tree_edges, *closures]
+    at = {e: j for j, e in enumerate(plan)}
+    edges = Slices(len(plan))
+    formed = edges.refuse([nodes.refusals[index[e.upper[0]]] or nodes.refusals[index[e.lower[0]]]
+                           for e in plan], plan)
+    twists = _edge_twists([edge_data(e) for e in formed], tol)
+    edges.finish(edges.refuse(twists.refusals, twists.values))
 
     def fresh_block(node: PantsNode) -> SurfaceRep:
-        cls, rep = forward.get(node.name, (None, None))
+        tw, params, rep = nodes[index[node.name]]
         loop = self_edges.get(node.name)
         if loop is None:
-            return _pants_surface(node.params, unwrap(rep),
-                                  labels=tuple(f"{node.name}.{s}" for s in (1, 2, 3)))
-        tw, params = unwrap(local[node.name])
-        return _handle_surface(params, tw, cls, rep, f"{node.name}.2", tol, twists.get(loop))
+            return _pants_surface(params, rep, labels=tuple(f"{node.name}.{s}" for s in (1, 2, 3)))
+        return _handle_surface(params, tw, rep, f"{node.name}.2", tol, SpMat(edges[at[loop]]))
 
     built = fresh_block(graph.nodes[0])
     handle_signs = built.handle_signs
@@ -853,11 +858,11 @@ def build_from_graph(graph: GluingGraph, tol: Tolerance = DEFAULT_TOL) -> Surfac
         handle_signs += block.handle_signs
         # the fresh block joins on the upper or the lower side
         up, lo = (block, built) if e.upper[0] == node.name else (built, block)
-        built = _glue_reps(up, label(e.upper), lo, label(e.lower), e.twist, tol, twists.get(e))
+        built = _glue_reps(up, label(e.upper), lo, label(e.lower), e.twist, tol, SpMat(edges[at[e]]))
     # glue_reps puts the upper side's handles first; restore node order
     built = replace(built, handle_signs=handle_signs)
     for e in closures:
-        built = _close_pair(built, label(e.upper), label(e.lower), e.twist, tol, twists.get(e))
+        built = _close_pair(built, label(e.upper), label(e.lower), e.twist, tol, SpMat(edges[at[e]]))
     # reorder boundaries to the declared labels
     for target, b in enumerate(graph.boundaries):
         built = _move_boundary(built, label(b.port), target)

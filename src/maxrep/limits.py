@@ -195,8 +195,8 @@ def limit_set_sample(rep: SurfaceRep, max_word_length: int = 4,
         level = list(level)
         mats = letter_stack[[position[w[-1]] for w in level]]
         mats = (prev[[prev_index[w[:-1]] for w in level]] @ mats) if prev_index else mats
-        found = [(" ".join(w), pt) for w, pt in zip(level, _attracting_points(mats, tol))
-                 if not isinstance(pt, NotSHyperbolic)]
+        attracting = _attracting_points(mats, tol)
+        found = [(" ".join(level[i]), attracting.values[i]) for i in attracting.live]
         points += found
         skipped += len(level) - len(found)
         prev, prev_index = mats, {w: i for i, w in enumerate(level)}

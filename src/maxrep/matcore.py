@@ -18,7 +18,7 @@ from typing import ClassVar
 import numpy as np
 from scipy.linalg.lapack import dgees, dtrsyl
 
-from .errors import IllConditioned, NearSingular, ResonantSpectrum, Singular, unwrap
+from .errors import _NON_FINITE, IllConditioned, NearSingular, ResonantSpectrum, Singular, Slices
 
 __all__ = [
     "Tolerance",
@@ -32,7 +32,6 @@ __all__ = [
     "is_symmetric",
     "require_symmetric",
     "require_invertible",
-    "spectral_radius",
     "circle_class",
     "stein_solve",
     "commutant_search",
@@ -66,7 +65,6 @@ class Tolerance:
 
 DEFAULT_TOL = Tolerance()
 _FLOAT64 = np.dtype(np.float64)
-_NON_FINITE = "matrix contains NaN or Inf entries"
 
 
 class CircleClass(enum.Enum):
@@ -89,7 +87,7 @@ def as_matrix(x) -> np.ndarray:
 def norm_inf(m) -> float:
     """Largest absolute entry (the norm used in all residual bounds)."""
     m = np.asarray(m)
-    return float(np.max(np.abs(m))) if m.size else 0.0
+    return float(np.abs(m).max()) if m.size else 0.0
 
 
 def rel_bound(tol: float, *values) -> float:
@@ -103,14 +101,14 @@ def rel_bound(tol: float, *values) -> float:
 def check_finite(m: np.ndarray) -> np.ndarray:
     """Return m; a NaN or infinite entry, the trace of an overflow, raises
     IllConditioned."""
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise IllConditioned(_NON_FINITE)
     return m
 
 
 def sym_part(m: np.ndarray) -> np.ndarray:
     """Symmetric part of a matrix, or of each matrix in a stack."""
-    return (m + np.swapaxes(m, -1, -2)) / 2.0
+    return (m + m.swapaxes(-1, -2)) / 2.0
 
 
 def is_symmetric(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -142,12 +140,6 @@ def _singular(s: np.ndarray, tol: Tolerance, what: str) -> Singular | None:
         return Singular(f"{what} is singular within tolerance "
                         f"(sigma_min = {s[-1]:.3e}, sigma_max = {s[0]:.3e})")
     return None
-
-
-def spectral_radius(x) -> float:
-    x = as_matrix(x)
-    check_finite(x)
-    return float(np.max(np.abs(np.linalg.eigvals(x)))) if x.size else 0.0
 
 
 def circle_class(x, tol: Tolerance = DEFAULT_TOL) -> CircleClass:
@@ -208,66 +200,53 @@ def stein_solve(a, q, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     q = require_symmetric(q, tol, "Stein right-hand side")
     if a.shape != q.shape:
         raise ValueError("A and Q must have matching shape")
-    return unwrap(_stein_solves(a[None], q[None], tol)[0])
+    return _stein_solves(a[None], q[None], tol)[0]
 
 
 def _stein_solves(a: np.ndarray, q: np.ndarray, tol: Tolerance,
-                  eigs: np.ndarray | None = None) -> list:
+                  eigs: np.ndarray | None = None) -> Slices:
     """stein_solve on each slice of (k, n, n) stacks of finite A and
-    symmetric Q: entry i is the solution or the refusal for slice i, in
-    stein_solve's check order.  eigs, when given, holds the eigenvalues of
-    each A.  Only LAPACK's Schur factorization and triangular Sylvester
-    solve run slice by slice.
+    symmetric Q, in stein_solve's check order; the values are the solutions.
+    eigs, when given, holds the eigenvalues of each A.  Only LAPACK's Schur
+    factorization and triangular Sylvester solve run slice by slice.
     """
     n = a.shape[-1]
-    eye, t = np.eye(n), lambda m: np.swapaxes(m, -1, -2)
-    eigs = np.linalg.eigvals(a) if eigs is None else eigs
+    eye, t = np.eye(n), lambda m: m.swapaxes(-1, -2)
+    out = Slices(len(a))
+    q, a, eigs = out.screen(q, a, np.linalg.eigvals(a) if eigs is None else eigs)
     resonant = np.abs(eigs[:, :, None] * eigs[:, None, :] - 1.0).min(axis=(1, 2)) \
         <= tol.unit_circle_band
-    out = [IllConditioned(_NON_FINITE) if not ok
-           else ResonantSpectrum(f"eigenvalue product within {tol.unit_circle_band:.1e} of 1")
-           if bad else None for ok, bad in zip(np.isfinite(q).all(axis=(1, 2)), resonant)]
-    live = [i for i, r in enumerate(out) if r is None]
-    if not live:
-        return out
-    if len(live) < len(out):
-        a, q = a[live], q[live]
+    a, q = out.refuse([ResonantSpectrum(f"eigenvalue product within {tol.unit_circle_band:.1e} of 1")
+                       if bad else None for bad in resonant], a, q)
     # A^T + I is invertible: an eigenvalue -1 of A is resonant with itself
     w = np.linalg.inv(t(a) + eye)
-    factors = []
-    for i, b in zip(live, eye - 2.0 * w):
+    factors, faults = [], []
+    for b in eye - 2.0 * w:
         try:
             factors.append(_real_schur(b, error=IllConditioned)[:2])
+            faults.append(None)
         except IllConditioned as exc:
-            out[i], factors = exc, factors + [(eye, eye)]
+            faults.append(exc)
+    a, q, w = out.refuse(faults, a, q, w)
+    if not factors:
+        return out.finish(a)
     ts, u = (np.array(f) for f in zip(*factors))
     wu = t(w) @ u
 
     def solve(r):
         # with B = U T U^T and X = U^T P U: T X + X T^T = 2 U^T W R W^T U
         xs = [dtrsyl(ti, ti, ri, tranb="T")[:2] for ti, ri in zip(ts, 2.0 * (t(wu) @ r @ wu))]
-        return u @ np.array([x / scale for x, scale in xs]) @ t(u)
+        return u @ np.array([x / scale for x, scale in xs]).reshape(u.shape) @ t(u)
 
-    # a first solve that overflows stays non-finite through the refinement
-    ok, p = _finite_slices(solve(q))
-    ok2, p = _finite_slices(sym_part(p - solve(t(a) @ p @ a - p - q)))
-    ok &= ok2
+    # a solve that overflows is refused before the refinement
+    p, a, q, ts, u, wu = out.screen(solve(q), a, q, ts, u, wu)
+    p, a, q = out.screen(sym_part(p - solve(t(a) @ p @ a - p - q)), a, q)
     residual = np.abs(t(a) @ p @ a - p - q).max(axis=(1, 2))
     scale = np.maximum(np.maximum(1.0, np.abs(q).max(axis=(1, 2))),
                        np.abs(a).max(axis=(1, 2)) ** 2 * np.abs(p).max(axis=(1, 2)))
-    for j, i in enumerate(live):
-        out[i] = out[i] or (IllConditioned(_NON_FINITE) if not ok[j] else ResonantSpectrum(
-            f"Stein residual {residual[j]:.3e} exceeds tolerance; "
-            "the equation is too close to resonance")
-            if residual[j] > tol.series_tol * scale[j] else p[j])
-    return out
-
-
-def _finite_slices(m: np.ndarray, fill=0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Which matrices of a stack are free of NaN and Inf, and the stack with
-    fill in place of the others (m itself when none is)."""
-    ok = np.isfinite(m).all(axis=(-2, -1))
-    return ok, m if ok.all() else np.where(ok[..., None, None], m, fill)
+    return out.finish(out.refuse([ResonantSpectrum(
+        f"Stein residual {r:.3e} exceeds tolerance; the equation is too close to resonance")
+        if r > tol.series_tol * sc else None for r, sc in zip(residual, scale)], p))
 
 
 def _char_poly_matches(x: np.ndarray, y: np.ndarray, tol: Tolerance) -> bool:

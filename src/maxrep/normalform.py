@@ -26,15 +26,13 @@ from .errors import (
     NotContracting,
     NotFixed,
     NotSHyperbolic,
-    unwrap,
+    Slices,
 )
 from .matcore import (
     DEFAULT_TOL,
     CircleClass,
     Tolerance,
     _real_schur,
-    _unit_circle_masks,
-    as_matrix,
     check_finite,
     circle_class,
     rel_bound,
@@ -53,23 +51,14 @@ from .symplectic import (
     point_distance,
     sp_inverse,
     swap_symplectic,
-    transverse,
 )
 
 __all__ = [
     "DifferentialClass",
-    "IsometryClass",
     "StandardBoundary",
-    "FixedPointReport",
     "DifferentialMap",
-    "IsometryReport",
-    "standard_element",
-    "fixed_point_residual",
     "fixed_point_expanding_side",
-    "fixed_point_contracting_side",
     "differential_at",
-    "canonical_fixed_point",
-    "classify_isometry",
     "attracting_point",
     "canonical_point_of_element",
 ]
@@ -81,12 +70,6 @@ class DifferentialClass(enum.Enum):
     NON_EXPANDING = "non_expanding"
     NON_CONTRACTING = "non_contracting"
     INDETERMINATE = "indeterminate"
-
-
-class IsometryClass(enum.Enum):
-    S_HYPERBOLIC = "s_hyperbolic"
-    S_PARABOLIC = "s_parabolic"
-    MIXED_NON_EXPANDING_FP = "mixed_non_expanding_fp"
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,18 +93,13 @@ class StandardBoundary:
         return self.A.shape[0]
 
     def element(self) -> SpMat:
-        return standard_element(self.A, self.S, self.tol)
-
-
-def standard_element(a, s, tol: Tolerance = DEFAULT_TOL) -> SpMat:
-    """The lower-triangular standard form [[A, 0], [A + A^{-T}S, A^{-T}]],
-    the boundary normal form at 0 (re-exported as gluing.standard_lower)."""
-    return make_symplectic(*_standard_blocks(as_matrix(a), as_matrix(s)), tol)
+        return make_symplectic(*_standard_blocks(self.A, self.S), self.tol)
 
 
 def _standard_blocks(a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The blocks of standard_element, for one matrix or a stack."""
-    ait = np.linalg.inv(np.swapaxes(a, -1, -2))
+    """The blocks of the standard element [[A, 0], [A + A^{-T}S, A^{-T}]],
+    for one matrix or a stack."""
+    ait = np.linalg.inv(a.swapaxes(-1, -2))
     return a, np.zeros_like(a), a + ait @ s, ait
 
 
@@ -166,11 +144,6 @@ class DifferentialMap:
         return DifferentialClass.INDETERMINATE
 
 
-def fixed_point_residual(g: SpMat, p: BoundaryPoint) -> float:
-    """Distance between p and its image under g (entrywise, inf-aware)."""
-    return point_distance(moebius_act(g, p), p)
-
-
 def _stein_fixed_point(a: np.ndarray, s: np.ndarray, tol: Tolerance,
                        expanding_side: bool) -> np.ndarray:
     """Invertible fixed point of the standard element, via A^T P A - P = +-(A^T A + S).
@@ -195,33 +168,18 @@ def _require_fixed(g: SpMat, p: BoundaryPoint, tol: Tolerance, who: str):
         raise NotFixed(f"{who} does not fix its claimed point (moved by {d:.3e})")
 
 
-def _side_fixed_point(sb: StandardBoundary, tol: Tolerance,
-                      expanding_side: bool) -> FixedPointReport:
-    """The fixed point transverse to 0 of _stein_fixed_point, for A entirely
-    inside (expanding side) or entirely outside (contracting side) the unit
-    circle; other spectra raise NotContracting."""
-    side, need = (("expanding", CircleClass.CONTRACTING) if expanding_side
-                  else ("contracting", CircleClass.EXPANDING))
-    if circle_class(sb.A, tol) is not need:
-        raise NotContracting(f"{side}-side fixed point needs {need.value} A")
-    pt = BoundaryPoint(_stein_fixed_point(sb.A, sb.S, tol, expanding_side))
-    cls = DifferentialClass.EXPANDING if expanding_side else DifferentialClass.CONTRACTING
-    return FixedPointReport(pt, cls, fixed_point_residual(sb.element(), pt))
-
-
 def fixed_point_expanding_side(sb: StandardBoundary,
                                tol: Tolerance = DEFAULT_TOL) -> FixedPointReport:
     """The unique fixed point transverse to 0 for contracting A.
 
-    It is negative definite and the boundary action there is expanding.
+    It is negative definite and the boundary action there is expanding;
+    other spectra of A raise NotContracting.
     """
-    return _side_fixed_point(sb, tol, expanding_side=True)
-
-
-def fixed_point_contracting_side(sb: StandardBoundary,
-                                 tol: Tolerance = DEFAULT_TOL) -> FixedPointReport:
-    """The unique fixed point transverse to 0 for expanding A (contracting action)."""
-    return _side_fixed_point(sb, tol, expanding_side=False)
+    if circle_class(sb.A, tol) is not CircleClass.CONTRACTING:
+        raise NotContracting("expanding-side fixed point needs contracting A")
+    pt = BoundaryPoint(_stein_fixed_point(sb.A, sb.S, tol, expanding_side=True))
+    return FixedPointReport(pt, DifferentialClass.EXPANDING,
+                            point_distance(moebius_act(sb.element(), pt), pt))
 
 
 def differential_at(g: SpMat, p: BoundaryPoint,
@@ -245,106 +203,34 @@ def differential_at(g: SpMat, p: BoundaryPoint,
     return DifferentialMap(left=left, right=right)
 
 
-def _ordered_split(a: np.ndarray, s: np.ndarray, tol: Tolerance,
-                   select_expanding: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Orthogonal Q, block-triangular T = Q^T A Q with the selected spectral
-    cluster leading, plus the matching block of Q^T S Q.
+def _canonical_fixed_point(sb: StandardBoundary, tol: Tolerance) -> BoundaryPoint:
+    """The canonical fixed point of a standard boundary element, where the
+    action is non-expanding.
 
-    The selected cluster is the expanding (or contracting) part of the
-    spectrum.  Eigenvalues in the gray zone around the threshold make the
-    split untrustworthy and raise DefectiveSplit.
+    With no eigenvalue of A strictly outside the unit-circle band, the point
+    is 0.  Otherwise the expanding spectral block, led by an orthogonal
+    Schur basis Q with T = Q^T A Q, contributes an invertible fixed point in
+    the leading corner.  Eigenvalues in the gray zone around the band, or a
+    reordering that selects another count, make that split untrustworthy and
+    raise DefectiveSplit.
     """
-    band = tol.unit_circle_band
-    moduli = np.abs(np.linalg.eigvals(a))
-    gray_lo, gray_hi = 1.0 - 2 * band, 1.0 + 2 * band
-    inner_lo, inner_hi = 1.0 - band / 2, 1.0 + band / 2
+    n, band = sb.n, tol.unit_circle_band
+    moduli = np.abs(np.linalg.eigvals(sb.A))
+    outside = moduli > 1.0 + band
+    y = np.zeros((n, n))
+    if not np.any(outside):
+        return BoundaryPoint(y)
     # an eigenvalue near the threshold but not inside the declared band
     # could land on either side of the cut
-    ambiguous = (((moduli > inner_hi) & (moduli < gray_hi))
-                 | ((moduli > gray_lo) & (moduli < inner_lo)))
-    if np.any(ambiguous):
-        raise DefectiveSplit(
-            "eigenvalue moduli straddle the unit-circle band; refusing to split")
-    if select_expanding:
-        pred = lambda re, im: re * re + im * im > (1.0 + band) ** 2
-    else:
-        pred = lambda re, im: re * re + im * im < (1.0 - band) ** 2
-    t, q, k = _real_schur(a, pred)
-    sq = q.T @ s @ q
-    return t, q, sq, int(k)
-
-
-def _split_fixed_point(sb: StandardBoundary, tol: Tolerance,
-                       attracting: bool) -> FixedPointReport:
-    """The fixed point where the action is non-expanding (attracting) or
-    non-contracting (repelling).
-
-    With no eigenvalue of A strictly outside (attracting) or strictly inside
-    (repelling) the unit-circle band, the point is 0.  Otherwise that
-    spectral block contributes an invertible fixed point, which embeds into
-    the leading corner of an orthogonal Schur basis.
-    """
-    n = sb.n
-    inside, _, outside = _unit_circle_masks(sb.A, tol.unit_circle_band)
-    selected, rest = (outside, inside) if attracting else (inside, outside)
-    strict, loose = ((DifferentialClass.CONTRACTING, DifferentialClass.NON_EXPANDING)
-                     if attracting else
-                     (DifferentialClass.EXPANDING, DifferentialClass.NON_CONTRACTING))
-    y = np.zeros((n, n))
-    if not np.any(selected):
-        pt = BoundaryPoint(y)
-        cls = strict if np.all(rest) else loose
-        return FixedPointReport(pt, cls, fixed_point_residual(sb.element(), pt))
-    t, q, sq, k = _ordered_split(sb.A, sb.S, tol, select_expanding=attracting)
-    if k != np.count_nonzero(selected):   # a defective pair on the circle
-        raise DefectiveSplit(f"Schur reordering selected {k} of {np.count_nonzero(selected)} eigenvalues")
-    y[:k, :k] = _stein_fixed_point(t[:k, :k], sym_part(sq[:k, :k]), tol,
-                                   expanding_side=not attracting)
-    pt = BoundaryPoint(sym_part(q @ y @ q.T))
-    return FixedPointReport(pt, loose, fixed_point_residual(sb.element(), pt))
-
-
-def canonical_fixed_point(sb: StandardBoundary,
-                          tol: Tolerance = DEFAULT_TOL) -> FixedPointReport:
-    """The unique fixed point where the action is non-expanding.
-
-    If no eigenvalue of A lies outside the closed unit disc the point is 0.
-    Otherwise the expanding spectral block contributes an invertible
-    contracting-action fixed point which embeds into the leading corner of
-    an orthogonal Schur basis.
-    """
-    return _split_fixed_point(sb, tol, attracting=True)
-
-
-def classify_isometry(sb: StandardBoundary,
-                      tol: Tolerance = DEFAULT_TOL) -> "IsometryReport":
-    """Dynamical type of a standard boundary element.
-
-    No unit-modulus spectrum gives a transverse attracting/repelling pair;
-    spectrum entirely on the circle gives a single fixed point at 0; the
-    mixed case only guarantees a non-expanding canonical point.
-    """
-    _, on_circle, _ = _unit_circle_masks(sb.A, tol.unit_circle_band)
-    if np.all(on_circle):
-        pt = BoundaryPoint(np.zeros((sb.n, sb.n)))
-        rep = FixedPointReport(pt, DifferentialClass.NON_EXPANDING,
-                               fixed_point_residual(sb.element(), pt))
-        return IsometryReport(IsometryClass.S_PARABOLIC, rep, None)
-    if not np.any(on_circle):
-        att = canonical_fixed_point(sb, tol)
-        rep = _split_fixed_point(sb, tol, attracting=False)
-        if not transverse(att.point, rep.point, tol):
-            raise NotSHyperbolic("attracting and repelling points are not transverse")
-        return IsometryReport(IsometryClass.S_HYPERBOLIC, att, rep)
-    att = canonical_fixed_point(sb, tol)
-    return IsometryReport(IsometryClass.MIXED_NON_EXPANDING_FP, att, None)
-
-
-@dataclass(frozen=True, eq=False)
-class IsometryReport:
-    kind: IsometryClass
-    attracting: FixedPointReport
-    repelling: FixedPointReport | None
+    if np.any(((moduli > 1.0 + band / 2) & (moduli < 1.0 + 2 * band))
+              | ((moduli > 1.0 - 2 * band) & (moduli < 1.0 - band / 2))):
+        raise DefectiveSplit("eigenvalue moduli straddle the unit-circle band; refusing to split")
+    t, q, k = _real_schur(sb.A, lambda re, im: re * re + im * im > (1.0 + band) ** 2)
+    if k != np.count_nonzero(outside):   # a defective pair on the circle
+        raise DefectiveSplit(f"Schur reordering selected {k} of {np.count_nonzero(outside)} eigenvalues")
+    sq = q.T @ sb.S @ q
+    y[:k, :k] = _stein_fixed_point(t[:k, :k], sym_part(sq[:k, :k]), tol, expanding_side=False)
+    return BoundaryPoint(sym_part(q @ y @ q.T))
 
 
 # margins for certifying dynamics at a candidate fixed point; the raw
@@ -352,6 +238,7 @@ class IsometryReport:
 # sit well above machine precision
 _ATTRACT_MARGIN = 1e-5
 _NONEXPAND_SLACK = 1e-6
+_NO_CANONICAL = "no recognizable standard position and no certified non-expanding fixed point"
 
 
 def _certificates(ms: np.ndarray, ys: np.ndarray, at_inf: np.ndarray,
@@ -382,10 +269,10 @@ def _certificates(ms: np.ndarray, ys: np.ndarray, at_inf: np.ndarray,
 _EIGENBASIS_RCOND = 1e-2
 
 
-def _subspace_fixed_points(ms: np.ndarray, tol: Tolerance) -> tuple[list, np.ndarray, np.ndarray]:
+def _subspace_fixed_points(ms: np.ndarray, tol: Tolerance) -> tuple[Slices, np.ndarray, np.ndarray]:
     """Chart points of the expanding invariant subspaces of a (k, 2n, 2n)
-    stack, certified: (points, fixed, rho), points[i] being a BoundaryPoint
-    or the NotSHyperbolic refusing slice i.
+    stack, certified: (points, fixed, rho), the values of points being
+    BoundaryPoints and its refusals NotSHyperbolic.
 
     The subspace, spanned by the eigenvalues of modulus above 1, must have
     dimension n; its chart point is u1 u2^{-1} for an orthonormal basis u,
@@ -394,55 +281,59 @@ def _subspace_fixed_points(ms: np.ndarray, tol: Tolerance) -> tuple[list, np.nda
     the subspace (x + y and x - y for a pair x +- iy), and one stacked QR
     orthonormalises it.  A slice with an eigenvalue in the unit-circle band
     or an ill-conditioned R takes the sorted real Schur form instead; one the
-    eigen-decomposition fails on is refused.  fixed and rho come from
-    _certificates; each caller sets its acceptance threshold on rho.
+    eigen-decomposition fails on is refused.  fixed and rho, for the slices
+    left live, come from _certificates; each caller sets its acceptance
+    threshold on rho.  A NaN or Inf anywhere raises IllConditioned.
     """
     ms = check_finite(ms)
-    k, n = len(ms), ms.shape[-1] // 2
-    refusals: list = [None] * k
+    n = ms.shape[-1] // 2
+    points = Slices(len(ms))
     try:
         w, v = np.linalg.eig(ms)
     except np.linalg.LinAlgError:   # again slice by slice, to refuse only the failures
-        w, v = np.ones((k, 2 * n), complex), np.zeros((k, 2 * n, 2 * n), complex)
+        w, v = np.ones((len(ms), 2 * n), complex), np.zeros(ms.shape, complex)
+        faults = [None] * len(ms)
         for i, m in enumerate(ms):
             try:
                 w[i], v[i] = np.linalg.eig(m)
             except np.linalg.LinAlgError as exc:
-                refusals[i] = NotSHyperbolic(f"eigen-decomposition failed: {exc}")
+                faults[i] = NotSHyperbolic(f"eigen-decomposition failed: {exc}")
+        ms, w, v = points.refuse(faults, ms, w, v)
     moduli = np.abs(w)
     cols, ranked = np.argsort(moduli, axis=-1)[:, n:], np.sort(moduli, axis=-1)
-    v = v[np.arange(k)[:, None], :, cols]
+    v = v[np.arange(len(ms))[:, None], :, cols]
     zs, r = np.linalg.qr((v.real + v.imag).swapaxes(1, 2))
     r = np.abs(np.diagonal(r, axis1=1, axis2=2))
     direct = ((ranked[:, n - 1] < 1.0 - tol.unit_circle_band) & (ranked[:, n] > 1.0 + tol.unit_circle_band)
               & (r.min(axis=-1) > _EIGENBASIS_RCOND * r.max(axis=-1)))
+    faults = [None] * len(ms)
     for i in np.flatnonzero(~direct):
         try:
             _, z, dim = _real_schur(ms[i], lambda re, im: re * re + im * im > 1.0, NotSHyperbolic)
-            if dim != n:
-                raise NotSHyperbolic(f"expanding subspace has dimension {dim}, expected {n}")
-            zs[i] = z[:, :n]
         except NotSHyperbolic as exc:
-            # reordering can move an eigenvalue of modulus near 1 across the cut
-            refusals[i], zs[i] = refusals[i] or exc, np.eye(2 * n, n)
+            faults[i] = exc
+            continue
+        # reordering can move an eigenvalue of modulus near 1 across the cut;
+        # the refusal is made, not raised, so that it holds no frame of this call
+        zs[i] = z[:, :n]
+        if dim != n:
+            faults[i] = NotSHyperbolic(f"expanding subspace has dimension {dim}, expected {n}")
+    ms, zs = points.refuse(faults, ms, zs)
     u1, u2 = zs[:, :n], zs[:, n:]
     s = np.linalg.svd(u2, compute_uv=False)
     at_inf = s[:, -1] <= tol.eq_tol * np.maximum(1.0, s[:, 0])
     ys = sym_part(u1 @ np.linalg.inv(np.where(at_inf[:, None, None], np.eye(n), u2)))
     fixed, rho = _certificates(ms, ys, at_inf, tol)
-    points = [why or (INFINITY if inf else BoundaryPoint(y))
-              for why, inf, y in zip(refusals, at_inf, ys)]
-    return points, fixed, rho
+    return points.finish([INFINITY if inf else BoundaryPoint(y) for inf, y in zip(at_inf, ys)]), fixed, rho
 
 
-def _attracting_points(ms: np.ndarray, tol: Tolerance) -> list:
-    """attracting_point of each slice: a BoundaryPoint or a NotSHyperbolic."""
+def _attracting_points(ms: np.ndarray, tol: Tolerance) -> Slices:
+    """attracting_point of each slice; the values are BoundaryPoints."""
     points, fixed, rho = _subspace_fixed_points(ms, tol)
-    weak = ~fixed | (rho > 1.0 - max(tol.unit_circle_band, _ATTRACT_MARGIN))
-    return [pt if isinstance(pt, NotSHyperbolic) or not bad else
-            NotSHyperbolic("no contracting fixed point; element is not "
-                           "transverse-pair hyperbolic within tolerance")
-            for pt, bad in zip(points, weak)]
+    points.refuse([NotSHyperbolic("no contracting fixed point; element is not "
+                                  "transverse-pair hyperbolic within tolerance") if weak else None
+                   for weak in ~fixed | (rho > 1.0 - max(tol.unit_circle_band, _ATTRACT_MARGIN))])
+    return points
 
 
 def attracting_point(g: SpMat, tol: Tolerance = DEFAULT_TOL) -> BoundaryPoint:
@@ -454,21 +345,24 @@ def attracting_point(g: SpMat, tol: Tolerance = DEFAULT_TOL) -> BoundaryPoint:
     differential, which guards against defective circle spectra whose
     eigenvalues split across the band.
     """
-    return unwrap(_attracting_points(g.m[None], tol)[0])
+    return _attracting_points(g.m[None], tol)[0]
 
 
-def _canonical_points(ms: np.ndarray, tol: Tolerance) -> list:
-    """canonical_point_of_element of each slice of a (k, 2n, 2n) stack: a
-    BoundaryPoint or the MaxRepError refusing that slice.  The finite slices
-    without a standard chart share one _subspace_fixed_points call."""
+def _canonical_points(ms: np.ndarray, tol: Tolerance) -> Slices:
+    """canonical_point_of_element of each slice of a (k, 2n, 2n) stack; the
+    values are BoundaryPoints.  A slice with a NaN or Inf is refused before
+    any product; the slices without a standard chart share one
+    _subspace_fixed_points call."""
     n = ms.shape[-1] // 2
+    out = Slices(len(ms))
+    ms = out.screen(ms)
     r = cycle_symplectic(n)
     charts = np.array([np.eye(2 * n), r.m, r.inv().m])     # u, with u^{-1} = charts[[0, 2, 1]]
     ls = charts[[0, 2, 1]] @ ms[:, None] @ charts
-    # a chart holds a standard form where the B block vanishes (NaN passes, to be refused)
+    # a chart holds a standard form where the B block vanishes
     lower = ~(np.abs(ls[..., :n, n:]).max(axis=(-2, -1))
               > tol.eq_tol * np.maximum(1.0, np.abs(ls).max(axis=(-2, -1))))
-    points: list = [None] * len(ms)
+    points, faults = np.full(len(ms), None), [None] * len(ms)
     for i in np.flatnonzero(lower.any(axis=1)):
         try:
             for j in np.flatnonzero(lower[i]):
@@ -479,21 +373,21 @@ def _canonical_points(ms: np.ndarray, tol: Tolerance) -> list:
                 except np.linalg.LinAlgError:
                     continue
                 if np.min(eigs) > rel_bound(tol.eq_tol, s_part):
-                    rep = canonical_fixed_point(StandardBoundary(l.A, s_part, tol), tol)
-                    points[i] = moebius_act(SpMat(charts[j]), rep.point, tol)
+                    y = _canonical_fixed_point(StandardBoundary(l.A, s_part, tol), tol)
+                    points[i] = moebius_act(SpMat(charts[j]), y, tol)
                     break
-            else:   # refused here, not for the whole stack in the subspace call
-                check_finite(ms[i])
         except MaxRepError as exc:
-            points[i] = exc
-    todo = [i for i, pt in enumerate(points) if pt is None]
-    found, fixed, rho = _subspace_fixed_points(ms[todo], tol)
-    ok = fixed & (rho <= 1.0 + max(tol.unit_circle_band, _NONEXPAND_SLACK))
-    for i, pt, good in zip(todo, found, ok):
-        points[i] = (pt if good and not isinstance(pt, NotSHyperbolic) else
-                     NoCanonicalFixedPoint("no recognizable standard position and no "
-                                           "certified non-expanding fixed point"))
-    return points
+            faults[i] = exc
+    ms, points = out.refuse(faults, ms, points)
+    rest = np.array([pt is None for pt in points], dtype=bool)
+    found, fixed, rho = _subspace_fixed_points(ms[rest], tol)
+    found.refuse([None if good else NoCanonicalFixedPoint(_NO_CANONICAL)
+                  for good in fixed & (rho <= 1.0 + max(tol.unit_circle_band, _NONEXPAND_SLACK))])
+    # the subspace route's own refusals read the same
+    faults = np.full(len(ms), None)
+    points[rest], faults[rest] = found.values, [r and NoCanonicalFixedPoint(_NO_CANONICAL)
+                                                for r in found.refusals]
+    return out.finish(out.refuse(faults, points))
 
 
 def canonical_point_of_element(g: SpMat, tol: Tolerance = DEFAULT_TOL) -> BoundaryPoint:
@@ -507,4 +401,4 @@ def canonical_point_of_element(g: SpMat, tol: Tolerance = DEFAULT_TOL) -> Bounda
     NoCanonicalFixedPoint, because identifying a reliable splitting from
     raw matrix data is not possible in general.
     """
-    return unwrap(_canonical_points(g.m[None], tol)[0])
+    return _canonical_points(g.m[None], tol)[0]

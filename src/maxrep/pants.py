@@ -19,21 +19,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    IllConditioned,
-    MaxRepError,
-    NearSingular,
-    NotMaximal,
-    NotValid,
-    first_fault,
-    unwrap,
-)
+from .errors import IllConditioned, NearSingular, NotMaximal, NotValid, Slices
 from .maslov import Triple, indefinite_identity, is_maximal, maslov, normalize_maximal_triple
 from .matcore import (
     DEFAULT_TOL,
-    _NON_FINITE,
     Tolerance,
-    _finite_slices,
     _singular,
     as_matrix,
     check_finite,
@@ -56,7 +46,6 @@ __all__ = [
     "PantsParams",
     "GeneralPantsParams",
     "PantsRep",
-    "pants_product",
     "classify_params",
     "build_maximal",
     "build_general",
@@ -140,13 +129,6 @@ class PantsRep:
         return (self.c1, self.c2, self.c3)
 
 
-def pants_product(p, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """X3 (X2^T)^{-1} X1, the matrix whose shape controls everything."""
-    x1, x2, x3 = p.X1, p.X2, p.X3
-    require_invertible(x2, tol, "X2")
-    return x3 @ np.linalg.inv(x2.T) @ x1
-
-
 def classify_params(p: PantsParams, tol: Tolerance = DEFAULT_TOL) -> ParamClass:
     """Finest membership class of the parameters.
 
@@ -154,74 +136,60 @@ def classify_params(p: PantsParams, tol: Tolerance = DEFAULT_TOL) -> ParamClass:
     otherwise graded by the spectral radii of the three matrices against the
     unit-circle band.
     """
-    return unwrap(_check_stack(np.array(p.matrices())[:, None], tol)[0][0])
+    return _check_stack(np.array(p.matrices())[None], tol)[0][0]
 
 
-def _check_stack(xs: np.ndarray, tol: Tolerance, membership: bool = True,
-                 each: bool = False) -> tuple[list | None, list]:
+def _check_stack(xs: np.ndarray, tol: Tolerance) -> tuple[Slices, Slices]:
     """Membership class and product signature of each slice of a stack.
 
-    xs has shape (3, k, n, n); slice i is the triple (xs[0, i], xs[1, i],
-    xs[2, i]).  Entry i of the first list is what classify_params gives for
-    slice i, entry i of the second the signature toledo_signature_shortcut
-    reads off its product; either entry is instead the exception that call
-    raises, so that a caller checking many slices picks which one to raise.
-    membership=False skips the classes.  A NaN or Inf anywhere in the stack
-    or its products raises IllConditioned for the whole stack, unless each
-    is set: then it is that slice's refusal, ahead of its other faults.
+    xs has shape (k, 3, n, n); slice i is the triple (X1, X2, X3) = xs[i].
+    The first outcome holds what classify_params gives or raises for each
+    slice, the second the signature toledo_signature_shortcut reads off its
+    product.  A NaN or Inf in a slice or in its product refuses that slice
+    alone, ahead of its other faults.
     """
     eye = np.eye(xs.shape[-1])
-    finite = np.isfinite(xs).all(axis=(0, -2, -1))
-    if not finite.all():
-        xs = np.where(finite[:, None, None], xs if each else check_finite(xs), eye)
+    classes = Slices(len(xs))
+    xs = classes.screen(xs)
     sv = np.linalg.svd(xs, compute_uv=False)
     singular = sv[..., -1] <= tol.eq_tol * np.maximum(1.0, sv[..., 0])
     # a singular X2 is refused anyway; the identity in its place keeps the
     # stacked inverse from failing on the other slices
-    x2 = np.where(singular[1, :, None, None], eye, xs[1])
-    prod = xs[2] @ np.linalg.inv(np.swapaxes(x2, -1, -2)) @ xs[0]
-    ok, prod = _finite_slices(prod if each else check_finite(prod), eye)
-    finite &= ok
-    prod_t = np.swapaxes(prod, -1, -2)
+    x2 = np.where(singular[:, 1, None, None], eye, xs[:, 1])
+    prod = xs[:, 2] @ np.linalg.inv(x2.swapaxes(-1, -2)) @ xs[:, 0]
+    prod, xs, sv, singular = classes.screen(prod, xs, sv, singular)
+    prod_t = prod.swapaxes(-1, -2)
     bound = tol.eq_tol * np.maximum(1.0, np.abs(prod).max(axis=(-2, -1)))
     asym = np.abs(prod - prod_t).max(axis=(-2, -1)) > bound
     eigs = np.linalg.eigvalsh((prod + prod_t) / 2.0)
     moduli = np.abs(eigs)
     near = moduli.min(axis=-1) <= tol.eq_tol * moduli.max(axis=-1)
-
-    def fault(i, checked):
-        if not finite[i]:
-            return IllConditioned(_NON_FINITE)
-        for j in checked:
-            if singular[j, i]:
-                return _singular(sv[j, i], tol, f"X{j + 1}")
-        if asym[i]:
-            return NotValid("product is not symmetric")
-        return NearSingular(f"eigenvalue inside zero band (band {tol.eq_tol * moduli[i].max():.3e}, "
-                            f"closest {moduli[i].min():.3e})")
-
-    sigs = [fault(i, (1,)) if bad else s for i, (s, bad) in enumerate(zip(
-        np.sign(eigs).sum(axis=-1).astype(int).tolist(),
-        (~finite | singular[1] | asym | near).tolist()))]
-    if not membership:
-        return None, sigs
-    not_valid = (asym | (eigs[:, 0] <= bound)).tolist()
-    radius = np.abs(np.linalg.eigvals(xs)).max(axis=(0, -1)).tolist()
+    sigs = Slices(len(classes.refusals))
+    sigs.refuse(classes.refusals)
+    sigs.finish(sigs.refuse([
+        None if not bad else _singular(sv[j, 1], tol, "X2") if singular[j, 1]
+        else NotValid("product is not symmetric") if asym[j]
+        else NearSingular(f"eigenvalue inside zero band (band {tol.eq_tol * moduli[j].max():.3e}, "
+                          f"closest {moduli[j].min():.3e})")
+        for j, bad in enumerate((singular[:, 1] | asym | near).tolist())],
+        np.sign(eigs).sum(axis=-1).astype(int).tolist()))
+    radius = np.abs(np.linalg.eigvals(xs)).max(axis=(-2, -1))
+    not_valid, radius = classes.refuse([
+        next(_singular(sv[j, i], tol, f"X{i + 1}") for i in range(3) if singular[j, i]) if bad else None
+        for j, bad in enumerate(singular.any(axis=1).tolist())], asym | (eigs[:, 0] <= bound), radius)
     lo, hi = 1.0 - tol.unit_circle_band, 1.0 + tol.unit_circle_band
-    classes = [fault(i, (0, 1, 2)) if bad
-               else ParamClass.NOT_VALID if not_valid[i]
-               else ParamClass.IN_TILDE_R if radius[i] > hi
-               else ParamClass.IN_R_STAR if radius[i] < lo
-               else ParamClass.IN_R
-               for i, bad in enumerate((~finite | singular.any(axis=0)).tolist())]
-    return classes, sigs
+    return classes.finish([ParamClass.NOT_VALID if bad
+                           else ParamClass.IN_TILDE_R if r > hi
+                           else ParamClass.IN_R_STAR if r < lo
+                           else ParamClass.IN_R
+                           for bad, r in zip(not_valid.tolist(), radius.tolist())]), sigs
 
 
 def _pants_blocks(x1: np.ndarray, x2: np.ndarray, x3: np.ndarray,
                   ik: np.ndarray) -> tuple[np.ndarray, ...]:
     """The three generator images with middle fixed point ik; the Xi may be
     stacks of matrices."""
-    t, inv, z = (lambda m: np.swapaxes(m, -1, -2)), np.linalg.inv, np.zeros_like(x1)
+    t, inv, z = (lambda m: m.swapaxes(-1, -2)), np.linalg.inv, np.zeros_like(x1)
     x1ti, x2i, x2ti, x3i, x3ti = inv(t(x1)), inv(x2), inv(t(x2)), inv(x3), inv(t(x3))
     t13 = x3i @ t(x1)
 
@@ -232,41 +200,30 @@ def _pants_blocks(x1: np.ndarray, x2: np.ndarray, x3: np.ndarray,
     return c1, c2, c3
 
 
-def _assemble_reps(blocks, tol: Tolerance) -> list:
-    """The PantsRep of each slice of stacked generator blocks, or the refusal
-    of its first failing check: c1, c2, c3 symplectic, then the relation."""
-    k = len(blocks[0][0])
+def _assemble_reps(blocks, tol: Tolerance, out: Slices) -> Slices:
+    """Finish out with the PantsRep of each live slice, from the stacked
+    generator blocks of the live slices, or with the refusal of its first
+    failing check: c1, c2, c3 symplectic, then the relation."""
     gens = _make_symplectics(*(np.concatenate(parts) for parts in zip(*blocks)), tol)
-    reps = [first_fault(gens[i::k]) for i in range(k)]
-    live = [i for i, r in enumerate(reps) if r is None]
-    if live:
-        c1, c2, c3 = (np.array([gens[j * k + i].m for i in live]) for j in range(3))
-        residual = np.abs(c3 @ c2 @ c1 - np.eye(c1.shape[-1])).max(axis=(-2, -1))
-        scale = np.maximum(1.0, np.abs(np.stack((c1, c2, c3))).max(axis=(0, -2, -1)))
-        for j, i in enumerate(live):
-            reps[i] = NotValid(f"group relation fails with residual {residual[j]:.3e}") \
-                if residual[j] > tol.eq_tol * scale[j] \
-                else PantsRep(*gens[i::k], relation_residual=float(residual[j]))
-    return reps
+    c1, c2, c3 = out.refuse(gens.first_of(3), *gens.values.reshape(3, -1, *gens.values.shape[1:]))
+    residual = np.abs(c3 @ c2 @ c1 - np.eye(c1.shape[-1])).max(axis=(-2, -1))
+    scale = np.maximum(1.0, np.abs(np.stack((c1, c2, c3))).max(axis=(0, -2, -1)))
+    c1, c2, c3, residual = out.refuse([
+        NotValid(f"group relation fails with residual {r:.3e}") if r > tol.eq_tol * sc else None
+        for r, sc in zip(residual, scale)], c1, c2, c3, residual)
+    return out.finish([PantsRep(SpMat(a), SpMat(b), SpMat(c), relation_residual=float(r))
+                       for a, b, c, r in zip(c1, c2, c3, residual)])
 
 
-def _build_maximal_stack(xs: np.ndarray, tol: Tolerance) -> tuple[list, list]:
-    """build_maximal on each slice of a (3, k, n, n) stack of lengths.
-
-    Returns (classes, reps): the membership class of each slice, as
-    _check_stack gives it, and its PantsRep or the refusal build_maximal
-    raises for it.  A slice with a NaN or Inf is refused on its own.
-    """
-    classes = _check_stack(xs, tol, each=True)[0]
-    reps = [c if isinstance(c, MaxRepError)
-            else NotValid("parameters are not in the positive-definite cone")
-            if c is ParamClass.NOT_VALID else None for c in classes]
-    live = [i for i, r in enumerate(reps) if r is None]
-    if live:
-        built = _assemble_reps(_pants_blocks(*xs[:, live], np.eye(xs.shape[-1])), tol)
-        for i, r in zip(live, built):
-            reps[i] = r
-    return classes, reps
+def _build_maximal_stack(xs: np.ndarray, tol: Tolerance) -> tuple[Slices, Slices]:
+    """build_maximal on each slice of a (k, 3, n, n) stack of lengths: the
+    membership classes _check_stack gives, and the PantsReps."""
+    classes = _check_stack(xs, tol)[0]
+    reps = Slices(len(xs))
+    xs = reps.refuse([f or (NotValid("parameters are not in the positive-definite cone")
+                            if c is ParamClass.NOT_VALID else None)
+                      for f, c in zip(classes.refusals, classes.values)], xs)
+    return classes, _assemble_reps(_pants_blocks(*xs.swapaxes(0, 1), np.eye(xs.shape[-1])), tol, reps)
 
 
 def build_maximal(p: PantsParams, tol: Tolerance = DEFAULT_TOL) -> PantsRep:
@@ -275,7 +232,7 @@ def build_maximal(p: PantsParams, tol: Tolerance = DEFAULT_TOL) -> PantsRep:
     The images fix 0, e and infinity respectively and satisfy the group
     relation exactly at the formula level.
     """
-    return unwrap(_build_maximal_stack(np.array(p.matrices())[:, None], tol)[1][0])
+    return _build_maximal_stack(np.array(p.matrices())[None], tol)[1][0]
 
 
 def build_general(gp: GeneralPantsParams, tol: Tolerance = DEFAULT_TOL) -> PantsRep:
@@ -290,7 +247,7 @@ def build_general(gp: GeneralPantsParams, tol: Tolerance = DEFAULT_TOL) -> Pants
     if norm_inf(prod - prod.T) > rel_bound(tol.eq_tol, prod):
         raise NotValid("product is not symmetric; no representation exists")
     blocks = _pants_blocks(gp.X1[None], gp.X2[None], gp.X3[None], indefinite_identity(gp.n, gp.i))
-    return unwrap(_assemble_reps(blocks, tol)[0])
+    return _assemble_reps(blocks, tol, Slices(1))[0]
 
 
 def toledo(rep: PantsRep, fixed_points: Triple,
@@ -314,8 +271,7 @@ def toledo(rep: PantsRep, fixed_points: Triple,
 
 def toledo_signature_shortcut(p, tol: Tolerance = DEFAULT_TOL) -> Fraction:
     """(n + sign(X3 (X2^T)^{-1} X1)) / 2 for symmetric invertible product."""
-    sig = _check_stack(np.array((p.X1, p.X2, p.X3))[:, None], tol, membership=False)[1][0]
-    return Fraction(p.n + unwrap(sig), 2)
+    return Fraction(p.n + _check_stack(np.array((p.X1, p.X2, p.X3))[None], tol)[1][0], 2)
 
 
 def recover_params(rep: PantsRep,
@@ -329,7 +285,7 @@ def recover_params(rep: PantsRep,
     the normalizing conjugator h.
     """
     points = _canonical_points(np.array([c.m for c in rep.generators()]), tol)
-    t = Triple(*map(unwrap, points))
+    t = Triple(*(points[i] for i in range(3)))
     if not is_maximal(t, tol):
         raise NotMaximal("canonical fixed points do not form a maximal triple")
     h = normalize_maximal_triple(t, tol)

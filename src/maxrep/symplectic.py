@@ -13,12 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IllConditioned, NotSymplectic, unwrap
+from .errors import IllConditioned, NotSymplectic, Slices
 from .matcore import (
     DEFAULT_TOL,
-    _NON_FINITE,
     Tolerance,
-    _finite_slices,
     as_matrix,
     norm_inf,
     rel_bound,
@@ -44,7 +42,6 @@ __all__ = [
     "cycle_symplectic",
     "moebius_act",
     "transverse",
-    "transversality_margin",
     "point_distance",
 ]
 
@@ -132,7 +129,7 @@ def _symplectic_defects(m: np.ndarray) -> np.ndarray:
     """Defects of the three block relations, in _RELATIONS order, along the
     last axis; m may be a stack."""
     n = m.shape[-1] // 2
-    t = lambda x: np.swapaxes(x, -1, -2)
+    t = lambda x: x.swapaxes(-1, -2)
     a, b = m[..., :n, :n], m[..., :n, n:]
     c, d = m[..., n:, :n], m[..., n:, n:]
     defects = (t(a) @ d - t(c) @ b - np.eye(n), t(a) @ c - t(c) @ a, t(d) @ b - t(b) @ d)
@@ -151,26 +148,25 @@ def _block(a, b, c, d) -> np.ndarray:
 def make_symplectic(a, b, c, d, tol: Tolerance = DEFAULT_TOL) -> SpMat:
     """Assemble and validate a symplectic matrix from its four blocks."""
     blocks = np.array([as_matrix(x) for x in (a, b, c, d)])   # refuses mixed shapes
-    return unwrap(_make_symplectics(*blocks[:, None], tol)[0])
+    return SpMat(_make_symplectics(*blocks[:, None], tol)[0])
 
 
-def _make_symplectics(a, b, c, d, tol: Tolerance) -> list:
+def _make_symplectics(a, b, c, d, tol: Tolerance) -> Slices:
     """make_symplectic on each slice of (k, n, n) block stacks (b, c, d may
-    broadcast): entry i is the SpMat or the refusal for slice i."""
-    m = _block(a, b, c, d)
-    ok, safe = _finite_slices(m)
-    res = _symplectic_defects(safe)
-    bad = res.max(axis=-1) > tol.eq_tol * np.maximum(1.0, np.abs(safe).max(axis=(-2, -1)))
-    return [IllConditioned(_NON_FINITE) if not ok[i]
-            else NotSymplectic(f"relation '{_RELATIONS[int(np.argmax(res[i]))]}' fails "
-                               f"with residual {res[i].max():.3e}")
-            if bad[i] else SpMat(m[i]) for i in range(len(m))]
+    broadcast); the values are the (2n, 2n) matrices."""
+    out = Slices(len(a))
+    m = out.screen(_block(a, b, c, d))
+    res = _symplectic_defects(m)
+    bad = res.max(axis=-1) > tol.eq_tol * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    return out.finish(out.refuse([
+        NotSymplectic(f"relation '{_RELATIONS[int(np.argmax(res[i]))]}' fails with residual {res[i].max():.3e}")
+        if over else None for i, over in enumerate(bad.tolist())], m))
 
 
 def _sp_inv(m: np.ndarray) -> np.ndarray:
     """The block inverse (D^T, -B^T; -C^T, A^T) of a symplectic matrix or stack."""
     n = m.shape[-1] // 2
-    t = lambda x: np.swapaxes(x, -1, -2)
+    t = lambda x: x.swapaxes(-1, -2)
     return _block(t(m[..., n:, n:]), -t(m[..., :n, n:]), -t(m[..., n:, :n]), t(m[..., :n, :n]))
 
 
@@ -269,14 +265,6 @@ def _pair_spectra(stack, i, j, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
         meets_inf = at_inf[i] | at_inf[j]
         eigs[meets_inf], ok[meets_inf] = 0.0, (at_inf[i] != at_inf[j])[meets_inf]
     return eigs, ok
-
-
-def transversality_margin(p: BoundaryPoint, q: BoundaryPoint) -> float:
-    """Smallest singular value of X - Y; +inf against infinity, -inf for two infinities."""
-    eigs, ok = _pair_spectra(_point_stack((p, q)), [0], [1], DEFAULT_TOL)
-    if p.is_infinity or q.is_infinity:
-        return np.inf if ok[0] else -np.inf
-    return float(np.min(np.abs(eigs)))
 
 
 def transverse(p: BoundaryPoint, q: BoundaryPoint, tol: Tolerance = DEFAULT_TOL) -> bool:

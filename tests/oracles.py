@@ -50,7 +50,6 @@ from maxrep.matcore import (
     rel_bound,
     require_invertible,
     require_symmetric,
-    spectral_radius,
     sym_part,
 )
 from maxrep.normalform import _ATTRACT_MARGIN, StandardBoundary
@@ -64,6 +63,7 @@ from maxrep.symplectic import (
     sp_inverse,
     swap_symplectic,
 )
+from tests_support import spectral_radius
 
 
 class NotInvertible(MathematicalRefusal):

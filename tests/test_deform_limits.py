@@ -23,7 +23,7 @@ from maxrep.gluing import (
     pants_surface_rep,
 )
 from maxrep.limits import _cluster, _count_transverse, _unrank3, limit_set_sample, reduced_words
-from maxrep.matcore import DEFAULT_TOL, norm_inf, spectral_radius
+from maxrep.matcore import DEFAULT_TOL, norm_inf
 from maxrep.pants import PantsParams, ParamClass, classify_params, toledo_signature_shortcut
 from maxrep.maslov import _triple_indices
 from maxrep.symplectic import (
@@ -36,6 +36,7 @@ from maxrep.symplectic import (
     sp_inverse,
 )
 from tests_support import (
+    spectral_radius,
     assert_points_close,
     random_contracting,
     random_invertible,
@@ -231,6 +232,9 @@ class TestDeform:
         [("p2", 12, "negate"), ("p1", 13, "near_zero")],
         [("p2", 90, "near_zero")],
         [("p1", 0, "negate"), ("p0", 0, "singular")],
+        # a non-finite snapshot is refused by name too, in the same order
+        [("p2", 64, "nan"), ("p1", 70, "negate")],
+        [("p1", 20, "singular"), ("p0", 45, "nan")],
     ])
     def test_refusal_names_first_failure_in_loop_order(self, rng, monkeypatch, faults):
         import maxrep.deform as deform
@@ -250,6 +254,8 @@ class TestDeform:
                     x2[i, :, 0] = 0.0
                 elif how == "negate":
                     x2[i] *= -1.0
+                elif how == "nan":
+                    x3[i, 0, 0] = np.nan
                 else:
                     x1[i], x2[i], x3[i] = np.diag([100.0, 1e-5]), np.eye(2), np.diag([100.0, 1e-5])
                 stacks[name] = type(stacks[name])(x1, x2, x3)

@@ -41,11 +41,13 @@ from maxrep.pants import (
     PantsParams,
     _build_maximal_stack,
     build_maximal,
-    pants_product,
     toledo_signature_shortcut,
 )
 from maxrep.symplectic import SpMat, sp_inverse
 from tests_support import (
+    assert_slices_match,
+    outcomes,
+    pants_product,
     chain_graph,
     derive_third_length,
     patch_nan_twist,
@@ -495,8 +497,8 @@ def _same(a, b):
     """Equal SpMats or PantsReps entry for entry, or refusals of one type and message."""
     if isinstance(a, Exception) or isinstance(b, Exception):
         return type(a) is type(b) and str(a) == str(b)
-    if isinstance(a, SpMat):
-        return np.array_equal(a.m, b.m)
+    if isinstance(a, (SpMat, np.ndarray)):
+        return np.array_equal(getattr(a, "m", a), getattr(b, "m", b))
     return all(np.array_equal(x.m, y.m) for x, y in zip(a.generators(), b.generators())) \
         and a.relation_residual == b.relation_residual
 
@@ -539,39 +541,51 @@ class TestStackedLocalData:
     @pytest.mark.parametrize("graph", list(_stacked_graphs()))
     def test_stacks_match_one_slice_wrappers(self, graph, monkeypatch):
         params = [nd.params for nd in graph.nodes]
-        xs = np.array([p.matrices() for p in params]).swapaxes(0, 1)
-        for p, rep in zip(params, _build_maximal_stack(xs, DEFAULT_TOL)[1]):
+        xs = np.array([p.matrices() for p in params])
+        for p, rep in zip(params, outcomes(_build_maximal_stack(xs, DEFAULT_TOL)[1])):
             assert _same(rep, _outcome(build_maximal, p))
         # the stacked slot presentations of every edge, as the build forms them
         calls = []
         monkeypatch.setattr(maxrep.gluing, "_twist_elements",
                             lambda *args, **kwargs: calls.append(args) or _twist_elements(*args, **kwargs))
-        stacked = _edge_twists(_local_edges(graph), DEFAULT_TOL)
+        stacked = outcomes(_edge_twists(_local_edges(graph), DEFAULT_TOL))
         assert len(calls) == (1 if graph.edges else 0)
         for k, tw in enumerate(stacked):
-            assert isinstance(tw, SpMat)
+            assert isinstance(tw, np.ndarray)
             one = twist_element(*(a[k] for a in calls[0][:5]))
             assert _same(tw, one)
-            assert _same(_twist_elements(*(a[[k, k]] for a in calls[0][:5]), DEFAULT_TOL)[1], one)
+            assert _same(outcomes(_twist_elements(*(a[[k, k]] for a in calls[0][:5]), DEFAULT_TOL))[1], one)
 
-    def test_mixed_twist_stack_keeps_each_refusal(self, rng):
+    @pytest.mark.parametrize("obstruct", [False, True])
+    def test_mixed_twist_stack_keeps_each_refusal(self, obstruct, rng):
         x = random_contracting(2, rng)
         g0 = random_invertible(2, rng)
         s, sbar = random_spd(2, rng), random_spd(2, rng)
         good = (x, s, g0 @ x.T @ np.linalg.inv(g0), sbar, g0)
+        circle = x / np.max(np.abs(np.linalg.eigvals(x)))
         cases = [good,
                  (x, s, good[2] + 1e-3, sbar, g0),                  # NotCompatible
-                 (2.0 * x / np.max(np.abs(np.linalg.eigvals(x))), s, good[2], sbar, g0),  # NotContracting
+                 (2.0 * circle, s, good[2], sbar, g0),              # NotContracting
                  (x, s, good[2], sbar, np.zeros((2, 2))),           # Singular twist
                  (x, np.full((2, 2), np.nan), good[2], sbar, g0),   # IllConditioned
                  (np.full((2, 2), np.inf), s, good[2], sbar, g0),
-                 good]
-        stacked = _twist_elements(*(np.array(c) for c in zip(*cases)), DEFAULT_TOL)
-        kinds = [type(r).__name__ for r in stacked]
-        assert kinds == ["SpMat", "NotCompatible", "NotContracting", "Singular",
-                         "IllConditioned", "IllConditioned", "SpMat"]
-        for case, result in zip(cases, stacked):
-            assert _same(result, _outcome(twist_element, *case))
+                 good,
+                 (circle, s, g0 @ circle.T @ np.linalg.inv(g0), sbar, g0),   # unit modulus
+                 (x, s, np.full((2, 2), np.nan), sbar, g0)]
+
+        def one_slice(*case):
+            # the gluing step refuses a finite unit-modulus length first
+            if obstruct and any(np.isfinite(m).all() and np.any(
+                    np.abs(np.abs(np.linalg.eigvals(m)) - 1.0) <= DEFAULT_TOL.unit_circle_band)
+                    for m in (case[0], case[2])):
+                raise CannotGlue("unit-modulus boundary length obstructs gluing")
+            return twist_element(*case)
+
+        stacked = _twist_elements(*(np.array(c) for c in zip(*cases)), DEFAULT_TOL, obstruct=obstruct)
+        assert_slices_match(stacked, one_slice, cases)
+        assert [type(r).__name__ for r in outcomes(stacked)] == [
+            "ndarray", "NotCompatible", "NotContracting", "Singular", "IllConditioned",
+            "IllConditioned", "ndarray", "CannotGlue" if obstruct else "NotContracting", "IllConditioned"]
 
     @staticmethod
     def _faulty_chain(rng, bad_node, bad_edge, nan_node=False):

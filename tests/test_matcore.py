@@ -13,12 +13,19 @@ from maxrep.matcore import (
     factor_signature,
     norm_inf,
     similarity_witness,
-    spectral_radius,
     stein_solve,
 )
 from maxrep.maslov import indefinite_identity
 from oracles import signature
-from tests_support import random_contracting, random_invertible, random_orthogonal, random_spd
+from tests_support import (
+    random_contracting,
+    random_invertible,
+    random_orthogonal,
+    random_spd,
+    assert_slices_match,
+    outcomes,
+    spectral_radius,
+)
 from oracles import stein_kron_solve
 
 
@@ -211,31 +218,26 @@ class TestStein:
             stein_solve(np.diag([2.0, 0.5]), np.eye(2))
 
 
-    def test_stack_matches_one_slice_calls(self, rng):
-        # every slice keeps its own solution or refusal, whatever its neighbours do
-        n = 3
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stack_matches_one_slice_calls(self, n, rng):
+        # every slice keeps its own solution or refusal, whatever its neighbours
+        # do; A is finite, as stein_solve checks before the kernel
         cases = [(random_contracting(n, rng, rho_range=(0.2, 0.7)), random_spd(n, rng)),
-                 (np.diag([2.0, 0.5, 0.3]), np.eye(n)),                       # resonant
+                 (np.diag(np.r_[2.0, 0.5, 0.3][:n]), np.eye(n)),              # resonant
                  (_stein_matrix("mixed", n, rng), -random_spd(n, rng)),
-                 (np.diag([0.999, 0.5, 0.2]), 1e308 * np.eye(n)),             # overflows
+                 (random_contracting(n, rng), np.full((n, n), np.nan)),       # NaN Q
+                 (np.diag(np.r_[0.999, 0.5, 0.2][:n]), 1e308 * np.eye(n)),   # overflows
                  (_stein_matrix("near_minus_one", n, rng), random_spd(n, rng)),
-                 (np.zeros((n, n)), np.full((n, n), np.inf))]                  # non-finite Q
+                 (np.zeros((n, n)), np.full((n, n), np.inf)),                 # non-finite Q
+                 (np.zeros((n, n)), random_spd(n, rng))]                      # singular A
         with np.errstate(over="ignore", invalid="ignore"):
             # the stacked kernel takes Q exactly symmetric, as stein_solve passes it
             cases = [(ai, matcore.sym_part(qi)) for ai, qi in cases]
-            a, q = (np.array(x) for x in zip(*cases))
-            stacked = matcore._stein_solves(a, q, Tolerance())
-            for (ai, qi), got in zip(cases, stacked):
-                try:
-                    want = stein_solve(ai, qi)
-                except (IllConditioned, ResonantSpectrum) as exc:
-                    want = exc
-                if isinstance(want, Exception):
-                    assert type(got) is type(want) and str(got) == str(want)
-                else:
-                    assert np.array_equal(got, want)
-        assert [type(r).__name__ for r in stacked] == [
-            "ndarray", "ResonantSpectrum", "ndarray", "IllConditioned", "ndarray", "IllConditioned"]
+            stacked = matcore._stein_solves(*(np.array(x) for x in zip(*cases)), Tolerance())
+            assert_slices_match(stacked, stein_solve, cases)
+        assert [type(r).__name__ for r in outcomes(stacked)] == [
+            "ndarray", "ResonantSpectrum", "ndarray", "IllConditioned", "IllConditioned", "ndarray",
+            "IllConditioned", "ndarray"]
 
 
 class TestAsMatrix:

@@ -19,6 +19,7 @@ from maxrep.pants import (
     PantsParams,
     PantsRep,
     ParamClass,
+    _build_maximal_stack,
     _check_stack,
     _pants_blocks,
     build_general,
@@ -26,7 +27,6 @@ from maxrep.pants import (
     classify_params,
     fingerprint,
     fingerprint_distance,
-    pants_product,
     params_equivalent,
     recover_params,
     toledo,
@@ -44,6 +44,9 @@ from maxrep.symplectic import (
     zero_point,
 )
 from tests_support import (
+    assert_slices_match,
+    outcomes,
+    pants_product,
     random_contracting,
     random_invertible,
     random_orthogonal,
@@ -106,8 +109,8 @@ class TestCheckStack:
             (np.array([[0.5, 0.3], [0.0, 0.5]]), half, half),    # asymmetric product
             (np.diag([100.0, 1e-5]), eye, np.diag([100.0, 1e-5])),   # signature zero band
         ]
-        xs = np.array([np.array(t) for t in zip(*triples)])
-        classes, sigs = _check_stack(xs, DEFAULT_TOL)
+        xs = np.array(triples)
+        classes, sigs = map(outcomes, _check_stack(xs, DEFAULT_TOL))
         assert len(classes) == len(sigs) == len(triples)
         seen = set()
         for t, cls, sig in zip(triples, classes, sigs):
@@ -122,34 +125,32 @@ class TestCheckStack:
                 assert _kind(_outcome(oracle, p)) == _kind(got)
                 seen.add(_kind(got))
         assert set(ParamClass) | {Singular, NotValid, NearSingular} <= seen
-        # a non-finite entry anywhere refuses the whole stack, as it does one triple
-        xs[0, 3, 1, 1] = np.nan
-        with pytest.raises(IllConditioned):
-            _check_stack(xs, DEFAULT_TOL)
+        # a non-finite entry refuses its own slice, as it does one triple
+        xs[3, 0, 1, 1] = np.nan
+        for got, before in zip(map(outcomes, _check_stack(xs, DEFAULT_TOL)), (classes, sigs)):
+            assert isinstance(got[3], IllConditioned)
+            assert [_kind(r) for r in got[:3] + got[4:]] == [_kind(r) for r in before[:3] + before[4:]]
         p = PantsParams(np.full((2, 2), np.nan), half, half)
         for f in (classify_params, toledo_signature_shortcut, classify_one, toledo_one):
             with pytest.raises(IllConditioned):
                 f(p)
 
-    def test_non_finite_slices_refused_each_on_request(self):
+    def test_non_finite_slices_refused_alone(self):
         # finite lengths whose product overflows, and a NaN length, beside a
-        # valid triple: the whole stack is refused unless each is set
+        # valid triple: each non-finite slice is refused on its own
         half, big = 0.5 * np.eye(2), 1e200 * np.eye(2)
-        xs = np.array([np.array(t) for t in zip(
-            (half, half, half), (big, 1e-200 * np.eye(2), big), (np.full((2, 2), np.nan), half, half))])
+        xs = np.array([(half, half, half), (big, 1e-200 * np.eye(2), big),
+                       (np.full((2, 2), np.nan), half, half)])
         with np.errstate(over="ignore"):
-            for k in (2, 3):
-                with pytest.raises(IllConditioned):
-                    _check_stack(xs[:, :k], DEFAULT_TOL)
-            classes, sigs = _check_stack(xs, DEFAULT_TOL, each=True)
+            classes, sigs = map(outcomes, _check_stack(xs, DEFAULT_TOL))
         assert classes[0] is ParamClass.IN_R_STAR and sigs[0] == 2
         for got in classes[1:] + sigs[1:]:
             assert isinstance(got, IllConditioned) and str(got) == "matrix contains NaN or Inf entries"
 
     def test_random_stack_matches_loop(self, rng):
         ps = [random_pants_params(3, rng, tame=bool(i % 2)) for i in range(40)]
-        xs = np.array([[getattr(p, f"X{j}") for p in ps] for j in (1, 2, 3)])
-        classes, sigs = _check_stack(xs, DEFAULT_TOL)
+        xs = np.array([p.matrices() for p in ps])
+        classes, sigs = map(outcomes, _check_stack(xs, DEFAULT_TOL))
         for p, cls, sig in zip(ps, classes, sigs):
             assert cls is classify_one(p)
             assert Fraction(p.n + sig, 2) == toledo_one(p)
@@ -184,6 +185,23 @@ class TestBuildMaximal:
     def test_rejects_invalid(self):
         with pytest.raises(NotValid):
             build_maximal(scalar_params(0.5, -0.5, 0.5))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stack_matches_one_slice_calls(self, n, rng):
+        # NaN, Inf, overflowing, singular, non-positive and non-contracting
+        # slices between good ones: each builds or refuses as it does alone
+        good = [random_pants_params(n, rng, tame=True) for _ in range(3)]
+        x1, x2, x3 = good[0].matrices()
+        nan, inf = np.full((n, n), np.nan), np.where(np.eye(n) > 0, np.inf, x3)
+        cases = [good[0], PantsParams(nan, x2, x3), good[1], PantsParams(x1, x2, inf),
+                 PantsParams(x1, 0.0 * x2, x3), PantsParams(x1, -x2, x3),
+                 PantsParams(4.0 * x1, x2, x3), PantsParams(1e200 * x1, 1e-200 * x2, 1e200 * x3), good[2]]
+        with np.errstate(over="ignore"):
+            classes, reps = _build_maximal_stack(np.array([p.matrices() for p in cases]), DEFAULT_TOL)
+            assert_slices_match(classes, classify_params, [(p,) for p in cases])
+            assert_slices_match(reps, build_maximal, [(p,) for p in cases])
+        assert {0, 2, 8} <= set(reps.live)
+        assert isinstance(reps.refusals[1], IllConditioned) and isinstance(reps.refusals[3], IllConditioned)
 
     def test_relation_iff_symmetric_product(self, rng):
         # both directions, on raw block assembly without the validity gate

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from maxrep.errors import IllConditioned, NotSymplectic
-from maxrep.matcore import norm_inf
+from maxrep.matcore import DEFAULT_TOL, norm_inf
 from maxrep.symplectic import (
     INFINITY,
+    _make_symplectics,
     cycle_symplectic,
     diag_symplectic,
     finite_point,
@@ -17,11 +18,12 @@ from maxrep.symplectic import (
     sp_inverse,
     swap_symplectic,
     translation_symplectic,
-    transversality_margin,
     transverse,
     zero_point,
 )
 from tests_support import (
+    assert_slices_match,
+    transversality_margin,
     random_boundary_point,
     random_invertible,
     random_spd,
@@ -57,6 +59,20 @@ class TestMakeSymplectic:
         with pytest.raises(NotSymplectic, match="D\\^T B"):
             make_symplectic(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]),
                             np.zeros((2, 2)), np.eye(2))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stack_matches_one_slice_calls(self, n, rng):
+        # NaN, Inf, singular and non-symplectic slices between good ones
+        def blocks(m):
+            return tuple(m[i * n:(i + 1) * n, j * n:(j + 1) * n] for i in (0, 1) for j in (0, 1))
+        good = [blocks(random_symplectic(n, rng).m) for _ in range(3)]
+        nan, inf = (np.array(good[0]) for _ in range(2))
+        nan[1, 0, 0], inf[3, -1, -1] = np.nan, np.inf
+        cases = [good[0], tuple(nan), good[1], tuple(inf), (np.zeros((n, n)),) * 4,
+                 blocks(random_invertible(2 * n, rng)), good[2]]
+        stacked = _make_symplectics(*(np.array(x) for x in zip(*cases)), DEFAULT_TOL)
+        assert_slices_match(stacked, make_symplectic, cases)
+        assert stacked.live == [0, 2, 6]
 
 
 class TestInverse:

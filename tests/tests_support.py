@@ -14,18 +14,72 @@ import maxrep.gluing
 from maxrep.deform import _chain_plan
 from maxrep.errors import MaxRepError
 from maxrep.gluing import GluingGraph, GraphBoundary, GraphEdge, PantsNode, slot_glue_length
-from maxrep.matcore import spectral_radius
+from maxrep.matcore import DEFAULT_TOL, Tolerance, as_matrix, check_finite, require_invertible
 from maxrep.pants import PantsParams
 from maxrep.symplectic import (
     INFINITY,
     BoundaryPoint,
     SpMat,
+    _pair_spectra,
+    _point_stack,
     diag_symplectic,
     finite_point,
     shear_symplectic,
     translation_symplectic,
-    transversality_margin,
 )
+
+
+def spectral_radius(x) -> float:
+    x = as_matrix(x)
+    check_finite(x)
+    return float(np.max(np.abs(np.linalg.eigvals(x)))) if x.size else 0.0
+
+
+def transversality_margin(p: BoundaryPoint, q: BoundaryPoint) -> float:
+    """Smallest singular value of X - Y; +inf against infinity, -inf for two infinities."""
+    eigs, ok = _pair_spectra(_point_stack((p, q)), [0], [1], DEFAULT_TOL)
+    if p.is_infinity or q.is_infinity:
+        return np.inf if ok[0] else -np.inf
+    return float(np.min(np.abs(eigs)))
+
+
+def pants_product(p, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """X3 (X2^T)^{-1} X1, the matrix whose shape controls everything."""
+    x1, x2, x3 = p.X1, p.X2, p.X3
+    require_invertible(x2, tol, "X2")
+    return x3 @ np.linalg.inv(x2.T) @ x1
+
+
+def outcomes(slices) -> list:
+    """The value or the refusal of each slice of a stacked kernel's outcome."""
+    return [r if r is not None else slices.values[i] for i, r in enumerate(slices.refusals)]
+
+
+def _raw(x) -> bytes:
+    """The bytes of a matrix, SpMat, PantsRep or boundary point; the repr of
+    anything else."""
+    if hasattr(x, "generators"):
+        return b"".join(_raw(g) for g in x.generators()) + repr(x.relation_residual).encode()
+    if isinstance(x, BoundaryPoint):
+        return b"inf" if x.is_infinity else _raw(x.value)
+    if isinstance(x, (np.ndarray, SpMat)):
+        return np.ascontiguousarray(getattr(x, "m", x)).tobytes()
+    return repr(x).encode()
+
+
+def assert_slices_match(slices, one_slice, cases):
+    """Each slice i of a stacked kernel's outcome is what one_slice(*cases[i])
+    returns, bit for bit, or a refusal of the class and message it raises."""
+    got = outcomes(slices)
+    assert len(got) == len(cases)
+    for i, case in enumerate(cases):
+        try:
+            want = one_slice(*case)
+        except MaxRepError as exc:
+            assert (type(got[i]), str(got[i])) == (type(exc), str(exc)), i
+            continue
+        assert not isinstance(got[i], MaxRepError), (i, got[i])
+        assert _raw(got[i]) == _raw(want), i
 
 
 def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -220,7 +274,8 @@ def patch_nan_twist(monkeypatch):
     real_twists = maxrep.gluing._twist_elements
 
     def nan_twists(*args, **kwargs):
-        return [tw if isinstance(tw, MaxRepError) else SpMat(np.full_like(tw.m, np.nan))
-                for tw in real_twists(*args, **kwargs)]
+        out = real_twists(*args, **kwargs)
+        out.values = np.full_like(out.values, np.nan)
+        return out
 
     monkeypatch.setattr(maxrep.gluing, "_twist_elements", nan_twists)
