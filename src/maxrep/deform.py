@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -274,7 +275,7 @@ def _analyze_chain(graph: GluingGraph) -> tuple[GraphEdge | None, list[GraphEdge
 class DeformationPath:
     """Snapshots of a deformation, each a full gluing graph."""
 
-    snapshots: tuple[GluingGraph, ...]
+    snapshots: Sequence[GluingGraph]
     signature: tuple[int, ...]
 
     def __len__(self):
@@ -290,6 +291,28 @@ def _cap_contracting(m: np.ndarray, cap: float = _RHO_CAP) -> np.ndarray:
 
 # a node's length parameters at every time, each of shape (k, n, n)
 _NodeStacks = namedtuple("_NodeStacks", "X1 X2 X3")
+
+
+class _Snapshots(Sequence):
+    """A path's snapshots, read from its stacks, each made on first read and kept."""
+
+    def __init__(self, graph: GluingGraph, stacks: dict, twists: dict, k: int):
+        self._graph, self._stacks, self._twists, self._made = graph, stacks, twists, [None] * k
+
+    def __len__(self):
+        return len(self._made)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(len(self))[i])
+        i, g = range(len(self))[i], self._graph  # IndexError out of range
+        if self._made[i] is None:
+            self._made[i] = GluingGraph(
+                tuple(PantsNode(nd.name, PantsParams(*(x[i] for x in self._stacks[nd.name])))
+                      for nd in g.nodes),
+                tuple(GraphEdge(e.upper, e.lower, self._twists[id(e)][i]) for e in g.edges),
+                g.boundaries)
+        return self._made[i]
 
 
 def _snapshot_stacks(graph: GluingGraph, loop: GraphEdge | None, attach_edges: list[GraphEdge],
@@ -343,9 +366,10 @@ def deform_to_standard(rep_or_graph, steps: int = 100,
     component.  Along the way every node stays a valid maximal parameter set
     and the component signature never changes.  All times are computed in
     one pass (the path functions take t as an array), and validity is
-    re-checked here once per node over the stack of its snapshots; callers
-    get an exception naming the first failing snapshot and node, not a bad
-    path.  Snapshot arrays are read-only views.  steps must be at least 1.
+    re-checked here in one call over every node and time; callers get an
+    exception naming the first failing snapshot and node, not a bad path.
+    Snapshot graphs are made on first read and kept; their arrays are
+    read-only views, no two snapshots sharing one.  steps must be at least 1.
     """
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
@@ -360,28 +384,22 @@ def deform_to_standard(rep_or_graph, steps: int = 100,
     # A representation was built from its graph already.
     sig = component_signature(build_from_graph(graph, tol) if rep is None else rep, tol)
     stacks, twists = _snapshot_stacks(graph, loop, attach_edges, np.arange(steps + 1) / steps)
-    checked = [_check_stack(np.stack(stacks[nd.name], axis=1), tol) for nd in graph.nodes]
-    n = graph.n
-    # a refused slice's class and signature read None
-    bad = [(i, j) for j, (classes, sigs) in enumerate(checked)
-           for i, (c, s) in enumerate(zip(classes.values, sigs.values))
-           if c not in (ParamClass.IN_R, ParamClass.IN_R_STAR) or s != n]
-    if bad:  # refuse the first failure by snapshot, then by node
-        i, j = min(bad)
-        name, (classes, sigs) = graph.nodes[j].name, checked[j]
-        if classes.values[i] in (ParamClass.NOT_VALID, ParamClass.IN_TILDE_R):
-            raise NotValid(f"snapshot {i} leaves the valid cone at node {name!r} ({classes.values[i]})")
-        fault = classes.refusals[i] or sigs.refusals[i]
+    n, nodes = graph.n, graph.nodes
+    # slice i * len(nodes) + j is snapshot i at node j
+    classes, sigs = _check_stack(
+        np.stack([x for nd in nodes for x in stacks[nd.name]], axis=1).reshape(-1, 3, n, n), tol)
+    # a refused slice's class and signature read None; refuse the first
+    # failure by snapshot, then by node
+    bad = next((b for b, (c, s) in enumerate(zip(classes.values, sigs.values))
+                if c not in (ParamClass.IN_R, ParamClass.IN_R_STAR) or s != n), None)
+    if bad is not None:
+        i, name, c = bad // len(nodes), nodes[bad % len(nodes)].name, classes.values[bad]
+        if c in (ParamClass.NOT_VALID, ParamClass.IN_TILDE_R):
+            raise NotValid(f"snapshot {i} leaves the valid cone at node {name!r} ({c})")
+        fault = classes.refusals[bad] or sigs.refusals[bad]
         if fault:
             raise type(fault)(f"snapshot {i} at node {name!r}: {fault}")
         raise NotMaximal(f"snapshot {i} loses maximality at node {name!r}")
     for x in [*itertools.chain(*stacks.values()), *twists.values()]:
         x.flags.writeable = False
-    snaps = tuple(
-        GluingGraph(
-            tuple(PantsNode(nd.name, PantsParams(*(x[i] for x in stacks[nd.name])))
-                  for nd in graph.nodes),
-            tuple(GraphEdge(e.upper, e.lower, twists[id(e)][i]) for e in graph.edges),
-            graph.boundaries)
-        for i in range(steps + 1))
-    return DeformationPath(snaps, sig)
+    return DeformationPath(_Snapshots(graph, stacks, twists, steps + 1), sig)

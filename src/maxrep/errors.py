@@ -7,6 +7,8 @@ well-formed but the requested construction does not exist) and subclasses of
 floating point could not decide safely).
 """
 
+import copy
+
 import numpy as np
 
 
@@ -124,7 +126,7 @@ class Slices:
         if len(keep) < len(self.live):
             for i, f in zip(self.live, faults):
                 if f is not None:
-                    self.refusals[i] = f
+                    self.refusals[i] = f.with_traceback(None)
             self.live = [self.live[j] for j in keep]
             stacks = tuple(s[keep] if hasattr(s, "shape") else [s[j] for j in keep] for s in stacks)
         return stacks[0] if len(stacks) == 1 else stacks
@@ -156,7 +158,7 @@ class Slices:
         return self
 
     def __getitem__(self, i):
-        """The value of slice i; its refusal is raised instead."""
+        """The value of slice i; a copy of its refusal is raised, so no traceback is stored."""
         if self.refusals[i] is not None:
-            raise self.refusals[i]
+            raise copy.copy(self.refusals[i])
         return self.values[i]

@@ -196,8 +196,29 @@ class TestDeform:
         for x in [*snap.nodes[1].params.matrices(), snap.edges[0].twist]:
             with pytest.raises(ValueError):
                 x[0, 0] = 7.0
-        assert not np.shares_memory(path.snapshots[1].nodes[0].params.X1,
-                                    path.snapshots[2].nodes[0].params.X1)
+        arrays = [[*itertools.chain(*(nd.params.matrices() for nd in s.nodes)),
+                   *(e.twist for e in s.edges)] for s in path.snapshots]
+        for i, xs in enumerate(arrays):
+            assert not any(x.flags.writeable for x in xs)
+            for ys in arrays[i + 1:]:
+                assert not any(np.shares_memory(x, y) for x, y in zip(xs, ys))
+
+    def test_snapshot_sequence_contract(self, rng):
+        steps = 6
+        path = deform_to_standard(chain_graph_with_random_params(1, 2, 2, rng), steps=steps)
+        snaps = path.snapshots
+        assert len(snaps) == len(path) == steps + 1
+        assert snaps[-1] is snaps[steps] and snaps[-steps - 1] is snaps[0]
+        assert snaps[2] is snaps[2]
+        listed = list(snaps)
+        assert all(a is b for a, b in zip(listed, (snaps[i] for i in range(steps + 1)), strict=True))
+        for cut in (slice(1, 5), slice(None, None, -2), slice(-3, None), slice(9, 12)):
+            got = snaps[cut]
+            want = [listed[i] for i in range(steps + 1)[cut]]
+            assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
+        for bad in (steps + 1, -steps - 2):
+            with pytest.raises(IndexError):
+                snaps[bad]
 
     def test_pinned_snapshots(self):
         # entries of a seeded (1, 2) chain at n = 3, recorded from the

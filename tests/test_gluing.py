@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import numpy as np
@@ -652,3 +653,21 @@ class TestStackedLocalData:
             calls.update(dict.fromkeys(calls, 0))
             build_from_graph(graph)
             assert calls == {"_build_maximal_stack": 1, "_twist_elements": 1}
+
+    def test_refused_build_leaves_no_reference_cycles(self):
+        # a stored refusal must not hold a traceback, and so the frame of the
+        # kernel that stored it, in a cycle only the cyclic collector frees
+        graph = chain_graph(1, 1, 2, np.random.default_rng(0))
+        e = graph.edges[0]
+        bent = GraphEdge(e.upper, e.lower, e.twist + 0.3 * np.array([[0.0, 1.0], [0.0, 0.0]]))
+        graph = GluingGraph(graph.nodes, (bent,), graph.boundaries)
+        gc.collect()
+        gc.disable()
+        try:
+            with pytest.raises(CannotGlue) as info:
+                build_from_graph(graph)
+            assert info.value.edge is bent
+            del info
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
