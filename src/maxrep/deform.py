@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -275,7 +274,7 @@ def _analyze_chain(graph: GluingGraph) -> tuple[GraphEdge | None, list[GraphEdge
 class DeformationPath:
     """Snapshots of a deformation, each a full gluing graph."""
 
-    snapshots: Sequence[GluingGraph]
+    snapshots: tuple[GluingGraph, ...]
     signature: tuple[int, ...]
 
     def __len__(self):
@@ -291,28 +290,6 @@ def _cap_contracting(m: np.ndarray, cap: float = _RHO_CAP) -> np.ndarray:
 
 # a node's length parameters at every time, each of shape (k, n, n)
 _NodeStacks = namedtuple("_NodeStacks", "X1 X2 X3")
-
-
-class _Snapshots(Sequence):
-    """A path's snapshots, read from its stacks, each made on first read and kept."""
-
-    def __init__(self, graph: GluingGraph, stacks: dict, twists: dict, k: int):
-        self._graph, self._stacks, self._twists, self._made = graph, stacks, twists, [None] * k
-
-    def __len__(self):
-        return len(self._made)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(len(self))[i])
-        i, g = range(len(self))[i], self._graph  # IndexError out of range
-        if self._made[i] is None:
-            self._made[i] = GluingGraph(
-                tuple(PantsNode(nd.name, PantsParams(*(x[i] for x in self._stacks[nd.name])))
-                      for nd in g.nodes),
-                tuple(GraphEdge(e.upper, e.lower, self._twists[id(e)][i]) for e in g.edges),
-                g.boundaries)
-        return self._made[i]
 
 
 def _snapshot_stacks(graph: GluingGraph, loop: GraphEdge | None, attach_edges: list[GraphEdge],
@@ -368,8 +345,8 @@ def deform_to_standard(rep_or_graph, steps: int = 100,
     one pass (the path functions take t as an array), and validity is
     re-checked here in one call over every node and time; callers get an
     exception naming the first failing snapshot and node, not a bad path.
-    Snapshot graphs are made on first read and kept; their arrays are
-    read-only views, no two snapshots sharing one.  steps must be at least 1.
+    Snapshot arrays are read-only views of the path's stacks, no two
+    snapshots sharing one.  steps must be at least 1.
     """
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
@@ -402,4 +379,11 @@ def deform_to_standard(rep_or_graph, steps: int = 100,
         raise NotMaximal(f"snapshot {i} loses maximality at node {name!r}")
     for x in [*itertools.chain(*stacks.values()), *twists.values()]:
         x.flags.writeable = False
-    return DeformationPath(_Snapshots(graph, stacks, twists, steps + 1), sig)
+    # snapshot i holds row i of every stack
+    same = itertools.repeat
+    snap_nodes = zip(*(map(PantsNode, same(nd.name), PantsParams._rows(*stacks[nd.name]))
+                       for nd in nodes))
+    snap_edges = zip(*(map(GraphEdge, same(e.upper), same(e.lower), twists[id(e)])
+                       for e in graph.edges)) if graph.edges else same(())
+    return DeformationPath(tuple(GluingGraph(ns, es, graph.boundaries)
+                                 for ns, es in zip(snap_nodes, snap_edges)), sig)

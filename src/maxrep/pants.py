@@ -80,6 +80,19 @@ class PantsParams:
         if not (self.X1.shape == self.X2.shape == self.X3.shape):
             raise ValueError("length parameters must share one dimension")
 
+    @classmethod
+    def _rows(cls, x1: np.ndarray, x2: np.ndarray, x3: np.ndarray):
+        """One parameter set per row of three stacks of shape (k, n, n); the
+        stacks are coerced once, not row by row, and each row is a view."""
+        xs = [np.asarray(x, dtype=float) for x in (x1, x2, x3)]
+        if not (xs[0].ndim == 3 and xs[0].shape[1] == xs[0].shape[2]
+                and xs[0].shape == xs[1].shape == xs[2].shape):
+            raise ValueError("length stacks must share one shape (k, n, n)")
+        for a, b, c in zip(*xs):
+            p = object.__new__(cls)
+            p.__dict__.update(X1=a, X2=b, X3=c)
+            yield p
+
     @property
     def n(self) -> int:
         return self.X1.shape[0]

@@ -307,14 +307,16 @@ class TestCommands:
         assert "genus 0, boundaries 4" in out
 
     def test_deform(self, torus_file, tmp_path, capsys):
+        # writing the path reads every snapshot
         out_file = str(tmp_path / "path.mgs")
-        code, out, _ = run_main(
-            ["deform", torus_file, "--steps", "5", "--out", out_file], capsys)
-        assert code == 0
-        assert "snapshots: 6" in out
-        assert "signature: (+, +)" in out
-        text = open(out_file).read()
-        assert text.count("maxrep-graph 1") == 6
+        for steps in (5, 100):
+            code, out, _ = run_main(
+                ["deform", torus_file, "--steps", str(steps), "--out", out_file], capsys)
+            assert code == 0
+            assert f"snapshots: {steps + 1}" in out
+            assert "signature: (+, +)" in out
+            text = open(out_file).read()
+            assert text.count("maxrep-graph 1") == steps + 1
 
     def test_limits(self, pants_file, tmp_path, capsys):
         out_file = str(tmp_path / "pts.ml")

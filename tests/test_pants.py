@@ -155,6 +155,17 @@ class TestCheckStack:
             assert cls is classify_one(p)
             assert Fraction(p.n + sig, 2) == toledo_one(p)
 
+    def test_rows_match_one_at_a_time(self, rng):
+        xs = np.array([random_pants_params(2, rng).matrices() for _ in range(4)])
+        rows = list(PantsParams._rows(*xs.swapaxes(0, 1)))
+        for p, x in zip(rows, xs, strict=True):
+            q = PantsParams(*x)
+            assert vars(p).keys() == vars(q).keys()
+            for a, b in zip(p.matrices(), q.matrices()):
+                assert a.dtype == b.dtype and np.array_equal(a, b) and np.shares_memory(a, xs)
+        with pytest.raises(ValueError):
+            list(PantsParams._rows(xs[:, 0], xs[:, 1], xs[:2, 2]))
+
 
 class TestBuildMaximal:
     def test_frozen_scalar_matrices(self):
