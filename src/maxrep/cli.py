@@ -39,7 +39,7 @@ from .gluing import (
 from .limits import limit_set_sample
 from .maslov import Triple, maslov
 from .matcore import DEFAULT_TOL, Tolerance
-from .pants import PantsParams, _check_stack, build_maximal, toledo, toledo_signature_shortcut
+from .pants import PantsParams, build_maximal, toledo, toledo_signature_shortcut
 from .symplectic import (
     INFINITY,
     BoundaryPoint,
@@ -305,13 +305,14 @@ def _signs(sig) -> str:
     return "(" + ", ".join("+" if s > 0 else "-" for s in sig) + ")"
 
 
-def _describe_build(rep: SurfaceRep, graph: GluingGraph, tol: Tolerance) -> list:
-    g, m = graph.surface_type()
+def _describe_build(rep: SurfaceRep) -> list:
+    """The report of a graph build, read off the build's own membership check."""
+    g, m = rep.graph.surface_type()
     report = [("status", "ok"), ("surface", f"genus {g}, boundaries {m}"), ("n", rep.n)]
-    classes, sigs = _check_stack(np.array([nd.params.matrices() for nd in graph.nodes]), tol)
-    for i, nd in enumerate(graph.nodes):
-        report.append((f"node {nd.name} class", classes[i].value))
-        report.append((f"node {nd.name} toledo", str(Fraction(rep.n + sigs[i], 2))))
+    for i, nd in enumerate(rep.graph.nodes):
+        cls, sig = rep.node_checks[i]
+        report.append((f"node {nd.name} class", cls.value))
+        report.append((f"node {nd.name} toledo", str(Fraction(rep.n + sig, 2))))
     return report + [("relation residual", f"{rep.relation_residual:.6e}")]
 
 
@@ -319,15 +320,14 @@ def cmd_build(args, tol: Tolerance) -> list:
     graph = parse_graph_file(args.file, args.strict)
     rep = build_from_graph(graph, tol)
     _write_out(args.out, lambda fh: write_rep_file(rep, fh))
-    return _describe_build(rep, graph, tol) \
+    return _describe_build(rep) \
         + [("generators", " ".join(rep.generator_images().keys()))]
 
 
 def cmd_verify(args, tol: Tolerance) -> list:
     lines = _Reader(args.file).lines
     if lines and lines[0][1].startswith("maxrep-graph"):
-        graph = parse_graph_file(args.file, args.strict)
-        return _describe_build(build_from_graph(graph, tol), graph, tol)
+        return _describe_build(build_from_graph(parse_graph_file(args.file, args.strict), tol))
     n, genus, m, gens = parse_rep_file(args.file, args.strict)
     residuals = {name: symplectic_residual(mat)[0] for name, mat in gens.items()}
     a, b, c = ([SpMat(gens[f"{x}{i}"]) for i in range(1, k + 1)]

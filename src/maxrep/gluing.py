@@ -61,7 +61,6 @@ from .pants import (
 )
 from .symplectic import (
     SpMat,
-    _block,
     _make_symplectics,
     _sp_inv,
     cycle_symplectic,
@@ -401,6 +400,9 @@ class SurfaceRep:
     handle_signs: tuple[tuple[int, int], ...] = ()
     relation_residual: float = 0.0
     graph: GluingGraph | None = None
+    # each graph node's (membership class, product signature) from the build's
+    # own check, in graph order; indexing raises a refused signature
+    node_checks: Slices | None = None
 
     @property
     def m(self) -> int:
@@ -497,7 +499,7 @@ def close_handle(x1, x2, g_twist, tol: Tolerance = DEFAULT_TOL,
     contracting and the derived product positive definite.
     """
     g_twist, params = _handle_pants(x1, x2, g_twist, tol)
-    classes, reps = _build_maximal_stack(np.array(params.matrices())[None], tol)
+    classes, _, reps = _build_maximal_stack(np.array(params.matrices())[None], tol)
     if classes[0] in _NOT_HANDLE:
         raise NotValid(_NOT_HANDLE_MSG)
     return _handle_surface(params, g_twist, reps[0], label, tol)
@@ -579,27 +581,22 @@ def _polar_split(h: SpMat) -> tuple[SpMat, SpMat]:
     return h1, _ld_product(h1, h)
 
 
-_SYMPLECTIC_J_CACHE: dict[int, np.ndarray] = {}
-
-
-def _j_form(n: int) -> np.ndarray:
-    if n not in _SYMPLECTIC_J_CACHE:
-        _SYMPLECTIC_J_CACHE[n] = _block(np.zeros((n, n)), np.eye(n), -np.eye(n), 0.0)
-    return _SYMPLECTIC_J_CACHE[n]
-
-
 def _symplectify(a: np.ndarray) -> np.ndarray:
-    """Newton steps toward the symplectic group, in extended precision.
-
-    Uses J^{-1} = -J, so each step is pure matrix multiplication:
-    a <- a + a J (a^T J a - J) / 2.
-    """
-    j = _j_form(a.shape[0] // 2).astype(np.longdouble)
-    x = a.astype(np.longdouble)
-    for _ in range(3):
-        err = x.T @ j @ x - j
-        x = x + 0.5 * x @ j @ err
-    return x.astype(np.float64)
+    """Newton steps a <- a + a J (a^T J a - J) / 2 toward the symplectic group, at
+    most four; the last starts from a defect at rounding level.  J = [[0, I], [-I, 0]]
+    acts as signed block swaps: the defect is K - K^T with K = T^T B - [[0, I], [0, 0]]
+    for the row blocks T, B of a, so each step is two products."""
+    n = a.shape[0] // 2
+    eye = np.eye(n)
+    bound = 2 * n * np.finfo(float).eps * max(1.0, np.abs(a).max()) ** 2
+    for _ in range(4):
+        k = a[:n].T @ a[n:]
+        k[:n, n:] -= eye
+        err = k - k.T
+        a = a + 0.5 * (a @ np.concatenate((err[n:], -err[:n])))
+        if np.abs(err).max() <= bound:
+            break
+    return a
 
 
 def _edge_twist(rep_up: SurfaceRep, idx_up: int,
@@ -822,7 +819,7 @@ def build_from_graph(graph: GluingGraph, tol: Tolerance = DEFAULT_TOL) -> Surfac
             local.append(None)
             faults.append(exc)
     local = nodes.refuse(faults, local)
-    classes, reps = _build_maximal_stack(
+    classes, checks, reps = _build_maximal_stack(
         np.array([p.matrices() for _, p in local]).reshape(-1, 3, graph.n, graph.n), tol)
     not_handle = [NotValid(_NOT_HANDLE_MSG) if c in _NOT_HANDLE else None for c in classes.values]
     nodes.finish(nodes.refuse(
@@ -868,7 +865,9 @@ def build_from_graph(graph: GluingGraph, tol: Tolerance = DEFAULT_TOL) -> Surfac
         built = _move_boundary(built, label(b.port), target)
     relabel = {label(b.port): b.label for b in graph.boundaries}
     ports = tuple(replace(p, label=relabel.get(p.label, p.label)) for p in built.ports)
-    built = replace(built, ports=ports, graph=graph)
+    # a built graph refused no node, so slice j of the check is graph node j
+    checks.values = list(zip(classes.values, checks.values))
+    built = replace(built, ports=ports, graph=graph, node_checks=checks)
     g_expected, m_expected = graph.surface_type()
     if (built.genus, built.m) != (g_expected, m_expected):
         raise GraphInvalid(

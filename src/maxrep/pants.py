@@ -228,15 +228,15 @@ def _assemble_reps(blocks, tol: Tolerance, out: Slices) -> Slices:
                        for a, b, c, r in zip(c1, c2, c3, residual)])
 
 
-def _build_maximal_stack(xs: np.ndarray, tol: Tolerance) -> tuple[Slices, Slices]:
-    """build_maximal on each slice of a (k, 3, n, n) stack of lengths: the
-    membership classes _check_stack gives, and the PantsReps."""
-    classes = _check_stack(xs, tol)[0]
+def _build_maximal_stack(xs: np.ndarray, tol: Tolerance) -> tuple[Slices, Slices, Slices]:
+    """build_maximal on each slice of a (k, 3, n, n) stack of lengths: the classes
+    and product signatures of _check_stack, and the PantsReps."""
+    classes, sigs = _check_stack(xs, tol)
     reps = Slices(len(xs))
     xs = reps.refuse([f or (NotValid("parameters are not in the positive-definite cone")
                             if c is ParamClass.NOT_VALID else None)
                       for f, c in zip(classes.refusals, classes.values)], xs)
-    return classes, _assemble_reps(_pants_blocks(*xs.swapaxes(0, 1), np.eye(xs.shape[-1])), tol, reps)
+    return classes, sigs, _assemble_reps(_pants_blocks(*xs.swapaxes(0, 1), np.eye(xs.shape[-1])), tol, reps)
 
 
 def build_maximal(p: PantsParams, tol: Tolerance = DEFAULT_TOL) -> PantsRep:
@@ -245,7 +245,7 @@ def build_maximal(p: PantsParams, tol: Tolerance = DEFAULT_TOL) -> PantsRep:
     The images fix 0, e and infinity respectively and satisfy the group
     relation exactly at the formula level.
     """
-    return _build_maximal_stack(np.array(p.matrices())[None], tol)[1][0]
+    return _build_maximal_stack(np.array(p.matrices())[None], tol)[2][0]
 
 
 def build_general(gp: GeneralPantsParams, tol: Tolerance = DEFAULT_TOL) -> PantsRep:

@@ -274,17 +274,54 @@ class TestCommands:
                 assert code == want_code and want_text in out + err
                 assert out.lstrip().startswith("{") == ("--json" in argv)
 
-    def test_node_report_matches_one_node_calls(self):
-        # one stacked check over all nodes reports what the per-node calls give
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_node_report_matches_one_node_calls(self, n):
+        # the report is read off the build's own membership check, which on a
+        # handle node sees the pants (X1, X2, G X1^T G^{-1}) and not the
+        # graph's X3; it still gives what the per-node calls give on the
+        # graph's own parameters
         from maxrep.cli import _describe_build
-        from maxrep.matcore import DEFAULT_TOL
+        from maxrep.deform import enumerate_standard_graphs
         from maxrep.pants import classify_params, toledo_signature_shortcut
-        for kind in [(1, 2), (0, 5)]:
-            graph = chain_graph(*kind, 2, np.random.default_rng(3))
-            report = dict(_describe_build(build_from_graph(graph), graph, DEFAULT_TOL))
+        rng = np.random.default_rng(3)
+        graphs = [chain_graph(*kind, n, rng) for kind in [(1, 1), (0, 4), (0, 5)]]
+        graphs += [graph for kind in [(0, 3), (1, 1), (0, 4), (1, 2)]
+                   for _, graph in enumerate_standard_graphs(*kind, n)]
+        # the last node's boundary lengths X2 and X3, scaled together, keep
+        # its product: a spectral radius of 1 and of 1.5 gives in_r and
+        # in_tilde_r beside in_r_star nodes
+        *rest, last = graphs[1].nodes
+        p = last.params
+        radius = max(np.abs(np.linalg.eigvals(x)).max() for x in (p.X2, p.X3))
+        graphs += [GluingGraph((*rest, PantsNode(last.name, PantsParams(p.X1, c * p.X2, c * p.X3))),
+                               graphs[1].edges, graphs[1].boundaries) for c in (1 / radius, 1.5 / radius)]
+        seen = set()
+        for graph in graphs:
+            report = dict(_describe_build(build_from_graph(graph)))
+            assert len(report) == 4 + 2 * len(graph.nodes)
             for nd in graph.nodes:
                 assert report[f"node {nd.name} class"] == classify_params(nd.params).value
                 assert report[f"node {nd.name} toledo"] == str(toledo_signature_shortcut(nd.params))
+                seen.add(report[f"node {nd.name} class"])
+        assert seen == {"in_r_star", "in_r", "in_tilde_r"}
+
+    @pytest.mark.parametrize("command", ["build", "verify"])
+    def test_one_membership_check_per_graph_command(self, command, tmp_path, capsys, monkeypatch):
+        import maxrep.pants
+        calls = []
+        real = maxrep.pants._check_stack
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(maxrep.pants, "_check_stack", counted)
+        f = tmp_path / "chain.mg"
+        with open(f, "w") as fh:
+            write_graph_file(chain_graph(1, 2, 2, np.random.default_rng(0)), fh)
+        code, out, _ = run_main([command, str(f)], capsys)
+        assert code == 0 and "status: ok" in out and "node p1 toledo: 2" in out
+        assert calls == [(2, 3, 2, 2)]
 
     def test_components_torus(self, torus_file, capsys):
         code, out, _ = run_main(["components", torus_file], capsys)

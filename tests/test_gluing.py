@@ -494,6 +494,42 @@ def test_envelope_n32(kind, rng):
     assert rep.relation_residual <= 1e-10
 
 
+@pytest.mark.parametrize("kind", [(0, 4), (1, 2)])
+def test_envelope_n64(kind, rng):
+    rep = build_from_graph(chain_graph(*kind, 64, rng))
+    assert rep.relation_residual <= 1e-11
+
+
+def _unitary_symplectic(n, rng):
+    """[[Re U, -Im U], [Im U, Re U]] for a random unitary U: orthogonal and symplectic."""
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return np.block([[u.real, -u.imag], [u.imag, u.real]])
+
+
+class TestPolarSplit:
+    """The gauge balance of a gluing step: h1 is symplectic to rounding
+    level in float64, h1^{-1} h2 = h, and both factors have condition
+    sqrt(cond h)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 64])
+    @pytest.mark.parametrize("log_cond", [0.5, 3.0, 6.0])
+    def test_factors(self, n, log_cond, rng):
+        eps = np.finfo(float).eps
+        j = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
+        for _ in range(3):
+            # K1 diag(D, D^{-1}) K2 with cond exactly 10^log_cond
+            d = 10.0 ** rng.uniform(-log_cond / 2, log_cond / 2, n)
+            d[0] = 10.0 ** (log_cond / 2)
+            h = _unitary_symplectic(n, rng) @ np.diag(np.concatenate((d, 1 / d))) \
+                @ _unitary_symplectic(n, rng)
+            h1, h2 = maxrep.gluing._polar_split(SpMat(h))
+            scale = max(1.0, np.abs(h1.m).max())
+            assert np.abs(h1.m.T @ j @ h1.m - j).max() <= 1e-13 * scale ** 2
+            assert np.abs(sp_inverse(h1).m @ h2.m - h).max() <= 16 * n * eps * scale ** 2 * np.abs(h).max()
+            for g in (h1, h2):
+                assert np.linalg.cond(g.m) <= 1.01 * 10.0 ** (log_cond / 2)
+
+
 def _same(a, b):
     """Equal SpMats or PantsReps entry for entry, or refusals of one type and message."""
     if isinstance(a, Exception) or isinstance(b, Exception):
@@ -543,7 +579,7 @@ class TestStackedLocalData:
     def test_stacks_match_one_slice_wrappers(self, graph, monkeypatch):
         params = [nd.params for nd in graph.nodes]
         xs = np.array([p.matrices() for p in params])
-        for p, rep in zip(params, outcomes(_build_maximal_stack(xs, DEFAULT_TOL)[1])):
+        for p, rep in zip(params, outcomes(_build_maximal_stack(xs, DEFAULT_TOL)[2])):
             assert _same(rep, _outcome(build_maximal, p))
         # the stacked slot presentations of every edge, as the build forms them
         calls = []

@@ -208,8 +208,9 @@ class TestBuildMaximal:
                  PantsParams(x1, 0.0 * x2, x3), PantsParams(x1, -x2, x3),
                  PantsParams(4.0 * x1, x2, x3), PantsParams(1e200 * x1, 1e-200 * x2, 1e200 * x3), good[2]]
         with np.errstate(over="ignore"):
-            classes, reps = _build_maximal_stack(np.array([p.matrices() for p in cases]), DEFAULT_TOL)
+            classes, sigs, reps = _build_maximal_stack(np.array([p.matrices() for p in cases]), DEFAULT_TOL)
             assert_slices_match(classes, classify_params, [(p,) for p in cases])
+            assert_slices_match(sigs, lambda p: int(2 * toledo_signature_shortcut(p)) - n, [(p,) for p in cases])
             assert_slices_match(reps, build_maximal, [(p,) for p in cases])
         assert {0, 2, 8} <= set(reps.live)
         assert isinstance(reps.refusals[1], IllConditioned) and isinstance(reps.refusals[3], IllConditioned)
