@@ -57,10 +57,6 @@ class NotCompatible(MathematicalRefusal):
 class CannotGlue(MathematicalRefusal):
     """Gluing condition fails along an edge."""
 
-    def __init__(self, msg, edge=None):
-        super().__init__(msg)
-        self.edge = edge
-
 
 class GraphInvalid(MathematicalRefusal):
     """A gluing graph violates structural invariants."""

@@ -30,7 +30,6 @@ from .errors import (
     CannotGlue,
     GraphInvalid,
     IllConditioned,
-    MaxRepError,
     NotCompatible,
     NotContracting,
     NotValid,
@@ -38,14 +37,12 @@ from .errors import (
 )
 from .matcore import (
     DEFAULT_TOL,
-    CircleClass,
     Tolerance,
     _singular,
     _stein_solves,
     _unit_circle_masks,
     as_matrix,
     check_finite,
-    circle_class,
     norm_inf,
     require_invertible,
     similarity_witness,
@@ -55,7 +52,6 @@ from .normalform import _standard_blocks
 from .pants import (
     PantsParams,
     PantsRep,
-    ParamClass,
     _build_maximal_stack,
     build_maximal,
 )
@@ -286,7 +282,9 @@ class PantsNode:
 class GraphEdge:
     """Internal edge; the first endpoint is presented in upper form, the
     second in lower form, and the twist must satisfy
-    length_upper = G length_lower^T G^{-1}."""
+    length_upper = G length_lower^T G^{-1}.  A self-edge is always read as
+    the handle 3 -> 1: listed from port 1 its twist G stands for inv(G)^T,
+    so X3 = inv(G)^T X1^T G^T there."""
 
     upper: tuple[str, int]   # (node name, port)
     lower: tuple[str, int]
@@ -483,43 +481,21 @@ def _pants_surface(params: PantsParams, rep: PantsRep, labels) -> SurfaceRep:
     )
 
 
-# forward-map classes that close_handle refuses
-_NOT_HANDLE = (ParamClass.NOT_VALID, ParamClass.IN_TILDE_R)
-_NOT_HANDLE_MSG = ("handle parameters do not define a maximal representation "
-                   "with spectra in the closed unit disc")
-
-
 def close_handle(x1, x2, g_twist, tol: Tolerance = DEFAULT_TOL,
                  label: str = "1") -> SurfaceRep:
-    """One-holed torus from (X1, X2, G): close the first and third boundary
-    of the pants (X1, X2, G X1^T G^{-1}) with twist G, the third upper.
+    """One-holed torus from (X1, X2, G): the build of the one-node graph whose
+    pants (X1, X2, G X1^T G^{-1}) closes its third boundary, upper, onto its
+    first with twist G.
 
     The handle pair is (the first generator image, the twist element); the
     remaining boundary is the middle slot, labelled label.  Requires X1
     contracting and the derived product positive definite.
     """
-    g_twist, params = _handle_pants(x1, x2, g_twist, tol)
-    classes, _, reps = _build_maximal_stack(np.array(params.matrices())[None], tol)
-    if classes[0] in _NOT_HANDLE:
-        raise NotValid(_NOT_HANDLE_MSG)
-    return _handle_surface(params, g_twist, reps[0], label, tol)
-
-
-def _handle_pants(x1, x2, g_twist, tol: Tolerance) -> tuple[np.ndarray, PantsParams]:
-    """The checks close_handle makes before the forward map; the twist and
-    the pants (X1, X2, G X1^T G^{-1})."""
-    x1, x2 = as_matrix(x1), as_matrix(x2)
     g_twist = require_invertible(g_twist, tol, "handle twist")
-    if circle_class(x1, tol) is not CircleClass.CONTRACTING:
-        raise NotContracting("X1 must be contracting to close a handle")
-    return g_twist, PantsParams(x1, x2, g_twist @ x1.T @ np.linalg.inv(g_twist))
-
-
-def _handle_surface(params: PantsParams, g_twist, rep: PantsRep, label: str,
-                    tol: Tolerance, tw: SpMat | None = None) -> SurfaceRep:
-    """close_handle from the PantsRep of its pants; tw as for _edge_twist."""
-    pants = _pants_surface(params, rep, labels=(f"{label}.1", label, f"{label}.3"))
-    return _close_pair(pants, f"{label}.3", f"{label}.1", g_twist, tol, tw)
+    params = PantsParams(x1, x2, g_twist @ as_matrix(x1).T @ np.linalg.inv(g_twist))
+    return build_from_graph(GluingGraph((PantsNode("h", params),),
+                                        (GraphEdge(("h", 3), ("h", 1), g_twist),),
+                                        (GraphBoundary(("h", 2), label),)), tol)
 
 
 # -- boundary reindexing ------------------------------------------------------
@@ -770,7 +746,13 @@ def _loop_twist(twist, upper_port: int) -> np.ndarray:
     twist back into the edge's twist.  A stack of twists maps twist by twist.
     """
     g = np.atleast_2d(np.asarray(twist, dtype=float))
-    return np.linalg.inv(g).swapaxes(-1, -2) if upper_port == 1 else g
+    if upper_port != 1:
+        return g
+    try:
+        return np.linalg.inv(g).swapaxes(-1, -2)
+    except np.linalg.LinAlgError:
+        # an exactly singular twist stays singular, for the twist kernel to refuse
+        return np.linalg.pinv(g).swapaxes(-1, -2)
 
 
 def build_from_graph(graph: GluingGraph, tol: Tolerance = DEFAULT_TOL) -> SurfaceRep:
@@ -784,69 +766,32 @@ def build_from_graph(graph: GluingGraph, tol: Tolerance = DEFAULT_TOL) -> Surfac
     graph: self-edge handles in node order, then closures in edge order.
 
     Every node's pants images come from one stacked forward-map call and
-    every edge's twist element from one stacked twist call; the gluing then
-    runs edge by edge.  Refusal order, the one every stacked kernel keeps:
-    by node, then by edge, in _gluing_plan order.  Node by node in gluing
-    order, a node's own checks (a self-edge's before its pants, then that
-    edge's twist) come ahead of the tree edge that attaches it, and the
-    closures follow in edge order; within a node or an edge the first
-    failing check wins, in the order of build_maximal, close_handle and
-    twist_element.
+    every edge's twist element, a self-edge's in the handle orientation of
+    _loop_twist, from one stacked twist call; the gluing then runs edge by
+    edge.  A refused build raises the first refused node in node order, else
+    the first refused edge in _gluing_plan order.
     """
     self_edges, tree_edges, closures = _gluing_plan(graph)
     label = lambda port: f"{port[0]}.{port[1]}"
-    index = {nd.name: i for i, nd in enumerate(graph.nodes)}
-
-    def handle_pants(node: PantsNode, loop: GraphEdge):
-        # a self-edge's checks before the forward map
-        p = node.params
-        tw = _loop_twist(require_invertible(loop.twist, tol, "handle twist"), loop.upper[1])
-        defect, over = _twist_defect(tw, p.X1, slot_glue_length(p, 3), tol)
-        check_finite(defect)
-        if over:
-            raise CannotGlue(f"self-edge twist incompatible on node {node.name!r} "
-                             f"(defect {defect:.3e})", edge=loop)
-        return _handle_pants(p.X1, p.X2, tw, tol)
-
-    # each node's (handle twist, pants, PantsRep), the pants in one forward-map call
-    nodes, local, faults = Slices(len(graph.nodes)), [], []
-    for nd in graph.nodes:
-        try:
-            local.append(handle_pants(nd, self_edges[nd.name]) if nd.name in self_edges
-                         else (None, nd.params))
-            faults.append(None)
-        except MaxRepError as exc:
-            local.append(None)
-            faults.append(exc)
-    local = nodes.refuse(faults, local)
-    classes, checks, reps = _build_maximal_stack(
-        np.array([p.matrices() for _, p in local]).reshape(-1, 3, graph.n, graph.n), tol)
-    not_handle = [NotValid(_NOT_HANDLE_MSG) if c in _NOT_HANDLE else None for c in classes.values]
-    nodes.finish(nodes.refuse(
-        [reps.refusals[j] if tw is None else classes.refusals[j] or not_handle[j] or reps.refusals[j]
-         for j, (tw, _) in enumerate(local)],
-        [(tw, p, rep) for (tw, p), rep in zip(local, reps.values)]))
-
-    # each edge's twist element, in one twist call; an edge with a refused
-    # node is never reached, so it is not formed
-    def edge_data(e: GraphEdge):
-        (tw, up, _), (_, lo, _) = (nodes.values[index[end[0]]] for end in (e.upper, e.lower))
-        return (up, 3, up, 1, tw) if e.upper[0] == e.lower[0] else (up, e.upper[1], lo, e.lower[1], e.twist)
-
+    params = {nd.name: nd.params for nd in graph.nodes}
+    classes, checks, reps = _build_maximal_stack(np.array([p.matrices() for p in params.values()]), tol)
+    # indexing a Slices raises its refusal: the first refused node, then edge
+    pants = {nd.name: reps[i] for i, nd in enumerate(graph.nodes)}
+    # every edge as the twist kernel reads it, a self-edge in the handle orientation
     plan = [*self_edges.values(), *tree_edges, *closures]
-    at = {e: j for j, e in enumerate(plan)}
-    edges = Slices(len(plan))
-    formed = edges.refuse([nodes.refusals[index[e.upper[0]]] or nodes.refusals[index[e.lower[0]]]
-                           for e in plan], plan)
-    twists = _edge_twists([edge_data(e) for e in formed], tol)
-    edges.finish(edges.refuse(twists.refusals, twists.values))
+    read = {e: GraphEdge((e.upper[0], 3), (e.lower[0], 1), _loop_twist(e.twist, e.upper[1]))
+            if e.upper[0] == e.lower[0] else e for e in plan}
+    twists = _edge_twists([(params[r.upper[0]], r.upper[1], params[r.lower[0]], r.lower[1], r.twist)
+                           for r in read.values()], tol)
+    tws = {e: SpMat(twists[j]) for j, e in enumerate(plan)}
+
+    def close(rep: SurfaceRep, e: GraphEdge) -> SurfaceRep:
+        r = read[e]
+        return _close_pair(rep, label(r.upper), label(r.lower), r.twist, tol, tws[e])
 
     def fresh_block(node: PantsNode) -> SurfaceRep:
-        tw, params, rep = nodes[index[node.name]]
-        loop = self_edges.get(node.name)
-        if loop is None:
-            return _pants_surface(params, rep, labels=tuple(f"{node.name}.{s}" for s in (1, 2, 3)))
-        return _handle_surface(params, tw, rep, f"{node.name}.2", tol, SpMat(edges[at[loop]]))
+        block = _pants_surface(node.params, pants[node.name], [label((node.name, s)) for s in (1, 2, 3)])
+        return close(block, self_edges[node.name]) if node.name in self_edges else block
 
     built = fresh_block(graph.nodes[0])
     handle_signs = built.handle_signs
@@ -855,11 +800,11 @@ def build_from_graph(graph: GluingGraph, tol: Tolerance = DEFAULT_TOL) -> Surfac
         handle_signs += block.handle_signs
         # the fresh block joins on the upper or the lower side
         up, lo = (block, built) if e.upper[0] == node.name else (built, block)
-        built = _glue_reps(up, label(e.upper), lo, label(e.lower), e.twist, tol, SpMat(edges[at[e]]))
+        built = _glue_reps(up, label(e.upper), lo, label(e.lower), e.twist, tol, tws[e])
     # glue_reps puts the upper side's handles first; restore node order
     built = replace(built, handle_signs=handle_signs)
     for e in closures:
-        built = _close_pair(built, label(e.upper), label(e.lower), e.twist, tol, SpMat(edges[at[e]]))
+        built = close(built, e)
     # reorder boundaries to the declared labels
     for target, b in enumerate(graph.boundaries):
         built = _move_boundary(built, label(b.port), target)

@@ -409,12 +409,12 @@ class TestCommands:
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1e-9"])
     def test_tol_must_be_finite_and_positive(self, tmp_path, capsys, monkeypatch, value):
-        # the default refuses this torus with CannotGlue; an infinite
+        # the default refuses this torus with NotCompatible; an infinite
         # tolerance used to pass that gate and break down later (exit 4)
         f = tmp_path / "torus.mg"
         f.write_text(TORUS_FILE.replace("  X3\n  0.5", "  X3\n  0.6"))
         code, _, err = run_main(["build", str(f)], capsys)
-        assert code == 3 and "CannotGlue" in err
+        assert code == 3 and "NotCompatible" in err
         code, _, err = run_main(["build", str(f), f"--tol={value}"], capsys)
         assert code == 2 and "finite and greater than 0" in err
         monkeypatch.setenv("MAXREP_TOL", value)
@@ -649,7 +649,16 @@ class TestExitBoundary:
         f.write_text(TORUS_FILE.replace("  1.0\nend", "  0.0\nend"))
         code, _, err = run_main(["build", str(f)], capsys)
         assert code == 4
-        assert "Singular: handle twist is singular" in err
+        assert "Singular: twist parameter is singular" in err and "Traceback" not in err
+
+    def test_singular_twist_on_self_edge_listed_from_port_1(self, tmp_path, capsys):
+        # read from port 1 the twist is inverted; an exactly singular one has
+        # no inverse and is refused as singular all the same
+        f = tmp_path / "bad.mg"
+        f.write_text(TORUS_FILE.replace("edge p0 3 p0 1", "edge p0 1 p0 3").replace("  1.0\nend", "  0.0\nend"))
+        code, _, err = run_main(["build", str(f)], capsys)
+        assert code == 4
+        assert "Singular: twist parameter is singular" in err and "Traceback" not in err
 
     def test_components_of_closed_surface_refused(self, tmp_path, capsys):
         # two handles glued along their remaining boundaries: genus 2, m = 0

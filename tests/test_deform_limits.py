@@ -18,6 +18,7 @@ from maxrep.deform import (
 from maxrep.errors import GraphInvalid, MaxRepError, NotSHyperbolic
 from maxrep.gluing import (
     GluingGraph,
+    PantsNode,
     build_from_graph,
     component_signature,
     pants_surface_rep,
@@ -170,6 +171,25 @@ class TestDeform:
             for nd in snap.nodes:
                 assert classify_params(nd.params) in (ParamClass.IN_R, ParamClass.IN_R_STAR)
                 assert toledo_signature_shortcut(nd.params) == nd.params.n
+
+    @pytest.mark.parametrize("m", [3, 4])
+    @pytest.mark.parametrize("radius", [0.97, 0.995])
+    def test_path_starts_at_input_near_the_circle(self, m, radius):
+        # the first node's free length X1 is derived along the path and capped
+        # in spectral radius; a radius above the cap at t = 0 stays the input's
+        graph = chain_graph_with_random_params(0, m, 2, np.random.default_rng(m))
+        p = graph.nodes[0].params
+        x1 = radius / spectral_radius(p.X1) * p.X1
+        graph = GluingGraph((PantsNode("p0", PantsParams(x1, p.X2, p.X3)), *graph.nodes[1:]),
+                            graph.edges, graph.boundaries)
+        build_from_graph(graph)
+        assert classify_params(graph.nodes[0].params) is ParamClass.IN_R_STAR
+        first = deform_to_standard(graph, steps=20).snapshots[0]
+        pairs = [*zip(first.edges, graph.edges, strict=True)]
+        pairs = [(e.twist, e0.twist) for e, e0 in pairs] + [
+            ab for nd, nd0 in zip(first.nodes, graph.nodes, strict=True)
+            for ab in zip(nd.params.matrices(), nd0.params.matrices())]
+        assert max(np.abs(a - b).max() for a, b in pairs) <= 1e-14
 
     def test_rep_input_is_not_rebuilt(self, rng, monkeypatch):
         import maxrep.deform as deform

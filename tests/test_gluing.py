@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import maxrep.gluing
-from maxrep.deform import standard_sign_graph
+from maxrep.deform import deform_to_standard, standard_sign_graph
 from maxrep.errors import (
     CannotGlue,
     GraphInvalid,
@@ -40,8 +40,10 @@ from maxrep.gluing import (
 from maxrep.matcore import DEFAULT_TOL, norm_inf
 from maxrep.pants import (
     PantsParams,
+    ParamClass,
     _build_maximal_stack,
     build_maximal,
+    classify_params,
     toledo_signature_shortcut,
 )
 from maxrep.symplectic import SpMat, sp_inverse
@@ -58,6 +60,7 @@ from tests_support import (
     random_orthogonal,
     random_pants_params,
     random_spd,
+    spectral_radius,
 )
 
 
@@ -190,6 +193,67 @@ class TestCloseHandle:
     def test_rejects_expanding(self):
         with pytest.raises(NotContracting):
             close_handle([[2.0]], [[0.5]], [[1.0]])
+
+    def test_is_the_build_of_a_one_node_graph(self, rng):
+        x1, x2, h = random_handle_data(2, rng)
+        rep = close_handle(x1, x2, h, label="t")
+        (node,), (edge,), (boundary,) = rep.graph.nodes, rep.graph.edges, rep.graph.boundaries
+        assert node.name == "h" and (edge.upper, edge.lower) == (("h", 3), ("h", 1))
+        assert boundary.port == ("h", 2) and rep.boundary_labels() == ("t",)
+        x3 = h @ x1.T @ np.linalg.inv(h)
+        for a, b in zip(node.params.matrices(), (x1, x2, x3)):
+            assert np.array_equal(a, b)
+        assert np.array_equal(edge.twist, h)
+        graph = GluingGraph((PantsNode("h", PantsParams(x1, x2, x3)),),
+                            (GraphEdge(("h", 3), ("h", 1), h),), (GraphBoundary(("h", 2), "t"),))
+        path, expected = deform_to_standard(rep, steps=10), deform_to_standard(graph, steps=10)
+        assert path.signature == expected.signature
+        for snap, ref in zip(path.snapshots, expected.snapshots, strict=True):
+            for a, b in zip(snap.nodes[0].params.matrices(), ref.nodes[0].params.matrices()):
+                assert np.array_equal(a, b)
+            assert np.array_equal(snap.edges[0].twist, ref.edges[0].twist)
+
+    def test_handle_node_with_expanding_free_length_builds(self):
+        # X2 is the one length of a handle node that is not glued; a plain
+        # node may have it outside the closed unit disc, and so may a handle node
+        graph = chain_graph(1, 1, 2, np.random.default_rng(3))
+        p = graph.nodes[0].params
+        wide = PantsParams(p.X1, 3.0 / spectral_radius(p.X2) * p.X2, p.X3)
+        assert classify_params(wide) is ParamClass.IN_TILDE_R
+        rep = build_from_graph(GluingGraph((PantsNode("p0", wide),), graph.edges, graph.boundaries))
+        assert rep.relation_residual <= 1e-10
+
+
+class TestSelfEdgeOrientation:
+    """A self-edge listed from port 1 reads as the handle 3 -> 1 with twist
+    inv(G)^T, so both listings of one handle build one representation."""
+
+    @pytest.mark.parametrize("kind", [(1, 1), (1, 2)])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_both_orientations_build_the_same_handle(self, kind, n):
+        graph = chain_graph(*kind, n, np.random.default_rng(n))
+        loop = graph.edges[0]
+        assert (loop.upper, loop.lower) == (("p0", 3), ("p0", 1))
+        flipped = GraphEdge(loop.lower, loop.upper, np.linalg.inv(loop.twist).T)
+        other = GluingGraph(graph.nodes, (flipped, *graph.edges[1:]), graph.boundaries)
+        reps = [build_from_graph(g) for g in (graph, other)]
+        traces = []
+        for rep in reps:
+            a, b, c = rep.a_imgs[0].m, rep.b_imgs[0].m, rep.c_imgs[0].m
+            traces.append([np.trace(m) for m in (a, b, a @ b, a @ np.linalg.inv(b), c)])
+        np.testing.assert_allclose(*traces, rtol=1e-9, atol=1e-9)
+        assert component_signature(reps[0]) == component_signature(reps[1]) == component_signature(other)
+
+    def test_port_1_listing_is_not_the_edge_rule(self):
+        # length_upper = G length_lower^T G^{-1} read literally for p0 1 p0 3
+        # asks X1 = G X3^T G^{-1}; the twist meeting that is refused
+        graph = chain_graph(1, 1, 2, np.random.default_rng(4))
+        loop = graph.edges[0]
+        literal = GraphEdge(loop.lower, loop.upper, loop.twist.T)
+        p = graph.nodes[0].params
+        assert np.abs(literal.twist @ p.X3.T @ np.linalg.inv(literal.twist) - p.X1).max() <= 1e-12
+        with pytest.raises(NotCompatible):
+            build_from_graph(GluingGraph(graph.nodes, (literal,), graph.boundaries))
 
 
 class TestGlueReps:
@@ -472,8 +536,9 @@ class TestEdgeConjugator:
             build_from_graph(graph)
 
     def test_nan_declared_handle_length_is_ill_conditioned(self):
-        # the handle is built from its derived X3; the declared one is only
-        # compared with it, and a NaN defect is not within the band
+        # a handle node is built from its declared X3, so the forward map
+        # refuses the NaN; the twist kernel's defect check puts a NaN defect
+        # outside its band as well
         graph = chain_graph(1, 2, 2, np.random.default_rng(0))
         graph.nodes[0].params.X3[0, 0] = np.nan
         with pytest.raises(IllConditioned):
@@ -549,15 +614,14 @@ def _outcome(f, *args):
 
 def _local_edges(graph):
     """The (upper pants, upper slot, lower pants, lower slot, twist) of every
-    edge as the build glues it: a self-edge closes the derived handle pants."""
+    edge as the build glues it: a self-edge joins port 3, upper, to port 1 of
+    its declared pants, with its twist in the handle orientation."""
     params = {nd.name: nd.params for nd in graph.nodes}
     edges = []
     for e in graph.edges:
         if e.upper[0] == e.lower[0]:
             p = params[e.upper[0]]
-            tw = _loop_twist(e.twist, e.upper[1])
-            handle = PantsParams(p.X1, p.X2, tw @ p.X1.T @ np.linalg.inv(tw))
-            edges.append((handle, 3, handle, 1, tw))
+            edges.append((p, 3, p, 1, _loop_twist(e.twist, e.upper[1])))
         else:
             edges.append((params[e.upper[0]], e.upper[1], params[e.lower[0]], e.lower[1], e.twist))
     return edges
@@ -625,41 +689,49 @@ class TestStackedLocalData:
             "IllConditioned", "ndarray", "CannotGlue" if obstruct else "NotContracting", "IllConditioned"]
 
     @staticmethod
-    def _faulty_chain(rng, bad_node, bad_edge, nan_node=False):
-        graph = chain_graph(0, 6, 2, rng)
+    def _faulty_chain(rng, kind, bad_node, bad_edges, nan_node=False):
+        graph = chain_graph(*kind, 2, rng)
         nodes, edges = list(graph.nodes), list(graph.edges)
-        p = nodes[bad_node].params
-        x2 = np.full((2, 2), np.nan) if nan_node else -p.X2   # product no longer positive
-        nodes[bad_node] = PantsNode(nodes[bad_node].name, PantsParams(p.X1, x2, p.X3))
-        e = edges[bad_edge]
-        edges[bad_edge] = GraphEdge(e.upper, e.lower, e.twist + 1e-3 * np.eye(2))
+        if bad_node is not None:
+            p = nodes[bad_node].params
+            x2 = np.full((2, 2), np.nan) if nan_node else -p.X2   # product no longer positive
+            nodes[bad_node] = PantsNode(nodes[bad_node].name, PantsParams(p.X1, x2, p.X3))
+        for k in bad_edges:
+            e = edges[k]
+            edges[k] = GraphEdge(e.upper, e.lower, e.twist + 1e-3 * np.eye(2))
         return GluingGraph(tuple(nodes), tuple(edges), graph.boundaries)
 
     @staticmethod
     def _first_fault(graph):
-        """build_maximal on each node and twist_element on each edge, in gluing order."""
-        (_, tree_edges, _) = _gluing_plan(graph)
+        """build_maximal on each node in node order, then twist_element on each
+        edge in gluing order."""
+        self_edges, tree_edges, closures = _gluing_plan(graph)
         edges = dict(zip(graph.edges, _local_edges(graph)))
-        steps = [graph.nodes[0]] + [x for pair in zip(graph.nodes[1:], tree_edges) for x in pair]
-        for step in steps:
-            if isinstance(step, PantsNode):
-                fault = _outcome(build_maximal, step.params)
-            else:
-                calls = []
-                patched = lambda *args, **kwargs: calls.append(args) or _twist_elements(*args)
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(maxrep.gluing, "_twist_elements", patched)
-                    _edge_twists([edges[step]], DEFAULT_TOL)
-                fault = _outcome(twist_element, *(a[0] for a in calls[0][:5]))
+        for nd in graph.nodes:
+            fault = _outcome(build_maximal, nd.params)
+            if isinstance(fault, MaxRepError):
+                return fault
+        for e in [*self_edges.values(), *tree_edges, *closures]:
+            calls = []
+            patched = lambda *args, **kwargs: calls.append(args) or _twist_elements(*args)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(maxrep.gluing, "_twist_elements", patched)
+                _edge_twists([edges[e]], DEFAULT_TOL)
+            fault = _outcome(twist_element, *(a[0] for a in calls[0][:5]))
             if isinstance(fault, MaxRepError):
                 return fault
         return None
 
-    @pytest.mark.parametrize("bad_node, bad_edge, nan_node", [
-        (3, 0, False), (1, 2, False), (2, 1, False), (1, 1, False), (3, 0, True), (1, 2, True)])
-    def test_first_fault_in_gluing_order_wins(self, bad_node, bad_edge, nan_node):
-        graph = self._faulty_chain(np.random.default_rng(bad_node + 7 * bad_edge),
-                                   bad_node, bad_edge, nan_node)
+    @pytest.mark.parametrize("kind, bad_node, bad_edges, nan_node", [
+        ((0, 6), 3, (0,), False), ((0, 6), 1, (2,), False), ((0, 6), 2, (1,), False),
+        ((0, 6), 1, (1,), False), ((0, 6), 3, (0,), True), ((0, 6), 1, (2,), True),
+        # a bent self-edge: after a node fault, and ahead of a later tree edge
+        ((1, 4), 2, (0,), False), ((1, 4), None, (2, 0), False)],
+        ids=["3-0-False", "1-2-False", "2-1-False", "1-1-False", "3-0-True", "1-2-True",
+             "handle-2-0-False", "handle-None-2,0-False"])
+    def test_first_fault_in_gluing_order_wins(self, kind, bad_node, bad_edges, nan_node):
+        seed = (bad_node or 0) + 7 * bad_edges[0]
+        graph = self._faulty_chain(np.random.default_rng(seed), kind, bad_node, bad_edges, nan_node)
         expected = self._first_fault(graph)
         assert isinstance(expected, MaxRepError)
         with pytest.raises(type(expected)) as info:
@@ -700,10 +772,73 @@ class TestStackedLocalData:
         gc.collect()
         gc.disable()
         try:
-            with pytest.raises(CannotGlue) as info:
+            with pytest.raises(NotCompatible) as info:
                 build_from_graph(graph)
-            assert info.value.edge is bent
             del info
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def _spectrum_defect(g, length):
+    """Relative distance from the spectrum of g to that of length together
+    with its inverse, matching nearest eigenvalues first."""
+    lam = np.linalg.eigvals(length)
+    want = list(np.concatenate([lam, 1.0 / lam]))
+    worst = 0.0
+    for mu in sorted(np.linalg.eigvals(g), key=abs):
+        i = min(range(len(want)), key=lambda t: abs(want[t] - mu))
+        worst = max(worst, abs(want[i] - mu) / abs(want[i]))
+        want.pop(i)
+    return worst
+
+
+class TestBraidMoves:
+    """Boundaries declared out of gluing order, and a node attached through
+    port 1 or 2 of the node before it, send the build through its braid
+    moves; the boundaries still come out as declared."""
+
+    @staticmethod
+    def _build_counting_swaps(graph, monkeypatch):
+        swaps = []
+        real = maxrep.gluing._swap_adjacent_boundaries
+        monkeypatch.setattr(maxrep.gluing, "_swap_adjacent_boundaries",
+                            lambda rep, i: swaps.append(i) or real(rep, i))
+        return build_from_graph(graph), len(swaps)
+
+    @staticmethod
+    def _check(graph, rep, bound):
+        assert rep.boundary_labels() == tuple(b.label for b in graph.boundaries)
+        params = {nd.name: nd.params for nd in graph.nodes}
+        for c, b in zip(rep.c_imgs, graph.boundaries, strict=True):
+            assert _spectrum_defect(c.m, slot_glue_length(params[b.port[0]], b.port[1])) <= 1e-6
+        assert component_signature(rep) == component_signature(graph)
+        assert rep.relation_residual <= bound
+
+    @pytest.mark.parametrize("kind, order, bound", [
+        ((0, 4), (1, 0, 2, 3), 1e-10), ((0, 4), (0, 2, 3, 1), 1e-7), ((1, 2), (1, 0), 1e-10),
+        ((0, 5), (1, 0, 2, 4, 3), 1e-8), ((0, 5), (0, 1, 3, 4, 2), 1e-6),
+        # (1, 3) chains lose the most digits in their braid moves, up to 1e-3 at
+        # n = 1 on other seeds, so their bound is loose
+        ((1, 3), (1, 0, 2), 1e-4), ((1, 3), (2, 0, 1), 1e-4)])
+    def test_permuted_boundary_order(self, kind, order, bound, monkeypatch):
+        graph = chain_graph(*kind, 2, np.random.default_rng(sum(kind) + 20))
+        graph = GluingGraph(graph.nodes, graph.edges, tuple(graph.boundaries[i] for i in order))
+        rep, swaps = self._build_counting_swaps(graph, monkeypatch)
+        assert swaps >= 1
+        self._check(graph, rep, bound)
+
+    @pytest.mark.parametrize("slot, n", [(1, 1), (1, 2), (2, 2), (2, 3)])
+    def test_node_attached_through_port_1_or_2(self, slot, n, monkeypatch):
+        rng = np.random.default_rng(slot)
+        p = random_pants_params(n, rng, tame=True)
+        g = random_invertible(n, rng)
+        x1 = (np.linalg.inv(g) @ slot_glue_length(p, slot) @ g).T
+        x2, x3, _ = derive_third_length(x1, rng)
+        ports = [("p0", s) for s in (1, 2, 3) if s != slot] + [("p1", 2), ("p1", 3)]
+        graph = GluingGraph((PantsNode("p0", p), PantsNode("p1", PantsParams(x1, x2, x3))),
+                            (GraphEdge(("p0", slot), ("p1", 1), g),),
+                            tuple(GraphBoundary(port, f"C{j}") for j, port in enumerate(ports, start=1)))
+        rep, swaps = self._build_counting_swaps(graph, monkeypatch)
+        assert swaps >= 1
+        self._check(graph, rep, 1e-10)
