@@ -28,9 +28,9 @@ from .gluing import (
     GraphEdge,
     PantsNode,
     SurfaceRep,
+    _edge_screen,
     _gluing_plan,
     _loop_twist,
-    build_from_graph,
     component_signature,
     slot_glue_length,
 )
@@ -336,41 +336,12 @@ def _snapshot_stacks(graph: GluingGraph, loop: GraphEdge | None, attach_edges: l
     return stacks, twists
 
 
-def deform_to_standard(rep_or_graph, steps: int = 100,
-                       tol: Tolerance = DEFAULT_TOL) -> DeformationPath:
-    """Deform a chain-shaped maximal representation onto its standard form.
-
-    Returns steps + 1 parameter snapshots at the times t = i / steps; the
-    first is the input, the last the standard representative of its
-    component.  Along the way every node stays a valid maximal parameter set
-    and the component signature never changes.  All times are computed in
-    one pass (the path functions take t as an array), and validity is
-    re-checked here in one call over every node and time; callers get an
-    exception naming the first failing snapshot and node, not a bad path.
-    Snapshot arrays are read-only views of the path's stacks, no two
-    snapshots sharing one.  steps must be at least 1.
-    """
-    if steps < 1:
-        raise ValueError(f"steps must be at least 1, got {steps}")
-    rep = rep_or_graph if isinstance(rep_or_graph, SurfaceRep) else None
-    graph = rep_or_graph if rep is None else rep.graph
-    if graph is None:
-        raise NotMaximal("representation carries no gluing graph to deform")
-    loop, attach_edges = _analyze_chain(graph)
-    # a graph's build is the only check that its edges are compatible; the
-    # snapshots recompute attached lengths from the twists, so an incompatible
-    # input would come back as a path whose first snapshot is not the input.
-    # A representation was built from its graph already.
-    sig = component_signature(build_from_graph(graph, tol) if rep is None else rep, tol)
-    stacks, twists = _snapshot_stacks(graph, loop, attach_edges, np.arange(steps + 1) / steps)
-    n, nodes = graph.n, graph.nodes
-    # slice i * len(nodes) + j is snapshot i at node j
-    classes, sigs = _check_stack(
-        np.stack([x for nd in nodes for x in stacks[nd.name]], axis=1).reshape(-1, 3, n, n), tol)
-    # a refused slice's class and signature read None; refuse the first
-    # failure by snapshot, then by node
+def _refuse_first(xs: np.ndarray, tol: Tolerance, nodes: tuple[PantsNode, ...]):
+    """Raise the first slice of xs, snapshot i at node j in slice i * len(nodes) + j,
+    that is refused (class and signature None), invalid or not maximal."""
+    classes, sigs = _check_stack(xs, tol)
     bad = next((b for b, (c, s) in enumerate(zip(classes.values, sigs.values))
-                if c not in (ParamClass.IN_R, ParamClass.IN_R_STAR) or s != n), None)
+                if c not in (ParamClass.IN_R, ParamClass.IN_R_STAR) or s != xs.shape[-1]), None)
     if bad is not None:
         i, name, c = bad // len(nodes), nodes[bad % len(nodes)].name, classes.values[bad]
         if c in (ParamClass.NOT_VALID, ParamClass.IN_TILDE_R):
@@ -379,6 +350,47 @@ def deform_to_standard(rep_or_graph, steps: int = 100,
         if fault:
             raise type(fault)(f"snapshot {i} at node {name!r}: {fault}")
         raise NotMaximal(f"snapshot {i} loses maximality at node {name!r}")
+
+
+def deform_to_standard(rep_or_graph, steps: int = 100,
+                       tol: Tolerance = DEFAULT_TOL) -> DeformationPath:
+    """Deform a chain-shaped maximal representation onto its standard form.
+
+    Returns steps + 1 parameter snapshots at the times t = i / steps; the
+    first is the input, the last the standard representative of its
+    component.  Every node stays a valid maximal parameter set and the
+    component signature never changes: all times are computed in one pass
+    and checked in one call, which refuses the first failing snapshot and
+    node by name.  Snapshot arrays are read-only views of the path's stacks,
+    no two snapshots sharing one.  steps must be at least 1.
+
+    The input graph (a representation's, or the one given) is not built.
+    Ahead of the path its nodes get the path's check, as snapshot 0, and its
+    edges, in the build's order, the screen build_from_graph runs before its
+    Stein solves (_edge_screen).  Those solves, the twist elements'
+    membership and conjugation residuals and the surface-relation gate are
+    not run.
+    """
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
+    graph = rep_or_graph.graph if isinstance(rep_or_graph, SurfaceRep) else rep_or_graph
+    if graph is None:
+        raise NotMaximal("representation carries no gluing graph to deform")
+    loop, attach_edges = _analyze_chain(graph)
+    n, nodes = graph.n, graph.nodes
+    # the snapshots invert the input's lengths and twists
+    _refuse_first(np.array([nd.params.matrices() for nd in nodes]), tol, nodes)
+    params = {nd.name: nd.params for nd in nodes}
+    ends = [(_loop_twist(e.twist, e.upper[1]) if e is loop else as_matrix(e.twist), params[e.lower[0]].X1,
+             slot_glue_length(params[e.upper[0]], 3 if e is loop else e.upper[1]))
+            for e in ([loop] if loop else []) + attach_edges]
+    screen = _edge_screen(*map(np.array, zip(*ends)), tol, obstruct=True) if ends else None
+    for j in range(len(ends)):
+        screen[j]  # raises the first refused edge
+    sig = component_signature(graph, tol)
+    stacks, twists = _snapshot_stacks(graph, loop, attach_edges, np.arange(steps + 1) / steps)
+    _refuse_first(np.stack([x for nd in nodes for x in stacks[nd.name]], axis=1).reshape(-1, 3, n, n),
+                  tol, nodes)
     for x in [*itertools.chain(*stacks.values()), *twists.values()]:
         x.flags.writeable = False
     # snapshot i holds row i of every stack

@@ -159,15 +159,46 @@ def twist_element(x, s, xbar, sbar, g_twist, tol: Tolerance = DEFAULT_TOL) -> Sp
 
 def _twist_elements(x, s, xbar, sbar, g, tol: Tolerance, obstruct: bool = False) -> Slices:
     """twist_element on each slice of (k, n, n) stacks, in twist_element's
-    check order; the values are the (2n, 2n) twist elements.
+    check order; the values are the (2n, 2n) twist elements.  _edge_screen's
+    eigenvalues serve the resonance check of the Stein solves, which are one
+    stacked call.  A product that overflows refuses its slice (IllConditioned).
+    """
+    n = x.shape[1]
+    t, inv = (lambda m: m.swapaxes(-1, -2)), np.linalg.inv
+    out = _edge_screen(g, x, xbar, tol, obstruct)
+    g, x, xbar, s, sbar, eigs = (m[out.live] for m in (g, x, xbar, sym_part(s), sym_part(sbar), out.values))
+    ex, exbar = eigs.swapaxes(0, 1)
+    # -(x^T x + s) gives a positive definite solution, so yinv below is
+    # negative definite; it is the inverse of the lower form's second fixed point
+    q = sym_part(np.concatenate((-(t(x) @ x + s), -(np.eye(n) + t(xbar) @ sbar @ xbar))))
+    ps = _stein_solves(np.concatenate((x, xbar)), q, tol, np.concatenate((ex, exbar)))
+    g, x, xbar, s, sbar, lower, ybar = out.refuse(ps.first_of(2), g, x, xbar, s, sbar,
+                                                  *ps.values.reshape(2, -1, n, n))
+    yinv = -lower
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the twist element, standard_lower(x, s) and standard_upper(xbar, sbar)
+        syms = _make_symplectics(*(np.concatenate(b) for b in zip(
+            (ybar @ g @ yinv - inv(t(g)), -ybar @ g, g @ yinv, -g),
+            _standard_blocks(x, s), _upper_blocks(xbar, sbar))), tol)
+        gm, cm, cbarm = out.refuse(syms.first_of(3), *syms.values.reshape(3, -1, 2 * n, 2 * n))
+        residual = np.abs(gm @ _sp_inv(cm) @ _sp_inv(gm) - cbarm).max(axis=(-2, -1))
+    bound = np.sqrt(tol.eq_tol) * np.maximum(1.0, np.abs(cbarm).max(axis=(-2, -1)))
+    return out.finish(out.refuse([
+        None if r <= b else NotCompatible(f"twist conjugation residual {r:.3e}") if np.isfinite(r)
+        else IllConditioned(f"twist conjugation residual {r:.3e} is not finite")
+        for r, b in zip(residual.tolist(), bound.tolist())], gm))
 
-    Each length's eigenvalues, computed once, serve the contracting check and
-    the resonance check; both Stein solves are one stacked call.  With
-    obstruct, a length with an eigenvalue in the unit-circle band first
-    refuses its slice with the gluing step's CannotGlue.
+
+def _edge_screen(g, x, xbar, tol: Tolerance, obstruct: bool = False) -> Slices:
+    """The twist kernel's checks ahead of its Stein solves, on (k, n, n)
+    stacks of twists g and lower and upper lengths x and xbar, in its order:
+    with obstruct, a unit-modulus length (CannotGlue); a non-finite or
+    singular g, x or xbar, a g whose square overflows, a non-contracting x or
+    xbar; a defect outside the band of _twist_defect (NotCompatible), finite
+    by the bounds before it.  The values are the eigenvalues of x and xbar.
     """
     k, n = x.shape[:2]
-    t, inv, band = (lambda m: m.swapaxes(-1, -2)), np.linalg.inv, tol.unit_circle_band
+    band, big = tol.unit_circle_band, np.sqrt(np.finfo(float).max)   # a larger twist overflows
     out = Slices(k)
     mats = np.stack((g, x, xbar))
     finite = np.isfinite(mats).all(axis=(-2, -1))
@@ -179,6 +210,8 @@ def _twist_elements(x, s, xbar, sbar, g, tol: Tolerance, obstruct: bool = False)
             return CannotGlue("unit-modulus boundary length obstructs gluing")
         for j, what in enumerate(("twist parameter", "circle_class input", "circle_class input")):
             fault = IllConditioned(_NON_FINITE) if not finite[j, i] else _singular(sv[j, i], tol, what)
+            if fault is None and not j and sv[0, i, 0] > big:
+                fault = IllConditioned(f"twist parameter overflows (sigma_max = {sv[0, i, 0]:.3e})")
             if fault is None and j and not (np.abs(eigs[j - 1, i]) < 1.0 - band).all():
                 fault = NotContracting(f"{('lower', 'upper')[j - 1]} length must be "
                                        "contracting to build the twist element")
@@ -186,28 +219,11 @@ def _twist_elements(x, s, xbar, sbar, g, tol: Tolerance, obstruct: bool = False)
                 return fault
         return None
 
-    g, x, xbar, s, sbar, ex, exbar = out.refuse([spectral_fault(i) for i in range(k)],
-                                                 g, x, xbar, s, sbar, *eigs)
+    g, x, xbar, eigs = out.refuse([spectral_fault(i) for i in range(k)], g, x, xbar, eigs.swapaxes(0, 1))
     defect, over = _twist_defect(g, x, xbar, tol)
-    g, x, xbar, s, sbar, ex, exbar = out.refuse([
+    return out.finish(out.refuse([
         NotCompatible(f"twist does not conjugate the transposed length (defect {d:.3e})") if o else None
-        for d, o in zip(defect, over)], g, x, xbar, sym_part(s), sym_part(sbar), ex, exbar)
-    # -(x^T x + s) gives a positive definite solution, so yinv below is
-    # negative definite; it is the inverse of the lower form's second fixed point
-    q = sym_part(np.concatenate((-(t(x) @ x + s), -(np.eye(n) + t(xbar) @ sbar @ xbar))))
-    ps = _stein_solves(np.concatenate((x, xbar)), q, tol, np.concatenate((ex, exbar)))
-    g, x, xbar, s, sbar, lower, ybar = out.refuse(ps.first_of(2), g, x, xbar, s, sbar,
-                                                  *ps.values.reshape(2, -1, n, n))
-    yinv = -lower
-    # the twist element, standard_lower(x, s) and standard_upper(xbar, sbar)
-    syms = _make_symplectics(*(np.concatenate(b) for b in zip(
-        (ybar @ g @ yinv - inv(t(g)), -ybar @ g, g @ yinv, -g),
-        _standard_blocks(x, s), _upper_blocks(xbar, sbar))), tol)
-    gm, cm, cbarm = out.refuse(syms.first_of(3), *syms.values.reshape(3, -1, 2 * n, 2 * n))
-    residual = np.abs(gm @ _sp_inv(cm) @ _sp_inv(gm) - cbarm).max(axis=(-2, -1))
-    bound = np.sqrt(tol.eq_tol) * np.maximum(1.0, np.abs(cbarm).max(axis=(-2, -1)))
-    return out.finish(out.refuse([NotCompatible(f"twist conjugation residual {r:.3e}") if r > b else None
-                                  for r, b in zip(residual, bound)], gm))
+        for d, o in zip(defect, over)], eigs))
 
 
 def _twist_defect(g_twist, x, xbar, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
@@ -230,7 +246,7 @@ def _edge_twists(edges, tol: Tolerance) -> Slices:
     lower one and u = _slot_rotation(n, slot, upper): rotating the standard
     triple k times, (X1, X2, X3) -> (-X2, -X3, X1) each time, brings the
     slot to position 3 (upper, k = slot mod 3) or 1 (lower, k = slot - 1).
-    The pants are built ones, so every Xi is finite and invertible.
+    The pants are built already, so every Xi is finite and invertible.
     """
     if not edges:
         return Slices(0)
@@ -259,13 +275,9 @@ def _slot_rotation(n: int, slot: int, upper: bool) -> SpMat:
 
 def slot_glue_length(p: PantsParams, slot: int) -> np.ndarray:
     """The length datum a slot exposes to gluing: X1, -X2 or X3."""
-    if slot == 1:
-        return p.X1
-    if slot == 2:
-        return -p.X2
-    if slot == 3:
-        return p.X3
-    raise ValueError(f"slot must be 1, 2 or 3, got {slot}")
+    if slot not in (1, 2, 3):
+        raise ValueError(f"slot must be 1, 2 or 3, got {slot}")
+    return (p.X1, -p.X2, p.X3)[slot - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +375,9 @@ class GluingGraph:
                 if nb not in seen:
                     seen.add(nb)
                     stack.append(nb)
+        # a connected graph has at least len(nodes) - 1 edges, so its genus is not negative
         if len(seen) != len(self.nodes):
             raise GraphInvalid("graph is not connected")
-        g = len(self.edges) - len(self.nodes) + 1
-        if g < 0:
-            raise GraphInvalid("edge count below tree size; graph disconnected?")
-        if 3 * len(self.nodes) != 2 * len(self.edges) + len(self.boundaries):
-            raise GraphInvalid("port bookkeeping is inconsistent")
 
 
 # ---------------------------------------------------------------------------

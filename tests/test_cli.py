@@ -465,6 +465,39 @@ class TestCommands:
         assert code == 3
         assert "NotCompatible" in err
 
+    # a one-holed torus with X1 = X3 = x1, X2 = x2 and the given twist body;
+    # deform does not build it, and refuses it with the class the build gives
+    @pytest.mark.parametrize("x1, x2, twist, cls, code", [
+        ("0.5", "0.5", "0.0", "Singular", 4),
+        ("0.5", "0.5", "nan", "IllConditioned", 4),
+        ("0.5", "0.0", "1.0", "Singular", 4),
+        ("1.0", "0.5", "1.0", "CannotGlue", 3),
+        # the twist element's products would overflow
+        ("0.5", "0.5", "1e160", "IllConditioned", 4),
+    ], ids=["singular-twist", "nan-twist", "singular-length", "unit-circle-length", "overflow-twist"])
+    def test_deform_refuses_graph_as_build_does(self, tmp_path, capsys, monkeypatch, x1, x2, twist, cls, code):
+        import maxrep.cli
+        import maxrep.errors
+        # graph files hold finite numbers only, so a NaN twist is set after parsing
+        body = "1.0" if twist == "nan" else twist
+        f = tmp_path / "torus.mg"
+        f.write_text(TORUS_FILE.replace("  X1\n  0.5", f"  X1\n  {x1}").replace("  X3\n  0.5", f"  X3\n  {x1}")
+                     .replace("  X2\n  0.5", f"  X2\n  {x2}").replace("  1.0\nend", f"  {body}\nend"))
+        if twist == "nan":
+            def nan_twist(*args, **kwargs):
+                graph = parse_graph_file(*args, **kwargs)
+                graph.edges[0].twist[0, 0] = np.nan
+                return graph
+            monkeypatch.setattr(maxrep.cli, "parse_graph_file", nan_twist)
+        graph = maxrep.cli.parse_graph_file(str(f), False)
+        for run in (build_from_graph, deform_to_standard):
+            with pytest.raises(getattr(maxrep.errors, cls)):
+                run(graph)
+        for command in ("build", "deform"):
+            got, _, err = run_main([command, str(f)], capsys)
+            assert got == code
+            assert cls in err and "Traceback" not in err
+
     def test_deform_zero_steps(self, torus_file, capsys):
         code, _, err = run_main(["deform", torus_file, "--steps", "0"], capsys)
         assert code == 2

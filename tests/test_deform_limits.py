@@ -191,24 +191,47 @@ class TestDeform:
             for ab in zip(nd.params.matrices(), nd0.params.matrices())]
         assert max(np.abs(a - b).max() for a, b in pairs) <= 1e-14
 
-    def test_rep_input_is_not_rebuilt(self, rng, monkeypatch):
-        import maxrep.deform as deform
+    def test_rep_input_is_not_rebuilt(self, monkeypatch):
+        # neither a graph nor a representation is built: no build_from_graph
+        # call and none of its kernels, and both inputs give byte-identical
+        # snapshots and signatures
+        import maxrep.gluing as gluing
 
-        graph = chain_graph_with_random_params(1, 2, 2, rng)
-        rep = build_from_graph(graph)
-        expected = deform_to_standard(graph, steps=8)
+        graphs = [chain_graph_with_random_params(genus, m, n, np.random.default_rng(100 * genus + 10 * m + n))
+                  for genus, m in ((0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (1, 3)) for n in (1, 2, 3)]
+        reps = [build_from_graph(graph) for graph in graphs]
         calls = []
-        monkeypatch.setattr(deform, "build_from_graph",
-                            lambda *a, **k: calls.append(a) or build_from_graph(*a, **k))
-        path = deform_to_standard(rep, steps=8)
-        assert calls == []
-        assert path.signature == expected.signature
-        for snap, ref in zip(path.snapshots, expected.snapshots, strict=True):
-            for nd, nd_ref in zip(snap.nodes, ref.nodes, strict=True):
-                for a, b in zip(nd.params.matrices(), nd_ref.params.matrices()):
-                    assert a.tobytes() == b.tobytes()
-            for e, e_ref in zip(snap.edges, ref.edges, strict=True):
-                assert e.twist.tobytes() == e_ref.twist.tobytes()
+        for name in ("build_from_graph", "_build_maximal_stack", "_twist_elements"):
+            monkeypatch.setattr(gluing, name, lambda *a, _name=name, _real=getattr(gluing, name), **k:
+                                calls.append(_name) or _real(*a, **k))
+        for graph, rep in zip(graphs, reps):
+            path, expected = deform_to_standard(graph, steps=8), deform_to_standard(rep, steps=8)
+            assert calls == []
+            assert path.signature == expected.signature == component_signature(rep)
+            for snap, ref in zip(path.snapshots, expected.snapshots, strict=True):
+                for nd, nd_ref in zip(snap.nodes, ref.nodes, strict=True):
+                    for a, b in zip(nd.params.matrices(), nd_ref.params.matrices()):
+                        assert a.tobytes() == b.tobytes()
+                for e, e_ref in zip(snap.edges, ref.edges, strict=True):
+                    assert e.twist.tobytes() == e_ref.twist.tobytes()
+
+    def test_edges_screened_in_one_call_of_the_builds_screen(self, rng, monkeypatch):
+        import maxrep.deform as deform
+        import maxrep.gluing as gluing
+
+        calls = []
+
+        def counted(g, x, xbar, tol, obstruct=False, _real=gluing._edge_screen):
+            calls.append((len(g), obstruct))
+            return _real(g, x, xbar, tol, obstruct)
+
+        monkeypatch.setattr(deform, "_edge_screen", counted)
+        monkeypatch.setattr(gluing, "_edge_screen", counted)
+        graph = chain_graph_with_random_params(1, 3, 2, rng)
+        deform_to_standard(graph, steps=4)
+        build_from_graph(graph)
+        # the handle and two attach edges, with the gluing step's obstruction
+        assert calls == [(3, True), (3, True)]
 
     def test_snapshots_do_not_share_writable_arrays(self, rng):
         path = deform_to_standard(chain_graph_with_random_params(1, 2, 2, rng), steps=4)

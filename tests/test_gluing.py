@@ -546,6 +546,23 @@ class TestEdgeConjugator:
         _, over = _twist_defect(np.eye(2), np.eye(2), np.full((2, 2), np.nan), DEFAULT_TOL)
         assert over
 
+    @pytest.mark.parametrize("twist, message", [
+        # the edge screen refuses a twist whose square overflows, in the
+        # build and in deform alike
+        (1e160, "twist parameter overflows"),
+        # just below that bound the conjugation residual overflows
+        (1e154, "twist conjugation residual inf is not finite"),
+    ])
+    def test_overflowing_twist_is_ill_conditioned(self, twist, message):
+        with pytest.raises(IllConditioned, match=message):
+            close_handle([[0.5]], [[0.5]], [[twist]])
+        if twist == 1e160:
+            graph = GluingGraph((PantsNode("p0", PantsParams(0.5, 0.5, 0.5)),),
+                                (GraphEdge(("p0", 3), ("p0", 1), np.array([[twist]])),),
+                                (GraphBoundary(("p0", 2), "C1"),))
+            with pytest.raises(IllConditioned, match=message):
+                deform_to_standard(graph, steps=5)
+
     def test_non_finite_residual_refused(self, rng, monkeypatch):
         x1, x2, h = random_handle_data(2, rng)
         monkeypatch.setattr(maxrep.gluing, "relation_residual", lambda *args: np.nan)
