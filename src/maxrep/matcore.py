@@ -12,11 +12,15 @@ from __future__ import annotations
 
 import enum
 import itertools
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 from typing import ClassVar
 
 import numpy as np
-from scipy.linalg.lapack import dgees, dtrsyl
+import scipy
 
 from .errors import _NON_FINITE, IllConditioned, NearSingular, ResonantSpectrum, Singular, Slices
 
@@ -29,7 +33,6 @@ __all__ = [
     "rel_bound",
     "check_finite",
     "sym_part",
-    "is_symmetric",
     "require_symmetric",
     "require_invertible",
     "circle_class",
@@ -38,6 +41,24 @@ __all__ = [
     "similarity_witness",
     "factor_signature",
 ]
+
+
+def _flapack():
+    """scipy's compiled LAPACK wrappers, which scipy.linalg.lapack re-exports, loaded
+    without scipy/linalg/__init__.py, whose import takes 0.25 s of CPU and 28 MB."""
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        where = os.path.join(scipy.__path__[0], "linalg")
+        spec = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+        if spec is None:
+            raise ImportError(f"no {name} extension in {where}; maxrep needs scipy >= 1.10")
+        sys.modules[name] = module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+_LAPACK = _flapack()
+dgees, dtrsyl = _LAPACK.dgees, _LAPACK.dtrsyl
 
 
 @dataclass(frozen=True)
@@ -111,15 +132,11 @@ def sym_part(m: np.ndarray) -> np.ndarray:
     return (m + m.swapaxes(-1, -2)) / 2.0
 
 
-def is_symmetric(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return norm_inf(m - m.T) <= rel_bound(tol.eq_tol, m)
-
-
 def require_symmetric(m, tol: Tolerance = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:
     """Validate symmetry within tolerance and return the symmetrised copy."""
     m = as_matrix(m)
     check_finite(m)
-    if not is_symmetric(m, tol):
+    if norm_inf(m - m.T) > rel_bound(tol.eq_tol, m):
         raise ValueError(f"{what} is not symmetric within tolerance "
                          f"(defect {norm_inf(m - m.T):.3e})")
     return sym_part(m)
@@ -172,9 +189,9 @@ def _unit_circle_masks(x: np.ndarray, band: float) -> tuple[np.ndarray, ...]:
 
 def _real_schur(x: np.ndarray, select=None, error=np.linalg.LinAlgError):
     """(T, Z, k): real Schur form T = Z^T X Z by LAPACK dgees, the k
-    eigenvalues that select(re, im) accepts leading.  LAPACK directly:
-    scipy.linalg.schur's workspace query and checks cost several times the
-    factorization at small sizes.  A nonzero info raises error."""
+    eigenvalues that select(re, im) accepts leading.  scipy's dgees wrapper
+    directly: scipy.linalg.schur's import, workspace query and checks cost
+    more than the factorization at small sizes.  A nonzero info raises error."""
     t, k, _, _, z, _, info = (dgees(select, x, sort_t=1) if select
                               else dgees(lambda re, im: None, x))
     if info:

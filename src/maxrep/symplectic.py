@@ -156,11 +156,14 @@ def _make_symplectics(a, b, c, d, tol: Tolerance) -> Slices:
     broadcast); the values are the (2n, 2n) matrices."""
     out = Slices(len(a))
     m = out.screen(_block(a, b, c, d))
-    res = _symplectic_defects(m)
-    bad = res.max(axis=-1) > tol.eq_tol * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = _symplectic_defects(m)
+    bound = tol.eq_tol * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    # an overflowed defect is no verdict, and a NaN one passes any bound
     return out.finish(out.refuse([
-        NotSymplectic(f"relation '{_RELATIONS[int(np.argmax(res[i]))]}' fails with residual {res[i].max():.3e}")
-        if over else None for i, over in enumerate(bad.tolist())], m))
+        None if r <= b else NotSymplectic(f"relation '{_RELATIONS[d.argmax()]}' fails with residual {r:.3e}")
+        if np.isfinite(r) else IllConditioned(f"block-relation defect {r:.3e} is not finite")
+        for d, r, b in zip(res, res.max(axis=-1).tolist(), bound.tolist())], m))
 
 
 def _sp_inv(m: np.ndarray) -> np.ndarray:

@@ -550,8 +550,9 @@ class TestEdgeConjugator:
         # the edge screen refuses a twist whose square overflows, in the
         # build and in deform alike
         (1e160, "twist parameter overflows"),
-        # just below that bound the conjugation residual overflows
-        (1e154, "twist conjugation residual inf is not finite"),
+        # just below that bound the twist element's block-relation defect
+        # overflows, ahead of the conjugation residual
+        (1e154, "block-relation defect nan is not finite"),
     ])
     def test_overflowing_twist_is_ill_conditioned(self, twist, message):
         with pytest.raises(IllConditioned, match=message):

@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, lapack
 
 from maxrep import matcore
 from maxrep.errors import IllConditioned, NearSingular, ResonantSpectrum, Singular
@@ -238,6 +242,52 @@ class TestStein:
         assert [type(r).__name__ for r in outcomes(stacked)] == [
             "ndarray", "ResonantSpectrum", "ndarray", "IllConditioned", "IllConditioned", "ndarray",
             "IllConditioned", "ndarray"]
+
+
+def run_python(code: str, *first: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports the maxrep this session
+    imported, with the directories first ahead of it on the path."""
+    src = os.path.dirname(os.path.dirname(matcore.__file__))
+    path = os.pathsep.join(filter(None, (*first, src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+class TestLapackWrappers:
+    def test_cli_import_loads_no_scipy_linalg_package_module(self):
+        proc = run_python("import sys, maxrep.cli\n"
+                          "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "['scipy.linalg._flapack']"
+
+    @pytest.mark.parametrize("first, second", [("maxrep.matcore", "scipy.linalg.lapack"),
+                                               ("scipy.linalg.lapack", "maxrep.matcore")])
+    def test_one_wrapper_module_in_either_import_order(self, first, second):
+        proc = run_python(f"import {first}, {second}, maxrep.matcore as m, scipy.linalg.lapack as l\n"
+                          "assert m.dgees is l.dgees and m.dtrsyl is l.dtrsyl")
+        assert proc.returncode == 0, proc.stderr
+
+    def test_scipy_without_the_wrappers_refused(self, tmp_path):
+        (tmp_path / "scipy" / "linalg").mkdir(parents=True)
+        (tmp_path / "scipy" / "__init__.py").write_text("")
+        proc = run_python("import maxrep.matcore", str(tmp_path))
+        assert proc.returncode != 0
+        assert f"no scipy.linalg._flapack extension in {tmp_path / 'scipy' / 'linalg'}" in proc.stderr
+        assert "ImportError" in proc.stderr and "scipy >= 1.10" in proc.stderr
+
+    def test_routines_are_scipys(self):
+        assert matcore.dgees is lapack.dgees and matcore.dtrsyl is lapack.dtrsyl
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_real_schur_matches_scipy_dgees(self, n):
+        # unsorted, and sorted with the eigenvalues inside the unit circle leading
+        x = np.random.default_rng(100 + n).normal(size=(n, n))
+        inside = lambda re, im: re * re + im * im < 1.0
+        for select, (t, k, _, _, z, _, info) in ((None, lapack.dgees(lambda re, im: None, x)),
+                                                 (inside, lapack.dgees(inside, x, sort_t=1))):
+            got = matcore._real_schur(x, select)
+            assert info == 0 and got[2] == k
+            assert [a.tobytes() for a in got[:2]] == [t.tobytes(), z.tobytes()]
 
 
 class TestAsMatrix:

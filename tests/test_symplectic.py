@@ -74,6 +74,26 @@ class TestMakeSymplectic:
         assert_slices_match(stacked, make_symplectic, cases)
         assert stacked.live == [0, 2, 6]
 
+    def test_overflowed_defect_refused(self):
+        # 1e160^2 overflows and inf - inf makes the defect NaN, which passes
+        # any bound, so this singular matrix must be refused, without warnings
+        with pytest.raises(IllConditioned):
+            make_symplectic([[1e160]], [[1e160]], [[1e160]], [[1e160]])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stack_refuses_only_the_overflowed_slices(self, n, rng):
+        # a NaN defect (every block 1e160 I) and an Inf one (A = D = 1e160 I)
+        # between good slices; RuntimeWarnings are errors in this suite
+        def blocks(m):
+            return tuple(m[i * n:(i + 1) * n, j * n:(j + 1) * n] for i in (0, 1) for j in (0, 1))
+        big, zero = 1e160 * np.eye(n), np.zeros((n, n))
+        good = [blocks(random_symplectic(n, rng).m) for _ in range(3)]
+        cases = [good[0], (big,) * 4, good[1], (big, zero, zero, big), good[2]]
+        stacked = _make_symplectics(*(np.array(x) for x in zip(*cases)), DEFAULT_TOL)
+        assert_slices_match(stacked, make_symplectic, cases)
+        assert stacked.live == [0, 2, 4]
+        assert all(isinstance(stacked.refusals[i], IllConditioned) for i in (1, 3))
+
 
 class TestInverse:
     def test_identity(self):
