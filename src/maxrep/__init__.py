@@ -96,11 +96,11 @@ from .gluing import (
     PantsNode,
     SurfaceRep,
     build_from_graph,
+    build_glued,
     can_glue,
     close_handle,
-    close_pair,
     component_signature,
-    glue_reps,
+    glue_graphs,
     pants_surface_rep,
     standard_lower,
     standard_upper,

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .deform import deform_to_standard
-from .errors import MathematicalRefusal, NumericalBreakdown
+from .errors import GraphInvalid, MathematicalRefusal, NumericalBreakdown
 from .gluing import (
     GluingGraph,
     GraphBoundary,
@@ -32,8 +32,9 @@ from .gluing import (
     PantsNode,
     SurfaceRep,
     build_from_graph,
+    build_glued,
     component_signature,
-    glue_reps,
+    glue_graphs,
     relation_residual,
 )
 from .limits import limit_set_sample
@@ -370,22 +371,24 @@ def cmd_components(args, tol: Tolerance) -> list:
 def cmd_glue(args, tol: Tolerance) -> list:
     graph1 = parse_graph_file(args.file1, args.strict)
     graph2 = parse_graph_file(args.file2, args.strict)
-    rep1 = build_from_graph(graph1, tol)
-    rep2 = build_from_graph(graph2, tol)
-    for path, rep, label in ((args.file1, rep1, args.boundary1),
-                             (args.file2, rep2, args.boundary2)):
-        if label not in rep.boundary_labels():
+    if graph1.n != graph2.n:
+        raise ParseError(f"cannot glue files of different n: {args.file1} has n {graph1.n}, "
+                         f"{args.file2} has n {graph2.n}")
+    for path, graph, label in ((args.file1, graph1, args.boundary1),
+                               (args.file2, graph2, args.boundary2)):
+        if label not in {b.label for b in graph.boundaries}:
             raise ParseError(f"{path} has no boundary labelled {label!r}")
-    overlap = (set(rep1.boundary_labels()) - {args.boundary1}) \
-        & (set(rep2.boundary_labels()) - {args.boundary2})
-    if overlap:
-        raise ParseError(f"boundary labels collide: {sorted(overlap)}")
     reader = _Reader(args.twist_file)
     twist = reader.matrix(graph1.n, args.strict, end=False)
     if reader.pos < len(reader.lines):
         raise ParseError("expected end of file after the twist matrix",
                          reader.lines[reader.pos][0])
-    rep = glue_reps(rep1, args.boundary1, rep2, args.boundary2, twist, tol)
+    try:
+        # what the glued graph refuses, such as colliding labels, is bad input
+        glue_graphs(graph1, args.boundary1, graph2, args.boundary2, twist)
+    except GraphInvalid as exc:
+        raise ParseError(str(exc)) from None
+    rep = build_glued(graph1, args.boundary1, graph2, args.boundary2, twist, tol)
     _write_out(args.out, lambda fh: write_rep_file(rep, fh))
     return [("status", "ok"), ("surface", f"genus {rep.genus}, boundaries {rep.m}"),
             ("relation residual", f"{rep.relation_residual:.6e}")]

@@ -263,11 +263,11 @@ def _analyze_chain(graph: GluingGraph) -> tuple[GraphEdge | None, list[GraphEdge
         raise GraphInvalid("deformation supports at most one handle, on the first node")
     if closures:
         raise GraphInvalid("extra internal edges; not a chain-shaped graph")
-    for node, e in zip(graph.nodes[1:], attach_edges):
-        if e.lower != (node.name, 1):
+    for node, (name, e) in zip(graph.nodes[1:], attach_edges.items()):
+        if name != node.name or e.lower != (node.name, 1):
             raise GraphInvalid(
                 f"node {node.name!r} must attach through its port 1 to the prefix")
-    return self_edges.get(graph.nodes[0].name), attach_edges
+    return self_edges.get(graph.nodes[0].name), list(attach_edges.values())
 
 
 @dataclass(frozen=True)
@@ -374,8 +374,6 @@ def deform_to_standard(rep_or_graph, steps: int = 100,
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
     graph = rep_or_graph.graph if isinstance(rep_or_graph, SurfaceRep) else rep_or_graph
-    if graph is None:
-        raise NotMaximal("representation carries no gluing graph to deform")
     loop, attach_edges = _analyze_chain(graph)
     n, nodes = graph.n, graph.nodes
     # the snapshots invert the input's lengths and twists

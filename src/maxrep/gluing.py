@@ -49,12 +49,7 @@ from .matcore import (
     sym_part,
 )
 from .normalform import _standard_blocks
-from .pants import (
-    PantsParams,
-    PantsRep,
-    _build_maximal_stack,
-    build_maximal,
-)
+from .pants import PantsParams, _build_maximal_stack
 from .symplectic import (
     SpMat,
     _make_symplectics,
@@ -80,9 +75,9 @@ __all__ = [
     "SurfaceRep",
     "pants_surface_rep",
     "close_handle",
-    "glue_reps",
-    "close_pair",
+    "glue_graphs",
     "build_from_graph",
+    "build_glued",
     "component_signature",
     "slot_glue_length",
     "relation_residual",
@@ -357,8 +352,9 @@ class GluingGraph:
             if as_matrix(e.twist).shape != (n, n):
                 raise GraphInvalid("twist dimension mismatch")
         labels = [b.label for b in self.boundaries]
-        if len(set(labels)) != len(labels):
-            raise GraphInvalid("duplicate boundary labels")
+        repeated = sorted({x for x in labels if labels.count(x) > 1})
+        if repeated:
+            raise GraphInvalid(f"boundary labels collide: {repeated}")
         for b in self.boundaries:
             use(b.port)
         if len(used) != 3 * len(self.nodes):
@@ -380,13 +376,43 @@ class GluingGraph:
             raise GraphInvalid("graph is not connected")
 
 
+def glue_graphs(upper: GluingGraph, upper_label: str, lower: GluingGraph, lower_label: str,
+                twist) -> GluingGraph:
+    """The gluing graph of two surfaces joined by one new edge, from boundary
+    upper_label of upper (upper side) to boundary lower_label of lower (lower
+    side), with the given twist.
+
+    Node names get the prefixes "1." and "2.".  The nodes are upper's, then
+    lower's, each in its own order; the edges upper's, the new edge, then
+    lower's; the boundaries upper's, then lower's, without the two glued
+    ones.  An unknown label, and whatever GluingGraph.validate refuses,
+    raise GraphInvalid.
+    """
+    sides = []
+    for prefix, graph, glued in (("1.", upper, upper_label), ("2.", lower, lower_label)):
+        rename = lambda port, prefix=prefix: (prefix + port[0], port[1])
+        port = next((b.port for b in graph.boundaries if b.label == glued), None)
+        if port is None:
+            raise GraphInvalid(f"no boundary labelled {glued!r}")
+        sides.append((
+            tuple(PantsNode(prefix + nd.name, nd.params) for nd in graph.nodes),
+            tuple(GraphEdge(rename(e.upper), rename(e.lower), e.twist) for e in graph.edges),
+            tuple(GraphBoundary(rename(b.port), b.label) for b in graph.boundaries if b.label != glued),
+            rename(port),
+        ))
+    (up_nodes, up_edges, up_bounds, up_port), (lo_nodes, lo_edges, lo_bounds, lo_port) = sides
+    graph = GluingGraph(up_nodes + lo_nodes, up_edges + (GraphEdge(up_port, lo_port, twist),) + lo_edges,
+                        up_bounds + lo_bounds)
+    graph.validate()
+    return graph
+
+
 # ---------------------------------------------------------------------------
 # surface representations
 
 
 @dataclass(frozen=True, eq=False)
 class PortRef:
-    node: int
     slot: int
     conjugator: SpMat
     label: str
@@ -394,7 +420,8 @@ class PortRef:
 
 @dataclass(frozen=True, eq=False)
 class SurfaceRep:
-    """Generator images of a surface group, with provenance of each boundary."""
+    """Generator images of a surface group, with provenance of each boundary
+    and the gluing graph they were built from."""
 
     n: int
     genus: int
@@ -402,10 +429,10 @@ class SurfaceRep:
     b_imgs: tuple[SpMat, ...]
     c_imgs: tuple[SpMat, ...]
     ports: tuple[PortRef, ...]
-    nodes: tuple[PantsParams, ...]
-    handle_signs: tuple[tuple[int, int], ...] = ()
+    # the graph the representation was built from; a partial surface inside
+    # a build carries the graph being built
+    graph: GluingGraph
     relation_residual: float = 0.0
-    graph: GluingGraph | None = None
     # each graph node's (membership class, product signature) from the build's
     # own check, in graph order; indexing raises a refused signature
     node_checks: Slices | None = None
@@ -472,21 +499,10 @@ def _checked_surface(rep: SurfaceRep, tol: Tolerance) -> SurfaceRep:
 
 def pants_surface_rep(params: PantsParams, tol: Tolerance = DEFAULT_TOL,
                       labels: tuple[str, str, str] = ("1", "2", "3")) -> SurfaceRep:
-    """A three-holed sphere as a surface representation (no gluing)."""
-    return _pants_surface(params, build_maximal(params, tol), labels)
-
-
-def _pants_surface(params: PantsParams, rep: PantsRep, labels) -> SurfaceRep:
-    ident = sp_identity(params.n)
-    ports = tuple(PortRef(0, slot, ident, labels[slot - 1]) for slot in (1, 2, 3))
-    return SurfaceRep(
-        n=params.n, genus=0,
-        a_imgs=(), b_imgs=(),
-        c_imgs=(rep.c1, rep.c2, rep.c3),
-        ports=ports,
-        nodes=(params,),
-        relation_residual=rep.relation_residual,
-    )
+    """A three-holed sphere as a surface representation: the build of the
+    one-node graph p whose ports 1, 2, 3 are boundaries under labels."""
+    boundaries = tuple(GraphBoundary(("p", s), label) for s, label in zip((1, 2, 3), labels))
+    return build_from_graph(GluingGraph((PantsNode("p", params),), (), boundaries), tol)
 
 
 def close_handle(x1, x2, g_twist, tol: Tolerance = DEFAULT_TOL,
@@ -584,69 +600,48 @@ def _symplectify(a: np.ndarray) -> np.ndarray:
 
 
 def _edge_twist(rep_up: SurfaceRep, idx_up: int,
-                rep_lo: SurfaceRep, idx_lo: int,
-                g_twist, tol: Tolerance, tw: SpMat | None = None) -> SpMat:
-    """The global conjugator h with h . img_lo . h^{-1} = img_up^{-1}.
+                rep_lo: SurfaceRep, idx_lo: int, tw: SpMat) -> SpMat:
+    """The global conjugator h with h . img_lo . h^{-1} = img_up^{-1}, from
+    the edge's twist element tw as _edge_twists formed it.
 
-    tw is the edge's twist element when _edge_twists formed it beforehand;
-    None forms it here.  The product is formed in extended
-    precision, which keeps its conjugation defect at rounding level; an
-    overflow in it raises IllConditioned.
+    The product is formed in extended precision, which keeps its conjugation
+    defect at rounding level; an overflow in it raises IllConditioned.
     """
     up, lo = rep_up.ports[idx_up], rep_lo.ports[idx_lo]
-    if tw is None:
-        tw = SpMat(_edge_twists([(rep_up.nodes[up.node], up.slot,
-                                  rep_lo.nodes[lo.node], lo.slot, g_twist)], tol)[0])
     h = _ld_product(up.conjugator @ _slot_rotation(rep_up.n, up.slot, True), tw,
                     sp_inverse(lo.conjugator @ _slot_rotation(rep_lo.n, lo.slot, False)))
     check_finite(h.m)
     return h
 
 
-def glue_reps(rep1: SurfaceRep, label1: str, rep2: SurfaceRep, label2: str,
-              g_twist, tol: Tolerance = DEFAULT_TOL) -> SurfaceRep:
-    """Glue boundary label1 of rep1 to boundary label2 of rep2 with a twist.
-
-    rep1's boundary is consumed in upper position, rep2's in lower position;
-    the twist must satisfy length_up = G length_lo^T G^{-1}.  The result
+def _amalgamate(rep1: SurfaceRep, label1: str, rep2: SurfaceRep, label2: str,
+                tw: SpMat, tol: Tolerance) -> SurfaceRep:
+    """Glue boundary label1 of rep1, in upper position, to boundary label2 of
+    rep2, in lower position, through the edge's twist element tw.  The result
     carries rep1's remaining boundaries first, then rep2's, and rep2's handle
-    generators before rep1's.
-    """
-    return _glue_reps(rep1, label1, rep2, label2, g_twist, tol)
-
-
-def _glue_reps(rep1: SurfaceRep, label1: str, rep2: SurfaceRep, label2: str,
-               g_twist, tol: Tolerance, tw: SpMat | None = None) -> SurfaceRep:
-    if rep1.n != rep2.n:
-        raise CannotGlue("matrix dimensions differ")
-    overlap = (set(rep1.boundary_labels()) - {label1}) & \
-              (set(rep2.boundary_labels()) - {label2})
-    if overlap:
-        raise ValueError(f"boundary labels collide: {sorted(overlap)}")
+    generators before rep1's."""
     rep1 = _move_boundary(rep1, label1, rep1.m - 1)
     rep2 = _move_boundary(rep2, label2, 0)
-    h = _edge_twist(rep1, rep1.m - 1, rep2, 0, g_twist, tol, tw)
+    h = _edge_twist(rep1, rep1.m - 1, rep2, 0, tw)
     h1, h2 = _polar_split(h)
     rep1 = _conjugate_rep(rep1, h1)
     rep2 = _conjugate_rep(rep2, h2)
-    offset = len(rep1.nodes)
-    shift = lambda p: replace(p, node=p.node + offset)
     out = SurfaceRep(
         n=rep1.n,
         genus=rep1.genus + rep2.genus,
         a_imgs=rep2.a_imgs + rep1.a_imgs,
         b_imgs=rep2.b_imgs + rep1.b_imgs,
         c_imgs=rep1.c_imgs[:-1] + rep2.c_imgs[1:],
-        ports=rep1.ports[:-1] + tuple(shift(p) for p in rep2.ports[1:]),
-        nodes=rep1.nodes + rep2.nodes,
-        handle_signs=rep1.handle_signs + rep2.handle_signs,
+        ports=rep1.ports[:-1] + rep2.ports[1:],
+        graph=rep1.graph,
     )
     return _checked_surface(out, tol)
 
 
-def close_pair(rep: SurfaceRep, upper_label: str, lower_label: str,
-               g_twist, tol: Tolerance = DEFAULT_TOL) -> SurfaceRep:
-    """Close two boundaries of one connected surface into a handle.
+def _close_boundaries(rep: SurfaceRep, upper_label: str, lower_label: str,
+                      tw: SpMat, tol: Tolerance) -> SurfaceRep:
+    """Close two boundaries of one connected surface into a handle, through
+    the edge's twist element tw.
 
     The lower boundary moves to the first position and the upper to the
     last, which are cyclically adjacent in the defining relation, so the
@@ -655,13 +650,6 @@ def close_pair(rep: SurfaceRep, upper_label: str, lower_label: str,
     to C_m; older handle generators are conjugated by C_1, exactly as the
     relation reshapes to the standard presentation.
     """
-    return _close_pair(rep, upper_label, lower_label, g_twist, tol)
-
-
-def _close_pair(rep: SurfaceRep, upper_label: str, lower_label: str,
-                g_twist, tol: Tolerance, tw: SpMat | None = None) -> SurfaceRep:
-    if upper_label == lower_label:
-        raise CannotGlue("cannot close a boundary against itself")
     if rep.m == 2:
         # only the closing pair remains: with the upper boundary first the
         # relation is already H [C_2, T], so nothing needs dressing.  The
@@ -671,9 +659,8 @@ def _close_pair(rep: SurfaceRep, upper_label: str, lower_label: str,
         # residual from at most 2e-8 to between 5e-3 and 4e8
         rep = _move_boundary(rep, upper_label, 0)
         rep = _move_boundary(rep, lower_label, 1)
-        t = _edge_twist(rep, 0, rep, 1, g_twist, tol, tw)
-        low_idx, new_a = 1, rep.c_imgs[1]
-        a_imgs = (new_a,) + rep.a_imgs
+        t = _edge_twist(rep, 0, rep, 1, tw)
+        a_imgs = (rep.c_imgs[1],) + rep.a_imgs
         b_imgs = (t,) + rep.b_imgs
     else:
         # lower first, upper last (cyclically adjacent); the relation
@@ -681,14 +668,12 @@ def _close_pair(rep: SurfaceRep, upper_label: str, lower_label: str,
         # the remaining boundaries untouched
         rep = _move_boundary(rep, lower_label, 0)
         rep = _move_boundary(rep, upper_label, rep.m - 1)
-        t = _edge_twist(rep, rep.m - 1, rep, 0, g_twist, tol, tw)
-        low_idx, new_a = 0, rep.c_imgs[0]
+        t = _edge_twist(rep, rep.m - 1, rep, 0, tw)
+        new_a = rep.c_imgs[0]
         c1_inv = sp_inverse(new_a)
         dress = lambda g: _ld_product(new_a, g, c1_inv)
         a_imgs = (new_a,) + tuple(dress(a) for a in rep.a_imgs)
         b_imgs = (t,) + tuple(dress(b) for b in rep.b_imgs)
-    low_port = rep.ports[low_idx]
-    low_len = rep.nodes[low_port.node].matrices()[low_port.slot - 1]
     out = SurfaceRep(
         n=rep.n,
         genus=rep.genus + 1,
@@ -696,8 +681,7 @@ def _close_pair(rep: SurfaceRep, upper_label: str, lower_label: str,
         b_imgs=b_imgs,
         c_imgs=rep.c_imgs[1:-1],
         ports=rep.ports[1:-1],
-        nodes=rep.nodes,
-        handle_signs=rep.handle_signs + (_handle_signs(low_len, g_twist),),
+        graph=rep.graph,
     )
     return _checked_surface(out, tol)
 
@@ -706,15 +690,17 @@ def _close_pair(rep: SurfaceRep, upper_label: str, lower_label: str,
 # building from a graph
 
 
-def _gluing_plan(graph: GluingGraph) -> tuple[dict[str, GraphEdge], list[GraphEdge],
+def _gluing_plan(graph: GluingGraph) -> tuple[dict[str, GraphEdge], dict[str, GraphEdge],
                                                list[GraphEdge]]:
     """The builder's choice of edges: (self edges, tree edges, closure edges).
 
     Self edges are keyed by node name in node order; each must join ports 1
-    and 3 of its node (the handle-block shape).  Every node after the first
-    is attached by the first pending edge, in edge order, that joins it to
-    the nodes before it; these tree edges come in node order.  The edges
-    left over are closed as handles, in edge order.
+    and 3 of its node (the handle-block shape).  After the first node, each
+    step attaches the first pending node, in node order, that an edge joins
+    to the nodes attached so far, by the first such edge in edge order; a
+    graph listed in gluing order is attached in node order.  These tree
+    edges are keyed by node name in attaching order.  The edges left over
+    are closed as handles, in edge order.
     """
     graph.validate()
     self_edges: dict[str, GraphEdge] = {}
@@ -729,19 +715,18 @@ def _gluing_plan(graph: GluingGraph) -> tuple[dict[str, GraphEdge], list[GraphEd
             self_edges[name] = e
         else:
             cross_edges.append(e)
-    in_prefix = {graph.nodes[0].name}
-    tree_edges: list[GraphEdge] = []
-    for node in graph.nodes[1:]:
-        tree_edge = next((e for e in cross_edges
-                          if node.name in (e.upper[0], e.lower[0])
-                          and {e.upper[0], e.lower[0]} - {node.name} <= in_prefix), None)
-        if tree_edge is None:
-            raise GraphInvalid(
-                f"node {node.name!r} does not connect to the nodes before it; "
-                "list nodes in gluing order")
+    attached = {graph.nodes[0].name}
+    pending = [nd.name for nd in graph.nodes[1:]]
+    tree_edges: dict[str, GraphEdge] = {}
+    while pending:
+        # the graph is connected, so some pending node has an edge to the attached ones
+        name, tree_edge = next((name, e) for name in pending for e in cross_edges
+                               if name in (e.upper[0], e.lower[0])
+                               and {e.upper[0], e.lower[0]} - {name} <= attached)
         cross_edges.remove(tree_edge)
-        tree_edges.append(tree_edge)
-        in_prefix.add(node.name)
+        pending.remove(name)
+        tree_edges[name] = tree_edge
+        attached.add(name)
     ordered = {nd.name: self_edges[nd.name] for nd in graph.nodes if nd.name in self_edges}
     return ordered, tree_edges, cross_edges
 
@@ -766,12 +751,11 @@ def _loop_twist(twist, upper_port: int) -> np.ndarray:
 def build_from_graph(graph: GluingGraph, tol: Tolerance = DEFAULT_TOL) -> SurfaceRep:
     """Assemble the surface representation described by a gluing graph.
 
-    Nodes must be listed in gluing order: each node after the first connects
-    to the prefix through at least one internal edge.  A self-edge must join
-    ports 1 and 3 of its node (the handle-block shape); remaining edges
-    between already-joined nodes are closed as handles at the end.  The
-    handle signs come in the order component_signature reads them off the
-    graph: self-edge handles in node order, then closures in edge order.
+    Nodes are attached in _gluing_plan's order: node order, where a node
+    that joins none of the nodes attached so far waits for one that does.
+    A self-edge must join ports 1 and 3 of its node (the handle-block
+    shape); remaining edges between already-joined nodes are closed as
+    handles at the end.
 
     Every node's pants images come from one stacked forward-map call and
     every edge's twist element, a self-edge's in the handle orientation of
@@ -786,7 +770,7 @@ def build_from_graph(graph: GluingGraph, tol: Tolerance = DEFAULT_TOL) -> Surfac
     # indexing a Slices raises its refusal: the first refused node, then edge
     pants = {nd.name: reps[i] for i, nd in enumerate(graph.nodes)}
     # every edge as the twist kernel reads it, a self-edge in the handle orientation
-    plan = [*self_edges.values(), *tree_edges, *closures]
+    plan = [*self_edges.values(), *tree_edges.values(), *closures]
     read = {e: GraphEdge((e.upper[0], 3), (e.lower[0], 1), _loop_twist(e.twist, e.upper[1]))
             if e.upper[0] == e.lower[0] else e for e in plan}
     twists = _edge_twists([(params[r.upper[0]], r.upper[1], params[r.lower[0]], r.lower[1], r.twist)
@@ -794,23 +778,27 @@ def build_from_graph(graph: GluingGraph, tol: Tolerance = DEFAULT_TOL) -> Surfac
     tws = {e: SpMat(twists[j]) for j, e in enumerate(plan)}
 
     def close(rep: SurfaceRep, e: GraphEdge) -> SurfaceRep:
-        r = read[e]
-        return _close_pair(rep, label(r.upper), label(r.lower), r.twist, tol, tws[e])
+        return _close_boundaries(rep, label(read[e].upper), label(read[e].lower), tws[e], tol)
 
-    def fresh_block(node: PantsNode) -> SurfaceRep:
-        block = _pants_surface(node.params, pants[node.name], [label((node.name, s)) for s in (1, 2, 3)])
-        return close(block, self_edges[node.name]) if node.name in self_edges else block
+    ident = sp_identity(graph.n)
 
-    built = fresh_block(graph.nodes[0])
-    handle_signs = built.handle_signs
-    for node, e in zip(graph.nodes[1:], tree_edges):
-        block = fresh_block(node)
-        handle_signs += block.handle_signs
+    def fresh_block(name: str) -> SurfaceRep:
+        block = SurfaceRep(
+            n=graph.n, genus=0,
+            a_imgs=(), b_imgs=(),
+            c_imgs=pants[name].generators(),
+            ports=tuple(PortRef(s, ident, label((name, s))) for s in (1, 2, 3)),
+            graph=graph,
+            relation_residual=pants[name].relation_residual,
+        )
+        return close(block, self_edges[name]) if name in self_edges else block
+
+    built = fresh_block(graph.nodes[0].name)
+    for name, e in tree_edges.items():
+        block = fresh_block(name)
         # the fresh block joins on the upper or the lower side
-        up, lo = (block, built) if e.upper[0] == node.name else (built, block)
-        built = _glue_reps(up, label(e.upper), lo, label(e.lower), e.twist, tol, tws[e])
-    # glue_reps puts the upper side's handles first; restore node order
-    built = replace(built, handle_signs=handle_signs)
+        up, lo = (block, built) if e.upper[0] == name else (built, block)
+        built = _amalgamate(up, label(e.upper), lo, label(e.lower), tws[e], tol)
     for e in closures:
         built = close(built, e)
     # reorder boundaries to the declared labels
@@ -820,13 +808,34 @@ def build_from_graph(graph: GluingGraph, tol: Tolerance = DEFAULT_TOL) -> Surfac
     ports = tuple(replace(p, label=relabel.get(p.label, p.label)) for p in built.ports)
     # a built graph refused no node, so slice j of the check is graph node j
     checks.values = list(zip(classes.values, checks.values))
-    built = replace(built, ports=ports, graph=graph, node_checks=checks)
+    built = replace(built, ports=ports, node_checks=checks)
     g_expected, m_expected = graph.surface_type()
     if (built.genus, built.m) != (g_expected, m_expected):
         raise GraphInvalid(
             f"built surface has type {(built.genus, built.m)}, "
             f"graph declares {(g_expected, m_expected)}")
     return _checked_surface(built, tol)
+
+
+def build_glued(upper: GluingGraph, upper_label: str, lower: GluingGraph, lower_label: str,
+                twist, tol: Tolerance = DEFAULT_TOL) -> SurfaceRep:
+    """The representation of glue_graphs(upper, upper_label, lower,
+    lower_label, twist): the two sides' own builds joined along the new edge.
+
+    A build of the glued graph grows the lower side from the glued node and
+    braid-moves the boundaries back into order, which on random n = 2
+    chains glued off the lower graph's first node loses up to five digits.
+    """
+    graph = glue_graphs(upper, upper_label, lower, lower_label, twist)
+    rep1, rep2 = build_from_graph(upper, tol), build_from_graph(lower, tol)
+    edge = graph.edges[len(upper.edges)]
+    params = {nd.name: nd.params for nd in graph.nodes}
+    tw = _edge_twists([(params[edge.upper[0]], edge.upper[1], params[edge.lower[0]], edge.lower[1],
+                        edge.twist)], tol)
+    rep = _amalgamate(rep1, upper_label, rep2, lower_label, SpMat(tw[0]), tol)
+    checks = Slices(len(graph.nodes))
+    checks.values = rep1.node_checks.values + rep2.node_checks.values
+    return replace(rep, graph=graph, node_checks=checks)
 
 
 # ---------------------------------------------------------------------------
@@ -841,37 +850,24 @@ def _det_sign(m, what: str) -> int:
     return int(np.sign(d))
 
 
-def _handle_signs(length, twist) -> tuple[int, int]:
-    return _det_sign(length, "handle length"), _det_sign(twist, "handle twist")
-
-
 def component_signature(rep_or_graph, tol: Tolerance = DEFAULT_TOL) -> tuple[int, ...]:
-    """Determinant-sign vector separating connected components.
+    """Determinant-sign vector separating connected components, read off the
+    gluing graph (a representation's, or the one given) without building it.
 
-    Per handle the signs of the handle length and handle twist; then the
-    signs of the raw slot lengths of the first m - 1 boundaries.  The vector
-    has length 2 * genus + m - 1 and is constant on connected components of
-    the representation space.  A representation gives its handles in
-    creation order.  A gluing graph is read without building: self-edge
-    handles in node order, then closure edges in edge order, which is the
-    order build_from_graph gives the representation of that graph.  A
-    closed surface has no signature (GraphInvalid).
+    Per handle the signs of the handle length and handle twist, self-edge
+    handles in node order, then closure edges in edge order; then the signs
+    of the raw slot lengths of the first m - 1 boundaries.  The vector has
+    length 2 * genus + m - 1 and is constant on connected components of the
+    representation space.  A closed surface has no signature (GraphInvalid).
     """
-    if isinstance(rep_or_graph, GluingGraph):
-        self_edges, _, closures = _gluing_plan(rep_or_graph)
-        params = {nd.name: nd.params for nd in rep_or_graph.nodes}
-        handle_signs = [_handle_signs(params[name].X1, e.twist)
-                        for name, e in self_edges.items()]
-        handle_signs += [_handle_signs(params[e.lower[0]].matrices()[e.lower[1] - 1], e.twist)
-                         for e in closures]
-        ports = [b.port for b in rep_or_graph.boundaries]
-    else:
-        params = rep_or_graph.nodes
-        handle_signs = rep_or_graph.handle_signs
-        ports = [(p.node, p.slot) for p in rep_or_graph.ports]
-    if not ports:
+    graph = rep_or_graph.graph if isinstance(rep_or_graph, SurfaceRep) else rep_or_graph
+    self_edges, _, closures = _gluing_plan(graph)
+    params = {nd.name: nd.params for nd in graph.nodes}
+    length = lambda port: params[port[0]].matrices()[port[1] - 1]
+    handles = [(params[name].X1, e.twist) for name, e in self_edges.items()]
+    handles += [(length(e.lower), e.twist) for e in closures]
+    signs = [s for x, g in handles for s in (_det_sign(x, "handle length"), _det_sign(g, "handle twist"))]
+    if not graph.boundaries:
         raise GraphInvalid("component signatures are defined for surfaces with boundary")
-    signs = [s for pair in handle_signs for s in pair]
-    signs += [_det_sign(params[node].matrices()[slot - 1], "boundary")
-              for node, slot in ports[:-1]]
+    signs += [_det_sign(length(b.port), "boundary") for b in graph.boundaries[:-1]]
     return tuple(signs)

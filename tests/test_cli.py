@@ -343,6 +343,26 @@ class TestCommands:
         assert code == 0
         assert "genus 0, boundaries 4" in out
 
+    def test_glue_builds_each_file_once(self, pants_file, tmp_path, capsys, monkeypatch):
+        # the two files are built once each and joined; the glued graph is
+        # not built again
+        calls = []
+        real = maxrep.gluing.build_from_graph
+        monkeypatch.setattr(maxrep.gluing, "build_from_graph",
+                            lambda graph, tol: calls.append(graph) or real(graph, tol))
+        other = tmp_path / "pants2.mg"
+        other.write_text(PANTS_FILE.replace("C", "D"))
+        tw = tmp_path / "twist.mt"
+        tw.write_text("1.0\n")
+        out_file = tmp_path / "glued.rep"
+        code, out, _ = run_main(["glue", pants_file, "C3", str(other), "D1", "--twist-file", str(tw),
+                                 "--out", str(out_file)], capsys)
+        assert code == 0 and "genus 0, boundaries 4" in out
+        labels = [[b.label for b in graph.boundaries] for graph in calls]
+        assert labels == [["C1", "C2", "C3"], ["D1", "D2", "D3"]]
+        code, out, _ = run_main(["verify", str(out_file)], capsys)
+        assert code == 0 and "status: ok" in out
+
     def test_deform(self, torus_file, tmp_path, capsys):
         # writing the path reads every snapshot
         out_file = str(tmp_path / "path.mgs")
@@ -638,6 +658,29 @@ class TestExitBoundary:
             capsys)
         assert code == 2 and out == ""
         assert message in err and "Traceback" not in err
+
+    def test_glue_files_of_different_n(self, pants_file, tmp_path, capsys):
+        other = tmp_path / "pants2.mg"
+        other.write_text(PANTS_FILE.replace("C", "D").replace("n 1\n", "n 2\n")
+                         .replace("  0.5\n", "  0.5 0\n  0 0.5\n"))
+        tw = tmp_path / "twist.mt"
+        tw.write_text("1.0\n")
+        code, out, err = run_main(
+            ["glue", pants_file, "C3", str(other), "D1", "--twist-file", str(tw)], capsys)
+        assert code == 2 and out == ""
+        assert f"cannot glue files of different n: {pants_file} has n 1, {other} has n 2" in err
+
+    def test_glue_label_checked_before_any_build(self, pants_file, tmp_path, capsys):
+        # the torus's singular twist would refuse its build (exit 4), but the
+        # label the file lacks is bad input and is found first
+        torus = tmp_path / "torus.mg"
+        torus.write_text(TORUS_FILE.replace("  1.0\nend", "  0.0\nend"))
+        tw = tmp_path / "twist.mt"
+        tw.write_text("1.0\n")
+        code, out, err = run_main(
+            ["glue", str(torus), "NOPE", pants_file, "C1", "--twist-file", str(tw)], capsys)
+        assert code == 2 and out == ""
+        assert "torus.mg has no boundary labelled 'NOPE'" in err
 
     def test_twist_file_with_extra_rows(self, pants_file, tmp_path, capsys):
         other = tmp_path / "pants2.mg"

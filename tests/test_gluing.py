@@ -22,11 +22,11 @@ from maxrep.gluing import (
     GraphEdge,
     PantsNode,
     build_from_graph,
+    build_glued,
     can_glue,
     close_handle,
-    close_pair,
     component_signature,
-    glue_reps,
+    glue_graphs,
     pants_surface_rep,
     slot_glue_length,
     standard_lower,
@@ -165,7 +165,7 @@ class TestCloseHandle:
     def test_scalar_derived_product(self):
         rep = close_handle([[0.5]], [[0.5]], [[1.0]])
         # derived shape datum is 1/2 for these values
-        prod = pants_product(rep.nodes[0])
+        prod = pants_product(rep.graph.nodes[0].params)
         np.testing.assert_allclose(prod, [[0.5]], atol=1e-14)
         assert rep.relation_residual <= 1e-12
         assert rep.genus == 1 and rep.m == 1
@@ -256,31 +256,42 @@ class TestSelfEdgeOrientation:
             build_from_graph(GluingGraph(graph.nodes, (literal,), graph.boundaries))
 
 
-class TestGlueReps:
+def pants_graph(p: PantsParams, labels, name="p") -> GluingGraph:
+    """The one-node graph of p with ports 1, 2, 3 as boundaries under labels."""
+    return GluingGraph((PantsNode(name, p),), (),
+                       tuple(GraphBoundary((name, s), label) for s, label in zip((1, 2, 3), labels)))
+
+
+def close_graph(graph, upper_label, lower_label, twist):
+    """graph with its boundaries upper_label and lower_label closed by one more edge."""
+    port = {b.label: b.port for b in graph.boundaries}
+    return GluingGraph(graph.nodes, graph.edges + (GraphEdge(port[upper_label], port[lower_label], twist),),
+                       tuple(b for b in graph.boundaries if b.label not in (upper_label, lower_label)))
+
+
+class TestGlueGraphs:
     def test_four_holed_sphere(self, rng):
         for _ in range(10):
             n = int(rng.integers(1, 4))
             p = random_pants_params(n, rng, tame=True)
             g0 = random_invertible(n, rng)
             q = attached_params(p, 3, g0, rng)
-            r1 = pants_surface_rep(p, labels=("a1", "a2", "a3"))
-            r2 = pants_surface_rep(q, labels=("b1", "b2", "b3"))
-            glued = glue_reps(r1, "a3", r2, "b1", g0)
+            glued = build_glued(pants_graph(p, ("a1", "a2", "a3")), "a3",
+                                pants_graph(q, ("b1", "b2", "b3")), "b1", g0)
             assert (glued.genus, glued.m) == (0, 4)
             assert glued.relation_residual <= 1e-8
             # characteristic number adds across the edge
-            total = sum(toledo_signature_shortcut(p) for p in glued.nodes)
+            total = sum(toledo_signature_shortcut(nd.params) for nd in glued.graph.nodes)
             assert total == 2 * n
 
     def test_double_of_pants(self, rng):
         # gluing a second copy of itself: mirrored parameters match exactly
         p = random_pants_params(2, rng, tame=True)
         mirror = PantsParams(p.X3.T, p.X2.T, p.X1.T)
-        r1 = pants_surface_rep(p, labels=("a1", "a2", "a3"))
-        r2 = pants_surface_rep(mirror, labels=("b1", "b2", "b3"))
-        glued = glue_reps(r1, "a3", r2, "b1", np.eye(2))
+        glued = build_glued(pants_graph(p, ("a1", "a2", "a3")), "a3",
+                            pants_graph(mirror, ("b1", "b2", "b3")), "b1", np.eye(2))
         assert glued.relation_residual <= 1e-8
-        assert sum(toledo_signature_shortcut(p) for p in glued.nodes) == 4
+        assert sum(toledo_signature_shortcut(nd.params) for nd in glued.graph.nodes) == 4
 
     def test_twist_choice_independence(self, rng):
         # conjugating both sides by orthogonal matrices and dressing the twist
@@ -293,10 +304,10 @@ class TestGlueReps:
         p2 = PantsParams(k @ p.X1 @ k.T, k @ p.X2 @ k.T, k @ p.X3 @ k.T)
         q2 = PantsParams(el @ q.X1 @ el.T, el @ q.X2 @ el.T, el @ q.X3 @ el.T)
         g2 = k @ g0 @ el.T
-        glued1 = glue_reps(pants_surface_rep(p, labels=("a1", "a2", "a3")), "a3",
-                           pants_surface_rep(q, labels=("b1", "b2", "b3")), "b1", g0)
-        glued2 = glue_reps(pants_surface_rep(p2, labels=("a1", "a2", "a3")), "a3",
-                           pants_surface_rep(q2, labels=("b1", "b2", "b3")), "b1", g2)
+        glued1 = build_glued(pants_graph(p, ("a1", "a2", "a3")), "a3",
+                             pants_graph(q, ("b1", "b2", "b3")), "b1", g0)
+        glued2 = build_glued(pants_graph(p2, ("a1", "a2", "a3")), "a3",
+                             pants_graph(q2, ("b1", "b2", "b3")), "b1", g2)
         f1 = word_trace_fingerprint(glued1)
         f2 = word_trace_fingerprint(glued2)
         scale = max(1.0, np.max(np.abs(f1)))
@@ -307,45 +318,141 @@ class TestGlueReps:
         hb1 = close_handle(x1, x2, h, label="t1")
         x3 = h @ x1.T @ np.linalg.inv(h)
         hb2 = close_handle(x3.T, x2.T, np.linalg.inv(h), label="t2")
-        closed = glue_reps(hb1, "t1", hb2, "t2", np.eye(2))
+        closed = build_glued(hb1.graph, "t1", hb2.graph, "t2", np.eye(2))
         assert (closed.genus, closed.m) == (2, 0)
         assert closed.relation_residual <= 1e-7
 
     def test_label_collision_rejected(self, rng):
         p = random_pants_params(1, rng, tame=True)
         q = attached_params(p, 3, np.eye(1), rng)
-        r1 = pants_surface_rep(p, labels=("a", "b", "c"))
-        r2 = pants_surface_rep(q, labels=("a", "e", "f"))
-        with pytest.raises(ValueError):
-            glue_reps(r1, "c", r2, "e", np.eye(1))
+        with pytest.raises(GraphInvalid, match=r"boundary labels collide: \[.a.\]"):
+            glue_graphs(pants_graph(p, ("a", "b", "c")), "c",
+                        pants_graph(q, ("a", "e", "f")), "e", np.eye(1))
+
+    def test_unknown_label_and_mismatched_n_rejected(self, rng):
+        p1, p2 = random_pants_params(1, rng, tame=True), random_pants_params(2, rng, tame=True)
+        one, other = pants_graph(p1, ("a", "b", "c")), pants_graph(p1, ("d", "e", "f"))
+        for args in ((one, "x", other, "d"), (one, "c", other, "x")):
+            with pytest.raises(GraphInvalid, match="no boundary labelled 'x'"):
+                glue_graphs(*args, np.eye(1))
+        with pytest.raises(GraphInvalid, match="all nodes must share one matrix dimension"):
+            glue_graphs(one, "c", pants_graph(p2, ("d", "e", "f")), "d", np.eye(1))
+
+    def test_matches_the_hand_written_graph(self, rng):
+        # two pants graphs glued along C3/D1 build, bit for bit, the graph
+        # test_four_holed_sphere_graph writes by hand
+        graph = four_holed_sphere_graph(rng)
+        (p0, p1), (edge,) = graph.nodes, graph.edges
+        glued_graph = glue_graphs(pants_graph(p0.params, ("C1", "C2", "C3"), "p0"), "C3",
+                                  pants_graph(p1.params, ("D1", "D2", "D3"), "p1"), "D1", edge.twist)
+        assert [nd.name for nd in glued_graph.nodes] == ["1.p0", "2.p1"]
+        assert [b.label for b in glued_graph.boundaries] == ["C1", "C2", "D2", "D3"]
+        glued, rep = build_from_graph(glued_graph), build_from_graph(graph)
+        for a, b in zip(glued.generator_images().values(), rep.generator_images().values(), strict=True):
+            assert np.array_equal(a.m, b.m)
+        assert glued.relation_residual == rep.relation_residual
+
+    @pytest.mark.parametrize("kind", [(0, 4), (1, 2)])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_lower_boundary_off_the_first_node(self, kind, n):
+        # the lower side is a standard chain glued at port 3 of its last node;
+        # the glued graph keeps each side's node order, and its own build and
+        # the join of the two builds both come out as declared
+        for signs in itertools.product((1, -1), repeat=2 * kind[0] + kind[1] - 1):
+            lower = standard_sign_graph(*kind, n, signs)
+            last = lower.nodes[-1]
+            (glued_label,) = [b.label for b in lower.boundaries if b.port == (last.name, 3)]
+            ell = slot_glue_length(last.params, 3).T
+            upper = pants_graph(PantsParams(ell, 0.5 * np.eye(n), ell), ("u1", "u2", "u3"))
+            graph = glue_graphs(upper, "u1", lower, glued_label, np.eye(n))
+            assert [nd.name for nd in graph.nodes] == ["1.p", *(f"2.{nd.name}" for nd in lower.nodes)]
+            for rep in (build_from_graph(graph), build_glued(upper, "u1", lower, glued_label, np.eye(n))):
+                assert (rep.genus, rep.m) == (kind[0], kind[1] + 1)
+                TestBraidMoves._check(graph, rep, 1e-6)
+
+    @pytest.mark.parametrize("label", ["C3", "C4"])
+    @pytest.mark.parametrize("up_port", [1, 2, 3])
+    def test_random_chain_glued_off_the_first_node(self, label, up_port):
+        # a fresh pants glued at port up_port to a boundary on the second node
+        # of a random n = 2 (0, 4) chain.  A build of the glued graph braid-moves
+        # the lower side's boundaries back into order and loses up to five
+        # digits here; build_glued joins the two sides' own builds
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            lower = four_holed_sphere_graph(rng)
+            node, slot = {b.label: b.port for b in lower.boundaries}[label]
+            g = random_invertible(2, rng)
+            ell = g @ slot_glue_length(lower.nodes[lower.node_index(node)].params, slot).T @ np.linalg.inv(g)
+            x2, x3, _ = derive_third_length(ell, rng)
+            p = {1: PantsParams(ell, x2, x3), 2: PantsParams(x3, -ell, -x2),
+                 3: PantsParams(-x2, -x3, ell)}[up_port]
+            assert np.array_equal(slot_glue_length(p, up_port), ell)
+            upper = pants_graph(p, ("u1", "u2", "u3"))
+            rep = build_glued(upper, f"u{up_port}", lower, label, g)
+            assert [nd.name for nd in rep.graph.nodes] == ["1.p", "2.p0", "2.p1"]
+            assert rep.node_checks.values == (build_from_graph(upper).node_checks.values
+                                              + build_from_graph(lower).node_checks.values)
+            TestBraidMoves._check(rep.graph, rep, 1e-6)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_library_reps_deform_and_sign_as_their_graphs(self, n):
+        # a pants and a glued surface each carry their graph: deforming or
+        # signing the representation is deforming or signing that graph
+        rng = np.random.default_rng(40 + n)
+        p = random_pants_params(n, rng, tame=True)
+        g0 = random_invertible(n, rng)
+        q = attached_params(p, 3, g0, rng)
+        sides = (pants_graph(p, ("C1", "C2", "C3")), "C3", pants_graph(q, ("D1", "D2", "D3")), "D1", g0)
+        glued = glue_graphs(*sides)
+        for rep, graph in ((pants_surface_rep(p), pants_graph(p, ("1", "2", "3"))),
+                           (build_from_graph(glued), glued), (build_glued(*sides), glued)):
+            assert component_signature(rep) == component_signature(graph)
+            path, expected = deform_to_standard(rep, steps=10), deform_to_standard(graph, steps=10)
+            assert path.signature == expected.signature
+            for snap, ref in zip(path.snapshots, expected.snapshots, strict=True):
+                for nd, nd_ref in zip(snap.nodes, ref.nodes, strict=True):
+                    for a, b in zip(nd.params.matrices(), nd_ref.params.matrices()):
+                        assert a.tobytes() == b.tobytes()
+                for e, e_ref in zip(snap.edges, ref.edges, strict=True):
+                    assert e.twist.tobytes() == e_ref.twist.tobytes()
 
 
-def single_pants_graph(p: PantsParams) -> GluingGraph:
+def four_holed_sphere_graph(rng) -> GluingGraph:
+    p = random_pants_params(2, rng, tame=True)
+    g0 = random_invertible(2, rng)
+    q = attached_params(p, 3, g0, rng)
     return GluingGraph(
-        (PantsNode("p0", p),), (),
+        (PantsNode("p0", p), PantsNode("p1", q)),
+        (GraphEdge(("p0", 3), ("p1", 1), g0),),
         (GraphBoundary(("p0", 1), "C1"), GraphBoundary(("p0", 2), "C2"),
-         GraphBoundary(("p0", 3), "C3")))
+         GraphBoundary(("p1", 2), "C3"), GraphBoundary(("p1", 3), "C4")))
 
 
 class TestBuildFromGraph:
     def test_single_pants_matches_direct_build(self, rng):
         p = random_pants_params(2, rng)
-        rep = build_from_graph(single_pants_graph(p))
+        rep = build_from_graph(pants_graph(p, ("C1", "C2", "C3"), "p0"))
         direct = build_maximal(p)
         for img, c in zip(rep.c_imgs, direct.generators()):
             np.testing.assert_allclose(img.m, c.m, atol=1e-13)
         assert rep.boundary_labels() == ("C1", "C2", "C3")
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_node_listed_before_its_neighbour_waits(self, n):
+        # p2 joins only p1, so listed before p1 it is attached after it: the
+        # build makes the steps of the listing in gluing order, bit for bit
+        graph = chain_graph(0, 5, n, np.random.default_rng(n))
+        p0, p1, p2 = graph.nodes
+        permuted = GluingGraph((p0, p2, p1), graph.edges, graph.boundaries)
+        assert list(_gluing_plan(permuted)[1]) == ["p1", "p2"]
+        rep, ref = build_from_graph(permuted), build_from_graph(graph)
+        for a, b in zip(rep.generator_images().values(), ref.generator_images().values(), strict=True):
+            assert np.array_equal(a.m, b.m)
+        assert rep.relation_residual == ref.relation_residual
+        assert [rep.node_checks[i] for i in (0, 2, 1)] == [ref.node_checks[i] for i in range(3)]
+
     def test_four_holed_sphere_graph(self, rng):
-        p = random_pants_params(2, rng, tame=True)
-        g0 = random_invertible(2, rng)
-        q = attached_params(p, 3, g0, rng)
-        graph = GluingGraph(
-            (PantsNode("p0", p), PantsNode("p1", q)),
-            (GraphEdge(("p0", 3), ("p1", 1), g0),),
-            (GraphBoundary(("p0", 1), "C1"), GraphBoundary(("p0", 2), "C2"),
-             GraphBoundary(("p1", 2), "C3"), GraphBoundary(("p1", 3), "C4")))
-        rep = build_from_graph(graph)
+        rep = build_from_graph(four_holed_sphere_graph(rng))
         assert (rep.genus, rep.m) == (0, 4)
         assert rep.relation_residual <= 1e-7
         assert rep.boundary_labels() == ("C1", "C2", "C3", "C4")
@@ -419,16 +526,15 @@ class TestBuildFromGraph:
                 (GraphBoundary(("p0", 3), "C1"),)))
 
 
-class TestClosePair:
+class TestCloseGraph:
     def test_genus_increase(self, rng):
         # close two boundaries of the doubled pants: the mirrored copy makes
         # the first and last boundary lengths exact transposes of each other
         p = random_pants_params(2, rng, tame=True)
         mirror = PantsParams(p.X3.T, p.X2.T, p.X1.T)
-        r1 = pants_surface_rep(p, labels=("a1", "a2", "a3"))
-        r2 = pants_surface_rep(mirror, labels=("b1", "b2", "b3"))
-        fh = glue_reps(r1, "a3", r2, "b1", np.eye(2))
-        closed = close_pair(fh, "b3", "a1", np.eye(2))
+        fh = glue_graphs(pants_graph(p, ("a1", "a2", "a3")), "a3",
+                         pants_graph(mirror, ("b1", "b2", "b3")), "b1", np.eye(2))
+        closed = build_from_graph(close_graph(fh, "b3", "a1", np.eye(2)))
         assert (closed.genus, closed.m) == (1, 2)
         assert closed.relation_residual <= 1e-6
 
@@ -504,7 +610,7 @@ class TestComponentSignature:
         hb1 = close_handle(x1, x2, h, label="t1")
         x3 = h @ x1.T @ np.linalg.inv(h)
         hb2 = close_handle(x3.T, x2.T, np.linalg.inv(h), label="t2")
-        closed = glue_reps(hb1, "t1", hb2, "t2", np.eye(2))
+        closed = build_glued(hb1.graph, "t1", hb2.graph, "t2", np.eye(2))
         with pytest.raises(GraphInvalid):
             component_signature(closed)
 
@@ -729,7 +835,7 @@ class TestStackedLocalData:
             fault = _outcome(build_maximal, nd.params)
             if isinstance(fault, MaxRepError):
                 return fault
-        for e in [*self_edges.values(), *tree_edges, *closures]:
+        for e in [*self_edges.values(), *tree_edges.values(), *closures]:
             calls = []
             patched = lambda *args, **kwargs: calls.append(args) or _twist_elements(*args)
             with pytest.MonkeyPatch.context() as mp:
