@@ -96,7 +96,6 @@ from .gluing import (
     PantsNode,
     SurfaceRep,
     build_from_graph,
-    build_glued,
     can_glue,
     close_handle,
     component_signature,

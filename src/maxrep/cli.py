@@ -32,7 +32,6 @@ from .gluing import (
     PantsNode,
     SurfaceRep,
     build_from_graph,
-    build_glued,
     component_signature,
     glue_graphs,
     relation_residual,
@@ -385,10 +384,10 @@ def cmd_glue(args, tol: Tolerance) -> list:
                          reader.lines[reader.pos][0])
     try:
         # what the glued graph refuses, such as colliding labels, is bad input
-        glue_graphs(graph1, args.boundary1, graph2, args.boundary2, twist)
+        graph = glue_graphs(graph1, args.boundary1, graph2, args.boundary2, twist)
     except GraphInvalid as exc:
         raise ParseError(str(exc)) from None
-    rep = build_glued(graph1, args.boundary1, graph2, args.boundary2, twist, tol)
+    rep = build_from_graph(graph, tol)
     _write_out(args.out, lambda fh: write_rep_file(rep, fh))
     return [("status", "ok"), ("surface", f"genus {rep.genus}, boundaries {rep.m}"),
             ("relation residual", f"{rep.relation_residual:.6e}")]

@@ -256,18 +256,21 @@ def spd_path(s0: np.ndarray, s1: np.ndarray, t) -> np.ndarray:
 
 def _analyze_chain(graph: GluingGraph) -> tuple[GraphEdge | None, list[GraphEdge]]:
     """(the self edge of the first node or None, the edge attaching each
-    later node in node order), or GraphInvalid when the graph is not
-    chain-shaped."""
-    self_edges, attach_edges, closures = _gluing_plan(graph)
+    later node through its port 1 to an earlier node, in node order), or
+    GraphInvalid when the graph is not chain-shaped."""
+    self_edges, tree_edges, closures = _gluing_plan(graph)
     if set(self_edges) - {graph.nodes[0].name}:
         raise GraphInvalid("deformation supports at most one handle, on the first node")
     if closures:
         raise GraphInvalid("extra internal edges; not a chain-shaped graph")
-    for node, (name, e) in zip(graph.nodes[1:], attach_edges.items()):
-        if name != node.name or e.lower != (node.name, 1):
+    attach = {e.lower: e for e in tree_edges}
+    chain = [attach.get((nd.name, 1)) for nd in graph.nodes[1:]]
+    # node i + 1 attaches to one of nodes 0 to i
+    for i, (node, e) in enumerate(zip(graph.nodes[1:], chain)):
+        if e is None or graph.node_index(e.upper[0]) > i:
             raise GraphInvalid(
                 f"node {node.name!r} must attach through its port 1 to the prefix")
-    return self_edges.get(graph.nodes[0].name), list(attach_edges.values())
+    return self_edges.get(graph.nodes[0].name), chain
 
 
 @dataclass(frozen=True)
@@ -379,9 +382,11 @@ def deform_to_standard(rep_or_graph, steps: int = 100,
     # the snapshots invert the input's lengths and twists
     _refuse_first(np.array([nd.params.matrices() for nd in nodes]), tol, nodes)
     params = {nd.name: nd.params for nd in nodes}
+    # in the build's plan order: the self edge, then the attaching edges in edge order
+    plan = ([loop] if loop else []) + [e for e in graph.edges if e is not loop]
     ends = [(_loop_twist(e.twist, e.upper[1]) if e is loop else as_matrix(e.twist), params[e.lower[0]].X1,
              slot_glue_length(params[e.upper[0]], 3 if e is loop else e.upper[1]))
-            for e in ([loop] if loop else []) + attach_edges]
+            for e in plan]
     screen = _edge_screen(*map(np.array, zip(*ends)), tol, obstruct=True) if ends else None
     for j in range(len(ends)):
         screen[j]  # raises the first refused edge

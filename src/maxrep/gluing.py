@@ -77,7 +77,6 @@ __all__ = [
     "close_handle",
     "glue_graphs",
     "build_from_graph",
-    "build_glued",
     "component_signature",
     "slot_glue_length",
     "relation_residual",
@@ -359,20 +358,13 @@ class GluingGraph:
             use(b.port)
         if len(used) != 3 * len(self.nodes):
             raise GraphInvalid("every port must be used exactly once")
-        # connectivity over internal edges
-        adj: dict[str, set[str]] = {nd.name: set() for nd in self.nodes}
+        # connectivity over internal edges: each node's piece, one set shared by its nodes
+        pieces = {nd.name: {nd.name} for nd in self.nodes}
         for e in self.edges:
-            adj[e.upper[0]].add(e.lower[0])
-            adj[e.lower[0]].add(e.upper[0])
-        seen = {self.nodes[0].name}
-        stack = [self.nodes[0].name]
-        while stack:
-            for nb in adj[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
+            joined = pieces[e.upper[0]] | pieces[e.lower[0]]
+            pieces.update(dict.fromkeys(joined, joined))
         # a connected graph has at least len(nodes) - 1 edges, so its genus is not negative
-        if len(seen) != len(self.nodes):
+        if len(pieces[self.nodes[0].name]) != len(self.nodes):
             raise GraphInvalid("graph is not connected")
 
 
@@ -383,10 +375,11 @@ def glue_graphs(upper: GluingGraph, upper_label: str, lower: GluingGraph, lower_
     side), with the given twist.
 
     Node names get the prefixes "1." and "2.".  The nodes are upper's, then
-    lower's, each in its own order; the edges upper's, the new edge, then
-    lower's; the boundaries upper's, then lower's, without the two glued
-    ones.  An unknown label, and whatever GluingGraph.validate refuses,
-    raise GraphInvalid.
+    lower's; the edges upper's, lower's, then the new edge; the boundaries
+    upper's, then lower's, without the two glued ones.  Built in edge order,
+    the union joins the pieces of upper's build to those of lower's and
+    then the two along the new edge.  An unknown label, and whatever
+    GluingGraph.validate refuses, raise GraphInvalid.
     """
     sides = []
     for prefix, graph, glued in (("1.", upper, upper_label), ("2.", lower, lower_label)):
@@ -401,7 +394,7 @@ def glue_graphs(upper: GluingGraph, upper_label: str, lower: GluingGraph, lower_
             rename(port),
         ))
     (up_nodes, up_edges, up_bounds, up_port), (lo_nodes, lo_edges, lo_bounds, lo_port) = sides
-    graph = GluingGraph(up_nodes + lo_nodes, up_edges + (GraphEdge(up_port, lo_port, twist),) + lo_edges,
+    graph = GluingGraph(up_nodes + lo_nodes, up_edges + lo_edges + (GraphEdge(up_port, lo_port, twist),),
                         up_bounds + lo_bounds)
     graph.validate()
     return graph
@@ -615,7 +608,7 @@ def _edge_twist(rep_up: SurfaceRep, idx_up: int,
 
 
 def _amalgamate(rep1: SurfaceRep, label1: str, rep2: SurfaceRep, label2: str,
-                tw: SpMat, tol: Tolerance) -> SurfaceRep:
+                tw: SpMat) -> SurfaceRep:
     """Glue boundary label1 of rep1, in upper position, to boundary label2 of
     rep2, in lower position, through the edge's twist element tw.  The result
     carries rep1's remaining boundaries first, then rep2's, and rep2's handle
@@ -626,7 +619,7 @@ def _amalgamate(rep1: SurfaceRep, label1: str, rep2: SurfaceRep, label2: str,
     h1, h2 = _polar_split(h)
     rep1 = _conjugate_rep(rep1, h1)
     rep2 = _conjugate_rep(rep2, h2)
-    out = SurfaceRep(
+    return SurfaceRep(
         n=rep1.n,
         genus=rep1.genus + rep2.genus,
         a_imgs=rep2.a_imgs + rep1.a_imgs,
@@ -635,11 +628,10 @@ def _amalgamate(rep1: SurfaceRep, label1: str, rep2: SurfaceRep, label2: str,
         ports=rep1.ports[:-1] + rep2.ports[1:],
         graph=rep1.graph,
     )
-    return _checked_surface(out, tol)
 
 
 def _close_boundaries(rep: SurfaceRep, upper_label: str, lower_label: str,
-                      tw: SpMat, tol: Tolerance) -> SurfaceRep:
+                      tw: SpMat) -> SurfaceRep:
     """Close two boundaries of one connected surface into a handle, through
     the edge's twist element tw.
 
@@ -674,7 +666,7 @@ def _close_boundaries(rep: SurfaceRep, upper_label: str, lower_label: str,
         dress = lambda g: _ld_product(new_a, g, c1_inv)
         a_imgs = (new_a,) + tuple(dress(a) for a in rep.a_imgs)
         b_imgs = (t,) + tuple(dress(b) for b in rep.b_imgs)
-    out = SurfaceRep(
+    return SurfaceRep(
         n=rep.n,
         genus=rep.genus + 1,
         a_imgs=a_imgs,
@@ -683,52 +675,43 @@ def _close_boundaries(rep: SurfaceRep, upper_label: str, lower_label: str,
         ports=rep.ports[1:-1],
         graph=rep.graph,
     )
-    return _checked_surface(out, tol)
 
 
 # ---------------------------------------------------------------------------
 # building from a graph
 
 
-def _gluing_plan(graph: GluingGraph) -> tuple[dict[str, GraphEdge], dict[str, GraphEdge],
+def _gluing_plan(graph: GluingGraph) -> tuple[dict[str, GraphEdge], list[GraphEdge],
                                                list[GraphEdge]]:
     """The builder's choice of edges: (self edges, tree edges, closure edges).
 
     Self edges are keyed by node name in node order; each must join ports 1
-    and 3 of its node (the handle-block shape).  After the first node, each
-    step attaches the first pending node, in node order, that an edge joins
-    to the nodes attached so far, by the first such edge in edge order; a
-    graph listed in gluing order is attached in node order.  These tree
-    edges are keyed by node name in attaching order.  The edges left over
-    are closed as handles, in edge order.
+    and 3 of its node (the handle-block shape).  Every other edge is read in
+    edge order: a tree edge when it joins two pieces not yet joined, a
+    closure otherwise.  Both lists keep edge order.
     """
     graph.validate()
     self_edges: dict[str, GraphEdge] = {}
-    cross_edges: list[GraphEdge] = []
+    tree_edges: list[GraphEdge] = []
+    closures: list[GraphEdge] = []
+    # each node's piece, as GluingGraph.validate forms them
+    pieces = {nd.name: {nd.name} for nd in graph.nodes}
     for e in graph.edges:
-        if e.upper[0] == e.lower[0]:
-            name = e.upper[0]
-            if name in self_edges:
-                raise GraphInvalid(f"node {name!r} has two self-edges")
+        up, lo = e.upper[0], e.lower[0]
+        if up == lo:
+            if up in self_edges:
+                raise GraphInvalid(f"node {up!r} has two self-edges")
             if {e.upper[1], e.lower[1]} != {1, 3}:
                 raise GraphInvalid("a self-edge must join ports 1 and 3")
-            self_edges[name] = e
+            self_edges[up] = e
+        elif pieces[up] is pieces[lo]:
+            closures.append(e)
         else:
-            cross_edges.append(e)
-    attached = {graph.nodes[0].name}
-    pending = [nd.name for nd in graph.nodes[1:]]
-    tree_edges: dict[str, GraphEdge] = {}
-    while pending:
-        # the graph is connected, so some pending node has an edge to the attached ones
-        name, tree_edge = next((name, e) for name in pending for e in cross_edges
-                               if name in (e.upper[0], e.lower[0])
-                               and {e.upper[0], e.lower[0]} - {name} <= attached)
-        cross_edges.remove(tree_edge)
-        pending.remove(name)
-        tree_edges[name] = tree_edge
-        attached.add(name)
+            tree_edges.append(e)
+            joined = pieces[up] | pieces[lo]
+            pieces.update(dict.fromkeys(joined, joined))
     ordered = {nd.name: self_edges[nd.name] for nd in graph.nodes if nd.name in self_edges}
-    return ordered, tree_edges, cross_edges
+    return ordered, tree_edges, closures
 
 
 def _loop_twist(twist, upper_port: int) -> np.ndarray:
@@ -751,11 +734,11 @@ def _loop_twist(twist, upper_port: int) -> np.ndarray:
 def build_from_graph(graph: GluingGraph, tol: Tolerance = DEFAULT_TOL) -> SurfaceRep:
     """Assemble the surface representation described by a gluing graph.
 
-    Nodes are attached in _gluing_plan's order: node order, where a node
-    that joins none of the nodes attached so far waits for one that does.
-    A self-edge must join ports 1 and 3 of its node (the handle-block
-    shape); remaining edges between already-joined nodes are closed as
-    handles at the end.
+    Each node starts as its own piece, closed first along its self-edge
+    (which must join ports 1 and 3).  The other edges are glued in listed
+    order, node order aside: one joining two pieces merges them, the rest
+    close handles at the end, in edge order.  The boundaries are then
+    braid-moved into their declared order; the relation is checked once.
 
     Every node's pants images come from one stacked forward-map call and
     every edge's twist element, a self-edge's in the handle orientation of
@@ -770,7 +753,7 @@ def build_from_graph(graph: GluingGraph, tol: Tolerance = DEFAULT_TOL) -> Surfac
     # indexing a Slices raises its refusal: the first refused node, then edge
     pants = {nd.name: reps[i] for i, nd in enumerate(graph.nodes)}
     # every edge as the twist kernel reads it, a self-edge in the handle orientation
-    plan = [*self_edges.values(), *tree_edges.values(), *closures]
+    plan = [*self_edges.values(), *tree_edges, *closures]
     read = {e: GraphEdge((e.upper[0], 3), (e.lower[0], 1), _loop_twist(e.twist, e.upper[1]))
             if e.upper[0] == e.lower[0] else e for e in plan}
     twists = _edge_twists([(params[r.upper[0]], r.upper[1], params[r.lower[0]], r.lower[1], r.twist)
@@ -778,7 +761,7 @@ def build_from_graph(graph: GluingGraph, tol: Tolerance = DEFAULT_TOL) -> Surfac
     tws = {e: SpMat(twists[j]) for j, e in enumerate(plan)}
 
     def close(rep: SurfaceRep, e: GraphEdge) -> SurfaceRep:
-        return _close_boundaries(rep, label(read[e].upper), label(read[e].lower), tws[e], tol)
+        return _close_boundaries(rep, label(read[e].upper), label(read[e].lower), tws[e])
 
     ident = sp_identity(graph.n)
 
@@ -793,12 +776,14 @@ def build_from_graph(graph: GluingGraph, tol: Tolerance = DEFAULT_TOL) -> Surfac
         )
         return close(block, self_edges[name]) if name in self_edges else block
 
-    built = fresh_block(graph.nodes[0].name)
-    for name, e in tree_edges.items():
-        block = fresh_block(name)
-        # the fresh block joins on the upper or the lower side
-        up, lo = (block, built) if e.upper[0] == name else (built, block)
-        built = _amalgamate(up, label(e.upper), lo, label(e.lower), tws[e], tol)
+    # each node's piece: the representation built so far of the nodes joined to it
+    pieces = {nd.name: fresh_block(nd.name) for nd in graph.nodes}
+    for e in tree_edges:
+        up, lo = pieces[e.upper[0]], pieces[e.lower[0]]
+        built = _amalgamate(up, label(e.upper), lo, label(e.lower), tws[e])
+        pieces = {name: built if rep in (up, lo) else rep for name, rep in pieces.items()}
+    # the graph is connected, so one piece is left
+    built = pieces[graph.nodes[0].name]
     for e in closures:
         built = close(built, e)
     # reorder boundaries to the declared labels
@@ -815,27 +800,6 @@ def build_from_graph(graph: GluingGraph, tol: Tolerance = DEFAULT_TOL) -> Surfac
             f"built surface has type {(built.genus, built.m)}, "
             f"graph declares {(g_expected, m_expected)}")
     return _checked_surface(built, tol)
-
-
-def build_glued(upper: GluingGraph, upper_label: str, lower: GluingGraph, lower_label: str,
-                twist, tol: Tolerance = DEFAULT_TOL) -> SurfaceRep:
-    """The representation of glue_graphs(upper, upper_label, lower,
-    lower_label, twist): the two sides' own builds joined along the new edge.
-
-    A build of the glued graph grows the lower side from the glued node and
-    braid-moves the boundaries back into order, which on random n = 2
-    chains glued off the lower graph's first node loses up to five digits.
-    """
-    graph = glue_graphs(upper, upper_label, lower, lower_label, twist)
-    rep1, rep2 = build_from_graph(upper, tol), build_from_graph(lower, tol)
-    edge = graph.edges[len(upper.edges)]
-    params = {nd.name: nd.params for nd in graph.nodes}
-    tw = _edge_twists([(params[edge.upper[0]], edge.upper[1], params[edge.lower[0]], edge.lower[1],
-                        edge.twist)], tol)
-    rep = _amalgamate(rep1, upper_label, rep2, lower_label, SpMat(tw[0]), tol)
-    checks = Slices(len(graph.nodes))
-    checks.values = rep1.node_checks.values + rep2.node_checks.values
-    return replace(rep, graph=graph, node_checks=checks)
 
 
 # ---------------------------------------------------------------------------
@@ -855,7 +819,9 @@ def component_signature(rep_or_graph, tol: Tolerance = DEFAULT_TOL) -> tuple[int
     gluing graph (a representation's, or the one given) without building it.
 
     Per handle the signs of the handle length and handle twist, self-edge
-    handles in node order, then closure edges in edge order; then the signs
+    handles in node order, then closure edges in edge order (those the
+    build closes: each edge whose ends an earlier listed edge has already
+    joined, so a listing's edge order picks its handles); then the signs
     of the raw slot lengths of the first m - 1 boundaries.  The vector has
     length 2 * genus + m - 1 and is constant on connected components of the
     representation space.  A closed surface has no signature (GraphInvalid).

@@ -343,12 +343,12 @@ class TestCommands:
         assert code == 0
         assert "genus 0, boundaries 4" in out
 
-    def test_glue_builds_each_file_once(self, pants_file, tmp_path, capsys, monkeypatch):
-        # the two files are built once each and joined; the glued graph is
-        # not built again
+    def test_glue_is_one_build_of_the_union_graph(self, pants_file, tmp_path, capsys, monkeypatch):
+        # the glued graph, upper's edges, lower's, then the new one, is built
+        # once; neither file is built on its own
         calls = []
-        real = maxrep.gluing.build_from_graph
-        monkeypatch.setattr(maxrep.gluing, "build_from_graph",
+        real = maxrep.cli.build_from_graph
+        monkeypatch.setattr(maxrep.cli, "build_from_graph",
                             lambda graph, tol: calls.append(graph) or real(graph, tol))
         other = tmp_path / "pants2.mg"
         other.write_text(PANTS_FILE.replace("C", "D"))
@@ -358,10 +358,38 @@ class TestCommands:
         code, out, _ = run_main(["glue", pants_file, "C3", str(other), "D1", "--twist-file", str(tw),
                                  "--out", str(out_file)], capsys)
         assert code == 0 and "genus 0, boundaries 4" in out
-        labels = [[b.label for b in graph.boundaries] for graph in calls]
-        assert labels == [["C1", "C2", "C3"], ["D1", "D2", "D3"]]
+        (graph,) = calls
+        assert [nd.name for nd in graph.nodes] == ["1.p0", "2.p0"]
+        assert [(e.upper, e.lower) for e in graph.edges] == [(("1.p0", 3), ("2.p0", 1))]
+        assert [b.label for b in graph.boundaries] == ["C1", "C2", "D2", "D3"]
         code, out, _ = run_main(["verify", str(out_file)], capsys)
         assert code == 0 and "status: ok" in out
+
+    def test_glue_writes_the_build_of_the_union_file(self, pants_file, tmp_path, capsys):
+        # a pants glued onto port 3 of the second node of a two-node file
+        # writes the rep file that maxrep build writes for the hand-written
+        # union graph, byte for byte
+        node = "node {}\n  X1\n  0.5\n  X2\n  0.5\n  X3\n  0.5\nend\n"
+        edge = "edge {} {}\n  1.0\nend\n"
+        lower = tmp_path / "d.mg"
+        lower.write_text("maxrep-graph 1\nn 1\nsurface 0 4\n" + node.format("q0") + node.format("q1")
+                         + edge.format("q0 3", "q1 1")
+                         + "boundary q0 1 D1\nboundary q0 2 D2\nboundary q1 2 D3\nboundary q1 3 D4\n")
+        union = tmp_path / "u.mg"
+        union.write_text("maxrep-graph 1\nn 1\nsurface 0 5\n" + node.format("1.p0") + node.format("2.q0")
+                         + node.format("2.q1") + edge.format("2.q0 3", "2.q1 1")
+                         + edge.format("1.p0 3", "2.q1 3")
+                         + "boundary 1.p0 1 C1\nboundary 1.p0 2 C2\nboundary 2.q0 1 D1\n"
+                           "boundary 2.q0 2 D2\nboundary 2.q1 2 D3\n")
+        tw = tmp_path / "t.mt"
+        tw.write_text("1.0\n")
+        glued, built = tmp_path / "glued.rep", tmp_path / "built.rep"
+        code, _, _ = run_main(["glue", pants_file, "C3", str(lower), "D4", "--twist-file", str(tw),
+                               "--out", str(glued)], capsys)
+        assert code == 0
+        code, _, _ = run_main(["build", str(union), "--out", str(built)], capsys)
+        assert code == 0
+        assert glued.read_bytes() == built.read_bytes()
 
     def test_deform(self, torus_file, tmp_path, capsys):
         # writing the path reads every snapshot

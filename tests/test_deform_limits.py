@@ -15,9 +15,10 @@ from maxrep.deform import (
     standard_sign_graph,
     standard_twist,
 )
-from maxrep.errors import GraphInvalid, MaxRepError, NotSHyperbolic
+from maxrep.errors import GraphInvalid, MaxRepError, NotCompatible, NotSHyperbolic
 from maxrep.gluing import (
     GluingGraph,
+    GraphEdge,
     PantsNode,
     build_from_graph,
     component_signature,
@@ -340,6 +341,39 @@ class TestDeform:
             ())
         with pytest.raises(GraphInvalid):
             deform_to_standard(graph, steps=5)
+
+    def test_reversed_edge_listing(self):
+        # a (0, 5) chain with its edges listed in reverse deforms as the
+        # in-order listing does, snapshot for snapshot
+        graph = chain_graph_with_random_params(0, 5, 2, np.random.default_rng(5))
+        reversed_graph = GluingGraph(graph.nodes, graph.edges[::-1], graph.boundaries)
+        path, ref = deform_to_standard(reversed_graph, steps=10), deform_to_standard(graph, steps=10)
+        assert path.signature == ref.signature
+        for snap, snap_ref in zip(path.snapshots, ref.snapshots, strict=True):
+            for nd, nd_ref in zip(snap.nodes, snap_ref.nodes, strict=True):
+                for a, b in zip(nd.params.matrices(), nd_ref.params.matrices()):
+                    assert a.tobytes() == b.tobytes()
+            for e, e_ref in zip(snap.edges, snap_ref.edges[::-1], strict=True):
+                assert (e.upper, e.lower) == (e_ref.upper, e_ref.lower)
+                assert e.twist.tobytes() == e_ref.twist.tobytes()
+
+    def test_edges_screened_in_the_builds_order(self):
+        # the edge listed first is off its twist band, the one listed second
+        # not finite: deform refuses the first listed edge, as the build does
+        graph = chain_graph_with_random_params(0, 5, 2, np.random.default_rng(5))
+        e0, e1 = graph.edges
+        bad = (GraphEdge(e1.upper, e1.lower, e1.twist + 1e-3 * np.eye(2)),
+               GraphEdge(e0.upper, e0.lower, np.full((2, 2), np.nan)))
+        bad_graph = GluingGraph(graph.nodes, bad, graph.boundaries)
+        for run in (build_from_graph, deform_to_standard):
+            with pytest.raises(NotCompatible):
+                run(bad_graph)
+
+    def test_node_attached_to_a_later_node_rejected(self):
+        graph = chain_graph_with_random_params(0, 5, 2, np.random.default_rng(5))
+        p0, p1, p2 = graph.nodes
+        with pytest.raises(GraphInvalid, match="node 'p2' must attach through its port 1 to the prefix"):
+            deform_to_standard(GluingGraph((p0, p2, p1), graph.edges, graph.boundaries), steps=5)
 
 
 class TestReducedWords:

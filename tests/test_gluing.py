@@ -22,7 +22,6 @@ from maxrep.gluing import (
     GraphEdge,
     PantsNode,
     build_from_graph,
-    build_glued,
     can_glue,
     close_handle,
     component_signature,
@@ -53,6 +52,7 @@ from tests_support import (
     pants_product,
     chain_graph,
     derive_third_length,
+    glued_by_two_builds,
     patch_nan_twist,
     random_contracting,
     random_handle_data,
@@ -262,6 +262,11 @@ def pants_graph(p: PantsParams, labels, name="p") -> GluingGraph:
                        tuple(GraphBoundary((name, s), label) for s, label in zip((1, 2, 3), labels)))
 
 
+def glue(*sides):
+    """The one build of the glued graph of glue_graphs(*sides)."""
+    return build_from_graph(glue_graphs(*sides))
+
+
 def close_graph(graph, upper_label, lower_label, twist):
     """graph with its boundaries upper_label and lower_label closed by one more edge."""
     port = {b.label: b.port for b in graph.boundaries}
@@ -276,8 +281,8 @@ class TestGlueGraphs:
             p = random_pants_params(n, rng, tame=True)
             g0 = random_invertible(n, rng)
             q = attached_params(p, 3, g0, rng)
-            glued = build_glued(pants_graph(p, ("a1", "a2", "a3")), "a3",
-                                pants_graph(q, ("b1", "b2", "b3")), "b1", g0)
+            glued = glue(pants_graph(p, ("a1", "a2", "a3")), "a3",
+                         pants_graph(q, ("b1", "b2", "b3")), "b1", g0)
             assert (glued.genus, glued.m) == (0, 4)
             assert glued.relation_residual <= 1e-8
             # characteristic number adds across the edge
@@ -288,8 +293,8 @@ class TestGlueGraphs:
         # gluing a second copy of itself: mirrored parameters match exactly
         p = random_pants_params(2, rng, tame=True)
         mirror = PantsParams(p.X3.T, p.X2.T, p.X1.T)
-        glued = build_glued(pants_graph(p, ("a1", "a2", "a3")), "a3",
-                            pants_graph(mirror, ("b1", "b2", "b3")), "b1", np.eye(2))
+        glued = glue(pants_graph(p, ("a1", "a2", "a3")), "a3",
+                     pants_graph(mirror, ("b1", "b2", "b3")), "b1", np.eye(2))
         assert glued.relation_residual <= 1e-8
         assert sum(toledo_signature_shortcut(nd.params) for nd in glued.graph.nodes) == 4
 
@@ -304,10 +309,10 @@ class TestGlueGraphs:
         p2 = PantsParams(k @ p.X1 @ k.T, k @ p.X2 @ k.T, k @ p.X3 @ k.T)
         q2 = PantsParams(el @ q.X1 @ el.T, el @ q.X2 @ el.T, el @ q.X3 @ el.T)
         g2 = k @ g0 @ el.T
-        glued1 = build_glued(pants_graph(p, ("a1", "a2", "a3")), "a3",
-                             pants_graph(q, ("b1", "b2", "b3")), "b1", g0)
-        glued2 = build_glued(pants_graph(p2, ("a1", "a2", "a3")), "a3",
-                             pants_graph(q2, ("b1", "b2", "b3")), "b1", g2)
+        glued1 = glue(pants_graph(p, ("a1", "a2", "a3")), "a3",
+                      pants_graph(q, ("b1", "b2", "b3")), "b1", g0)
+        glued2 = glue(pants_graph(p2, ("a1", "a2", "a3")), "a3",
+                      pants_graph(q2, ("b1", "b2", "b3")), "b1", g2)
         f1 = word_trace_fingerprint(glued1)
         f2 = word_trace_fingerprint(glued2)
         scale = max(1.0, np.max(np.abs(f1)))
@@ -318,7 +323,7 @@ class TestGlueGraphs:
         hb1 = close_handle(x1, x2, h, label="t1")
         x3 = h @ x1.T @ np.linalg.inv(h)
         hb2 = close_handle(x3.T, x2.T, np.linalg.inv(h), label="t2")
-        closed = build_glued(hb1.graph, "t1", hb2.graph, "t2", np.eye(2))
+        closed = glue(hb1.graph, "t1", hb2.graph, "t2", np.eye(2))
         assert (closed.genus, closed.m) == (2, 0)
         assert closed.relation_residual <= 1e-7
 
@@ -356,8 +361,8 @@ class TestGlueGraphs:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_lower_boundary_off_the_first_node(self, kind, n):
         # the lower side is a standard chain glued at port 3 of its last node;
-        # the glued graph keeps each side's node order, and its own build and
-        # the join of the two builds both come out as declared
+        # the glued graph keeps each side's node order, and its one build,
+        # which is the join of the two sides' builds, comes out as declared
         for signs in itertools.product((1, -1), repeat=2 * kind[0] + kind[1] - 1):
             lower = standard_sign_graph(*kind, n, signs)
             last = lower.nodes[-1]
@@ -366,33 +371,53 @@ class TestGlueGraphs:
             upper = pants_graph(PantsParams(ell, 0.5 * np.eye(n), ell), ("u1", "u2", "u3"))
             graph = glue_graphs(upper, "u1", lower, glued_label, np.eye(n))
             assert [nd.name for nd in graph.nodes] == ["1.p", *(f"2.{nd.name}" for nd in lower.nodes)]
-            for rep in (build_from_graph(graph), build_glued(upper, "u1", lower, glued_label, np.eye(n))):
-                assert (rep.genus, rep.m) == (kind[0], kind[1] + 1)
-                TestBraidMoves._check(graph, rep, 1e-6)
+            rep = build_from_graph(graph)
+            assert (rep.genus, rep.m) == (kind[0], kind[1] + 1)
+            TestBraidMoves._check(graph, rep, 1e-6)
+
+    @staticmethod
+    def _random_chain_glue(seed, label, up_port):
+        """(upper, upper label, lower, label, twist): a fresh pants glued at
+        port up_port to boundary label of a random n = 2 (0, 4) chain."""
+        rng = np.random.default_rng(seed)
+        lower = four_holed_sphere_graph(rng)
+        node, slot = {b.label: b.port for b in lower.boundaries}[label]
+        g = random_invertible(2, rng)
+        ell = g @ slot_glue_length(lower.nodes[lower.node_index(node)].params, slot).T @ np.linalg.inv(g)
+        x2, x3, _ = derive_third_length(ell, rng)
+        p = {1: PantsParams(ell, x2, x3), 2: PantsParams(x3, -ell, -x2),
+             3: PantsParams(-x2, -x3, ell)}[up_port]
+        assert np.array_equal(slot_glue_length(p, up_port), ell)
+        return pants_graph(p, ("u1", "u2", "u3")), f"u{up_port}", lower, label, g
 
     @pytest.mark.parametrize("label", ["C3", "C4"])
     @pytest.mark.parametrize("up_port", [1, 2, 3])
     def test_random_chain_glued_off_the_first_node(self, label, up_port):
         # a fresh pants glued at port up_port to a boundary on the second node
-        # of a random n = 2 (0, 4) chain.  A build of the glued graph braid-moves
-        # the lower side's boundaries back into order and loses up to five
-        # digits here; build_glued joins the two sides' own builds
+        # of a random n = 2 (0, 4) chain.  The glued graph lists the new edge
+        # last, so its build joins the chain's own build to the pants; grown
+        # from the glued node instead, it lost up to five digits here
         for seed in range(10):
-            rng = np.random.default_rng(seed)
-            lower = four_holed_sphere_graph(rng)
-            node, slot = {b.label: b.port for b in lower.boundaries}[label]
-            g = random_invertible(2, rng)
-            ell = g @ slot_glue_length(lower.nodes[lower.node_index(node)].params, slot).T @ np.linalg.inv(g)
-            x2, x3, _ = derive_third_length(ell, rng)
-            p = {1: PantsParams(ell, x2, x3), 2: PantsParams(x3, -ell, -x2),
-                 3: PantsParams(-x2, -x3, ell)}[up_port]
-            assert np.array_equal(slot_glue_length(p, up_port), ell)
-            upper = pants_graph(p, ("u1", "u2", "u3"))
-            rep = build_glued(upper, f"u{up_port}", lower, label, g)
+            upper, upper_label, lower, _, g = self._random_chain_glue(seed, label, up_port)
+            rep = glue(upper, upper_label, lower, label, g)
             assert [nd.name for nd in rep.graph.nodes] == ["1.p", "2.p0", "2.p1"]
             assert rep.node_checks.values == (build_from_graph(upper).node_checks.values
                                               + build_from_graph(lower).node_checks.values)
             TestBraidMoves._check(rep.graph, rep, 1e-6)
+
+    @pytest.mark.parametrize("label", ["C1", "C2", "C3", "C4"])
+    @pytest.mark.parametrize("up_port", [1, 2, 3])
+    def test_one_build_is_the_two_builds_joined(self, label, up_port):
+        # the one build of the glued graph is, bit for bit, the two sides'
+        # own builds joined along the new edge
+        for seed in range(10):
+            sides = self._random_chain_glue(seed, label, up_port)
+            rep, ref = glue(*sides), glued_by_two_builds(*sides)
+            for a, b in zip(rep.generator_images().values(), ref.generator_images().values(), strict=True):
+                assert a.m.tobytes() == b.m.tobytes()
+            assert rep.relation_residual == ref.relation_residual
+            assert rep.boundary_labels() == ref.boundary_labels()
+            assert rep.node_checks.values == ref.node_checks.values
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_library_reps_deform_and_sign_as_their_graphs(self, n):
@@ -405,7 +430,7 @@ class TestGlueGraphs:
         sides = (pants_graph(p, ("C1", "C2", "C3")), "C3", pants_graph(q, ("D1", "D2", "D3")), "D1", g0)
         glued = glue_graphs(*sides)
         for rep, graph in ((pants_surface_rep(p), pants_graph(p, ("1", "2", "3"))),
-                           (build_from_graph(glued), glued), (build_glued(*sides), glued)):
+                           (build_from_graph(glued), glued)):
             assert component_signature(rep) == component_signature(graph)
             path, expected = deform_to_standard(rep, steps=10), deform_to_standard(graph, steps=10)
             assert path.signature == expected.signature
@@ -438,18 +463,39 @@ class TestBuildFromGraph:
         assert rep.boundary_labels() == ("C1", "C2", "C3")
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_node_listed_before_its_neighbour_waits(self, n):
-        # p2 joins only p1, so listed before p1 it is attached after it: the
-        # build makes the steps of the listing in gluing order, bit for bit
+    def test_node_order_does_not_matter(self, n):
+        # the build glues in edge order, so p2 listed before p1, which alone
+        # joins it to p0, builds the ordered listing bit for bit
         graph = chain_graph(0, 5, n, np.random.default_rng(n))
         p0, p1, p2 = graph.nodes
         permuted = GluingGraph((p0, p2, p1), graph.edges, graph.boundaries)
-        assert list(_gluing_plan(permuted)[1]) == ["p1", "p2"]
+        assert _gluing_plan(permuted)[1] == list(graph.edges)
         rep, ref = build_from_graph(permuted), build_from_graph(graph)
         for a, b in zip(rep.generator_images().values(), ref.generator_images().values(), strict=True):
             assert np.array_equal(a.m, b.m)
         assert rep.relation_residual == ref.relation_residual
         assert [rep.node_checks[i] for i in (0, 2, 1)] == [ref.node_checks[i] for i in range(3)]
+
+    @pytest.mark.parametrize("kind", [(0, 3), (1, 1), (0, 5), (1, 3), "closed handle"], ids=str)
+    def test_one_relation_gate_per_build(self, kind, rng, monkeypatch):
+        # the surface relation is checked once, on the finished surface, and
+        # not after each gluing step
+        if kind == "closed handle":
+            p = random_pants_params(2, rng, tame=True)
+            mirror = PantsParams(p.X3.T, p.X2.T, p.X1.T)
+            graph = close_graph(glue_graphs(pants_graph(p, ("a1", "a2", "a3")), "a3",
+                                            pants_graph(mirror, ("b1", "b2", "b3")), "b1", np.eye(2)),
+                                "b3", "a1", np.eye(2))
+            assert _gluing_plan(graph)[2]
+        else:
+            graph = chain_graph(*kind, 2, rng)
+        calls = []
+        real = maxrep.gluing._checked_surface
+        monkeypatch.setattr(maxrep.gluing, "_checked_surface",
+                            lambda rep, tol: calls.append(rep) or real(rep, tol))
+        rep = build_from_graph(graph)
+        # the one call gates the finished surface, boundaries relabelled
+        assert len(calls) == 1 and calls[0].boundary_labels() == rep.boundary_labels()
 
     def test_four_holed_sphere_graph(self, rng):
         rep = build_from_graph(four_holed_sphere_graph(rng))
@@ -605,12 +651,32 @@ class TestComponentSignature:
         monkeypatch.setattr(maxrep.gluing, "build_from_graph", no_build)
         assert component_signature(graph) == expected
 
+    def test_closing_edge_follows_edge_order(self, monkeypatch):
+        # a triangle of three pants (genus 1, m = 3): the edge listed last
+        # closes the handle, so each listing's signature opens with the signs
+        # of its closing edge's lower length and twist
+        x = lambda d: np.diag([d, 0.5])
+        nodes = tuple(PantsNode(name, PantsParams(x(d), x(0.5), x(d)))
+                      for name, d in zip("abc", (0.5, 0.5, -0.5)))
+        ab = GraphEdge(("a", 3), ("b", 1), np.eye(2))
+        bc = GraphEdge(("b", 3), ("c", 1), np.diag([-1.0, 1.0]))
+        ca = GraphEdge(("c", 3), ("a", 1), np.eye(2))
+        bounds = tuple(GraphBoundary((name, 2), f"C{i}") for i, name in enumerate("abc", start=1))
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("component_signature built the graph")
+
+        monkeypatch.setattr(maxrep.gluing, "build_from_graph", no_build)
+        # ca closes: lower length a.X1 and its twist; bc closes: c.X1 and its twist
+        assert component_signature(GluingGraph(nodes, (ab, bc, ca), bounds)) == (1, 1, 1, 1)
+        assert component_signature(GluingGraph(nodes, (ca, ab, bc), bounds)) == (-1, -1, 1, 1)
+
     def test_closed_surface_rejected(self, rng):
         x1, x2, h = random_handle_data(2, rng)
         hb1 = close_handle(x1, x2, h, label="t1")
         x3 = h @ x1.T @ np.linalg.inv(h)
         hb2 = close_handle(x3.T, x2.T, np.linalg.inv(h), label="t2")
-        closed = build_glued(hb1.graph, "t1", hb2.graph, "t2", np.eye(2))
+        closed = glue(hb1.graph, "t1", hb2.graph, "t2", np.eye(2))
         with pytest.raises(GraphInvalid):
             component_signature(closed)
 
@@ -835,7 +901,7 @@ class TestStackedLocalData:
             fault = _outcome(build_maximal, nd.params)
             if isinstance(fault, MaxRepError):
                 return fault
-        for e in [*self_edges.values(), *tree_edges.values(), *closures]:
+        for e in [*self_edges.values(), *tree_edges, *closures]:
             calls = []
             patched = lambda *args, **kwargs: calls.append(args) or _twist_elements(*args)
             with pytest.MonkeyPatch.context() as mp:

@@ -1,19 +1,34 @@
 """Seeded fixtures shared by the test suite.
 
 Random parameters, symplectic elements and boundary points, and random chain
-graphs.  Everything takes an explicit ``numpy.random.Generator``; nothing
-here touches global random state.  The "tame" generators rejection-sample
+graphs; ``glued_by_two_builds``, the reference join of two surfaces that the
+one build of their union graph is compared with.  Everything takes an
+explicit ``numpy.random.Generator``; nothing here touches global random
+state.  The "tame" generators rejection-sample
 moderate spectral radii and condition numbers so that glued conjugations stay
 well inside the residual budgets; the plain generators only cap the
 condition number.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 import maxrep.gluing
 from maxrep.deform import _chain_plan
-from maxrep.errors import MaxRepError
-from maxrep.gluing import GluingGraph, GraphBoundary, GraphEdge, PantsNode, slot_glue_length
+from maxrep.errors import MaxRepError, Slices
+from maxrep.gluing import (
+    GluingGraph,
+    GraphBoundary,
+    GraphEdge,
+    PantsNode,
+    _amalgamate,
+    _checked_surface,
+    _edge_twists,
+    build_from_graph,
+    glue_graphs,
+    slot_glue_length,
+)
 from maxrep.matcore import DEFAULT_TOL, Tolerance, as_matrix, check_finite, require_invertible
 from maxrep.pants import PantsParams
 from maxrep.symplectic import (
@@ -279,3 +294,19 @@ def patch_nan_twist(monkeypatch):
         return out
 
     monkeypatch.setattr(maxrep.gluing, "_twist_elements", nan_twists)
+
+
+def glued_by_two_builds(upper, upper_label, lower, lower_label, twist, tol: Tolerance = DEFAULT_TOL):
+    """The representation of glue_graphs(upper, upper_label, lower,
+    lower_label, twist) as the two sides' own builds joined along the new
+    edge by one _amalgamate, with the relation checked once at the end and
+    the node checks of the two builds in union order."""
+    graph = glue_graphs(upper, upper_label, lower, lower_label, twist)
+    rep1, rep2 = build_from_graph(upper, tol), build_from_graph(lower, tol)
+    edge, params = graph.edges[-1], {nd.name: nd.params for nd in graph.nodes}
+    tw = _edge_twists([(params[edge.upper[0]], edge.upper[1], params[edge.lower[0]], edge.lower[1],
+                        edge.twist)], tol)
+    rep = _amalgamate(rep1, upper_label, rep2, lower_label, SpMat(tw[0]))
+    checks = Slices(len(graph.nodes))
+    checks.values = rep1.node_checks.values + rep2.node_checks.values
+    return _checked_surface(replace(rep, graph=graph, node_checks=checks), tol)
