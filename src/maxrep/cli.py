@@ -6,7 +6,8 @@ built representations, runs the library and prints line-oriented
 
 Exit codes: 0 success, 2 parse error (an unreadable or malformed file, or a
 bad argument), 3 mathematical refusal (the requested object does not exist),
-4 numerical breakdown (tolerances could not decide).
+4 numerical breakdown (tolerances could not decide); with --json a refusal also
+prints its status, class, message, stage, measured value and bound.
 The environment variable MAXREP_TOL overrides the relative comparison
 tolerance; --seed (limits only) seeds the limit-set sampler.
 """
@@ -31,10 +32,10 @@ from .gluing import (
     GraphEdge,
     PantsNode,
     SurfaceRep,
+    _surface_fault,
     build_from_graph,
     component_signature,
     glue_graphs,
-    relation_residual,
 )
 from .limits import limit_set_sample
 from .maslov import Triple, maslov
@@ -44,9 +45,9 @@ from .symplectic import (
     INFINITY,
     BoundaryPoint,
     SpMat,
+    _symplectic_defects,
     finite_point,
     identity_point,
-    symplectic_residual,
     zero_point,
 )
 
@@ -307,8 +308,7 @@ def _signs(sig) -> str:
 
 def _describe_build(rep: SurfaceRep) -> list:
     """The report of a graph build, read off the build's own membership check."""
-    g, m = rep.graph.surface_type()
-    report = [("status", "ok"), ("surface", f"genus {g}, boundaries {m}"), ("n", rep.n)]
+    report = [("status", "ok"), ("surface", f"genus {rep.genus}, boundaries {rep.m}"), ("n", rep.n)]
     for i, nd in enumerate(rep.graph.nodes):
         cls, sig = rep.node_checks[i]
         report.append((f"node {nd.name} class", cls.value))
@@ -329,14 +329,13 @@ def cmd_verify(args, tol: Tolerance) -> list:
     if lines and lines[0][1].startswith("maxrep-graph"):
         return _describe_build(build_from_graph(parse_graph_file(args.file, args.strict), tol))
     n, genus, m, gens = parse_rep_file(args.file, args.strict)
-    residuals = {name: symplectic_residual(mat)[0] for name, mat in gens.items()}
+    residuals = dict(zip(gens, _symplectic_defects(np.array(list(gens.values()))).max(axis=-1).tolist()))
     a, b, c = ([SpMat(gens[f"{x}{i}"]) for i in range(1, k + 1)]
                for x, k in (("A", genus), ("B", genus), ("C", m)))
-    rel = relation_residual(n, a, b, c)
-    ok = all(res <= 1e-6 for res in residuals.values()) and rel <= 1e-6
+    rel, fault = _surface_fault(n, a, b, c, tol)
     return [(f"generator {name} symplectic residual", f"{res:.6e}")
             for name, res in residuals.items()] \
-        + [("relation residual", f"{rel:.6e}"), ("status", "ok" if ok else "suspect")]
+        + [("relation residual", f"{rel:.6e}"), ("status", "suspect" if fault else "ok")]
 
 
 def cmd_toledo(args, tol: Tolerance) -> list:
@@ -484,12 +483,13 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR
-    except MathematicalRefusal as exc:
-        print(f"refused: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return REFUSAL
-    except NumericalBreakdown as exc:
-        print(f"numerical breakdown: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return BREAKDOWN
+    except (MathematicalRefusal, NumericalBreakdown) as exc:
+        status = "refused" if isinstance(exc, MathematicalRefusal) else "numerical breakdown"
+        print(f"{status}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if args.json:
+            print(json.dumps({"status": status, "error": type(exc).__name__, "message": str(exc),
+                              "stage": exc.stage, "measured": exc.measured, "bound": exc.bound}, indent=2))
+        return REFUSAL if status == "refused" else BREAKDOWN
     if args.json:
         print(json.dumps(dict(report), indent=2, default=str))
     else:

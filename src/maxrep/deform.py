@@ -258,7 +258,7 @@ def _analyze_chain(graph: GluingGraph) -> tuple[GraphEdge | None, list[GraphEdge
     """(the self edge of the first node or None, the edge attaching each
     later node through its port 1 to an earlier node, in node order), or
     GraphInvalid when the graph is not chain-shaped."""
-    self_edges, tree_edges, closures = _gluing_plan(graph)
+    self_edges, tree_edges, closures, _ = _gluing_plan(graph)
     if set(self_edges) - {graph.nodes[0].name}:
         raise GraphInvalid("deformation supports at most one handle, on the first node")
     if closures:
@@ -351,7 +351,8 @@ def _refuse_first(xs: np.ndarray, tol: Tolerance, nodes: tuple[PantsNode, ...]):
             raise NotValid(f"snapshot {i} leaves the valid cone at node {name!r} ({c})")
         fault = classes.refusals[bad] or sigs.refusals[bad]
         if fault:
-            raise type(fault)(f"snapshot {i} at node {name!r}: {fault}")
+            raise type(fault)(f"snapshot {i} at node {name!r}: {fault}",
+                              fault.stage, fault.measured, fault.bound)
         raise NotMaximal(f"snapshot {i} loses maximality at node {name!r}")
 
 
@@ -381,12 +382,9 @@ def deform_to_standard(rep_or_graph, steps: int = 100,
     n, nodes = graph.n, graph.nodes
     # the snapshots invert the input's lengths and twists
     _refuse_first(np.array([nd.params.matrices() for nd in nodes]), tol, nodes)
-    params = {nd.name: nd.params for nd in nodes}
-    # in the build's plan order: the self edge, then the attaching edges in edge order
-    plan = ([loop] if loop else []) + [e for e in graph.edges if e is not loop]
-    ends = [(_loop_twist(e.twist, e.upper[1]) if e is loop else as_matrix(e.twist), params[e.lower[0]].X1,
-             slot_glue_length(params[e.upper[0]], 3 if e is loop else e.upper[1]))
-            for e in plan]
+    # every edge as the build reads it, in the build's order
+    ends = [(as_matrix(twist), slot_glue_length(lo, lo_port), slot_glue_length(up, up_port))
+            for up, up_port, lo, lo_port, twist in _gluing_plan(graph)[3]]
     screen = _edge_screen(*map(np.array, zip(*ends)), tol, obstruct=True) if ends else None
     for j in range(len(ends)):
         screen[j]  # raises the first refused edge

@@ -1,4 +1,4 @@
-"""Exception hierarchy.
+"""Exception hierarchy and the one residual gate.
 
 Every failure mode a caller can act on gets its own class.  The CLI maps
 subclasses of :class:`MathematicalRefusal` to exit code 3 (the input is
@@ -13,7 +13,11 @@ import numpy as np
 
 
 class MaxRepError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; gate's refusals name stage, measured and bound."""
+
+    def __init__(self, message: str = "", stage=None, measured=None, bound=None):
+        super().__init__(message)
+        self.stage, self.measured, self.bound = stage, measured, bound
 
 
 class MathematicalRefusal(MaxRepError):
@@ -94,6 +98,29 @@ class DefectiveSplit(NumericalBreakdown):
 
 
 _NON_FINITE = "matrix contains NaN or Inf entries"
+
+
+def gate(stage: str, measured, band, refusal: type, message, factors=()):
+    """None for a measured value within its band, else its refusal: IllConditioned
+    when the value is not finite or at most the rounding floor k d u prod(max|F_i|)
+    of the product F_1 ... F_k of factors, (d x d) matrices or stacks, u = 2^-53
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 3), else
+    refusal.  One value gives one result, one per slice a list; band broadcasts
+    against it, and message, one or one per slice, is formatted with the value."""
+    r = np.asarray(measured, dtype=float)
+    if (r <= band).all():
+        return [None] * r.size if r.ndim else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        floor = len(factors) * factors[0].shape[-1] * 2.0 ** -53 * np.prod(
+            [np.abs(f).max(axis=(-2, -1)) for f in factors], axis=0) if factors else 0.0
+    values, bounds, floors = (np.broadcast_to(x, r.shape).reshape(-1).tolist() for x in (r, band, floor))
+    texts = [message] * len(values) if isinstance(message, str) else message
+    out = [None if v <= b
+           else IllConditioned(f"{stage} {v:.3e} is not finite", stage, v, b) if not np.isfinite(v)
+           else refusal(text.format(v), stage, v, b) if v > f
+           else IllConditioned(f"{text.format(v)}, at or below the rounding floor {f:.3e}", stage, v, b)
+           for v, b, f, text in zip(values, bounds, floors, texts)]
+    return out if r.ndim else out[0]
 
 
 class Slices:

@@ -30,10 +30,12 @@ from .errors import (
     CannotGlue,
     GraphInvalid,
     IllConditioned,
+    MaxRepError,
     NotCompatible,
     NotContracting,
     NotValid,
     Slices,
+    gate,
 )
 from .matcore import (
     DEFAULT_TOL,
@@ -177,10 +179,9 @@ def _twist_elements(x, s, xbar, sbar, g, tol: Tolerance, obstruct: bool = False)
         gm, cm, cbarm = out.refuse(syms.first_of(3), *syms.values.reshape(3, -1, 2 * n, 2 * n))
         residual = np.abs(gm @ _sp_inv(cm) @ _sp_inv(gm) - cbarm).max(axis=(-2, -1))
     bound = np.sqrt(tol.eq_tol) * np.maximum(1.0, np.abs(cbarm).max(axis=(-2, -1)))
-    return out.finish(out.refuse([
-        None if r <= b else NotCompatible(f"twist conjugation residual {r:.3e}") if np.isfinite(r)
-        else IllConditioned(f"twist conjugation residual {r:.3e} is not finite")
-        for r, b in zip(residual.tolist(), bound.tolist())], gm))
+    # a symplectic inverse has the entries of its matrix, so the floor's factors are gm, cm, gm
+    return out.finish(out.refuse(gate("twist conjugation residual", residual, bound, NotCompatible,
+                                      "twist conjugation residual {:.3e}", (gm, cm, gm)), gm))
 
 
 def _edge_screen(g, x, xbar, tol: Tolerance, obstruct: bool = False) -> Slices:
@@ -188,8 +189,8 @@ def _edge_screen(g, x, xbar, tol: Tolerance, obstruct: bool = False) -> Slices:
     stacks of twists g and lower and upper lengths x and xbar, in its order:
     with obstruct, a unit-modulus length (CannotGlue); a non-finite or
     singular g, x or xbar, a g whose square overflows, a non-contracting x or
-    xbar; a defect outside the band of _twist_defect (NotCompatible), finite
-    by the bounds before it.  The values are the eigenvalues of x and xbar.
+    xbar; a defect of xbar = G x^T G^{-1} above max(1e-7, 100 eq_tol) *
+    max(1, |xbar|) (NotCompatible).  The values are the eigenvalues of x and xbar.
     """
     k, n = x.shape[:2]
     band, big = tol.unit_circle_band, np.sqrt(np.finfo(float).max)   # a larger twist overflows
@@ -214,17 +215,12 @@ def _edge_screen(g, x, xbar, tol: Tolerance, obstruct: bool = False) -> Slices:
         return None
 
     g, x, xbar, eigs = out.refuse([spectral_fault(i) for i in range(k)], g, x, xbar, eigs.swapaxes(0, 1))
-    defect, over = _twist_defect(g, x, xbar, tol)
-    return out.finish(out.refuse([
-        NotCompatible(f"twist does not conjugate the transposed length (defect {d:.3e})") if o else None
-        for d, o in zip(defect, over)], eigs))
-
-
-def _twist_defect(g_twist, x, xbar, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
-    """The defect of xbar = G x^T G^{-1}, and whether it lies outside the band
-    max(1e-7, 100 eq_tol) * max(1, |xbar|), as a NaN does; per slice."""
-    defect = np.abs(g_twist @ x.swapaxes(-1, -2) @ np.linalg.inv(g_twist) - xbar).max(axis=(-2, -1))
-    return defect, ~(defect <= max(1e-7, 100 * tol.eq_tol) * np.maximum(1.0, np.abs(xbar).max(axis=(-2, -1))))
+    factors = (g, x.swapaxes(-1, -2), np.linalg.inv(g))
+    defect = np.abs(factors[0] @ factors[1] @ factors[2] - xbar).max(axis=(-2, -1))
+    bound = max(1e-7, 100 * tol.eq_tol) * np.maximum(1.0, np.abs(xbar).max(axis=(-2, -1)))
+    return out.finish(out.refuse(gate("twist defect", defect, bound, NotCompatible,
+                                      "twist does not conjugate the transposed length (defect {:.3e})",
+                                      factors), eigs))
 
 
 # ---------------------------------------------------------------------------
@@ -465,29 +461,26 @@ def _ld_product(*mats: SpMat) -> SpMat:
     return SpMat(acc.astype(np.float64))
 
 
-def _commutator(a: SpMat, b: SpMat) -> SpMat:
-    return _ld_product(a, b, sp_inverse(a), sp_inverse(b))
-
-
 def relation_residual(n: int, a_imgs, b_imgs, c_imgs) -> float:
     """Defect of [A_g,B_g]...[A_1,B_1] C_m...C_1 against the identity."""
     total = sp_identity(n)
     for a, b in zip(reversed(a_imgs), reversed(b_imgs)):
-        total = total @ _commutator(a, b)
+        total = total @ _ld_product(a, b, sp_inverse(a), sp_inverse(b))
     for c in reversed(c_imgs):
         total = total @ c
     return norm_inf(total.m - np.eye(2 * n))
 
 
-def _checked_surface(rep: SurfaceRep, tol: Tolerance) -> SurfaceRep:
-    res = relation_residual(rep.n, rep.a_imgs, rep.b_imgs, rep.c_imgs)
-    scale = max((norm_inf(g.m) for g in rep.a_imgs + rep.b_imgs + rep.c_imgs),
-                default=1.0)
-    # a NaN residual compares False against any bound
-    if not np.isfinite(res) or res > max(1e-7, tol.eq_tol * max(1.0, scale) ** 2):
-        raise IllConditioned(
-            f"surface relation residual {res:.3e}; inputs too ill-conditioned")
-    return replace(rep, relation_residual=res)
+def _surface_fault(n: int, a_imgs, b_imgs, c_imgs, tol: Tolerance) -> tuple[float, MaxRepError | None]:
+    """The relation residual of generator images and the first refusal of the
+    gate a build and maxrep verify share: a residual above the one absolute
+    bound 1e3 * eq_tol (1e-6 at the default), then any image's block relations."""
+    res = relation_residual(n, a_imgs, b_imgs, c_imgs)
+    gens = np.array([g.m for g in (*a_imgs, *b_imgs, *c_imgs)])
+    faults = [gate("surface relation residual", res, 1e3 * tol.eq_tol, IllConditioned,
+                   "surface relation residual {:.3e}; inputs too ill-conditioned")]
+    faults += _make_symplectics(*(gens[:, i:i + n, j:j + n] for i in (0, n) for j in (0, n)), tol).refusals
+    return res, next(filter(None, faults), None)
 
 
 def pants_surface_rep(params: PantsParams, tol: Tolerance = DEFAULT_TOL,
@@ -682,13 +675,16 @@ def _close_boundaries(rep: SurfaceRep, upper_label: str, lower_label: str,
 
 
 def _gluing_plan(graph: GluingGraph) -> tuple[dict[str, GraphEdge], list[GraphEdge],
-                                               list[GraphEdge]]:
-    """The builder's choice of edges: (self edges, tree edges, closure edges).
+                                               list[GraphEdge], list[tuple]]:
+    """The builder's choice of edges: (self edges, tree edges, closure edges, reads).
 
     Self edges are keyed by node name in node order; each must join ports 1
     and 3 of its node (the handle-block shape).  Every other edge is read in
     edge order: a tree edge when it joins two pieces not yet joined, a
-    closure otherwise.  Both lists keep edge order.
+    closure otherwise.  Both lists keep edge order.  reads holds every edge,
+    in that order, as the twist kernel reads it: (upper pants, upper port,
+    lower pants, lower port, twist), a self edge from port 3 to port 1 with
+    its twist turned by _loop_twist.  The glued lengths are slot_glue_length's.
     """
     graph.validate()
     self_edges: dict[str, GraphEdge] = {}
@@ -711,7 +707,12 @@ def _gluing_plan(graph: GluingGraph) -> tuple[dict[str, GraphEdge], list[GraphEd
             joined = pieces[up] | pieces[lo]
             pieces.update(dict.fromkeys(joined, joined))
     ordered = {nd.name: self_edges[nd.name] for nd in graph.nodes if nd.name in self_edges}
-    return ordered, tree_edges, closures
+    params = {nd.name: nd.params for nd in graph.nodes}
+    reads = [(params[name], 3, params[name], 1, _loop_twist(e.twist, e.upper[1]))
+             for name, e in ordered.items()]
+    reads += [(params[e.upper[0]], e.upper[1], params[e.lower[0]], e.lower[1], e.twist)
+              for e in (*tree_edges, *closures)]
+    return ordered, tree_edges, closures, reads
 
 
 def _loop_twist(twist, upper_port: int) -> np.ndarray:
@@ -738,7 +739,8 @@ def build_from_graph(graph: GluingGraph, tol: Tolerance = DEFAULT_TOL) -> Surfac
     (which must join ports 1 and 3).  The other edges are glued in listed
     order, node order aside: one joining two pieces merges them, the rest
     close handles at the end, in edge order.  The boundaries are then
-    braid-moved into their declared order; the relation is checked once.
+    braid-moved into their declared order, and the finished images meet
+    the gate of _surface_fault once.
 
     Every node's pants images come from one stacked forward-map call and
     every edge's twist element, a self-edge's in the handle orientation of
@@ -746,23 +748,13 @@ def build_from_graph(graph: GluingGraph, tol: Tolerance = DEFAULT_TOL) -> Surfac
     edge.  A refused build raises the first refused node in node order, else
     the first refused edge in _gluing_plan order.
     """
-    self_edges, tree_edges, closures = _gluing_plan(graph)
+    self_edges, tree_edges, closures, reads = _gluing_plan(graph)
     label = lambda port: f"{port[0]}.{port[1]}"
-    params = {nd.name: nd.params for nd in graph.nodes}
-    classes, checks, reps = _build_maximal_stack(np.array([p.matrices() for p in params.values()]), tol)
+    classes, checks, reps = _build_maximal_stack(np.array([nd.params.matrices() for nd in graph.nodes]), tol)
     # indexing a Slices raises its refusal: the first refused node, then edge
     pants = {nd.name: reps[i] for i, nd in enumerate(graph.nodes)}
-    # every edge as the twist kernel reads it, a self-edge in the handle orientation
-    plan = [*self_edges.values(), *tree_edges, *closures]
-    read = {e: GraphEdge((e.upper[0], 3), (e.lower[0], 1), _loop_twist(e.twist, e.upper[1]))
-            if e.upper[0] == e.lower[0] else e for e in plan}
-    twists = _edge_twists([(params[r.upper[0]], r.upper[1], params[r.lower[0]], r.lower[1], r.twist)
-                           for r in read.values()], tol)
-    tws = {e: SpMat(twists[j]) for j, e in enumerate(plan)}
-
-    def close(rep: SurfaceRep, e: GraphEdge) -> SurfaceRep:
-        return _close_boundaries(rep, label(read[e].upper), label(read[e].lower), tws[e])
-
+    twists = _edge_twists(reads, tol)
+    tws = {e: SpMat(twists[j]) for j, e in enumerate((*self_edges.values(), *tree_edges, *closures))}
     ident = sp_identity(graph.n)
 
     def fresh_block(name: str) -> SurfaceRep:
@@ -772,9 +764,9 @@ def build_from_graph(graph: GluingGraph, tol: Tolerance = DEFAULT_TOL) -> Surfac
             c_imgs=pants[name].generators(),
             ports=tuple(PortRef(s, ident, label((name, s))) for s in (1, 2, 3)),
             graph=graph,
-            relation_residual=pants[name].relation_residual,
         )
-        return close(block, self_edges[name]) if name in self_edges else block
+        return _close_boundaries(block, label((name, 3)), label((name, 1)), tws[self_edges[name]]) \
+            if name in self_edges else block
 
     # each node's piece: the representation built so far of the nodes joined to it
     pieces = {nd.name: fresh_block(nd.name) for nd in graph.nodes}
@@ -785,7 +777,7 @@ def build_from_graph(graph: GluingGraph, tol: Tolerance = DEFAULT_TOL) -> Surfac
     # the graph is connected, so one piece is left
     built = pieces[graph.nodes[0].name]
     for e in closures:
-        built = close(built, e)
+        built = _close_boundaries(built, label(e.upper), label(e.lower), tws[e])
     # reorder boundaries to the declared labels
     for target, b in enumerate(graph.boundaries):
         built = _move_boundary(built, label(b.port), target)
@@ -793,13 +785,10 @@ def build_from_graph(graph: GluingGraph, tol: Tolerance = DEFAULT_TOL) -> Surfac
     ports = tuple(replace(p, label=relabel.get(p.label, p.label)) for p in built.ports)
     # a built graph refused no node, so slice j of the check is graph node j
     checks.values = list(zip(classes.values, checks.values))
-    built = replace(built, ports=ports, node_checks=checks)
-    g_expected, m_expected = graph.surface_type()
-    if (built.genus, built.m) != (g_expected, m_expected):
-        raise GraphInvalid(
-            f"built surface has type {(built.genus, built.m)}, "
-            f"graph declares {(g_expected, m_expected)}")
-    return _checked_surface(built, tol)
+    res, fault = _surface_fault(graph.n, built.a_imgs, built.b_imgs, built.c_imgs, tol)
+    if fault:
+        raise fault
+    return replace(built, ports=ports, node_checks=checks, relation_residual=res)
 
 
 # ---------------------------------------------------------------------------
@@ -827,7 +816,7 @@ def component_signature(rep_or_graph, tol: Tolerance = DEFAULT_TOL) -> tuple[int
     representation space.  A closed surface has no signature (GraphInvalid).
     """
     graph = rep_or_graph.graph if isinstance(rep_or_graph, SurfaceRep) else rep_or_graph
-    self_edges, _, closures = _gluing_plan(graph)
+    self_edges, _, closures, _ = _gluing_plan(graph)
     params = {nd.name: nd.params for nd in graph.nodes}
     length = lambda port: params[port[0]].matrices()[port[1] - 1]
     handles = [(params[name].X1, e.twist) for name, e in self_edges.items()]

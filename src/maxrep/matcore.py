@@ -22,7 +22,7 @@ from typing import ClassVar
 import numpy as np
 import scipy
 
-from .errors import _NON_FINITE, IllConditioned, NearSingular, ResonantSpectrum, Singular, Slices
+from .errors import _NON_FINITE, IllConditioned, NearSingular, ResonantSpectrum, Singular, Slices, gate
 
 __all__ = [
     "Tolerance",
@@ -210,8 +210,8 @@ def stein_solve(a, q, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     map B = I - 2 W with W = (A^T + I)^{-1} turns the equation into
     B P + P B^T = 2 W Q W^T, which one real Schur factorization of B
     reduces to a triangular Sylvester equation; one refinement step reuses
-    the same factors.  A NaN or Inf in A, or a solution that overflows,
-    raises IllConditioned.
+    the same factors.  A NaN or Inf in A, a solution that overflows, or a
+    residual at or below its rounding floor (errors.gate) raises IllConditioned.
     """
     a = check_finite(as_matrix(a))
     q = require_symmetric(q, tol, "Stein right-hand side")
@@ -261,9 +261,10 @@ def _stein_solves(a: np.ndarray, q: np.ndarray, tol: Tolerance,
     residual = np.abs(t(a) @ p @ a - p - q).max(axis=(1, 2))
     scale = np.maximum(np.maximum(1.0, np.abs(q).max(axis=(1, 2))),
                        np.abs(a).max(axis=(1, 2)) ** 2 * np.abs(p).max(axis=(1, 2)))
-    return out.finish(out.refuse([ResonantSpectrum(
-        f"Stein residual {r:.3e} exceeds tolerance; the equation is too close to resonance")
-        if r > tol.series_tol * sc else None for r, sc in zip(residual, scale)], p))
+    return out.finish(out.refuse(gate(
+        "Stein residual", residual, tol.series_tol * scale, ResonantSpectrum,
+        "Stein residual {:.3e} exceeds tolerance; the equation is too close to resonance",
+        (t(a), p, a)), p))
 
 
 def _char_poly_matches(x: np.ndarray, y: np.ndarray, tol: Tolerance) -> bool:

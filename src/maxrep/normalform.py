@@ -27,6 +27,7 @@ from .errors import (
     NotFixed,
     NotSHyperbolic,
     Slices,
+    gate,
 )
 from .matcore import (
     DEFAULT_TOL,
@@ -162,10 +163,12 @@ def _stein_fixed_point(a: np.ndarray, s: np.ndarray, tol: Tolerance,
 
 def _require_fixed(g: SpMat, p: BoundaryPoint, tol: Tolerance, who: str):
     """Raise NotFixed unless g moves p by at most sqrt(eq_tol) * max(1, |p|)."""
-    d = point_distance(moebius_act(g, p, tol), p)
+    # a point moved to or from infinity (distance inf) is moved, not lost to rounding
+    d = min(point_distance(moebius_act(g, p, tol), p), np.finfo(float).max)
     bound = rel_bound(np.sqrt(tol.eq_tol), 0.0 if p.is_infinity else p.value)
-    if not d <= bound:
-        raise NotFixed(f"{who} does not fix its claimed point (moved by {d:.3e})")
+    if fault := gate("fixed-point displacement", d, bound, NotFixed,
+                     f"{who} does not fix its claimed point (moved by {{:.3e}})"):
+        raise fault
 
 
 def fixed_point_expanding_side(sb: StandardBoundary,

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import IllConditioned, NearSingular, NotMaximal, NotValid, Slices
+from .errors import IllConditioned, NearSingular, NotMaximal, NotValid, Slices, gate
 from .maslov import Triple, indefinite_identity, is_maximal, maslov, normalize_maximal_triple
 from .matcore import (
     DEFAULT_TOL,
@@ -30,7 +30,6 @@ from .matcore import (
     commutant_search,
     norm_inf,
     rel_bound,
-    require_invertible,
 )
 from .normalform import _canonical_points, _require_fixed
 from .symplectic import (
@@ -168,12 +167,13 @@ def _check_stack(xs: np.ndarray, tol: Tolerance) -> tuple[Slices, Slices]:
     singular = sv[..., -1] <= tol.eq_tol * np.maximum(1.0, sv[..., 0])
     # a singular X2 is refused anyway; the identity in its place keeps the
     # stacked inverse from failing on the other slices
-    x2 = np.where(singular[:, 1, None, None], eye, xs[:, 1])
-    prod = xs[:, 2] @ np.linalg.inv(x2.swapaxes(-1, -2)) @ xs[:, 0]
-    prod, xs, sv, singular = classes.screen(prod, xs, sv, singular)
+    x2ti = np.linalg.inv(np.where(singular[:, 1, None, None], eye, xs[:, 1]).swapaxes(-1, -2))
+    prod, xs, sv, singular, x2ti = classes.screen(xs[:, 2] @ x2ti @ xs[:, 0], xs, sv, singular, x2ti)
     prod_t = prod.swapaxes(-1, -2)
     bound = tol.eq_tol * np.maximum(1.0, np.abs(prod).max(axis=(-2, -1)))
-    asym = np.abs(prod - prod_t).max(axis=(-2, -1)) > bound
+    sym = gate("product asymmetry", np.abs(prod - prod_t).max(axis=(-2, -1)), bound, NotValid,
+               "product is not symmetric", (xs[:, 2], x2ti, xs[:, 0]))
+    asym = np.array([f is not None for f in sym], dtype=bool)
     eigs = np.linalg.eigvalsh((prod + prod_t) / 2.0)
     moduli = np.abs(eigs)
     near = moduli.min(axis=-1) <= tol.eq_tol * moduli.max(axis=-1)
@@ -181,14 +181,15 @@ def _check_stack(xs: np.ndarray, tol: Tolerance) -> tuple[Slices, Slices]:
     sigs.refuse(classes.refusals)
     sigs.finish(sigs.refuse([
         None if not bad else _singular(sv[j, 1], tol, "X2") if singular[j, 1]
-        else NotValid("product is not symmetric") if asym[j]
-        else NearSingular(f"eigenvalue inside zero band (band {tol.eq_tol * moduli[j].max():.3e}, "
-                          f"closest {moduli[j].min():.3e})")
+        else sym[j] or NearSingular(f"eigenvalue inside zero band (band {tol.eq_tol * moduli[j].max():.3e}, "
+                                    f"closest {moduli[j].min():.3e})")
         for j, bad in enumerate((singular[:, 1] | asym | near).tolist())],
         np.sign(eigs).sum(axis=-1).astype(int).tolist()))
     radius = np.abs(np.linalg.eigvals(xs)).max(axis=(-2, -1))
+    # an asymmetry at the rounding floor leaves the class undecided
     not_valid, radius = classes.refuse([
-        next(_singular(sv[j, i], tol, f"X{i + 1}") for i in range(3) if singular[j, i]) if bad else None
+        next(_singular(sv[j, i], tol, f"X{i + 1}") for i in range(3) if singular[j, i]) if bad
+        else sym[j] if isinstance(sym[j], IllConditioned) else None
         for j, bad in enumerate(singular.any(axis=1).tolist())], asym | (eigs[:, 0] <= bound), radius)
     lo, hi = 1.0 - tol.unit_circle_band, 1.0 + tol.unit_circle_band
     return classes.finish([ParamClass.NOT_VALID if bad
@@ -221,9 +222,9 @@ def _assemble_reps(blocks, tol: Tolerance, out: Slices) -> Slices:
     c1, c2, c3 = out.refuse(gens.first_of(3), *gens.values.reshape(3, -1, *gens.values.shape[1:]))
     residual = np.abs(c3 @ c2 @ c1 - np.eye(c1.shape[-1])).max(axis=(-2, -1))
     scale = np.maximum(1.0, np.abs(np.stack((c1, c2, c3))).max(axis=(0, -2, -1)))
-    c1, c2, c3, residual = out.refuse([
-        NotValid(f"group relation fails with residual {r:.3e}") if r > tol.eq_tol * sc else None
-        for r, sc in zip(residual, scale)], c1, c2, c3, residual)
+    c1, c2, c3, residual = out.refuse(gate("group relation residual", residual, tol.eq_tol * scale, NotValid,
+                                           "group relation fails with residual {:.3e}", (c3, c2, c1)),
+                                      c1, c2, c3, residual)
     return out.finish([PantsRep(SpMat(a), SpMat(b), SpMat(c), relation_residual=float(r))
                        for a, b, c, r in zip(c1, c2, c3, residual)])
 
@@ -251,14 +252,13 @@ def build_maximal(p: PantsParams, tol: Tolerance = DEFAULT_TOL) -> PantsRep:
 def build_general(gp: GeneralPantsParams, tol: Tolerance = DEFAULT_TOL) -> PantsRep:
     """Representation with middle fixed point diag(1_i, -1_{n-i}).
 
-    Requires only symmetry of the product; the characteristic number comes
-    out as i + j - n where 2j - n is the product's signature.
+    Requires only what the membership check refuses ahead of the product's
+    signature: invertible Xi and a symmetric, invertible product.  The
+    characteristic number comes out as i + j - n where 2j - n is that signature.
     """
-    for name, x in zip(("X1", "X2", "X3"), (gp.X1, gp.X2, gp.X3)):
-        require_invertible(x, tol, name)
-    prod = gp.X3 @ np.linalg.inv(gp.X2.T) @ gp.X1
-    if norm_inf(prod - prod.T) > rel_bound(tol.eq_tol, prod):
-        raise NotValid("product is not symmetric; no representation exists")
+    classes, sigs = _check_stack(np.array((gp.X1, gp.X2, gp.X3))[None], tol)
+    if fault := classes.refusals[0] or sigs.refusals[0]:
+        raise fault
     blocks = _pants_blocks(gp.X1[None], gp.X2[None], gp.X3[None], indefinite_identity(gp.n, gp.i))
     return _assemble_reps(blocks, tol, Slices(1))[0]
 

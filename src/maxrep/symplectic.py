@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IllConditioned, NotSymplectic, Slices
+from .errors import IllConditioned, NotSymplectic, Slices, gate
 from .matcore import (
     DEFAULT_TOL,
     Tolerance,
@@ -31,7 +31,6 @@ __all__ = [
     "finite_point",
     "zero_point",
     "identity_point",
-    "symplectic_residual",
     "make_symplectic",
     "sp_identity",
     "sp_inverse",
@@ -119,12 +118,6 @@ def identity_point(n: int) -> BoundaryPoint:
 _RELATIONS = ("A^T D - C^T B = I", "A^T C symmetric", "D^T B symmetric")
 
 
-def symplectic_residual(m: np.ndarray) -> tuple[float, str]:
-    """Worst defect among the three block relations, and which one."""
-    res = _symplectic_defects(m)
-    return float(res.max()), _RELATIONS[int(np.argmax(res))]
-
-
 def _symplectic_defects(m: np.ndarray) -> np.ndarray:
     """Defects of the three block relations, in _RELATIONS order, along the
     last axis; m may be a stack."""
@@ -159,11 +152,8 @@ def _make_symplectics(a, b, c, d, tol: Tolerance) -> Slices:
     with np.errstate(over="ignore", invalid="ignore"):
         res = _symplectic_defects(m)
     bound = tol.eq_tol * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
-    # an overflowed defect is no verdict, and a NaN one passes any bound
-    return out.finish(out.refuse([
-        None if r <= b else NotSymplectic(f"relation '{_RELATIONS[d.argmax()]}' fails with residual {r:.3e}")
-        if np.isfinite(r) else IllConditioned(f"block-relation defect {r:.3e} is not finite")
-        for d, r, b in zip(res, res.max(axis=-1).tolist(), bound.tolist())], m))
+    return out.finish(out.refuse(gate("block-relation defect", res.max(axis=-1), bound, NotSymplectic, [
+        f"relation '{_RELATIONS[d.argmax()]}' fails with residual {{:.3e}}" for d in res], (m, m)), m))
 
 
 def _sp_inv(m: np.ndarray) -> np.ndarray:
@@ -236,10 +226,9 @@ def moebius_act(g: SpMat, p: BoundaryPoint, tol: Tolerance = DEFAULT_TOL) -> Bou
             raise IllConditioned(
                 f"CX + D has sigma_min {smin:.3e} in the ambiguous band")
         z = (g.A @ x + g.B) @ np.linalg.inv(denom)
-    defect = norm_inf(z - z.T)
-    if defect > rel_bound(tol.eq_tol, z):
-        raise IllConditioned(
-            f"action result asymmetric beyond tolerance (defect {defect:.3e})")
+    if fault := gate("action result asymmetry", norm_inf(z - z.T), rel_bound(tol.eq_tol, z), IllConditioned,
+                     "action result asymmetric beyond tolerance (defect {:.3e})"):
+        raise fault
     return BoundaryPoint(sym_part(z))
 
 

@@ -61,9 +61,41 @@ end
 boundary p0 2 C1
 """
 
-# every word up to length 2 of this (0, 4) graph is skipped: the huge twist
-# leaves no word with an attracting point
+# every boundary of this (0, 4) graph is nearly a cusp: each boundary length
+# is within 1e-6 of 1 in modulus, so no word of length 1 has an attracting
+# point contracting by the sampler's margin, and every such word is skipped
 SKIPPED_WORDS_FILE = """\
+maxrep-graph 1
+n 1
+surface 0 4
+node p0
+  X1
+  0.999999
+  X2
+  0.999999
+  X3
+  0.5
+end
+node p1
+  X1
+  0.5
+  X2
+  -0.999999
+  X3
+  -0.999999
+end
+edge p0 3 p1 1
+  1.0
+end
+boundary p0 1 C1
+boundary p0 2 C2
+boundary p1 2 C3
+boundary p1 3 C4
+"""
+
+# a (0, 4) graph whose huge twist grows the generator entries to 3.5e7: its
+# surface relation residual is 1.0, and the build refuses it
+OVERGROWN_FILE = """\
 maxrep-graph 1
 n 1
 surface 0 4
@@ -186,6 +218,21 @@ class TestBuild:
         assert code == 4
         assert "IllConditioned" in err
 
+    def test_refusal_json(self, tmp_path, capsys):
+        # the one-holed torus with twist 1e6: its twist conjugation residual is
+        # above the band but at the rounding floor of its products
+        import json
+
+        f = tmp_path / "big_twist.mg"
+        f.write_text(TORUS_FILE.replace("  1.0\nend", "  1000000.0\nend"))
+        code, out, err = run_main(["build", str(f), "--json"], capsys)
+        assert code == 4
+        assert err.startswith("numerical breakdown: IllConditioned: twist conjugation residual")
+        data = json.loads(out)
+        assert (data["status"], data["error"], data["stage"]) == \
+            ("numerical breakdown", "IllConditioned", "twist conjugation residual")
+        assert data["measured"] > data["bound"] and data["message"] in err
+
     def test_strict_mode(self, tmp_path, capsys):
         f = tmp_path / "loose.mg"
         f.write_text(PANTS_FILE.replace("  X1\n  0.5", "  X1\n  0.50"))
@@ -228,6 +275,28 @@ class TestVerifyRoundTrip:
         code, out, _ = run_main(["verify", torus_file], capsys)
         assert code == 0
         assert "status: ok" in out
+
+    def test_build_and_verify_share_one_gate(self, torus_file, tmp_path, capsys, monkeypatch):
+        # the rep file of a build without its last gate verifies "suspect"
+        # exactly when the build refuses: these standard chains and the
+        # overgrown file read relation residuals of 1.8e-4 to 4.4e9
+        files = [torus_file, tmp_path / "overgrown.mg"]
+        files[1].write_text(OVERGROWN_FILE)
+        for kind in ((0, 7), (1, 4), (0, 8), (0, 10), (0, 12), (1, 6)):
+            files.append(tmp_path / f"standard{kind}.mg")
+            with open(files[-1], "w") as fh:
+                write_graph_file(standard_sign_graph(*kind, 2, (1,) * (2 * kind[0] + kind[1] - 1)), fh)
+        verdicts = []
+        for f in files:
+            code, _, err = run_main(["build", str(f)], capsys)
+            verdicts.append(code)
+            assert code == 0 or (code == 4 and "IllConditioned: surface relation residual" in err)
+            with monkeypatch.context() as m:
+                m.setattr(maxrep.gluing, "_surface_fault", lambda n, a, b, c, tol: (0.0, None))
+                assert run_main(["build", str(f), "--out", str(tmp_path / "rep.mr")], capsys)[0] == 0
+            code, out, _ = run_main(["verify", str(tmp_path / "rep.mr")], capsys)
+            assert code == 0 and ("status: ok" in out) == (verdicts[-1] == 0)
+        assert verdicts == [0, 4, 0, 0, 4, 4, 4, 4]
 
 
 class TestCommands:
@@ -424,9 +493,9 @@ class TestCommands:
     def test_limits_with_every_word_skipped_refuses(self, tmp_path, capsys):
         f = tmp_path / "skipped.mg"
         f.write_text(SKIPPED_WORDS_FILE)
-        code, out, err = run_main(["limits", str(f), "--max-word-length", "2"], capsys)
+        code, out, err = run_main(["limits", str(f), "--max-word-length", "1"], capsys)
         assert code == 3
-        assert "NotSHyperbolic: all 64 words up to length 2 were skipped" in err
+        assert "NotSHyperbolic: all 8 words up to length 1 were skipped" in err
         assert "transverse fraction" not in out
 
     def test_seed_on_limits_only(self, pants_file, capsys):

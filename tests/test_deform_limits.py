@@ -15,7 +15,7 @@ from maxrep.deform import (
     standard_sign_graph,
     standard_twist,
 )
-from maxrep.errors import GraphInvalid, MaxRepError, NotCompatible, NotSHyperbolic
+from maxrep.errors import GraphInvalid, IllConditioned, MaxRepError, NotCompatible, NotSHyperbolic
 from maxrep.gluing import (
     GluingGraph,
     GraphEdge,
@@ -200,6 +200,11 @@ class TestDeform:
 
         graphs = [chain_graph_with_random_params(genus, m, n, np.random.default_rng(100 * genus + 10 * m + n))
                   for genus, m in ((0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (1, 3)) for n in (1, 2, 3)]
+        # the last, (1, 3) at n = 3, has a surface relation residual of 1.5e-6:
+        # its build is refused, and it still deforms from its graph
+        with pytest.raises(IllConditioned, match="surface relation residual"):
+            build_from_graph(graphs[-1])
+        refused = graphs.pop()
         reps = [build_from_graph(graph) for graph in graphs]
         calls = []
         for name in ("build_from_graph", "_build_maximal_stack", "_twist_elements"):
@@ -215,6 +220,8 @@ class TestDeform:
                         assert a.tobytes() == b.tobytes()
                 for e, e_ref in zip(snap.edges, ref.edges, strict=True):
                     assert e.twist.tobytes() == e_ref.twist.tobytes()
+        assert deform_to_standard(refused, steps=8).signature == component_signature(refused)
+        assert calls == []
 
     def test_edges_screened_in_one_call_of_the_builds_screen(self, rng, monkeypatch):
         import maxrep.deform as deform

@@ -15,7 +15,6 @@ from maxrep.errors import (
     NotContracting,
 )
 from maxrep.gluing import (
-    _twist_defect,
     GlueStatus,
     GluingGraph,
     GraphBoundary,
@@ -490,12 +489,12 @@ class TestBuildFromGraph:
         else:
             graph = chain_graph(*kind, 2, rng)
         calls = []
-        real = maxrep.gluing._checked_surface
-        monkeypatch.setattr(maxrep.gluing, "_checked_surface",
-                            lambda rep, tol: calls.append(rep) or real(rep, tol))
+        real = maxrep.gluing._surface_fault
+        monkeypatch.setattr(maxrep.gluing, "_surface_fault",
+                            lambda n, a, b, c, tol: calls.append(c) or real(n, a, b, c, tol))
         rep = build_from_graph(graph)
-        # the one call gates the finished surface, boundaries relabelled
-        assert len(calls) == 1 and calls[0].boundary_labels() == rep.boundary_labels()
+        # the one call gates the finished surface, its boundaries in declared order
+        assert len(calls) == 1 and calls[0] is rep.c_imgs
 
     def test_four_holed_sphere_graph(self, rng):
         rep = build_from_graph(four_holed_sphere_graph(rng))
@@ -709,14 +708,11 @@ class TestEdgeConjugator:
 
     def test_nan_declared_handle_length_is_ill_conditioned(self):
         # a handle node is built from its declared X3, so the forward map
-        # refuses the NaN; the twist kernel's defect check puts a NaN defect
-        # outside its band as well
+        # refuses the NaN
         graph = chain_graph(1, 2, 2, np.random.default_rng(0))
         graph.nodes[0].params.X3[0, 0] = np.nan
         with pytest.raises(IllConditioned):
             build_from_graph(graph)
-        _, over = _twist_defect(np.eye(2), np.eye(2), np.full((2, 2), np.nan), DEFAULT_TOL)
-        assert over
 
     @pytest.mark.parametrize("twist, message", [
         # the edge screen refuses a twist whose square overflows, in the
@@ -895,7 +891,7 @@ class TestStackedLocalData:
     def _first_fault(graph):
         """build_maximal on each node in node order, then twist_element on each
         edge in gluing order."""
-        self_edges, tree_edges, closures = _gluing_plan(graph)
+        self_edges, tree_edges, closures, _ = _gluing_plan(graph)
         edges = dict(zip(graph.edges, _local_edges(graph)))
         for nd in graph.nodes:
             fault = _outcome(build_maximal, nd.params)

@@ -23,8 +23,8 @@ from maxrep.gluing import (
     GraphEdge,
     PantsNode,
     _amalgamate,
-    _checked_surface,
     _edge_twists,
+    _surface_fault,
     build_from_graph,
     glue_graphs,
     slot_glue_length,
@@ -309,4 +309,7 @@ def glued_by_two_builds(upper, upper_label, lower, lower_label, twist, tol: Tole
     rep = _amalgamate(rep1, upper_label, rep2, lower_label, SpMat(tw[0]))
     checks = Slices(len(graph.nodes))
     checks.values = rep1.node_checks.values + rep2.node_checks.values
-    return _checked_surface(replace(rep, graph=graph, node_checks=checks), tol)
+    res, fault = _surface_fault(rep.n, rep.a_imgs, rep.b_imgs, rep.c_imgs, tol)
+    if fault:
+        raise fault
+    return replace(rep, graph=graph, node_checks=checks, relation_residual=res)
