@@ -487,8 +487,10 @@ def main(argv: list[str] | None = None) -> int:
         status = "refused" if isinstance(exc, MathematicalRefusal) else "numerical breakdown"
         print(f"{status}: {type(exc).__name__}: {exc}", file=sys.stderr)
         if args.json:
+            # JSON has no inf or nan: a non-finite measured value prints as its string
+            measured = exc.measured if exc.measured is None or np.isfinite(exc.measured) else str(exc.measured)
             print(json.dumps({"status": status, "error": type(exc).__name__, "message": str(exc),
-                              "stage": exc.stage, "measured": exc.measured, "bound": exc.bound}, indent=2))
+                              "stage": exc.stage, "measured": measured, "bound": exc.bound}, indent=2))
         return REFUSAL if status == "refused" else BREAKDOWN
     if args.json:
         print(json.dumps(dict(report), indent=2, default=str))

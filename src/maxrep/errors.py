@@ -97,9 +97,6 @@ class DefectiveSplit(NumericalBreakdown):
     """Spectral splitting along the unit circle is too unstable to trust."""
 
 
-_NON_FINITE = "matrix contains NaN or Inf entries"
-
-
 def gate(stage: str, measured, band, refusal: type, message, factors=()):
     """None for a measured value within its band, else its refusal: IllConditioned
     when the value is not finite or at most the rounding floor k d u prod(max|F_i|)
@@ -121,6 +118,12 @@ def gate(stage: str, measured, band, refusal: type, message, factors=()):
            else IllConditioned(f"{text.format(v)}, at or below the rounding floor {f:.3e}", stage, v, b)
            for v, b, f, text in zip(values, bounds, floors, texts)]
     return out if r.ndim else out[0]
+
+
+def _non_finite() -> IllConditioned:
+    """The refusal of a NaN or Inf entry, the trace of an overflow: the
+    gate's, measured inf against the largest float."""
+    return gate("matrix entry", np.inf, np.finfo(float).max, IllConditioned, "")
 
 
 class Slices:
@@ -160,7 +163,7 @@ class Slices:
         ok = np.isfinite(checked)
         if ok.all():
             return (checked, *stacks) if stacks else checked
-        return self.refuse([None if f else IllConditioned(_NON_FINITE)
+        return self.refuse([None if f else _non_finite()
                             for f in ok.all(axis=tuple(range(1, ok.ndim))).tolist()], checked, *stacks)
 
     def first_of(self, parts: int) -> list:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
-    _NON_FINITE,
+    _non_finite,
     CannotGlue,
     GraphInvalid,
     IllConditioned,
@@ -34,6 +34,7 @@ from .errors import (
     NotCompatible,
     NotContracting,
     NotValid,
+    NumericalBreakdown,
     Slices,
     gate,
 )
@@ -204,7 +205,7 @@ def _edge_screen(g, x, xbar, tol: Tolerance, obstruct: bool = False) -> Slices:
         if obstruct and (finite[1:, i, None] & (np.abs(np.abs(eigs[:, i]) - 1.0) <= band)).any():
             return CannotGlue("unit-modulus boundary length obstructs gluing")
         for j, what in enumerate(("twist parameter", "circle_class input", "circle_class input")):
-            fault = IllConditioned(_NON_FINITE) if not finite[j, i] else _singular(sv[j, i], tol, what)
+            fault = _non_finite() if not finite[j, i] else _singular(sv[j, i], tol, what)
             if fault is None and not j and sv[0, i, 0] > big:
                 fault = IllConditioned(f"twist parameter overflows (sigma_max = {sv[0, i, 0]:.3e})")
             if fault is None and j and not (np.abs(eigs[j - 1, i]) < 1.0 - band).all():
@@ -462,13 +463,10 @@ def _ld_product(*mats: SpMat) -> SpMat:
 
 
 def relation_residual(n: int, a_imgs, b_imgs, c_imgs) -> float:
-    """Defect of [A_g,B_g]...[A_1,B_1] C_m...C_1 against the identity."""
-    total = sp_identity(n)
-    for a, b in zip(reversed(a_imgs), reversed(b_imgs)):
-        total = total @ _ld_product(a, b, sp_inverse(a), sp_inverse(b))
-    for c in reversed(c_imgs):
-        total = total @ c
-    return norm_inf(total.m - np.eye(2 * n))
+    """Defect of [A_g,B_g]...[A_1,B_1] C_m...C_1 against the identity, the
+    whole word multiplied in extended precision."""
+    word = [g for a, b in zip(reversed(a_imgs), reversed(b_imgs)) for g in (a, b, sp_inverse(a), sp_inverse(b))]
+    return norm_inf(_ld_product(*word, *reversed(c_imgs)).m - np.eye(2 * n))
 
 
 def _surface_fault(n: int, a_imgs, b_imgs, c_imgs, tol: Tolerance) -> tuple[float, MaxRepError | None]:
@@ -555,16 +553,17 @@ def _polar_split(h: SpMat) -> tuple[SpMat, SpMat]:
     and h1 = U P^{-1/2} U^T.  Conjugating the two glued sides by h1 and h2
     instead of (identity, h) halves the condition exponent of the products.
     """
-    hth = sym_part(h.m.T @ h.m)
-    w, v = np.linalg.eigh(hth)
-    w = np.maximum(w, np.finfo(float).tiny)
-    p_mquarter = v @ np.diag(w ** -0.25) @ v.T
-    p_mhalf = v @ np.diag(w ** -0.5) @ v.T
-    u = h.m @ p_mhalf
-    h1 = SpMat(_symplectify(u @ p_mquarter @ u.T))
-    # define the second factor through the first so that h1^{-1} h2
-    # reproduces h exactly; the eigendecomposition only sets the balance
-    return h1, _ld_product(h1, h)
+    # overflows are screened, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, v = np.linalg.eigh(check_finite(sym_part(h.m.T @ h.m)))
+        w = np.maximum(w, np.finfo(float).tiny)
+        p_mquarter = v @ np.diag(w ** -0.25) @ v.T
+        p_mhalf = v @ np.diag(w ** -0.5) @ v.T
+        u = h.m @ p_mhalf
+        h1 = SpMat(check_finite(_symplectify(u @ p_mquarter @ u.T)))
+        # define the second factor through the first so that h1^{-1} h2
+        # reproduces h exactly; the eigendecomposition only sets the balance
+        return h1, SpMat(check_finite(_ld_product(h1, h).m))
 
 
 def _symplectify(a: np.ndarray) -> np.ndarray:
@@ -594,8 +593,9 @@ def _edge_twist(rep_up: SurfaceRep, idx_up: int,
     defect at rounding level; an overflow in it raises IllConditioned.
     """
     up, lo = rep_up.ports[idx_up], rep_lo.ports[idx_lo]
-    h = _ld_product(up.conjugator @ _slot_rotation(rep_up.n, up.slot, True), tw,
-                    sp_inverse(lo.conjugator @ _slot_rotation(rep_lo.n, lo.slot, False)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = _ld_product(up.conjugator @ _slot_rotation(rep_up.n, up.slot, True), tw,
+                        sp_inverse(lo.conjugator @ _slot_rotation(rep_lo.n, lo.slot, False)))
     check_finite(h.m)
     return h
 
@@ -786,8 +786,10 @@ def build_from_graph(graph: GluingGraph, tol: Tolerance = DEFAULT_TOL) -> Surfac
     # a built graph refused no node, so slice j of the check is graph node j
     checks.values = list(zip(classes.values, checks.values))
     res, fault = _surface_fault(graph.n, built.a_imgs, built.b_imgs, built.c_imgs, tol)
-    if fault:
+    if isinstance(fault, NumericalBreakdown):
         raise fault
+    if fault:   # the build makes every image symplectic, so a failed block relation is a breakdown
+        raise IllConditioned(str(fault), fault.stage, fault.measured, fault.bound)
     return replace(built, ports=ports, node_checks=checks, relation_residual=res)
 
 

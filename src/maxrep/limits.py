@@ -9,17 +9,18 @@ representation the indices concentrate on +-n.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotSHyperbolic
+from .errors import NotSHyperbolic, Slices
 from .gluing import SurfaceRep
 from .maslov import _triple_indices
-from .matcore import DEFAULT_TOL, Tolerance, _unit_circle_masks
-from .normalform import _attracting_points
+from .matcore import DEFAULT_TOL, Tolerance, _unit_circle_masks, check_finite
+from .normalform import _attracting, _attracting_points, _basis_points, _eigenvector_bases
 from .symplectic import BoundaryPoint, _pair_spectra, _point_stack, sp_inverse
 
 __all__ = ["LimitSample", "limit_set_sample", "reduced_words"]
@@ -35,31 +36,55 @@ class LimitSample:
     findings: tuple[str, ...] = field(default=())
 
 
+@functools.cache
+def _word_tables(letters: tuple[str, ...], max_len: int) -> tuple:
+    """(words, names, stops, prefix, last, reps, source, carrier) for the
+    reduced words of length 1..max_len over letters, in reduced_words order:
+    the words as labels and joined by spaces; the end of each length; the
+    row of w[:-1] in the stack [I, words] and the letter w[-1] (letter i + k
+    inverts letter i of k).  reps are the rows of the first words of the
+    classes of cyclically reduced words under rotation and inversion.  A
+    word p v p^-1, v = b a a rotation of r = a b (or of r^-1), takes the
+    expanding subspace of r (or the contracting one) moved by the shorter of
+    p b and p a^-1: source indexes [expanding bases of reps, contracting
+    bases of reps] and carrier is that word's row."""
+    k = len(letters)
+    inv = [(l + k) % (2 * k) for l in range(2 * k)]
+    invert = lambda w: tuple(inv[l] for l in reversed(w))
+    rows, stops, words = [()], [], [()]
+    for _ in range(max_len):
+        words = [w + (l,) for w in words for l in range(2 * k) if not w or l != inv[w[-1]]]
+        rows += words
+        stops.append(len(rows) - 1)
+    row = {w: i for i, w in enumerate(rows)}
+    moved, reps = {}, []   # word -> (class, side, carrier)
+    for w in rows[1:]:
+        j = 0
+        while w[j] == inv[w[-1 - j]]:   # w = p v p^-1, p = w[:j]
+            j += 1
+        if j:   # v is shorter, so assigned; p b and p a^-1 are reduced
+            cls, side, b = moved[w[j:len(w) - j]]
+            moved[w] = cls, side, w[:j] + b
+        elif w not in moved:
+            for side, r in enumerate((w, invert(w))):
+                for a in range(len(w)):
+                    moved.setdefault(r[a:] + r[:a], (len(reps), side, r[a:] if 2 * a >= len(w) else invert(r[:a])))
+            reps.append(row[w])
+    alphabet = [*letters, *(l[:-1] if l.endswith("-") else l + "-" for l in letters)]
+    labelled = tuple(tuple(alphabet[l] for l in w) for w in rows[1:])
+    index = lambda f: np.array([f(w) for w in rows[1:]], dtype=np.intp)
+    return (labelled, tuple(" ".join(w) for w in labelled), stops, index(lambda w: row[w[:-1]]),
+            index(lambda w: w[-1]), np.array(reps), index(lambda w: moved[w][0] + len(reps) * moved[w][1]),
+            index(lambda w: row[moved[w][2]]))
+
+
 def reduced_words(letters: list[str], max_len: int):
     """Freely reduced words over letters and formal inverses.
 
     Letters are labels; the inverse of "x" is "x-" and vice versa.  Yields
     tuples of labels of length 1..max_len with no adjacent cancellation.
     """
-    def inverse(l: str) -> str:
-        return l[:-1] if l.endswith("-") else l + "-"
-
-    alphabet = letters + [inverse(l) for l in letters]
-
-    def extend(word):
-        for l in alphabet:
-            if word and inverse(l) == word[-1]:
-                continue
-            yield word + (l,)
-
-    frontier = [()]
-    for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            for w2 in extend(w):
-                nxt.append(w2)
-                yield w2
-        frontier = nxt
+    yield from _word_tables(tuple(letters), max_len)[0]
 
 
 # matrix entries per batched eigvalsh in _count_transverse (512 KB of float64)
@@ -145,6 +170,30 @@ def _count_transverse(stack, tol: Tolerance) -> int:
     return count
 
 
+def _word_points(mats: np.ndarray, reps, source, carrier, tol: Tolerance) -> np.ndarray:
+    """The attracting point of each word of the stack mats = [I, words], None
+    where it is skipped, from the bases of _word_tables' class
+    representatives moved by the carriers; a moved point that fails its
+    certificate or is not fixed to rounding takes the word's own
+    eigen-decomposition, in one more call."""
+    n, words = mats.shape[-1] // 2, mats[1:]
+    try:
+        bases, direct = _eigenvector_bases(*np.linalg.eig(mats[reps]), tol)
+    except np.linalg.LinAlgError:   # every class takes the Schur route
+        bases, direct = np.zeros((2 * len(reps), 2 * n, n)), np.zeros(2 * len(reps), dtype=bool)
+    direct, found = direct[source], Slices(len(words))
+    zs = np.linalg.qr(words @ (words @ (mats[carrier] @ bases[source])))[0]
+    _, fixed, rho, exact = _basis_points(found, words, zs, direct, tol)
+    _attracting(found, fixed & (exact | ~direct[found.live] | (carrier[found.live] == 0)), rho, tol)
+    points = np.full(len(words), None, dtype=object)
+    points[found.live] = [found.values[j] for j in found.live]
+    own = np.flatnonzero(direct & np.array([r is not None for r in found.refusals]))
+    if own.size:
+        mine = _attracting_points(words[own], tol)
+        points[own[mine.live]] = [mine.values[j] for j in mine.live]
+    return points
+
+
 # at most this many triples of distinct points go into the Maslov histogram
 _MAX_TRIPLES = 200
 # points closer than this, relative to max(1, |point|), are identified
@@ -160,6 +209,11 @@ def limit_set_sample(rep: SurfaceRep, max_word_length: int = 4,
     are skipped and counted.  Points closer than 1e-8 * max(1, |point|) are
     identified before statistics, since distinct words routinely share an
     axis.
+
+    The points are rho-equivariant: one eigen-decomposition serves a class of
+    cyclically reduced words (_word_tables; 119 rows for 936 words on one
+    pants), and two multiplications by a word's own matrix refine its moved
+    basis.  The skipped words are those of one decomposition per word.
 
     Sampled triples are seeded: when the D distinct points have more than
     200 triples, rng = np.random.default_rng(seed) draws
@@ -181,25 +235,19 @@ def limit_set_sample(rep: SurfaceRep, max_word_length: int = 4,
         if np.any(_unit_circle_masks(c.m, tol.unit_circle_band)[1]):
             raise NotSHyperbolic(f"boundary generator C{j} has unit-modulus spectrum")
     gens = rep.generator_images()
-    letters = list(gens)
-    position = {l: i for i, l in enumerate(letters + [l + "-" for l in letters])}
     letter_stack = np.array([g.m for g in gens.values()] + [sp_inverse(g).m for g in gens.values()])
 
-    points: list[tuple[str, BoundaryPoint]] = []
-    skipped = 0
     findings: list[str] = []
     # one word length at a time: each level's stack is the previous level's
     # stack times the letter stack, in reduced_words order
-    prev_index: dict[tuple[str, ...], int] = {}
-    for _, level in itertools.groupby(reduced_words(letters, max_word_length), key=len):
-        level = list(level)
-        mats = letter_stack[[position[w[-1]] for w in level]]
-        mats = (prev[[prev_index[w[:-1]] for w in level]] @ mats) if prev_index else mats
-        attracting = _attracting_points(mats, tol)
-        found = [(" ".join(level[i]), attracting.values[i]) for i in attracting.live]
-        points += found
-        skipped += len(level) - len(found)
-        prev, prev_index = mats, {w: i for i, w in enumerate(level)}
+    _, names, stops, prefix, last, *classes = _word_tables(tuple(gens), max_word_length)
+    mats = np.empty((1 + stops[-1], *letter_stack.shape[1:]))
+    mats[0], start = np.eye(mats.shape[-1]), 0
+    for stop in stops:
+        mats[1 + start:1 + stop] = check_finite(mats[prefix[start:stop]] @ letter_stack[last[start:stop]])
+        start = stop
+    points = [(name, pt) for name, pt in zip(names, _word_points(mats, *classes, tol)) if pt is not None]
+    skipped = len(names) - len(points)
 
     if not points:
         raise NotSHyperbolic(f"all {skipped} words up to length {max_word_length} "

@@ -22,7 +22,7 @@ from typing import ClassVar
 import numpy as np
 import scipy
 
-from .errors import _NON_FINITE, IllConditioned, NearSingular, ResonantSpectrum, Singular, Slices, gate
+from .errors import IllConditioned, NearSingular, ResonantSpectrum, Singular, Slices, _non_finite, gate
 
 __all__ = [
     "Tolerance",
@@ -123,7 +123,7 @@ def check_finite(m: np.ndarray) -> np.ndarray:
     """Return m; a NaN or infinite entry, the trace of an overflow, raises
     IllConditioned."""
     if not np.isfinite(m).all():
-        raise IllConditioned(_NON_FINITE)
+        raise _non_finite()
     return m
 
 

@@ -245,14 +245,16 @@ _NO_CANONICAL = "no recognizable standard position and no certified non-expandin
 
 
 def _certificates(ms: np.ndarray, ys: np.ndarray, at_inf: np.ndarray,
-                  tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
-    """(is the point fixed, spectral radius of the differential factor) of
-    each element of a (k, 2n, 2n) stack at ys[i], or at infinity (0 after
-    the chart swap) where at_inf[i].  The point counts as fixed when it
-    moves by at most sqrt(tol.eq_tol) * max(1, |Y|).  Circle eigenvalues of
-    the full matrix come in defective pairs whose computed values split by
-    roughly sqrt(eps); certifying the candidate point directly is robust
-    where raw eigenvalue bands are not.
+                  tol: Tolerance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(is the point fixed, spectral radius of the differential factor, is
+    it fixed to rounding) of each element of a (k, 2n, 2n) stack at ys[i],
+    or at infinity (0 after the chart swap) where at_inf[i].  The point
+    counts as fixed when it moves by at most sqrt(tol.eq_tol) * max(1, |Y|),
+    and to rounding when it moves by at most 2n u max|g| (1 + |Y|)^2, a
+    backward-stable eigen-solver's error.  Circle eigenvalues of the full
+    matrix come in defective pairs whose computed values split by roughly
+    sqrt(eps); certifying the candidate point directly is robust where raw
+    eigenvalue bands are not.
     """
     n = ms.shape[-1] // 2
     if at_inf.any():
@@ -260,10 +262,9 @@ def _certificates(ms: np.ndarray, ys: np.ndarray, at_inf: np.ndarray,
         ms = np.where(at_inf[:, None, None], sw.m @ ms @ sp_inverse(sw).m, ms)
     y = np.where(at_inf[:, None, None], 0.0, ys)
     a, b, c, d = ms[:, :n, :n], ms[:, :n, n:], ms[:, n:, :n], ms[:, n:, n:]
-    img = a @ y + b - y @ (c @ y + d)
-    scale = np.maximum(1.0, np.max(np.abs(y), axis=(1, 2)))
-    fixed = np.max(np.abs(img), axis=(1, 2)) <= np.sqrt(tol.eq_tol) * scale
-    return fixed, np.max(np.abs(np.linalg.eigvals(a - y @ c)), axis=-1)
+    moved, size = np.max(np.abs(a @ y + b - y @ (c @ y + d)), axis=(1, 2)), np.max(np.abs(y), axis=(1, 2))
+    return (moved <= np.sqrt(tol.eq_tol) * np.maximum(1.0, size), np.max(np.abs(np.linalg.eigvals(a - y @ c)), axis=-1),
+            moved <= 2 * n * 2.0 ** -53 * np.max(np.abs(ms), axis=(1, 2)) * (1.0 + size) ** 2)
 
 
 # smallest min/max ratio of |diag R| the eigenvector basis may have; the point
@@ -272,43 +273,28 @@ def _certificates(ms: np.ndarray, ys: np.ndarray, at_inf: np.ndarray,
 _EIGENBASIS_RCOND = 1e-2
 
 
-def _subspace_fixed_points(ms: np.ndarray, tol: Tolerance) -> tuple[Slices, np.ndarray, np.ndarray]:
-    """Chart points of the expanding invariant subspaces of a (k, 2n, 2n)
-    stack, certified: (points, fixed, rho), the values of points being
-    BoundaryPoints and its refusals NotSHyperbolic.
-
-    The subspace, spanned by the eigenvalues of modulus above 1, must have
-    dimension n; its chart point is u1 u2^{-1} for an orthonormal basis u,
-    or infinity when u2 is singular within eq_tol.  One np.linalg.eig of the
-    stack gives the eigenvectors v of the n largest moduli, Re v + Im v spans
-    the subspace (x + y and x - y for a pair x +- iy), and one stacked QR
-    orthonormalises it.  A slice with an eigenvalue in the unit-circle band
-    or an ill-conditioned R takes the sorted real Schur form instead; one the
-    eigen-decomposition fails on is refused.  fixed and rho, for the slices
-    left live, come from _certificates; each caller sets its acceptance
-    threshold on rho.  A NaN or Inf anywhere raises IllConditioned.
-    """
-    ms = check_finite(ms)
-    n = ms.shape[-1] // 2
-    points = Slices(len(ms))
-    try:
-        w, v = np.linalg.eig(ms)
-    except np.linalg.LinAlgError:   # again slice by slice, to refuse only the failures
-        w, v = np.ones((len(ms), 2 * n), complex), np.zeros(ms.shape, complex)
-        faults = [None] * len(ms)
-        for i, m in enumerate(ms):
-            try:
-                w[i], v[i] = np.linalg.eig(m)
-            except np.linalg.LinAlgError as exc:
-                faults[i] = NotSHyperbolic(f"eigen-decomposition failed: {exc}")
-        ms, w, v = points.refuse(faults, ms, w, v)
-    moduli = np.abs(w)
-    cols, ranked = np.argsort(moduli, axis=-1)[:, n:], np.sort(moduli, axis=-1)
-    v = v[np.arange(len(ms))[:, None], :, cols]
+def _eigenvector_bases(w: np.ndarray, v: np.ndarray, tol: Tolerance) -> tuple:
+    """(zs, direct) from np.linalg.eig's (w, v) of a (k, 2n, 2n) stack: zs[i]
+    an orthonormal basis of the span of the n largest moduli and zs[k + i]
+    of the n smallest, Re v + Im v orthonormalised by one stacked QR, and
+    whether no modulus is in the unit-circle band and R is well conditioned."""
+    n = w.shape[-1] // 2
+    order, ranked = np.argsort(np.abs(w), axis=-1), np.sort(np.abs(w), axis=-1)
+    cols = np.concatenate([order[:, n:], order[:, :n]])
+    v = np.concatenate([v, v])[np.arange(len(cols))[:, None], :, cols]
     zs, r = np.linalg.qr((v.real + v.imag).swapaxes(1, 2))
     r = np.abs(np.diagonal(r, axis1=1, axis2=2))
-    direct = ((ranked[:, n - 1] < 1.0 - tol.unit_circle_band) & (ranked[:, n] > 1.0 + tol.unit_circle_band)
-              & (r.min(axis=-1) > _EIGENBASIS_RCOND * r.max(axis=-1)))
+    split = (ranked[:, n - 1] < 1.0 - tol.unit_circle_band) & (ranked[:, n] > 1.0 + tol.unit_circle_band)
+    return zs, np.tile(split, 2) & (r.min(axis=-1) > _EIGENBASIS_RCOND * r.max(axis=-1))
+
+
+def _basis_points(points: Slices, ms: np.ndarray, zs: np.ndarray, direct: np.ndarray, tol: Tolerance) -> tuple:
+    """(points, fixed, rho, exact) from orthonormal bases zs of the expanding
+    subspaces of the live slices ms, a slice not direct taking its sorted
+    real Schur basis instead (refused where that fails or the subspace is
+    not n-dimensional): u1 u2^{-1}, or infinity when u2 is singular within
+    eq_tol, with _certificates."""
+    n = ms.shape[-1] // 2
     faults = [None] * len(ms)
     for i in np.flatnonzero(~direct):
         try:
@@ -326,17 +312,49 @@ def _subspace_fixed_points(ms: np.ndarray, tol: Tolerance) -> tuple[Slices, np.n
     s = np.linalg.svd(u2, compute_uv=False)
     at_inf = s[:, -1] <= tol.eq_tol * np.maximum(1.0, s[:, 0])
     ys = sym_part(u1 @ np.linalg.inv(np.where(at_inf[:, None, None], np.eye(n), u2)))
-    fixed, rho = _certificates(ms, ys, at_inf, tol)
-    return points.finish([INFINITY if inf else BoundaryPoint(y) for inf, y in zip(at_inf, ys)]), fixed, rho
+    points.finish([INFINITY if inf else BoundaryPoint(y) for inf, y in zip(at_inf.tolist(), ys)])
+    return points, *_certificates(ms, ys, at_inf, tol)
 
 
-def _attracting_points(ms: np.ndarray, tol: Tolerance) -> Slices:
-    """attracting_point of each slice; the values are BoundaryPoints."""
-    points, fixed, rho = _subspace_fixed_points(ms, tol)
+def _subspace_fixed_points(ms: np.ndarray, tol: Tolerance) -> tuple[Slices, np.ndarray, np.ndarray]:
+    """Chart points of the expanding invariant subspaces of a (k, 2n, 2n)
+    stack, certified: (points, fixed, rho), the values of points being
+    BoundaryPoints and its refusals NotSHyperbolic.
+
+    The subspace must have dimension n; one np.linalg.eig of the stack gives
+    its bases (_eigenvector_bases, _basis_points), and a slice the
+    eigen-decomposition fails on is refused.  Each caller sets its
+    acceptance threshold on rho.  A NaN or Inf anywhere raises IllConditioned.
+    """
+    ms = check_finite(ms)
+    n = ms.shape[-1] // 2
+    points = Slices(len(ms))
+    try:
+        w, v = np.linalg.eig(ms)
+    except np.linalg.LinAlgError:   # again slice by slice, to refuse only the failures
+        w, v = np.ones((len(ms), 2 * n), complex), np.zeros(ms.shape, complex)
+        faults = [None] * len(ms)
+        for i, m in enumerate(ms):
+            try:
+                w[i], v[i] = np.linalg.eig(m)
+            except np.linalg.LinAlgError as exc:
+                faults[i] = NotSHyperbolic(f"eigen-decomposition failed: {exc}")
+        ms, w, v = points.refuse(faults, ms, w, v)
+    zs, direct = _eigenvector_bases(w, v, tol)
+    return _basis_points(points, ms, zs[:len(ms)], direct[:len(ms)], tol)[:3]
+
+
+def _attracting(points: Slices, fixed: np.ndarray, rho: np.ndarray, tol: Tolerance) -> Slices:
+    """points with each live slice refused that fixed and rho do not certify attracting."""
     points.refuse([NotSHyperbolic("no contracting fixed point; element is not "
                                   "transverse-pair hyperbolic within tolerance") if weak else None
                    for weak in ~fixed | (rho > 1.0 - max(tol.unit_circle_band, _ATTRACT_MARGIN))])
     return points
+
+
+def _attracting_points(ms: np.ndarray, tol: Tolerance) -> Slices:
+    """attracting_point of each slice; the values are BoundaryPoints."""
+    return _attracting(*_subspace_fixed_points(ms, tol), tol)
 
 
 def attracting_point(g: SpMat, tol: Tolerance = DEFAULT_TOL) -> BoundaryPoint:

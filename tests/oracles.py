@@ -8,7 +8,10 @@ solves the Stein equation as one Kronecker linear system.  ``classify_one``,
 matrix at a time, as the library did before it checked stacks.
 ``subspace_fixed_point_one`` and ``sampled_points_by_loop`` find attracting
 points one matrix and one word at a time, through scipy.linalg.schur, as the
-library did before it took stacks of words.  ``transverse_by_svd`` and
+library did before it took stacks of words, over the words that
+``reduced_words_by_extension`` lists by extending each shorter word, as the
+library did before it kept index tables of words; ``attracting_defect``
+measures how far a word moves its point.  ``transverse_by_svd`` and
 ``maslov_by_normalization`` decide transversality by the smallest singular
 value and compute the Maslov index by moving the outer pair to (0, infinity)
 and taking the ``signature`` of the middle point, as the library did before
@@ -39,7 +42,6 @@ from maxrep.errors import (
     NotTransverse,
     NotValid,
 )
-from maxrep.limits import reduced_words
 from maxrep.maslov import normalize_pair
 from maxrep.matcore import (
     DEFAULT_TOL,
@@ -259,8 +261,22 @@ def subspace_fixed_point_one(g: SpMat, tol: Tolerance = DEFAULT_TOL):
     return pt, fixed, float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
+def reduced_words_by_extension(letters: list[str], max_len: int):
+    """Freely reduced words over letters and their inverses ("x" and "x-"),
+    shortest first, each word of a length extended by every letter and then
+    every inverse that does not cancel its last letter."""
+    def inverse(l: str) -> str:
+        return l[:-1] if l.endswith("-") else l + "-"
+
+    alphabet = letters + [inverse(l) for l in letters]
+    frontier = [()]
+    for _ in range(max_len):
+        frontier = [w + (l,) for w in frontier for l in alphabet if not w or inverse(l) != w[-1]]
+        yield from frontier
+
+
 def sampled_points_by_loop(rep, max_word_length: int, tol: Tolerance = DEFAULT_TOL):
-    """(word, attracting point) pairs and the skipped count of
+    """(word, attracting point, word matrix) triples and the skipped count of
     limit_set_sample, one word matrix at a time from a cache of every word."""
     gens = rep.generator_images()
     matrices = {}
@@ -268,7 +284,7 @@ def sampled_points_by_loop(rep, max_word_length: int, tol: Tolerance = DEFAULT_T
         matrices[l] = g
         matrices[l + "-"] = sp_inverse(g)
     points, skipped, cache = [], 0, {}
-    for word in reduced_words(list(gens), max_word_length):
+    for word in reduced_words_by_extension(list(gens), max_word_length):
         mat = matrices[word[0]] if len(word) == 1 else cache[word[:-1]] @ matrices[word[-1]]
         cache[word] = mat
         if np.any(_unit_circle_masks(mat.m, tol.unit_circle_band)[1]):
@@ -282,8 +298,20 @@ def sampled_points_by_loop(rep, max_word_length: int, tol: Tolerance = DEFAULT_T
         if not fixed or rho > 1.0 - max(tol.unit_circle_band, _ATTRACT_MARGIN):
             skipped += 1
             continue
-        points.append((" ".join(word), pt))
+        points.append((" ".join(word), pt, mat))
     return points, skipped
+
+
+def attracting_defect(g: SpMat, p: BoundaryPoint) -> float:
+    """How far g moves p, max|g.p - p| / max(1, |p|) entrywise, with the
+    action (AY + B)(CY + D)^{-1} read at 0 in the swapped chart X -> -X^{-1}
+    when p is infinity."""
+    if p.is_infinity:
+        sw = swap_symplectic(g.n)
+        g, p = sw @ g @ sp_inverse(sw), BoundaryPoint(np.zeros((g.n, g.n)))
+    y = p.value
+    moved = np.linalg.solve((g.C @ y + g.D).T, (g.A @ y + g.B).T).T
+    return float(np.max(np.abs(moved - y)) / max(1.0, np.max(np.abs(y))))
 
 
 def transverse_by_svd(p: BoundaryPoint, q: BoundaryPoint, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import subprocess
 import sys
@@ -20,8 +21,9 @@ from maxrep.cli import (
     write_rep_file,
 )
 from maxrep.deform import deform_to_standard, standard_sign_graph
-from maxrep.errors import MaxRepError, NotCompatible
+from maxrep.errors import IllConditioned, MaxRepError, NotCompatible
 from maxrep.gluing import GluingGraph, GraphEdge, PantsNode, build_from_graph
+from maxrep.matcore import Tolerance
 from maxrep.pants import PantsParams
 from tests_support import chain_graph, patch_nan_twist, random_handle_data
 
@@ -217,6 +219,43 @@ class TestBuild:
             code, _, err = run_main(["build", str(f)], capsys)
         assert code == 4
         assert "IllConditioned" in err
+
+    @pytest.mark.parametrize("log_twist", [3.5, 3.75, 4.0, 5.0])
+    def test_overflowing_gauge_balance_is_staged(self, log_twist, tmp_path, capsys):
+        # twists of 1e3.5 and more overflow the conjugator's gauge balance;
+        # the library refuses without a warning, naming stage, value and bound
+        f = tmp_path / "overgrown.mg"
+        f.write_text(OVERGROWN_FILE.replace("-94302.2958605013", repr(-10.0 ** log_twist)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(IllConditioned) as exc:
+                build_from_graph(parse_graph_file(str(f)))
+        assert not caught
+        assert (exc.value.stage, exc.value.measured, exc.value.bound) == (
+            "matrix entry", np.inf, np.finfo(float).max)
+        # --json prints the refusal as strict JSON, the measured inf as a string
+        code, out, _ = run_main(["build", str(f), "--json"], capsys)
+        assert code == 4
+        assert json.loads(out, parse_constant=pytest.fail)["measured"] == "inf"
+
+    def test_non_symplectic_build_image_is_breakdown(self, tmp_path, capsys, monkeypatch):
+        # at Tolerance(1e-3) the relation bound is 1.0, and twist -1e3.25 gives
+        # an image the gauge balance failed to keep symplectic: the build calls
+        # that a numerical breakdown (exit 4), with the block-relation gate's
+        # fields; its rep file, written without the last gate, verifies suspect
+        f = tmp_path / "overgrown.mg"
+        f.write_text(OVERGROWN_FILE.replace("-94302.2958605013", repr(-10.0 ** 3.25)))
+        with pytest.raises(IllConditioned) as exc:
+            build_from_graph(parse_graph_file(str(f)), Tolerance(1e-3))
+        assert exc.value.stage == "block-relation defect"
+        assert exc.value.measured > exc.value.bound > 0
+        code, _, err = run_main(["build", str(f), "--tol", "1e-3"], capsys)
+        assert code == 4 and "IllConditioned" in err
+        with monkeypatch.context() as m:
+            m.setattr(maxrep.gluing, "_surface_fault", lambda n, a, b, c, tol: (0.0, None))
+            assert run_main(["build", str(f), "--tol", "1e-3", "--out", str(tmp_path / "rep.mr")], capsys)[0] == 0
+        code, out, _ = run_main(["verify", str(tmp_path / "rep.mr"), "--tol", "1e-3"], capsys)
+        assert code == 0 and "status: suspect" in out
 
     def test_refusal_json(self, tmp_path, capsys):
         # the one-holed torus with twist 1e6: its twist conjugation residual is

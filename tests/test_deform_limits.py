@@ -46,8 +46,10 @@ from tests_support import (
     random_spd,
 )
 from oracles import (
+    attracting_defect,
     cluster_by_loop,
     maslov_by_normalization,
+    reduced_words_by_extension,
     sampled_points_by_loop,
     transverse_by_svd,
     unrank3_by_comb,
@@ -394,6 +396,10 @@ class TestReducedWords:
             for x, y in zip(w, w[1:]):
                 assert y != (x[:-1] if x.endswith("-") else x + "-")
 
+    @pytest.mark.parametrize("letters", [["a"], ["a", "b"], ["C1", "C2", "C3"], ["x-", "y"]])
+    def test_order_matches_extension(self, letters):
+        assert list(reduced_words(letters, 5)) == list(reduced_words_by_extension(letters, 5))
+
 
 class TestLimitSample:
     def test_pants_sample(self, rng):
@@ -428,19 +434,32 @@ class TestLimitSample:
         assert sample.points
         assert sample.transverse_fraction == 1.0
 
-    @pytest.mark.parametrize("n, max_len, seed", [(2, 3, 11), (3, 4, 12)])
-    def test_points_match_per_word_loop(self, n, max_len, seed):
-        # the level stacks give the points of one product per word from a
-        # cache of every word, to rounding; the words c3 c2 c1 = I and its
-        # rotations are skipped
-        rep = pants_surface_rep(random_pants_params(n, np.random.default_rng(seed), tame=True))
+    @pytest.mark.parametrize("surface, n, max_len, seed", [
+        ((0, 3), 2, 3, 11), ((0, 3), 1, 4, 13), ((0, 3), 2, 4, 14), ((0, 3), 3, 4, 12),
+        ((0, 4), 2, 4, 15), ((1, 1), 2, 4, 16)])
+    def test_points_match_per_word_loop(self, surface, n, max_len, seed):
+        # one eigen-decomposition per class of words, moved to each word and
+        # refined by its own matrix, gives the points of one Schur form per
+        # word: the same sampled and skipped words, points equal to rounding,
+        # and no point moved by its word more than 10x the Schur point or the
+        # rounding unit times |g| (the words of the surface relation, the
+        # identity, are skipped).  The glued words' points are conditioned
+        # worse: on the (0, 4) rep one eigen-decomposition per word is 4.7e-11
+        # from the Schur point, this sampler 2.9e-11
+        from tests_support import chain_graph
+        rng = np.random.default_rng(seed)
+        rep = (pants_surface_rep(random_pants_params(n, rng, tame=True)) if surface == (0, 3)
+               else build_from_graph(chain_graph(*surface, n, rng)))
         sample = limit_set_sample(rep, max_word_length=max_len, seed=0)
         points, skipped = sampled_points_by_loop(rep, max_len)
-        assert sample.skipped_words == skipped > 0
-        assert [w for w, _ in sample.points] == [w for w, _ in points]
-        for (_, p), (_, q) in zip(sample.points, points):
-            assert_points_close(p, q)
-        words = [" ".join(w) for w in reduced_words(list(rep.generator_images()), max_len)]
+        assert sample.skipped_words == skipped
+        relation = 4 * surface[0] + surface[1]   # its rotations and theirs inverted are the identity
+        assert skipped == (2 * relation if max_len >= relation else 0)
+        assert [w for w, _ in sample.points] == [w for w, _, _ in points]
+        for (_, p), (_, q, g) in zip(sample.points, points):
+            assert_points_close(p, q, 1e-12 if surface == (0, 3) else 1e-10)
+            assert attracting_defect(g, p) <= 10 * max(attracting_defect(g, q), np.finfo(float).eps * np.abs(g.m).max())
+        words = [" ".join(w) for w in reduced_words_by_extension(list(rep.generator_images()), max_len)]
         rank = {w: i for i, w in enumerate(words)}
         sampled = [rank[w] for w, _ in sample.points]
         assert sampled == sorted(sampled)
@@ -680,26 +699,42 @@ class TestSamplerStatistics:
         assert 0 < sum(sent) <= len(sample.distinct_points) - 1
 
     def test_one_eigen_decomposition_per_word_level(self, monkeypatch):
-        # each level's stack goes through one np.linalg.eig, which also gives
-        # the circle mask; only the boundary generators' spectra are checked
-        # apart, and only the words equal to the identity, whose spectrum is
-        # on the circle, take the Schur route
+        # the representatives of the classes of cyclically reduced words,
+        # closed under rotation and inversion, go through one np.linalg.eig:
+        # 119 rows for 936 words, not one per word; the few words whose
+        # carried point is not fixed to rounding go through one more.  Only
+        # the boundary generators' spectra are checked apart, and only the
+        # words equal to the identity, whose spectrum is on the circle, take
+        # the Schur route
         import maxrep.limits as limits
         import maxrep.normalform as normalform
-        calls = {"eig": 0, "masks": 0, "schur": 0}
+        calls = {"masks": 0, "schur": 0}
+        rows = []
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
                 calls[key] += 1
                 return fn(*args, **kwargs)
             return wrapper
+
+        def eig(m, real_eig=np.linalg.eig):
+            rows.append(len(m))
+            return real_eig(m)
         rep = pants_surface_rep(random_pants_params(2, np.random.default_rng(111), tame=True))
-        monkeypatch.setattr(np.linalg, "eig", counted("eig", np.linalg.eig))
+        monkeypatch.setattr(np.linalg, "eig", eig)
         monkeypatch.setattr(limits, "_unit_circle_masks", counted("masks", limits._unit_circle_masks))
         monkeypatch.setattr(normalform, "_real_schur", counted("schur", normalform._real_schur))
         sample = limit_set_sample(rep, max_word_length=4, seed=1)
-        assert calls == {"eig": 4, "masks": len(rep.c_imgs), "schur": sample.skipped_words}
+        assert calls == {"masks": len(rep.c_imgs), "schur": sample.skipped_words}
         assert sample.skipped_words == 6
+        classes = {}
+        for w in reduced_words_by_extension(["C1", "C2", "C3"], 4):
+            inverse = tuple(l[:-1] if l.endswith("-") else l + "-" for l in reversed(w))
+            if len(w) == 1 or w[0] != inverse[0]:   # cyclically reduced
+                key = min(r[j:] + r[:j] for r in (w, inverse) for j in range(len(w)))
+                classes.setdefault(len(w), set()).add(key)
+        assert {k: len(v) for k, v in classes.items()} == {1: 3, 2: 9, 3: 23, 4: 84}
+        assert rows[0] == 119 and len(rows) <= 2 and sum(rows[1:]) <= 0.02 * 936
 
     def test_triple_indices_without_triples(self, rng):
         stack = _point_stack([BoundaryPoint(symmetric(rng, 2)), BoundaryPoint(symmetric(rng, 2))])

@@ -1,10 +1,14 @@
 import gc
 import itertools
+import pathlib
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 import maxrep.gluing
+from maxrep.cli import parse_graph_file
 from maxrep.deform import deform_to_standard, standard_sign_graph
 from maxrep.errors import (
     CannotGlue,
@@ -737,6 +741,45 @@ class TestEdgeConjugator:
         monkeypatch.setattr(maxrep.gluing, "relation_residual", lambda *args: np.nan)
         with pytest.raises(IllConditioned):
             close_handle(x1, x2, h)
+
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
+@pytest.mark.parametrize("name, exact", [("random_chain_0_6_n2_seed29.mg", 1.713e-6),
+                                         ("random_chain_0_6_n3_seed22.mg", 1.063e-6)])
+def test_relation_gate_reads_the_whole_word(name, exact, monkeypatch):
+    # bench/inputs.random_chain (0, 6) at n = 2, seed 29 and n = 3, seed 22:
+    # with the C-word multiplied in float64 the gate read 9.2e-7 and 4.3e-7
+    # and passed them; the whole word in extended precision reads the exact
+    # defect (50-digit arithmetic on the same images) to three digits
+    graph = parse_graph_file(str(FIXTURES / name))
+    with pytest.raises(IllConditioned) as exc:
+        build_from_graph(graph)
+    assert exc.value.stage == "surface relation residual" and exc.value.bound == pytest.approx(1e-6)
+    monkeypatch.setattr(maxrep.gluing, "_surface_fault", lambda n, a, b, c, tol: (0.0, None))
+    rep = build_from_graph(graph)
+    with mpmath.workdps(50):
+        word = mpmath.eye(2 * rep.n)
+        for c in reversed(rep.c_imgs):
+            word = word * mpmath.matrix(c.m.tolist())
+        defect = max(abs(x) for x in (word - mpmath.eye(2 * rep.n)))
+    assert float(defect) == pytest.approx(exact, rel=1e-3)
+    assert exc.value.measured == pytest.approx(float(defect), rel=1e-3)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_overflowing_chain_is_staged(seed):
+    # a random (0, 16) chain at n = 2 overflows the gauge balance of its
+    # conjugators: refused without a warning, with stage, value and bound
+    graph = chain_graph(0, 16, 2, np.random.default_rng(seed))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(IllConditioned) as exc:
+            build_from_graph(graph)
+    assert not caught
+    assert (exc.value.stage, exc.value.measured, exc.value.bound) == (
+        "matrix entry", np.inf, np.finfo(float).max)
 
 
 @pytest.mark.parametrize("kind", [(0, 4), (1, 2)])
