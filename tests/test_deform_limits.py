@@ -465,6 +465,24 @@ class TestLimitSample:
         assert sampled == sorted(sampled)
         assert len(sampled) + skipped == len(words)
 
+    def test_failed_class_decomposition_takes_the_schur_route(self, monkeypatch):
+        # when the class representatives' eigen-decomposition fails, every
+        # word takes its own sorted Schur form, as the per-word oracle does
+        rep = pants_surface_rep(random_pants_params(2, np.random.default_rng(17), tame=True))
+        eig = np.linalg.eig
+
+        def failing(m):
+            if m.ndim == 3 and len(m) > 20:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eig(m)
+        monkeypatch.setattr(np.linalg, "eig", failing)
+        sample = limit_set_sample(rep, max_word_length=3, seed=0)
+        points, skipped = sampled_points_by_loop(rep, 3)
+        assert sample.skipped_words == skipped == 6
+        assert [w for w, _ in sample.points] == [w for w, _, _ in points]
+        for (_, p), (_, q, _) in zip(sample.points, points):
+            assert_points_close(p, q)
+
     @pytest.mark.parametrize("max_len", [0, -1])
     def test_word_length_below_one_rejected(self, rng, max_len):
         rep = pants_surface_rep(random_pants_params(1, rng, tame=True))
