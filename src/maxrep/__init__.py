@@ -113,6 +113,6 @@ from .deform import (
     standard_sign_graph,
     standard_twist,
 )
-from .limits import LimitSample, limit_set_sample, reduced_words
+from .limits import LimitSample, limit_set_sample
 
 __version__ = "0.1.0"

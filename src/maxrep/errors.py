@@ -121,9 +121,8 @@ def gate(stage: str, measured, band, refusal: type, message, factors=()):
 
 
 def _non_finite() -> IllConditioned:
-    """The refusal of a NaN or Inf entry, the trace of an overflow: the
-    gate's, measured inf against the largest float."""
-    return gate("matrix entry", np.inf, np.finfo(float).max, IllConditioned, "")
+    """The refusal of a NaN or Inf entry, the trace of an overflow."""
+    return IllConditioned("matrix contains NaN or Inf entries", "matrix entry", np.inf, np.finfo(float).max)
 
 
 class Slices:

@@ -34,7 +34,6 @@ from .errors import (
     NotCompatible,
     NotContracting,
     NotValid,
-    NumericalBreakdown,
     Slices,
     gate,
 )
@@ -472,13 +471,16 @@ def relation_residual(n: int, a_imgs, b_imgs, c_imgs) -> float:
 def _surface_fault(n: int, a_imgs, b_imgs, c_imgs, tol: Tolerance) -> tuple[float, MaxRepError | None]:
     """The relation residual of generator images and the first refusal of the
     gate a build and maxrep verify share: a residual above the one absolute
-    bound 1e3 * eq_tol (1e-6 at the default), then any image's block relations."""
+    bound 1e3 * eq_tol (1e-6 at the default), then any image's block
+    relations, a breakdown (IllConditioned) since a build makes every image
+    symplectic."""
     res = relation_residual(n, a_imgs, b_imgs, c_imgs)
     gens = np.array([g.m for g in (*a_imgs, *b_imgs, *c_imgs)])
     faults = [gate("surface relation residual", res, 1e3 * tol.eq_tol, IllConditioned,
                    "surface relation residual {:.3e}; inputs too ill-conditioned")]
     faults += _make_symplectics(*(gens[:, i:i + n, j:j + n] for i in (0, n) for j in (0, n)), tol).refusals
-    return res, next(filter(None, faults), None)
+    fault = next(filter(None, faults), None)
+    return res, fault and IllConditioned(str(fault), fault.stage, fault.measured, fault.bound)
 
 
 def pants_surface_rep(params: PantsParams, tol: Tolerance = DEFAULT_TOL,
@@ -596,8 +598,7 @@ def _edge_twist(rep_up: SurfaceRep, idx_up: int,
     with np.errstate(over="ignore", invalid="ignore"):
         h = _ld_product(up.conjugator @ _slot_rotation(rep_up.n, up.slot, True), tw,
                         sp_inverse(lo.conjugator @ _slot_rotation(rep_lo.n, lo.slot, False)))
-    check_finite(h.m)
-    return h
+    return SpMat(check_finite(h.m))
 
 
 def _amalgamate(rep1: SurfaceRep, label1: str, rep2: SurfaceRep, label2: str,
@@ -786,10 +787,8 @@ def build_from_graph(graph: GluingGraph, tol: Tolerance = DEFAULT_TOL) -> Surfac
     # a built graph refused no node, so slice j of the check is graph node j
     checks.values = list(zip(classes.values, checks.values))
     res, fault = _surface_fault(graph.n, built.a_imgs, built.b_imgs, built.c_imgs, tol)
-    if isinstance(fault, NumericalBreakdown):
+    if fault:
         raise fault
-    if fault:   # the build makes every image symplectic, so a failed block relation is a breakdown
-        raise IllConditioned(str(fault), fault.stage, fault.measured, fault.bound)
     return replace(built, ports=ports, node_checks=checks, relation_residual=res)
 
 

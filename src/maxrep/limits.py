@@ -23,7 +23,7 @@ from .matcore import DEFAULT_TOL, Tolerance, _unit_circle_masks, check_finite
 from .normalform import _attracting, _attracting_points, _basis_points, _eigenvector_bases
 from .symplectic import BoundaryPoint, _pair_spectra, _point_stack, sp_inverse
 
-__all__ = ["LimitSample", "limit_set_sample", "reduced_words"]
+__all__ = ["LimitSample", "limit_set_sample"]
 
 
 @dataclass(frozen=True)
@@ -38,20 +38,20 @@ class LimitSample:
 
 @functools.cache
 def _word_tables(letters: tuple[str, ...], max_len: int) -> tuple:
-    """(words, names, stops, prefix, last, reps, source, carrier) for the
-    reduced words of length 1..max_len over letters, in reduced_words order:
-    the words as labels and joined by spaces; the end of each length; the
-    row of w[:-1] in the stack [I, words] and the letter w[-1] (letter i + k
-    inverts letter i of k).  reps are the rows of the first words of the
-    classes of cyclically reduced words under rotation and inversion.  A
-    word p v p^-1, v = b a a rotation of r = a b (or of r^-1), takes the
-    expanding subspace of r (or the contracting one) moved by the shorter of
-    p b and p a^-1: source indexes [expanding bases of reps, contracting
-    bases of reps] and carrier is that word's row."""
+    """(names, stops, prefix, last, reps, source, carrier) for the reduced
+    words of length 1..max_len over letters and their inverses ("x" and
+    "x-"), each length's extending the last's: the words joined by spaces;
+    the start and end of each length; the row of w[:-1] in the stack
+    [I, words] and the letter w[-1] (letter i + k inverts letter i of k); the
+    rows of the first words of the classes of cyclically reduced words under
+    rotation and inversion.  A word p v p^-1, v = b a a rotation of r = a b
+    (or of r^-1), takes the expanding subspace of r (or of r^-1) moved by
+    the shorter of p b and p a^-1: source indexes the bases of [reps, reps
+    inverted] and carrier is that word's row."""
     k = len(letters)
     inv = [(l + k) % (2 * k) for l in range(2 * k)]
     invert = lambda w: tuple(inv[l] for l in reversed(w))
-    rows, stops, words = [()], [], [()]
+    rows, stops, words = [()], [0], [()]
     for _ in range(max_len):
         words = [w + (l,) for w in words for l in range(2 * k) if not w or l != inv[w[-1]]]
         rows += words
@@ -71,20 +71,10 @@ def _word_tables(letters: tuple[str, ...], max_len: int) -> tuple:
                     moved.setdefault(r[a:] + r[:a], (len(reps), side, r[a:] if 2 * a >= len(w) else invert(r[:a])))
             reps.append(row[w])
     alphabet = [*letters, *(l[:-1] if l.endswith("-") else l + "-" for l in letters)]
-    labelled = tuple(tuple(alphabet[l] for l in w) for w in rows[1:])
     index = lambda f: np.array([f(w) for w in rows[1:]], dtype=np.intp)
-    return (labelled, tuple(" ".join(w) for w in labelled), stops, index(lambda w: row[w[:-1]]),
+    return (tuple(" ".join(alphabet[l] for l in w) for w in rows[1:]), stops, index(lambda w: row[w[:-1]]),
             index(lambda w: w[-1]), np.array(reps), index(lambda w: moved[w][0] + len(reps) * moved[w][1]),
             index(lambda w: row[moved[w][2]]))
-
-
-def reduced_words(letters: list[str], max_len: int):
-    """Freely reduced words over letters and formal inverses.
-
-    Letters are labels; the inverse of "x" is "x-" and vice versa.  Yields
-    tuples of labels of length 1..max_len with no adjacent cancellation.
-    """
-    yield from _word_tables(tuple(letters), max_len)[0]
 
 
 # matrix entries per batched eigvalsh in _count_transverse (512 KB of float64)
@@ -172,22 +162,24 @@ def _count_transverse(stack, tol: Tolerance) -> int:
 
 def _word_points(mats: np.ndarray, reps, source, carrier, tol: Tolerance) -> np.ndarray:
     """The attracting point of each word of the stack mats = [I, words], None
-    where it is skipped, from the bases of _word_tables' class
-    representatives moved by the carriers; a moved point that fails its
-    certificate or is not fixed to rounding takes the word's own
-    eigen-decomposition, in one more call."""
-    n, words = mats.shape[-1] // 2, mats[1:]
-    try:
-        bases, direct = _eigenvector_bases(*np.linalg.eig(mats[reps]), tol)
-    except np.linalg.LinAlgError:   # every class takes the Schur route
-        bases, direct = np.zeros((2 * len(reps), 2 * n, n)), np.zeros(2 * len(reps), dtype=bool)
-    direct, found = direct[source], Slices(len(words))
-    zs = np.linalg.qr(words @ (words @ (mats[carrier] @ bases[source])))[0]
-    _, fixed, rho, exact = _basis_points(found, words, zs, direct, tol)
-    _attracting(found, fixed & (exact | ~direct[found.live] | (carrier[found.live] == 0)), rho, tol)
+    where it is skipped: the class representatives' bases moved by the
+    carriers, or the word's own eigen-decomposition where the moved point
+    fails its certificate or is not fixed to rounding, and for every word
+    when the representatives' eigen-decomposition fails."""
+    words, found = mats[1:], Slices(len(mats) - 1)
     points = np.full(len(words), None, dtype=object)
-    points[found.live] = [found.values[j] for j in found.live]
-    own = np.flatnonzero(direct & np.array([r is not None for r in found.refusals]))
+    try:
+        w, v = np.linalg.eig(mats[reps])
+    except np.linalg.LinAlgError:
+        own = np.arange(len(words))
+    else:   # r's contracting eigenvectors are r^-1's expanding ones, of eigenvalues 1 / lambda
+        bases, direct = _eigenvector_bases(np.concatenate([w, 1 / w]), np.concatenate([v, v]), tol)
+        direct = direct[source]
+        zs = np.linalg.qr(words @ (words @ (mats[carrier] @ bases[source])))[0]
+        _, fixed, rho, exact = _basis_points(found, words, zs, direct, tol)
+        _attracting(found, fixed & (exact | ~direct[found.live] | (carrier[found.live] == 0)), rho, tol)
+        points[found.live] = [found.values[j] for j in found.live]
+        own = np.flatnonzero(direct & np.array([r is not None for r in found.refusals]))
     if own.size:
         mine = _attracting_points(words[own], tol)
         points[own[mine.live]] = [mine.values[j] for j in mine.live]
@@ -239,13 +231,12 @@ def limit_set_sample(rep: SurfaceRep, max_word_length: int = 4,
 
     findings: list[str] = []
     # one word length at a time: each level's stack is the previous level's
-    # stack times the letter stack, in reduced_words order
-    _, names, stops, prefix, last, *classes = _word_tables(tuple(gens), max_word_length)
+    # stack times the letter stack, in _word_tables order
+    names, stops, prefix, last, *classes = _word_tables(tuple(gens), max_word_length)
     mats = np.empty((1 + stops[-1], *letter_stack.shape[1:]))
-    mats[0], start = np.eye(mats.shape[-1]), 0
-    for stop in stops:
-        mats[1 + start:1 + stop] = check_finite(mats[prefix[start:stop]] @ letter_stack[last[start:stop]])
-        start = stop
+    mats[0] = np.eye(mats.shape[-1])
+    for a, b in itertools.pairwise(stops):
+        mats[1 + a:1 + b] = check_finite(mats[prefix[a:b]] @ letter_stack[last[a:b]])
     points = [(name, pt) for name, pt in zip(names, _word_points(mats, *classes, tol)) if pt is not None]
     skipped = len(names) - len(points)
 

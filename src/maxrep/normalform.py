@@ -275,17 +275,16 @@ _EIGENBASIS_RCOND = 1e-2
 
 def _eigenvector_bases(w: np.ndarray, v: np.ndarray, tol: Tolerance) -> tuple:
     """(zs, direct) from np.linalg.eig's (w, v) of a (k, 2n, 2n) stack: zs[i]
-    an orthonormal basis of the span of the n largest moduli and zs[k + i]
-    of the n smallest, Re v + Im v orthonormalised by one stacked QR, and
-    whether no modulus is in the unit-circle band and R is well conditioned."""
+    an orthonormal basis of the span of the n largest moduli, Re v + Im v
+    (x + y and x - y for a pair x +- iy) under one stacked QR, and whether
+    no modulus is in the unit-circle band and R is well conditioned."""
     n = w.shape[-1] // 2
-    order, ranked = np.argsort(np.abs(w), axis=-1), np.sort(np.abs(w), axis=-1)
-    cols = np.concatenate([order[:, n:], order[:, :n]])
-    v = np.concatenate([v, v])[np.arange(len(cols))[:, None], :, cols]
+    cols, ranked = np.argsort(np.abs(w), axis=-1)[:, n:], np.sort(np.abs(w), axis=-1)
+    v = v[np.arange(len(w))[:, None], :, cols]
     zs, r = np.linalg.qr((v.real + v.imag).swapaxes(1, 2))
     r = np.abs(np.diagonal(r, axis1=1, axis2=2))
-    split = (ranked[:, n - 1] < 1.0 - tol.unit_circle_band) & (ranked[:, n] > 1.0 + tol.unit_circle_band)
-    return zs, np.tile(split, 2) & (r.min(axis=-1) > _EIGENBASIS_RCOND * r.max(axis=-1))
+    return zs, ((ranked[:, n - 1] < 1.0 - tol.unit_circle_band) & (ranked[:, n] > 1.0 + tol.unit_circle_band)
+                & (r.min(axis=-1) > _EIGENBASIS_RCOND * r.max(axis=-1)))
 
 
 def _basis_points(points: Slices, ms: np.ndarray, zs: np.ndarray, direct: np.ndarray, tol: Tolerance) -> tuple:
@@ -340,8 +339,7 @@ def _subspace_fixed_points(ms: np.ndarray, tol: Tolerance) -> tuple[Slices, np.n
             except np.linalg.LinAlgError as exc:
                 faults[i] = NotSHyperbolic(f"eigen-decomposition failed: {exc}")
         ms, w, v = points.refuse(faults, ms, w, v)
-    zs, direct = _eigenvector_bases(w, v, tol)
-    return _basis_points(points, ms, zs[:len(ms)], direct[:len(ms)], tol)[:3]
+    return _basis_points(points, ms, *_eigenvector_bases(w, v, tol), tol)[:3]
 
 
 def _attracting(points: Slices, fixed: np.ndarray, rho: np.ndarray, tol: Tolerance) -> Slices:

@@ -24,7 +24,7 @@ from maxrep.gluing import (
     component_signature,
     pants_surface_rep,
 )
-from maxrep.limits import _cluster, _count_transverse, _unrank3, limit_set_sample, reduced_words
+from maxrep.limits import _cluster, _count_transverse, _unrank3, _word_tables, limit_set_sample
 from maxrep.matcore import DEFAULT_TOL, norm_inf
 from maxrep.pants import PantsParams, ParamClass, classify_params, toledo_signature_shortcut
 from maxrep.maslov import _triple_indices
@@ -385,6 +385,10 @@ class TestDeform:
             deform_to_standard(GluingGraph((p0, p2, p1), graph.edges, graph.boundaries), steps=5)
 
 
+def reduced_words(letters: list[str], max_len: int) -> list[tuple[str, ...]]:
+    return [tuple(name.split()) for name in _word_tables(tuple(letters), max_len)[0]]
+
+
 class TestReducedWords:
     def test_counts(self):
         words = list(reduced_words(["a", "b"], 3))
@@ -465,9 +469,9 @@ class TestLimitSample:
         assert sampled == sorted(sampled)
         assert len(sampled) + skipped == len(words)
 
-    def test_failed_class_decomposition_takes_the_schur_route(self, monkeypatch):
+    def test_failed_class_decomposition_takes_the_per_word_route(self, monkeypatch):
         # when the class representatives' eigen-decomposition fails, every
-        # word takes its own sorted Schur form, as the per-word oracle does
+        # word takes its own, retried slice by slice where the stack fails
         rep = pants_surface_rep(random_pants_params(2, np.random.default_rng(17), tame=True))
         eig = np.linalg.eig
 

@@ -1,9 +1,10 @@
+import functools
 import gc
 import itertools
 import pathlib
 import warnings
+from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -752,18 +753,17 @@ def test_relation_gate_reads_the_whole_word(name, exact, monkeypatch):
     # bench/inputs.random_chain (0, 6) at n = 2, seed 29 and n = 3, seed 22:
     # with the C-word multiplied in float64 the gate read 9.2e-7 and 4.3e-7
     # and passed them; the whole word in extended precision reads the exact
-    # defect (50-digit arithmetic on the same images) to three digits
+    # defect (exact rational arithmetic on the same images) to three digits
     graph = parse_graph_file(str(FIXTURES / name))
     with pytest.raises(IllConditioned) as exc:
         build_from_graph(graph)
     assert exc.value.stage == "surface relation residual" and exc.value.bound == pytest.approx(1e-6)
     monkeypatch.setattr(maxrep.gluing, "_surface_fault", lambda n, a, b, c, tol: (0.0, None))
     rep = build_from_graph(graph)
-    with mpmath.workdps(50):
-        word = mpmath.eye(2 * rep.n)
-        for c in reversed(rep.c_imgs):
-            word = word * mpmath.matrix(c.m.tolist())
-        defect = max(abs(x) for x in (word - mpmath.eye(2 * rep.n)))
+    # every float64 entry is a dyadic rational, so the Fraction product is exact
+    exact_c = [np.vectorize(Fraction, otypes=[object])(c.m) for c in reversed(rep.c_imgs)]
+    word = functools.reduce(np.matmul, exact_c) - np.eye(2 * rep.n, dtype=int).astype(object)
+    defect = max(abs(x) for x in word.flat)
     assert float(defect) == pytest.approx(exact, rel=1e-3)
     assert exc.value.measured == pytest.approx(float(defect), rel=1e-3)
 

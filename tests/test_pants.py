@@ -145,7 +145,7 @@ class TestCheckStack:
             classes, sigs = map(outcomes, _check_stack(xs, DEFAULT_TOL))
         assert classes[0] is ParamClass.IN_R_STAR and sigs[0] == 2
         for got in classes[1:] + sigs[1:]:
-            assert isinstance(got, IllConditioned) and str(got) == "matrix entry inf is not finite"
+            assert isinstance(got, IllConditioned) and str(got) == "matrix contains NaN or Inf entries"
 
     def test_random_stack_matches_loop(self, rng):
         ps = [random_pants_params(3, rng, tame=bool(i % 2)) for i in range(40)]
