@@ -598,7 +598,8 @@ def _edge_twist(rep_up: SurfaceRep, idx_up: int,
     with np.errstate(over="ignore", invalid="ignore"):
         h = _ld_product(up.conjugator @ _slot_rotation(rep_up.n, up.slot, True), tw,
                         sp_inverse(lo.conjugator @ _slot_rotation(rep_lo.n, lo.slot, False)))
-    return SpMat(check_finite(h.m))
+    check_finite(h.m)
+    return h
 
 
 def _amalgamate(rep1: SurfaceRep, label1: str, rep2: SurfaceRep, label2: str,
