@@ -40,7 +40,7 @@ from .gluing import (
 from .limits import limit_set_sample
 from .maslov import Triple, maslov
 from .matcore import DEFAULT_TOL, Tolerance
-from .pants import PantsParams, build_maximal, toledo, toledo_signature_shortcut
+from .pants import PantsParams, _build_maximal_stack, toledo
 from .symplectic import (
     INFINITY,
     BoundaryPoint,
@@ -341,10 +341,12 @@ def cmd_verify(args, tol: Tolerance) -> list:
 def cmd_toledo(args, tol: Tolerance) -> list:
     graph = parse_graph_file(args.file, args.strict)
     report, total = [], Fraction(0)
-    for nd in graph.nodes:
-        t_short = toledo_signature_shortcut(nd.params, tol)
-        tr = Triple(zero_point(graph.n), identity_point(graph.n), INFINITY)
-        t_index = toledo(build_maximal(nd.params, tol), tr, tol=tol)
+    # one membership check for every node gives both routes
+    _, sigs, reps = _build_maximal_stack(np.array([nd.params.matrices() for nd in graph.nodes]), tol)
+    tr = Triple(zero_point(graph.n), identity_point(graph.n), INFINITY)
+    for i, nd in enumerate(graph.nodes):
+        t_short = Fraction(graph.n + sigs[i], 2)
+        t_index = toledo(reps[i], tr, tol=tol)
         report.append((f"node {nd.name} T (signature route)", str(t_short)))
         report.append((f"node {nd.name} T (index route)", str(t_index)))
         total += t_short

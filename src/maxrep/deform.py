@@ -284,12 +284,12 @@ class DeformationPath:
         return len(self.snapshots)
 
 
-def _cap_contracting(m: np.ndarray, cap: float = _RHO_CAP) -> np.ndarray:
-    """Each matrix of the stack m, scaled down onto spectral radius cap when
-    its radius is larger; the cap rises to the radius of m[0], the time-0
-    matrix, so that a path starts at its input."""
+def _cap_contracting(m: np.ndarray) -> np.ndarray:
+    """Each matrix of the stack m, scaled down onto spectral radius _RHO_CAP
+    when its radius is larger; the cap rises to the radius of m[0], the
+    time-0 matrix, so that a path starts at its input."""
     rho = np.abs(np.linalg.eigvals(check_finite(m))).max(axis=-1)
-    cap = max(cap, rho[0])
+    cap = max(_RHO_CAP, rho[0])
     return (cap / np.maximum(rho, cap))[:, None, None] * m
 
 

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotSHyperbolic, Slices
+from .errors import NotSHyperbolic
 from .gluing import SurfaceRep
 from .maslov import _triple_indices
 from .matcore import DEFAULT_TOL, Tolerance, _unit_circle_masks, check_finite
-from .normalform import _attracting, _attracting_points, _basis_points, _eigenvector_bases
+from .normalform import _attracting, _eigenvector_bases, _subspace_fixed_points
 from .symplectic import BoundaryPoint, _pair_spectra, _point_stack, sp_inverse
 
 __all__ = ["LimitSample", "limit_set_sample"]
@@ -79,6 +79,8 @@ def _word_tables(letters: tuple[str, ...], max_len: int) -> tuple:
 
 # matrix entries per batched eigvalsh in _count_transverse (512 KB of float64)
 _PAIR_CHUNK_ENTRIES = 1 << 16
+# points closer than this, relative to max(1, |point|), are identified
+_CLUSTER_TOL = 1e-8
 
 
 def _unrank3(ranks, d: int) -> np.ndarray:
@@ -98,17 +100,17 @@ def _unrank3(ranks, d: int) -> np.ndarray:
     return out
 
 
-def _cluster(stack, cluster_tol: float) -> np.ndarray:
+def _cluster(stack) -> np.ndarray:
     """Indices of a _point_stack's points kept by first-come greedy clustering:
-    a point is dropped within cluster_tol * max(1, |point|) (cluster_tol <= 1/2)
-    of a point kept before it, entrywise; infinity is near infinity only.
+    a point is dropped within _CLUSTER_TOL * max(1, |point|) of a point kept
+    before it, entrywise; infinity is near infinity only.
 
-    A near pair is within 2 * cluster_tol * either scale, which moves the
+    A near pair is within 2 * _CLUSTER_TOL * either scale, which moves the
     trace by at most n times that, so candidates are compared one offset of
     the trace order at a time inside that window (widened for rounding).
     """
     x, at_inf, scale = stack
-    n, bound = x.shape[1], cluster_tol * scale
+    n, bound = x.shape[1], _CLUSTER_TOL * scale
     fin = np.flatnonzero(~at_inf)
     order = fin[np.argsort(np.trace(x[fin], axis1=1, axis2=2), kind="stable")]
     t = np.trace(x[order], axis1=1, axis2=2)
@@ -160,36 +162,34 @@ def _count_transverse(stack, tol: Tolerance) -> int:
     return count
 
 
-def _word_points(mats: np.ndarray, reps, source, carrier, tol: Tolerance) -> np.ndarray:
+def _word_points(mats: np.ndarray, reps, source, carrier, tol: Tolerance) -> list:
     """The attracting point of each word of the stack mats = [I, words], None
     where it is skipped: the class representatives' bases moved by the
-    carriers, or the word's own eigen-decomposition where the moved point
-    fails its certificate or is not fixed to rounding, and for every word
-    when the representatives' eigen-decomposition fails."""
-    words, found = mats[1:], Slices(len(mats) - 1)
-    points = np.full(len(words), None, dtype=object)
+    carriers, and the Schur rescue of _subspace_fixed_points for a word whose
+    moved point fails its certificate or is not fixed to rounding, and for
+    every word when the representatives' eigen-decomposition fails."""
+    words = mats[1:]
+    n = words.shape[-1] // 2
     try:
         w, v = np.linalg.eig(mats[reps])
     except np.linalg.LinAlgError:
-        own = np.arange(len(words))
+        zs, direct = np.empty((len(words), 2 * n, n)), np.zeros(len(words), dtype=bool)
     else:   # r's contracting eigenvectors are r^-1's expanding ones, of eigenvalues 1 / lambda
         bases, direct = _eigenvector_bases(np.concatenate([w, 1 / w]), np.concatenate([v, v]), tol)
         direct = direct[source]
         zs = np.linalg.qr(words @ (words @ (mats[carrier] @ bases[source])))[0]
-        _, fixed, rho, exact = _basis_points(found, words, zs, direct, tol)
-        _attracting(found, fixed & (exact | ~direct[found.live] | (carrier[found.live] == 0)), rho, tol)
-        points[found.live] = [found.values[j] for j in found.live]
-        own = np.flatnonzero(direct & np.array([r is not None for r in found.refusals]))
-    if own.size:
-        mine = _attracting_points(words[own], tol)
-        points[own[mine.live]] = [mine.values[j] for j in mine.live]
+    found, fixed, rho, exact = _subspace_fixed_points(words, tol, zs, direct)
+    _attracting(found, fixed & (exact | ~direct[found.live] | (carrier[found.live] == 0)), rho, tol)
+    points = [None if r else p for p, r in zip(found.values, found.refusals)]
+    own = np.flatnonzero(direct & np.array([r is not None for r in found.refusals]))
+    mine = _attracting(*_subspace_fixed_points(words[own], tol, zs[own], np.zeros(own.size, dtype=bool))[:3], tol)
+    for i, p, r in zip(own.tolist(), mine.values, mine.refusals):
+        points[i] = None if r else p
     return points
 
 
 # at most this many triples of distinct points go into the Maslov histogram
 _MAX_TRIPLES = 200
-# points closer than this, relative to max(1, |point|), are identified
-_CLUSTER_TOL = 1e-8
 
 
 def limit_set_sample(rep: SurfaceRep, max_word_length: int = 4,
@@ -205,7 +205,8 @@ def limit_set_sample(rep: SurfaceRep, max_word_length: int = 4,
     The points are rho-equivariant: one eigen-decomposition serves a class of
     cyclically reduced words (_word_tables; 119 rows for 936 words on one
     pants), and two multiplications by a word's own matrix refine its moved
-    basis.  The skipped words are those of one decomposition per word.
+    basis; a word whose moved point fails takes the Schur rescue alone.  The
+    skipped words are those of one decomposition per word.
 
     Sampled triples are seeded: when the D distinct points have more than
     200 triples, rng = np.random.default_rng(seed) draws
@@ -245,7 +246,7 @@ def limit_set_sample(rep: SurfaceRep, max_word_length: int = 4,
                              "were skipped: none has an attracting point")
     pts = [pt for _, pt in points]
     stack = _point_stack(pts)
-    keep = _cluster(stack, _CLUSTER_TOL)
+    keep = _cluster(stack)
     distinct = [pts[i] for i in keep]
     stack = tuple(a[keep] for a in stack)
     n_pairs = math.comb(len(distinct), 2)

@@ -287,14 +287,28 @@ def _eigenvector_bases(w: np.ndarray, v: np.ndarray, tol: Tolerance) -> tuple:
                 & (r.min(axis=-1) > _EIGENBASIS_RCOND * r.max(axis=-1)))
 
 
-def _basis_points(points: Slices, ms: np.ndarray, zs: np.ndarray, direct: np.ndarray, tol: Tolerance) -> tuple:
-    """(points, fixed, rho, exact) from orthonormal bases zs of the expanding
-    subspaces of the live slices ms, a slice not direct taking its sorted
-    real Schur basis instead (refused where that fails or the subspace is
-    not n-dimensional): u1 u2^{-1}, or infinity when u2 is singular within
-    eq_tol, with _certificates."""
+def _subspace_fixed_points(ms: np.ndarray, tol: Tolerance, zs: np.ndarray | None = None,
+                           direct: np.ndarray | None = None) -> tuple:
+    """Chart points of the expanding invariant subspaces of a (k, 2n, 2n)
+    stack, certified: (points, fixed, rho, exact) of _certificates, the values
+    of points being BoundaryPoints and its refusals NotSHyperbolic.
+
+    zs holds an orthonormal basis (2n, n) of each subspace, which one
+    np.linalg.eig of the stack makes when none is given (_eigenvector_bases).
+    A slice not direct, or every slice when that eig fails, takes its sorted
+    real Schur basis instead, and is refused where that fails or the subspace
+    is not n-dimensional.  The point is u1 u2^{-1}, or infinity when u2 is
+    singular within eq_tol.  Each caller sets its acceptance threshold on
+    rho.  A NaN or Inf anywhere raises IllConditioned.
+    """
+    ms = check_finite(ms)
     n = ms.shape[-1] // 2
-    faults = [None] * len(ms)
+    if zs is None:
+        try:
+            zs, direct = _eigenvector_bases(*np.linalg.eig(ms), tol)
+        except np.linalg.LinAlgError:
+            zs, direct = np.empty((len(ms), 2 * n, n)), np.zeros(len(ms), dtype=bool)
+    points, faults = Slices(len(ms)), [None] * len(ms)
     for i in np.flatnonzero(~direct):
         try:
             _, z, dim = _real_schur(ms[i], lambda re, im: re * re + im * im > 1.0, NotSHyperbolic)
@@ -315,44 +329,12 @@ def _basis_points(points: Slices, ms: np.ndarray, zs: np.ndarray, direct: np.nda
     return points, *_certificates(ms, ys, at_inf, tol)
 
 
-def _subspace_fixed_points(ms: np.ndarray, tol: Tolerance) -> tuple[Slices, np.ndarray, np.ndarray]:
-    """Chart points of the expanding invariant subspaces of a (k, 2n, 2n)
-    stack, certified: (points, fixed, rho), the values of points being
-    BoundaryPoints and its refusals NotSHyperbolic.
-
-    The subspace must have dimension n; one np.linalg.eig of the stack gives
-    its bases (_eigenvector_bases, _basis_points), and a slice the
-    eigen-decomposition fails on is refused.  Each caller sets its
-    acceptance threshold on rho.  A NaN or Inf anywhere raises IllConditioned.
-    """
-    ms = check_finite(ms)
-    n = ms.shape[-1] // 2
-    points = Slices(len(ms))
-    try:
-        w, v = np.linalg.eig(ms)
-    except np.linalg.LinAlgError:   # again slice by slice, to refuse only the failures
-        w, v = np.ones((len(ms), 2 * n), complex), np.zeros(ms.shape, complex)
-        faults = [None] * len(ms)
-        for i, m in enumerate(ms):
-            try:
-                w[i], v[i] = np.linalg.eig(m)
-            except np.linalg.LinAlgError as exc:
-                faults[i] = NotSHyperbolic(f"eigen-decomposition failed: {exc}")
-        ms, w, v = points.refuse(faults, ms, w, v)
-    return _basis_points(points, ms, *_eigenvector_bases(w, v, tol), tol)[:3]
-
-
 def _attracting(points: Slices, fixed: np.ndarray, rho: np.ndarray, tol: Tolerance) -> Slices:
     """points with each live slice refused that fixed and rho do not certify attracting."""
     points.refuse([NotSHyperbolic("no contracting fixed point; element is not "
                                   "transverse-pair hyperbolic within tolerance") if weak else None
                    for weak in ~fixed | (rho > 1.0 - max(tol.unit_circle_band, _ATTRACT_MARGIN))])
     return points
-
-
-def _attracting_points(ms: np.ndarray, tol: Tolerance) -> Slices:
-    """attracting_point of each slice; the values are BoundaryPoints."""
-    return _attracting(*_subspace_fixed_points(ms, tol), tol)
 
 
 def attracting_point(g: SpMat, tol: Tolerance = DEFAULT_TOL) -> BoundaryPoint:
@@ -364,7 +346,7 @@ def attracting_point(g: SpMat, tol: Tolerance = DEFAULT_TOL) -> BoundaryPoint:
     differential, which guards against defective circle spectra whose
     eigenvalues split across the band.
     """
-    return _attracting_points(g.m[None], tol)[0]
+    return _attracting(*_subspace_fixed_points(g.m[None], tol)[:3], tol)[0]
 
 
 def _canonical_points(ms: np.ndarray, tol: Tolerance) -> Slices:
@@ -399,7 +381,7 @@ def _canonical_points(ms: np.ndarray, tol: Tolerance) -> Slices:
             faults[i] = exc
     ms, points = out.refuse(faults, ms, points)
     rest = np.array([pt is None for pt in points], dtype=bool)
-    found, fixed, rho = _subspace_fixed_points(ms[rest], tol)
+    found, fixed, rho, _ = _subspace_fixed_points(ms[rest], tol)
     found.refuse([None if good else NoCanonicalFixedPoint(_NO_CANONICAL)
                   for good in fixed & (rho <= 1.0 + max(tol.unit_circle_band, _NONEXPAND_SLACK))])
     # the subspace route's own refusals read the same

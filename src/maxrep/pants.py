@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import IllConditioned, NearSingular, NotMaximal, NotValid, Slices, gate
-from .maslov import Triple, indefinite_identity, is_maximal, maslov, normalize_maximal_triple
+from .maslov import Triple, _triple_indices, indefinite_identity, normalize_maximal_triple
 from .matcore import (
     DEFAULT_TOL,
     Tolerance,
@@ -36,6 +36,7 @@ from .symplectic import (
     BoundaryPoint,
     SpMat,
     _make_symplectics,
+    _point_stack,
     moebius_act,
     sp_inverse,
 )
@@ -277,9 +278,11 @@ def toledo(rep: PantsRep, fixed_points: Triple,
         _require_fixed(c, y, tol, who)
     if extra is None:
         extra = moebius_act(rep.c1, y3, tol)
-    b1 = maslov(Triple(y1, y2, y3), tol)
-    b2 = maslov(Triple(y1, extra, y2), tol)
-    return Fraction(b1 + b2, 2)
+    # (y1, y2, y3) and (y1, extra, y2) from one kernel call
+    index, refusals = _triple_indices(_point_stack((y1, y2, y3, extra)), ((0, 1, 2), (0, 3, 1)), tol)
+    if fault := refusals[0] or refusals[1]:
+        raise fault
+    return Fraction(sum(index), 2)
 
 
 def toledo_signature_shortcut(p, tol: Tolerance = DEFAULT_TOL) -> Fraction:
@@ -291,17 +294,15 @@ def recover_params(rep: PantsRep,
                    tol: Tolerance = DEFAULT_TOL) -> tuple[PantsParams, SpMat]:
     """Invert the forward construction on an arbitrary maximal representation.
 
-    Canonical fixed points of the three generators form a maximal triple;
+    Canonical fixed points of the three generators form a maximal triple
+    (normalize_maximal_triple refuses another index with NotMaximal);
     normalizing it to (0, e, inf) puts the generators in the standard block
     shape, from which X1 sits in the upper-left of c1, X3 in the lower-right
     of c3, and X2 = B - D read off c2.  Returns the parameters together with
     the normalizing conjugator h.
     """
     points = _canonical_points(np.array([c.m for c in rep.generators()]), tol)
-    t = Triple(*(points[i] for i in range(3)))
-    if not is_maximal(t, tol):
-        raise NotMaximal("canonical fixed points do not form a maximal triple")
-    h = normalize_maximal_triple(t, tol)
+    h = normalize_maximal_triple(Triple(*(points[i] for i in range(3))), tol)
     hinv = sp_inverse(h)
     c1, c2, c3 = ((h @ c @ hinv) for c in rep.generators())
     x1 = c1.A.copy()

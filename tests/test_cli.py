@@ -413,8 +413,9 @@ class TestCommands:
                 seen.add(report[f"node {nd.name} class"])
         assert seen == {"in_r_star", "in_r", "in_tilde_r"}
 
-    @pytest.mark.parametrize("command", ["build", "verify"])
-    def test_one_membership_check_per_graph_command(self, command, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("command, text", [("build", "node p1 toledo: 2"), ("verify", "node p1 toledo: 2"),
+                                               ("toledo", "node p1 T (index route): 2")])
+    def test_one_membership_check_per_graph_command(self, command, text, tmp_path, capsys, monkeypatch):
         import maxrep.pants
         calls = []
         real = maxrep.pants._check_stack
@@ -428,7 +429,7 @@ class TestCommands:
         with open(f, "w") as fh:
             write_graph_file(chain_graph(1, 2, 2, np.random.default_rng(0)), fh)
         code, out, _ = run_main([command, str(f)], capsys)
-        assert code == 0 and "status: ok" in out and "node p1 toledo: 2" in out
+        assert code == 0 and text in out and ("status: ok" in out) == (command != "toledo")
         assert calls == [(2, 3, 2, 2)]
 
     def test_components_torus(self, torus_file, capsys):
@@ -718,6 +719,23 @@ class TestMalformedFiles:
         code, _, err = run_main(["maslov", str(f)], capsys)
         assert code == 2
         assert "(line 2)" in err
+
+    # every other parse error of the readers, each with its line where it has one
+    @pytest.mark.parametrize("command, name, text, message", [
+        ("build", "bad.mg", PANTS_FILE.replace("n 1\n", ""), "'n' must come before nodes (line 3)"),
+        ("build", "bad.mg", PANTS_FILE.replace("surface 0 3", "surface 1 1"),
+         "declared surface (1, 1) but graph has type (0, 3)"),
+        ("verify", "bad.mr", "maxrep-rep 1\nn 1\n", "rep file must declare n and surface"),
+        ("maslov", "bad.mp", POINTS_FILE.replace("point identity", "point origin"),
+         "unknown named point 'origin' (line 4)"),
+        ("maslov", "bad.mp", POINTS_FILE.replace("point inf\n", ""), "need exactly three points, got 2"),
+    ])
+    def test_reader_errors(self, tmp_path, capsys, command, name, text, message):
+        f = tmp_path / name
+        f.write_text(text)
+        code, out, err = run_main([command, str(f)], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_points_of_two_sizes(self, tmp_path, capsys):
         f = tmp_path / "bad.mp"

@@ -13,7 +13,7 @@ from maxrep.matcore import DEFAULT_TOL, Tolerance, norm_inf
 from maxrep.normalform import (
     _ATTRACT_MARGIN,
     DifferentialClass,
-    _attracting_points,
+    _attracting,
     _canonical_points,
     _certificates,
     _subspace_fixed_points,
@@ -48,6 +48,11 @@ from tests_support import (
     random_symplectic,
 )
 from oracles import fixed_point_probe, subspace_fixed_point_one
+
+
+def attracting_points(stack):
+    """attracting_point of each slice of a stack, as one kernel call."""
+    return _attracting(*_subspace_fixed_points(stack, DEFAULT_TOL)[:3], DEFAULT_TOL)
 
 
 def rotation(theta: float) -> np.ndarray:
@@ -304,8 +309,8 @@ class TestElementCanonicalPoints:
                     h @ diag_symplectic(np.diag([2.0, 1 + 1e-7, 0.5])) @ h.inv(),
                     diag_symplectic(np.diag([2.0, 1.0, 0.5]))]
         stack = np.array([g.m for g in elements])
-        found, fixed, rho = _subspace_fixed_points(stack, DEFAULT_TOL)
-        points, attracting = outcomes(found), outcomes(_attracting_points(stack, DEFAULT_TOL))
+        found, fixed, rho, _ = _subspace_fixed_points(stack, DEFAULT_TOL)
+        points, attracting = outcomes(found), outcomes(attracting_points(stack))
         refused = []
         for i, m in enumerate(stack):
             try:
@@ -376,27 +381,33 @@ class TestElementCanonicalPoints:
         with pytest.raises(np.linalg.LinAlgError):
             _canonical_fixed_point(StandardBoundary(np.diag([2.0, 0.5]), np.eye(2)), DEFAULT_TOL)
 
-    def test_eig_failure_refuses_only_its_slice(self, monkeypatch):
-        # a LinAlgError of the stacked eigen-decomposition refuses the slice
-        # that fails alone, with attracting_point's error
+    def test_eig_failure_takes_the_schur_rescue(self, monkeypatch):
+        # a LinAlgError of the stacked eigen-decomposition sends every slice
+        # down the sorted real Schur route, which finds the same points
+        import maxrep.normalform as normalform
         bad = diag_symplectic(np.diag([0.5, 0.25]))
         rng = np.random.default_rng(5)
         rep = pants_surface_rep(random_pants_params(2, rng, tame=True))
         stack = np.array([rep.c_imgs[0].m, bad.m, rep.c_imgs[1].m])
-        expected = outcomes(_attracting_points(stack, DEFAULT_TOL))
-        eig = np.linalg.eig
+        expected = outcomes(attracting_points(stack))
+        eig, schur, calls = np.linalg.eig, normalform._real_schur, []
 
         def failing(m):
             if np.any(np.all(m == bad.m, axis=(-2, -1))):
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
             return eig(m)
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return schur(*args, **kwargs)
         monkeypatch.setattr(np.linalg, "eig", failing)
-        with pytest.raises(NotSHyperbolic):
-            attracting_point(bad)
-        points = outcomes(_attracting_points(stack, DEFAULT_TOL))
-        assert isinstance(points[1], NotSHyperbolic)
-        for i in (0, 2):
-            assert points[i].value.tobytes() == expected[i].value.tobytes()
+        monkeypatch.setattr(normalform, "_real_schur", counted)
+        # the expanding subspace of diag(A, A^-T), A contracting, is the vertical factor
+        assert np.max(np.abs(attracting_point(bad).value)) <= 1e-15
+        points = outcomes(attracting_points(stack))
+        assert calls == [(4, 4)] * 4
+        for p, q in zip(points, expected):
+            assert_points_close(p, q, 1e-13)
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("lead", [1.5, 2.0, 5.0])
@@ -409,8 +420,8 @@ class TestElementCanonicalPoints:
         a[0, 1] = off
         elements = [h @ diag_symplectic(a) @ h.inv()
                     for h in (random_symplectic(n, rng) for _ in range(6))]
-        points, fixed, rho = _subspace_fixed_points(np.array([g.m for g in elements]),
-                                                    DEFAULT_TOL)
+        points, fixed, rho, _ = _subspace_fixed_points(np.array([g.m for g in elements]),
+                                                       DEFAULT_TOL)
         assert points.live == list(range(len(elements)))
         for g, p, ok, r in zip(elements, points.values, fixed, rho):
             pt, ok_one, r_one = subspace_fixed_point_one(g)

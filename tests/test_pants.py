@@ -9,6 +9,7 @@ from maxrep.errors import (
     MaxRepError,
     NearSingular,
     NoCanonicalFixedPoint,
+    NotMaximal,
     NotValid,
     Singular,
 )
@@ -379,6 +380,16 @@ class TestRecover:
             with pytest.raises(MaxRepError) as info:
                 recover_params(PantsRep(*gens))
             assert type(info.value) is err
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_non_maximal_rep_refused_with_its_index(self, rng, n):
+        # the canonical points of build_general's generators are 0,
+        # diag(1_i, -1_{n-i}) and infinity, a triple of index 2i - n
+        for i in range(n):
+            p = random_pants_params(n, rng, tame=True)
+            rep = build_general(GeneralPantsParams(i, *p.matrices()))
+            with pytest.raises(NotMaximal, match=f"triple has index {2 * i - n}, expected {n}"):
+                recover_params(rep)
 
 
 class TestEquivalence:
