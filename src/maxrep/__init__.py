@@ -32,7 +32,6 @@ from .matcore import (
     CircleClass,
     Tolerance,
     circle_class,
-    factor_signature,
     norm_inf,
     similarity_witness,
     stein_solve,
@@ -57,7 +56,6 @@ from .symplectic import (
 from .maslov import (
     Triple,
     indefinite_identity,
-    is_maximal,
     maslov,
     normalize_maximal_triple,
     normalize_pair,

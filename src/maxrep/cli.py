@@ -411,9 +411,9 @@ def cmd_deform(args, tol: Tolerance) -> list:
 
 def cmd_limits(args, tol: Tolerance) -> list:
     graph = parse_graph_file(args.file, args.strict)
-    rep = build_from_graph(graph, tol)
     if args.max_word_length < 1:
         raise ParseError(f"max_word_length must be at least 1, got {args.max_word_length}")
+    rep = build_from_graph(graph, tol)
     sample = limit_set_sample(rep, max_word_length=args.max_word_length,
                               tol=tol, seed=args.seed)
 

@@ -483,11 +483,10 @@ def _surface_fault(n: int, a_imgs, b_imgs, c_imgs, tol: Tolerance) -> tuple[floa
     return res, fault and IllConditioned(str(fault), fault.stage, fault.measured, fault.bound)
 
 
-def pants_surface_rep(params: PantsParams, tol: Tolerance = DEFAULT_TOL,
-                      labels: tuple[str, str, str] = ("1", "2", "3")) -> SurfaceRep:
+def pants_surface_rep(params: PantsParams, tol: Tolerance = DEFAULT_TOL) -> SurfaceRep:
     """A three-holed sphere as a surface representation: the build of the
-    one-node graph p whose ports 1, 2, 3 are boundaries under labels."""
-    boundaries = tuple(GraphBoundary(("p", s), label) for s, label in zip((1, 2, 3), labels))
+    one-node graph p whose ports 1, 2, 3 are boundaries "1", "2", "3"."""
+    boundaries = tuple(GraphBoundary(("p", s), str(s)) for s in (1, 2, 3))
     return build_from_graph(GluingGraph((PantsNode("p", params),), (), boundaries), tol)
 
 
@@ -697,8 +696,7 @@ def _gluing_plan(graph: GluingGraph) -> tuple[dict[str, GraphEdge], list[GraphEd
     for e in graph.edges:
         up, lo = e.upper[0], e.lower[0]
         if up == lo:
-            if up in self_edges:
-                raise GraphInvalid(f"node {up!r} has two self-edges")
+            # validate leaves a node at most one self-edge: it has three ports
             if {e.upper[1], e.lower[1]} != {1, 3}:
                 raise GraphInvalid("a self-edge must join ports 1 and 3")
             self_edges[up] = e

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotMaximal, NotTransverse
-from .matcore import DEFAULT_TOL, Tolerance, factor_signature
+from .errors import NearSingular, NotMaximal, NotTransverse
+from .matcore import DEFAULT_TOL, Tolerance
 from .symplectic import (
     BoundaryPoint,
     SpMat,
@@ -33,7 +33,6 @@ __all__ = [
     "indefinite_identity",
     "normalize_pair",
     "maslov",
-    "is_maximal",
     "normalize_maximal_triple",
 ]
 
@@ -52,30 +51,34 @@ _REPORTED = ((0, "1 and 2"), (2, "1 and 3"), (1, "2 and 3"))
 
 
 def _triple_indices(stack, triples, tol: Tolerance) -> tuple[list[int], list[NotTransverse | None]]:
-    """Maslov index of each row (i1, i2, i3) of triples into a _point_stack,
-    and its NotTransverse refusal or None, from one _pair_spectra call."""
+    """Maslov index of each row (i1, i2, i3) of triples into a _point_stack, and
+    its NotTransverse refusal or None, from one _pair_spectra call.  A refusal
+    names its first pair that is not transverse; measured is the least
+    |eigenvalue| of X_j - X_i (0 at two infinities), bound _pair_spectra's."""
     t = np.asarray(triples, dtype=np.intp).reshape(-1, 3)
     if not len(t):
         return [], []
-    eigs, ok = _pair_spectra(stack, t[:, _PAIRS[:, 0]].ravel(), t[:, _PAIRS[:, 1]].ravel(), tol)
-    refusals = []
-    for row in ok.reshape(-1, 3):
-        failed = [which for k, which in _REPORTED if not row[k]]
-        refusals.append(NotTransverse(f"points {failed[0]} are not transverse") if failed else None)
-    index = np.sign(eigs).reshape(len(t), -1).sum(axis=1).astype(int)
+    i, j = t[:, _PAIRS[:, 0]], t[:, _PAIRS[:, 1]]
+    eigs, ok = _pair_spectra(stack, i.ravel(), j.ravel(), tol)
+    eigs, ok = eigs.reshape(len(t), 3, -1), ok.reshape(-1, 3)
+    refusals = [None] * len(t)
+    for r in np.flatnonzero(~ok.all(axis=1)).tolist():
+        k, which = next((k, which) for k, which in _REPORTED if not ok[r, k])
+        refusals[r] = NotTransverse(f"points {which} are not transverse", "pair transversality",
+                                    float(np.abs(eigs[r, k]).min()),
+                                    tol.eq_tol * float(max(stack[2][i[r, k]], stack[2][j[r, k]])))
+    index = np.sign(eigs).sum(axis=(1, 2)).astype(int)
     return index.tolist(), refusals
 
 
 @dataclass(frozen=True, eq=False)
 class Triple:
-    """Three pairwise transverse boundary points."""
+    """Three boundary points, not checked when built: maslov, toledo and
+    normalize_maximal_triple check them for transversality at their tol."""
 
     p1: BoundaryPoint
     p2: BoundaryPoint
     p3: BoundaryPoint
-
-    def __post_init__(self):
-        maslov(self)   # refuses unless every pair is transverse
 
     def points(self) -> tuple[BoundaryPoint, BoundaryPoint, BoundaryPoint]:
         return (self.p1, self.p2, self.p3)
@@ -107,8 +110,8 @@ def normalize_pair(p1: BoundaryPoint, p3: BoundaryPoint,
 def maslov(t: Triple, tol: Tolerance = DEFAULT_TOL) -> int:
     """The Maslov index, an integer in [-n, n] of the same parity as n.
 
-    Every pair is checked at tol (Triple checks at the default) and a pair
-    inside the band raises NotTransverse.
+    Every pair is checked at tol, and a pair inside the band raises
+    NotTransverse with its stage, measured value and bound.
     """
     (index,), (refusal,) = _triple_indices(_point_stack(t.points()), (0, 1, 2), tol)
     if refusal is not None:
@@ -116,23 +119,24 @@ def maslov(t: Triple, tol: Tolerance = DEFAULT_TOL) -> int:
     return index
 
 
-def is_maximal(t: Triple, tol: Tolerance = DEFAULT_TOL) -> bool:
-    n = next(p.value.shape[0] for p in t.points() if not p.is_infinity)
-    return maslov(t, tol) == n
-
-
 def normalize_maximal_triple(t: Triple, tol: Tolerance = DEFAULT_TOL) -> SpMat:
     """An h taking a maximal triple to the standard triple (0, e, inf).
 
-    After normalizing the outer pair, the middle point is positive definite;
-    conjugating by diag(M^{-1}, M^T) with its Cholesky factor M finishes.
+    Another index than n (maslov at tol) raises NotMaximal.  After normalizing
+    the outer pair, the middle point is positive definite (NearSingular if in
+    the zero band); diag(M^{-1}, M^T) with its Cholesky factor M finishes.
     """
+    index = maslov(t, tol)
+    n = next(p.value.shape[0] for p in t.points() if not p.is_infinity)
+    if index != n:
+        raise NotMaximal(f"triple has index {index}, expected {n}")
     g = normalize_pair(t.p1, t.p3, tol)
     q2 = moebius_act(g, t.p2, tol)
     if q2.is_infinity:
         raise NotTransverse("middle point maps to infinity under normalization")
-    n = q2.value.shape[0]
-    m, k = factor_signature(q2.value, tol)
-    if k != n:
-        raise NotMaximal(f"triple has index {2 * k - n}, expected {n}")
-    return diag_symplectic(np.linalg.inv(m)) @ g
+    eigs = np.linalg.eigvalsh(q2.value)
+    bound = tol.eq_tol * float(np.abs(eigs).max())
+    if not eigs[0] > bound:
+        raise NearSingular("normalized middle point has an eigenvalue in the zero band",
+                           "middle point spectrum", float(eigs[0]), bound)
+    return diag_symplectic(np.linalg.inv(np.linalg.cholesky(q2.value))) @ g

@@ -22,7 +22,7 @@ from typing import ClassVar
 import numpy as np
 import scipy
 
-from .errors import IllConditioned, NearSingular, ResonantSpectrum, Singular, Slices, _non_finite, gate
+from .errors import IllConditioned, ResonantSpectrum, Singular, Slices, _non_finite, gate
 
 __all__ = [
     "Tolerance",
@@ -39,7 +39,6 @@ __all__ = [
     "stein_solve",
     "commutant_search",
     "similarity_witness",
-    "factor_signature",
 ]
 
 
@@ -326,25 +325,3 @@ def similarity_witness(x, y, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
         return None
 
     return commutant_search([(x, y)], max(1e-10, 100 * tol.eq_tol), accept)
-
-
-def factor_signature(s, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, int]:
-    """Factor an invertible symmetric S as M diag(1_k, -1_{n-k}) M^T.
-
-    Returns (M, k) with M invertible and k the number of positive
-    eigenvalues, so S has signature 2k - n.  Positive definite input takes
-    the Cholesky route (M lower triangular, k = n).
-    """
-    s = require_symmetric(s, tol, "factor input")
-    n = s.shape[0]
-    eigs, vecs = np.linalg.eigh(s)
-    scale = float(np.max(np.abs(eigs)))
-    if scale == 0.0 or np.any(np.abs(eigs) <= tol.eq_tol * scale):
-        raise NearSingular("symmetric factor input has an eigenvalue in the zero band")
-    if np.all(eigs > 0):
-        return np.linalg.cholesky(s), n
-    order = np.argsort(-eigs)  # positives first
-    eigs, vecs = eigs[order], vecs[:, order]
-    k = int(np.sum(eigs > 0))
-    m = vecs @ np.diag(np.sqrt(np.abs(eigs)))
-    return m, k

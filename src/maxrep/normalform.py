@@ -182,7 +182,7 @@ def fixed_point_expanding_side(sb: StandardBoundary,
         raise NotContracting("expanding-side fixed point needs contracting A")
     pt = BoundaryPoint(_stein_fixed_point(sb.A, sb.S, tol, expanding_side=True))
     return FixedPointReport(pt, DifferentialClass.EXPANDING,
-                            point_distance(moebius_act(sb.element(), pt), pt))
+                            point_distance(moebius_act(sb.element(), pt, tol), pt))
 
 
 def differential_at(g: SpMat, p: BoundaryPoint,

@@ -33,7 +33,6 @@ from .matcore import (
 )
 from .normalform import _canonical_points, _require_fixed
 from .symplectic import (
-    BoundaryPoint,
     SpMat,
     _make_symplectics,
     _point_stack,
@@ -265,21 +264,19 @@ def build_general(gp: GeneralPantsParams, tol: Tolerance = DEFAULT_TOL) -> Pants
 
 
 def toledo(rep: PantsRep, fixed_points: Triple,
-           extra: BoundaryPoint | None = None,
            tol: Tolerance = DEFAULT_TOL) -> Fraction:
     """The characteristic number  (beta(y1,y2,y3) + beta(y1, c1.y3, y2)) / 2.
 
-    The yi must be fixed points of the respective generators; the default
-    fourth point is c1 applied to y3.  Values are integers or half-integers
-    in [-n, n], returned exactly as fractions.
+    The yi must be fixed points of the respective generators, and both
+    triples pairwise transverse at tol (NotTransverse otherwise).  Values are
+    integers or half-integers in [-n, n], returned exactly as fractions.
     """
     y1, y2, y3 = fixed_points.points()
     for c, y, who in zip(rep.generators(), (y1, y2, y3), ("c1", "c2", "c3")):
         _require_fixed(c, y, tol, who)
-    if extra is None:
-        extra = moebius_act(rep.c1, y3, tol)
-    # (y1, y2, y3) and (y1, extra, y2) from one kernel call
-    index, refusals = _triple_indices(_point_stack((y1, y2, y3, extra)), ((0, 1, 2), (0, 3, 1)), tol)
+    # (y1, y2, y3) and (y1, c1.y3, y2) from one kernel call
+    index, refusals = _triple_indices(_point_stack((y1, y2, y3, moebius_act(rep.c1, y3, tol))),
+                                      ((0, 1, 2), (0, 3, 1)), tol)
     if fault := refusals[0] or refusals[1]:
         raise fault
     return Fraction(sum(index), 2)

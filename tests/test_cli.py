@@ -363,6 +363,19 @@ class TestCommands:
         assert code == 3
         assert "NotTransverse: points 1 and 2 are not transverse" in err
 
+    def test_maslov_at_the_given_tolerance(self, tmp_path, capsys):
+        # diag(1, 1e-10) is transverse to 0 at 1e-12, not at the default
+        f = tmp_path / "pts.mp"
+        f.write_text("maxrep-points 1\nn 2\npoint zero\npoint\n  1.0 0.0\n  0.0 1e-10\npoint inf\n")
+        code, out, _ = run_main(["maslov", str(f), "--tol", "1e-12"], capsys)
+        assert code == 0 and "maslov: 2" in out
+        code, out, err = run_main(["maslov", str(f), "--json"], capsys)
+        assert code == 3
+        assert "NotTransverse: points 1 and 2 are not transverse" in err
+        data = json.loads(out)
+        assert (data["error"], data["stage"]) == ("NotTransverse", "pair transversality")
+        assert (data["measured"], data["bound"]) == (1e-10, 1e-9)
+
     def test_cached_parser_keeps_no_state_between_calls(self, tmp_path, pants_file, capsys):
         # the parser is built once per process; each call must still read only
         # its own command and flags
@@ -529,6 +542,15 @@ class TestCommands:
         assert code == 2
         assert "max_word_length must be at least 1" in err
         assert "transverse fraction" not in out
+
+    def test_limits_word_length_checked_before_the_build(self, tmp_path, capsys):
+        # the 1e6-twist torus does not build (exit 4); a bad argument is
+        # still reported as bad input
+        f = tmp_path / "big_twist.mg"
+        f.write_text(TORUS_FILE.replace("  1.0\nend", "  1000000.0\nend"))
+        code, _, err = run_main(["limits", str(f), "--max-word-length", "0"], capsys)
+        assert code == 2
+        assert "max_word_length must be at least 1" in err
 
     def test_limits_with_every_word_skipped_refuses(self, tmp_path, capsys):
         f = tmp_path / "skipped.mg"

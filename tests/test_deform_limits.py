@@ -18,6 +18,7 @@ from maxrep.deform import (
 from maxrep.errors import GraphInvalid, IllConditioned, MaxRepError, NotCompatible, NotSHyperbolic
 from maxrep.gluing import (
     GluingGraph,
+    GraphBoundary,
     GraphEdge,
     PantsNode,
     build_from_graph,
@@ -124,6 +125,18 @@ class TestStandardGraphs:
             assert sig == signs
             seen.add(sig)
         assert len(seen) == 2 ** (2 * g + m - 1)
+
+    @pytest.mark.parametrize("genus, m, signs, error, message", [
+        (0, 0, (), GraphInvalid, "standard graphs require at least one boundary"),
+        (0, 2, (1,), GraphInvalid, "a genus-zero surface needs at least three boundaries"),
+        (2, 1, (1,) * 4, GraphInvalid, "standard graphs implemented for genus 0 and 1"),
+        (0, 3, (1,), ValueError, "need 2 signs for type (0, 3)"),
+        (1, 1, (1, 0), ValueError, "signs must be +-1"),
+    ])
+    def test_refusals(self, genus, m, signs, error, message):
+        with pytest.raises(error) as info:
+            standard_sign_graph(genus, m, 1, signs)
+        assert type(info.value) is error and str(info.value) == message
 
     def test_all_plus_is_all_plus(self):
         graph = standard_sign_graph(1, 1, 2, (1, 1))
@@ -386,6 +399,24 @@ class TestDeform:
         for run in (build_from_graph, deform_to_standard):
             with pytest.raises(NotCompatible):
                 run(bad_graph)
+
+    def test_handle_off_the_first_node_rejected(self):
+        # p1 closes its handle 3 -> 1 and hangs from p0's port 3 by its port 2
+        p = PantsParams(0.5, 0.5, 0.5)
+        graph = GluingGraph((PantsNode("p0", p), PantsNode("p1", p)),
+                            (GraphEdge(("p1", 3), ("p1", 1), np.eye(1)),
+                             GraphEdge(("p0", 3), ("p1", 2), np.eye(1))),
+                            (GraphBoundary(("p0", 1), "C1"), GraphBoundary(("p0", 2), "C2")))
+        with pytest.raises(GraphInvalid) as info:
+            deform_to_standard(graph, steps=5)
+        assert str(info.value) == "deformation supports at most one handle, on the first node"
+
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_steps_below_one_rejected(self, steps):
+        graph = standard_sign_graph(0, 3, 1, (1, 1))
+        with pytest.raises(ValueError) as info:
+            deform_to_standard(graph, steps=steps)
+        assert type(info.value) is ValueError and str(info.value) == f"steps must be at least 1, got {steps}"
 
     def test_node_attached_to_a_later_node_rejected(self):
         graph = chain_graph_with_random_params(0, 5, 2, np.random.default_rng(5))

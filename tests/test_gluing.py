@@ -18,6 +18,7 @@ from maxrep.errors import (
     MaxRepError,
     NotCompatible,
     NotContracting,
+    NotValid,
 )
 from maxrep.gluing import (
     GlueStatus,
@@ -121,6 +122,12 @@ class TestCanGlue:
         assert chk.status is GlueStatus.GLUABLE
         w = chk.witness
         assert norm_inf(w @ xbar @ np.linalg.inv(w) - x.T) <= 1e-8
+
+
+    @pytest.mark.parametrize("x, xbar", [(2.0, 0.5), (0.5, -1.5)])
+    def test_spectrum_outside_the_unit_disc(self, x, xbar):
+        with pytest.raises(NotValid, match="^length matrix has spectrum outside the closed unit disc$"):
+            can_glue(np.array([[x]]), np.array([[xbar]]))
 
 
 class TestTwistElement:
@@ -574,6 +581,28 @@ class TestBuildFromGraph:
                 (PantsNode("p0", p),),
                 (GraphEdge(("p0", 2), ("p0", 1), np.eye(1)),),
                 (GraphBoundary(("p0", 3), "C1"),)))
+
+
+    @pytest.mark.parametrize("names, edges, ports, message", [
+        (("p0",), (), (("p0", 1), ("p0", 2), ("q", 3)), "unknown node 'q'"),
+        ((), (), (), "graph has no pants nodes"),
+        (("p0", "p0"), ((("p0", 3), ("p0", 1), 1),), (("p0", 2),), "duplicate node names"),
+        (("p0",), (), (("p0", 1), ("p0", 2), ("p0", 4)), "port must be 1, 2 or 3, got 4"),
+        (("p0",), ((("p0", 3), ("p0", 1), 2),), (("p0", 2),), "twist dimension mismatch"),
+        (("p0",), (), (("p0", 1), ("p0", 2)), "every port must be used exactly once"),
+        # a node has three ports, so a second self-edge reuses one
+        (("p0",), ((("p0", 3), ("p0", 1), 1), (("p0", 2), ("p0", 1), 1)), (),
+         "port ('p0', 1) used more than once"),
+    ])
+    def test_validate_refusals(self, names, edges, ports, message):
+        p = PantsParams(0.5, 0.5, 0.5)
+        graph = GluingGraph(tuple(PantsNode(name, p) for name in names),
+                            tuple(GraphEdge(up, lo, np.eye(k)) for up, lo, k in edges),
+                            tuple(GraphBoundary(port, f"C{i}") for i, port in enumerate(ports)))
+        for check in (graph.validate, lambda: build_from_graph(graph)):
+            with pytest.raises(GraphInvalid) as info:
+                check()
+            assert str(info.value) == message
 
 
 class TestCloseGraph:

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from maxrep.errors import NotMaximal, NotTransverse
+from maxrep.errors import NearSingular, NotMaximal, NotTransverse
 from maxrep.maslov import (
     Triple,
     _triple_indices,
     indefinite_identity,
-    is_maximal,
     maslov,
     normalize_maximal_triple,
     normalize_pair,
@@ -172,17 +171,38 @@ class TestAgainstNormalization:
         with pytest.raises(NotTransverse, match="points 1 and 2"):
             maslov(t, Tolerance(eq_tol=1e-2))
 
+    def test_triple_is_checked_at_the_callers_tolerance_only(self):
+        # building a Triple checks nothing; maslov checks at its own tol
+        t = Triple(zero_point(2), finite_point(np.diag([1.0, 1e-10])), INFINITY)
+        assert maslov(t, Tolerance(eq_tol=1e-12)) == 2
+        with pytest.raises(NotTransverse, match="points 1 and 2") as info:
+            maslov(t)
+        e = info.value
+        assert (e.stage, e.measured, e.bound) == ("pair transversality", 1e-10, DEFAULT_TOL.eq_tol)
+
+    def test_refusal_fields(self):
+        # the bound scales with the larger point; two infinities measure 0
+        x = finite_point(np.diag([4.0, 2.0]))
+        y = finite_point(np.diag([4.0, 3.0]))
+        cases = [((x, y, INFINITY), "points 1 and 2", 0.0, 4 * DEFAULT_TOL.eq_tol),
+                 ((INFINITY, x, INFINITY), "points 1 and 3", 0.0, DEFAULT_TOL.eq_tol)]
+        for pts, which, measured, bound in cases:
+            with pytest.raises(NotTransverse, match=which) as info:
+                maslov(Triple(*pts))
+            e = info.value
+            assert (e.stage, e.measured, e.bound) == ("pair transversality", measured, bound)
+
 
 class TestMaximality:
     def test_standard_triple(self):
-        assert is_maximal(Triple(zero_point(2), identity_point(2), INFINITY))
-        assert not is_maximal(Triple(zero_point(2), finite_point(-np.eye(2)), INFINITY))
+        assert maslov(Triple(zero_point(2), identity_point(2), INFINITY)) == 2
+        assert maslov(Triple(zero_point(2), finite_point(-np.eye(2)), INFINITY)) == -2
 
     def test_invariance_under_symplectic(self, rng):
         g = random_symplectic(3, rng)
         imgs = [moebius_act(g, p) for p in
                 (zero_point(3), identity_point(3), INFINITY)]
-        assert is_maximal(Triple(*imgs))
+        assert maslov(Triple(*imgs)) == 3
 
     def test_normalize_standard(self):
         h = normalize_maximal_triple(Triple(zero_point(2), identity_point(2), INFINITY))
@@ -206,3 +226,23 @@ class TestMaximality:
     def test_rejects_non_maximal(self):
         with pytest.raises(NotMaximal):
             normalize_maximal_triple(Triple(zero_point(2), finite_point(-np.eye(2)), INFINITY))
+
+    def test_rejects_middle_point_in_zero_band(self):
+        # index 2 with every pair transverse, but the normalized middle point
+        # is about diag(1e6, 1e-6), whose spectrum spans more than 1 / eq_tol
+        t = Triple(zero_point(2), finite_point(np.diag([1.0, 1e-6])),
+                   finite_point(np.diag([1.0 + 1e-6, 1.0])))
+        assert maslov(t) == 2
+        with pytest.raises(NearSingular, match="zero band") as info:
+            normalize_maximal_triple(t)
+        assert info.value.stage == "middle point spectrum"
+        assert info.value.measured == pytest.approx(1e-6, rel=1e-5)
+        assert info.value.bound == pytest.approx(1e-3, rel=1e-5)
+
+    def test_checks_at_the_callers_tolerance(self):
+        # diag(1, 1e-10) is transverse to 0 at eq_tol 1e-12 only
+        t = Triple(zero_point(2), finite_point(np.diag([1.0, 1e-10])), INFINITY)
+        h = normalize_maximal_triple(t, Tolerance(eq_tol=1e-12))
+        assert point_distance(moebius_act(h, t.p2), identity_point(2)) <= 1e-12
+        with pytest.raises(NotTransverse, match="points 1 and 2"):
+            normalize_maximal_triple(t)

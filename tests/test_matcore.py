@@ -14,7 +14,6 @@ from maxrep.matcore import (
     CircleClass,
     Tolerance,
     circle_class,
-    factor_signature,
     norm_inf,
     similarity_witness,
     stein_solve,
@@ -365,44 +364,6 @@ class TestSimilarityWitness:
             w = similarity_witness(x, y)
             assert w is not None, f"pair {i} (n = {x.shape[0]}) not found"
             assert norm_inf(w @ x @ np.linalg.inv(w) - y) <= 1e-10 * norm_inf(y)
-
-
-class TestFactorSignature:
-    def test_identity(self):
-        m, k = factor_signature(np.eye(3))
-        np.testing.assert_allclose(m, np.eye(3))
-        assert k == 3
-
-    def test_diagonal(self):
-        m, k = factor_signature(np.diag([4.0, -9.0]))
-        np.testing.assert_allclose(np.abs(m), np.diag([2.0, 3.0]), atol=1e-12)
-        assert k == 1
-
-    def test_spd_is_cholesky_like(self, rng):
-        for _ in range(10):
-            n = int(rng.integers(1, 5))
-            s = random_spd(n, rng)
-            m, k = factor_signature(s)
-            assert k == n
-            np.testing.assert_allclose(m @ m.T, s, atol=1e-10)
-
-    def test_signature_consistency(self, rng):
-        for _ in range(25):
-            n = int(rng.integers(1, 6))
-            s = rng.normal(size=(n, n))
-            s = s + s.T + 0.3 * np.eye(n)
-            try:
-                sig = signature(s)
-            except NearSingular:
-                continue
-            m, k = factor_signature(s)
-            assert sig == 2 * k - n
-            ik = indefinite_identity(n, k)
-            assert norm_inf(m @ ik @ m.T - s) <= 1e-9 * max(1.0, norm_inf(s))
-
-    def test_near_singular_rejected(self):
-        with pytest.raises(NearSingular):
-            factor_signature(np.diag([1.0, 1e-14]))
 
 
 @settings(max_examples=40, deadline=None)

@@ -92,6 +92,19 @@ class TestExpandingSide:
         with pytest.raises(NotContracting):
             fixed_point_expanding_side(StandardBoundary(np.array([[2.0]]), np.array([[1.0]])))
 
+    def test_residual_acts_at_the_callers_tolerance(self, monkeypatch):
+        import maxrep.normalform as nf
+        seen, act = [], nf.moebius_act
+
+        def spy(g, p, tol=DEFAULT_TOL):
+            seen.append(tol)
+            return act(g, p, tol)
+
+        monkeypatch.setattr(nf, "moebius_act", spy)
+        tol = Tolerance(eq_tol=1e-11)
+        fixed_point_expanding_side(StandardBoundary(np.array([[0.5]]), np.array([[1.0]]), tol), tol)
+        assert seen and all(t is tol for t in seen)
+
     def test_continuity(self, rng):
         a = random_contracting(3, rng, rho_range=(0.3, 0.7))
         s = random_spd(3, rng)

@@ -10,11 +10,12 @@ from maxrep.errors import (
     NearSingular,
     NoCanonicalFixedPoint,
     NotMaximal,
+    NotTransverse,
     NotValid,
     Singular,
 )
 from maxrep.maslov import Triple, indefinite_identity, maslov
-from maxrep.matcore import DEFAULT_TOL, norm_inf
+from maxrep.matcore import DEFAULT_TOL, Tolerance, norm_inf
 from maxrep.pants import (
     GeneralPantsParams,
     PantsParams,
@@ -316,6 +317,17 @@ class TestToledo:
             flipped = PantsRep(sp_inverse(rep.c3), sp_inverse(rep.c2), sp_inverse(rep.c1))
             t = Triple(INFINITY, identity_point(n), zero_point(n))
             assert toledo(flipped, t) == -Fraction(n)
+
+    def test_refuses_triples_not_transverse_at_the_callers_tol(self):
+        # c1 takes y3 = inf to about 1e-5: transverse to y1 = 0 at the default
+        # tolerance, not at 1e-4
+        rep = build_maximal(scalar_params(1e-5, 0.5, 0.5))
+        t = Triple(zero_point(1), identity_point(1), INFINITY)
+        assert toledo(rep, t) == Fraction(1)
+        with pytest.raises(NotTransverse, match="^points 1 and 2 are not transverse$") as info:
+            toledo(rep, t, Tolerance(eq_tol=1e-4))
+        assert (info.value.stage, info.value.bound) == ("pair transversality", 1e-4)
+        assert info.value.measured == pytest.approx(1e-5, rel=1e-3)
 
     def test_maximality_characterization(self, rng):
         # fixed points exist, both index terms equal n
