@@ -321,7 +321,9 @@ class GluingGraph:
         g = len(self.edges) - len(self.nodes) + 1
         return g, len(self.boundaries)
 
-    def validate(self):
+    def validate(self) -> tuple[list[GraphEdge], list[GraphEdge], list[GraphEdge]]:
+        """Refuse a malformed graph with GraphInvalid; return its self edges, tree
+        edges (joining two pieces not yet joined) and closures, in edge order."""
         if not self.nodes:
             raise GraphInvalid("graph has no pants nodes")
         names = [nd.name for nd in self.nodes]
@@ -356,12 +358,21 @@ class GluingGraph:
             raise GraphInvalid("every port must be used exactly once")
         # connectivity over internal edges: each node's piece, one set shared by its nodes
         pieces = {nd.name: {nd.name} for nd in self.nodes}
+        loops, tree, closures = [], [], []
         for e in self.edges:
-            joined = pieces[e.upper[0]] | pieces[e.lower[0]]
-            pieces.update(dict.fromkeys(joined, joined))
+            up, lo = e.upper[0], e.lower[0]
+            if up == lo:
+                loops.append(e)
+            elif pieces[up] is pieces[lo]:
+                closures.append(e)
+            else:
+                tree.append(e)
+                joined = pieces[up] | pieces[lo]
+                pieces.update(dict.fromkeys(joined, joined))
         # a connected graph has at least len(nodes) - 1 edges, so its genus is not negative
         if len(pieces[self.nodes[0].name]) != len(self.nodes):
             raise GraphInvalid("graph is not connected")
+        return loops, tree, closures
 
 
 def glue_graphs(upper: GluingGraph, upper_label: str, lower: GluingGraph, lower_label: str,
@@ -687,26 +698,11 @@ def _gluing_plan(graph: GluingGraph) -> tuple[dict[str, GraphEdge], list[GraphEd
     lower pants, lower port, twist), a self edge from port 3 to port 1 with
     its twist turned by _loop_twist.  The glued lengths are slot_glue_length's.
     """
-    graph.validate()
-    self_edges: dict[str, GraphEdge] = {}
-    tree_edges: list[GraphEdge] = []
-    closures: list[GraphEdge] = []
-    # each node's piece, as GluingGraph.validate forms them
-    pieces = {nd.name: {nd.name} for nd in graph.nodes}
-    for e in graph.edges:
-        up, lo = e.upper[0], e.lower[0]
-        if up == lo:
-            # validate leaves a node at most one self-edge: it has three ports
-            if {e.upper[1], e.lower[1]} != {1, 3}:
-                raise GraphInvalid("a self-edge must join ports 1 and 3")
-            self_edges[up] = e
-        elif pieces[up] is pieces[lo]:
-            closures.append(e)
-        else:
-            tree_edges.append(e)
-            joined = pieces[up] | pieces[lo]
-            pieces.update(dict.fromkeys(joined, joined))
-    ordered = {nd.name: self_edges[nd.name] for nd in graph.nodes if nd.name in self_edges}
+    loops, tree_edges, closures = graph.validate()
+    if any({e.upper[1], e.lower[1]} != {1, 3} for e in loops):
+        raise GraphInvalid("a self-edge must join ports 1 and 3")
+    # in node order; validate leaves a node at most one self-edge: it has three ports
+    ordered = {nd.name: e for nd in graph.nodes for e in loops if e.upper[0] == nd.name}
     params = {nd.name: nd.params for nd in graph.nodes}
     reads = [(params[name], 3, params[name], 1, _loop_twist(e.twist, e.upper[1]))
              for name, e in ordered.items()]

@@ -46,10 +46,10 @@ from .symplectic import (
     INFINITY,
     BoundaryPoint,
     SpMat,
+    _point_stack,
     cycle_symplectic,
     make_symplectic,
     moebius_act,
-    point_distance,
     sp_inverse,
     swap_symplectic,
 )
@@ -106,6 +106,9 @@ def _standard_blocks(a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True, eq=False)
 class FixedPointReport:
+    """A fixed point with its class; residual is its Riccati residual
+    max|AY + B - Y(CY + D)|, which decides a fixed point at sqrt(eq_tol) * max(1, |Y|)."""
+
     point: BoundaryPoint
     differential_class: DifferentialClass
     residual: float
@@ -161,14 +164,33 @@ def _stein_fixed_point(a: np.ndarray, s: np.ndarray, tol: Tolerance,
     return sym_part(sign * np.linalg.inv(p))
 
 
-def _require_fixed(g: SpMat, p: BoundaryPoint, tol: Tolerance, who: str):
-    """Raise NotFixed unless g moves p by at most sqrt(eq_tol) * max(1, |p|)."""
-    # a point moved to or from infinity (distance inf) is moved, not lost to rounding
-    d = min(point_distance(moebius_act(g, p, tol), p), np.finfo(float).max)
-    bound = rel_bound(np.sqrt(tol.eq_tol), 0.0 if p.is_infinity else p.value)
-    if fault := gate("fixed-point displacement", d, bound, NotFixed,
-                     f"{who} does not fix its claimed point (moved by {{:.3e}})"):
+def _riccati(ms: np.ndarray, ys: np.ndarray, at_inf: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(residual, left, right) of each element of a (k, 2n, 2n) stack at its
+    point: the Riccati residual max|AY + B - Y(CY + D)|, zero exactly where
+    the element fixes Y, and the differential factors A - YC and CY + D.
+    ys[i] is a _point_stack value, zero where at_inf[i]; a point at
+    infinity is read as 0 after the chart swap X -> -X^{-1}."""
+    n = ms.shape[-1] // 2
+    if at_inf.any():
+        sw = swap_symplectic(n)
+        ms = np.where(at_inf[:, None, None], sw.m @ ms @ sp_inverse(sw).m, ms)
+    a, b, c, d = ms[:, :n, :n], ms[:, :n, n:], ms[:, n:, :n], ms[:, n:, n:]
+    right = c @ ys + d
+    return np.max(np.abs(a @ ys + b - ys @ right), axis=(1, 2)), a - ys @ c, right
+
+
+def _require_fixed(ms: np.ndarray, points, tol: Tolerance, names) -> tuple[np.ndarray, np.ndarray]:
+    """The differential factors (A - YC, CY + D) of _riccati for each element
+    of a (k, 2n, 2n) stack at its point.  A point is fixed when its Riccati
+    residual is at most sqrt(eq_tol) * max(1, |Y|); otherwise the first
+    element that does not fix its point raises NotFixed, named by names."""
+    ys, at_inf, scale = _point_stack(points, ms.shape[-1] // 2)
+    residual, left, right = _riccati(ms, ys, at_inf)
+    faults = gate("fixed-point displacement", residual, np.sqrt(tol.eq_tol) * scale, NotFixed,
+                  [f"{who} does not fix its claimed point (residual {{:.3e}})" for who in names])
+    if fault := next((f for f in faults if f), None):
         raise fault
+    return left, right
 
 
 def fixed_point_expanding_side(sb: StandardBoundary,
@@ -180,30 +202,22 @@ def fixed_point_expanding_side(sb: StandardBoundary,
     """
     if circle_class(sb.A, tol) is not CircleClass.CONTRACTING:
         raise NotContracting("expanding-side fixed point needs contracting A")
-    pt = BoundaryPoint(_stein_fixed_point(sb.A, sb.S, tol, expanding_side=True))
-    return FixedPointReport(pt, DifferentialClass.EXPANDING,
-                            point_distance(moebius_act(sb.element(), pt, tol), pt))
+    y = _stein_fixed_point(sb.A, sb.S, tol, expanding_side=True)
+    residual = _riccati(sb.element().m[None], y[None], np.zeros(1, dtype=bool))[0]
+    return FixedPointReport(BoundaryPoint(y), DifferentialClass.EXPANDING, float(residual[0]))
 
 
 def differential_at(g: SpMat, p: BoundaryPoint,
                     tol: Tolerance = DEFAULT_TOL) -> DifferentialMap:
     """Derivative of the boundary action of g at a fixed point p.
 
-    For finite p the map is v -> (A - YC) v (CY + D)^{-1}.  The point at
-    infinity is handled by conjugating with the chart swap X -> -X^{-1}
-    first; the returned map then lives in that chart (eigenvalue data is
-    chart independent).
+    The map is v -> (A - YC) v (CY + D)^{-1}, with the factors of _riccati,
+    which reads infinity as 0 after the chart swap X -> -X^{-1} (eigenvalue
+    data is chart independent).  p is fixed when its Riccati residual is at
+    most sqrt(eq_tol) * max(1, |Y|); otherwise NotFixed is raised.
     """
-    _require_fixed(g, p, tol, "element")
-    if p.is_infinity:
-        sw = swap_symplectic(g.n)
-        g2 = sw @ g @ sp_inverse(sw)
-        # infinity becomes 0 in the swapped chart
-        return DifferentialMap(left=g2.A, right=np.linalg.inv(g2.D))
-    y = p.value
-    left = g.A - y @ g.C
-    right = np.linalg.inv(g.C @ y + g.D)
-    return DifferentialMap(left=left, right=right)
+    left, right = _require_fixed(g.m[None], (p,), tol, ("element",))
+    return DifferentialMap(left=left[0], right=np.linalg.inv(right[0]))
 
 
 def _canonical_fixed_point(sb: StandardBoundary, tol: Tolerance) -> BoundaryPoint:
@@ -244,29 +258,6 @@ _NONEXPAND_SLACK = 1e-6
 _NO_CANONICAL = "no recognizable standard position and no certified non-expanding fixed point"
 
 
-def _certificates(ms: np.ndarray, ys: np.ndarray, at_inf: np.ndarray,
-                  tol: Tolerance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(is the point fixed, spectral radius of the differential factor, is
-    it fixed to rounding) of each element of a (k, 2n, 2n) stack at ys[i],
-    or at infinity (0 after the chart swap) where at_inf[i].  The point
-    counts as fixed when it moves by at most sqrt(tol.eq_tol) * max(1, |Y|),
-    and to rounding when it moves by at most 2n u max|g| (1 + |Y|)^2, a
-    backward-stable eigen-solver's error.  Circle eigenvalues of the full
-    matrix come in defective pairs whose computed values split by roughly
-    sqrt(eps); certifying the candidate point directly is robust where raw
-    eigenvalue bands are not.
-    """
-    n = ms.shape[-1] // 2
-    if at_inf.any():
-        sw = swap_symplectic(n)
-        ms = np.where(at_inf[:, None, None], sw.m @ ms @ sp_inverse(sw).m, ms)
-    y = np.where(at_inf[:, None, None], 0.0, ys)
-    a, b, c, d = ms[:, :n, :n], ms[:, :n, n:], ms[:, n:, :n], ms[:, n:, n:]
-    moved, size = np.max(np.abs(a @ y + b - y @ (c @ y + d)), axis=(1, 2)), np.max(np.abs(y), axis=(1, 2))
-    return (moved <= np.sqrt(tol.eq_tol) * np.maximum(1.0, size), np.max(np.abs(np.linalg.eigvals(a - y @ c)), axis=-1),
-            moved <= 2 * n * 2.0 ** -53 * np.max(np.abs(ms), axis=(1, 2)) * (1.0 + size) ** 2)
-
-
 # smallest min/max ratio of |diag R| the eigenvector basis may have; the point
 # errs by about 1e-16 / ratio (conjugated Jordan blocks [[2, 1e-9], [0, 2]] reach
 # 1e-3, [[2, 1], [0, 2]] 3e-8 and err by 5e-9); sampled words stay above 0.16
@@ -290,8 +281,14 @@ def _eigenvector_bases(w: np.ndarray, v: np.ndarray, tol: Tolerance) -> tuple:
 def _subspace_fixed_points(ms: np.ndarray, tol: Tolerance, zs: np.ndarray | None = None,
                            direct: np.ndarray | None = None) -> tuple:
     """Chart points of the expanding invariant subspaces of a (k, 2n, 2n)
-    stack, certified: (points, fixed, rho, exact) of _certificates, the values
-    of points being BoundaryPoints and its refusals NotSHyperbolic.
+    stack, certified: (points, fixed, rho, exact), the values of points being
+    BoundaryPoints and its refusals NotSHyperbolic.  From the _riccati
+    residual at each point, fixed says it is at most sqrt(eq_tol) * max(1, |Y|)
+    and exact at most 2n u max|g| (1 + |Y|)^2, a backward-stable
+    eigen-solver's error; rho is the spectral radius of the factor A - YC.
+    Circle eigenvalues of the full matrix come in defective pairs whose
+    computed values split by roughly sqrt(eps); certifying the candidate
+    point directly is robust where raw eigenvalue bands are not.
 
     zs holds an orthonormal basis (2n, n) of each subspace, which one
     np.linalg.eig of the stack makes when none is given (_eigenvector_bases).
@@ -325,8 +322,14 @@ def _subspace_fixed_points(ms: np.ndarray, tol: Tolerance, zs: np.ndarray | None
     s = np.linalg.svd(u2, compute_uv=False)
     at_inf = s[:, -1] <= tol.eq_tol * np.maximum(1.0, s[:, 0])
     ys = sym_part(u1 @ np.linalg.inv(np.where(at_inf[:, None, None], np.eye(n), u2)))
+    ys[at_inf] = 0.0
     points.finish([INFINITY if inf else BoundaryPoint(y) for inf, y in zip(at_inf.tolist(), ys)])
-    return points, *_certificates(ms, ys, at_inf, tol)
+    moved, left, _ = _riccati(ms, ys, at_inf)
+    size = np.max(np.abs(ys), axis=(1, 2))
+    # the chart swap only moves and negates entries, so max|g| reads the same in either chart
+    return (points, moved <= np.sqrt(tol.eq_tol) * np.maximum(1.0, size),
+            np.max(np.abs(np.linalg.eigvals(left)), axis=-1),
+            moved <= 2 * n * 2.0 ** -53 * np.max(np.abs(ms), axis=(1, 2)) * (1.0 + size) ** 2)
 
 
 def _attracting(points: Slices, fixed: np.ndarray, rho: np.ndarray, tol: Tolerance) -> Slices:

@@ -272,8 +272,7 @@ def toledo(rep: PantsRep, fixed_points: Triple,
     integers or half-integers in [-n, n], returned exactly as fractions.
     """
     y1, y2, y3 = fixed_points.points()
-    for c, y, who in zip(rep.generators(), (y1, y2, y3), ("c1", "c2", "c3")):
-        _require_fixed(c, y, tol, who)
+    _require_fixed(np.array([c.m for c in rep.generators()]), (y1, y2, y3), tol, ("c1", "c2", "c3"))
     # (y1, y2, y3) and (y1, c1.y3, y2) from one kernel call
     index, refusals = _triple_indices(_point_stack((y1, y2, y3, moebius_act(rep.c1, y3, tol))),
                                       ((0, 1, 2), (0, 3, 1)), tol)

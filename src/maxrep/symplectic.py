@@ -205,8 +205,9 @@ def moebius_act(g: SpMat, p: BoundaryPoint, tol: Tolerance = DEFAULT_TOL) -> Bou
 
     Finite p maps to (AX + B)(CX + D)^{-1} when CX + D is safely invertible
     and to infinity when its smallest singular value falls inside the
-    infinity band; the gray zone in between raises IllConditioned so the
-    caller can refine tolerances instead of trusting a branch choice.
+    infinity band; the gray zone in between raises IllConditioned, stage
+    "action denominator" with sigma_min against the zone's upper edge, so
+    the caller can refine tolerances instead of trusting a branch choice.
     """
     n = g.n
     if p.is_infinity:
@@ -223,8 +224,8 @@ def moebius_act(g: SpMat, p: BoundaryPoint, tol: Tolerance = DEFAULT_TOL) -> Bou
         if smin <= scale:
             return INFINITY
         if smin <= _ILL_BAND_FACTOR * scale:
-            raise IllConditioned(
-                f"CX + D has sigma_min {smin:.3e} in the ambiguous band")
+            raise IllConditioned(f"CX + D has sigma_min {smin:.3e} in the ambiguous band",
+                                 "action denominator", float(smin), _ILL_BAND_FACTOR * scale)
         z = (g.A @ x + g.B) @ np.linalg.inv(denom)
     if fault := gate("action result asymmetry", norm_inf(z - z.T), rel_bound(tol.eq_tol, z), IllConditioned,
                      "action result asymmetric beyond tolerance (defect {:.3e})"):
@@ -232,10 +233,11 @@ def moebius_act(g: SpMat, p: BoundaryPoint, tol: Tolerance = DEFAULT_TOL) -> Bou
     return BoundaryPoint(sym_part(z))
 
 
-def _point_stack(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Values (zero at infinity), infinity mask and scales max(1, |X|) of points."""
+def _point_stack(points, n: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values (zero at infinity), infinity mask and scales max(1, |X|) of
+    points; n sizes the values when every point is at infinity."""
     at_inf = np.array([p.is_infinity for p in points], dtype=bool)
-    n = next((p.value.shape[0] for p in points if not p.is_infinity), 0)
+    n = next((p.value.shape[0] for p in points if not p.is_infinity), n)
     x = np.array([np.zeros((n, n)) if p.is_infinity else p.value for p in points])
     x = x.reshape(len(points), n, n)
     return x, at_inf, np.maximum(1.0, np.max(np.abs(x), axis=(1, 2), initial=0.0))

@@ -582,6 +582,17 @@ class TestBuildFromGraph:
                 (GraphEdge(("p0", 2), ("p0", 1), np.eye(1)),),
                 (GraphBoundary(("p0", 3), "C1"),)))
 
+    def test_validate_sorts_the_edges_the_plan_reads(self):
+        # a chain of three pants closed into a loop, with a handle on p0: the
+        # self edge, the two tree edges and the closure, each in edge order
+        p = PantsParams(0.5, 0.5, 0.5)
+        edges = (GraphEdge(("p0", 2), ("p1", 1), 1.0), GraphEdge(("p1", 2), ("p2", 1), 1.0),
+                 GraphEdge(("p2", 2), ("p1", 3), 1.0), GraphEdge(("p0", 3), ("p0", 1), 1.0))
+        graph = GluingGraph(tuple(PantsNode(f"p{i}", p) for i in range(3)), edges,
+                            (GraphBoundary(("p2", 3), "C1"),))
+        assert graph.validate() == ([edges[3]], [edges[0], edges[1]], [edges[2]])
+        plan = _gluing_plan(graph)
+        assert (plan[0], plan[1], plan[2]) == ({"p0": edges[3]}, [edges[0], edges[1]], [edges[2]])
 
     @pytest.mark.parametrize("names, edges, ports, message", [
         (("p0",), (), (("p0", 1), ("p0", 2), ("q", 3)), "unknown node 'q'"),

@@ -15,7 +15,6 @@ from maxrep.normalform import (
     DifferentialClass,
     _attracting,
     _canonical_points,
-    _certificates,
     _subspace_fixed_points,
     StandardBoundary,
     _canonical_fixed_point,
@@ -29,6 +28,7 @@ from maxrep.symplectic import (
     INFINITY,
     BoundaryPoint,
     SpMat,
+    _point_stack,
     diag_symplectic,
     finite_point,
     identity_point,
@@ -92,18 +92,12 @@ class TestExpandingSide:
         with pytest.raises(NotContracting):
             fixed_point_expanding_side(StandardBoundary(np.array([[2.0]]), np.array([[1.0]])))
 
-    def test_residual_acts_at_the_callers_tolerance(self, monkeypatch):
-        import maxrep.normalform as nf
-        seen, act = [], nf.moebius_act
-
-        def spy(g, p, tol=DEFAULT_TOL):
-            seen.append(tol)
-            return act(g, p, tol)
-
-        monkeypatch.setattr(nf, "moebius_act", spy)
-        tol = Tolerance(eq_tol=1e-11)
-        fixed_point_expanding_side(StandardBoundary(np.array([[0.5]]), np.array([[1.0]]), tol), tol)
-        assert seen and all(t is tol for t in seen)
+    def test_residual_is_the_riccati_residual(self, rng):
+        sb = StandardBoundary(random_contracting(3, rng, rho_range=(0.3, 0.7)), random_spd(3, rng))
+        fp = fixed_point_expanding_side(sb)
+        g, y = sb.element(), fp.point.value
+        assert fp.residual == np.abs(g.A @ y + g.B - y @ (g.C @ y + g.D)).max()
+        assert fp.residual <= 1e-12
 
     def test_continuity(self, rng):
         a = random_contracting(3, rng, rho_range=(0.3, 0.7))
@@ -161,6 +155,16 @@ class TestDifferential:
                     approx = (plus - minus) / (2 * step)
                     exact = d(v)
                     assert norm_inf(approx - exact) <= 1e-4 * max(1.0, norm_inf(exact))
+
+    def test_lone_point_at_infinity(self, rng):
+        # the point stack of (inf,) alone takes its size from the element
+        assert _point_stack((INFINITY,), 2)[0].shape == (1, 2, 2)
+        p = random_pants_params(2, rng, tame=True)
+        v = random_spd(2, rng)
+        d = differential_at(build_maximal(p).c3, INFINITY)
+        np.testing.assert_allclose(d(v), p.X3 @ v @ p.X3.T, atol=1e-10)
+        with pytest.raises(NotFixed, match="^element does not fix"):
+            differential_at(build_maximal(p).c1, INFINITY)
 
     def test_rejects_non_fixed(self, rng):
         sb = StandardBoundary(random_contracting(2, rng), random_spd(2, rng))
@@ -454,12 +458,15 @@ class TestElementCanonicalPoints:
         assert point_distance(x, pt) <= 1e-9
 
     def test_certificate_band_follows_tolerance(self):
-        # X -> 4X moves the candidate 1e-3 by 1.5e-3: outside the default
-        # band sqrt(1e-9) ~ 3.2e-5, inside the looser sqrt(1e-4) = 1e-2
+        # X -> 4X leaves the candidate 1e-3 a Riccati residual of 1.5e-3:
+        # outside the default band sqrt(1e-9) ~ 3.2e-5, inside the looser
+        # sqrt(1e-4) = 1e-2
         g = SpMat(np.diag([2.0, 0.5]))
 
         def fixed(y, tol):
-            return _certificates(g.m[None], np.array([[[y]]]), np.array([False]), tol)[0][0]
+            # the candidate's subspace, the graph of y, as the given basis
+            z = np.array([[[y], [1.0]]]) / np.hypot(y, 1.0)
+            return _subspace_fixed_points(g.m[None], tol, z, np.array([True]))[1][0]
 
         assert not fixed(1e-3, DEFAULT_TOL)
         assert fixed(1e-3, Tolerance(eq_tol=1e-4))

@@ -9,6 +9,7 @@ from maxrep.errors import (
     MaxRepError,
     NearSingular,
     NoCanonicalFixedPoint,
+    NotFixed,
     NotMaximal,
     NotTransverse,
     NotValid,
@@ -328,6 +329,45 @@ class TestToledo:
             toledo(rep, t, Tolerance(eq_tol=1e-4))
         assert (info.value.stage, info.value.bound) == ("pair transversality", 1e-4)
         assert info.value.measured == pytest.approx(1e-5, rel=1e-3)
+
+    def test_loose_tolerances_read_the_fixed_points_off_the_riccati_residual(self):
+        # c1 = [[1/2, 0], [3/2, 2]] fixes y1 = 0 exactly; at eq_tol 1e-2 its
+        # action's denominator CX + D = 2 sits in the action's gray zone, which
+        # the fixed-point check no longer reads
+        rep = build_maximal(PantsParams(0.5, 0.5, 0.5))
+        t = Triple(zero_point(1), identity_point(1), INFINITY)
+        for eq_tol in (1e-2, 0.1):
+            assert toledo(rep, t, Tolerance(eq_tol=eq_tol)) == Fraction(1)
+        # c1 takes y3 = inf to 1/3, inside the band 0.5 around y1 = 0
+        with pytest.raises(NotTransverse) as info:
+            toledo(rep, t, Tolerance(eq_tol=0.5))
+        assert info.value.stage == "pair transversality"
+        assert info.value.measured == pytest.approx(1 / 3, rel=1e-12)
+        assert info.value.bound == 0.5
+
+    def test_three_generators_share_one_fixed_point_check(self, monkeypatch):
+        import maxrep.normalform as nf
+        sizes, kernel = [], nf._riccati
+
+        def spy(ms, ys, at_inf):
+            sizes.append(len(ms))
+            return kernel(ms, ys, at_inf)
+
+        monkeypatch.setattr(nf, "_riccati", spy)
+        rep = build_maximal(PantsParams(0.5, 0.5, 0.5))
+        assert toledo(rep, Triple(zero_point(1), identity_point(1), INFINITY)) == Fraction(1)
+        assert sizes == [3]
+
+    def test_wrong_point_names_its_generator(self):
+        rep = build_maximal(PantsParams(0.5, 0.5, 0.5))
+        y = np.array([[2.0]])
+        c2 = rep.c2
+        riccati = float(np.abs(c2.A @ y + c2.B - y @ (c2.C @ y + c2.D)).max())
+        with pytest.raises(NotFixed, match="^c2 does not fix its claimed point") as info:
+            toledo(rep, Triple(zero_point(1), finite_point(y), INFINITY))
+        assert info.value.stage == "fixed-point displacement"
+        assert info.value.measured == pytest.approx(riccati, rel=1e-12)
+        assert info.value.bound == pytest.approx(2 * np.sqrt(DEFAULT_TOL.eq_tol), rel=1e-15)
 
     def test_maximality_characterization(self, rng):
         # fixed points exist, both index terms equal n

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from maxrep.errors import IllConditioned, NotSymplectic
-from maxrep.matcore import DEFAULT_TOL, norm_inf
+from maxrep.matcore import DEFAULT_TOL, Tolerance, norm_inf
+from maxrep.pants import PantsParams, build_maximal
 from maxrep.symplectic import (
     INFINITY,
     _make_symplectics,
@@ -174,6 +175,15 @@ class TestMoebius:
             moebius_act(g, finite_point([[1.0 + 3e-8]]))
         res = moebius_act(g, finite_point([[1.0 + 1e-3]]))
         assert not res.is_infinity
+
+    def test_gray_zone_refusal_names_its_fields(self):
+        # c1 of the (1/2, 1/2, 1/2) pants has D = 2: at X = 0 and eq_tol 1e-2 the
+        # band is 1e-2 * 2 and the gray zone reaches 100 times that, 2
+        c1 = build_maximal(PantsParams(0.5, 0.5, 0.5)).c1
+        with pytest.raises(IllConditioned, match="in the ambiguous band") as info:
+            moebius_act(c1, zero_point(1), Tolerance(eq_tol=1e-2))
+        assert info.value.stage == "action denominator"
+        assert (info.value.measured, info.value.bound) == (2.0, 2.0)
 
 
 class TestTransverse:
