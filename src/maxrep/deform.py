@@ -31,7 +31,7 @@ from .gluing import (
     _edge_screen,
     _gluing_plan,
     _loop_twist,
-    component_signature,
+    _signature,
     slot_glue_length,
 )
 from .matcore import DEFAULT_TOL, Tolerance, _real_schur, as_matrix, check_finite, sym_part
@@ -254,11 +254,12 @@ def spd_path(s0: np.ndarray, s1: np.ndarray, t) -> np.ndarray:
 # deformation of chain graphs
 
 
-def _analyze_chain(graph: GluingGraph) -> tuple[GraphEdge | None, list[GraphEdge]]:
+def _analyze_chain(graph: GluingGraph, plan) -> tuple[GraphEdge | None, list[GraphEdge]]:
     """(the self edge of the first node or None, the edge attaching each
-    later node through its port 1 to an earlier node, in node order), or
-    GraphInvalid when the graph is not chain-shaped."""
-    self_edges, tree_edges, closures, _ = _gluing_plan(graph)
+    later node through its port 1 to an earlier node, in node order), read
+    off the graph's _gluing_plan, or GraphInvalid when the graph is not
+    chain-shaped."""
+    self_edges, tree_edges, closures, _ = plan
     if set(self_edges) - {graph.nodes[0].name}:
         raise GraphInvalid("deformation supports at most one handle, on the first node")
     if closures:
@@ -378,17 +379,18 @@ def deform_to_standard(rep_or_graph, steps: int = 100,
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
     graph = rep_or_graph.graph if isinstance(rep_or_graph, SurfaceRep) else rep_or_graph
-    loop, attach_edges = _analyze_chain(graph)
+    plan = _gluing_plan(graph)
+    loop, attach_edges = _analyze_chain(graph, plan)
     n, nodes = graph.n, graph.nodes
     # the snapshots invert the input's lengths and twists
     _refuse_first(np.array([nd.params.matrices() for nd in nodes]), tol, nodes)
     # every edge as the build reads it, in the build's order
     ends = [(as_matrix(twist), slot_glue_length(lo, lo_port), slot_glue_length(up, up_port))
-            for up, up_port, lo, lo_port, twist in _gluing_plan(graph)[3]]
+            for up, up_port, lo, lo_port, twist in plan[3]]
     screen = _edge_screen(*map(np.array, zip(*ends)), tol, obstruct=True) if ends else None
     for j in range(len(ends)):
         screen[j]  # raises the first refused edge
-    sig = component_signature(graph, tol)
+    sig = _signature(graph, plan)
     stacks, twists = _snapshot_stacks(graph, loop, attach_edges, np.arange(steps + 1) / steps)
     _refuse_first(np.stack([x for nd in nodes for x in stacks[nd.name]], axis=1).reshape(-1, 3, n, n),
                   tol, nodes)

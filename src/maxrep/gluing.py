@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,7 +74,6 @@ __all__ = [
     "GraphEdge",
     "GraphBoundary",
     "GluingGraph",
-    "PortRef",
     "SurfaceRep",
     "pants_surface_rep",
     "close_handle",
@@ -233,7 +233,7 @@ def _edge_twists(edges, tol: Tolerance) -> Slices:
 
     Each slot is presented as generator_slot = u @ form(length, S) @ u^{-1},
     with form standard_upper on the upper side and standard_lower on the
-    lower one and u = _slot_rotation(n, slot, upper): rotating the standard
+    lower one and u = _slot_rotations(n)[k]: rotating the standard
     triple k times, (X1, X2, X3) -> (-X2, -X3, X1) each time, brings the
     slot to position 3 (upper, k = slot mod 3) or 1 (lower, k = slot - 1).
     The pants are built already, so every Xi is finite and invertible.
@@ -256,11 +256,11 @@ def _edge_twists(edges, tol: Tolerance) -> Slices:
                            np.array([as_matrix(e[4]) for e in edges]), tol, obstruct=True)
 
 
-def _slot_rotation(n: int, slot: int, upper: bool) -> SpMat:
-    """The u of a slot presentation: with r = cycle_symplectic(n), whose cube
-    is -I, the identity, r^{-1} or r for k = 0, 1, 2 rotations."""
+def _slot_rotations(n: int) -> tuple[SpMat, SpMat, SpMat]:
+    """The u of a slot presentation for k = 0, 1, 2 rotations: with
+    r = cycle_symplectic(n), whose cube is -I, the identity, r^{-1} and r."""
     r = cycle_symplectic(n)
-    return (sp_identity(n), sp_inverse(r), r)[slot % 3 if upper else slot - 1]
+    return sp_identity(n), sp_inverse(r), r
 
 
 def slot_glue_length(p: PantsParams, slot: int) -> np.ndarray:
@@ -412,43 +412,25 @@ def glue_graphs(upper: GluingGraph, upper_label: str, lower: GluingGraph, lower_
 
 
 @dataclass(frozen=True, eq=False)
-class PortRef:
-    slot: int
-    conjugator: SpMat
-    label: str
-
-
-@dataclass(frozen=True, eq=False)
 class SurfaceRep:
-    """Generator images of a surface group, with provenance of each boundary
-    and the gluing graph they were built from."""
+    """Generator images of a surface group, the labels of its boundaries in
+    the order of c_imgs, and the gluing graph they were built from."""
 
     n: int
     genus: int
     a_imgs: tuple[SpMat, ...]
     b_imgs: tuple[SpMat, ...]
     c_imgs: tuple[SpMat, ...]
-    ports: tuple[PortRef, ...]
-    # the graph the representation was built from; a partial surface inside
-    # a build carries the graph being built
+    labels: tuple[str, ...]
     graph: GluingGraph
-    relation_residual: float = 0.0
+    relation_residual: float
     # each graph node's (membership class, product signature) from the build's
     # own check, in graph order; indexing raises a refused signature
-    node_checks: Slices | None = None
+    node_checks: Slices
 
     @property
     def m(self) -> int:
         return len(self.c_imgs)
-
-    def boundary_labels(self) -> tuple[str, ...]:
-        return tuple(p.label for p in self.ports)
-
-    def boundary_index(self, label: str) -> int:
-        for i, p in enumerate(self.ports):
-            if p.label == label:
-                return i
-        raise KeyError(f"no boundary labelled {label!r}")
 
     def generator_images(self) -> dict[str, SpMat]:
         out: dict[str, SpMat] = {}
@@ -518,42 +500,62 @@ def close_handle(x1, x2, g_twist, tol: Tolerance = DEFAULT_TOL,
                                         (GraphBoundary(("h", 2), label),)), tol)
 
 
-# -- boundary reindexing ------------------------------------------------------
+# -- a surface under construction ---------------------------------------------
 
-def _conjugate_rep(rep: SurfaceRep, h: SpMat) -> SurfaceRep:
-    hinv = sp_inverse(h)
-    conj = lambda g: _ld_product(h, g, hinv)
-    return replace(
-        rep,
-        a_imgs=tuple(conj(a) for a in rep.a_imgs),
-        b_imgs=tuple(conj(b) for b in rep.b_imgs),
-        c_imgs=tuple(conj(c) for c in rep.c_imgs),
-        ports=tuple(replace(p, conjugator=h @ p.conjugator) for p in rep.ports),
-    )
+class _Gen(NamedTuple):
+    """A generator of a surface under construction, with image
+    frame @ core @ frame^{-1}.  A boundary's core is its node's pants image and
+    its frame the arc from that node's frame; it keeps its pants slot and
+    label.  A handle's second generator has its closing's twist conjugator
+    as core."""
+
+    frame: SpMat
+    core: SpMat
+    slot: int = 0
+    label: str = ""
 
 
-def _swap_adjacent_boundaries(rep: SurfaceRep, i: int) -> SurfaceRep:
+@dataclass(frozen=True, eq=False)
+class _Piece:
+    """The generators of a surface under construction.  Gluing, closing and
+    braid moves only left-multiply frames; each image is formed once, by
+    _image, when the build ends."""
+
+    a: tuple[_Gen, ...]
+    b: tuple[_Gen, ...]
+    c: tuple[_Gen, ...]
+
+
+def _image(g: _Gen) -> SpMat:
+    """The generator's image, formed in extended precision."""
+    return _ld_product(g.frame, g.core, sp_inverse(g.frame))
+
+
+def _left(h: SpMat, gens) -> tuple[_Gen, ...]:
+    """The generators conjugated by h: each frame left-multiplied by h."""
+    return tuple(g._replace(frame=h @ g.frame) for g in gens)
+
+
+def _swap_adjacent_boundaries(piece: _Piece, i: int) -> _Piece:
     """Exchange boundaries i and i+1 (0-based) by the braid move
-    (C_{i+1}', C_i') = (C_i, C_i^{-1} C_{i+1} C_i)."""
-    ci = rep.c_imgs[i]
-    ci_inv = sp_inverse(ci)
-    new_c = list(rep.c_imgs)
-    new_p = list(rep.ports)
-    new_c[i + 1], new_c[i] = ci, _ld_product(ci_inv, rep.c_imgs[i + 1], ci)
-    new_p[i + 1], new_p[i] = new_p[i], replace(
-        new_p[i + 1], conjugator=ci_inv @ new_p[i + 1].conjugator)
-    return replace(rep, c_imgs=tuple(new_c), ports=tuple(new_p))
+    (C_{i+1}', C_i') = (C_i, C_i^{-1} C_{i+1} C_i): C_{i+1}'s arc is
+    left-multiplied by C_i^{-1} in one extended-precision product."""
+    c = list(piece.c)
+    ci, cj = c[i], c[i + 1]
+    arc = _ld_product(ci.frame, sp_inverse(ci.core), sp_inverse(ci.frame), cj.frame)
+    c[i], c[i + 1] = cj._replace(frame=arc), ci
+    return replace(piece, c=tuple(c))
 
 
-def _move_boundary(rep: SurfaceRep, label: str, target: int) -> SurfaceRep:
-    idx = rep.boundary_index(label)
+def _move_boundary(piece: _Piece, label: str, target: int) -> _Piece:
+    idx = next(i for i, g in enumerate(piece.c) if g.label == label)
     while idx > target:
-        rep = _swap_adjacent_boundaries(rep, idx - 1)
+        piece = _swap_adjacent_boundaries(piece, idx - 1)
         idx -= 1
     while idx < target:
-        rep = _swap_adjacent_boundaries(rep, idx)
+        piece = _swap_adjacent_boundaries(piece, idx)
         idx += 1
-    return rep
+    return piece
 
 
 # -- balancing the gauge ------------------------------------------------------
@@ -596,90 +598,67 @@ def _symplectify(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _edge_twist(rep_up: SurfaceRep, idx_up: int,
-                rep_lo: SurfaceRep, idx_lo: int, tw: SpMat) -> SpMat:
-    """The global conjugator h with h . img_lo . h^{-1} = img_up^{-1}, from
-    the edge's twist element tw as _edge_twists formed it.
+def _edge_twist(up: _Gen, lo: _Gen, tw: SpMat, rots: tuple[SpMat, ...]) -> SpMat:
+    """The global conjugator h with h . img_lo . h^{-1} = img_up^{-1} for the
+    boundaries up and lo, from their arcs and slot rotations (rots, as
+    _slot_rotations builds them) and the edge's twist element tw as
+    _edge_twists formed it.
 
     The product is formed in extended precision, which keeps its conjugation
     defect at rounding level; an overflow in it raises IllConditioned.
     """
-    up, lo = rep_up.ports[idx_up], rep_lo.ports[idx_lo]
     with np.errstate(over="ignore", invalid="ignore"):
-        h = _ld_product(up.conjugator @ _slot_rotation(rep_up.n, up.slot, True), tw,
-                        sp_inverse(lo.conjugator @ _slot_rotation(rep_lo.n, lo.slot, False)))
+        h = _ld_product(up.frame @ rots[up.slot % 3], tw, sp_inverse(lo.frame @ rots[lo.slot - 1]))
     check_finite(h.m)
     return h
 
 
-def _amalgamate(rep1: SurfaceRep, label1: str, rep2: SurfaceRep, label2: str,
-                tw: SpMat) -> SurfaceRep:
-    """Glue boundary label1 of rep1, in upper position, to boundary label2 of
-    rep2, in lower position, through the edge's twist element tw.  The result
-    carries rep1's remaining boundaries first, then rep2's, and rep2's handle
-    generators before rep1's."""
-    rep1 = _move_boundary(rep1, label1, rep1.m - 1)
-    rep2 = _move_boundary(rep2, label2, 0)
-    h = _edge_twist(rep1, rep1.m - 1, rep2, 0, tw)
-    h1, h2 = _polar_split(h)
-    rep1 = _conjugate_rep(rep1, h1)
-    rep2 = _conjugate_rep(rep2, h2)
-    return SurfaceRep(
-        n=rep1.n,
-        genus=rep1.genus + rep2.genus,
-        a_imgs=rep2.a_imgs + rep1.a_imgs,
-        b_imgs=rep2.b_imgs + rep1.b_imgs,
-        c_imgs=rep1.c_imgs[:-1] + rep2.c_imgs[1:],
-        ports=rep1.ports[:-1] + rep2.ports[1:],
-        graph=rep1.graph,
-    )
+def _amalgamate(piece1: _Piece, label1: str, piece2: _Piece, label2: str,
+                tw: SpMat, rots: tuple[SpMat, ...]) -> _Piece:
+    """Glue boundary label1 of piece1, in upper position, to boundary label2
+    of piece2, in lower position, through the edge's twist element tw.  The
+    result carries piece1's remaining boundaries first, then piece2's, and
+    piece2's handle generators before piece1's."""
+    piece1 = _move_boundary(piece1, label1, len(piece1.c) - 1)
+    piece2 = _move_boundary(piece2, label2, 0)
+    h1, h2 = _polar_split(_edge_twist(piece1.c[-1], piece2.c[0], tw, rots))
+    return _Piece(_left(h2, piece2.a) + _left(h1, piece1.a), _left(h2, piece2.b) + _left(h1, piece1.b),
+                  _left(h1, piece1.c[:-1]) + _left(h2, piece2.c[1:]))
 
 
-def _close_boundaries(rep: SurfaceRep, upper_label: str, lower_label: str,
-                      tw: SpMat) -> SurfaceRep:
+def _close_boundaries(piece: _Piece, upper_label: str, lower_label: str,
+                      tw: SpMat, rots: tuple[SpMat, ...]) -> _Piece:
     """Close two boundaries of one connected surface into a handle, through
     the edge's twist element tw.
 
     The lower boundary moves to the first position and the upper to the
     last, which are cyclically adjacent in the defining relation, so the
-    remaining boundary images stay untouched.  The new handle pair is
-    (C_1, T), taking the lowest handle index, with T conjugating C_1^{-1}
-    to C_m; older handle generators are conjugated by C_1, exactly as the
-    relation reshapes to the standard presentation.
+    remaining boundaries stay untouched.  The new handle pair is (C_1, T),
+    taking the lowest handle index, with T conjugating C_1^{-1} to C_m;
+    older handle generators are conjugated by C_1, exactly as the relation
+    reshapes to the standard presentation.
     """
-    if rep.m == 2:
+    if len(piece.c) == 2:
         # only the closing pair remains: with the upper boundary first the
         # relation is already H [C_2, T], so nothing needs dressing.  The
         # general branch below is valid algebra here too, but dressing every
         # older handle generator by C_1 costs conditioning: on two pants
-        # joined by three parallel edges at n = 2 it raises the relation
-        # residual from at most 2e-8 to between 5e-3 and 4e8
-        rep = _move_boundary(rep, upper_label, 0)
-        rep = _move_boundary(rep, lower_label, 1)
-        t = _edge_twist(rep, 0, rep, 1, tw)
-        a_imgs = (rep.c_imgs[1],) + rep.a_imgs
-        b_imgs = (t,) + rep.b_imgs
+        # joined by three parallel edges at n = 2, seeds 0-7, it raises the
+        # relation residual from at most 2.1e-8 to between 1.2e-2 and 3.7e8
+        piece = _move_boundary(piece, upper_label, 0)
+        piece = _move_boundary(piece, lower_label, 1)
+        t = _edge_twist(piece.c[0], piece.c[1], tw, rots)
+        a, b = (piece.c[1],) + piece.a, piece.b
     else:
         # lower first, upper last (cyclically adjacent); the relation
         # conjugated by C_1 reshapes to (C_1 H C_1^{-1}) [C_1, T] W, leaving
         # the remaining boundaries untouched
-        rep = _move_boundary(rep, lower_label, 0)
-        rep = _move_boundary(rep, upper_label, rep.m - 1)
-        t = _edge_twist(rep, rep.m - 1, rep, 0, tw)
-        new_a = rep.c_imgs[0]
-        c1_inv = sp_inverse(new_a)
-        dress = lambda g: _ld_product(new_a, g, c1_inv)
-        a_imgs = (new_a,) + tuple(dress(a) for a in rep.a_imgs)
-        b_imgs = (t,) + tuple(dress(b) for b in rep.b_imgs)
-    return SurfaceRep(
-        n=rep.n,
-        genus=rep.genus + 1,
-        a_imgs=a_imgs,
-        b_imgs=b_imgs,
-        c_imgs=rep.c_imgs[1:-1],
-        ports=rep.ports[1:-1],
-        graph=rep.graph,
-    )
+        piece = _move_boundary(piece, lower_label, 0)
+        piece = _move_boundary(piece, upper_label, len(piece.c) - 1)
+        t = _edge_twist(piece.c[-1], piece.c[0], tw, rots)
+        c1 = _image(piece.c[0])
+        a, b = (piece.c[0],) + _left(c1, piece.a), _left(c1, piece.b)
+    return _Piece(a, (_Gen(sp_identity(t.n), t),) + b, piece.c[1:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -728,21 +707,21 @@ def _loop_twist(twist, upper_port: int) -> np.ndarray:
         return np.linalg.pinv(g).swapaxes(-1, -2)
 
 
-def build_from_graph(graph: GluingGraph, tol: Tolerance = DEFAULT_TOL) -> SurfaceRep:
-    """Assemble the surface representation described by a gluing graph.
+def _assemble(graph: GluingGraph, tol: Tolerance) -> tuple[_Piece, Slices]:
+    """The piece a graph's build assembles, its boundaries in declared order
+    under their declared labels, and its node checks.
 
     Each node starts as its own piece, closed first along its self-edge
     (which must join ports 1 and 3).  The other edges are glued in listed
     order, node order aside: one joining two pieces merges them, the rest
     close handles at the end, in edge order.  The boundaries are then
-    braid-moved into their declared order, and the finished images meet
-    the gate of _surface_fault once.
+    braid-moved into their declared order.
 
     Every node's pants images come from one stacked forward-map call and
     every edge's twist element, a self-edge's in the handle orientation of
     _loop_twist, from one stacked twist call; the gluing then runs edge by
-    edge.  A refused build raises the first refused node in node order, else
-    the first refused edge in _gluing_plan order.
+    edge.  A refused assembly raises the first refused node in node order,
+    else the first refused edge in _gluing_plan order.
     """
     self_edges, tree_edges, closures, reads = _gluing_plan(graph)
     label = lambda port: f"{port[0]}.{port[1]}"
@@ -751,40 +730,48 @@ def build_from_graph(graph: GluingGraph, tol: Tolerance = DEFAULT_TOL) -> Surfac
     pants = {nd.name: reps[i] for i, nd in enumerate(graph.nodes)}
     twists = _edge_twists(reads, tol)
     tws = {e: SpMat(twists[j]) for j, e in enumerate((*self_edges.values(), *tree_edges, *closures))}
-    ident = sp_identity(graph.n)
+    ident, rots = sp_identity(graph.n), _slot_rotations(graph.n)
 
-    def fresh_block(name: str) -> SurfaceRep:
-        block = SurfaceRep(
-            n=graph.n, genus=0,
-            a_imgs=(), b_imgs=(),
-            c_imgs=pants[name].generators(),
-            ports=tuple(PortRef(s, ident, label((name, s))) for s in (1, 2, 3)),
-            graph=graph,
-        )
-        return _close_boundaries(block, label((name, 3)), label((name, 1)), tws[self_edges[name]]) \
+    def fresh_block(name: str) -> _Piece:
+        block = _Piece((), (), tuple(_Gen(ident, c, s, label((name, s)))
+                                     for s, c in zip((1, 2, 3), pants[name].generators())))
+        return _close_boundaries(block, label((name, 3)), label((name, 1)), tws[self_edges[name]], rots) \
             if name in self_edges else block
 
-    # each node's piece: the representation built so far of the nodes joined to it
+    # each node's piece: the surface assembled so far of the nodes joined to it
     pieces = {nd.name: fresh_block(nd.name) for nd in graph.nodes}
     for e in tree_edges:
         up, lo = pieces[e.upper[0]], pieces[e.lower[0]]
-        built = _amalgamate(up, label(e.upper), lo, label(e.lower), tws[e])
-        pieces = {name: built if rep in (up, lo) else rep for name, rep in pieces.items()}
+        built = _amalgamate(up, label(e.upper), lo, label(e.lower), tws[e], rots)
+        pieces = {name: built if piece in (up, lo) else piece for name, piece in pieces.items()}
     # the graph is connected, so one piece is left
     built = pieces[graph.nodes[0].name]
     for e in closures:
-        built = _close_boundaries(built, label(e.upper), label(e.lower), tws[e])
-    # reorder boundaries to the declared labels
+        built = _close_boundaries(built, label(e.upper), label(e.lower), tws[e], rots)
     for target, b in enumerate(graph.boundaries):
         built = _move_boundary(built, label(b.port), target)
     relabel = {label(b.port): b.label for b in graph.boundaries}
-    ports = tuple(replace(p, label=relabel.get(p.label, p.label)) for p in built.ports)
     # a built graph refused no node, so slice j of the check is graph node j
     checks.values = list(zip(classes.values, checks.values))
-    res, fault = _surface_fault(graph.n, built.a_imgs, built.b_imgs, built.c_imgs, tol)
+    return replace(built, c=tuple(g._replace(label=relabel[g.label]) for g in built.c)), checks
+
+
+def _surface_rep(piece: _Piece, checks: Slices, graph: GluingGraph, tol: Tolerance) -> SurfaceRep:
+    """The representation of an assembled piece: each generator image formed
+    once, and the images meeting the gate of _surface_fault."""
+    a_imgs, b_imgs, c_imgs = (tuple(map(_image, gens)) for gens in (piece.a, piece.b, piece.c))
+    res, fault = _surface_fault(graph.n, a_imgs, b_imgs, c_imgs, tol)
     if fault:
         raise fault
-    return replace(built, ports=ports, node_checks=checks, relation_residual=res)
+    return SurfaceRep(graph.n, len(a_imgs), a_imgs, b_imgs, c_imgs, tuple(g.label for g in piece.c),
+                      graph, res, checks)
+
+
+def build_from_graph(graph: GluingGraph, tol: Tolerance = DEFAULT_TOL) -> SurfaceRep:
+    """Assemble the surface representation described by a gluing graph, as
+    _assemble describes; the finished images meet the gate of _surface_fault
+    once, after every refusal of the assembly."""
+    return _surface_rep(*_assemble(graph, tol), graph, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -812,7 +799,12 @@ def component_signature(rep_or_graph, tol: Tolerance = DEFAULT_TOL) -> tuple[int
     representation space.  A closed surface has no signature (GraphInvalid).
     """
     graph = rep_or_graph.graph if isinstance(rep_or_graph, SurfaceRep) else rep_or_graph
-    self_edges, _, closures, _ = _gluing_plan(graph)
+    return _signature(graph, _gluing_plan(graph))
+
+
+def _signature(graph: GluingGraph, plan) -> tuple[int, ...]:
+    """component_signature of a graph, read off its _gluing_plan."""
+    self_edges, _, closures, _ = plan
     params = {nd.name: nd.params for nd in graph.nodes}
     length = lambda port: params[port[0]].matrices()[port[1] - 1]
     handles = [(params[name].X1, e.twist) for name, e in self_edges.items()]

@@ -628,8 +628,8 @@ class TestCommands:
         assert "IllConditioned" in err and "Traceback" not in err
 
     def test_deform_incompatible_twist(self, tmp_path, capsys):
-        # deform builds its input to check edge compatibility; without that
-        # the path would start from rebuilt lengths, not from the input
+        # deform does not build its input: the edge screen that a build runs
+        # ahead of its Stein solves (_edge_screen) refuses the twist
         graph = chain_graph(0, 4, 2, np.random.default_rng(5))
         e = graph.edges[0]
         bad = GluingGraph(graph.nodes,

@@ -10,8 +10,6 @@ well inside the residual budgets; the plain generators only cap the
 condition number.
 """
 
-from dataclasses import replace
-
 import numpy as np
 
 import maxrep.gluing
@@ -23,9 +21,10 @@ from maxrep.gluing import (
     GraphEdge,
     PantsNode,
     _amalgamate,
+    _assemble,
     _edge_twists,
-    _surface_fault,
-    build_from_graph,
+    _slot_rotations,
+    _surface_rep,
     glue_graphs,
     slot_glue_length,
 )
@@ -298,18 +297,16 @@ def patch_nan_twist(monkeypatch):
 
 def glued_by_two_builds(upper, upper_label, lower, lower_label, twist, tol: Tolerance = DEFAULT_TOL):
     """The representation of glue_graphs(upper, upper_label, lower,
-    lower_label, twist) as the two sides' own builds joined along the new
-    edge by one _amalgamate, with the relation checked once at the end and
-    the node checks of the two builds in union order."""
+    lower_label, twist) as the two sides' own assemblies joined along the
+    new edge by one _amalgamate, with each generator image formed and the
+    relation checked once at the end and the node checks of the two builds
+    in union order."""
     graph = glue_graphs(upper, upper_label, lower, lower_label, twist)
-    rep1, rep2 = build_from_graph(upper, tol), build_from_graph(lower, tol)
+    (piece1, checks1), (piece2, checks2) = _assemble(upper, tol), _assemble(lower, tol)
     edge, params = graph.edges[-1], {nd.name: nd.params for nd in graph.nodes}
     tw = _edge_twists([(params[edge.upper[0]], edge.upper[1], params[edge.lower[0]], edge.lower[1],
                         edge.twist)], tol)
-    rep = _amalgamate(rep1, upper_label, rep2, lower_label, SpMat(tw[0]))
+    piece = _amalgamate(piece1, upper_label, piece2, lower_label, SpMat(tw[0]), _slot_rotations(graph.n))
     checks = Slices(len(graph.nodes))
-    checks.values = rep1.node_checks.values + rep2.node_checks.values
-    res, fault = _surface_fault(rep.n, rep.a_imgs, rep.b_imgs, rep.c_imgs, tol)
-    if fault:
-        raise fault
-    return replace(rep, graph=graph, node_checks=checks, relation_residual=res)
+    checks.values = checks1.values + checks2.values
+    return _surface_rep(piece, checks, graph, tol)
