@@ -21,7 +21,7 @@ from .gluing import SurfaceRep
 from .maslov import _triple_indices
 from .matcore import DEFAULT_TOL, Tolerance, _unit_circle_masks, check_finite
 from .normalform import _attracting, _eigenvector_bases, _subspace_fixed_points
-from .symplectic import BoundaryPoint, _pair_spectra, _point_stack, sp_inverse
+from .symplectic import BoundaryPoint, _pair_spectra, _stack_points, sp_inverse
 
 __all__ = ["LimitSample", "limit_set_sample"]
 
@@ -29,7 +29,7 @@ __all__ = ["LimitSample", "limit_set_sample"]
 @dataclass(frozen=True)
 class LimitSample:
     points: tuple[tuple[str, BoundaryPoint], ...]   # word -> attracting point
-    distinct_points: tuple[BoundaryPoint, ...]
+    distinct_points: tuple[BoundaryPoint, ...]      # the same objects as in points
     transverse_fraction: float
     beta_histogram: dict[int, int]
     skipped_words: int
@@ -101,13 +101,14 @@ def _unrank3(ranks, d: int) -> np.ndarray:
 
 
 def _cluster(stack) -> np.ndarray:
-    """Indices of a _point_stack's points kept by first-come greedy clustering:
+    """Indices of a point stack's points kept by first-come greedy clustering:
     a point is dropped within _CLUSTER_TOL * max(1, |point|) of a point kept
     before it, entrywise; infinity is near infinity only.
 
     A near pair is within 2 * _CLUSTER_TOL * either scale, which moves the
-    trace by at most n times that, so candidates are compared one offset of
-    the trace order at a time inside that window (widened for rounding).
+    trace by at most n times that: the pairs inside that window of the trace
+    order (widened for rounding) are compared in one gather.  In rounds, a
+    point whose earlier near points are decided is dropped if one is kept.
     """
     x, at_inf, scale = stack
     n, bound = x.shape[1], _CLUSTER_TOL * scale
@@ -115,21 +116,18 @@ def _cluster(stack) -> np.ndarray:
     order = fin[np.argsort(np.trace(x[fin], axis1=1, axis2=2), kind="stable")]
     t = np.trace(x[order], axis1=1, axis2=2)
     reach = n * (2 * bound + 4 * n * np.finfo(float).eps * scale)
-    hi = np.searchsorted(t, t + reach[order], "right")
-    k, near = np.arange(order.size), []
-    for o in itertools.count(1):
-        k = k[k + o < hi[k]]
-        if not k.size:
-            break
-        p, q = np.maximum(order[k], order[k + o]), np.minimum(order[k], order[k + o])
-        close = np.max(np.abs(x[p] - x[q]), axis=(1, 2)) <= bound[p]
-        near += zip(p[close].tolist(), q[close].tolist())
+    span = np.searchsorted(t, t + reach[order], "right") - np.arange(order.size) - 1
+    k = np.repeat(np.arange(order.size), span)
+    m = order[k + 1 + np.arange(k.size) - (np.cumsum(span) - span)[k]]
+    p, q = np.maximum(order[k], m), np.minimum(order[k], m)
+    live = np.max(np.abs(x[p] - x[q]), axis=(1, 2), initial=0.0) <= bound[p]   # q's word comes first
     kept = ~at_inf
     kept[np.flatnonzero(at_inf)[:1]] = True
-    kept = kept.tolist()
-    for p, q in sorted(near):   # q < p, so kept[q] is final when p is reached
-        if kept[q]:
-            kept[p] = False
+    while live.any():   # the near pairs (p, q) of each point p not yet decided
+        p, q = p[live], q[live]
+        pending = np.bincount(p, minlength=kept.size) > 0
+        kept[p[kept[q] & ~pending[q]]] = False
+        live = kept[p] & pending[q]
     return np.flatnonzero(kept)
 
 
@@ -162,12 +160,12 @@ def _count_transverse(stack, tol: Tolerance) -> int:
     return count
 
 
-def _word_points(mats: np.ndarray, reps, source, carrier, tol: Tolerance) -> list:
-    """The attracting point of each word of the stack mats = [I, words], None
-    where it is skipped: the class representatives' bases moved by the
-    carriers, and the Schur rescue of _subspace_fixed_points for a word whose
-    moved point fails its certificate or is not fixed to rounding, and for
-    every word when the representatives' eigen-decomposition fails."""
+def _word_points(mats: np.ndarray, reps, source, carrier, tol: Tolerance) -> tuple:
+    """(values, at_inf, sampled): each word's attracting point in the stack
+    mats = [I, words], from the class representatives' bases moved by the
+    carriers; a word whose moved point fails its certificate or is not fixed
+    to rounding, and every word when the representatives' eigen-decomposition
+    fails, takes the Schur rescue of _subspace_fixed_points."""
     words = mats[1:]
     n = words.shape[-1] // 2
     try:
@@ -178,14 +176,14 @@ def _word_points(mats: np.ndarray, reps, source, carrier, tol: Tolerance) -> lis
         bases, direct = _eigenvector_bases(np.concatenate([w, 1 / w]), np.concatenate([v, v]), tol)
         direct = direct[source]
         zs = np.linalg.qr(words @ (words @ (mats[carrier] @ bases[source])))[0]
-    found, fixed, rho, exact = _subspace_fixed_points(words, tol, zs, direct)
+    found, at_inf, fixed, rho, exact = _subspace_fixed_points(words, tol, zs, direct)
     _attracting(found, fixed & (exact | ~direct[found.live] | (carrier[found.live] == 0)), rho, tol)
-    points = [None if r else p for p, r in zip(found.values, found.refusals)]
-    own = np.flatnonzero(direct & np.array([r is not None for r in found.refusals]))
-    mine = _attracting(*_subspace_fixed_points(words[own], tol, zs[own], np.zeros(own.size, dtype=bool))[:3], tol)
-    for i, p, r in zip(own.tolist(), mine.values, mine.refusals):
-        points[i] = None if r else p
-    return points
+    sampled = np.array([r is None for r in found.refusals])
+    own = np.flatnonzero(direct & ~sampled)
+    mine, mine_inf, fixed, rho, _ = _subspace_fixed_points(words[own], tol, zs[own], np.zeros(own.size, bool))
+    sampled[own] = [r is None for r in _attracting(mine, fixed, rho, tol).refusals]
+    found.values[own], at_inf[own] = mine.values, mine_inf
+    return found.values, at_inf, sampled
 
 
 # at most this many triples of distinct points go into the Maslov histogram
@@ -206,20 +204,22 @@ def limit_set_sample(rep: SurfaceRep, max_word_length: int = 4,
     cyclically reduced words (_word_tables; 119 rows for 936 words on one
     pants), and two multiplications by a word's own matrix refine its moved
     basis; a word whose moved point fails takes the Schur rescue alone.  The
-    skipped words are those of one decomposition per word.
+    skipped words are those of one decomposition per word.  The points stay
+    one array stack until the result's BoundaryPoints are made.
 
     Sampled triples are seeded: when the D distinct points have more than
     200 triples, rng = np.random.default_rng(seed) draws
     rng.choice(C(D, 3), size=200, replace=False) and each drawn index
     names the triple at that position of itertools.combinations(range(D), 3)
     (lexicographic order), unranked in one batch; otherwise every triple is
-    used in that order.  Clustering (first-come greedy in word order) and the
-    transverse count walk the trace order: the distinct points of a maximal
-    representation form a Loewner chain, whose trace-adjacent links certify
-    every pair, and only pairs straddling a failed link are checked one by
-    one.  The Maslov index of every drawn triple, sgn(X2 - X1) +
-    sgn(X3 - X2) + sgn(X1 - X3) with terms at infinity dropped, comes from
-    one kernel call; a triple with a non-transverse pair becomes a finding.
+    used in that order.  Clustering (first-come greedy in word order, resolved
+    in rounds) and the transverse count walk the trace order: the distinct
+    points of a maximal representation form a Loewner chain, whose
+    trace-adjacent links certify every pair, and only pairs straddling a
+    failed link are checked one by one.  The Maslov index of every drawn
+    triple, sgn(X2 - X1) + sgn(X3 - X2) + sgn(X1 - X3) with terms at infinity
+    dropped, comes from one kernel call; a triple with a non-transverse pair
+    becomes a finding.
     A sample whose every word is skipped refuses with NotSHyperbolic.
     """
     if max_word_length < 1:
@@ -238,15 +238,15 @@ def limit_set_sample(rep: SurfaceRep, max_word_length: int = 4,
     mats[0] = np.eye(mats.shape[-1])
     for a, b in itertools.pairwise(stops):
         mats[1 + a:1 + b] = check_finite(mats[prefix[a:b]] @ letter_stack[last[a:b]])
-    points = [(name, pt) for name, pt in zip(names, _word_points(mats, *classes, tol)) if pt is not None]
-    skipped = len(names) - len(points)
+    values, at_inf, sampled = _word_points(mats, *classes, tol)
+    skipped = int(np.count_nonzero(~sampled))
 
-    if not points:
+    if skipped == len(names):
         raise NotSHyperbolic(f"all {skipped} words up to length {max_word_length} "
                              "were skipped: none has an attracting point")
-    pts = [pt for _, pt in points]
-    stack = _point_stack(pts)
+    stack = tuple(a[sampled] for a in (values, at_inf, np.maximum(1.0, np.max(np.abs(values), axis=(1, 2)))))
     keep = _cluster(stack)
+    pts = _stack_points(*stack[:2])
     distinct = [pts[i] for i in keep]
     stack = tuple(a[keep] for a in stack)
     n_pairs = math.comb(len(distinct), 2)
@@ -272,7 +272,7 @@ def limit_set_sample(rep: SurfaceRep, max_word_length: int = 4,
     if off:
         findings.append(f"{off} sampled triples with |index| != {n}")
     return LimitSample(
-        points=tuple(points),
+        points=tuple(zip(itertools.compress(names, sampled), pts)),
         distinct_points=tuple(distinct),
         transverse_fraction=frac,
         beta_histogram=hist,

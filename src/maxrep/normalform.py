@@ -43,10 +43,10 @@ from .matcore import (
     sym_part,
 )
 from .symplectic import (
-    INFINITY,
     BoundaryPoint,
     SpMat,
     _point_stack,
+    _stack_points,
     cycle_symplectic,
     make_symplectic,
     moebius_act,
@@ -281,10 +281,10 @@ def _eigenvector_bases(w: np.ndarray, v: np.ndarray, tol: Tolerance) -> tuple:
 def _subspace_fixed_points(ms: np.ndarray, tol: Tolerance, zs: np.ndarray | None = None,
                            direct: np.ndarray | None = None) -> tuple:
     """Chart points of the expanding invariant subspaces of a (k, 2n, 2n)
-    stack, certified: (points, fixed, rho, exact), the values of points being
-    BoundaryPoints and its refusals NotSHyperbolic.  From the _riccati
-    residual at each point, fixed says it is at most sqrt(eq_tol) * max(1, |Y|)
-    and exact at most 2n u max|g| (1 + |Y|)^2, a backward-stable
+    stack, certified: (points, at_inf, fixed, rho, exact), points holding
+    chart values, zero where at_inf, and NotSHyperbolic refusals.  From the
+    _riccati residual at each point, fixed says it is at most sqrt(eq_tol) *
+    max(1, |Y|) and exact at most 2n u max|g| (1 + |Y|)^2, a backward-stable
     eigen-solver's error; rho is the spectral radius of the factor A - YC.
     Circle eigenvalues of the full matrix come in defective pairs whose
     computed values split by roughly sqrt(eps); certifying the candidate
@@ -294,9 +294,10 @@ def _subspace_fixed_points(ms: np.ndarray, tol: Tolerance, zs: np.ndarray | None
     np.linalg.eig of the stack makes when none is given (_eigenvector_bases).
     A slice not direct, or every slice when that eig fails, takes its sorted
     real Schur basis instead, and is refused where that fails or the subspace
-    is not n-dimensional.  The point is u1 u2^{-1}, or infinity when u2 is
-    singular within eq_tol.  Each caller sets its acceptance threshold on
-    rho.  A NaN or Inf anywhere raises IllConditioned.
+    is not n-dimensional.  The point is u1 u2^{-1}, or infinity where
+    sigma_min(u2) <= eq_tol * max(1, sigma_max), read only if |det u2| <= 2
+    eq_tol (an orthonormal frame has sigma_min >= |det u2| / (1 + O(u))^(n-1)).
+    Callers set thresholds on rho; a NaN or Inf raises IllConditioned.
     """
     ms = check_finite(ms)
     n = ms.shape[-1] // 2
@@ -319,15 +320,17 @@ def _subspace_fixed_points(ms: np.ndarray, tol: Tolerance, zs: np.ndarray | None
             faults[i] = NotSHyperbolic(f"expanding subspace has dimension {dim}, expected {n}")
     ms, zs = points.refuse(faults, ms, zs)
     u1, u2 = zs[:, :n], zs[:, n:]
-    s = np.linalg.svd(u2, compute_uv=False)
-    at_inf = s[:, -1] <= tol.eq_tol * np.maximum(1.0, s[:, 0])
+    at_inf = np.abs(np.linalg.det(u2)) <= 2 * tol.eq_tol   # the determinant screen
+    s = np.linalg.svd(u2[at_inf], compute_uv=False)
+    at_inf[at_inf] = s[:, -1] <= tol.eq_tol * np.maximum(1.0, s[:, 0])
     ys = sym_part(u1 @ np.linalg.inv(np.where(at_inf[:, None, None], np.eye(n), u2)))
     ys[at_inf] = 0.0
-    points.finish([INFINITY if inf else BoundaryPoint(y) for inf, y in zip(at_inf.tolist(), ys)])
+    inf = np.zeros(len(points.refusals), dtype=bool)
+    inf[points.finish(ys).live] = at_inf
     moved, left, _ = _riccati(ms, ys, at_inf)
     size = np.max(np.abs(ys), axis=(1, 2))
     # the chart swap only moves and negates entries, so max|g| reads the same in either chart
-    return (points, moved <= np.sqrt(tol.eq_tol) * np.maximum(1.0, size),
+    return (points, inf, moved <= np.sqrt(tol.eq_tol) * np.maximum(1.0, size),
             np.max(np.abs(np.linalg.eigvals(left)), axis=-1),
             moved <= 2 * n * 2.0 ** -53 * np.max(np.abs(ms), axis=(1, 2)) * (1.0 + size) ** 2)
 
@@ -349,7 +352,8 @@ def attracting_point(g: SpMat, tol: Tolerance = DEFAULT_TOL) -> BoundaryPoint:
     differential, which guards against defective circle spectra whose
     eigenvalues split across the band.
     """
-    return _attracting(*_subspace_fixed_points(g.m[None], tol)[:3], tol)[0]
+    found, at_inf, fixed, rho, _ = _subspace_fixed_points(g.m[None], tol)
+    return _stack_points([_attracting(found, fixed, rho, tol)[0]], at_inf)[0]
 
 
 def _canonical_points(ms: np.ndarray, tol: Tolerance) -> Slices:
@@ -384,13 +388,13 @@ def _canonical_points(ms: np.ndarray, tol: Tolerance) -> Slices:
             faults[i] = exc
     ms, points = out.refuse(faults, ms, points)
     rest = np.array([pt is None for pt in points], dtype=bool)
-    found, fixed, rho, _ = _subspace_fixed_points(ms[rest], tol)
+    found, at_inf, fixed, rho, _ = _subspace_fixed_points(ms[rest], tol)
     found.refuse([None if good else NoCanonicalFixedPoint(_NO_CANONICAL)
                   for good in fixed & (rho <= 1.0 + max(tol.unit_circle_band, _NONEXPAND_SLACK))])
     # the subspace route's own refusals read the same
     faults = np.full(len(ms), None)
-    points[rest], faults[rest] = found.values, [r and NoCanonicalFixedPoint(_NO_CANONICAL)
-                                                for r in found.refusals]
+    points[rest] = _stack_points(found.values, at_inf)
+    faults[rest] = [r and NoCanonicalFixedPoint(_NO_CANONICAL) for r in found.refusals]
     return out.finish(out.refuse(faults, points))
 
 

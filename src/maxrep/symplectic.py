@@ -243,6 +243,11 @@ def _point_stack(points, n: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return x, at_inf, np.maximum(1.0, np.max(np.abs(x), axis=(1, 2), initial=0.0))
 
 
+def _stack_points(x, at_inf) -> list:
+    """The BoundaryPoints of a _point_stack's values and infinity mask."""
+    return [INFINITY if inf else BoundaryPoint(y) for y, inf in zip(x, at_inf.tolist())]
+
+
 def _pair_spectra(stack, i, j, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of X_j - X_i, zero where a pair meets infinity, and
     transversality of each pair (i[k], j[k]) of a _point_stack.

@@ -6,6 +6,8 @@ boundary element by Newton's method from random seeds; ``stein_kron_solve``
 solves the Stein equation as one Kronecker linear system.  ``classify_one``,
 ``toledo_one`` and ``first_refusal_by_loop`` check pants parameters one
 matrix at a time, as the library did before it checked stacks.
+``chart_points_by_svd`` decides infinity for every frame by singular values,
+as the library did before it screened frames by their determinant.
 ``subspace_fixed_point_one`` and ``sampled_points_by_loop`` find attracting
 points one matrix and one word at a time, through scipy.linalg.schur, as the
 library did before it took stacks of words, over the words that
@@ -17,7 +19,8 @@ value and compute the Maslov index by moving the outer pair to (0, infinity)
 and taking the ``signature`` of the middle point, as the library did before
 it read both off the eigenvalues of differences.  ``cluster_by_loop``
 compares each point with every point kept before it, as the library did
-before it compared points inside a window of the trace order.
+before it compared points inside a window of the trace order and resolved
+the greedy rule in rounds.
 ``unrank3_by_comb`` names the r-th triple of combinations(range(d), 3) by
 counting the triples that start with each index, in Python integers.
 ``fingerprint_by_words`` forms the trace of each word of the pants
@@ -259,6 +262,20 @@ def subspace_fixed_point_one(g: SpMat, tol: Tolerance = DEFAULT_TOL):
     fixed = norm_inf(img) <= rel_bound(np.sqrt(tol.eq_tol), y)
     m = g.A - y @ g.C
     return pt, fixed, float(np.max(np.abs(np.linalg.eigvals(m))))
+
+
+def chart_points_by_svd(zs: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """(values, at_inf) of a stack of orthonormal (2n, n) frames [u1; u2]:
+    infinity where the singular values of u2 give sigma_min <= eq_tol *
+    max(1, sigma_max), every slice decided by its singular values, and the
+    value u1 u2^{-1} (symmetrised) elsewhere, zero at infinity."""
+    n = zs.shape[-1]
+    u1, u2 = zs[:, :n], zs[:, n:]
+    s = np.linalg.svd(u2, compute_uv=False)
+    at_inf = s[:, -1] <= tol.eq_tol * np.maximum(1.0, s[:, 0])
+    ys = sym_part(u1 @ np.linalg.inv(np.where(at_inf[:, None, None], np.eye(n), u2)))
+    ys[at_inf] = 0.0
+    return ys, at_inf
 
 
 def reduced_words_by_extension(letters: list[str], max_len: int):

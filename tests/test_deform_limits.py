@@ -719,6 +719,55 @@ class TestSamplerStatistics:
         assert kept == cluster_by_loop(pts, 1e-8) == [chain[k] for k in expected]
 
     @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_cluster_resolves_chains_of_any_order(self, n):
+        # each point of a chain is near the next and not the one after, so
+        # whether a point is kept hangs on the whole chain before it, and the
+        # rounds of the one-pass resolution run as deep as the chain is long:
+        # every order of chains up to length 5 and 20 orders each of chains of
+        # length 8 and 12, with infinity inserted once or twice
+        rng = np.random.default_rng(40 + n)
+        orders = [perm for length in range(1, 6) for perm in itertools.permutations(range(length))]
+        orders += [tuple(rng.permutation(length)) for length in (8, 12) for _ in range(20)]
+        for case, perm in enumerate(orders):
+            x = symmetric(rng, n)
+            step = 0.6e-8 * max(1.0, norm_inf(x)) * np.sign(symmetric(rng, n))
+            chain = [BoundaryPoint(x + k * step) for k in range(len(perm))]
+            pts = [chain[k] for k in perm]
+            for _ in range(1 + case % 2):
+                pts.insert(int(rng.integers(len(pts) + 1)), INFINITY)
+            kept = [pts[i] for i in _cluster(_point_stack(pts))]
+            oracle = cluster_by_loop(pts, 1e-8)
+            assert len(kept) == len(oracle), perm
+            assert all(a is b for a, b in zip(kept, oracle)), perm
+        # in chain order every other point is kept, each decided a round after the one before
+        pts = [BoundaryPoint(k * 0.6e-8 * np.ones((n, n))) for k in range(12)]
+        assert _cluster(_point_stack(pts)).tolist() == list(range(0, 12, 2))
+
+    def test_sampler_passes_arrays_not_points(self, monkeypatch):
+        # the sampled points go from the kernel to the statistics as one array
+        # stack: no list of points is turned back into arrays, and the
+        # distinct points are the very objects listed in points
+        import maxrep.limits as limits
+        import maxrep.maslov as maslov
+        import maxrep.normalform as normalform
+        import maxrep.pants as pants
+        import maxrep.symplectic as symplectic
+        calls = []
+
+        def counted(*args, real=symplectic._point_stack, **kwargs):
+            calls.append(len(args[0]))
+            return real(*args, **kwargs)
+        for module in (symplectic, normalform, maslov, pants, limits):
+            if hasattr(module, "_point_stack"):
+                monkeypatch.setattr(module, "_point_stack", counted)
+        rep = pants_surface_rep(random_pants_params(2, np.random.default_rng(111), tame=True))
+        sample = limit_set_sample(rep, max_word_length=4, seed=1)
+        assert calls == []
+        assert type(sample.skipped_words) is int and sample.skipped_words == 6
+        listed = {id(pt) for _, pt in sample.points}
+        assert all(id(pt) in listed for pt in sample.distinct_points)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_enumeration(self, rng, n):
         rep = pants_surface_rep(random_pants_params(n, rng, tame=True))
         for seed in (0, 7):

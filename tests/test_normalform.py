@@ -9,6 +9,7 @@ from maxrep.errors import (
     NotSHyperbolic,
 )
 from maxrep.gluing import pants_surface_rep
+from maxrep.limits import limit_set_sample
 from maxrep.matcore import DEFAULT_TOL, Tolerance, norm_inf
 from maxrep.normalform import (
     _ATTRACT_MARGIN,
@@ -40,6 +41,7 @@ from maxrep.symplectic import (
 from tests_support import (
     assert_slices_match,
     outcomes,
+    point_outcomes,
     assert_points_close,
     random_contracting,
     random_orthogonal,
@@ -47,12 +49,14 @@ from tests_support import (
     random_spd,
     random_symplectic,
 )
-from oracles import fixed_point_probe, subspace_fixed_point_one
+from oracles import chart_points_by_svd, fixed_point_probe, subspace_fixed_point_one
 
 
 def attracting_points(stack):
-    """attracting_point of each slice of a stack, as one kernel call."""
-    return _attracting(*_subspace_fixed_points(stack, DEFAULT_TOL)[:3], DEFAULT_TOL)
+    """attracting_point of each slice of a stack, as one kernel call: its
+    point or its refusal."""
+    found, at_inf, fixed, rho, _ = _subspace_fixed_points(stack, DEFAULT_TOL)
+    return point_outcomes(_attracting(found, fixed, rho, DEFAULT_TOL), at_inf)
 
 
 def rotation(theta: float) -> np.ndarray:
@@ -326,8 +330,8 @@ class TestElementCanonicalPoints:
                     h @ diag_symplectic(np.diag([2.0, 1 + 1e-7, 0.5])) @ h.inv(),
                     diag_symplectic(np.diag([2.0, 1.0, 0.5]))]
         stack = np.array([g.m for g in elements])
-        found, fixed, rho, _ = _subspace_fixed_points(stack, DEFAULT_TOL)
-        points, attracting = outcomes(found), outcomes(attracting_points(stack))
+        found, at_inf, fixed, rho, _ = _subspace_fixed_points(stack, DEFAULT_TOL)
+        points, attracting = point_outcomes(found, at_inf), attracting_points(stack)
         refused = []
         for i, m in enumerate(stack):
             try:
@@ -406,7 +410,7 @@ class TestElementCanonicalPoints:
         rng = np.random.default_rng(5)
         rep = pants_surface_rep(random_pants_params(2, rng, tame=True))
         stack = np.array([rep.c_imgs[0].m, bad.m, rep.c_imgs[1].m])
-        expected = outcomes(attracting_points(stack))
+        expected = attracting_points(stack)
         eig, schur, calls = np.linalg.eig, normalform._real_schur, []
 
         def failing(m):
@@ -421,7 +425,7 @@ class TestElementCanonicalPoints:
         monkeypatch.setattr(normalform, "_real_schur", counted)
         # the expanding subspace of diag(A, A^-T), A contracting, is the vertical factor
         assert np.max(np.abs(attracting_point(bad).value)) <= 1e-15
-        points = outcomes(attracting_points(stack))
+        points = attracting_points(stack)
         assert calls == [(4, 4)] * 4
         for p, q in zip(points, expected):
             assert_points_close(p, q, 1e-13)
@@ -437,10 +441,10 @@ class TestElementCanonicalPoints:
         a[0, 1] = off
         elements = [h @ diag_symplectic(a) @ h.inv()
                     for h in (random_symplectic(n, rng) for _ in range(6))]
-        points, fixed, rho, _ = _subspace_fixed_points(np.array([g.m for g in elements]),
-                                                       DEFAULT_TOL)
-        assert points.live == list(range(len(elements)))
-        for g, p, ok, r in zip(elements, points.values, fixed, rho):
+        found, at_inf, fixed, rho, _ = _subspace_fixed_points(np.array([g.m for g in elements]),
+                                                              DEFAULT_TOL)
+        assert found.live == list(range(len(elements)))
+        for g, p, ok, r in zip(elements, point_outcomes(found, at_inf), fixed, rho):
             pt, ok_one, r_one = subspace_fixed_point_one(g)
             assert_points_close(p, pt)
             assert ok == ok_one
@@ -466,9 +470,62 @@ class TestElementCanonicalPoints:
         def fixed(y, tol):
             # the candidate's subspace, the graph of y, as the given basis
             z = np.array([[[y], [1.0]]]) / np.hypot(y, 1.0)
-            return _subspace_fixed_points(g.m[None], tol, z, np.array([True]))[1][0]
+            return _subspace_fixed_points(g.m[None], tol, z, np.array([True]))[2][0]
 
         assert not fixed(1e-3, DEFAULT_TOL)
         assert fixed(1e-3, Tolerance(eq_tol=1e-4))
         # the true fixed point passes under either band
         assert fixed(0.0, DEFAULT_TOL)
+
+
+class TestInfinityScreen:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("eq_tol", [1e-6, 1e-9, 1e-12])
+    def test_determinant_screen_matches_svd_oracle(self, n, eq_tol, monkeypatch):
+        # Lagrangian frames [U C V^T; U S V^T], C^2 + S^2 = I, whose u2 has
+        # sigma_min = f * eq_tol around the infinity band and the screen's
+        # cut |det u2| = 2 eq_tol, the other singular values 1 or in (0.3, 1)
+        rng = np.random.default_rng([n, round(-np.log10(eq_tol))])
+        zs = []
+        for f in (0.5, 1.0, 1.5, 2.0, 3.0):
+            for rest in (np.ones(n - 1), rng.uniform(0.3, 1.0, n - 1)):
+                sv = np.r_[f * eq_tol, rest]
+                u, v = random_orthogonal(n, rng), random_orthogonal(n, rng)
+                zs.append(np.vstack([u * np.sqrt(1.0 - sv ** 2) @ v.T, u * sv @ v.T]))
+        zs = np.array(zs)
+        tol, rows = Tolerance(eq_tol=eq_tol), []
+
+        def svd(a, *args, real_svd=np.linalg.svd, **kwargs):
+            rows.append(len(a))
+            return real_svd(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        ms = np.broadcast_to(np.eye(2 * n), (len(zs), 2 * n, 2 * n))
+        found, at_inf, *_ = _subspace_fixed_points(ms, tol, zs.copy(), np.ones(len(zs), dtype=bool))
+        screened = sum(rows)
+        values, expected = chart_points_by_svd(zs, tol)
+        assert at_inf.tolist() == expected.tolist()
+        np.testing.assert_array_equal(found.values, values)
+        assert expected[:2].all() and not expected[4:].any()   # f = 1 sits on the band's edge
+        # sigma_min = 3 eq_tol with the other singular values 1 passes the screen
+        assert screened < len(zs)
+
+    def test_sample_takes_singular_values_only_at_infinity(self, monkeypatch):
+        # a pants in standard position has words whose points are at infinity;
+        # only such frames fail the determinant screen, so the singular values
+        # are taken of no frame whose point is finite
+        rng = np.random.default_rng(111)
+        reps = [pants_surface_rep(random_pants_params(n, rng, tame=True)) for n in (1, 2, 3)]
+        rows, finite = [], []
+
+        def svd(a, *args, real_svd=np.linalg.svd, **kwargs):
+            s = real_svd(a, *args, **kwargs)
+            rows.append(len(a))
+            finite.append(int(np.count_nonzero(s[:, -1] > DEFAULT_TOL.eq_tol * np.maximum(1.0, s[:, 0]))))
+            return s
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        for rep in reps:
+            sample = limit_set_sample(rep, max_word_length=4, seed=1)
+            at_inf = sum(pt.is_infinity for _, pt in sample.points)
+            assert 0 < at_inf <= sum(rows)
+            assert finite and not any(finite)
+            rows.clear()

@@ -69,6 +69,13 @@ def outcomes(slices) -> list:
     return [r if r is not None else slices.values[i] for i, r in enumerate(slices.refusals)]
 
 
+def point_outcomes(slices, at_inf) -> list:
+    """outcomes of a kernel whose values are chart values, zero where at_inf
+    (_subspace_fixed_points), each value read as a BoundaryPoint."""
+    return [r if r is not None else INFINITY if inf else BoundaryPoint(y)
+            for r, y, inf in zip(slices.refusals, slices.values, np.asarray(at_inf).tolist())]
+
+
 def _raw(x) -> bytes:
     """The bytes of a matrix, SpMat, PantsRep or boundary point; the repr of
     anything else."""
