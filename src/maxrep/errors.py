@@ -176,8 +176,11 @@ class Slices:
         k = len(self.refusals)
         if len(self.live) < k:
             full = np.zeros((k,) + values.shape[1:], values.dtype) if hasattr(values, "shape") else [None] * k
-            for j, i in enumerate(self.live):
-                full[i] = values[j]
+            if isinstance(full, list):
+                for j, i in enumerate(self.live):
+                    full[i] = values[j]
+            else:
+                full[self.live] = values
             values = full
         self.values = values
         return self

@@ -58,6 +58,51 @@ class TestGate:
         assert type(gate("s", 1e10, 1.0, NotValid, "{}", (huge, huge))) is IllConditioned
 
 
+class TestSlicesFinish:
+    """finish spreads the live slices' values over the whole stack: an array
+    stack with zeros at refused slices, a list stack with None there."""
+
+    @staticmethod
+    def _refused(k, refused):
+        out = Slices(k)
+        out.refuse([NotValid(f"slice {i}") if i in refused else None for i in range(k)])
+        return out
+
+    @pytest.mark.parametrize("dtype", [float, bool, np.intp, np.longdouble])
+    @pytest.mark.parametrize("refused", [{0}, {3}, {6}, {0, 3, 6}])
+    def test_array_stack_matches_per_slice(self, dtype, refused):
+        k = 7
+        out = self._refused(k, refused)
+        values = np.random.default_rng(k).standard_normal((len(out.live), 2, 3)).astype(dtype)
+        want = np.zeros((k, 2, 3), dtype)
+        for j, i in enumerate(out.live):
+            want[i] = values[j]
+        out.finish(values)
+        assert (out.values.dtype, out.values.shape) == (want.dtype, want.shape)
+        assert np.array_equal(out.values, want)
+        for i in range(k):
+            if i in refused:
+                with pytest.raises(NotValid, match=f"slice {i}"):
+                    out[i]
+            else:
+                assert np.array_equal(out[i], values[out.live.index(i)])
+
+    def test_list_stack(self):
+        out = self._refused(5, {0, 2, 4})
+        values = ["b", "d"]
+        assert out.finish(values).values == [None, "b", None, "d", None]
+
+    def test_every_slice_refused(self):
+        out = self._refused(3, {0, 1, 2})
+        out.finish(np.zeros((0, 2), np.intp))
+        assert (out.values.dtype, out.values.shape) == (np.intp, (3, 2)) and not out.values.any()
+        assert self._refused(3, {0, 1, 2}).finish([]).values == [None] * 3
+
+    def test_nothing_refused_keeps_the_stack(self):
+        values = np.arange(6.0).reshape(3, 2)
+        assert Slices(3).finish(values).values is values
+
+
 def _nan_first(monkeypatch, module, stage):
     """Make gate see a NaN as the first measured value of stage, in module."""
     real = module.gate

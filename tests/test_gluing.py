@@ -58,6 +58,7 @@ from tests_support import (
     chain_graph,
     derive_third_length,
     glued_by_two_builds,
+    ld_matmul_chain,
     patch_nan_twist,
     random_contracting,
     random_handle_data,
@@ -852,6 +853,41 @@ def _unitary_symplectic(n, rng):
     """[[Re U, -Im U], [Im U, Re U]] for a random unitary U: orthogonal and symplectic."""
     u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     return np.block([[u.real, -u.imag], [u.imag, u.real]])
+
+
+class TestLdProduct:
+    """The extended-precision kernel behind every gluing product is the
+    sequential np.longdouble `@` chain, byte for byte."""
+
+    @staticmethod
+    def _factor(size, rng):
+        # entries over +-6 decades
+        return rng.standard_normal((size, size)) * 10.0 ** rng.uniform(-6, 6, (size, size))
+
+    @pytest.mark.parametrize("size", [2, 4, 6, 24, 48, 128])
+    def test_matches_the_matmul_chain(self, size):
+        rng = np.random.default_rng(size)
+        for count in range(2, 7):
+            mats = [SpMat(self._factor(size, rng)) for _ in range(count)]
+            before = [m.m.tobytes() for m in mats]
+            got = maxrep.gluing._ld_product(*mats)
+            assert got.m.tobytes() == ld_matmul_chain(*mats).tobytes(), count
+            assert got.m.dtype == np.float64 and got.m.flags.c_contiguous
+            assert [m.m.tobytes() for m in mats] == before
+
+    @pytest.mark.parametrize("size", [4, 24])
+    def test_views_and_inverses(self, size):
+        rng = np.random.default_rng(size + 1)
+        big = self._factor(2 * size, rng)
+        x, y = self._factor(size, rng), self._factor(size, rng)
+        views = [SpMat(x.T), SpMat(big[1::2, ::2]), sp_inverse(SpMat(y)), SpMat(big[:size, size:])]
+        assert not any(v.m.flags.c_contiguous for v in views[:2])
+        for mats in (views, views[::-1], [SpMat(y)] + views, views[1:] + [SpMat(x)]):
+            before = [m.m.tobytes() for m in mats]
+            got = maxrep.gluing._ld_product(*mats)
+            assert got.m.tobytes() == ld_matmul_chain(*mats).tobytes()
+            assert got.m.dtype == np.float64 and got.m.flags.c_contiguous
+            assert [m.m.tobytes() for m in mats] == before
 
 
 class TestPolarSplit:

@@ -2,7 +2,8 @@
 
 Random parameters, symplectic elements and boundary points, and random chain
 graphs; ``glued_by_two_builds``, the reference join of two surfaces that the
-one build of their union graph is compared with.  Everything takes an
+one build of their union graph is compared with; ``ld_matmul_chain``, the
+reference extended-precision product that the gluing kernel is compared with.  Everything takes an
 explicit ``numpy.random.Generator``; nothing here touches global random
 state.  The "tame" generators rejection-sample
 moderate spectral radii and condition numbers so that glued conjugations stay
@@ -101,6 +102,15 @@ def assert_slices_match(slices, one_slice, cases):
             continue
         assert not isinstance(got[i], MaxRepError), (i, got[i])
         assert _raw(got[i]) == _raw(want), i
+
+
+def ld_matmul_chain(*mats) -> np.ndarray:
+    """The reference extended-precision product of SpMat factors: a
+    sequential np.longdouble `@` chain, rounded to float64."""
+    acc = mats[0].m.astype(np.longdouble)
+    for m in mats[1:]:
+        acc = acc @ m.m.astype(np.longdouble)
+    return acc.astype(np.float64)
 
 
 def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
