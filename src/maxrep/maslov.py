@@ -14,18 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearSingular, NotMaximal, NotTransverse
-from .matcore import DEFAULT_TOL, Tolerance
+from .matcore import DEFAULT_TOL, Tolerance, sym_part
 from .symplectic import (
     BoundaryPoint,
     SpMat,
+    _frames,
     _pair_spectra,
+    _pairing,
     _point_stack,
+    _sp_inv,
     diag_symplectic,
-    moebius_act,
-    shear_symplectic,
-    swap_symplectic,
-    translation_symplectic,
-    transverse,
 )
 
 __all__ = [
@@ -84,27 +82,22 @@ class Triple:
         return (self.p1, self.p2, self.p3)
 
 
+def _pair_normalizer(f1: np.ndarray, f3: np.ndarray) -> np.ndarray:
+    """The inverse of [F3 w(F3, F1)^{-1} | F1], taking the points of frames F1, F3 to 0, inf."""
+    return _sp_inv(np.concatenate((f3 @ np.linalg.inv(_pairing(f3, f1)), f1), axis=-1))
+
+
 def normalize_pair(p1: BoundaryPoint, p3: BoundaryPoint,
                    tol: Tolerance = DEFAULT_TOL) -> SpMat:
-    """A symplectic g with g.p1 = 0 and g.p3 = infinity.
-
-    Built from at most three elementary moves: a swap if p1 is infinite, a
-    translation taking p1 to 0, and a shear X -> X(WX+I)^{-1} killing the
-    image of p3.
-    """
-    if not transverse(p1, p3, tol):
-        raise NotTransverse("cannot normalize a non-transverse pair")
-    if p1.is_infinity:
-        n = p3.value.shape[0]
-        g = swap_symplectic(n)
-    else:
-        n = p1.value.shape[0]
-        g = translation_symplectic(-p1.value, tol)
-    q3 = moebius_act(g, p3, tol)
-    if not q3.is_infinity:
-        # q3 is invertible because it is transverse to 0
-        g = shear_symplectic(-np.linalg.inv(q3.value), tol) @ g
-    return g
+    """A symplectic g with g.p1 = 0 and g.p3 = infinity, read off the graph
+    frames of the points; a pair that is not transverse raises NotTransverse
+    with the fields of maslov's refusal."""
+    stack = _point_stack((p1, p3))
+    (eigs,), (ok,) = _pair_spectra(stack, [0], [1], tol)
+    if not ok:
+        raise NotTransverse("cannot normalize a non-transverse pair", "pair transversality",
+                            float(min(np.abs(eigs), default=0.0)), tol.eq_tol * float(stack[2].max()))
+    return SpMat(_pair_normalizer(*_frames(*stack[:2])))
 
 
 def maslov(t: Triple, tol: Tolerance = DEFAULT_TOL) -> int:
@@ -122,21 +115,27 @@ def maslov(t: Triple, tol: Tolerance = DEFAULT_TOL) -> int:
 def normalize_maximal_triple(t: Triple, tol: Tolerance = DEFAULT_TOL) -> SpMat:
     """An h taking a maximal triple to the standard triple (0, e, inf).
 
-    Another index than n (maslov at tol) raises NotMaximal.  After normalizing
-    the outer pair, the middle point is positive definite (NearSingular if in
-    the zero band); diag(M^{-1}, M^T) with its Cholesky factor M finishes.
+    Another index than n (maslov at tol) raises NotMaximal.  normalize_pair's g
+    takes the middle point to Q = -w12 w32^{-1} w31, w_ij the pairing of graph
+    frames: (X2 - X1)(X3 - X2)^{-1}(X3 - X1) for finite points.  Q is positive
+    definite (NearSingular in the zero band); diag(M^{-1}, M^T), M its Cholesky factor, finishes.
     """
-    index = maslov(t, tol)
-    n = next(p.value.shape[0] for p in t.points() if not p.is_infinity)
+    return _normalize_triple(_point_stack(t.points()), tol)
+
+
+def _normalize_triple(stack, tol: Tolerance) -> SpMat:
+    """normalize_maximal_triple on a _point_stack of three points."""
+    (index,), (refusal,) = _triple_indices(stack, (0, 1, 2), tol)
+    if refusal is not None:
+        raise refusal
+    n = stack[0].shape[-1]
     if index != n:
-        raise NotMaximal(f"triple has index {index}, expected {n}")
-    g = normalize_pair(t.p1, t.p3, tol)
-    q2 = moebius_act(g, t.p2, tol)
-    if q2.is_infinity:
-        raise NotTransverse("middle point maps to infinity under normalization")
-    eigs = np.linalg.eigvalsh(q2.value)
+        raise NotMaximal(f"triple has index {index}, expected {n}", "maslov index", index, n)
+    f1, f2, f3 = _frames(*stack[:2])
+    q = sym_part(-_pairing(f1, f2) @ np.linalg.solve(_pairing(f3, f2), _pairing(f3, f1)))
+    eigs = np.linalg.eigvalsh(q)
     bound = tol.eq_tol * float(np.abs(eigs).max())
     if not eigs[0] > bound:
         raise NearSingular("normalized middle point has an eigenvalue in the zero band",
                            "middle point spectrum", float(eigs[0]), bound)
-    return diag_symplectic(np.linalg.inv(np.linalg.cholesky(q2.value))) @ g
+    return diag_symplectic(np.linalg.inv(np.linalg.cholesky(q))) @ SpMat(_pair_normalizer(f1, f3))

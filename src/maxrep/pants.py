@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import IllConditioned, NearSingular, NotMaximal, NotValid, Slices, gate
-from .maslov import Triple, _triple_indices, indefinite_identity, normalize_maximal_triple
+from .maslov import Triple, _normalize_triple, _triple_indices, indefinite_identity
 from .matcore import (
     DEFAULT_TOL,
     Tolerance,
@@ -181,8 +181,8 @@ def _check_stack(xs: np.ndarray, tol: Tolerance) -> tuple[Slices, Slices]:
     sigs.refuse(classes.refusals)
     sigs.finish(sigs.refuse([
         None if not bad else _singular(sv[j, 1], tol, "X2") if singular[j, 1]
-        else sym[j] or NearSingular(f"eigenvalue inside zero band (band {tol.eq_tol * moduli[j].max():.3e}, "
-                                    f"closest {moduli[j].min():.3e})")
+        else sym[j] or NearSingular("product eigenvalue inside zero band", "product spectrum",
+                                    float(moduli[j].min()), tol.eq_tol * float(moduli[j].max()))
         for j, bad in enumerate((singular[:, 1] | asym | near).tolist())],
         np.sign(eigs).sum(axis=-1).astype(int).tolist()))
     radius = np.abs(np.linalg.eigvals(xs)).max(axis=(-2, -1))
@@ -295,19 +295,19 @@ def recover_params(rep: PantsRep,
     normalizing it to (0, e, inf) puts the generators in the standard block
     shape, from which X1 sits in the upper-left of c1, X3 in the lower-right
     of c3, and X2 = B - D read off c2.  Returns the parameters together with
-    the normalizing conjugator h.
+    the normalizing conjugator h.  Parameters that fail membership raise
+    NotMaximal with the stage and values of the gate that failed.
     """
     points = _canonical_points(np.array([c.m for c in rep.generators()]), tol)
-    h = normalize_maximal_triple(Triple(*(points[i] for i in range(3))), tol)
+    h = _normalize_triple(_point_stack([points[i] for i in range(3)]), tol)
     hinv = sp_inverse(h)
     c1, c2, c3 = ((h @ c @ hinv) for c in rep.generators())
-    x1 = c1.A.copy()
-    x3 = c3.D.copy()
-    x2 = c2.B - c2.D
-    params = PantsParams(x1, x2, x3)
-    if classify_params(params, tol) is ParamClass.NOT_VALID:
-        raise NotMaximal("recovered parameters fail membership; "
-                         "input was not a maximal representation in standard shape")
+    params = PantsParams(c1.A.copy(), c2.B - c2.D, c3.D.copy())
+    classes, sigs = _check_stack(np.array(params.matrices())[None], tol)
+    if classes[0] is ParamClass.NOT_VALID:
+        f = sigs.refusals[0]
+        fields = (f.stage, f.measured, f.bound) if f else ("product signature", sigs.values[0], params.n)
+        raise NotMaximal(f"recovered parameters fail membership ({fields[0]})", *fields)
     return params, h
 
 

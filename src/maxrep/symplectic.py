@@ -201,32 +201,23 @@ def cycle_symplectic(n: int) -> SpMat:
 
 
 def moebius_act(g: SpMat, p: BoundaryPoint, tol: Tolerance = DEFAULT_TOL) -> BoundaryPoint:
-    """Apply the boundary action of g to p.
-
-    Finite p maps to (AX + B)(CX + D)^{-1} when CX + D is safely invertible
-    and to infinity when its smallest singular value falls inside the
-    infinity band; the gray zone in between raises IllConditioned, stage
-    "action denominator" with sigma_min against the zone's upper edge, so
-    the caller can refine tolerances instead of trusting a branch choice.
-    """
+    """Apply the boundary action of g to p: (AX + B)(CX + D)^{-1}, read off g.F for
+    the graph frame F = [X; I] of p ([I; 0] at infinity), or infinity when
+    sigma_min(CX + D) falls inside the infinity band.  For finite p the gray
+    zone above that band raises IllConditioned, stage "action denominator"
+    with sigma_min against the zone's upper edge, so the caller can refine
+    tolerances instead of trusting a branch choice."""
     n = g.n
-    if p.is_infinity:
-        c = g.C
-        smin = np.linalg.svd(c, compute_uv=False)[-1] if n else 0.0
-        if smin <= rel_bound(tol.eq_tol, c):
-            return INFINITY  # stabilizer branch
-        z = g.A @ np.linalg.inv(c)
-    else:
-        x = p.value
-        denom = g.C @ x + g.D
-        scale = rel_bound(tol.eq_tol, denom, g.C @ x, g.D)
-        smin = np.linalg.svd(denom, compute_uv=False)[-1]
-        if smin <= scale:
-            return INFINITY
-        if smin <= _ILL_BAND_FACTOR * scale:
-            raise IllConditioned(f"CX + D has sigma_min {smin:.3e} in the ambiguous band",
-                                 "action denominator", float(smin), _ILL_BAND_FACTOR * scale)
-        z = (g.A @ x + g.B) @ np.linalg.inv(denom)
+    f = _frames(*_point_stack((p,), n)[:2])[0]
+    num, denom = (g.m @ f).reshape(2, n, n)
+    scale = rel_bound(tol.eq_tol, denom, g.C @ f[:n], g.D @ f[n:])
+    smin = np.linalg.svd(denom, compute_uv=False)[-1] if n else 0.0
+    if smin <= scale:
+        return INFINITY
+    if not p.is_infinity and smin <= _ILL_BAND_FACTOR * scale:
+        raise IllConditioned(f"CX + D has sigma_min {smin:.3e} in the ambiguous band",
+                             "action denominator", float(smin), _ILL_BAND_FACTOR * scale)
+    z = num @ np.linalg.inv(denom)
     if fault := gate("action result asymmetry", norm_inf(z - z.T), rel_bound(tol.eq_tol, z), IllConditioned,
                      "action result asymmetric beyond tolerance (defect {:.3e})"):
         raise fault
@@ -246,6 +237,18 @@ def _point_stack(points, n: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray
 def _stack_points(x, at_inf) -> list:
     """The BoundaryPoints of a _point_stack's values and infinity mask."""
     return [INFINITY if inf else BoundaryPoint(y) for y, inf in zip(x, at_inf.tolist())]
+
+
+def _frames(x, at_inf) -> np.ndarray:
+    """Graph frames [X; I] of a _point_stack's points, [I; 0] at infinity."""
+    eye, inf = np.eye(x.shape[-1]), at_inf[:, None, None]
+    return np.concatenate((np.where(inf, eye, x), np.where(inf, 0.0, eye)), axis=-2)
+
+
+def _pairing(f, g) -> np.ndarray:
+    """w(F, G) = F^T J G of graph frames, J = [[0, I], [-I, 0]]: X_F - X_G, or -I or I at infinity."""
+    n = f.shape[-1]
+    return f[..., :n, :].swapaxes(-1, -2) @ g[..., n:, :] - f[..., n:, :].swapaxes(-1, -2) @ g[..., :n, :]
 
 
 def _pair_spectra(stack, i, j, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
@@ -273,8 +276,5 @@ def transverse(p: BoundaryPoint, q: BoundaryPoint, tol: Tolerance = DEFAULT_TOL)
 
 def point_distance(p: BoundaryPoint, q: BoundaryPoint) -> float:
     """Entrywise distance; +inf between a finite point and infinity."""
-    if p.is_infinity and q.is_infinity:
-        return 0.0
-    if p.is_infinity or q.is_infinity:
-        return np.inf
-    return norm_inf(p.value - q.value)
+    x, at_inf, _ = _point_stack((p, q))
+    return np.inf if at_inf[0] != at_inf[1] else norm_inf(x[0] - x[1])

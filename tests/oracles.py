@@ -17,7 +17,10 @@ measures how far a word moves its point.  ``transverse_by_svd`` and
 ``maslov_by_normalization`` decide transversality by the smallest singular
 value and compute the Maslov index by moving the outer pair to (0, infinity)
 and taking the ``signature`` of the middle point, as the library did before
-it read both off the eigenvalues of differences.  ``cluster_by_loop``
+it read both off the eigenvalues of differences.  ``normalize_pair_by_moves``
+and ``normalize_triple_by_moves`` move a pair to (0, infinity) and a maximal
+triple to (0, e, infinity) by a swap, a translation and a shear, as the
+library did before it read both off the pairings of graph frames.  ``cluster_by_loop``
 compares each point with every point kept before it, as the library did
 before it compared points inside a window of the trace order and resolved
 the greedy rule in rounds.
@@ -45,7 +48,6 @@ from maxrep.errors import (
     NotTransverse,
     NotValid,
 )
-from maxrep.maslov import normalize_pair
 from maxrep.matcore import (
     DEFAULT_TOL,
     Tolerance,
@@ -63,10 +65,14 @@ from maxrep.symplectic import (
     INFINITY,
     BoundaryPoint,
     SpMat,
+    diag_symplectic,
     moebius_act,
     point_distance,
+    shear_symplectic,
     sp_inverse,
     swap_symplectic,
+    translation_symplectic,
+    transverse,
 )
 from tests_support import spectral_radius
 
@@ -340,16 +346,47 @@ def transverse_by_svd(p: BoundaryPoint, q: BoundaryPoint, tol: Tolerance = DEFAU
     return smin > rel_bound(tol.eq_tol, p.value, q.value)
 
 
+def normalize_pair_by_moves(p1: BoundaryPoint, p3: BoundaryPoint,
+                            tol: Tolerance = DEFAULT_TOL) -> SpMat:
+    """A symplectic g with g.p1 = 0 and g.p3 = infinity, from at most three
+    elementary moves: a swap if p1 is infinite, a translation taking p1 to 0,
+    and a shear X -> X(WX+I)^{-1} killing the image of p3."""
+    if not transverse(p1, p3, tol):
+        raise NotTransverse("cannot normalize a non-transverse pair")
+    if p1.is_infinity:
+        g = swap_symplectic(p3.value.shape[0])
+    else:
+        g = translation_symplectic(-p1.value, tol)
+    q3 = moebius_act(g, p3, tol)
+    if not q3.is_infinity:
+        # q3 is invertible because it is transverse to 0
+        g = shear_symplectic(-np.linalg.inv(q3.value), tol) @ g
+    return g
+
+
+def normalize_triple_by_moves(p1: BoundaryPoint, p2: BoundaryPoint, p3: BoundaryPoint,
+                              tol: Tolerance = DEFAULT_TOL) -> SpMat:
+    """An h taking a maximal triple to (0, e, infinity): normalize_pair_by_moves
+    on the outer pair, then diag(M^{-1}, M^T) with M the Cholesky factor of
+    the image of the middle point, which must be finite."""
+    g = normalize_pair_by_moves(p1, p3, tol)
+    q2 = moebius_act(g, p2, tol)
+    if q2.is_infinity:
+        raise NotTransverse("middle point maps to infinity under normalization")
+    return diag_symplectic(np.linalg.inv(np.linalg.cholesky(q2.value))) @ g
+
+
 def maslov_by_normalization(p1: BoundaryPoint, p2: BoundaryPoint, p3: BoundaryPoint,
                             tol: Tolerance = DEFAULT_TOL) -> int:
     """The Maslov index of (p1, p2, p3): after checking the pairs (1, 2),
-    (1, 3), (2, 3) by transverse_by_svd, a symplectic g from normalize_pair
-    takes (p1, p3) to (0, infinity), and the index is the signature of g.p2."""
+    (1, 3), (2, 3) by transverse_by_svd, a symplectic g from
+    normalize_pair_by_moves takes (p1, p3) to (0, infinity), and the index is
+    the signature of g.p2."""
     pts = (p1, p2, p3)
     for a, b in ((0, 1), (0, 2), (1, 2)):
         if not transverse_by_svd(pts[a], pts[b], tol):
             raise NotTransverse(f"points {a + 1} and {b + 1} are not transverse")
-    g = normalize_pair(p1, p3, tol)
+    g = normalize_pair_by_moves(p1, p3, tol)
     q2 = moebius_act(g, p2, tol)
     if q2.is_infinity:
         raise NotTransverse("middle point maps to infinity under normalization")

@@ -20,12 +20,17 @@ from maxrep.symplectic import (
     point_distance,
     zero_point,
 )
-from tests_support import random_symplectic, random_transverse_points
-from oracles import cayley, maslov_by_normalization
+from tests_support import random_boundary_point, random_spd, random_symplectic, random_transverse_points
+from oracles import cayley, maslov_by_normalization, normalize_pair_by_moves, normalize_triple_by_moves
 
 
 def scalar_point(x: float):
     return finite_point(np.array([[x]]))
+
+
+def assert_close(a, b, rel: float):
+    """Entrywise within rel * max(1, |b|)."""
+    assert np.abs(a - b).max() <= rel * max(1.0, np.abs(b).max())
 
 
 class TestNormalizePair:
@@ -53,8 +58,22 @@ class TestNormalizePair:
         assert moebius_act(g, pts[0]).is_infinity
 
     def test_rejects_non_transverse(self):
-        with pytest.raises(NotTransverse):
-            normalize_pair(INFINITY, INFINITY)
+        # the fields of maslov's pair check: two infinities measure 0, and the
+        # bound scales with the larger point
+        x, y = finite_point(np.diag([4.0, 2.0])), finite_point(np.diag([4.0, 3.0]))
+        for p1, p3, bound in ((INFINITY, INFINITY, DEFAULT_TOL.eq_tol), (x, y, 4 * DEFAULT_TOL.eq_tol)):
+            with pytest.raises(NotTransverse, match="cannot normalize a non-transverse pair") as info:
+                normalize_pair(p1, p3)
+            e = info.value
+            assert (e.stage, e.measured, e.bound) == ("pair transversality", 0.0, bound)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_elementary_moves(self, rng, n):
+        # infinity first, last or absent
+        for trial in range(30):
+            p1, p3 = random_transverse_points(n, rng, 2, p_infinity=0.0)
+            p1, p3 = ((INFINITY, p3), (p1, INFINITY), (p1, p3))[trial % 3]
+            assert_close(normalize_pair(p1, p3).m, normalize_pair_by_moves(p1, p3).m, 1e-12)
 
 
 class TestMaslovValues:
@@ -224,8 +243,24 @@ class TestMaximality:
             assert moebius_act(h, triple.p3).is_infinity
 
     def test_rejects_non_maximal(self):
-        with pytest.raises(NotMaximal):
+        with pytest.raises(NotMaximal, match="triple has index -2, expected 2") as info:
             normalize_maximal_triple(Triple(zero_point(2), finite_point(-np.eye(2)), INFINITY))
+        e = info.value
+        assert (e.stage, e.measured, e.bound) == ("maslov index", -2, 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_elementary_moves(self, rng, n):
+        # maximal triples with infinity first, in the middle, last or absent:
+        # (inf, X, X + P), (X + P, inf, X), (X, X + P, inf) for P positive
+        # definite, and a symplectic image of (0, e, inf)
+        for trial in range(40):
+            x = random_boundary_point(n, rng, p_infinity=0.0)
+            y = finite_point(x.value + random_spd(n, rng, (0.2, 5.0)))
+            g = random_symplectic(n, rng)
+            pts = ([INFINITY, x, y], [y, INFINITY, x], [x, y, INFINITY],
+                   [moebius_act(g, p) for p in (zero_point(n), identity_point(n), INFINITY)])[trial % 4]
+            h = normalize_maximal_triple(Triple(*pts))
+            assert_close(h.m, normalize_triple_by_moves(*pts).m, 1e-12)
 
     def test_rejects_middle_point_in_zero_band(self):
         # index 2 with every pair transverse, but the normalized middle point

@@ -15,8 +15,9 @@ from maxrep.errors import (
     NotValid,
     Singular,
 )
-from maxrep.maslov import Triple, indefinite_identity, maslov
+from maxrep.maslov import Triple, indefinite_identity, maslov, normalize_maximal_triple
 from maxrep.matcore import DEFAULT_TOL, Tolerance, norm_inf
+from maxrep.normalform import canonical_point_of_element
 from maxrep.pants import (
     GeneralPantsParams,
     PantsParams,
@@ -56,8 +57,9 @@ from tests_support import (
     random_pants_params,
     random_spd,
     random_symplectic,
+    spectral_radius,
 )
-from oracles import classify_one, fingerprint_by_words, toledo_one
+from oracles import classify_one, fingerprint_by_words, normalize_triple_by_moves, toledo_one
 
 
 def scalar_params(x1, x2, x3):
@@ -440,8 +442,38 @@ class TestRecover:
         for i in range(n):
             p = random_pants_params(n, rng, tame=True)
             rep = build_general(GeneralPantsParams(i, *p.matrices()))
-            with pytest.raises(NotMaximal, match=f"triple has index {2 * i - n}, expected {n}"):
+            with pytest.raises(NotMaximal, match=f"triple has index {2 * i - n}, expected {n}") as info:
                 recover_params(rep)
+            e = info.value
+            assert (e.stage, e.measured, e.bound) == ("maslov index", 2 * i - n, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_indefinite_product_refused_with_its_signature(self, rng, n):
+        # build_general with i = n: the canonical triple (0, e, inf) is maximal,
+        # but a product of signature 2k - n < n fails the membership check
+        for k in range(n):
+            for _ in range(4):
+                p = random_pants_params(n, rng, tame=True)
+                q = random_orthogonal(n, rng)
+                s = q @ (indefinite_identity(n, k) * rng.uniform(0.8, 1.25, n)) @ q.T
+                x3 = s @ np.linalg.inv(p.X1) @ p.X2.T
+                mu = min(1.0, 0.85 / spectral_radius(x3))   # contracting lengths
+                rep = build_general(GeneralPantsParams(n, p.X1, mu * p.X2, mu * x3))
+                with pytest.raises(NotMaximal, match="recovered parameters fail membership") as info:
+                    recover_params(rep)
+                e = info.value
+                assert (e.stage, e.measured, e.bound) == ("product signature", 2 * k - n, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_normalizer_matches_elementary_moves(self, rng, n):
+        # the canonical points of conjugated pants, normalized from the pairings
+        # of their graph frames and by a swap, a translation and a shear
+        for _ in range(10):
+            rep = build_maximal(random_pants_params(n, rng, tame=True))
+            g = random_symplectic(n, rng)
+            pts = [canonical_point_of_element(g @ c @ sp_inverse(g)) for c in rep.generators()]
+            h, ref = normalize_maximal_triple(Triple(*pts)).m, normalize_triple_by_moves(*pts).m
+            assert np.abs(h - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
 class TestEquivalence:

@@ -176,6 +176,13 @@ class TestMoebius:
         res = moebius_act(g, finite_point([[1.0 + 1e-3]]))
         assert not res.is_infinity
 
+    def test_gray_zone_is_for_finite_points_only(self):
+        # C = diag(1e-8, 1) has sigma_min inside (band, 100 band] at infinity,
+        # where band = eq_tol * max(1, |C|) = 1e-9; the image is still A C^{-1}
+        g = shear_symplectic(np.diag([1e-8, 1.0]))
+        img = moebius_act(g, INFINITY)
+        np.testing.assert_allclose(img.value, np.linalg.inv(g.C), rtol=1e-15)
+
     def test_gray_zone_refusal_names_its_fields(self):
         # c1 of the (1/2, 1/2, 1/2) pants has D = 2: at X = 0 and eq_tol 1e-2 the
         # band is 1e-2 * 2 and the gray zone reaches 100 times that, 2

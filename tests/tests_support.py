@@ -3,7 +3,9 @@
 Random parameters, symplectic elements and boundary points, and random chain
 graphs; ``glued_by_two_builds``, the reference join of two surfaces that the
 one build of their union graph is compared with; ``ld_matmul_chain``, the
-reference extended-precision product that the gluing kernel is compared with.  Everything takes an
+reference extended-precision product that the gluing kernel is compared with;
+``hitchin_pants``, the image of an n = 1 pants under the irreducible
+``sym_power``, whose coordinates are known in closed form.  Everything takes an
 explicit ``numpy.random.Generator``; nothing here touches global random
 state.  The "tame" generators rejection-sample
 moderate spectral radii and condition numbers so that glued conjugations stay
@@ -11,7 +13,11 @@ well inside the residual budgets; the plain generators only cap the
 condition number.
 """
 
+import functools
+import math
+
 import numpy as np
+from scipy.optimize import minimize
 
 import maxrep.gluing
 from maxrep.deform import _chain_plan
@@ -30,7 +36,7 @@ from maxrep.gluing import (
     slot_glue_length,
 )
 from maxrep.matcore import DEFAULT_TOL, Tolerance, as_matrix, check_finite, require_invertible
-from maxrep.pants import PantsParams
+from maxrep.pants import PantsParams, PantsRep, build_maximal
 from maxrep.symplectic import (
     INFINITY,
     BoundaryPoint,
@@ -39,6 +45,7 @@ from maxrep.symplectic import (
     _point_stack,
     diag_symplectic,
     finite_point,
+    make_symplectic,
     shear_symplectic,
     translation_symplectic,
 )
@@ -263,6 +270,44 @@ def random_transverse_points(n: int, rng: np.random.Generator, count: int,
         if all(transversality_margin(cand, p) > margin for p in pts):
             pts.append(cand)
     return pts
+
+
+def sym_power(g: np.ndarray, n: int) -> np.ndarray:
+    """The image of g in SL(2, R) under the irreducible Sym^N: SL(2, R) ->
+    Sp(2n, R), N = 2n - 1, on binary forms of degree N.  The monomials
+    e1^(N-k) e2^k carry the invariant form (-1)^k delta(k + l, N) / C(N, k),
+    and the symplectic basis is u_k = e1^(N-k) e2^k and
+    v_k = (-1)^(k+n+1) C(N, k) e1^k e2^(N-k) for k < n; that sign makes the
+    image of a maximal n = 1 triple maximal, the other sign gives index -n."""
+    big_n = 2 * n - 1
+    (a, b), (c, d) = g
+    power = lambda f, m: functools.reduce(np.convolve, [f] * m, np.ones(1))
+    # column j: (a e1 + c e2)^(N-j) (b e1 + d e2)^j in powers of e2 / e1
+    s = np.array([np.convolve(power([a, c], big_n - j), power([b, d], j)) for j in range(big_n + 1)]).T
+    basis = np.zeros((big_n + 1, 2 * n))
+    for k in range(n):
+        basis[k, k] = 1.0
+        basis[big_n - k, n + k] = (-1) ** (k + n + 1) * math.comb(big_n, k)
+    return np.linalg.solve(basis, s @ basis)
+
+
+def hitchin_pants(n: int, rng: np.random.Generator) -> tuple[PantsParams, PantsRep]:
+    """A tame n = 1 pants (x1, x2, x3), Fuchsian and so maximal, and its image
+    under sym_power (Hitchin, Topology 31 (1992)), whose recovered lengths
+    have the spectral moduli {|x_i|^(2k-1) : k = 1..n}.  The n = 1 images are
+    first conjugated by the upper-triangular element of SL(2, R) that
+    minimises their summed squared Frobenius norms; without it the entries
+    reach 1e6 at n = 4."""
+    p = random_pants_params(1, rng, tame=True)
+    gens = [c.m for c in build_maximal(p).generators()]
+
+    def conj(v):
+        u = np.array([[np.exp(v[0]), v[1]], [0.0, np.exp(-v[0])]])
+        return [np.linalg.solve(u, g) @ u for g in gens]
+
+    v = minimize(lambda v: sum(np.sum(g ** 2) for g in conj(v)), np.zeros(2), method="Nelder-Mead").x
+    images = [sym_power(g, n) for g in conj(v)]
+    return p, PantsRep(*(make_symplectic(m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:]) for m in images))
 
 
 def chain_graph(genus: int, m: int, n: int, rng: np.random.Generator) -> GluingGraph:
