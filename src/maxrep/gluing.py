@@ -56,8 +56,8 @@ from .pants import PantsParams, _build_maximal_stack
 from .symplectic import (
     SpMat,
     _make_symplectics,
+    _rotations,
     _sp_inv,
-    cycle_symplectic,
     make_symplectic,
     sp_identity,
     sp_inverse,
@@ -233,7 +233,7 @@ def _edge_twists(edges, tol: Tolerance) -> Slices:
 
     Each slot is presented as generator_slot = u @ form(length, S) @ u^{-1},
     with form standard_upper on the upper side and standard_lower on the
-    lower one and u = _slot_rotations(n)[k]: rotating the standard
+    lower one and u = _rotations(n)[k]: rotating the standard
     triple k times, (X1, X2, X3) -> (-X2, -X3, X1) each time, brings the
     slot to position 3 (upper, k = slot mod 3) or 1 (lower, k = slot - 1).
     The pants are built already, so every Xi is finite and invertible.
@@ -254,13 +254,6 @@ def _edge_twists(edges, tol: Tolerance) -> Slices:
     (ell_up, sbar_up), (ell_lo, s_lo) = sides
     return _twist_elements(ell_lo, s_lo, ell_up, sbar_up,
                            np.array([as_matrix(e[4]) for e in edges]), tol, obstruct=True)
-
-
-def _slot_rotations(n: int) -> tuple[SpMat, SpMat, SpMat]:
-    """The u of a slot presentation for k = 0, 1, 2 rotations: with
-    r = cycle_symplectic(n), whose cube is -I, the identity, r^{-1} and r."""
-    r = cycle_symplectic(n)
-    return sp_identity(n), sp_inverse(r), r
 
 
 def slot_glue_length(p: PantsParams, slot: int) -> np.ndarray:
@@ -602,8 +595,8 @@ def _symplectify(a: np.ndarray) -> np.ndarray:
 
 def _edge_twist(up: _Gen, lo: _Gen, tw: SpMat, rots: tuple[SpMat, ...]) -> SpMat:
     """The global conjugator h with h . img_lo . h^{-1} = img_up^{-1} for the
-    boundaries up and lo, from their arcs and slot rotations (rots, as
-    _slot_rotations builds them) and the edge's twist element tw as
+    boundaries up and lo, from their arcs and slot rotations (rots, the
+    SpMats of _rotations(n)[:3]) and the edge's twist element tw as
     _edge_twists formed it.
 
     The product is formed in extended precision, which keeps its conjugation
@@ -732,7 +725,7 @@ def _assemble(graph: GluingGraph, tol: Tolerance) -> tuple[_Piece, Slices]:
     pants = {nd.name: reps[i] for i, nd in enumerate(graph.nodes)}
     twists = _edge_twists(reads, tol)
     tws = {e: SpMat(twists[j]) for j, e in enumerate((*self_edges.values(), *tree_edges, *closures))}
-    ident, rots = sp_identity(graph.n), _slot_rotations(graph.n)
+    ident, rots = sp_identity(graph.n), tuple(SpMat(u) for u in _rotations(graph.n)[:3])
 
     def fresh_block(name: str) -> _Piece:
         block = _Piece((), (), tuple(_Gen(ident, c, s, label((name, s)))

@@ -176,12 +176,12 @@ def _word_points(mats: np.ndarray, reps, source, carrier, tol: Tolerance) -> tup
         bases, direct = _eigenvector_bases(np.concatenate([w, 1 / w]), np.concatenate([v, v]), tol)
         direct = direct[source]
         zs = np.linalg.qr(words @ (words @ (mats[carrier] @ bases[source])))[0]
-    found, at_inf, fixed, rho, exact = _subspace_fixed_points(words, tol, zs, direct)
-    _attracting(found, fixed & (exact | ~direct[found.live] | (carrier[found.live] == 0)), rho, tol)
+    found, at_inf, moved, band, rho, exact = _subspace_fixed_points(words, tol, zs, direct)
+    _attracting(found, (moved <= band) & (exact | ~direct[found.live] | (carrier[found.live] == 0)), rho, tol)
     sampled = np.array([r is None for r in found.refusals])
     own = np.flatnonzero(direct & ~sampled)
-    mine, mine_inf, fixed, rho, _ = _subspace_fixed_points(words[own], tol, zs[own], np.zeros(own.size, bool))
-    sampled[own] = [r is None for r in _attracting(mine, fixed, rho, tol).refusals]
+    mine, mine_inf, moved, band, rho, _ = _subspace_fixed_points(words[own], tol, zs[own], ~direct[own])
+    sampled[own] = [r is None for r in _attracting(mine, moved <= band, rho, tol).refusals]
     found.values[own], at_inf[own] = mine.values, mine_inf
     return found.values, at_inf, sampled
 

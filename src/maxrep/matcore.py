@@ -22,7 +22,7 @@ from typing import ClassVar
 import numpy as np
 import scipy
 
-from .errors import IllConditioned, ResonantSpectrum, Singular, Slices, _non_finite, gate
+from .errors import IllConditioned, MaxRepError, ResonantSpectrum, Singular, Slices, _non_finite, gate
 
 __all__ = [
     "Tolerance",
@@ -194,7 +194,8 @@ def _real_schur(x: np.ndarray, select=None, error=np.linalg.LinAlgError):
     t, k, _, _, z, _, info = (dgees(select, x, sort_t=1) if select
                               else dgees(lambda re, im: None, x))
     if info:
-        raise error(f"real Schur factorization failed (LAPACK info {info})")
+        raise error(f"real Schur factorization failed (LAPACK info {info})",
+                    *(("real Schur factorization", info, 0) if issubclass(error, MaxRepError) else ()))
     return t, z, k
 
 
@@ -278,17 +279,21 @@ def commutant_search(pairs, cutoff: float, accept):
     The space is the nullspace of the stacked operators
     vec(K X - Y K) = (I (x) X^T - Y (x) I) vec(K): the right singular
     vectors whose singular value is at most cutoff * max(1, sigma_max).
+    One broadcast over the pairs forms the entries ((p, i, j), (k, l)) =
+    d_ik X_p[l, j] - Y_p[i, k] d_jl as the Kronecker form's products by 0.0
+    and 1.0, so they are its entries, signed zeros included.
     Each basis element is offered to accept first, then 64 random
     combinations drawn from a generator seeded with 0.  accept maps a
     candidate to a result or None; the first result is returned, None when
     the nullspace is empty or every candidate is refused.
     """
-    n = pairs[0][0].shape[0]
-    eye = np.eye(n)
-    op = np.vstack([np.kron(eye, x.T) - np.kron(y, eye) for x, y in pairs])
+    xs, ys = (np.array(m) for m in zip(*pairs))
+    eye = np.eye(xs.shape[-1])
+    op = (eye[:, None, :, None] * xs.swapaxes(1, 2)[:, None, :, None, :]
+          - ys[:, :, None, :, None] * eye[None, :, None, :]).reshape(-1, eye.size)
     _, svals, vt = np.linalg.svd(op)
     bound = cutoff * max(1.0, svals[0])
-    basis = [vt[i].reshape(n, n) for i in range(len(svals)) if svals[i] <= bound]
+    basis = [vt[i].reshape(eye.shape) for i in range(len(svals)) if svals[i] <= bound]
     if not basis:
         return None
     rng = np.random.default_rng(0)

@@ -46,8 +46,8 @@ from .symplectic import (
     BoundaryPoint,
     SpMat,
     _point_stack,
+    _rotations,
     _stack_points,
-    cycle_symplectic,
     make_symplectic,
     moebius_act,
     sp_inverse,
@@ -281,10 +281,10 @@ def _eigenvector_bases(w: np.ndarray, v: np.ndarray, tol: Tolerance) -> tuple:
 def _subspace_fixed_points(ms: np.ndarray, tol: Tolerance, zs: np.ndarray | None = None,
                            direct: np.ndarray | None = None) -> tuple:
     """Chart points of the expanding invariant subspaces of a (k, 2n, 2n)
-    stack, certified: (points, at_inf, fixed, rho, exact), points holding
-    chart values, zero where at_inf, and NotSHyperbolic refusals.  From the
-    _riccati residual at each point, fixed says it is at most sqrt(eq_tol) *
-    max(1, |Y|) and exact at most 2n u max|g| (1 + |Y|)^2, a backward-stable
+    stack, certified: (points, at_inf, moved, band, rho, exact), points holding
+    chart values, zero where at_inf, and NotSHyperbolic refusals.  moved is the
+    _riccati residual at each point, fixed where moved <= band = sqrt(eq_tol) *
+    max(1, |Y|); exact says moved <= 2n u max|g| (1 + |Y|)^2, a backward-stable
     eigen-solver's error; rho is the spectral radius of the factor A - YC.
     Circle eigenvalues of the full matrix come in defective pairs whose
     computed values split by roughly sqrt(eps); certifying the candidate
@@ -317,12 +317,14 @@ def _subspace_fixed_points(ms: np.ndarray, tol: Tolerance, zs: np.ndarray | None
         # the refusal is made, not raised, so that it holds no frame of this call
         zs[i] = z[:, :n]
         if dim != n:
-            faults[i] = NotSHyperbolic(f"expanding subspace has dimension {dim}, expected {n}")
+            faults[i] = NotSHyperbolic(f"expanding subspace has dimension {dim}, expected {n}",
+                                       "expanding subspace dimension", dim, n)
     ms, zs = points.refuse(faults, ms, zs)
     u1, u2 = zs[:, :n], zs[:, n:]
     at_inf = np.abs(np.linalg.det(u2)) <= 2 * tol.eq_tol   # the determinant screen
-    s = np.linalg.svd(u2[at_inf], compute_uv=False)
-    at_inf[at_inf] = s[:, -1] <= tol.eq_tol * np.maximum(1.0, s[:, 0])
+    if at_inf.any():
+        s = np.linalg.svd(u2[at_inf], compute_uv=False)
+        at_inf[at_inf] = s[:, -1] <= tol.eq_tol * np.maximum(1.0, s[:, 0])
     ys = sym_part(u1 @ np.linalg.inv(np.where(at_inf[:, None, None], np.eye(n), u2)))
     ys[at_inf] = 0.0
     inf = np.zeros(len(points.refusals), dtype=bool)
@@ -330,7 +332,7 @@ def _subspace_fixed_points(ms: np.ndarray, tol: Tolerance, zs: np.ndarray | None
     moved, left, _ = _riccati(ms, ys, at_inf)
     size = np.max(np.abs(ys), axis=(1, 2))
     # the chart swap only moves and negates entries, so max|g| reads the same in either chart
-    return (points, inf, moved <= np.sqrt(tol.eq_tol) * np.maximum(1.0, size),
+    return (points, inf, moved, np.sqrt(tol.eq_tol) * np.maximum(1.0, size),
             np.max(np.abs(np.linalg.eigvals(left)), axis=-1),
             moved <= 2 * n * 2.0 ** -53 * np.max(np.abs(ms), axis=(1, 2)) * (1.0 + size) ** 2)
 
@@ -352,8 +354,8 @@ def attracting_point(g: SpMat, tol: Tolerance = DEFAULT_TOL) -> BoundaryPoint:
     differential, which guards against defective circle spectra whose
     eigenvalues split across the band.
     """
-    found, at_inf, fixed, rho, _ = _subspace_fixed_points(g.m[None], tol)
-    return _stack_points([_attracting(found, fixed, rho, tol)[0]], at_inf)[0]
+    found, at_inf, moved, band, rho, _ = _subspace_fixed_points(g.m[None], tol)
+    return _stack_points([_attracting(found, moved <= band, rho, tol)[0]], at_inf)[0]
 
 
 def _canonical_points(ms: np.ndarray, tol: Tolerance) -> Slices:
@@ -364,9 +366,8 @@ def _canonical_points(ms: np.ndarray, tol: Tolerance) -> Slices:
     n = ms.shape[-1] // 2
     out = Slices(len(ms))
     ms = out.screen(ms)
-    r = cycle_symplectic(n)
-    charts = np.array([np.eye(2 * n), r.m, r.inv().m])     # u, with u^{-1} = charts[[0, 2, 1]]
-    ls = charts[[0, 2, 1]] @ ms[:, None] @ charts
+    rots = _rotations(n)
+    ls = rots[:3] @ ms[:, None] @ rots[3:]     # in the chart of u = rots[3 + j]
     # a chart holds a standard form where the B block vanishes
     lower = ~(np.abs(ls[..., :n, n:]).max(axis=(-2, -1))
               > tol.eq_tol * np.maximum(1.0, np.abs(ls).max(axis=(-2, -1))))
@@ -382,19 +383,22 @@ def _canonical_points(ms: np.ndarray, tol: Tolerance) -> Slices:
                     continue
                 if np.min(eigs) > rel_bound(tol.eq_tol, s_part):
                     y = _canonical_fixed_point(StandardBoundary(l.A, s_part, tol), tol)
-                    points[i] = moebius_act(SpMat(charts[j]), y, tol)
+                    points[i] = moebius_act(SpMat(rots[3 + j]), y, tol)
                     break
         except MaxRepError as exc:
             faults[i] = exc
     ms, points = out.refuse(faults, ms, points)
     rest = np.array([pt is None for pt in points], dtype=bool)
-    found, at_inf, fixed, rho, _ = _subspace_fixed_points(ms[rest], tol)
-    found.refuse([None if good else NoCanonicalFixedPoint(_NO_CANONICAL)
-                  for good in fixed & (rho <= 1.0 + max(tol.unit_circle_band, _NONEXPAND_SLACK))])
-    # the subspace route's own refusals read the same
+    found, at_inf, moved, band, rho, _ = _subspace_fixed_points(ms[rest], tol)
+    # the first certificate that fails: the point is fixed, then the action there does not expand
+    rho = found.refuse(gate("fixed-point displacement", moved, band, NotFixed, "point moves by {:.3e}"), rho)
+    found.refuse(gate("differential spectral radius", rho, 1.0 + max(tol.unit_circle_band, _NONEXPAND_SLACK),
+                      NotSHyperbolic, "action expands by {:.3e}"))
+    # every refusal of the subspace route reads as NoCanonicalFixedPoint, with its own fields
     faults = np.full(len(ms), None)
     points[rest] = _stack_points(found.values, at_inf)
-    faults[rest] = [r and NoCanonicalFixedPoint(_NO_CANONICAL) for r in found.refusals]
+    faults[rest] = [r and NoCanonicalFixedPoint(f"{_NO_CANONICAL}: {r}", r.stage, r.measured, r.bound)
+                    for r in found.refusals]
     return out.finish(out.refuse(faults, points))
 
 

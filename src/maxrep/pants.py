@@ -28,8 +28,6 @@ from .matcore import (
     as_matrix,
     check_finite,
     commutant_search,
-    norm_inf,
-    rel_bound,
 )
 from .normalform import _canonical_points, _require_fixed
 from .symplectic import (
@@ -202,15 +200,15 @@ def _check_stack(xs: np.ndarray, tol: Tolerance) -> tuple[Slices, Slices]:
 def _pants_blocks(x1: np.ndarray, x2: np.ndarray, x3: np.ndarray,
                   ik: np.ndarray) -> tuple[np.ndarray, ...]:
     """The three generator images with middle fixed point ik; the Xi may be
-    stacks of matrices."""
-    t, inv, z = (lambda m: m.swapaxes(-1, -2)), np.linalg.inv, np.zeros_like(x1)
-    x1ti, x2i, x2ti, x3i, x3ti = inv(t(x1)), inv(x2), inv(t(x2)), inv(x3), inv(t(x3))
+    stacks of matrices.  One stacked call solves each of the six inverses."""
+    t, z = (lambda m: m.swapaxes(-1, -2)), np.zeros_like(x1)
+    x1ti, x2i, x2ti, x3i, x3ti, x1i = np.linalg.inv(np.stack((t(x1), x2, t(x2), x3, t(x3), x1)))
     t13 = x3i @ t(x1)
 
     c1 = (x1, z, x2i @ t(x3) + ik @ x1, x1ti)
     c2 = (-ik @ x2ti - ik @ t13 @ ik - x2 @ ik, ik @ t13 + x2,
           -x2ti - t13 @ ik, t13)
-    c3 = (x3ti, -x3ti @ ik - inv(x1) @ t(x2), z, x3)
+    c3 = (x3ti, -x3ti @ ik - x1i @ t(x2), z, x3)
     return c1, c2, c3
 
 
@@ -319,22 +317,26 @@ def fingerprint(p: PantsParams) -> np.ndarray:
     conjugation leaves every entry unchanged, so equal fingerprints are a
     necessary condition for orbit equality.
     """
-    m = np.array(p.matrices())
-    m = np.concatenate((m, np.swapaxes(m, 1, 2)))
+    return _fingerprints(np.array(p.matrices()))
+
+
+def _fingerprints(m: np.ndarray) -> np.ndarray:
+    """The fingerprint of each triple of a stack of shape (..., 3, n, n)."""
+    m = np.concatenate((m, m.swapaxes(-1, -2)), axis=-3)
     # row 6a + b of l2 is the word (a, b), so entry (6a + b, c) below is (a, b, c)
-    l2 = (m[:, None] @ m[None]).reshape(36, p.n, p.n)
-    return np.concatenate((np.einsum("kii->k", m), np.einsum("kii->k", l2),
-                           np.einsum("aij,cji->ac", l2, m).reshape(-1)))
+    l2 = (m[..., :, None, :, :] @ m[..., None, :, :, :]).reshape(*m.shape[:-3], 36, *m.shape[-2:])
+    return np.concatenate((np.einsum("...kii->...k", m), np.einsum("...kii->...k", l2),
+                           np.einsum("...aij,...cji->...ac", l2, m).reshape(*m.shape[:-3], -1)), axis=-1)
 
 
 def fingerprint_distance(p: PantsParams, q: PantsParams) -> float:
     """Largest fingerprint difference over the largest entry (at least 1);
-    infinite for parameters of different sizes."""
+    infinite for parameters of different sizes.  Both fingerprints come
+    from one stacked pass."""
     if p.n != q.n:
         return float("inf")
-    fp, fq = fingerprint(p), fingerprint(q)
-    scale = max(1.0, float(np.max(np.abs(fp))), float(np.max(np.abs(fq))))
-    return float(np.max(np.abs(fp - fq))) / scale
+    fps = _fingerprints(np.array((p.matrices(), q.matrices())))
+    return float(np.max(np.abs(fps[0] - fps[1]))) / max(1.0, float(np.max(np.abs(fps))))
 
 
 @dataclass(frozen=True)
@@ -357,22 +359,20 @@ def params_equivalent(p: PantsParams, q: PantsParams,
     """
     if p.n != q.n:
         return EquivalenceResult(False, False)
-    check_finite(np.array(p.matrices() + q.matrices()))
+    xs, ys = check_finite(np.array((p.matrices(), q.matrices())))
     with np.errstate(over="ignore", invalid="ignore"):
         distance = fingerprint_distance(p, q)
     if not np.isfinite(distance):
         raise IllConditioned("trace fingerprint overflows")
     if distance > max(1e-7, 100 * tol.eq_tol):
         return EquivalenceResult(False, False)
-    pairs = list(zip(p.matrices(), q.matrices()))
+    bounds = np.sqrt(tol.eq_tol) * np.maximum(1.0, np.abs(ys).max(axis=(1, 2)))
 
     def accept(k):
         # orthogonal polar factor of a nullspace element
         u, _, vh = np.linalg.svd(k)
         cand = u @ vh
-        ok = all(norm_inf(cand @ x @ cand.T - y) <= rel_bound(np.sqrt(tol.eq_tol), y)
-                 for x, y in pairs)
-        return cand if ok else None
+        return cand if (np.abs(cand @ xs @ cand.T - ys).max(axis=(1, 2)) <= bounds).all() else None
 
-    w = commutant_search(pairs, max(1e-9, 100 * tol.eq_tol), accept)
+    w = commutant_search(list(zip(xs, ys)), max(1e-9, 100 * tol.eq_tol), accept)
     return EquivalenceResult(w is not None, w is None, w)

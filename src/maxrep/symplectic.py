@@ -9,6 +9,7 @@ block-lower-triangular subgroup image under X -> A C^{-1}.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -198,6 +199,16 @@ def swap_symplectic(n: int) -> SpMat:
 def cycle_symplectic(n: int) -> SpMat:
     """Order-three rotation of the standard triple: (e, inf, 0) -> (0, e, inf)."""
     return SpMat(_block(np.eye(n), -np.eye(n), np.eye(n), 0.0))
+
+
+@functools.cache
+def _rotations(n: int) -> np.ndarray:
+    """u_k = I, R^{-1}, R (k = 0, 1, 2) for the triple rotation R = cycle_symplectic(n),
+    whose cube is -I, then their inverses: a read-only (6, 2n, 2n) stack built once per n."""
+    r = cycle_symplectic(n)
+    rots = np.array([np.eye(2 * n), sp_inverse(r).m, r.m])[[0, 1, 2, 0, 2, 1]]
+    rots.flags.writeable = False
+    return rots
 
 
 def moebius_act(g: SpMat, p: BoundaryPoint, tol: Tolerance = DEFAULT_TOL) -> BoundaryPoint:

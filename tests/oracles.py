@@ -29,6 +29,13 @@ counting the triples that start with each index, in Python integers.
 ``fingerprint_by_words`` forms the trace of each word of the pants
 fingerprint one matrix product at a time, as the library did before it
 contracted stacks of words.
+``fingerprint_one`` and ``fingerprint_distance_by_two_passes`` fingerprint
+one triple per call and two triples in two calls, as the library did before
+it fingerprinted both triples of a distance in one stacked pass.
+``commutant_operator_by_kron`` forms the commutation operator of
+``commutant_search`` from one Kronecker product per term, stacked by vstack,
+and ``pants_blocks_by_six_inverses`` forms the pants generator blocks with six
+separate inverses, as the library did before it formed both in one call.
 ``NotInvertible`` is the refusal of the Cayley transforms at a singular point.
 """
 
@@ -430,3 +437,43 @@ def fingerprint_by_words(p: PantsParams) -> np.ndarray:
                 m = m @ w
             values.append(np.trace(m))
     return np.array(values)
+
+
+def fingerprint_one(p: PantsParams) -> np.ndarray:
+    """The pants fingerprint of one triple, by one contraction over its words."""
+    m = np.array(p.matrices())
+    m = np.concatenate((m, np.swapaxes(m, 1, 2)))
+    # row 6a + b of l2 is the word (a, b), so entry (6a + b, c) below is (a, b, c)
+    l2 = (m[:, None] @ m[None]).reshape(36, p.n, p.n)
+    return np.concatenate((np.einsum("kii->k", m), np.einsum("kii->k", l2),
+                           np.einsum("aij,cji->ac", l2, m).reshape(-1)))
+
+
+def fingerprint_distance_by_two_passes(p: PantsParams, q: PantsParams) -> float:
+    """fingerprint_distance from two fingerprint_one calls."""
+    if p.n != q.n:
+        return float("inf")
+    fp, fq = fingerprint_one(p), fingerprint_one(q)
+    scale = max(1.0, float(np.max(np.abs(fp))), float(np.max(np.abs(fq))))
+    return float(np.max(np.abs(fp - fq))) / scale
+
+
+def commutant_operator_by_kron(pairs) -> np.ndarray:
+    """The stacked operators I (x) X^T - Y (x) I of vec(K X - Y K), one pair (X, Y) each."""
+    n = pairs[0][0].shape[0]
+    eye = np.eye(n)
+    return np.vstack([np.kron(eye, x.T) - np.kron(y, eye) for x, y in pairs])
+
+
+def pants_blocks_by_six_inverses(x1: np.ndarray, x2: np.ndarray, x3: np.ndarray,
+                                 ik: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The blocks of the three pants generator images with middle fixed point
+    ik, each of the six inverses from its own np.linalg.inv call."""
+    t, inv, z = (lambda m: m.swapaxes(-1, -2)), np.linalg.inv, np.zeros_like(x1)
+    x1ti, x2i, x2ti, x3i, x3ti = inv(t(x1)), inv(x2), inv(t(x2)), inv(x3), inv(t(x3))
+    t13 = x3i @ t(x1)
+    c1 = (x1, z, x2i @ t(x3) + ik @ x1, x1ti)
+    c2 = (-ik @ x2ti - ik @ t13 @ ik - x2 @ ik, ik @ t13 + x2,
+          -x2ti - t13 @ ik, t13)
+    c3 = (x3ti, -x3ti @ ik - inv(x1) @ t(x2), z, x3)
+    return c1, c2, c3

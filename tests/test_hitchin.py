@@ -10,11 +10,11 @@ Math. 172 (2010)).
 import numpy as np
 import pytest
 
-from maxrep.errors import MaxRepError
+from maxrep.errors import MaxRepError, NoCanonicalFixedPoint
 from maxrep.maslov import Triple
-from maxrep.pants import build_maximal, recover_params, toledo
-from maxrep.symplectic import INFINITY, identity_point, zero_point
-from tests_support import hitchin_pants
+from maxrep.pants import PantsRep, build_maximal, recover_params, toledo
+from maxrep.symplectic import INFINITY, identity_point, make_symplectic, zero_point
+from tests_support import hitchin_pants, random_pants_params, sym_power
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -45,3 +45,25 @@ def test_refusals_at_n4_name_their_gate():
             assert None not in (e.stage, e.measured, e.bound)
             stages.append(e.stage)
     assert stages and set(stages) == {"product asymmetry"}
+
+
+def test_unbalanced_images_refused_with_their_certificate():
+    # without the SL(2) balance, entries reach 1e6 at n = 4, and the subspace
+    # route finds candidate points that the generators move by more than the
+    # fixed-point band; each such refusal names that certificate and its
+    # values (three of these twenty were once refused with no fields)
+    rng, n = np.random.default_rng(4), 4
+    refused = []
+    for _ in range(20):
+        images = [sym_power(c.m, n) for c in build_maximal(random_pants_params(1, rng, tame=True)).generators()]
+        rep = PantsRep(*(make_symplectic(m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:]) for m in images))
+        try:
+            recover_params(rep)
+        except MaxRepError as e:
+            assert None not in (e.stage, e.measured, e.bound)
+            refused.append(e)
+    canonical = [e for e in refused if isinstance(e, NoCanonicalFixedPoint)]
+    assert len(canonical) == 3
+    for e in canonical:
+        assert e.stage == "fixed-point displacement" and e.measured > e.bound
+        assert f"{e.measured:.3e}" in str(e)

@@ -14,6 +14,7 @@ from maxrep.matcore import (
     CircleClass,
     Tolerance,
     circle_class,
+    commutant_search,
     norm_inf,
     similarity_witness,
     stein_solve,
@@ -29,7 +30,7 @@ from tests_support import (
     outcomes,
     spectral_radius,
 )
-from oracles import stein_kron_solve
+from oracles import commutant_operator_by_kron, stein_kron_solve
 
 
 def test_tolerance_validation():
@@ -304,6 +305,30 @@ class TestAsMatrix:
         for x in (np.ones((2, 3)), [[1.0, 2.0]], np.ones(3)):
             with pytest.raises(ValueError, match="square"):
                 matcore.as_matrix(x)
+
+
+class TestCommutantOperator:
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_broadcast_matches_kron_form(self, monkeypatch, n, k):
+        # entries of both signs spanning twelve decades: the products by 0.0
+        # that both forms take carry the signs of the entries, which the bytes
+        # compare; the operator is the one commutant_search hands to the SVD
+        rng = np.random.default_rng([n, k])
+        pairs = [tuple(rng.standard_normal((2, n, n)) * 10.0 ** rng.uniform(-6, 6, (2, n, n)))
+                 for _ in range(k)]
+        ops = []
+
+        def svd(a, *args, real_svd=np.linalg.svd, **kwargs):
+            ops.append(a.copy())
+            return real_svd(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        commutant_search(pairs, 1e-7, lambda g: None)
+        want = commutant_operator_by_kron(pairs)
+        assert len(ops) == 1 and ops[0].shape == want.shape == (k * n * n, n * n)
+        assert ops[0].tobytes() == want.tobytes()
+        if n > 1:
+            assert np.signbit(want[want == 0.0]).any() and not np.signbit(want[want == 0.0]).all()
 
 
 class TestSimilarityWitness:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from maxrep import normalform, symplectic
 from maxrep.errors import (
     DefectiveSplit,
     NoCanonicalFixedPoint,
@@ -30,15 +31,19 @@ from maxrep.symplectic import (
     BoundaryPoint,
     SpMat,
     _point_stack,
+    _rotations,
+    cycle_symplectic,
     diag_symplectic,
     finite_point,
     identity_point,
     moebius_act,
     point_distance,
+    sp_inverse,
     swap_symplectic,
     zero_point,
 )
 from tests_support import (
+    _raw,
     assert_slices_match,
     outcomes,
     point_outcomes,
@@ -55,8 +60,8 @@ from oracles import chart_points_by_svd, fixed_point_probe, subspace_fixed_point
 def attracting_points(stack):
     """attracting_point of each slice of a stack, as one kernel call: its
     point or its refusal."""
-    found, at_inf, fixed, rho, _ = _subspace_fixed_points(stack, DEFAULT_TOL)
-    return point_outcomes(_attracting(found, fixed, rho, DEFAULT_TOL), at_inf)
+    found, at_inf, moved, band, rho, _ = _subspace_fixed_points(stack, DEFAULT_TOL)
+    return point_outcomes(_attracting(found, moved <= band, rho, DEFAULT_TOL), at_inf)
 
 
 def rotation(theta: float) -> np.ndarray:
@@ -315,6 +320,18 @@ class TestElementCanonicalPoints:
         with pytest.raises(NoCanonicalFixedPoint):
             canonical_point_of_element(g)
 
+    def test_subspace_route_refusals_keep_their_fields(self):
+        # the swap has no expanding subspace, and the orthogonal block's Schur
+        # reordering fails (LAPACK info > 0); both refusals read as
+        # NoCanonicalFixedPoint with the fields of the subspace route's own
+        for g, stage, bound in ((swap_symplectic(2), "expanding subspace dimension", 2),
+                                (diag_symplectic(random_orthogonal(3, np.random.default_rng(271))),
+                                 "real Schur factorization", 0)):
+            with pytest.raises(NoCanonicalFixedPoint) as info:
+                canonical_point_of_element(g)
+            assert (info.value.stage, info.value.bound) == (stage, bound)
+            assert info.value.measured is not None and info.value.measured != bound
+
     def test_stacked_kernel_matches_one_matrix_oracle(self):
         # sampler words, a point at 0 and its swap-conjugate at infinity, the
         # unsortable orthogonal block, a non-contracting element and one
@@ -330,7 +347,8 @@ class TestElementCanonicalPoints:
                     h @ diag_symplectic(np.diag([2.0, 1 + 1e-7, 0.5])) @ h.inv(),
                     diag_symplectic(np.diag([2.0, 1.0, 0.5]))]
         stack = np.array([g.m for g in elements])
-        found, at_inf, fixed, rho, _ = _subspace_fixed_points(stack, DEFAULT_TOL)
+        found, at_inf, moved, band, rho, _ = _subspace_fixed_points(stack, DEFAULT_TOL)
+        fixed = moved <= band
         points, attracting = point_outcomes(found, at_inf), attracting_points(stack)
         refused = []
         for i, m in enumerate(stack):
@@ -441,10 +459,10 @@ class TestElementCanonicalPoints:
         a[0, 1] = off
         elements = [h @ diag_symplectic(a) @ h.inv()
                     for h in (random_symplectic(n, rng) for _ in range(6))]
-        found, at_inf, fixed, rho, _ = _subspace_fixed_points(np.array([g.m for g in elements]),
-                                                              DEFAULT_TOL)
+        found, at_inf, moved, band, rho, _ = _subspace_fixed_points(np.array([g.m for g in elements]),
+                                                                    DEFAULT_TOL)
         assert found.live == list(range(len(elements)))
-        for g, p, ok, r in zip(elements, point_outcomes(found, at_inf), fixed, rho):
+        for g, p, ok, r in zip(elements, point_outcomes(found, at_inf), moved <= band, rho):
             pt, ok_one, r_one = subspace_fixed_point_one(g)
             assert_points_close(p, pt)
             assert ok == ok_one
@@ -470,12 +488,58 @@ class TestElementCanonicalPoints:
         def fixed(y, tol):
             # the candidate's subspace, the graph of y, as the given basis
             z = np.array([[[y], [1.0]]]) / np.hypot(y, 1.0)
-            return _subspace_fixed_points(g.m[None], tol, z, np.array([True]))[2][0]
+            _, _, moved, band, *_ = _subspace_fixed_points(g.m[None], tol, z, np.array([True]))
+            return moved[0] <= band[0]
 
         assert not fixed(1e-3, DEFAULT_TOL)
         assert fixed(1e-3, Tolerance(eq_tol=1e-4))
         # the true fixed point passes under either band
         assert fixed(0.0, DEFAULT_TOL)
+
+
+class TestRotations:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_built_once_per_n_and_read_only(self, monkeypatch, n):
+        # the chart route of the canonical points and the slot frames of a
+        # build share one stack, built on the first call for each n
+        calls = []
+        monkeypatch.setattr(symplectic, "cycle_symplectic",
+                            lambda m, real=cycle_symplectic: calls.append(m) or real(m))
+        _rotations.cache_clear()
+        params = random_pants_params(n, np.random.default_rng(n), tame=True)
+        pants_surface_rep(params)
+        assert calls == [n]
+        for _ in range(2):
+            for c in build_maximal(params).generators():
+                canonical_point_of_element(c)
+            pants_surface_rep(params)
+        assert calls == [n]
+        rots = _rotations(n)
+        assert _rotations(n) is rots and not rots.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rots[0, 0, 0] = 2.0
+        r = cycle_symplectic(n)
+        want = [np.eye(2 * n), sp_inverse(r).m, r.m, np.eye(2 * n), r.m, r.inv().m]
+        assert rots.tobytes() == np.array(want).tobytes()
+
+    def test_canonical_points_as_with_charts_built_per_call(self, monkeypatch):
+        # generators in their standard charts take the chart route, their
+        # conjugates the subspace route; both read the same with the charts
+        # built on every call as before
+        rng = np.random.default_rng(14)
+        elements = []
+        for n in (1, 2, 3, 4):
+            rep = build_maximal(random_pants_params(n, rng, tame=True))
+            h = random_symplectic(n, rng)
+            elements += [*rep.generators(), *(h @ c @ h.inv() for c in rep.generators())]
+        cached = [canonical_point_of_element(g) for g in elements]
+
+        def per_call(n):
+            r = cycle_symplectic(n)
+            charts = np.array([np.eye(2 * n), r.m, r.inv().m])
+            return np.concatenate((charts[[0, 2, 1]], charts))
+        monkeypatch.setattr(normalform, "_rotations", per_call)
+        assert [_raw(canonical_point_of_element(g)) for g in elements] == [_raw(p) for p in cached]
 
 
 class TestInfinityScreen:
@@ -529,3 +593,22 @@ class TestInfinityScreen:
             assert 0 < at_inf <= sum(rows)
             assert finite and not any(finite)
             rows.clear()
+
+    def test_no_singular_values_without_a_screened_frame(self, monkeypatch):
+        # generic conjugates of pants generators have finite canonical points:
+        # every frame passes the determinant screen, and no SVD runs at all
+        rng = np.random.default_rng(15)
+        rows = []
+
+        def svd(a, *args, real_svd=np.linalg.svd, **kwargs):
+            rows.append(len(a))
+            return real_svd(a, *args, **kwargs)
+        for n in (1, 2, 3):
+            rep = build_maximal(random_pants_params(n, rng, tame=True))
+            h = random_symplectic(n, rng)
+            ms = np.array([(h @ c @ h.inv()).m for c in rep.generators()])
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "svd", svd)
+                found, at_inf, *_ = _subspace_fixed_points(ms, DEFAULT_TOL)
+            assert found.live == [0, 1, 2] and not at_inf.any()
+        assert rows == []

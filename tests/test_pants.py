@@ -25,6 +25,7 @@ from maxrep.pants import (
     ParamClass,
     _build_maximal_stack,
     _check_stack,
+    _fingerprints,
     _pants_blocks,
     build_general,
     build_maximal,
@@ -59,7 +60,15 @@ from tests_support import (
     random_symplectic,
     spectral_radius,
 )
-from oracles import classify_one, fingerprint_by_words, normalize_triple_by_moves, toledo_one
+from oracles import (
+    classify_one,
+    fingerprint_by_words,
+    fingerprint_distance_by_two_passes,
+    fingerprint_one,
+    normalize_triple_by_moves,
+    pants_blocks_by_six_inverses,
+    toledo_one,
+)
 
 
 def scalar_params(x1, x2, x3):
@@ -240,6 +249,24 @@ class TestBuildMaximal:
                 assert residual <= 1e-8
             else:
                 assert residual > 1e-8
+
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 7])
+    def test_blocks_match_six_inverses(self, n, k):
+        # one stacked inverse solves each matrix on its own, so every block
+        # is the one six separate inverses give, bit for bit, at either
+        # middle fixed point
+        rng = np.random.default_rng([n, k])
+        xs = np.array([random_pants_params(n, rng, tame=True).matrices() for _ in range(k)])
+        xs[1::2] *= 10.0 ** rng.uniform(-3, 3, (len(xs[1::2]), 3, 1, 1))
+        for ik in (np.eye(n), indefinite_identity(n, n // 2)):
+            got = _pants_blocks(*xs.swapaxes(0, 1), ik)
+            want = pants_blocks_by_six_inverses(*xs.swapaxes(0, 1), ik)
+            for g, w in zip(got, want):
+                for a, b in zip(g, w):
+                    assert a.shape == b.shape == (k, n, n)
+                    assert a.tobytes() == b.tobytes()
 
 
 class TestBuildGeneral:
@@ -490,6 +517,23 @@ class TestEquivalence:
         fp, words = fingerprint(p), fingerprint_by_words(p)
         assert fp.shape == words.shape == (258,)
         assert np.all(np.abs(fp - words) <= 1e-13 * np.maximum(1.0, np.abs(words)))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_stacked_fingerprints_match_two_passes(self, n):
+        # the stacked pass takes the products and contractions of two
+        # one-triple passes, with a leading axis; an orthogonal conjugate
+        # gives a distance at the rounding level, a random triple a large one
+        rng = np.random.default_rng(90 + n)
+        for _ in range(4):
+            p = PantsParams(*(rng.normal(size=(3, n, n)) * 10.0 ** rng.uniform(-3, 3, (3, n, n))))
+            w = random_orthogonal(n, rng)
+            conjugate = PantsParams(*(w @ x @ w.T for x in p.matrices()))
+            for q in (conjugate, PantsParams(*rng.normal(size=(3, n, n)))):
+                fps = _fingerprints(np.array((p.matrices(), q.matrices())))
+                assert fps.tobytes() == np.array((fingerprint_one(p), fingerprint_one(q))).tobytes()
+                assert fingerprint(p).tobytes() == fingerprint_one(p).tobytes()
+                got, want = fingerprint_distance(p, q), fingerprint_distance_by_two_passes(p, q)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_fingerprint_distance_across_sizes(self, rng):
         p, q = random_pants_params(2, rng), random_pants_params(3, rng)

@@ -30,7 +30,6 @@ from maxrep.gluing import (
     _amalgamate,
     _assemble,
     _edge_twists,
-    _slot_rotations,
     _surface_rep,
     glue_graphs,
     slot_glue_length,
@@ -43,6 +42,7 @@ from maxrep.symplectic import (
     SpMat,
     _pair_spectra,
     _point_stack,
+    _rotations,
     diag_symplectic,
     finite_point,
     make_symplectic,
@@ -368,7 +368,8 @@ def glued_by_two_builds(upper, upper_label, lower, lower_label, twist, tol: Tole
     edge, params = graph.edges[-1], {nd.name: nd.params for nd in graph.nodes}
     tw = _edge_twists([(params[edge.upper[0]], edge.upper[1], params[edge.lower[0]], edge.lower[1],
                         edge.twist)], tol)
-    piece = _amalgamate(piece1, upper_label, piece2, lower_label, SpMat(tw[0]), _slot_rotations(graph.n))
+    piece = _amalgamate(piece1, upper_label, piece2, lower_label, SpMat(tw[0]),
+                         tuple(SpMat(u) for u in _rotations(graph.n)[:3]))
     checks = Slices(len(graph.nodes))
     checks.values = checks1.values + checks2.values
     return _surface_rep(piece, checks, graph, tol)
