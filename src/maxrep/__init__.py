@@ -29,9 +29,7 @@ from .errors import (
 )
 from .matcore import (
     DEFAULT_TOL,
-    CircleClass,
     Tolerance,
-    circle_class,
     norm_inf,
     similarity_witness,
     stein_solve,
@@ -61,7 +59,6 @@ from .maslov import (
     normalize_pair,
 )
 from .normalform import (
-    DifferentialClass,
     DifferentialMap,
     StandardBoundary,
     attracting_point,

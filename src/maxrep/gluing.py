@@ -203,7 +203,7 @@ def _edge_screen(g, x, xbar, tol: Tolerance, obstruct: bool = False) -> Slices:
     def spectral_fault(i):
         if obstruct and (finite[1:, i, None] & (np.abs(np.abs(eigs[:, i]) - 1.0) <= band)).any():
             return CannotGlue("unit-modulus boundary length obstructs gluing")
-        for j, what in enumerate(("twist parameter", "circle_class input", "circle_class input")):
+        for j, what in enumerate(("twist parameter", "lower length", "upper length")):
             fault = _non_finite() if not finite[j, i] else _singular(sv[j, i], tol, what)
             if fault is None and not j and sv[0, i, 0] > big:
                 fault = IllConditioned(f"twist parameter overflows (sigma_max = {sv[0, i, 0]:.3e})")

@@ -10,7 +10,6 @@ floor one: ``|a - b| <= tol * max(1, |a|, |b|)``.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import os
 import sys
@@ -27,7 +26,6 @@ from .errors import IllConditioned, MaxRepError, ResonantSpectrum, Singular, Sli
 __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
-    "CircleClass",
     "as_matrix",
     "norm_inf",
     "rel_bound",
@@ -35,7 +33,6 @@ __all__ = [
     "sym_part",
     "require_symmetric",
     "require_invertible",
-    "circle_class",
     "stein_solve",
     "commutant_search",
     "similarity_witness",
@@ -85,13 +82,6 @@ class Tolerance:
 
 DEFAULT_TOL = Tolerance()
 _FLOAT64 = np.dtype(np.float64)
-
-
-class CircleClass(enum.Enum):
-    CONTRACTING = "contracting"
-    HAS_UNIT_MODULUS_EIGENVALUE = "has_unit_modulus_eigenvalue"
-    EXPANDING = "expanding"
-    MIXED = "mixed"
 
 
 def as_matrix(x) -> np.ndarray:
@@ -156,23 +146,6 @@ def _singular(s: np.ndarray, tol: Tolerance, what: str) -> Singular | None:
         return Singular(f"{what} is singular within tolerance "
                         f"(sigma_min = {s[-1]:.3e}, sigma_max = {s[0]:.3e})")
     return None
-
-
-def circle_class(x, tol: Tolerance = DEFAULT_TOL) -> CircleClass:
-    """Position of the spectrum relative to the unit circle.
-
-    The band [1-b, 1+b] with b = tol.unit_circle_band decides "on the
-    circle"; any eigenvalue inside it dominates the classification.
-    """
-    x = require_invertible(x, tol, "circle_class input")
-    inside, on, outside = _unit_circle_masks(x, tol.unit_circle_band)
-    if np.any(on):
-        return CircleClass.HAS_UNIT_MODULUS_EIGENVALUE
-    if np.all(inside):
-        return CircleClass.CONTRACTING
-    if np.all(outside):
-        return CircleClass.EXPANDING
-    return CircleClass.MIXED
 
 
 def _unit_circle_masks(x: np.ndarray, band: float) -> tuple[np.ndarray, ...]:

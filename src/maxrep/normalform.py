@@ -14,7 +14,6 @@ through a discrete Stein equation.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,11 +30,11 @@ from .errors import (
 )
 from .matcore import (
     DEFAULT_TOL,
-    CircleClass,
     Tolerance,
     _real_schur,
+    _singular,
+    _unit_circle_masks,
     check_finite,
-    circle_class,
     rel_bound,
     require_invertible,
     require_symmetric,
@@ -55,7 +54,6 @@ from .symplectic import (
 )
 
 __all__ = [
-    "DifferentialClass",
     "StandardBoundary",
     "DifferentialMap",
     "fixed_point_expanding_side",
@@ -63,14 +61,6 @@ __all__ = [
     "attracting_point",
     "canonical_point_of_element",
 ]
-
-
-class DifferentialClass(enum.Enum):
-    CONTRACTING = "contracting"
-    EXPANDING = "expanding"
-    NON_EXPANDING = "non_expanding"
-    NON_CONTRACTING = "non_contracting"
-    INDETERMINATE = "indeterminate"
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,10 +79,6 @@ class StandardBoundary:
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "S", s)
 
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
     def element(self) -> SpMat:
         return make_symplectic(*_standard_blocks(self.A, self.S), self.tol)
 
@@ -106,11 +92,10 @@ def _standard_blocks(a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True, eq=False)
 class FixedPointReport:
-    """A fixed point with its class; residual is its Riccati residual
-    max|AY + B - Y(CY + D)|, which decides a fixed point at sqrt(eq_tol) * max(1, |Y|)."""
+    """A fixed point with its Riccati residual max|AY + B - Y(CY + D)|, which
+    decides a fixed point at sqrt(eq_tol) * max(1, |Y|)."""
 
     point: BoundaryPoint
-    differential_class: DifferentialClass
     residual: float
 
 
@@ -133,19 +118,6 @@ class DifferentialMap:
         lm = np.abs(np.linalg.eigvals(self.left))
         rm = np.abs(np.linalg.eigvals(self.right))
         return np.sort(np.multiply.outer(lm, rm).reshape(-1))
-
-    def classify(self, tol: Tolerance = DEFAULT_TOL) -> DifferentialClass:
-        mods = self.eigen_moduli()
-        band = tol.unit_circle_band
-        if mods[-1] < 1.0 - band:
-            return DifferentialClass.CONTRACTING
-        if mods[0] > 1.0 + band:
-            return DifferentialClass.EXPANDING
-        if mods[-1] <= 1.0 + band:
-            return DifferentialClass.NON_EXPANDING
-        if mods[0] >= 1.0 - band:
-            return DifferentialClass.NON_CONTRACTING
-        return DifferentialClass.INDETERMINATE
 
 
 def _stein_fixed_point(a: np.ndarray, s: np.ndarray, tol: Tolerance,
@@ -198,13 +170,15 @@ def fixed_point_expanding_side(sb: StandardBoundary,
     """The unique fixed point transverse to 0 for contracting A.
 
     It is negative definite and the boundary action there is expanding;
-    other spectra of A raise NotContracting.
+    other spectra of A raise NotContracting, stage "length spectrum" with
+    the spectral radius of A against 1 - unit_circle_band.
     """
-    if circle_class(sb.A, tol) is not CircleClass.CONTRACTING:
-        raise NotContracting("expanding-side fixed point needs contracting A")
+    if not _unit_circle_masks(sb.A, tol.unit_circle_band)[0].all():
+        raise NotContracting("expanding-side fixed point needs contracting A", "length spectrum",
+                             float(np.abs(np.linalg.eigvals(sb.A)).max()), 1.0 - tol.unit_circle_band)
     y = _stein_fixed_point(sb.A, sb.S, tol, expanding_side=True)
     residual = _riccati(sb.element().m[None], y[None], np.zeros(1, dtype=bool))[0]
-    return FixedPointReport(BoundaryPoint(y), DifferentialClass.EXPANDING, float(residual[0]))
+    return FixedPointReport(BoundaryPoint(y), float(residual[0]))
 
 
 def differential_at(g: SpMat, p: BoundaryPoint,
@@ -220,34 +194,40 @@ def differential_at(g: SpMat, p: BoundaryPoint,
     return DifferentialMap(left=left[0], right=np.linalg.inv(right[0]))
 
 
-def _canonical_fixed_point(sb: StandardBoundary, tol: Tolerance) -> BoundaryPoint:
-    """The canonical fixed point of a standard boundary element, where the
-    action is non-expanding.
+def _canonical_fixed_point(a: np.ndarray, s: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """The chart value of the canonical fixed point, where the action is
+    non-expanding, of the standard element with data (A, S), S positive
+    definite; a singular A raises StandardBoundary's Singular.
 
     With no eigenvalue of A strictly outside the unit-circle band, the point
     is 0.  Otherwise the expanding spectral block, led by an orthogonal
     Schur basis Q with T = Q^T A Q, contributes an invertible fixed point in
-    the leading corner.  Eigenvalues in the gray zone around the band, or a
-    reordering that selects another count, make that split untrustworthy and
-    raise DefectiveSplit.
+    the leading corner.  A modulus in the gray zone around the band (its
+    distance from 1 against 2 band), or a reordering that selects another
+    count, make that split untrustworthy and raise DefectiveSplit.
     """
-    n, band = sb.n, tol.unit_circle_band
-    moduli = np.abs(np.linalg.eigvals(sb.A))
+    if fault := _singular(np.linalg.svd(a, compute_uv=False), tol, "length block A"):
+        raise fault
+    n, band = a.shape[0], tol.unit_circle_band
+    moduli = np.abs(np.linalg.eigvals(a))
     outside = moduli > 1.0 + band
     y = np.zeros((n, n))
     if not np.any(outside):
-        return BoundaryPoint(y)
+        return y
     # an eigenvalue near the threshold but not inside the declared band
     # could land on either side of the cut
-    if np.any(((moduli > 1.0 + band / 2) & (moduli < 1.0 + 2 * band))
-              | ((moduli > 1.0 - 2 * band) & (moduli < 1.0 - band / 2))):
-        raise DefectiveSplit("eigenvalue moduli straddle the unit-circle band; refusing to split")
-    t, q, k = _real_schur(sb.A, lambda re, im: re * re + im * im > (1.0 + band) ** 2)
-    if k != np.count_nonzero(outside):   # a defective pair on the circle
-        raise DefectiveSplit(f"Schur reordering selected {k} of {np.count_nonzero(outside)} eigenvalues")
-    sq = q.T @ sb.S @ q
+    straddle = (((moduli > 1.0 + band / 2) & (moduli < 1.0 + 2 * band))
+                | ((moduli > 1.0 - 2 * band) & (moduli < 1.0 - band / 2)))
+    if np.any(straddle):
+        raise DefectiveSplit("eigenvalue moduli straddle the unit-circle band; refusing to split",
+                             "unit-circle split", float(np.abs(moduli[straddle] - 1.0).min()), 2 * band)
+    t, q, k = _real_schur(a, lambda re, im: re * re + im * im > (1.0 + band) ** 2)
+    if k != (count := np.count_nonzero(outside)):   # a defective pair on the circle
+        raise DefectiveSplit(f"Schur reordering selected {k} of {count} eigenvalues",
+                             "Schur reordering", int(k), int(count))
+    sq = q.T @ s @ q
     y[:k, :k] = _stein_fixed_point(t[:k, :k], sym_part(sq[:k, :k]), tol, expanding_side=False)
-    return BoundaryPoint(sym_part(q @ y @ q.T))
+    return sym_part(q @ y @ q.T)
 
 
 # margins for certifying dynamics at a candidate fixed point; the raw
@@ -358,10 +338,11 @@ def attracting_point(g: SpMat, tol: Tolerance = DEFAULT_TOL) -> BoundaryPoint:
     return _stack_points([_attracting(found, moved <= band, rho, tol)[0]], at_inf)[0]
 
 
-def _canonical_points(ms: np.ndarray, tol: Tolerance) -> Slices:
-    """canonical_point_of_element of each slice of a (k, 2n, 2n) stack; the
-    values are BoundaryPoints.  A slice with a NaN or Inf is refused before
-    any product; the slices without a standard chart share one
+def _canonical_points(ms: np.ndarray, tol: Tolerance) -> tuple[Slices, np.ndarray]:
+    """canonical_point_of_element of each slice of a (k, 2n, 2n) stack, as
+    _subspace_fixed_points gives points: (points, at_inf), the values chart
+    values, zero where at_inf.  A slice with a NaN or Inf is refused before
+    any product; the slices without a standard chart, if any, share one
     _subspace_fixed_points call."""
     n = ms.shape[-1] // 2
     out = Slices(len(ms))
@@ -371,35 +352,41 @@ def _canonical_points(ms: np.ndarray, tol: Tolerance) -> Slices:
     # a chart holds a standard form where the B block vanishes
     lower = ~(np.abs(ls[..., :n, n:]).max(axis=(-2, -1))
               > tol.eq_tol * np.maximum(1.0, np.abs(ls).max(axis=(-2, -1))))
-    points, faults = np.full(len(ms), None), [None] * len(ms)
+    ys, at_inf = np.zeros((len(ms), n, n)), np.zeros(len(ms), dtype=bool)
+    charted, faults = np.zeros(len(ms), dtype=bool), [None] * len(ms)
     for i in np.flatnonzero(lower.any(axis=1)):
         try:
             for j in np.flatnonzero(lower[i]):
-                l = SpMat(ls[i, j])
-                s_part = sym_part(l.A.T @ l.C - l.A.T @ l.A)
+                a, c = ls[i, j, :n, :n], ls[i, j, n:, :n]
+                s_part = sym_part(a.T @ c - a.T @ a)
                 try:
                     eigs = np.linalg.eigvalsh(s_part)
                 except np.linalg.LinAlgError:
                     continue
                 if np.min(eigs) > rel_bound(tol.eq_tol, s_part):
-                    y = _canonical_fixed_point(StandardBoundary(l.A, s_part, tol), tol)
-                    points[i] = moebius_act(SpMat(rots[3 + j]), y, tol)
+                    y = BoundaryPoint(_canonical_fixed_point(a, s_part, tol))
+                    pt = moebius_act(SpMat(rots[3 + j]), y, tol)
+                    charted[i], at_inf[i] = True, pt.is_infinity
+                    ys[i] = 0.0 if pt.is_infinity else pt.value
                     break
         except MaxRepError as exc:
             faults[i] = exc
-    ms, points = out.refuse(faults, ms, points)
-    rest = np.array([pt is None for pt in points], dtype=bool)
-    found, at_inf, moved, band, rho, _ = _subspace_fixed_points(ms[rest], tol)
-    # the first certificate that fails: the point is fixed, then the action there does not expand
-    rho = found.refuse(gate("fixed-point displacement", moved, band, NotFixed, "point moves by {:.3e}"), rho)
-    found.refuse(gate("differential spectral radius", rho, 1.0 + max(tol.unit_circle_band, _NONEXPAND_SLACK),
-                      NotSHyperbolic, "action expands by {:.3e}"))
-    # every refusal of the subspace route reads as NoCanonicalFixedPoint, with its own fields
-    faults = np.full(len(ms), None)
-    points[rest] = _stack_points(found.values, at_inf)
-    faults[rest] = [r and NoCanonicalFixedPoint(f"{_NO_CANONICAL}: {r}", r.stage, r.measured, r.bound)
-                    for r in found.refusals]
-    return out.finish(out.refuse(faults, points))
+    ms, ys, at_inf, charted = out.refuse(faults, ms, ys, at_inf, charted)
+    if not charted.all():
+        rest = ~charted
+        found, at_inf[rest], moved, band, rho, _ = _subspace_fixed_points(ms[rest], tol)
+        # the first certificate that fails: the point is fixed, then the action there does not expand
+        rho = found.refuse(gate("fixed-point displacement", moved, band, NotFixed, "point moves by {:.3e}"), rho)
+        found.refuse(gate("differential spectral radius", rho, 1.0 + max(tol.unit_circle_band, _NONEXPAND_SLACK),
+                          NotSHyperbolic, "action expands by {:.3e}"))
+        # every refusal of the subspace route reads as NoCanonicalFixedPoint, with its own fields
+        ys[rest], faults = found.values, np.full(len(ms), None)
+        faults[rest] = [r and NoCanonicalFixedPoint(f"{_NO_CANONICAL}: {r}", r.stage, r.measured, r.bound)
+                        for r in found.refusals]
+        ys, at_inf = out.refuse(faults, ys, at_inf)
+    inf = np.zeros(len(out.refusals), dtype=bool)
+    inf[out.finish(ys).live] = at_inf
+    return out, inf
 
 
 def canonical_point_of_element(g: SpMat, tol: Tolerance = DEFAULT_TOL) -> BoundaryPoint:
@@ -413,4 +400,5 @@ def canonical_point_of_element(g: SpMat, tol: Tolerance = DEFAULT_TOL) -> Bounda
     NoCanonicalFixedPoint, because identifying a reliable splitting from
     raw matrix data is not possible in general.
     """
-    return _canonical_points(g.m[None], tol)[0]
+    points, at_inf = _canonical_points(g.m[None], tol)
+    return _stack_points([points[0]], at_inf)[0]

@@ -296,8 +296,9 @@ def recover_params(rep: PantsRep,
     the normalizing conjugator h.  Parameters that fail membership raise
     NotMaximal with the stage and values of the gate that failed.
     """
-    points = _canonical_points(np.array([c.m for c in rep.generators()]), tol)
-    h = _normalize_triple(_point_stack([points[i] for i in range(3)]), tol)
+    points, at_inf = _canonical_points(np.array([c.m for c in rep.generators()]), tol)
+    ys = np.array([points[i] for i in range(3)])   # a refused generator raises here
+    h = _normalize_triple((ys, at_inf, np.maximum(1.0, np.abs(ys).max(axis=(1, 2)))), tol)
     hinv = sp_inverse(h)
     c1, c2, c3 = ((h @ c @ hinv) for c in rep.generators())
     params = PantsParams(c1.A.copy(), c2.B - c2.D, c3.D.copy())
@@ -355,16 +356,17 @@ def params_equivalent(p: PantsParams, q: PantsParams,
     replaced by their orthogonal polar factors.  When fingerprints match but
     no orthogonal witness is found the result is flagged inconclusive rather
     than asserted.  A NaN or Inf entry, or a fingerprint that overflows,
-    raises IllConditioned.
+    raises IllConditioned (stage "trace fingerprint" for the overflow).
     """
     if p.n != q.n:
         return EquivalenceResult(False, False)
     xs, ys = check_finite(np.array((p.matrices(), q.matrices())))
     with np.errstate(over="ignore", invalid="ignore"):
         distance = fingerprint_distance(p, q)
+    far = max(1e-7, 100 * tol.eq_tol)
     if not np.isfinite(distance):
-        raise IllConditioned("trace fingerprint overflows")
-    if distance > max(1e-7, 100 * tol.eq_tol):
+        raise IllConditioned("trace fingerprint overflows", "trace fingerprint", distance, far)
+    if distance > far:
         return EquivalenceResult(False, False)
     bounds = np.sqrt(tol.eq_tol) * np.maximum(1.0, np.abs(ys).max(axis=(1, 2)))
 

@@ -36,6 +36,10 @@ it fingerprinted both triples of a distance in one stacked pass.
 ``commutant_search`` from one Kronecker product per term, stacked by vstack,
 and ``pants_blocks_by_six_inverses`` forms the pants generator blocks with six
 separate inverses, as the library did before it formed both in one call.
+``canonical_points_as_objects`` finds the canonical point of each element of
+a stack as a BoundaryPoint, validating each chart hit as a StandardBoundary
+and calling the subspace route even when no slice is left for it, as the
+library did before it handed canonical points on as one array stack.
 ``NotInvertible`` is the refusal of the Cayley transforms at a singular point.
 """
 
@@ -50,10 +54,14 @@ from maxrep.errors import (
     MathematicalRefusal,
     MaxRepError,
     NearSingular,
+    NoCanonicalFixedPoint,
+    NotFixed,
     NotMaximal,
     NotSHyperbolic,
     NotTransverse,
     NotValid,
+    Slices,
+    gate,
 )
 from maxrep.matcore import (
     DEFAULT_TOL,
@@ -66,12 +74,21 @@ from maxrep.matcore import (
     require_symmetric,
     sym_part,
 )
-from maxrep.normalform import _ATTRACT_MARGIN, StandardBoundary
+from maxrep.normalform import (
+    _ATTRACT_MARGIN,
+    _NO_CANONICAL,
+    _NONEXPAND_SLACK,
+    StandardBoundary,
+    _canonical_fixed_point,
+    _subspace_fixed_points,
+)
 from maxrep.pants import PantsParams, ParamClass
 from maxrep.symplectic import (
     INFINITY,
     BoundaryPoint,
     SpMat,
+    _rotations,
+    _stack_points,
     diag_symplectic,
     moebius_act,
     point_distance,
@@ -146,7 +163,7 @@ def fixed_point_probe(sb: StandardBoundary, n_seeds: int = 100, seed: int = 0,
     """
     rng = np.random.default_rng(seed)
     a, s = sb.A, sb.S
-    n = sb.n
+    n = sb.A.shape[0]
     c = a + np.linalg.inv(a.T) @ s
     ait = np.linalg.inv(a.T)
     eye = np.eye(n)
@@ -477,3 +494,44 @@ def pants_blocks_by_six_inverses(x1: np.ndarray, x2: np.ndarray, x3: np.ndarray,
           -x2ti - t13 @ ik, t13)
     c3 = (x3ti, -x3ti @ ik - inv(x1) @ t(x2), z, x3)
     return c1, c2, c3
+
+
+def canonical_points_as_objects(ms: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Slices:
+    """The canonical point of each slice of a (k, 2n, 2n) stack, the values
+    BoundaryPoints: a SpMat and a StandardBoundary per chart hit, and one
+    _subspace_fixed_points call for the slices left, empty or not."""
+    n = ms.shape[-1] // 2
+    out = Slices(len(ms))
+    ms = out.screen(ms)
+    rots = _rotations(n)
+    ls = rots[:3] @ ms[:, None] @ rots[3:]
+    lower = ~(np.abs(ls[..., :n, n:]).max(axis=(-2, -1))
+              > tol.eq_tol * np.maximum(1.0, np.abs(ls).max(axis=(-2, -1))))
+    points, faults = np.full(len(ms), None), [None] * len(ms)
+    for i in np.flatnonzero(lower.any(axis=1)):
+        try:
+            for j in np.flatnonzero(lower[i]):
+                l = SpMat(ls[i, j])
+                s_part = sym_part(l.A.T @ l.C - l.A.T @ l.A)
+                try:
+                    eigs = np.linalg.eigvalsh(s_part)
+                except np.linalg.LinAlgError:
+                    continue
+                if np.min(eigs) > rel_bound(tol.eq_tol, s_part):
+                    sb = StandardBoundary(l.A, s_part, tol)
+                    y = BoundaryPoint(_canonical_fixed_point(sb.A, sb.S, tol))
+                    points[i] = moebius_act(SpMat(rots[3 + j]), y, tol)
+                    break
+        except MaxRepError as exc:
+            faults[i] = exc
+    ms, points = out.refuse(faults, ms, points)
+    rest = np.array([pt is None for pt in points], dtype=bool)
+    found, at_inf, moved, band, rho, _ = _subspace_fixed_points(ms[rest], tol)
+    rho = found.refuse(gate("fixed-point displacement", moved, band, NotFixed, "point moves by {:.3e}"), rho)
+    found.refuse(gate("differential spectral radius", rho, 1.0 + max(tol.unit_circle_band, _NONEXPAND_SLACK),
+                      NotSHyperbolic, "action expands by {:.3e}"))
+    faults = np.full(len(ms), None)
+    points[rest] = _stack_points(found.values, at_inf)
+    faults[rest] = [r and NoCanonicalFixedPoint(f"{_NO_CANONICAL}: {r}", r.stage, r.measured, r.bound)
+                    for r in found.refusals]
+    return out.finish(out.refuse(faults, points))

@@ -19,6 +19,7 @@ from maxrep.errors import (
     NotCompatible,
     NotContracting,
     NotValid,
+    Singular,
 )
 from maxrep.gluing import (
     GlueStatus,
@@ -137,6 +138,15 @@ class TestTwistElement:
         np.testing.assert_allclose(
             g.m, [[-34 / 9, -5 / 3], [-5 / 3, -1.0]], atol=1e-12)
         np.testing.assert_allclose(np.linalg.det(g.m), 1.0, atol=1e-12)
+
+    def test_singular_length_named(self, rng):
+        # a singular lower or upper length is refused under its own name
+        x, g0 = random_contracting(2, rng), random_invertible(2, rng)
+        s, sbar, singular = random_spd(2, rng), random_spd(2, rng), np.diag([0.5, 0.0])
+        xbar = g0 @ x.T @ np.linalg.inv(g0)
+        for case, which in (((singular, s, xbar, sbar, g0), "lower"), ((x, s, singular, sbar, g0), "upper")):
+            with pytest.raises(Singular, match=f"^{which} length is singular within tolerance"):
+                twist_element(*case)
 
     def test_conjugation_identity(self, rng):
         for _ in range(30):

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag, lapack
 
 from maxrep import matcore
-from maxrep.errors import IllConditioned, NearSingular, ResonantSpectrum, Singular
+from maxrep.errors import IllConditioned, NearSingular, ResonantSpectrum
 from maxrep.matcore import (
-    CircleClass,
     Tolerance,
-    circle_class,
+    _unit_circle_masks,
     commutant_search,
     norm_inf,
     similarity_witness,
@@ -99,16 +98,15 @@ class TestSpectralRadius:
         assert spectral_radius(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(0.0)
 
 
-class TestCircleClass:
+class TestUnitCircleMasks:
+    # the one band kernel: how many eigenvalues lie inside, on and outside
+    # the unit circle, on 1 +- band
     def test_examples(self):
-        assert circle_class(np.diag([0.5, 0.5])) is CircleClass.CONTRACTING
-        assert circle_class(np.diag([1.0, 0.5])) is CircleClass.HAS_UNIT_MODULUS_EIGENVALUE
-        assert circle_class(np.diag([2.0, 0.5])) is CircleClass.MIXED
-        assert circle_class(np.diag([2.0, 3.0])) is CircleClass.EXPANDING
-
-    def test_singular_rejected(self):
-        with pytest.raises(Singular):
-            circle_class(np.diag([1.0, 0.0]))
+        edges = [1.0 + 0.5e-8, 1.0 - 0.5e-8, 1.0 + 2e-8, 1.0 - 2e-8]
+        for diag, counts in (([0.5, 0.5], [2, 0, 0]), ([1.0, 0.5], [1, 1, 0]), ([2.0, 0.5], [1, 0, 1]),
+                             ([2.0, 3.0], [0, 0, 2]), (edges, [1, 2, 1])):
+            masks = _unit_circle_masks(np.diag(diag), Tolerance.unit_circle_band)
+            assert [int(m.sum()) for m in masks] == counts
 
     def test_similarity_invariance(self, rng):
         # eigenvalues kept well away from the unit-circle band
@@ -117,7 +115,8 @@ class TestCircleClass:
             x = random_contracting(n, rng, rho_range=(0.2, 0.7))
             g = random_invertible(n, rng, sv_range=(0.5, 2.0))
             conj = g @ x @ np.linalg.inv(g)
-            assert circle_class(conj) is circle_class(x)
+            for masks in (_unit_circle_masks(x, 1e-8), _unit_circle_masks(conj, 1e-8)):
+                assert masks[0].all() and not (masks[1].any() or masks[2].any())
 
 
 # eigenvalue modulus ranges, cycled over the diagonal blocks; in the mixed

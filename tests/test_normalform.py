@@ -4,17 +4,18 @@ import pytest
 from maxrep import normalform, symplectic
 from maxrep.errors import (
     DefectiveSplit,
+    MaxRepError,
     NoCanonicalFixedPoint,
     NotContracting,
     NotFixed,
     NotSHyperbolic,
+    Singular,
 )
 from maxrep.gluing import pants_surface_rep
 from maxrep.limits import limit_set_sample
 from maxrep.matcore import DEFAULT_TOL, Tolerance, norm_inf
 from maxrep.normalform import (
     _ATTRACT_MARGIN,
-    DifferentialClass,
     _attracting,
     _canonical_points,
     _subspace_fixed_points,
@@ -54,7 +55,12 @@ from tests_support import (
     random_spd,
     random_symplectic,
 )
-from oracles import chart_points_by_svd, fixed_point_probe, subspace_fixed_point_one
+from oracles import (
+    canonical_points_as_objects,
+    chart_points_by_svd,
+    fixed_point_probe,
+    subspace_fixed_point_one,
+)
 
 
 def attracting_points(stack):
@@ -95,11 +101,17 @@ class TestExpandingSide:
             y = fp.point.value
             assert np.max(np.linalg.eigvalsh(y)) < 0  # negative definite
             assert eq5_residual(a, s, y) <= 1e-10
-            assert fp.differential_class is DifferentialClass.EXPANDING
+            # the action at the point expands
+            mods = differential_at(sb.element(), fp.point).eigen_moduli()
+            assert mods[0] > 1.0 + DEFAULT_TOL.unit_circle_band
 
     def test_requires_contracting(self):
-        with pytest.raises(NotContracting):
-            fixed_point_expanding_side(StandardBoundary(np.array([[2.0]]), np.array([[1.0]])))
+        # refused on the spectral radius of A, which may sit on the band's edge
+        for a in (np.array([[2.0]]), np.diag([0.5, 1.0 - 0.5e-8])):
+            with pytest.raises(NotContracting) as info:
+                fixed_point_expanding_side(StandardBoundary(a, np.eye(len(a))))
+            assert (info.value.stage, info.value.bound) == ("length spectrum", 1.0 - DEFAULT_TOL.unit_circle_band)
+            assert info.value.measured == np.abs(np.linalg.eigvals(a)).max()
 
     def test_residual_is_the_riccati_residual(self, rng):
         sb = StandardBoundary(random_contracting(3, rng, rho_range=(0.3, 0.7)), random_spd(3, rng))
@@ -185,21 +197,21 @@ class TestCanonicalFixedPoint:
     def test_contracting_is_zero(self, rng):
         a = random_contracting(3, rng)
         sb = StandardBoundary(a, random_spd(3, rng))
-        pt = _canonical_fixed_point(sb, DEFAULT_TOL)
-        assert point_distance(pt, zero_point(3)) == 0.0
-        assert differential_at(sb.element(), pt).classify() is DifferentialClass.CONTRACTING
+        y = _canonical_fixed_point(sb.A, sb.S, DEFAULT_TOL)
+        assert not y.any() and y.shape == (3, 3)
+        mods = differential_at(sb.element(), BoundaryPoint(y)).eigen_moduli()
+        assert mods[-1] < 1.0 - DEFAULT_TOL.unit_circle_band
 
     def test_rotation_is_zero(self, rng):
-        pt = _canonical_fixed_point(StandardBoundary(rotation(0.8), random_spd(2, rng)), DEFAULT_TOL)
-        assert point_distance(pt, zero_point(2)) == 0.0
+        assert not _canonical_fixed_point(rotation(0.8), random_spd(2, rng), DEFAULT_TOL).any()
 
     def test_expanding_scalar(self):
         sb = StandardBoundary(np.array([[2.0]]), np.array([[1.0]]))
-        pt = _canonical_fixed_point(sb, DEFAULT_TOL)
+        pt = BoundaryPoint(_canonical_fixed_point(sb.A, sb.S, DEFAULT_TOL))
         assert point_distance(moebius_act(sb.element(), pt), pt) <= 1e-12
         assert eq5_residual(sb.A, sb.S, pt.value) <= 1e-12
-        d = differential_at(sb.element(), pt)
-        assert d.classify().value == "contracting"
+        mods = differential_at(sb.element(), pt).eigen_moduli()
+        assert mods[-1] < 1.0 - DEFAULT_TOL.unit_circle_band
 
     def test_mixed_spectrum(self, rng):
         # expanding, contracting and unit-circle parts together
@@ -210,19 +222,19 @@ class TestCanonicalFixedPoint:
         a = q @ blocks @ q.T
         s = random_spd(4, rng)
         sb = StandardBoundary(a, s)
-        pt = _canonical_fixed_point(sb, DEFAULT_TOL)
+        pt = BoundaryPoint(_canonical_fixed_point(a, s, DEFAULT_TOL))
         assert point_distance(moebius_act(sb.element(), pt), pt) <= 1e-10
         assert eq5_residual(a, s, pt.value) <= 1e-10
-        d = differential_at(sb.element(), pt)
-        assert np.max(d.eigen_moduli()) <= 1.0 + 1e-8
-        assert d.classify() is DifferentialClass.NON_EXPANDING
+        # the action does not expand, and the circle block keeps it from contracting
+        band = DEFAULT_TOL.unit_circle_band
+        assert 1.0 - band <= np.max(differential_at(sb.element(), pt).eigen_moduli()) <= 1.0 + band
 
     def test_orthogonal_equivariance(self, rng):
         a = np.diag([2.0, 0.4, 0.1])
         s = random_spd(3, rng)
         k = random_orthogonal(3, rng)
-        y = _canonical_fixed_point(StandardBoundary(a, s), DEFAULT_TOL).value
-        y2 = _canonical_fixed_point(StandardBoundary(k @ a @ k.T, k @ s @ k.T), DEFAULT_TOL).value
+        y = _canonical_fixed_point(a, s, DEFAULT_TOL)
+        y2 = _canonical_fixed_point(k @ a @ k.T, k @ s @ k.T, DEFAULT_TOL)
         np.testing.assert_allclose(y2, k @ y @ k.T, atol=1e-9)
 
     @pytest.mark.parametrize("seed, lead, off", [(4, 0.5, 100.0)])
@@ -233,8 +245,27 @@ class TestCanonicalFixedPoint:
         q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
         j = np.diag([lead, 1.0, 1.0])
         j[1, 2] = off
-        with pytest.raises(DefectiveSplit):
-            _canonical_fixed_point(StandardBoundary(q @ j @ q.T, np.eye(3)), DEFAULT_TOL)
+        with pytest.raises(DefectiveSplit) as info:
+            _canonical_fixed_point(q @ j @ q.T, np.eye(3), DEFAULT_TOL)
+        # the masks put one eigenvalue of the pair outside, the reordering none
+        assert (info.value.stage, info.value.measured, info.value.bound) == ("Schur reordering", 0, 1)
+
+    def test_straddling_modulus_refused(self):
+        # 1 + 1.5e-8 lies outside the band 1e-8 but inside its gray zone
+        band = DEFAULT_TOL.unit_circle_band
+        with pytest.raises(DefectiveSplit, match="straddle") as info:
+            _canonical_fixed_point(np.diag([1.0 + 1.5e-8, 0.5]), np.eye(2), DEFAULT_TOL)
+        assert (info.value.stage, info.value.bound) == ("unit-circle split", 2 * band)
+        assert band / 2 < info.value.measured < 2 * band
+
+    def test_singular_length_refused_as_standard_boundary(self):
+        # the chart route's one check of A, with StandardBoundary's refusal
+        a = np.diag([1.0, 1e-10])
+        with pytest.raises(Singular) as want:
+            StandardBoundary(a, np.eye(2))
+        with pytest.raises(Singular) as got:
+            _canonical_fixed_point(a, np.eye(2), DEFAULT_TOL)
+        assert str(got.value) == str(want.value)
 
 
 class TestNewtonProbe:
@@ -383,9 +414,8 @@ class TestElementCanonicalPoints:
         nan[0, 3], inf[2, 1] = np.nan, -np.inf
         elements = [rep.c2, SpMat(nan), h @ rep.c1 @ h.inv(), swap_symplectic(2), SpMat(inf),
                     h @ rep.c3 @ h.inv(), SpMat(np.zeros((4, 4)))]
-        stacked = _canonical_points(np.array([g.m for g in elements]), DEFAULT_TOL)
-        assert_slices_match(stacked, canonical_point_of_element, [(g,) for g in elements])
-        points = outcomes(stacked)
+        points = point_outcomes(*_canonical_points(np.array([g.m for g in elements]), DEFAULT_TOL))
+        assert_slices_match(points, canonical_point_of_element, [(g,) for g in elements])
         assert [type(p).__name__ for p in points] == [
             "BoundaryPoint", "IllConditioned", "BoundaryPoint", "NoCanonicalFixedPoint",
             "IllConditioned", "BoundaryPoint", "NoCanonicalFixedPoint"]
@@ -401,10 +431,9 @@ class TestElementCanonicalPoints:
         rep = build_maximal(random_pants_params(2, np.random.default_rng(3), tame=True))
         ms = np.array([c.m for c in rep.generators()])
         ms[1, 0, 0] = np.inf
-        stacked = _canonical_points(ms, DEFAULT_TOL)
-        assert [type(p).__name__ for p in outcomes(stacked)] == [
-            "BoundaryPoint", "IllConditioned", "BoundaryPoint"]
-        assert_slices_match(stacked, canonical_point_of_element, [(SpMat(m),) for m in ms])
+        points = point_outcomes(*_canonical_points(ms, DEFAULT_TOL))
+        assert [type(p).__name__ for p in points] == ["BoundaryPoint", "IllConditioned", "BoundaryPoint"]
+        assert_slices_match(points, canonical_point_of_element, [(SpMat(m),) for m in ms])
 
     def test_schur_failure_keeps_each_callers_error(self, monkeypatch):
         from maxrep import matcore
@@ -418,7 +447,7 @@ class TestElementCanonicalPoints:
         with pytest.raises(np.linalg.LinAlgError):
             _so_log(np.eye(2))
         with pytest.raises(np.linalg.LinAlgError):
-            _canonical_fixed_point(StandardBoundary(np.diag([2.0, 0.5]), np.eye(2)), DEFAULT_TOL)
+            _canonical_fixed_point(np.diag([2.0, 0.5]), np.eye(2), DEFAULT_TOL)
 
     def test_eig_failure_takes_the_schur_rescue(self, monkeypatch):
         # a LinAlgError of the stacked eigen-decomposition sends every slice
@@ -495,6 +524,74 @@ class TestElementCanonicalPoints:
         assert fixed(1e-3, Tolerance(eq_tol=1e-4))
         # the true fixed point passes under either band
         assert fixed(0.0, DEFAULT_TOL)
+
+
+def _canonical_stack(n: int, rng) -> list[np.ndarray]:
+    """Generators of three pants at n, in their standard charts and
+    conjugated: tame lengths, an expanding X1 (IN_TILDE_R) and a unit-modulus
+    X1; then the swap, NaN and Inf slices, a straddling standard element, a
+    non-symplectic lower-triangular slice with a singular A and a positive
+    shape, and the zero matrix."""
+    p = random_pants_params(n, rng, tame=True)
+    wide = PantsParams(1.2 * p.X1 / np.abs(np.linalg.eigvals(p.X1)).min(), p.X2, p.X3)
+    rot = np.eye(n)
+    rot[:2, :2] = rotation(0.6) if n > 1 else -1.0
+    x3 = random_spd(n, rng) @ rot.T @ p.X2.T
+    circle = PantsParams(rot, p.X2, x3 * min(1.0, 0.8 / np.abs(np.linalg.eigvals(x3)).max()))
+    h = random_symplectic(n, rng)
+    gens = [c for q in (p, wide, circle) for c in build_maximal(q).generators()]
+    ms = [g.m for g in gens] + [(h @ g @ h.inv()).m for g in gens]
+    nan, inf = ms[0].copy(), ms[4].copy()
+    nan[0, -1], inf[-1, 0] = np.nan, -np.inf
+    a = np.diag(np.r_[1e-10, np.ones(n - 1)])
+    singular = np.block([[a, np.zeros((n, n))], [a + np.diag(np.r_[1e12, np.ones(n - 1)]), np.eye(n)]])
+    straddle = StandardBoundary(np.diag(np.r_[1.0 + 1.5e-8, 0.5 * np.ones(n - 1)]), np.eye(n)).element().m
+    return ms + [swap_symplectic(n).m, nan, inf, straddle, singular, np.zeros((2 * n, 2 * n))]
+
+
+def _refusal_fields(e) -> tuple:
+    return type(e), str(e), e.stage, repr(e.measured), repr(e.bound)
+
+
+class TestCanonicalPointStack:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_objects_oracle(self, n):
+        # values, infinity masks and refusals (class, message and fields) bit
+        # for bit against the route that made a BoundaryPoint per point
+        rng = np.random.default_rng([n, 35])
+        ms = np.array(_canonical_stack(n, rng))
+        ms = ms[rng.permutation(len(ms))]
+        points, at_inf = _canonical_points(ms, DEFAULT_TOL)
+        ref = canonical_points_as_objects(ms, DEFAULT_TOL)
+        kinds = set()
+        for i, want in enumerate(outcomes(ref)):
+            got = points.refusals[i]
+            if isinstance(want, MaxRepError):
+                assert got is not None and _refusal_fields(got) == _refusal_fields(want), i
+                kinds.add(type(want).__name__)
+                continue
+            assert got is None, (i, got)
+            assert bool(at_inf[i]) == want.is_infinity, i
+            value = np.zeros((n, n)) if want.is_infinity else want.value
+            assert points.values[i].tobytes() == np.ascontiguousarray(value).tobytes(), i
+            kinds.add("infinity" if want.is_infinity else "finite")
+        assert kinds == {"finite", "infinity", "IllConditioned", "Singular", "DefectiveSplit",
+                         "NoCanonicalFixedPoint"}
+
+    def test_subspace_route_only_for_slices_left(self, monkeypatch):
+        # generators in their standard charts make no subspace call, not even
+        # an empty one; one conjugate among them makes one call for one slice
+        calls, real = [], normalform._subspace_fixed_points
+        monkeypatch.setattr(normalform, "_subspace_fixed_points",
+                            lambda ms, tol: calls.append(len(ms)) or real(ms, tol))
+        rng = np.random.default_rng(36)
+        for n in (1, 2, 3, 4):
+            rep = build_maximal(random_pants_params(n, rng, tame=True))
+            _canonical_points(np.array([c.m for c in rep.generators()]), DEFAULT_TOL)
+        assert calls == []
+        h = random_symplectic(4, rng)
+        _canonical_points(np.array([rep.c1.m, (h @ rep.c2 @ h.inv()).m, rep.c3.m]), DEFAULT_TOL)
+        assert calls == [1]
 
 
 class TestRotations:

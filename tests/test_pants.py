@@ -39,6 +39,7 @@ from maxrep.pants import (
 )
 from maxrep.symplectic import (
     INFINITY,
+    BoundaryPoint,
     SpMat,
     finite_point,
     identity_point,
@@ -491,6 +492,20 @@ class TestRecover:
                 e = info.value
                 assert (e.stage, e.measured, e.bound) == ("product signature", 2 * k - n, n)
 
+    def test_no_boundary_point_made(self, rng, monkeypatch):
+        # the canonical points of a conjugated pants reach the normalizer as
+        # one array stack; the one-element call still makes its one point
+        made, init = [], BoundaryPoint.__init__
+        monkeypatch.setattr(BoundaryPoint, "__init__", lambda pt, *a: made.append(pt) or init(pt, *a))
+        for n in (1, 2, 3, 4):
+            rep = build_maximal(random_pants_params(n, rng, tame=True))
+            g = random_symplectic(n, rng)
+            conj = PantsRep(*(g @ c @ sp_inverse(g) for c in rep.generators()))
+            recover_params(conj)
+        assert made == []
+        canonical_point_of_element(conj.c1)
+        assert len(made) == 1
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_normalizer_matches_elementary_moves(self, rng, n):
         # the canonical points of conjugated pants, normalized from the pairings
@@ -565,6 +580,17 @@ class TestEquivalence:
             warnings.simplefilter("error")
             with pytest.raises(IllConditioned):
                 params_equivalent(PantsParams(x1, p.X2, p.X3), p)
+
+    def test_overflowing_fingerprint_refused_with_fields(self):
+        # the length-3 traces of 1e200 I overflow alike in both triples, so
+        # the distance is not finite
+        p = PantsParams(1e200 * np.eye(2), np.eye(2), np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IllConditioned, match="^trace fingerprint overflows$") as info:
+                params_equivalent(p, p)
+        assert (info.value.stage, info.value.bound) == ("trace fingerprint", max(1e-7, 100 * DEFAULT_TOL.eq_tol))
+        assert not np.isfinite(info.value.measured)
 
     def test_differential_finite_difference(self, rng):
         # boundary derivatives of the built representation, against central
