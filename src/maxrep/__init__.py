@@ -8,7 +8,6 @@ representatives, and limit-set sampling.
 
 from .errors import (
     CannotGlue,
-    DefectiveSplit,
     GraphInvalid,
     IllConditioned,
     MathematicalRefusal,

@@ -157,7 +157,7 @@ def _so_log(u: np.ndarray) -> np.ndarray:
     into half-turn planes (an even count because the determinant is one).
     """
     n = u.shape[0]
-    t, q, _ = _real_schur(u)
+    t, q, *_ = _real_schur(u)
     k = np.zeros((n, n))
     minus_ones = []
     i = 0

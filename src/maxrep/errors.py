@@ -93,10 +93,6 @@ class NoCanonicalFixedPoint(NumericalBreakdown):
     """No canonical fixed point could be computed for this element."""
 
 
-class DefectiveSplit(NumericalBreakdown):
-    """Spectral splitting along the unit circle is too unstable to trust."""
-
-
 def gate(stage: str, measured, band, refusal: type, message, factors=()):
     """None for a measured value within its band, else its refusal: IllConditioned
     when the value is not finite or at most the rounding floor k d u prod(max|F_i|)

@@ -596,7 +596,7 @@ def _symplectify(a: np.ndarray) -> np.ndarray:
 def _edge_twist(up: _Gen, lo: _Gen, tw: SpMat, rots: tuple[SpMat, ...]) -> SpMat:
     """The global conjugator h with h . img_lo . h^{-1} = img_up^{-1} for the
     boundaries up and lo, from their arcs and slot rotations (rots, the
-    SpMats of _rotations(n)[:3]) and the edge's twist element tw as
+    SpMats of _rotations(n)) and the edge's twist element tw as
     _edge_twists formed it.
 
     The product is formed in extended precision, which keeps its conjugation
@@ -725,7 +725,7 @@ def _assemble(graph: GluingGraph, tol: Tolerance) -> tuple[_Piece, Slices]:
     pants = {nd.name: reps[i] for i, nd in enumerate(graph.nodes)}
     twists = _edge_twists(reads, tol)
     tws = {e: SpMat(twists[j]) for j, e in enumerate((*self_edges.values(), *tree_edges, *closures))}
-    ident, rots = sp_identity(graph.n), tuple(SpMat(u) for u in _rotations(graph.n)[:3])
+    ident, rots = sp_identity(graph.n), tuple(SpMat(u) for u in _rotations(graph.n))
 
     def fresh_block(name: str) -> _Piece:
         block = _Piece((), (), tuple(_Gen(ident, c, s, label((name, s)))

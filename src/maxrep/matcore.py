@@ -65,7 +65,10 @@ class Tolerance:
     series_tol        residual gate of the Stein solve, min(1e-12, eq_tol),
                       relative to the scale of a backward-stable residual;
     unit_circle_band  half-width of the band around |lambda| = 1 used when
-                      classifying spectra, the constant 1e-8.
+                      classifying spectra, the constant 1e-8;
+    route_band        sqrt(eq_tol), the half-width around |lambda| = 1 of a
+                      possible Jordan pair on the circle, which rounding splits
+                      by about sqrt(eps) |T|, past unit_circle_band.
     """
 
     eq_tol: float = 1e-9
@@ -78,6 +81,10 @@ class Tolerance:
     @property
     def series_tol(self) -> float:
         return min(1e-12, self.eq_tol)
+
+    @property
+    def route_band(self) -> float:
+        return float(np.sqrt(self.eq_tol))
 
 
 DEFAULT_TOL = Tolerance()
@@ -141,10 +148,11 @@ def require_invertible(m, tol: Tolerance = DEFAULT_TOL, what: str = "matrix") ->
 
 
 def _singular(s: np.ndarray, tol: Tolerance, what: str) -> Singular | None:
-    """What require_invertible raises for singular values s (descending), or None."""
-    if s[-1] <= tol.eq_tol * max(1.0, s[0]):
+    """What require_invertible raises for singular values s (descending), or
+    None: stage what, sigma_min measured against eq_tol * max(1, sigma_max)."""
+    if s[-1] <= (bound := tol.eq_tol * max(1.0, s[0])):
         return Singular(f"{what} is singular within tolerance "
-                        f"(sigma_min = {s[-1]:.3e}, sigma_max = {s[0]:.3e})")
+                        f"(sigma_min = {s[-1]:.3e}, sigma_max = {s[0]:.3e})", what, float(s[-1]), float(bound))
     return None
 
 
@@ -160,16 +168,17 @@ def _unit_circle_masks(x: np.ndarray, band: float) -> tuple[np.ndarray, ...]:
 
 
 def _real_schur(x: np.ndarray, select=None, error=np.linalg.LinAlgError):
-    """(T, Z, k): real Schur form T = Z^T X Z by LAPACK dgees, the k
-    eigenvalues that select(re, im) accepts leading.  scipy's dgees wrapper
+    """(T, Z, k, wr, wi): real Schur form T = Z^T X Z by LAPACK dgees, the k
+    eigenvalues that select(re, im) accepts leading, and the eigenvalues
+    wr + i wi in their order on the diagonal of T.  scipy's dgees wrapper
     directly: scipy.linalg.schur's import, workspace query and checks cost
     more than the factorization at small sizes.  A nonzero info raises error."""
-    t, k, _, _, z, _, info = (dgees(select, x, sort_t=1) if select
-                              else dgees(lambda re, im: None, x))
+    t, k, wr, wi, z, _, info = (dgees(select, x, sort_t=1) if select
+                                else dgees(lambda re, im: None, x))
     if info:
         raise error(f"real Schur factorization failed (LAPACK info {info})",
                     *(("real Schur factorization", info, 0) if issubclass(error, MaxRepError) else ()))
-    return t, z, k
+    return t, z, k, wr, wi
 
 
 def stein_solve(a, q, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

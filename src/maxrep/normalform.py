@@ -8,19 +8,18 @@ positive definite, is the block-lower-triangular symplectic matrix
 Its fixed points in the matrix chart solve Y C Y + Y A^{-T} - A Y = 0 with
 C = A + A^{-T} S.  The canonical fixed point is the unique one at which the
 differential is non-expanding; it is 0 when no eigenvalue of A lies outside
-the unit circle, and otherwise assembles from the expanding spectral block
-through a discrete Stein equation.
+the unit circle.  For any element, standard or conjugated, it is read off
+one sorted real Schur form or eigen-decomposition of the full matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    DefectiveSplit,
-    MaxRepError,
     NoCanonicalFixedPoint,
     NotContracting,
     NotFixed,
@@ -32,7 +31,6 @@ from .matcore import (
     DEFAULT_TOL,
     Tolerance,
     _real_schur,
-    _singular,
     _unit_circle_masks,
     check_finite,
     rel_bound,
@@ -45,10 +43,8 @@ from .symplectic import (
     BoundaryPoint,
     SpMat,
     _point_stack,
-    _rotations,
     _stack_points,
     make_symplectic,
-    moebius_act,
     sp_inverse,
     swap_symplectic,
 )
@@ -120,22 +116,6 @@ class DifferentialMap:
         return np.sort(np.multiply.outer(lm, rm).reshape(-1))
 
 
-def _stein_fixed_point(a: np.ndarray, s: np.ndarray, tol: Tolerance,
-                       expanding_side: bool) -> np.ndarray:
-    """Invertible fixed point of the standard element, via A^T P A - P = +-(A^T A + S).
-
-    With A contracting the solution P of A^T P A - P = -(A^T A + S) is
-    positive definite and Y = -P^{-1} is the fixed point transverse to 0
-    (the action there is expanding).  With A expanding the sign flips and
-    Y = P^{-1} is positive definite with contracting action.
-    """
-    sbar = a.T @ a + s
-    q = -sbar if expanding_side else sbar
-    p = stein_solve(a, q, tol)
-    sign = -1.0 if expanding_side else 1.0
-    return sym_part(sign * np.linalg.inv(p))
-
-
 def _riccati(ms: np.ndarray, ys: np.ndarray, at_inf: np.ndarray) -> tuple[np.ndarray, ...]:
     """(residual, left, right) of each element of a (k, 2n, 2n) stack at its
     point: the Riccati residual max|AY + B - Y(CY + D)|, zero exactly where
@@ -169,14 +149,16 @@ def fixed_point_expanding_side(sb: StandardBoundary,
                                tol: Tolerance = DEFAULT_TOL) -> FixedPointReport:
     """The unique fixed point transverse to 0 for contracting A.
 
-    It is negative definite and the boundary action there is expanding;
-    other spectra of A raise NotContracting, stage "length spectrum" with
-    the spectral radius of A against 1 - unit_circle_band.
+    It is Y = -P^{-1}, with P the positive definite solution of the Stein
+    equation A^T P A - P = -(A^T A + S); it is negative definite and the
+    boundary action there is expanding.  Other spectra of A raise
+    NotContracting, stage "length spectrum" with the spectral radius of A
+    against 1 - unit_circle_band.
     """
     if not _unit_circle_masks(sb.A, tol.unit_circle_band)[0].all():
         raise NotContracting("expanding-side fixed point needs contracting A", "length spectrum",
                              float(np.abs(np.linalg.eigvals(sb.A)).max()), 1.0 - tol.unit_circle_band)
-    y = _stein_fixed_point(sb.A, sb.S, tol, expanding_side=True)
+    y = sym_part(-np.linalg.inv(stein_solve(sb.A, -(sb.A.T @ sb.A + sb.S), tol)))
     residual = _riccati(sb.element().m[None], y[None], np.zeros(1, dtype=bool))[0]
     return FixedPointReport(BoundaryPoint(y), float(residual[0]))
 
@@ -194,48 +176,12 @@ def differential_at(g: SpMat, p: BoundaryPoint,
     return DifferentialMap(left=left[0], right=np.linalg.inv(right[0]))
 
 
-def _canonical_fixed_point(a: np.ndarray, s: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """The chart value of the canonical fixed point, where the action is
-    non-expanding, of the standard element with data (A, S), S positive
-    definite; a singular A raises StandardBoundary's Singular.
-
-    With no eigenvalue of A strictly outside the unit-circle band, the point
-    is 0.  Otherwise the expanding spectral block, led by an orthogonal
-    Schur basis Q with T = Q^T A Q, contributes an invertible fixed point in
-    the leading corner.  A modulus in the gray zone around the band (its
-    distance from 1 against 2 band), or a reordering that selects another
-    count, make that split untrustworthy and raise DefectiveSplit.
-    """
-    if fault := _singular(np.linalg.svd(a, compute_uv=False), tol, "length block A"):
-        raise fault
-    n, band = a.shape[0], tol.unit_circle_band
-    moduli = np.abs(np.linalg.eigvals(a))
-    outside = moduli > 1.0 + band
-    y = np.zeros((n, n))
-    if not np.any(outside):
-        return y
-    # an eigenvalue near the threshold but not inside the declared band
-    # could land on either side of the cut
-    straddle = (((moduli > 1.0 + band / 2) & (moduli < 1.0 + 2 * band))
-                | ((moduli > 1.0 - 2 * band) & (moduli < 1.0 - band / 2)))
-    if np.any(straddle):
-        raise DefectiveSplit("eigenvalue moduli straddle the unit-circle band; refusing to split",
-                             "unit-circle split", float(np.abs(moduli[straddle] - 1.0).min()), 2 * band)
-    t, q, k = _real_schur(a, lambda re, im: re * re + im * im > (1.0 + band) ** 2)
-    if k != (count := np.count_nonzero(outside)):   # a defective pair on the circle
-        raise DefectiveSplit(f"Schur reordering selected {k} of {count} eigenvalues",
-                             "Schur reordering", int(k), int(count))
-    sq = q.T @ s @ q
-    y[:k, :k] = _stein_fixed_point(t[:k, :k], sym_part(sq[:k, :k]), tol, expanding_side=False)
-    return sym_part(q @ y @ q.T)
-
-
 # margins for certifying dynamics at a candidate fixed point; the raw
 # eigenvalues of defective circle pairs carry O(sqrt(eps)) noise, so these
 # sit well above machine precision
 _ATTRACT_MARGIN = 1e-5
 _NONEXPAND_SLACK = 1e-6
-_NO_CANONICAL = "no recognizable standard position and no certified non-expanding fixed point"
+_NO_CANONICAL = "no certified non-expanding fixed point"
 
 
 # smallest min/max ratio of |diag R| the eigenvector basis may have; the point
@@ -248,14 +194,65 @@ def _eigenvector_bases(w: np.ndarray, v: np.ndarray, tol: Tolerance) -> tuple:
     """(zs, direct) from np.linalg.eig's (w, v) of a (k, 2n, 2n) stack: zs[i]
     an orthonormal basis of the span of the n largest moduli, Re v + Im v
     (x + y and x - y for a pair x +- iy) under one stacked QR, and whether
-    no modulus is in the unit-circle band and R is well conditioned."""
-    n = w.shape[-1] // 2
+    no modulus is within route_band of 1 and R is well conditioned."""
+    n, c = w.shape[-1] // 2, tol.route_band
     cols, ranked = np.argsort(np.abs(w), axis=-1)[:, n:], np.sort(np.abs(w), axis=-1)
     v = v[np.arange(len(w))[:, None], :, cols]
     zs, r = np.linalg.qr((v.real + v.imag).swapaxes(1, 2))
     r = np.abs(np.diagonal(r, axis1=1, axis2=2))
-    return zs, ((ranked[:, n - 1] < 1.0 - tol.unit_circle_band) & (ranked[:, n] > 1.0 + tol.unit_circle_band)
+    return zs, ((ranked[:, n - 1] < 1.0 - c) & (ranked[:, n] > 1.0 + c)
                 & (r.min(axis=-1) > _EIGENBASIS_RCOND * r.max(axis=-1)))
+
+
+def _circle_polynomial(t: np.ndarray, w: list, r: float) -> np.ndarray:
+    """p(T) with one root for each cluster of the eigenvalues w of T, the
+    members within r of its first: their mean, which the rounding that
+    splits a Jordan pair leaves accurate; a real quadratic for a complex
+    pair, and none for its lower half or for a cluster above 1 + r / 2, the
+    expanding half of a pair split by more than r."""
+    eye, p = np.eye(len(t)), None
+    while w:
+        near = [x for x in w if abs(x - w[0]) <= r]
+        w = [x for x in w if abs(x - w[0]) > r]
+        mu = sum(near) / len(near)
+        if abs(mu) <= 1.0 + r / 2 and mu.imag >= -r / 2:
+            f = t @ t - 2.0 * mu.real * t + abs(mu) ** 2 * eye if mu.imag > r / 2 else t - mu.real * eye
+            p = f if p is None else p @ f
+    return eye if p is None else p
+
+
+def _schur_frame(m: np.ndarray, n: int, c: float) -> tuple:
+    """(Z, fault) of the Schur rescue for one (2n, 2n) slice: Z (2n, n) spans
+    its non-contracting invariant Lagrangian where fault is None.
+
+    One real Schur form T leads with the moduli above 1 - c.  With none in
+    [1 - c, 1 + c], Z is that block if n-dimensional.  Otherwise Z is the
+    range of p(T11), _circle_polynomial of those in the band clustered within
+    r = 8 sqrt(eps) |T|_F (8 times the split rounding gives a Jordan pair),
+    if sigma_{n+1} <= c sigma_n: the expanding part and the eigenvector half
+    of each Jordan pair on the circle (Lancaster-Rodman, Algebraic Riccati
+    Equations, 1995).  Without that gap, band moduli more than c r from 1 on
+    both sides are a diagonalisable pair, which a second Schur form cut at
+    modulus 1 splits.  Elliptic blocks, longer Jordan chains and a T within
+    c r of a scalar in the Frobenius norm (a word equal to the identity,
+    whose p(T11) is rounding, takes no SVD) are refused at the gap.  A
+    failed Schur form raises NotSHyperbolic."""
+    t, z, dim, wr, wi = _real_schur(m, lambda re, im: re * re + im * im > (1.0 - c) ** 2, NotSHyperbolic)
+    w = [complex(x, y) for x, y in zip(wr[:dim].tolist(), wi[:dim].tolist()) if math.hypot(x, y) <= 1.0 + c]
+    gap = np.inf
+    if w and np.linalg.norm(t - wr[0] * np.eye(2 * n)) > c * (r := 8.0 * 2.0 ** -26 * np.linalg.norm(t)):
+        u, s, _ = np.linalg.svd(_circle_polynomial(t[:dim, :dim], w, r))
+        gap = s[n] / s[n - 1] if dim > n and s[n - 1] > 0.0 else np.inf
+        if gap <= c:
+            return z[:, :dim] @ u[:, :n], None
+        if min(map(abs, w)) < 1.0 - c * r and max(map(abs, w)) > 1.0 + c * r:
+            _, z, dim, *_ = _real_schur(m, lambda re, im: re * re + im * im > 1.0, NotSHyperbolic)
+            w = []
+    if w:
+        return z[:, :n], NotSHyperbolic(f"unit-circle block has no rank gap at {n} (ratio {gap:.3e})",
+                                        "unit-circle rank gap", float(gap), c)
+    return z[:, :n], None if dim == n else NotSHyperbolic(
+        f"expanding subspace has dimension {dim}, expected {n}", "expanding subspace dimension", dim, n)
 
 
 def _subspace_fixed_points(ms: np.ndarray, tol: Tolerance, zs: np.ndarray | None = None,
@@ -272,11 +269,12 @@ def _subspace_fixed_points(ms: np.ndarray, tol: Tolerance, zs: np.ndarray | None
 
     zs holds an orthonormal basis (2n, n) of each subspace, which one
     np.linalg.eig of the stack makes when none is given (_eigenvector_bases).
-    A slice not direct, or every slice when that eig fails, takes its sorted
-    real Schur basis instead, and is refused where that fails or the subspace
-    is not n-dimensional.  The point is u1 u2^{-1}, or infinity where
-    sigma_min(u2) <= eq_tol * max(1, sigma_max), read only if |det u2| <= 2
-    eq_tol (an orthonormal frame has sigma_min >= |det u2| / (1 + O(u))^(n-1)).
+    A slice not direct, or every slice when that eig fails, takes the Schur
+    rescue instead (_schur_frame, c = route_band), and is refused where that
+    refuses or its Schur form fails.  The point is
+    u1 u2^{-1}, or infinity where sigma_min(u2) <= eq_tol * max(1, sigma_max),
+    read only if |det u2| <= 2 eq_tol (an orthonormal frame has
+    sigma_min >= |det u2| / (1 + O(u))^(n-1)).
     Callers set thresholds on rho; a NaN or Inf raises IllConditioned.
     """
     ms = check_finite(ms)
@@ -286,19 +284,13 @@ def _subspace_fixed_points(ms: np.ndarray, tol: Tolerance, zs: np.ndarray | None
             zs, direct = _eigenvector_bases(*np.linalg.eig(ms), tol)
         except np.linalg.LinAlgError:
             zs, direct = np.empty((len(ms), 2 * n, n)), np.zeros(len(ms), dtype=bool)
-    points, faults = Slices(len(ms)), [None] * len(ms)
+    points, faults, c = Slices(len(ms)), [None] * len(ms), tol.route_band
     for i in np.flatnonzero(~direct):
+        # the refusals are made, not raised, so that they hold no frame of this call
         try:
-            _, z, dim = _real_schur(ms[i], lambda re, im: re * re + im * im > 1.0, NotSHyperbolic)
+            zs[i], faults[i] = _schur_frame(ms[i], n, c)
         except NotSHyperbolic as exc:
             faults[i] = exc
-            continue
-        # reordering can move an eigenvalue of modulus near 1 across the cut;
-        # the refusal is made, not raised, so that it holds no frame of this call
-        zs[i] = z[:, :n]
-        if dim != n:
-            faults[i] = NotSHyperbolic(f"expanding subspace has dimension {dim}, expected {n}",
-                                       "expanding subspace dimension", dim, n)
     ms, zs = points.refuse(faults, ms, zs)
     u1, u2 = zs[:, :n], zs[:, n:]
     at_inf = np.abs(np.linalg.det(u2)) <= 2 * tol.eq_tol   # the determinant screen
@@ -342,48 +334,16 @@ def _canonical_points(ms: np.ndarray, tol: Tolerance) -> tuple[Slices, np.ndarra
     """canonical_point_of_element of each slice of a (k, 2n, 2n) stack, as
     _subspace_fixed_points gives points: (points, at_inf), the values chart
     values, zero where at_inf.  A slice with a NaN or Inf is refused before
-    any product; the slices without a standard chart, if any, share one
-    _subspace_fixed_points call."""
-    n = ms.shape[-1] // 2
+    the one _subspace_fixed_points call."""
     out = Slices(len(ms))
-    ms = out.screen(ms)
-    rots = _rotations(n)
-    ls = rots[:3] @ ms[:, None] @ rots[3:]     # in the chart of u = rots[3 + j]
-    # a chart holds a standard form where the B block vanishes
-    lower = ~(np.abs(ls[..., :n, n:]).max(axis=(-2, -1))
-              > tol.eq_tol * np.maximum(1.0, np.abs(ls).max(axis=(-2, -1))))
-    ys, at_inf = np.zeros((len(ms), n, n)), np.zeros(len(ms), dtype=bool)
-    charted, faults = np.zeros(len(ms), dtype=bool), [None] * len(ms)
-    for i in np.flatnonzero(lower.any(axis=1)):
-        try:
-            for j in np.flatnonzero(lower[i]):
-                a, c = ls[i, j, :n, :n], ls[i, j, n:, :n]
-                s_part = sym_part(a.T @ c - a.T @ a)
-                try:
-                    eigs = np.linalg.eigvalsh(s_part)
-                except np.linalg.LinAlgError:
-                    continue
-                if np.min(eigs) > rel_bound(tol.eq_tol, s_part):
-                    y = BoundaryPoint(_canonical_fixed_point(a, s_part, tol))
-                    pt = moebius_act(SpMat(rots[3 + j]), y, tol)
-                    charted[i], at_inf[i] = True, pt.is_infinity
-                    ys[i] = 0.0 if pt.is_infinity else pt.value
-                    break
-        except MaxRepError as exc:
-            faults[i] = exc
-    ms, ys, at_inf, charted = out.refuse(faults, ms, ys, at_inf, charted)
-    if not charted.all():
-        rest = ~charted
-        found, at_inf[rest], moved, band, rho, _ = _subspace_fixed_points(ms[rest], tol)
-        # the first certificate that fails: the point is fixed, then the action there does not expand
-        rho = found.refuse(gate("fixed-point displacement", moved, band, NotFixed, "point moves by {:.3e}"), rho)
-        found.refuse(gate("differential spectral radius", rho, 1.0 + max(tol.unit_circle_band, _NONEXPAND_SLACK),
-                          NotSHyperbolic, "action expands by {:.3e}"))
-        # every refusal of the subspace route reads as NoCanonicalFixedPoint, with its own fields
-        ys[rest], faults = found.values, np.full(len(ms), None)
-        faults[rest] = [r and NoCanonicalFixedPoint(f"{_NO_CANONICAL}: {r}", r.stage, r.measured, r.bound)
-                        for r in found.refusals]
-        ys, at_inf = out.refuse(faults, ys, at_inf)
+    found, at_inf, moved, band, rho, _ = _subspace_fixed_points(out.screen(ms), tol)
+    # the first certificate that fails: the point is fixed, then the action there does not expand
+    rho = found.refuse(gate("fixed-point displacement", moved, band, NotFixed, "point moves by {:.3e}"), rho)
+    found.refuse(gate("differential spectral radius", rho, 1.0 + max(tol.unit_circle_band, _NONEXPAND_SLACK),
+                      NotSHyperbolic, "action expands by {:.3e}"))
+    # every refusal reads as NoCanonicalFixedPoint, with its own fields
+    ys, at_inf = out.refuse([r and NoCanonicalFixedPoint(f"{_NO_CANONICAL}: {r}", r.stage, r.measured, r.bound)
+                             for r in found.refusals], found.values, at_inf)
     inf = np.zeros(len(out.refusals), dtype=bool)
     inf[out.finish(ys).live] = at_inf
     return out, inf
@@ -392,13 +352,13 @@ def _canonical_points(ms: np.ndarray, tol: Tolerance) -> tuple[Slices, np.ndarra
 def canonical_point_of_element(g: SpMat, tol: Tolerance = DEFAULT_TOL) -> BoundaryPoint:
     """Canonical (non-expanding) fixed point of a symplectic element.
 
-    Elements exposing a standard form in one of the three chart positions
-    reachable by powers of the standard triple rotation use the exact
-    closed forms (this covers unit-modulus spectra).  Anything else goes
-    through the certified invariant-subspace route, which requires a
-    transverse-pair element; the remaining cases refuse with
-    NoCanonicalFixedPoint, because identifying a reliable splitting from
-    raw matrix data is not possible in general.
+    It is the invariant Lagrangian on which g acts with eigenvalue moduli at
+    least 1: the expanding subspace, with the eigenvector half of each Jordan
+    pair on the unit circle, which one route finds for every element
+    (_subspace_fixed_points).  The point is certified by its Riccati residual
+    and by a non-expanding differential; an element without such a point,
+    elliptic or fixed-point free, refuses with NoCanonicalFixedPoint, which
+    carries the stage, measured value and bound of the check that failed.
     """
     points, at_inf = _canonical_points(g.m[None], tol)
     return _stack_points([points[0]], at_inf)[0]

@@ -288,8 +288,11 @@ def recover_params(rep: PantsRep,
                    tol: Tolerance = DEFAULT_TOL) -> tuple[PantsParams, SpMat]:
     """Invert the forward construction on an arbitrary maximal representation.
 
-    Canonical fixed points of the three generators form a maximal triple
-    (normalize_maximal_triple refuses another index with NotMaximal);
+    Canonical fixed points of the three generators, found by one route in
+    any frame (canonical_point_of_element; lengths with unit-modulus spectra
+    included, whose generators have Jordan pairs on the circle), form a
+    maximal triple (normalize_maximal_triple refuses another index with
+    NotMaximal); a generator without one raises NoCanonicalFixedPoint;
     normalizing it to (0, e, inf) puts the generators in the standard block
     shape, from which X1 sits in the upper-left of c1, X3 in the lower-right
     of c3, and X2 = B - D read off c2.  Returns the parameters together with

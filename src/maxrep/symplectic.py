@@ -204,9 +204,9 @@ def cycle_symplectic(n: int) -> SpMat:
 @functools.cache
 def _rotations(n: int) -> np.ndarray:
     """u_k = I, R^{-1}, R (k = 0, 1, 2) for the triple rotation R = cycle_symplectic(n),
-    whose cube is -I, then their inverses: a read-only (6, 2n, 2n) stack built once per n."""
+    whose cube is -I: a read-only (3, 2n, 2n) stack built once per n."""
     r = cycle_symplectic(n)
-    rots = np.array([np.eye(2 * n), sp_inverse(r).m, r.m])[[0, 1, 2, 0, 2, 1]]
+    rots = np.array([np.eye(2 * n), sp_inverse(r).m, r.m])
     rots.flags.writeable = False
     return rots
 

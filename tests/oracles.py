@@ -39,7 +39,10 @@ separate inverses, as the library did before it formed both in one call.
 ``canonical_points_as_objects`` finds the canonical point of each element of
 a stack as a BoundaryPoint, validating each chart hit as a StandardBoundary
 and calling the subspace route even when no slice is left for it, as the
-library did before it handed canonical points on as one array stack.
+library did before it handed canonical points on as one array stack.  Its
+chart hits take ``canonical_fixed_point``, the closed form of a standard
+element through a Stein equation on the expanding Schur block, as the library
+did before one Schur route found every canonical point.
 ``NotInvertible`` is the refusal of the Cayley transforms at a singular point.
 """
 
@@ -66,12 +69,14 @@ from maxrep.errors import (
 from maxrep.matcore import (
     DEFAULT_TOL,
     Tolerance,
+    _real_schur,
     _unit_circle_masks,
     as_matrix,
     norm_inf,
     rel_bound,
     require_invertible,
     require_symmetric,
+    stein_solve,
     sym_part,
 )
 from maxrep.normalform import (
@@ -79,7 +84,6 @@ from maxrep.normalform import (
     _NO_CANONICAL,
     _NONEXPAND_SLACK,
     StandardBoundary,
-    _canonical_fixed_point,
     _subspace_fixed_points,
 )
 from maxrep.pants import PantsParams, ParamClass
@@ -496,6 +500,42 @@ def pants_blocks_by_six_inverses(x1: np.ndarray, x2: np.ndarray, x3: np.ndarray,
     return c1, c2, c3
 
 
+def canonical_fixed_point(a: np.ndarray, s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """The chart value of the canonical fixed point, where the action is
+    non-expanding, of the standard element with data (A, S), S positive
+    definite; a singular A raises StandardBoundary's Singular.
+
+    With no eigenvalue of A strictly outside the unit-circle band, the point
+    is 0.  Otherwise the expanding spectral block T11 of an orthogonal Schur
+    basis Q, T = Q^T A Q, contributes the fixed point P^{-1} in the leading
+    corner, P the positive definite solution of T11^T P T11 - P = T11^T T11
+    + S11.  A modulus in the gray zone around the band (its distance from 1
+    against 2 band), or a reordering that selects another count, make that
+    split untrustworthy and raise NoCanonicalFixedPoint.
+    """
+    require_invertible(a, tol, "length block A")
+    n, band = a.shape[0], tol.unit_circle_band
+    moduli = np.abs(np.linalg.eigvals(a))
+    outside = moduli > 1.0 + band
+    y = np.zeros((n, n))
+    if not np.any(outside):
+        return y
+    # an eigenvalue near the threshold but not inside the declared band
+    # could land on either side of the cut
+    straddle = (((moduli > 1.0 + band / 2) & (moduli < 1.0 + 2 * band))
+                | ((moduli > 1.0 - 2 * band) & (moduli < 1.0 - band / 2)))
+    if np.any(straddle):
+        raise NoCanonicalFixedPoint("eigenvalue moduli straddle the unit-circle band; refusing to split",
+                                    "unit-circle split", float(np.abs(moduli[straddle] - 1.0).min()), 2 * band)
+    t, q, k, *_ = _real_schur(a, lambda re, im: re * re + im * im > (1.0 + band) ** 2)
+    if k != (count := np.count_nonzero(outside)):   # a defective pair on the circle
+        raise NoCanonicalFixedPoint(f"Schur reordering selected {k} of {count} eigenvalues",
+                                    "Schur reordering", int(k), int(count))
+    t11, s11 = t[:k, :k], sym_part((q.T @ s @ q)[:k, :k])
+    y[:k, :k] = sym_part(np.linalg.inv(stein_solve(t11, t11.T @ t11 + s11, tol)))
+    return sym_part(q @ y @ q.T)
+
+
 def canonical_points_as_objects(ms: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Slices:
     """The canonical point of each slice of a (k, 2n, 2n) stack, the values
     BoundaryPoints: a SpMat and a StandardBoundary per chart hit, and one
@@ -503,8 +543,8 @@ def canonical_points_as_objects(ms: np.ndarray, tol: Tolerance = DEFAULT_TOL) ->
     n = ms.shape[-1] // 2
     out = Slices(len(ms))
     ms = out.screen(ms)
-    rots = _rotations(n)
-    ls = rots[:3] @ ms[:, None] @ rots[3:]
+    rots, inverses = _rotations(n), _rotations(n)[[0, 2, 1]]   # u_j and u_j^{-1}
+    ls = rots @ ms[:, None] @ inverses
     lower = ~(np.abs(ls[..., :n, n:]).max(axis=(-2, -1))
               > tol.eq_tol * np.maximum(1.0, np.abs(ls).max(axis=(-2, -1))))
     points, faults = np.full(len(ms), None), [None] * len(ms)
@@ -519,8 +559,8 @@ def canonical_points_as_objects(ms: np.ndarray, tol: Tolerance = DEFAULT_TOL) ->
                     continue
                 if np.min(eigs) > rel_bound(tol.eq_tol, s_part):
                     sb = StandardBoundary(l.A, s_part, tol)
-                    y = BoundaryPoint(_canonical_fixed_point(sb.A, sb.S, tol))
-                    points[i] = moebius_act(SpMat(rots[3 + j]), y, tol)
+                    y = BoundaryPoint(canonical_fixed_point(sb.A, sb.S, tol))
+                    points[i] = moebius_act(SpMat(inverses[j]), y, tol)
                     break
         except MaxRepError as exc:
             faults[i] = exc

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag, lapack
 
 from maxrep import matcore
-from maxrep.errors import IllConditioned, NearSingular, ResonantSpectrum
+from maxrep.errors import IllConditioned, NearSingular, ResonantSpectrum, Singular
 from maxrep.matcore import (
     Tolerance,
     _unit_circle_masks,
     commutant_search,
     norm_inf,
+    require_invertible,
     similarity_witness,
     stein_solve,
 )
@@ -287,6 +288,19 @@ class TestLapackWrappers:
             got = matcore._real_schur(x, select)
             assert info == 0 and got[2] == k
             assert [a.tobytes() for a in got[:2]] == [t.tobytes(), z.tobytes()]
+            # the eigenvalues in their order on the diagonal of T
+            np.testing.assert_allclose(got[3] + 1j * got[4], np.linalg.eigvals(t), rtol=1e-12, atol=1e-12)
+
+
+class TestRequireInvertible:
+    def test_singular_refusal_is_staged(self):
+        # the stage names the matrix, sigma_min is measured against eq_tol * max(1, sigma_max)
+        with pytest.raises(Singular) as info:
+            require_invertible(np.diag([1.0, 1e-12]))
+        e = info.value
+        assert None not in (e.stage, e.measured, e.bound)
+        assert (e.stage, e.measured, e.bound) == ("matrix", 1e-12, 1e-9)
+        assert str(e) == "matrix is singular within tolerance (sigma_min = 1.000e-12, sigma_max = 1.000e+00)"
 
 
 class TestAsMatrix:

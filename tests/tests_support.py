@@ -370,7 +370,7 @@ def glued_by_two_builds(upper, upper_label, lower, lower_label, twist, tol: Tole
     tw = _edge_twists([(params[edge.upper[0]], edge.upper[1], params[edge.lower[0]], edge.lower[1],
                         edge.twist)], tol)
     piece = _amalgamate(piece1, upper_label, piece2, lower_label, SpMat(tw[0]),
-                         tuple(SpMat(u) for u in _rotations(graph.n)[:3]))
+                         tuple(SpMat(u) for u in _rotations(graph.n)))
     checks = Slices(len(graph.nodes))
     checks.values = checks1.values + checks2.values
     return _surface_rep(piece, checks, graph, tol)
