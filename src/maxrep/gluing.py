@@ -42,6 +42,7 @@ from .matcore import (
     DEFAULT_TOL,
     Tolerance,
     _singular,
+    _singularity,
     _stein_solves,
     _unit_circle_masks,
     as_matrix,
@@ -185,31 +186,34 @@ def _twist_elements(x, s, xbar, sbar, g, tol: Tolerance, obstruct: bool = False)
 
 
 def _edge_screen(g, x, xbar, tol: Tolerance, obstruct: bool = False) -> Slices:
-    """The twist kernel's checks ahead of its Stein solves, on (k, n, n)
-    stacks of twists g and lower and upper lengths x and xbar, in its order:
-    with obstruct, a unit-modulus length (CannotGlue); a non-finite or
-    singular g, x or xbar, a g whose square overflows, a non-contracting x or
-    xbar; a defect of xbar = G x^T G^{-1} above max(1e-7, 100 eq_tol) *
-    max(1, |xbar|) (NotCompatible).  The values are the eigenvalues of x and xbar.
-    """
+    """The twist kernel's checks ahead of its Stein solves, on (k, n, n) stacks of
+    twists g and lower and upper lengths x and xbar, in its order: with obstruct,
+    a unit-modulus length (CannotGlue, "unit-circle obstruction"); a non-finite or
+    singular g, x or xbar (matcore._singularity); a g whose square overflows ("twist
+    overflow", only where |g|_F^2 passes half the largest float, so the SVD ran); a
+    non-contracting x or xbar ("length spectrum"); a defect of xbar = G x^T G^{-1} above
+    max(1e-7, 100 eq_tol) * max(1, |xbar|) (NotCompatible); values: eigenvalues of x, xbar."""
     k, n = x.shape[:2]
     band, big = tol.unit_circle_band, np.sqrt(np.finfo(float).max)   # a larger twist overflows
     out = Slices(k)
     mats = np.stack((g, x, xbar))
     finite = np.isfinite(mats).all(axis=(-2, -1))
     mats = np.where(finite[..., None, None], mats, np.eye(n))
-    sv, eigs = np.linalg.svd(mats, compute_uv=False), np.linalg.eigvals(mats[1:])
+    sv, eigs = _singularity(mats, tol)[1], np.linalg.eigvals(mats[1:])
 
     def spectral_fault(i):
-        if obstruct and (finite[1:, i, None] & (np.abs(np.abs(eigs[:, i]) - 1.0) <= band)).any():
-            return CannotGlue("unit-modulus boundary length obstructs gluing")
+        gaps = np.abs(np.abs(eigs[:, i]) - 1.0)[finite[1:, i]]
+        if obstruct and (gaps <= band).any():
+            return CannotGlue("unit-modulus boundary length obstructs gluing",
+                              "unit-circle obstruction", float(gaps.min()), band)
         for j, what in enumerate(("twist parameter", "lower length", "upper length")):
             fault = _non_finite() if not finite[j, i] else _singular(sv[j, i], tol, what)
             if fault is None and not j and sv[0, i, 0] > big:
-                fault = IllConditioned(f"twist parameter overflows (sigma_max = {sv[0, i, 0]:.3e})")
-            if fault is None and j and not (np.abs(eigs[j - 1, i]) < 1.0 - band).all():
-                fault = NotContracting(f"{('lower', 'upper')[j - 1]} length must be "
-                                       "contracting to build the twist element")
+                fault = IllConditioned(f"twist parameter overflows (sigma_max = {sv[0, i, 0]:.3e})",
+                                       "twist overflow", float(sv[0, i, 0]), float(big))
+            if fault is None and j and not (rho := float(np.abs(eigs[j - 1, i]).max())) < 1.0 - band:
+                fault = NotContracting(f"{('lower', 'upper')[j - 1]} length must be contracting to build the "
+                                       "twist element", "length spectrum", rho, 1.0 - band)
             if fault:
                 return fault
         return None

@@ -109,10 +109,7 @@ def norm_inf(m) -> float:
 
 def rel_bound(tol: float, *values) -> float:
     """Return tol * max(1, |values|...) where values may be matrices."""
-    scale = 1.0
-    for v in values:
-        scale = max(scale, norm_inf(v))
-    return tol * scale
+    return tol * max([1.0] + [norm_inf(v) for v in values])
 
 
 def check_finite(m: np.ndarray) -> np.ndarray:
@@ -130,8 +127,7 @@ def sym_part(m: np.ndarray) -> np.ndarray:
 
 def require_symmetric(m, tol: Tolerance = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:
     """Validate symmetry within tolerance and return the symmetrised copy."""
-    m = as_matrix(m)
-    check_finite(m)
+    m = check_finite(as_matrix(m))
     if norm_inf(m - m.T) > rel_bound(tol.eq_tol, m):
         raise ValueError(f"{what} is not symmetric within tolerance "
                          f"(defect {norm_inf(m - m.T):.3e})")
@@ -139,12 +135,31 @@ def require_symmetric(m, tol: Tolerance = DEFAULT_TOL, what: str = "matrix") -> 
 
 
 def require_invertible(m, tol: Tolerance = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:
-    m = as_matrix(m)
-    check_finite(m)
-    fault = _singular(np.linalg.svd(m, compute_uv=False), tol, what)
-    if fault:
+    m = check_finite(as_matrix(m))
+    if fault := _singular(_singularity(m[None], tol)[1][0], tol, what):
         raise fault
     return m
+
+
+def _singularity(xs: np.ndarray, tol: Tolerance, fro2: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(singular, s) of a stack (..., n, n) of finite matrices: sigma_min <=
+    eq_tol * max(1, sigma_max) as the singular values s decide, with s NaN
+    (not singular to _singular) for each matrix that Yu-Gu's determinant bound
+    clears without an SVD (README, "Numerical notes"); fro2 is |X|_F^2, if known."""
+    # the floor's 24 = 2 (1 + g) covers LU growth |L||U| <= g |X| to g = 11, past 9 at n <= 3
+    n, tau = xs.shape[-1], max(tol.eq_tol, 24.0 * xs.shape[-1] * 2.0 ** -53)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        fro2 = (xs * xs).sum(axis=(-2, -1)) if fro2 is None else fro2
+        # |det X| ((n - 1) / |X|_F^2)^((n - 1) / 2) > 2 tau max(1, |X|_F), squared; a factor that
+        # overflows (inf or NaN) or a sigma_max that may pass sqrt(largest float) is the SVD's
+        bound = np.linalg.det(xs) ** 2 * ((n - 1) / fro2) ** (n - 1)
+        cleared = (bound > 4.0 * tau * tau * np.maximum(1.0, fro2)) & (bound < np.inf) \
+            & (fro2 < np.finfo(float).max / 2)
+    s, singular = np.full(xs.shape[:-1], np.nan), np.zeros(xs.shape[:-2], dtype=bool)
+    if not cleared.all():
+        s[~cleared] = rest = np.linalg.svd(xs[~cleared], compute_uv=False)
+        singular[~cleared] = rest[:, -1] <= tol.eq_tol * np.maximum(1.0, rest[:, 0])
+    return singular, s
 
 
 def _singular(s: np.ndarray, tol: Tolerance, what: str) -> Singular | None:
@@ -184,12 +199,13 @@ def _real_schur(x: np.ndarray, select=None, error=np.linalg.LinAlgError):
 def stein_solve(a, q, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Unique symmetric P with A^T P A - P = Q.
 
-    Solvability requires lambda*mu != 1 for all eigenvalue pairs of A; a
-    pair inside the unit_circle_band raises ResonantSpectrum, and so does a
-    solution whose residual exceeds series_tol relative to
-    max(1, ||Q||, ||A||^2 ||P||), the scale of a backward-stable residual.  One
-    algorithm for every n (Barraud 1977; Bartels-Stewart 1972): the Cayley
-    map B = I - 2 W with W = (A^T + I)^{-1} turns the equation into
+    Solvability requires lambda*mu != 1 for all eigenvalue pairs of A; a pair
+    inside the unit_circle_band raises ResonantSpectrum (stage "eigenvalue
+    product", the least |lambda mu - 1| measured), and so does a solution
+    whose residual exceeds series_tol relative to max(1, ||Q||, ||A||^2 ||P||),
+    the scale of a backward-stable residual.  One algorithm for every n
+    (Barraud 1977; Bartels-Stewart 1972): the Cayley map B = I - 2 W with
+    W = (A^T + I)^{-1} turns the equation into
     B P + P B^T = 2 W Q W^T, which one real Schur factorization of B
     reduces to a triangular Sylvester equation; one refinement step reuses
     the same factors.  A NaN or Inf in A, a solution that overflows, or a
@@ -213,10 +229,9 @@ def _stein_solves(a: np.ndarray, q: np.ndarray, tol: Tolerance,
     eye, t = np.eye(n), lambda m: m.swapaxes(-1, -2)
     out = Slices(len(a))
     q, a, eigs = out.screen(q, a, np.linalg.eigvals(a) if eigs is None else eigs)
-    resonant = np.abs(eigs[:, :, None] * eigs[:, None, :] - 1.0).min(axis=(1, 2)) \
-        <= tol.unit_circle_band
-    a, q = out.refuse([ResonantSpectrum(f"eigenvalue product within {tol.unit_circle_band:.1e} of 1")
-                       if bad else None for bad in resonant], a, q)
+    gaps, band = np.abs(eigs[:, :, None] * eigs[:, None, :] - 1.0).min(axis=(1, 2)).tolist(), tol.unit_circle_band
+    a, q = out.refuse([ResonantSpectrum(f"eigenvalue product within {band:.1e} of 1", "eigenvalue product", g, band)
+                       if g <= band else None for g in gaps], a, q)
     # A^T + I is invertible: an eigenvalue -1 of A is resonant with itself
     w = np.linalg.inv(t(a) + eye)
     factors, faults = [], []
@@ -304,11 +319,7 @@ def similarity_witness(x, y, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
     bound = rel_bound(tol.eq_tol, y)
 
     def accept(g):
-        s = np.linalg.svd(g, compute_uv=False)
-        if s[-1] <= 1e-10 * max(1.0, s[0]):
-            return None
-        if norm_inf(g @ x @ np.linalg.inv(g) - y) <= bound:
-            return g
-        return None
+        invertible = not _singularity(g[None], Tolerance(1e-10))[0][0]   # as a witness must be, at 1e-10
+        return g if invertible and norm_inf(g @ x @ np.linalg.inv(g) - y) <= bound else None
 
     return commutant_search([(x, y)], max(1e-10, 100 * tol.eq_tol), accept)

@@ -31,6 +31,7 @@ from .matcore import (
     DEFAULT_TOL,
     Tolerance,
     _real_schur,
+    _singularity,
     _unit_circle_masks,
     check_finite,
     rel_bound,
@@ -271,11 +272,9 @@ def _subspace_fixed_points(ms: np.ndarray, tol: Tolerance, zs: np.ndarray | None
     np.linalg.eig of the stack makes when none is given (_eigenvector_bases).
     A slice not direct, or every slice when that eig fails, takes the Schur
     rescue instead (_schur_frame, c = route_band), and is refused where that
-    refuses or its Schur form fails.  The point is
-    u1 u2^{-1}, or infinity where sigma_min(u2) <= eq_tol * max(1, sigma_max),
-    read only if |det u2| <= 2 eq_tol (an orthonormal frame has
-    sigma_min >= |det u2| / (1 + O(u))^(n-1)).
-    Callers set thresholds on rho; a NaN or Inf raises IllConditioned.
+    refuses or its Schur form fails.  The point is u1 u2^{-1}, or infinity
+    where u2 is singular within tolerance (matcore._singularity).  Callers
+    set thresholds on rho; a NaN or Inf raises IllConditioned.
     """
     ms = check_finite(ms)
     n = ms.shape[-1] // 2
@@ -293,10 +292,7 @@ def _subspace_fixed_points(ms: np.ndarray, tol: Tolerance, zs: np.ndarray | None
             faults[i] = exc
     ms, zs = points.refuse(faults, ms, zs)
     u1, u2 = zs[:, :n], zs[:, n:]
-    at_inf = np.abs(np.linalg.det(u2)) <= 2 * tol.eq_tol   # the determinant screen
-    if at_inf.any():
-        s = np.linalg.svd(u2[at_inf], compute_uv=False)
-        at_inf[at_inf] = s[:, -1] <= tol.eq_tol * np.maximum(1.0, s[:, 0])
+    at_inf = _singularity(u2, tol)[0]
     ys = sym_part(u1 @ np.linalg.inv(np.where(at_inf[:, None, None], np.eye(n), u2)))
     ys[at_inf] = 0.0
     inf = np.zeros(len(points.refusals), dtype=bool)

@@ -25,6 +25,7 @@ from .matcore import (
     DEFAULT_TOL,
     Tolerance,
     _singular,
+    _singularity,
     as_matrix,
     check_finite,
     commutant_search,
@@ -156,17 +157,23 @@ def _check_stack(xs: np.ndarray, tol: Tolerance) -> tuple[Slices, Slices]:
     The first outcome holds what classify_params gives or raises for each
     slice, the second the signature toledo_signature_shortcut reads off its
     product.  A NaN or Inf in a slice or in its product refuses that slice
-    alone, ahead of its other faults.
+    alone, ahead of its other faults.  Two screens on one |X|_F^2 per length leave
+    the SVD (matcore._singularity) and eigvals only the lengths they cannot clear;
+    a length the radius screen clears has every modulus eigvals gives below 1 - band.
     """
-    eye = np.eye(xs.shape[-1])
+    n, u = xs.shape[-1], 2.0 ** -53
     classes = Slices(len(xs))
     xs = classes.screen(xs)
-    sv = np.linalg.svd(xs, compute_uv=False)
-    singular = sv[..., -1] <= tol.eq_tol * np.maximum(1.0, sv[..., 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        fro2, sq = (xs * xs).sum(axis=(-2, -1)), xs @ xs
+        inside = np.sqrt((sq * sq).sum(axis=(-2, -1))) + 4 * n * u * fro2 \
+            < (1.0 - tol.unit_circle_band) ** 2 * (1.0 - 2 * (n * n + 4) * u)
+    singular, sv = _singularity(xs, tol, fro2)
     # a singular X2 is refused anyway; the identity in its place keeps the
     # stacked inverse from failing on the other slices
-    x2ti = np.linalg.inv(np.where(singular[:, 1, None, None], eye, xs[:, 1]).swapaxes(-1, -2))
-    prod, xs, sv, singular, x2ti = classes.screen(xs[:, 2] @ x2ti @ xs[:, 0], xs, sv, singular, x2ti)
+    x2ti = np.linalg.inv(np.where(singular[:, 1, None, None], np.eye(n), xs[:, 1]).swapaxes(-1, -2))
+    prod, xs, sv, singular, x2ti, inside = classes.screen(xs[:, 2] @ x2ti @ xs[:, 0], xs, sv, singular,
+                                                          x2ti, inside)
     prod_t = prod.swapaxes(-1, -2)
     bound = tol.eq_tol * np.maximum(1.0, np.abs(prod).max(axis=(-2, -1)))
     sym = gate("product asymmetry", np.abs(prod - prod_t).max(axis=(-2, -1)), bound, NotValid,
@@ -178,17 +185,19 @@ def _check_stack(xs: np.ndarray, tol: Tolerance) -> tuple[Slices, Slices]:
     sigs = Slices(len(classes.refusals))
     sigs.refuse(classes.refusals)
     sigs.finish(sigs.refuse([
-        None if not bad else _singular(sv[j, 1], tol, "X2") if singular[j, 1]
-        else sym[j] or NearSingular("product eigenvalue inside zero band", "product spectrum",
-                                    float(moduli[j].min()), tol.eq_tol * float(moduli[j].max()))
+        None if not bad else _singular(sv[j, 1], tol, "X2") or sym[j] or NearSingular(
+            "product eigenvalue inside zero band", "product spectrum", float(moduli[j].min()),
+            tol.eq_tol * float(moduli[j].max()))
         for j, bad in enumerate((singular[:, 1] | asym | near).tolist())],
         np.sign(eigs).sum(axis=-1).astype(int).tolist()))
-    radius = np.abs(np.linalg.eigvals(xs)).max(axis=(-2, -1))
+    radius = np.zeros(inside.shape)   # a cleared length reads 0, inside the disc like its spectrum
+    if not inside.all():
+        radius[~inside] = np.abs(np.linalg.eigvals(xs[~inside])).max(axis=-1)
     # an asymmetry at the rounding floor leaves the class undecided
     not_valid, radius = classes.refuse([
         next(_singular(sv[j, i], tol, f"X{i + 1}") for i in range(3) if singular[j, i]) if bad
         else sym[j] if isinstance(sym[j], IllConditioned) else None
-        for j, bad in enumerate(singular.any(axis=1).tolist())], asym | (eigs[:, 0] <= bound), radius)
+        for j, bad in enumerate(singular.any(axis=1).tolist())], asym | (eigs[:, 0] <= bound), radius.max(axis=1))
     lo, hi = 1.0 - tol.unit_circle_band, 1.0 + tol.unit_circle_band
     return classes.finish([ParamClass.NOT_VALID if bad
                            else ParamClass.IN_TILDE_R if r > hi

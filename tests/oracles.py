@@ -8,6 +8,10 @@ solves the Stein equation as one Kronecker linear system.  ``classify_one``,
 matrix at a time, as the library did before it checked stacks.
 ``chart_points_by_svd`` decides infinity for every frame by singular values,
 as the library did before it screened frames by their determinant.
+``singular_by_svd`` and ``require_invertible_by_svd`` decide singularity
+within tolerance by the singular values of every matrix, as the library did
+before its determinant screen; ``classify_one`` reads the spectral radius of
+every length off eigvals, as the library did before its radius screen.
 ``subspace_fixed_point_one`` and ``sampled_points_by_loop`` find attracting
 points one matrix and one word at a time, through scipy.linalg.schur, as the
 library did before it took stacks of words, over the words that
@@ -70,11 +74,12 @@ from maxrep.matcore import (
     DEFAULT_TOL,
     Tolerance,
     _real_schur,
+    _singular,
     _unit_circle_masks,
     as_matrix,
+    check_finite,
     norm_inf,
     rel_bound,
-    require_invertible,
     require_symmetric,
     stein_solve,
     sym_part,
@@ -218,10 +223,26 @@ def stein_kron_solve(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     return sym_part(p)
 
 
+def singular_by_svd(xs: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """(singular, s) of a stack of square matrices: the singular values s of
+    every matrix, and sigma_min <= eq_tol * max(1, sigma_max) read off them."""
+    s = np.linalg.svd(xs, compute_uv=False)
+    return s[..., -1] <= tol.eq_tol * np.maximum(1.0, s[..., 0]), s
+
+
+def require_invertible_by_svd(x, tol: Tolerance = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:
+    """require_invertible with the singular values of x taken in every case."""
+    x = check_finite(as_matrix(x))
+    singular, s = singular_by_svd(x[None], tol)
+    if singular[0]:
+        raise _singular(s[0], tol, what)
+    return x
+
+
 def classify_one(p: PantsParams, tol: Tolerance = DEFAULT_TOL) -> ParamClass:
     """Membership class of one parameter triple, one matrix at a time."""
     for name, x in zip(("X1", "X2", "X3"), p.matrices()):
-        require_invertible(x, tol, name)
+        require_invertible_by_svd(x, tol, name)
     prod = p.X3 @ np.linalg.inv(p.X2.T) @ p.X1
     if norm_inf(prod - prod.T) > rel_bound(tol.eq_tol, prod):
         return ParamClass.NOT_VALID
@@ -238,7 +259,7 @@ def classify_one(p: PantsParams, tol: Tolerance = DEFAULT_TOL) -> ParamClass:
 
 def toledo_one(p: PantsParams, tol: Tolerance = DEFAULT_TOL) -> Fraction:
     """(n + sign(X3 (X2^T)^{-1} X1)) / 2 of one parameter triple."""
-    require_invertible(p.X2, tol, "X2")
+    require_invertible_by_svd(p.X2, tol, "X2")
     prod = p.X3 @ np.linalg.inv(p.X2.T) @ p.X1
     if norm_inf(prod - prod.T) > rel_bound(tol.eq_tol, prod):
         raise NotValid("product is not symmetric")
@@ -305,8 +326,7 @@ def chart_points_by_svd(zs: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[n
     value u1 u2^{-1} (symmetrised) elsewhere, zero at infinity."""
     n = zs.shape[-1]
     u1, u2 = zs[:, :n], zs[:, n:]
-    s = np.linalg.svd(u2, compute_uv=False)
-    at_inf = s[:, -1] <= tol.eq_tol * np.maximum(1.0, s[:, 0])
+    at_inf = singular_by_svd(u2, tol)[0]
     ys = sym_part(u1 @ np.linalg.inv(np.where(at_inf[:, None, None], np.eye(n), u2)))
     ys[at_inf] = 0.0
     return ys, at_inf
@@ -513,7 +533,7 @@ def canonical_fixed_point(a: np.ndarray, s: np.ndarray, tol: Tolerance = DEFAULT
     against 2 band), or a reordering that selects another count, make that
     split untrustworthy and raise NoCanonicalFixedPoint.
     """
-    require_invertible(a, tol, "length block A")
+    require_invertible_by_svd(a, tol, "length block A")
     n, band = a.shape[0], tol.unit_circle_band
     moduli = np.abs(np.linalg.eigvals(a))
     outside = moduli > 1.0 + band

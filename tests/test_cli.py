@@ -272,6 +272,19 @@ class TestBuild:
             ("numerical breakdown", "IllConditioned", "twist conjugation residual")
         assert data["measured"] > data["bound"] and data["message"] in err
 
+    def test_unit_modulus_refusal_json(self, tmp_path, capsys):
+        # the torus with X1 = X3 = 1: its glued length lies on the unit circle,
+        # a mathematical refusal (exit 3) that --json prints with its stage
+        import json
+
+        f = tmp_path / "unit.mg"
+        f.write_text(TORUS_FILE.replace("  X1\n  0.5", "  X1\n  1.0").replace("  X3\n  0.5", "  X3\n  1.0"))
+        code, out, err = run_main(["build", str(f), "--json"], capsys)
+        assert code == 3 and "CannotGlue" in err
+        data = json.loads(out)
+        assert (data["error"], data["stage"], data["measured"], data["bound"]) == \
+            ("CannotGlue", "unit-circle obstruction", 0.0, 1e-8)
+
     def test_strict_mode(self, tmp_path, capsys):
         f = tmp_path / "loose.mg"
         f.write_text(PANTS_FILE.replace("  X1\n  0.5", "  X1\n  0.50"))

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import maxrep.deform
 from maxrep.deform import (
     contracting_path,
     deform_to_standard,
@@ -264,6 +265,40 @@ class TestDeform:
         build_from_graph(graph)
         # the handle and two attach edges, with the gluing step's obstruction
         assert calls == [(3, True), (3, True)]
+
+    def test_path_check_takes_no_singular_values_and_few_eigvals(self, monkeypatch):
+        # the 101 snapshots of a (0, 5) chain at n = 3 are 303 triples, 909
+        # lengths; the singularity screen clears every one and the radius
+        # screen all but 31 here, 3 of them the input's, so the check takes no SVD and eigvals
+        # on at most a tenth of the lengths
+        graph = chain_graph_with_random_params(0, 5, 3, np.random.default_rng(3))
+        svds, lengths, checked, depth = [], [], [], [0]
+        real_check = maxrep.deform._check_stack
+
+        def check(xs, tol):
+            checked.append(len(xs))
+            depth[0] += 1
+            try:
+                return real_check(xs, tol)
+            finally:
+                depth[0] -= 1
+
+        def svd(a, *args, real=np.linalg.svd, **kwargs):
+            svds.append(kwargs.get("compute_uv", True))
+            return real(a, *args, **kwargs)
+
+        def eigvals(a, real=np.linalg.eigvals):
+            if depth[0]:
+                lengths.append(len(a))
+            return real(a)
+        monkeypatch.setattr(maxrep.deform, "_check_stack", check)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+        path = deform_to_standard(graph, 100)
+        assert len(path.snapshots) == 101 and checked[-1] == 303
+        # the polar factors of the twist paths are the only SVDs, and take vectors
+        assert False not in svds
+        assert 0 < sum(lengths) <= 909 // 10
 
     def test_snapshots_do_not_share_writable_arrays(self, rng):
         path = deform_to_standard(chain_graph_with_random_params(1, 2, 2, rng), steps=4)

@@ -788,6 +788,29 @@ class TestEdgeConjugator:
             with pytest.raises(IllConditioned, match=message):
                 deform_to_standard(graph, steps=5)
 
+    def test_edge_screen_refusals_are_staged(self, rng):
+        # the gluing step's spectral refusals name their stage, measured value and bound
+        def torus(x, twist):
+            return GluingGraph((PantsNode("p0", PantsParams(x, 0.5, x)),),
+                               (GraphEdge(("p0", 3), ("p0", 1), np.array([[twist]])),),
+                               (GraphBoundary(("p0", 2), "C1"),))
+        with pytest.raises(CannotGlue) as info:
+            build_from_graph(torus(1.0, 1.0))
+        e = info.value
+        assert (e.stage, e.measured, e.bound) == ("unit-circle obstruction", 0.0, DEFAULT_TOL.unit_circle_band)
+        with pytest.raises(IllConditioned) as info:
+            build_from_graph(torus(0.5, 1e160))
+        e = info.value
+        assert (e.stage, e.measured, e.bound) == ("twist overflow", 1e160, np.sqrt(np.finfo(float).max))
+        x = random_contracting(2, rng)
+        g0 = random_invertible(2, rng)
+        circle = 2.0 * x / np.max(np.abs(np.linalg.eigvals(x)))
+        with pytest.raises(NotContracting) as info:
+            twist_element(circle, random_spd(2, rng), g0 @ x.T @ np.linalg.inv(g0), random_spd(2, rng), g0)
+        e = info.value
+        assert e.stage == "length spectrum" and e.bound == 1.0 - DEFAULT_TOL.unit_circle_band
+        assert e.measured == pytest.approx(2.0, rel=1e-12)
+
     def test_non_finite_residual_refused(self, rng, monkeypatch):
         x1, x2, h = random_handle_data(2, rng)
         monkeypatch.setattr(maxrep.gluing, "relation_residual", lambda *args: np.nan)

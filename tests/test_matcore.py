@@ -30,7 +30,7 @@ from tests_support import (
     outcomes,
     spectral_radius,
 )
-from oracles import commutant_operator_by_kron, stein_kron_solve
+from oracles import commutant_operator_by_kron, singular_by_svd, stein_kron_solve
 
 
 def test_tolerance_validation():
@@ -415,3 +415,108 @@ def test_signature_orthogonal_invariance(diag, seed):
     s = np.diag(np.array(diag))
     q = random_orthogonal(n, rng)
     assert signature(q @ s @ q.T) == signature(s)
+
+
+def _scan_matrices(n: int, eq_tol: float, rng: np.random.Generator) -> np.ndarray:
+    """U diag V with sigma_min / sigma_max from 1e-6 to 1e-13, each conjugated by a
+    non-orthogonal factor, and unconjugated ones whose sigma_min sits at 0.5 to 3
+    times eq_tol * max(1, sigma_max), the decision's edge; entries scaled over 1e+-3."""
+    xs = []
+    for ratio in np.geomspace(1e-6, 1e-13, 8):
+        for spread in ("ones", "uniform", "geometric"):
+            scale = 10.0 ** rng.uniform(-3, 3)
+            rest = {"ones": np.ones(n - 1), "uniform": rng.uniform(ratio, 1.0, n - 1),
+                    "geometric": np.geomspace(1.0, ratio, n + 1)[1:-1]}[spread]
+            sv = np.r_[1.0, rest][:n] if n > 1 else np.ones(1)
+            sv[-1] = ratio if n > 1 else sv[-1]
+            x = random_orthogonal(n, rng) * sv @ random_orthogonal(n, rng)
+            c = random_invertible(n, rng, sv_range=(0.3, 3.0))
+            xs.append(scale * (c @ x @ np.linalg.inv(c)))
+    for f in (0.5, 0.99, 1.0, 1.01, 1.5, 2.0, 2.01, 3.0):
+        for spread in ("ones", "uniform"):
+            scale = 10.0 ** rng.uniform(-3, 3)
+            rest = np.ones(n - 1) if spread == "ones" else rng.uniform(0.3, 1.0, n - 1)
+            sv = scale * np.r_[1.0, rest][:n]
+            sv[-1] = f * eq_tol * max(1.0, scale)
+            xs.append(random_orthogonal(n, rng) * sv @ random_orthogonal(n, rng))
+    return np.array(xs)
+
+
+class TestSingularityScreen:
+    """matcore._singularity decides as the singular values alone would."""
+
+    @pytest.mark.parametrize("eq_tol", [1e-9, 1e-14, 1e-3])
+    def test_screen_matches_svd_oracle(self, eq_tol, monkeypatch):
+        tol, rows = Tolerance(eq_tol), []
+
+        def svd(a, *args, real_svd=np.linalg.svd, **kwargs):
+            rows.append(len(a))
+            return real_svd(a, *args, **kwargs)
+        cleared = total = 0
+        for n in range(1, 13):
+            xs = _scan_matrices(n, eq_tol, np.random.default_rng([n, round(-np.log10(eq_tol))]))
+            want, want_s = singular_by_svd(xs, tol)
+            rows.clear()
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "svd", svd)
+                got, got_s = matcore._singularity(xs, tol)
+            assert got.tolist() == want.tolist()
+            for i in np.flatnonzero(want):
+                # the refusal of a singular matrix is built from the same singular values
+                mine, oracle = matcore._singular(got_s[i], tol, "X"), matcore._singular(want_s[i], tol, "X")
+                assert (str(mine), mine.stage, mine.measured, mine.bound) == \
+                       (str(oracle), oracle.stage, oracle.measured, oracle.bound)
+            cleared, total = cleared + len(xs) - sum(rows), total + len(xs)
+            assert not np.isnan(got_s[got]).any()
+        if eq_tol == 1e-9:
+            # the screen is not vacuous: nearly all of the scan sits within a
+            # factor 1e3 of the decision's edge, and it still clears a sixth
+            assert cleared >= 0.1 * total
+
+    def test_extreme_scales_decided_without_warnings(self):
+        # entries near overflow and underflow, the zero matrix and a one-by-one
+        # zero: the screen's arithmetic overflows quietly and leaves these to the SVD
+        xs = np.array([np.eye(3) * 1e200, np.eye(3) * 1e-200, np.zeros((3, 3)),
+                       np.diag([1e160, 1.0, 1.0]), np.diag([1e-160, 1.0, 1.0]), np.diag([1e154, 1e154, 1e154])])
+        got, _ = matcore._singularity(xs, Tolerance())
+        assert got.tolist() == singular_by_svd(xs)[0].tolist()
+        for x in (np.zeros((1, 1)), np.full((1, 1), 1e300), np.full((1, 1), 1e-300)):
+            assert matcore._singularity(x[None], Tolerance())[0].tolist() == singular_by_svd(x[None])[0].tolist()
+        # singular matrices whose bound overflows in one factor: det^2 (sigma = 1e100 and
+        # 1e80) or the power of a tiny |X|_F^2 at n = 30 against a subnormal det^2
+        for x, tol in ((np.diag([1e100, 1e80]), Tolerance()), (4.5e-6 * np.eye(30), Tolerance(1e-3))):
+            assert singular_by_svd(x[None], tol)[0][0] and matcore._singularity(x[None], tol)[0][0]
+
+    def test_similarity_witness_invertibility_uses_the_screen(self, monkeypatch):
+        # a well-conditioned witness is accepted without singular values
+        rng = np.random.default_rng(4)
+        x = random_invertible(3, rng)
+        g = random_invertible(3, rng, sv_range=(0.5, 2.0))
+        y = g @ x @ np.linalg.inv(g)
+        full = []
+
+        def svd(a, *args, real_svd=np.linalg.svd, **kwargs):
+            full.append(kwargs.get("compute_uv", True))
+            return real_svd(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        w = similarity_witness(x, y)
+        assert w is not None and norm_inf(w @ x @ np.linalg.inv(w) - y) <= 1e-9 * max(1.0, norm_inf(y))
+        assert False not in full
+
+
+class TestResonantSpectrumStaged:
+    def test_resonant_refusal_carries_its_fields(self):
+        # eigenvalues 2 and 0.5 multiply to 1: the least |lambda mu - 1| is 0
+        with pytest.raises(ResonantSpectrum) as info:
+            stein_solve(np.diag([2.0, 0.5]), np.eye(2))
+        e = info.value
+        assert (e.stage, e.measured, e.bound) == ("eigenvalue product", 0.0, Tolerance.unit_circle_band)
+
+    def test_near_resonance_measures_the_gap(self):
+        # the product of 2 and 0.5 (1 + 5e-9) is 5e-9 from 1, inside the band
+        a = np.diag([2.0, 0.5 * (1.0 + 5e-9)])
+        with pytest.raises(ResonantSpectrum) as info:
+            stein_solve(a, np.eye(2))
+        e = info.value
+        assert e.stage == "eigenvalue product" and e.bound == Tolerance.unit_circle_band
+        assert abs(e.measured - 5e-9) <= 1e-15 and e.measured <= e.bound

@@ -182,6 +182,69 @@ class TestCheckStack:
             list(PantsParams._rows(xs[:, 0], xs[:, 1], xs[:2, 2]))
 
 
+def _near_circle_lengths(n: int, delta: float, rng: np.random.Generator) -> list:
+    """Lengths with spectral radius 1 - delta: normal ones (the rest of the
+    spectrum at 1e-3, or a rotation pair), non-normal ones (a triangular
+    coupling, conjugated by a non-orthogonal factor) and Jordan-type ones."""
+    r, q = 1.0 - delta, random_orthogonal(n, rng)
+    lengths = [q @ np.diag(np.r_[r, np.full(n - 1, 1e-3)]) @ q.T,
+               q @ np.diag(np.r_[-r, rng.uniform(1e-3, 0.5, n - 1)]) @ q.T]
+    if n >= 2:
+        c, s_ = np.cos(0.7), np.sin(0.7)
+        rot = np.eye(n) * 0.3
+        rot[:2, :2] = r * np.array([[c, -s_], [s_, c]])
+        lengths.append(q @ rot @ q.T)
+        t = np.diag(np.r_[r, rng.uniform(1e-3, 0.2, n - 1)])
+        t[0, 1:] = 10.0 ** rng.uniform(-6, -2, n - 1)
+        g = random_invertible(n, rng, sv_range=(0.5, 2.0))
+        lengths += [g @ t @ np.linalg.inv(g), t]
+        jordan = np.diag(np.r_[np.full(2, r), np.full(n - 2, 0.2)])
+        jordan[0, 1] = 1e-4
+        lengths.append(g @ jordan @ np.linalg.inv(g))
+    return lengths
+
+
+class TestRadiusScreen:
+    """_check_stack's radius screen classifies as eigvals alone would."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_classes_match_eigvals_oracle(self, n, monkeypatch):
+        # X3 = p X1^{-1} X2^T makes the product p I; p keeps |X3| at 0.1, so
+        # the class turns on the two near-circle lengths
+        rng = np.random.default_rng([n, 21])
+        triples = []
+        for delta in np.geomspace(1e-10, 1e-5, 16):
+            lengths = _near_circle_lengths(n, delta, rng)
+            for x1 in lengths:
+                for x2 in (lengths[0], lengths[-1], 0.5 * np.eye(n)):
+                    x1i = np.linalg.inv(x1)
+                    p = 0.1 / (np.linalg.norm(x1i, 2) * np.linalg.norm(x2, 2))
+                    triples.append((x1, x2, p * x1i @ x2.T))
+        xs, rows = np.array(triples), []
+
+        def eigvals(a, real=np.linalg.eigvals):
+            rows.append(len(a))
+            return real(a)
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigvals", eigvals)
+            classes = outcomes(_check_stack(xs, DEFAULT_TOL)[0])
+        want = [classify_one(PantsParams(*t)) for t in triples]
+        assert classes == want
+        assert {ParamClass.IN_R, ParamClass.IN_R_STAR} <= set(want)
+        # the screen clears lengths within 1e-7 of the band's edge, and leaves others to eigvals
+        assert 0 < sum(rows) < 3 * len(xs)
+        edge = [t for t, c in zip(triples, classes) if c is ParamClass.IN_R_STAR
+                and max(map(spectral_radius, t)) > 1.0 - 1e-7]
+        without_eigvals = []
+        for t in edge:
+            rows.clear()
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "eigvals", eigvals)
+                assert outcomes(_check_stack(np.array([t]), DEFAULT_TOL)[0]) == [ParamClass.IN_R_STAR]
+            without_eigvals.append(rows == [])
+        assert any(without_eigvals)
+
+
 class TestBuildMaximal:
     def test_frozen_scalar_matrices(self):
         rep = build_maximal(scalar_params(0.5, 0.5, 0.5))
