@@ -5,7 +5,9 @@ representative whose length parameters are diag(+-1/2, 1/2, ..., 1/2) and
 whose twist parameters are diag(+-1, 1, ..., 1).  Deformation retracts the
 free parameters of a chain-shaped gluing graph onto those values along
 paths that keep every snapshot a valid maximal parameter set and never move
-a determinant sign.
+a determinant sign.  Every twist and free length takes one polar path, a
+length's scaled from 1 to 1/2; a derived length is solved from the others;
+and no length's spectral radius exceeds both of its ends' but by rounding.
 
 Chain shape means: the first node is a plain pants or a handle block (self
 edge on ports 1 and 3), and every later node is a plain pants whose port 1
@@ -45,9 +47,6 @@ __all__ = [
     "DeformationPath",
     "deform_to_standard",
 ]
-
-_RHO_CAP = 0.95  # spectral-radius ceiling enforced along deformation paths
-
 
 def standard_length(n: int, sign: int) -> np.ndarray:
     """diag(sign * 1/2, 1/2, ..., 1/2)."""
@@ -149,8 +148,9 @@ def enumerate_standard_graphs(genus: int, m: int, n: int):
 # continuous paths in the matrix groups
 
 
-def _so_log(u: np.ndarray) -> np.ndarray:
-    """Real skew logarithm of a special orthogonal matrix.
+def _so_log(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(q, l) with q (l - l^T) q^T a real skew logarithm of a special orthogonal
+    matrix: l is strictly lower triangular, one angle per plane of rotation.
 
     The real Schur form of an orthogonal matrix is quasi-diagonal: rotation
     blocks give their angles, +1 entries give zero, and -1 entries pair up
@@ -163,18 +163,15 @@ def _so_log(u: np.ndarray) -> np.ndarray:
     i = 0
     while i < n:
         if i + 1 < n and abs(t[i + 1, i]) > 1e-12:
-            theta = np.arctan2(t[i + 1, i], t[i, i])
-            k[i, i + 1] = -theta
-            k[i + 1, i] = theta
+            k[i + 1, i] = np.arctan2(t[i + 1, i], t[i, i])
             i += 2
         else:
             if t[i, i] < 0:
                 minus_ones.append(i)
             i += 1
     for a, b in zip(minus_ones[0::2], minus_ones[1::2]):
-        k[a, b] = -np.pi
         k[b, a] = np.pi
-    return q @ k @ q.T
+    return q, k
 
 
 def _mt(x: np.ndarray) -> np.ndarray:
@@ -182,65 +179,27 @@ def _mt(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(-1, -2)
 
 
-def _polar(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    u, s, vh = np.linalg.svd(m)
-    return u @ vh, (vh.T * s) @ vh
-
-
 def invertible_path(m: np.ndarray, t) -> np.ndarray:
     """Path in the invertible matrices from m (t=0) to diag(sign det m, 1, ..)
-    (t=1), through the polar decomposition; the determinant never changes sign.
+    (t=1), both ends exact, through the polar decomposition; the determinant
+    never changes sign.
 
     t is a scalar or a 1-D array of times; an array gives the stack of the
     path's matrices at those times.  m is decomposed once, and only the
-    eigenvalues of its factors depend on t.
+    angles and singular values of its factors depend on t.
     """
     m = as_matrix(m)
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    n = m.shape[0]
-    sign = 1 if np.linalg.det(m) > 0 else -1
-    target = standard_twist(n, sign)
-    if np.max(np.abs(m - target)) <= 1e-12:
-        path = np.repeat(m[None], ts.size, axis=0)
-    else:
-        u, p = _polar(target @ m)  # det > 0
-        # exp((1 - t) log u) and p^(1 - t) from one eigh each
-        w, v = np.linalg.eigh(1j * _so_log(u))
-        rot = np.einsum("ij,tj,kj->tik", v, np.exp(-1j * np.multiply.outer(1.0 - ts, w)), v.conj())
-        w, v = np.linalg.eigh(sym_part(p))
-        w = np.maximum(w, np.finfo(float).tiny) ** (1.0 - ts)[:, None]
-        path = target @ np.real(rot) @ np.einsum("ij,tj,kj->tik", v, w, v)
-    return path if np.ndim(t) else path[0]
-
-
-def contracting_path(m: np.ndarray, t) -> np.ndarray:
-    """Path inside the open contraction cone from m to diag(s/2, 1/2, ...).
-
-    Three stages: shrink to a scale where the polar path cannot leave the
-    cone, carry the shape to the signed reflection there, then grow onto the
-    standard length matrix.  Spectral radius stays below max(radius(m), 1/2)
-    + margin and the determinant sign is constant throughout.  t is a scalar
-    or a 1-D array of times, as for invertible_path; the stages are picked
-    per time.
-    """
-    m = as_matrix(m)
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    n = m.shape[0]
-    sign = 1 if np.linalg.det(m) > 0 else -1
-    end = standard_length(n, sign)
-    if np.max(np.abs(m - end)) <= 1e-12:
-        path = np.repeat(m[None], ts.size, axis=0)
-    else:
-        r = standard_twist(n, sign)
-        _, p = _polar(r @ m)
-        eps = 0.4 / max(1.0, float(np.max(np.linalg.eigvalsh(p))))
-        shrink, grow = ts <= 1 / 3, ts > 2 / 3
-        turn = ~(shrink | grow)
-        path = np.empty((ts.size, n, n))
-        path[shrink] = (1.0 - 3 * ts[shrink, None, None] * (1.0 - eps)) * m
-        path[turn] = eps * invertible_path(m, 3 * ts[turn] - 1)
-        u = 3 * ts[grow, None, None] - 2
-        path[grow] = (1 - u) * (eps * r) + u * end
+    target = standard_twist(m.shape[0], 1 if np.linalg.det(m) > 0 else -1)
+    u, s, vh = np.linalg.svd(target @ m)   # polar factors u vh and vh^T diag(s) vh, det > 0
+    # exp((1 - t) log u vh) turns each plane of rotation by 1 - t of its angle,
+    # and p^(1 - t) takes the singular values to that power
+    q, low = _so_log(u @ vh)
+    angles = np.multiply.outer(1.0 - ts, low)
+    sines = np.sin(angles)
+    rot = sines - _mt(sines) + np.cos(angles.sum(axis=1) + angles.sum(axis=2))[..., None] * np.eye(len(m))
+    path = target @ q @ rot @ q.T @ np.einsum("ji,tj,jk->tik", vh, s ** (1.0 - ts)[:, None], vh)
+    path[ts == 0], path[ts == 1] = m, target
     return path if np.ndim(t) else path[0]
 
 
@@ -286,11 +245,11 @@ class DeformationPath:
 
 
 def _cap_contracting(m: np.ndarray) -> np.ndarray:
-    """Each matrix of the stack m, scaled down onto spectral radius _RHO_CAP
-    when its radius is larger; the cap rises to the radius of m[0], the
-    time-0 matrix, so that a path starts at its input."""
+    """Each matrix of the stack m, a path over time, scaled down onto the larger
+    spectral radius of the path's two ends when its own radius is larger: the
+    ends stay as they are, and no matrix between leaves the disc they span."""
     rho = np.abs(np.linalg.eigvals(check_finite(m))).max(axis=-1)
-    cap = max(_RHO_CAP, rho[0])
+    cap = max(rho[0], rho[-1])
     return (cap / np.maximum(rho, cap))[:, None, None] * m
 
 
@@ -301,30 +260,33 @@ _NodeStacks = namedtuple("_NodeStacks", "X1 X2 X3")
 def _snapshot_stacks(graph: GluingGraph, loop: GraphEdge | None, attach_edges: list[GraphEdge],
                      ts: np.ndarray) -> tuple[dict[str, _NodeStacks], dict[int, np.ndarray]]:
     """Each node's lengths and each edge's twist at the times ts, as stacks
-    over the times, built in chain order; twists are keyed by id of the edge."""
-    n = graph.n
+    over the times, built in chain order; twists are keyed by id of the edge.
+    A free length or one solved from the product S goes through _cap_contracting;
+    a conjugate of a length (a handle's X3, an attached X1) keeps its spectrum."""
     inv = np.linalg.inv
-    half = 0.5 * np.eye(n)
+    half = 0.5 * np.eye(graph.n)
     params0 = {nd.name: nd.params for nd in graph.nodes}
     stacks: dict[str, _NodeStacks] = {}
     twists: dict[int, np.ndarray] = {}
 
+    def free(m):
+        # the twists' polar path, scaled from 1 to 1/2 so that it ends on the standard length
+        return _cap_contracting((1.0 - ts / 2)[:, None, None] * invertible_path(m, ts))
+
     base_node = graph.nodes[0].name
     base = params0[base_node]
     if loop is None:
-        x2 = contracting_path(base.X2, ts)
-        x3 = contracting_path(base.X3, ts)
+        x2, x3 = free(base.X2), free(base.X3)
         s = spd_path(sym_part(base.X3 @ inv(base.X2.T) @ base.X1), half, ts)
         x1 = _cap_contracting(inv(x3 @ inv(_mt(x2))) @ s)
     else:
-        h0 = _loop_twist(loop.twist, loop.upper[1])
-        x1 = contracting_path(base.X1, ts)
-        h = invertible_path(h0, ts)
-        s0 = sym_part(base.X1.T @ inv(base.X2) @ inv(h0.T) @ base.X1 @ h0.T)
-        s = spd_path(s0, half, ts)
+        g = invertible_path(loop.twist, ts)
+        h = _loop_twist(g, loop.upper[1])
+        x1 = free(base.X1)
+        s = spd_path(sym_part(base.X1.T @ inv(base.X2) @ inv(h[0].T) @ base.X1 @ h[0].T), half, ts)
         x2 = _cap_contracting((inv(_mt(h)) @ x1 @ _mt(h)) @ inv(s) @ _mt(x1))
         x3 = h @ _mt(x1) @ inv(h)
-        twists[id(loop)] = _loop_twist(h, loop.upper[1])
+        twists[id(loop)] = g
     stacks[base_node] = _NodeStacks(x1, x2, x3)
 
     for edge in attach_edges:
@@ -332,7 +294,7 @@ def _snapshot_stacks(graph: GluingGraph, loop: GraphEdge | None, attach_edges: l
         p0 = params0[name]
         g = invertible_path(edge.twist, ts)
         x1 = _mt(inv(g) @ slot_glue_length(stacks[host[0]], host[1]) @ g)
-        x2 = contracting_path(p0.X2, ts)
+        x2 = free(p0.X2)
         s = spd_path(sym_part(p0.X3 @ inv(p0.X2.T) @ p0.X1), half, ts)
         x3 = _cap_contracting(s @ inv(x1) @ _mt(x2))
         stacks[name] = _NodeStacks(x1, x2, x3)
@@ -349,12 +311,13 @@ def _refuse_first(xs: np.ndarray, tol: Tolerance, nodes: tuple[PantsNode, ...]):
     if bad is not None:
         i, name, c = bad // len(nodes), nodes[bad % len(nodes)].name, classes.values[bad]
         if c in (ParamClass.NOT_VALID, ParamClass.IN_TILDE_R):
-            raise NotValid(f"snapshot {i} leaves the valid cone at node {name!r} ({c})")
+            raise NotValid(f"snapshot {i} leaves the valid cone at node {name!r} ({c})", *classes.fields[bad])
         fault = classes.refusals[bad] or sigs.refusals[bad]
         if fault:
             raise type(fault)(f"snapshot {i} at node {name!r}: {fault}",
                               fault.stage, fault.measured, fault.bound)
-        raise NotMaximal(f"snapshot {i} loses maximality at node {name!r}")
+        raise NotMaximal(f"snapshot {i} loses maximality at node {name!r}", "product signature",
+                         sigs.values[bad], xs.shape[-1])
 
 
 def deform_to_standard(rep_or_graph, steps: int = 100,
@@ -362,12 +325,14 @@ def deform_to_standard(rep_or_graph, steps: int = 100,
     """Deform a chain-shaped maximal representation onto its standard form.
 
     Returns steps + 1 parameter snapshots at the times t = i / steps; the
-    first is the input, the last the standard representative of its
-    component.  Every node stays a valid maximal parameter set and the
-    component signature never changes: all times are computed in one pass
-    and checked in one call, which refuses the first failing snapshot and
-    node by name.  Snapshot arrays are read-only views of the path's stacks,
-    no two snapshots sharing one.  steps must be at least 1.
+    first holds the input's free lengths and twists, the last the standard
+    representative of its component, both bit for bit.  No length's spectral
+    radius exceeds both of its ends' but by rounding.  Every node stays a
+    valid maximal parameter set and the component signature never changes:
+    all times are computed in one pass and checked in one call, which refuses
+    the first failing snapshot and node by name.  Snapshot arrays are
+    read-only views of the path's stacks, no two snapshots sharing one.
+    steps must be at least 1.
 
     The input graph (a representation's, or the one given) is not built.
     Ahead of the path its nodes get the path's check, as snapshot 0, and its

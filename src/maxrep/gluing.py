@@ -113,7 +113,8 @@ def can_glue(x, xbar, tol: Tolerance = DEFAULT_TOL) -> GlueCheck:
     xbar = require_invertible(xbar, tol, "length matrix")
     masks = [_unit_circle_masks(m, tol.unit_circle_band) for m in (x, xbar)]
     if any(np.any(outside) for _, _, outside in masks):
-        raise NotValid("length matrix has spectrum outside the closed unit disc")
+        raise NotValid("length matrix has spectrum outside the closed unit disc", "length spectrum",
+                       max(float(np.abs(np.linalg.eigvals(m)).max()) for m in (x, xbar)), 1.0 + tol.unit_circle_band)
     if any(np.any(on) for _, on, _ in masks):
         return GlueCheck(GlueStatus.UNIT_MODULUS_OBSTRUCTION)
     g = similarity_witness(xbar, x.T, tol)
@@ -781,7 +782,7 @@ def _det_sign(m, what: str) -> int:
     """Sign of det(m); a determinant that is exactly zero is refused."""
     d = float(np.linalg.det(as_matrix(m)))
     if d == 0.0:
-        raise NotValid(f"{what} determinant sign could not be resolved")
+        raise NotValid(f"{what} determinant sign could not be resolved", "determinant sign", 0.0, 0.0)
     return int(np.sign(d))
 
 

@@ -177,11 +177,11 @@ def _word_points(mats: np.ndarray, reps, source, carrier, tol: Tolerance) -> tup
         direct = direct[source]
         zs = np.linalg.qr(words @ (words @ (mats[carrier] @ bases[source])))[0]
     found, at_inf, moved, band, rho, exact = _subspace_fixed_points(words, tol, zs, direct)
-    _attracting(found, (moved <= band) & (exact | ~direct[found.live] | (carrier[found.live] == 0)), rho, tol)
+    _attracting(found, moved, band, rho, tol, exact | ~direct[found.live] | (carrier[found.live] == 0))
     sampled = np.array([r is None for r in found.refusals])
     own = np.flatnonzero(direct & ~sampled)
     mine, mine_inf, moved, band, rho, _ = _subspace_fixed_points(words[own], tol, zs[own], ~direct[own])
-    sampled[own] = [r is None for r in _attracting(mine, moved <= band, rho, tol).refusals]
+    sampled[own] = [r is None for r in _attracting(mine, moved, band, rho, tol).refusals]
     found.values[own], at_inf[own] = mine.values, mine_inf
     return found.values, at_inf, sampled
 
@@ -226,7 +226,8 @@ def limit_set_sample(rep: SurfaceRep, max_word_length: int = 4,
         raise ValueError(f"max_word_length must be at least 1, got {max_word_length}")
     for j, c in enumerate(rep.c_imgs, start=1):
         if np.any(_unit_circle_masks(c.m, tol.unit_circle_band)[1]):
-            raise NotSHyperbolic(f"boundary generator C{j} has unit-modulus spectrum")
+            raise NotSHyperbolic(f"boundary generator C{j} has unit-modulus spectrum", "unit-circle obstruction",
+                                 float(np.abs(np.abs(np.linalg.eigvals(c.m)) - 1.0).min()), tol.unit_circle_band)
     gens = rep.generator_images()
     letter_stack = np.array([g.m for g in gens.values()] + [sp_inverse(g).m for g in gens.values()])
 
@@ -243,7 +244,7 @@ def limit_set_sample(rep: SurfaceRep, max_word_length: int = 4,
 
     if skipped == len(names):
         raise NotSHyperbolic(f"all {skipped} words up to length {max_word_length} "
-                             "were skipped: none has an attracting point")
+                             "were skipped: none has an attracting point", "sampled words", 0, 1)
     stack = tuple(a[sampled] for a in (values, at_inf, np.maximum(1.0, np.max(np.abs(values), axis=(1, 2)))))
     keep = _cluster(stack)
     pts = _stack_points(*stack[:2])

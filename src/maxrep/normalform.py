@@ -305,11 +305,16 @@ def _subspace_fixed_points(ms: np.ndarray, tol: Tolerance, zs: np.ndarray | None
             moved <= 2 * n * 2.0 ** -53 * np.max(np.abs(ms), axis=(1, 2)) * (1.0 + size) ** 2)
 
 
-def _attracting(points: Slices, fixed: np.ndarray, rho: np.ndarray, tol: Tolerance) -> Slices:
-    """points with each live slice refused that fixed and rho do not certify attracting."""
-    points.refuse([NotSHyperbolic("no contracting fixed point; element is not "
-                                  "transverse-pair hyperbolic within tolerance") if weak else None
-                   for weak in ~fixed | (rho > 1.0 - max(tol.unit_circle_band, _ATTRACT_MARGIN))])
+def _attracting(points: Slices, moved: np.ndarray, band: np.ndarray, rho: np.ndarray, tol: Tolerance,
+                trusted=True) -> Slices:
+    """points with each live slice refused that is not fixed ("fixed-point displacement": moved
+    above band, or not trusted) or not contracting ("differential spectral radius": rho above limit)."""
+    limit, fixed = 1.0 - max(tol.unit_circle_band, _ATTRACT_MARGIN), (moved <= band) & trusted
+    points.refuse([NotSHyperbolic(
+        "no contracting fixed point; element is not transverse-pair hyperbolic within tolerance",
+        *(("differential spectral radius", float(rho[j]), limit) if fixed[j]
+          else ("fixed-point displacement", float(moved[j]), float(band[j])))) if weak else None
+        for j, weak in enumerate((~fixed | (rho > limit)).tolist())])
     return points
 
 
@@ -323,7 +328,7 @@ def attracting_point(g: SpMat, tol: Tolerance = DEFAULT_TOL) -> BoundaryPoint:
     eigenvalues split across the band.
     """
     found, at_inf, moved, band, rho, _ = _subspace_fixed_points(g.m[None], tol)
-    return _stack_points([_attracting(found, moved <= band, rho, tol)[0]], at_inf)[0]
+    return _stack_points([_attracting(found, moved, band, rho, tol)[0]], at_inf)[0]
 
 
 def _canonical_points(ms: np.ndarray, tol: Tolerance) -> tuple[Slices, np.ndarray]:

@@ -150,19 +150,26 @@ def classify_params(p: PantsParams, tol: Tolerance = DEFAULT_TOL) -> ParamClass:
     return _check_stack(np.array(p.matrices())[None], tol)[0][0]
 
 
-def _check_stack(xs: np.ndarray, tol: Tolerance) -> tuple[Slices, Slices]:
+class _Classes(Slices):
+    """Membership classes; fields[i], the (stage, measured, bound) putting slice i outside IN_R, or None."""
+    __slots__ = ("fields",)
+
+
+def _check_stack(xs: np.ndarray, tol: Tolerance) -> tuple[_Classes, Slices]:
     """Membership class and product signature of each slice of a stack.
 
     xs has shape (k, 3, n, n); slice i is the triple (X1, X2, X3) = xs[i].
     The first outcome holds what classify_params gives or raises for each
-    slice, the second the signature toledo_signature_shortcut reads off its
-    product.  A NaN or Inf in a slice or in its product refuses that slice
+    slice, and the fields of a class outside IN_R: product asymmetry or
+    product spectrum (least eigenvalue) for NOT_VALID, length spectrum for
+    IN_TILDE_R; the second the signature toledo_signature_shortcut reads off
+    its product.  A NaN or Inf in a slice or in its product refuses that slice
     alone, ahead of its other faults.  Two screens on one |X|_F^2 per length leave
     the SVD (matcore._singularity) and eigvals only the lengths they cannot clear;
     a length the radius screen clears has every modulus eigvals gives below 1 - band.
     """
     n, u = xs.shape[-1], 2.0 ** -53
-    classes = Slices(len(xs))
+    classes = _Classes(len(xs))
     xs = classes.screen(xs)
     with np.errstate(over="ignore", invalid="ignore"):
         fro2, sq = (xs * xs).sum(axis=(-2, -1)), xs @ xs
@@ -194,11 +201,17 @@ def _check_stack(xs: np.ndarray, tol: Tolerance) -> tuple[Slices, Slices]:
     if not inside.all():
         radius[~inside] = np.abs(np.linalg.eigvals(xs[~inside])).max(axis=-1)
     # an asymmetry at the rounding floor leaves the class undecided
-    not_valid, radius = classes.refuse([
+    not_valid, radius, sym, least, bound = classes.refuse([
         next(_singular(sv[j, i], tol, f"X{i + 1}") for i in range(3) if singular[j, i]) if bad
         else sym[j] if isinstance(sym[j], IllConditioned) else None
-        for j, bad in enumerate(singular.any(axis=1).tolist())], asym | (eigs[:, 0] <= bound), radius.max(axis=1))
+        for j, bad in enumerate(singular.any(axis=1).tolist())], asym | (eigs[:, 0] <= bound), radius.max(axis=1),
+        sym, eigs[:, 0], bound)
     lo, hi = 1.0 - tol.unit_circle_band, 1.0 + tol.unit_circle_band
+    classes.fields = [None] * len(classes.refusals)
+    for j in np.flatnonzero(not_valid | (radius > hi)).tolist():
+        classes.fields[classes.live[j]] = ((sym[j].stage, sym[j].measured, sym[j].bound) if sym[j]
+                                           else ("product spectrum", float(least[j]), float(bound[j]))
+                                           if not_valid[j] else ("length spectrum", float(radius[j]), hi))
     return classes.finish([ParamClass.NOT_VALID if bad
                            else ParamClass.IN_TILDE_R if r > hi
                            else ParamClass.IN_R_STAR if r < lo
@@ -241,9 +254,9 @@ def _build_maximal_stack(xs: np.ndarray, tol: Tolerance) -> tuple[Slices, Slices
     and product signatures of _check_stack, and the PantsReps."""
     classes, sigs = _check_stack(xs, tol)
     reps = Slices(len(xs))
-    xs = reps.refuse([f or (NotValid("parameters are not in the positive-definite cone")
+    xs = reps.refuse([f or (NotValid("parameters are not in the positive-definite cone", *fields)
                             if c is ParamClass.NOT_VALID else None)
-                      for f, c in zip(classes.refusals, classes.values)], xs)
+                      for f, c, fields in zip(classes.refusals, classes.values, classes.fields)], xs)
     return classes, sigs, _assemble_reps(_pants_blocks(*xs.swapaxes(0, 1), np.eye(xs.shape[-1])), tol, reps)
 
 

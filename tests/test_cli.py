@@ -573,6 +573,25 @@ class TestCommands:
         assert "NotSHyperbolic: all 8 words up to length 1 were skipped" in err
         assert "transverse fraction" not in out
 
+    def test_limits_with_every_word_skipped_is_staged(self, tmp_path, capsys):
+        f = tmp_path / "skipped.mg"
+        f.write_text(SKIPPED_WORDS_FILE)
+        code, out, _ = run_main(["limits", str(f), "--max-word-length", "1", "--json"], capsys)
+        assert code == 3
+        data = json.loads(out)
+        assert (data["stage"], data["measured"], data["bound"]) == ("sampled words", 0, 1)
+
+    @pytest.mark.parametrize("command", ["build", "deform"])
+    def test_negative_product_is_staged(self, tmp_path, capsys, command):
+        # X3 X2^-T X1 = -0.5 is not positive: the build and the path check both
+        # refuse it at the product spectrum, with its least eigenvalue
+        f = tmp_path / "negative.mg"
+        f.write_text(PANTS_FILE.replace("X2\n  0.5", "X2\n  -0.5"))
+        code, out, _ = run_main([command, str(f), "--json"], capsys)
+        assert code == 3
+        data = json.loads(out)
+        assert (data["error"], data["stage"], data["measured"]) == ("NotValid", "product spectrum", -0.5)
+
     def test_seed_on_limits_only(self, pants_file, capsys):
         # the limit-set sampler is the only randomized probe left
         runs = [run_main(["limits", pants_file, "--max-word-length", "2", "--seed", "3"], capsys)

@@ -7,7 +7,6 @@ import pytest
 
 import maxrep.deform
 from maxrep.deform import (
-    contracting_path,
     deform_to_standard,
     enumerate_standard_graphs,
     invertible_path,
@@ -81,31 +80,16 @@ class TestPaths:
         np.testing.assert_allclose(path[-1], np.eye(len(m)), atol=1e-12)
         assert np.all(np.linalg.det(path) > 0)
 
-    def test_contracting_path_stays_contracting(self, rng):
-        for _ in range(10):
-            n = int(rng.integers(1, 4))
-            neg = bool(rng.uniform() < 0.5)
-            m = random_contracting(n, rng, negative_det=neg)
-            s = -1 if neg else 1
-            np.testing.assert_allclose(contracting_path(m, 0.0), m, atol=1e-9)
-            np.testing.assert_allclose(contracting_path(m, 1.0),
-                                       standard_length(n, s), atol=1e-9)
-            for t in np.linspace(0, 1, 23):
-                x = contracting_path(m, t)
-                assert spectral_radius(x) < 1.0
-                assert np.linalg.det(x) * s > 0
-
     def test_stacked_times_match_scalar_calls(self, rng):
         ts = np.linspace(0, 1, 31)
         for _ in range(6):
             n = int(rng.integers(1, 4))
             neg = bool(rng.uniform() < 0.5)
-            for path, m in ((invertible_path, random_invertible(n, rng, negative_det=neg)),
-                            (contracting_path, random_contracting(n, rng, negative_det=neg))):
-                stack = path(m, ts)
-                assert stack.shape == (ts.size, n, n)
-                for i, t in enumerate(ts):
-                    assert norm_inf(stack[i] - path(m, t)) <= 1e-14
+            m = random_invertible(n, rng, negative_det=neg)
+            stack = invertible_path(m, ts)
+            assert stack.shape == (ts.size, n, n)
+            for i, t in enumerate(ts):
+                assert norm_inf(stack[i] - invertible_path(m, t)) <= 1e-14
             s0 = random_spd(n, rng)
             stack = spd_path(s0, 0.5 * np.eye(n), ts)
             for i, t in enumerate(ts):
@@ -201,8 +185,8 @@ class TestDeform:
     @pytest.mark.parametrize("m", [3, 4])
     @pytest.mark.parametrize("radius", [0.97, 0.995])
     def test_path_starts_at_input_near_the_circle(self, m, radius):
-        # the first node's free length X1 is derived along the path and capped
-        # in spectral radius; a radius above the cap at t = 0 stays the input's
+        # the first node's X1 is derived along the path and capped at the larger
+        # spectral radius of its two ends, here the input's: it stays the input's
         graph = chain_graph_with_random_params(0, m, 2, np.random.default_rng(m))
         p = graph.nodes[0].params
         x1 = radius / spectral_radius(p.X1) * p.X1
@@ -216,6 +200,56 @@ class TestDeform:
             ab for nd, nd0 in zip(first.nodes, graph.nodes, strict=True)
             for ab in zip(nd.params.matrices(), nd0.params.matrices())]
         assert max(np.abs(a - b).max() for a, b in pairs) <= 1e-14
+
+    def test_every_snapshot_of_13_paths_builds(self):
+        # (1, 3) paths once held about 60 of 101 snapshots that the relation
+        # gate refused, with their derived lengths parked near the unit circle;
+        # of these six inputs, the one at n = 2, seed 1 is refused itself
+        built = 0
+        for n in (1, 2, 3):
+            for seed in (0, 1):
+                graph = chain_graph_with_random_params(1, 3, n, np.random.default_rng(seed))
+                try:
+                    build_from_graph(graph)
+                except IllConditioned:
+                    continue
+                built += 1
+                for snap in deform_to_standard(graph, steps=100).snapshots:
+                    build_from_graph(snap)
+        assert built == 5
+
+    @pytest.mark.parametrize("genus, m", [(0, 5), (1, 2), (1, 3)])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_lengths_stay_within_their_end_radii(self, genus, m, n):
+        graph = chain_graph_with_random_params(genus, m, n, np.random.default_rng(n))
+        path = deform_to_standard(graph, steps=100)
+        lengths = np.array([[nd.params.matrices() for nd in s.nodes] for s in path.snapshots])
+        radius = np.abs(np.linalg.eigvals(lengths)).max(axis=-1)
+        ends = np.maximum(radius[0], radius[-1])
+        # a conjugated length (an attached X1, a handle X3) reads its spectrum to rounding
+        assert (radius <= ends * (1.0 + 1e-13)).all()
+        assert (radius[1:-1] < 1.0).all()
+
+    @pytest.mark.parametrize("genus, m", [(0, 3), (0, 5), (1, 1), (1, 3)])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_path_ends_are_exact(self, genus, m, n):
+        # snapshot 0 holds the input's free lengths and twists, the last one
+        # the standard lengths diag(+-1/2, ...) and twists diag(+-1, ...), bit for bit
+        def free(g):
+            # a handle block's X1 or a base pants' X2 and X3, every later X2, every twist
+            base = g.nodes[0].params
+            return ([base.X1] if genus else [base.X2, base.X3]) + [
+                nd.params.X2 for nd in g.nodes[1:]] + [e.twist for e in g.edges]
+
+        graph = chain_graph_with_random_params(genus, m, n, np.random.default_rng(7))
+        path = deform_to_standard(graph, steps=10)
+        first, last = path.snapshots[0], path.snapshots[-1]
+        assert [x.tobytes() for x in free(first)] == [x.tobytes() for x in free(graph)]
+        for nd in last.nodes:
+            for x in nd.params.matrices():
+                assert np.array_equal(np.abs(x), np.eye(n) / 2)
+        for e in last.edges:
+            assert np.array_equal(np.abs(e.twist), np.eye(n))
 
     def test_rep_input_is_not_rebuilt(self, monkeypatch):
         # neither a graph nor a representation is built: no build_from_graph
@@ -323,23 +357,24 @@ class TestDeform:
         assert len({id(s) for s in path.snapshots}) == steps + 1
 
     def test_pinned_snapshots(self):
-        # entries of a seeded (1, 2) chain at n = 3, recorded from the
-        # snapshot-by-snapshot implementation this one replaced
+        # entries of a seeded (1, 2) chain at n = 3, recorded from the path on
+        # which every length follows the twists' polar path and is capped at
+        # the larger of its end radii
         graph = chain_graph_with_random_params(1, 2, 3, np.random.default_rng(612))
         path = deform_to_standard(graph, steps=30)
         pinned = {
-            7: ([0.09902791588947656, -0.039400216217393744, -0.013655201480292374],
-                [-0.40761676707825917, -0.5617179864011036, -0.10808195868638137],
-                [0.9232066130223411, 0.20476520954960628, -0.0840296060595115],
-                [0.003922417366634189, -0.7533903104659899, 0.8317002993151448]),
-            16: ([0.1295704828275373, 0.00033160060053116243, -0.0012910627371469292],
-                 [0.047495468874273125, -0.49280232454491213, -0.6379520852250586],
-                 [0.9572718980120501, 0.13612462917477816, -0.04256063996912627],
-                 [-0.023442138479259095, 0.20830558762026208, 1.0176802441536947]),
-            29: ([0.4638022900847873, -2.869192960352745e-05, 0.0035586157844367237],
-                 [0.003878952612838474, 0.002608063751552136, -0.5417518371934837],
-                 [0.9973935131428044, 0.010737285806757882, -0.0018991765235002597],
-                 [-0.002914848373284727, 1.0020705346113477, 0.09774398795968099]),
+            7: ([0.303136621215882, -0.05787228226404145, -0.04631973675930037],
+                [-0.1580263059804575, -0.5764253372509462, -0.21429033752226923],
+                [0.9232066130223423, 0.20476520954960664, -0.08402960605951153],
+                [0.003922417366633767, -0.7533903104659915, 0.8317002993151416]),
+            16: ([0.3874182673892396, -0.003911587872413318, -0.0102434011338033],
+                 [0.014256749615134238, -0.36596627117533426, -0.3971330855657195],
+                 [0.9572718980120515, 0.13612462917477822, -0.042560639969126464],
+                 [-0.02344213847925951, 0.20830558762026086, 1.0176802441536943]),
+            29: ([0.4887644062024662, 0.0012074410654330002, 0.003862859384553955],
+                 [0.014212254860089896, -0.018391311117164615, -0.5105807602162842],
+                 [0.9973935131428053, 0.01073728580675795, -0.0018991765235002527],
+                 [-0.0029148483732847168, 1.002070534611346, 0.09774398795968106]),
         }
         for i, (p0_x2, p1_x3, handle, attach) in pinned.items():
             snap = path.snapshots[i]

@@ -66,7 +66,7 @@ def attracting_points(stack):
     """attracting_point of each slice of a stack, as one kernel call: its
     point or its refusal."""
     found, at_inf, moved, band, rho, _ = _subspace_fixed_points(stack, DEFAULT_TOL)
-    return point_outcomes(_attracting(found, moved <= band, rho, DEFAULT_TOL), at_inf)
+    return point_outcomes(_attracting(found, moved, band, rho, DEFAULT_TOL), at_inf)
 
 
 def rotation(theta: float) -> np.ndarray:
